@@ -46,6 +46,16 @@ GOLDEN = {
     # area summarization, inter-area forwarding and cluster-scoped
     # broadcast into the timeline contract.
     "mesh_routed_small": "e999a8cbc9ffc4b1d0e7e354cacd6abb",
+    # Pinned at 1be1179 ahead of the router split: together these cover
+    # failover + shadow promotion, breaker/dead-letter, throttle,
+    # bulkhead, in-segment partition parking and the on-path cache tap.
+    "redundant_router_failover": "47567c94bb7bdaeea5dcb0575a61eac9",
+    "chaos_router_storm": "a86b48478bf4a94f36bd9a8aaec0d309",
+    "flapping_spine": "a55826b12891c2136788907663e8e3b4",
+    "breaker_asymmetric_partition": "7a388d4794bdce4fdbac0a132b8e0557",
+    "bulkhead_noisy_neighbor": "eae66f3c2f11d0ade1dc140a5db7f406",
+    "routed_partition_heal": "cc97da99a274a7b6110cc83f54c962b5",
+    "cache_offload_star": "795f3eed59d83ee1bf5d9e5d414f9379",
 }
 
 
