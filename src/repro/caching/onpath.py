@@ -30,7 +30,7 @@ from .store import CacheStore
 from .wire import OP_REQUEST, OP_RESPONSE, OP_WRITE, decode, encode_response
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..routing.router import RouterPort, _Crossing
+    from ..routing.port import Crossing, RouterPort
 
 __all__ = ["OnPathCache"]
 
@@ -45,7 +45,7 @@ class OnPathCache:
         self.store = CacheStore(config.capacity, config.eviction)
         self.counters = counters
 
-    def serve(self, ingress_port: "RouterPort", crossing: "_Crossing") -> bool:
+    def serve(self, ingress_port: "RouterPort", crossing: "Crossing") -> bool:
         """Inspect one about-to-be-ferried crossing.
 
         Returns True when the crossing was answered locally (the caller

@@ -39,6 +39,7 @@ from .breaker import BreakerState, CircuitBreaker
 from .bulkhead import CompartmentedQueue
 from .config import ResilienceConfig
 from .dead_letter import DeadLetter, DeadLetterChannel
+from .port import PortResilience
 from .throttle import TokenBucket
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "CompartmentedQueue",
     "DeadLetter",
     "DeadLetterChannel",
+    "PortResilience",
     "ResilienceConfig",
     "TokenBucket",
 ]

@@ -1,13 +1,7 @@
 """The segment router: a store-and-forward bridge between ring segments.
 
-One :class:`SegmentRouter` owns one *port* per attached segment.  A port
-is a gateway node — a full ring member of that segment with its own MAC
-and messenger — plus the router-side state: a bounded egress queue, an
-insertion controller governing how fast ferried traffic may be
-re-originated, the liveness view of the segment behind the port, and a
-spanning-tree role (forwarding or blocked).
-
-Data path (ingress -> egress)::
+One :class:`SegmentRouter` owns one :class:`~.port.RouterPort` (a
+gateway node plus a paced egress queue) per attached segment::
 
     ring A frame, dst_segment=B          ring B
     ------------------------+      +------------------>
@@ -15,117 +9,52 @@ Data path (ingress -> egress)::
         (frame keeps        |      | re-originates with
          touring ring A)    v      | the origin address
               reassemble fragments | preserved in the
-              forwarding table     | header extension
+              table lookup         | header extension
               role gate            |
               egress queue --------+
 
-Four properties worth calling out:
-
-* **Tour-as-ack is preserved per segment.**  The captured frame still
-  circulates back to its inserter, whose messenger sees a completed
-  tour; reliability is therefore hop-by-hop — each ring's messenger
-  replays unconfirmed fragments across roster changes on *its* ring,
-  and the router's store-and-forward covers the gap between rings.
-* **Backpressure reuses the ring's own flow control.**  Each egress
-  queue is paced by a :class:`~repro.ring.flow_control.
-  InsertionController`: a bounded window of unconfirmed crossings, and
-  a pacing gap that backs off multiplicatively as the queue backs up
-  (``observe_transit_depth`` fed with the queue depth) — the exact
-  slide-8 mechanism, applied one layer up.
-* **Forwarding tables are learned, not configured — and they age.**
-  Every advertise period a router broadcasts, into each attached
-  segment, the segments it can reach (with hop metric) and the live
-  node ids behind them — liveness taken from the gateway's gossip
-  membership view when the cluster runs one, from the roster otherwise.
-  Routers hearing an advertisement learn ``dst segment -> next hop
-  port`` (distance vector with split horizon).  A route that is not
-  refreshed within the miss deadline is *withdrawn*, so a dead next-hop
-  router stops attracting traffic instead of silently blackholing it.
-* **Mesh scale comes from hierarchical summarization.**  A flat
-  distance vector advertises one row per reachable segment, so ad bytes
-  per period grow with the cluster.  Routers labelled with an ``area``
-  switch the ad wire format to v3 (a version-escape byte; unlabelled
-  single-area clusters keep emitting the v2 bytes unchanged): specific
-  rows cover only the router's *own* area, and every other area is
-  compressed into one ``(area, segment-range, metric, period)`` summary
-  row — O(areas), not O(segments).  Receivers install specifics only
-  from same-area senders and route out-of-area traffic by summary-range
-  lookup, with split horizon applied at the summary level and each
-  summary aged against the refresh period it carries (a slow area must
-  not flap a fast peer's specifics, and vice versa).
-* **Cluster-scoped broadcasts fan out over the spanning tree.**  A
-  broadcast is normally ring-local; a transfer flagged
-  ``cluster_broadcast`` (the explicit ``broadcast_scope="cluster"``
-  opt-in) is additionally captured by every gateway and re-originated
-  on the router's other forwarding ports, so the converged spanning
-  tree delivers exactly one copy per segment; origin-keyed dedup
-  (router and messenger) absorbs transient extra copies while the tree
-  is still settling, and blocked routers shadow-park a copy for
-  failover just like unicast crossings.
-* **Redundant routers run a spanning-tree protocol.**  The router graph
-  may contain cycles (two routers joining the same segment pair, ring
-  triangles, ...).  Each advertisement carries the sender's bridge id
-  ``(priority, router_id)`` plus its current root claim and root cost;
-  from those, every router deterministically elects the root, a root
-  port, and a *designated* router per segment — exactly classic STP
-  with segments as LANs and routers as bridges.  Ports that are neither
-  designated nor the root port are **blocked**: they keep listening to
-  advertisements (that is how a dead neighbour is detected — its ads
-  stop arriving before the miss deadline) but do not actively forward.
-  Crossings a blocked router captures are *shadow-parked* instead of
-  dropped; when the designated router dies and the roles re-converge,
-  the shadow is promoted and re-forwarded.  End-to-end duplicate
-  suppression (the messenger keys ferried transfers by the origin's
-  global address and transfer id) turns that at-least-once replay into
-  exactly-once delivery across a single router failure.
+What the router *decides* lives elsewhere: :mod:`.ads` (ad wire
+format), :mod:`.election` (spanning tree), :mod:`.table` (routes and
+summaries), :mod:`repro.resilience.port` (optional patterns).  This
+module is what touches the simulator: capture and reassembly (the frame
+still tours back to its inserter, so tour-as-ack holds per segment);
+forwarding, with the origin's ``(segment, node, transfer id)`` carried
+end to end so every hop dedups replays; the *shadow ledger* — crossings
+a blocked port captures, or that have no route yet, held bounded and
+TTL'd until failover or a learned route promotes them; cluster-scoped
+broadcast fan-out over the forwarding ports; and the advertise tick
+(expire peers, routes, shadows; advertise — also out of cycle after any
+role change).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..caching import CacheConfig, OnPathCache
 from ..membership import PeerStatus
 from ..micropacket import BROADCAST, MicroPacket
-from ..resilience import (
-    CircuitBreaker,
-    CompartmentedQueue,
-    DeadLetterChannel,
-    ResilienceConfig,
-    TokenBucket,
-)
-from ..ring import FlowControlConfig
-from ..ring.flow_control import InsertionController
+from ..resilience import DeadLetterChannel, ResilienceConfig
 from ..sim import Counter
 from ..transport import Channel, GlobalAddress
 from ..transport.messaging import _Reassembly
+from .ads import AdDecodeError, Advertisement, Entry, decode, encode
+from .election import Election, PeerClaim, PortRole, elect, silent_peers
+from .port import Crossing, RouterPort
+from .table import NOT_OURS, Change, RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import AmpNetCluster
-    from ..node import AmpNode
 
 __all__ = ["PortRole", "RouterConfig", "SegmentRouter"]
 
 #: Remembered completed crossings (dedup of late duplicate fragments).
 _COMPLETED_CACHE = 4096
 
-#: Wire resolution of the advertised period / root-age fields (u16 each
-#: -> 655 ms range at 10 us per unit, far past any advertise period).
-_AGE_UNIT_NS = 10_000
-
-#: ``n_live`` sentinel marking an elided live list ("assume the whole
-#: segment live").  Real counts are capped well below it.
-_LIVE_ELIDED = 0xFF
-
-
-class PortRole(Enum):
-    """Spanning-tree verdict for one router port."""
-
-    FORWARDING = "forwarding"
-    BLOCKED = "blocked"
+#: table-change kind -> counter prefix (``routes_learned``, ...)
+_PLURAL = {"route": "routes", "summary": "summaries"}
 
 
 @dataclass(frozen=True)
@@ -220,441 +149,16 @@ class RouterConfig:
 
 
 @dataclass
-class _Crossing:
-    """One reassembled message waiting in an egress queue."""
-
-    origin: GlobalAddress
-    dst: GlobalAddress
-    payload: bytes
-    channel: int
-    #: the origin messenger's transfer id, preserved end to end so every
-    #: hop (and the final destination) can dedup replays of this message
-    tid: int = 0
-    #: segment the crossing was captured on — the bulkhead's
-    #: compartment key
-    ingress: int = -1
-    #: this crossing has parked at least once (first park and re-parks
-    #: are counted separately; see RouterPort.pump)
-    parked: bool = False
-    #: cluster-scoped broadcast fan-out copy: re-originated via
-    #: ``send_cluster_broadcast`` (dst is ``(egress segment, BROADCAST)``
-    #: for queue bookkeeping only)
-    cluster_scope: bool = False
-
-
-@dataclass
-class _Route:
-    """A learned (not directly attached) destination segment."""
-
-    via: int          # port segment id the advertisement arrived on
-    metric: int       # hops to the destination segment
-    router: int       # advertising router id (freshness tie-break)
-    last_heard: int = 0   # sim time of the refreshing advertisement
-    #: the advertising router's own period — its refresh cadence, which
-    #: is what this route's staleness must be judged against
-    period_ns: int = 0
-
-
-@dataclass
-class _Summary:
-    """A learned per-area segment-range summary route (v3 ads)."""
-
-    area: int
-    lo: int           # lowest segment id the summary covers
-    hi: int           # highest segment id the summary covers
-    metric: int       # hops to the area's border router
-    via: int          # port segment id the summary arrived on
-    router: int       # advertising router id (freshness tie-break)
-    last_heard: int = 0
-    #: the summary's own refresh cadence as carried on the wire — the
-    #: worst advertise period along its relay path, which is what its
-    #: staleness must be judged against (NOT the relaying peer's header
-    #: period: a slow origin area must not flap, and a slow summary
-    #: must not drag out the expiry of the fast peer's specifics)
-    period_ns: int = 0
-
-    def covers(self, segment: int) -> bool:
-        return self.lo <= segment <= self.hi
-
-
-@dataclass
-class _PeerRouter:
-    """Another router heard on one of our segments."""
-
-    priority: int
-    root: Tuple[int, int]     # the root bridge id the peer claims
-    cost: int                 # the peer's advertised cost to that root
-    period_ns: int            # the peer's own advertise period
-    root_age_ns: int          # claimed age of its root info
-    last_heard: int
-
-    def bid(self, router_id: int) -> Tuple[int, int]:
-        return (self.priority, router_id)
-
-
-@dataclass
 class _Shadow:
     """A crossing parked by a blocked port, held for failover."""
 
-    ingress: int
-    crossing: _Crossing
+    crossing: Crossing
     parked_at: int
     #: this shadow holds the ONLY copy of its crossing (parked because
     #: no route existed yet, not as a failover safety duplicate) — its
     #: eviction or TTL expiry is real data loss and counts as an
     #: unroutable drop
     sole: bool = False
-
-
-class RouterPort:
-    """The router's attachment to one segment."""
-
-    def __init__(
-        self,
-        router: "SegmentRouter",
-        segment_id: int,
-        cluster: "AmpNetCluster",
-        gateway: "AmpNode",
-    ):
-        self.router = router
-        self.segment_id = segment_id
-        self.cluster = cluster
-        self.gateway = gateway
-        cfg = router.config
-        self.queue: Deque[_Crossing] = deque()
-        #: crossings whose destination is not currently rostered, keyed
-        #: by destination so they never stall the live queue behind them
-        self.parked: Dict[GlobalAddress, List[_Crossing]] = {}
-        #: spanning-tree state (single-router clusters stay forwarding)
-        self.role: PortRole = PortRole.FORWARDING
-        self.designated: bool = True
-        #: peer routers heard on this segment: router id -> liveness
-        self.peers: Dict[int, _PeerRouter] = {}
-        # Egress pacing: the ring's own insertion-control algebra, fed
-        # with the egress queue depth instead of a transit buffer.
-        self.controller = self._make_controller()
-        self._pump_timer_armed = False
-        self._pump_timer_due = 0
-        #: next instant the parked side list is worth re-polling; keeps
-        #: pacing-cadence wakes from churning the parked set
-        self._parked_retry_at = 0
-        # Resilience patterns (all None/empty when disabled — the
-        # default-off path allocates nothing and takes no branches that
-        # could perturb the pre-pattern timeline).
-        res = router.res
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(res.breaker_threshold, notify=self._breaker_event)
-            if res.circuit_breaker else None
-        )
-        self.throttle: Optional[TokenBucket] = (
-            TokenBucket(res.throttle_token_ns, res.throttle_burst,
-                        now=cluster.sim.now)
-            if res.throttle else None
-        )
-        #: fragments awaiting throttle tokens (FIFO: order preserved)
-        self._deferred: Deque[MicroPacket] = deque()
-        self._throttle_armed = False
-
-    def _make_controller(self) -> InsertionController:
-        cfg = self.router.config
-        controller = InsertionController(
-            FlowControlConfig(
-                transit_capacity=cfg.egress_capacity,
-                window_override=cfg.egress_window,
-                hi_watermark=max(2, cfg.egress_capacity // 4),
-            )
-        )
-        controller.ring_installed(2)  # window comes from the override
-        return controller
-
-    # ------------------------------------------------------------- egress
-    def enqueue(self, crossing: _Crossing) -> bool:
-        """Queue a crossing for re-origination; False when full (drop).
-
-        Parked crossings count against the capacity too: a partition
-        must exert backpressure, not grow an unbounded side list.  With
-        the bulkhead pattern on, the crossing must additionally fit its
-        ingress segment's compartment — a saturated neighbour is turned
-        away (counted) before it can displace anyone else's share.
-        """
-        if self.backlog >= self.router.config.egress_capacity:
-            return False
-        queue = self.queue
-        if isinstance(queue, CompartmentedQueue) and not queue.accepts(
-            crossing.ingress
-        ):
-            self.router.counters.incr("bulkhead_isolated_rejects")
-            return False
-        queue.append(crossing)
-        self.controller.observe_transit_depth(len(queue))
-        self.pump()
-        return True
-
-    def pump(self) -> None:
-        """Drain as much of the queue as window + pacing allow.
-
-        A crossing whose *final* destination is not currently rostered
-        on this segment is moved to the ``parked`` side list (keyed by
-        destination): re-originating it would complete a tour of a ring
-        the destination is not on, and tour-as-ack would then count an
-        undelivered message as done.  Parking it *aside* — rather than
-        at the queue head — keeps later crossings to live destinations
-        flowing.  Parked traffic re-queues when the destination
-        re-rosters (ring-up hook) or on the retry timer.
-
-        The first park of a crossing and its re-parks on later retry
-        polls are distinct events (``egress_parked`` vs
-        ``egress_reparked``): one crossing to a long-dead destination
-        counts as one parked crossing, however many retry cycles it
-        survives.  With the circuit breaker on, each park is also a
-        failure vote — at the threshold the destination trips OPEN and
-        offers to it fail fast into the dead-letter channel until a
-        half-open probe (on the same retry cadence) delivers.
-        """
-        if self.router.failed:
-            return
-        sim = self.router.sim
-        now = sim.now
-        controller = self.controller
-        counters = self.router.counters
-        breaker = self.breaker
-        while self.queue and controller.may_insert(now):
-            crossing = self.queue.popleft()
-            if breaker is not None and not breaker.admit(crossing.dst, now):
-                self.router.dead_letter_crossing(
-                    crossing, "circuit_open", self.segment_id,
-                    redrivable=True,
-                )
-                continue
-            if not self._deliverable(crossing):
-                if breaker is not None and breaker.record_park(
-                    crossing.dst, now, self.retry_ns
-                ):
-                    self._fail_fast_destination(crossing)
-                    continue
-                self.parked.setdefault(crossing.dst, []).append(crossing)
-                if crossing.parked:
-                    counters.incr("egress_reparked")
-                else:
-                    crossing.parked = True
-                    counters.incr("egress_parked")
-                continue
-            if breaker is not None and breaker.record_delivery(crossing.dst):
-                # A half-open probe succeeded: the breaker closed, so
-                # re-drive everything that failed fast while it was open
-                # (appended behind the probe; drained by this same loop).
-                self._redrive_dead_letters(crossing.dst)
-            controller.inserted(now)
-            if crossing.cluster_scope:
-                handle = self.gateway.messenger.send_cluster_broadcast(
-                    crossing.payload,
-                    crossing.channel,
-                    origin=crossing.origin,
-                    wire_tid=crossing.tid,
-                )
-            else:
-                handle = self.gateway.messenger.send_global(
-                    crossing.dst,
-                    crossing.payload,
-                    crossing.channel,
-                    origin=crossing.origin,
-                    wire_tid=crossing.tid,
-                )
-            handle.delivered.callbacks.append(self._confirmed)
-            self.router.counters.incr("egress_tx")
-        depth = len(self.queue)
-        controller.observe_transit_depth(depth)
-        wake_at = controller.earliest_insert()
-        delay: Optional[int] = None
-        if depth and wake_at > now and not controller.window_full():
-            # Pacing gap: wake when it ends (confirm callbacks cover
-            # the window-full case).
-            delay = wake_at - now
-        if self.parked:
-            # Destination unreachable right now: poll a few tours out
-            # (the ring-up listener usually wakes the queue sooner).
-            # Never later than a pending pacing wake — one parked
-            # crossing must not throttle the live queue to the retry
-            # cadence — but the poll itself keeps its own deadline,
-            # so pacing-cadence wakes do not churn the parked set.
-            if self._parked_retry_at <= now:
-                self._parked_retry_at = now + self.retry_ns
-            parked_delay = self._parked_retry_at - now
-            delay = (parked_delay if delay is None
-                     else min(delay, parked_delay))
-        if delay is not None:
-            # Arm, or re-arm when the needed wake is *earlier* than the
-            # pending one: a live crossing enqueued behind a pacing gap
-            # must not wait out a long parked-retry timer (the stale
-            # later timer fires into an idempotent pump).
-            due = now + max(delay, 1)
-            if not self._pump_timer_armed or due < self._pump_timer_due:
-                self._arm_pump_timer(delay)
-
-    def _deliverable(self, crossing: _Crossing) -> bool:
-        if crossing.dst[0] != self.segment_id:
-            return True  # bound for a next-hop router, not a ring member
-        dst_node = crossing.dst[1]
-        if dst_node == BROADCAST:
-            return True
-        roster = self.gateway.roster
-        return roster is not None and dst_node in roster.members
-
-    def requeue_parked(self) -> None:
-        """Re-offer every parked crossing to the queue (roster change or
-        retry poll); still-dead destinations simply park again."""
-        if not self.parked:
-            return
-        parked, self.parked = self.parked, {}
-        for crossings in parked.values():
-            self.queue.extend(crossings)
-
-    def ring_up(self) -> None:
-        """A new roster may restore a parked crossing's destination."""
-        self.requeue_parked()
-        self._probe_breakers()
-        self.pump()
-
-    # -------------------------------------------------- circuit breaker
-    def _breaker_event(self, event: str, dst: GlobalAddress) -> None:
-        self.router.counters.incr(f"breaker_{event}")
-        if event in ("opened", "closed"):
-            self.router.tracer.record(
-                self.router.sim.now, "routing", self.router.name,
-                event=f"breaker_{event}", segment=self.segment_id, dst=dst,
-            )
-
-    def _fail_fast_destination(self, crossing: _Crossing) -> None:
-        """The breaker tripped OPEN on ``crossing.dst``: this crossing
-        and every parked sibling go to the dead-letter channel
-        (redrivable — a closing breaker brings them back)."""
-        dead_letter = self.router.dead_letter_crossing
-        for parked in self.parked.pop(crossing.dst, []):
-            dead_letter(parked, "circuit_open", self.segment_id,
-                        redrivable=True)
-        dead_letter(crossing, "circuit_open", self.segment_id,
-                    redrivable=True)
-
-    def _redrive_dead_letters(
-        self, dst: Optional[GlobalAddress] = None, limit: Optional[int] = None
-    ) -> int:
-        """Move this port's redrivable dead-letter entries back into the
-        queue; returns how many were re-offered."""
-        entries = self.router.dead_letter.redrive(
-            segment=self.segment_id, dst=dst, limit=limit
-        )
-        for entry in entries:
-            self.queue.append(entry.item)
-        return len(entries)
-
-    def _probe_breakers(self) -> None:
-        """Half-open probing on the retry cadence: for each OPEN
-        destination whose probe window arrived, re-offer one of its
-        dead-lettered crossings — ``pump`` admits it as the probe."""
-        if self.breaker is None:
-            return
-        for dst in self.breaker.probes_due(self.router.sim.now):
-            self._redrive_dead_letters(dst, limit=1)
-
-    @property
-    def retry_ns(self) -> int:
-        return max(10 * self.cluster.tour_estimate_ns, 50_000)
-
-    def _arm_pump_timer(self, delay_ns: int) -> None:
-        delay = max(delay_ns, 1)
-        self._pump_timer_armed = True
-        self._pump_timer_due = self.router.sim.now + delay
-        self.router.sim.call_in(delay, self._pump_timer)
-
-    def _pump_timer(self) -> None:
-        self._pump_timer_armed = False
-        if self.router.failed:
-            return
-        if self.parked and self.router.sim.now >= self._parked_retry_at:
-            self.requeue_parked()
-        self._probe_breakers()
-        self.pump()
-
-    def _confirmed(self, _event) -> None:
-        self.controller.tour_completed()
-        self.pump()
-
-    # --------------------------------------------------------- throttling
-    def admit_fragment(self, pkt: MicroPacket) -> bool:
-        """Token-bucket gate on ingress capture.
-
-        True: process the fragment now.  False: it was deferred into the
-        bounded FIFO (drained as tokens mature) or — beyond the backlog
-        bound — shed as an accounted drop.  FIFO order is preserved: new
-        fragments defer behind an existing backlog even when a token is
-        available, so throttling never reorders a fragment train.
-        """
-        bucket = self.throttle
-        if bucket is None:
-            return True
-        now = self.router.sim.now
-        if not self._deferred and bucket.try_take(now):
-            return True
-        if len(self._deferred) >= self.router.res.throttle_backlog:
-            self.router.counters.incr("throttle_shed")
-            self.router.dead_letter_crossing(
-                None, "throttle_shed", self.segment_id
-            )
-            return False
-        self._deferred.append(pkt)
-        self.router.counters.incr("throttle_deferred")
-        self._arm_throttle_timer()
-        return False
-
-    def _arm_throttle_timer(self) -> None:
-        if self._throttle_armed:
-            return
-        self._throttle_armed = True
-        delay = max(1, self.throttle.delay_until_ready(self.router.sim.now))
-        self.router.sim.call_in(delay, self._throttle_timer)
-
-    def _throttle_timer(self) -> None:
-        self._throttle_armed = False
-        if self.router.failed:
-            return
-        now = self.router.sim.now
-        while self._deferred and self.throttle.try_take(now):
-            pkt = self._deferred.popleft()
-            self.router.ingest_now(self, self.segment_id, pkt)
-        if self._deferred:
-            self._arm_throttle_timer()
-
-    # ----------------------------------------------------------- recovery
-    def reset(self) -> None:
-        """Cold restart after a router recovery.
-
-        The insertion controller may have died window-full (its
-        unconfirmed sends' callbacks went down with the gateway), a
-        pump/throttle timer may have fired into the ``failed`` early
-        return, and breaker/bucket state described a world that no
-        longer exists — all of it is NIC state, so all of it resets.
-        Without this, a recovered router whose controller still counts
-        crashed-era sends as outstanding would never pump again.
-        """
-        self.controller = self._make_controller()
-        self._pump_timer_armed = False
-        self._pump_timer_due = 0
-        self._parked_retry_at = 0
-        self._deferred.clear()
-        self._throttle_armed = False
-        if self.breaker is not None:
-            self.breaker.reset()
-        if self.throttle is not None:
-            self.throttle.reset(self.router.sim.now)
-
-    # ------------------------------------------------------------ queries
-    @property
-    def parked_count(self) -> int:
-        return sum(len(c) for c in self.parked.values())
-
-    @property
-    def backlog(self) -> int:
-        return len(self.queue) + self.parked_count
 
 
 class SegmentRouter:
@@ -670,27 +174,17 @@ class SegmentRouter:
         self.name = f"router-{router_id}"
         self.failed = False
         self.ports: Dict[int, RouterPort] = {}
-        #: learned routes: destination segment -> _Route (attached
-        #: segments are implicit metric-0 routes through their port).
-        #: With areas in play this holds *intra-area* specifics only.
-        self.table: Dict[int, _Route] = {}
-        #: learned per-area summary routes (v3 ads): area -> _Summary.
-        #: Empty in single-area mode — the wire-identity invariant.
-        self.summaries: Dict[int, _Summary] = {}
-        #: gossip/roster liveness per *remote* segment, as advertised
-        #: ``None`` records an elided live list ("assume all live")
-        self.remote_live: Dict[int, Optional[Set[int]]] = {}
-        #: spanning-tree election state (self-rooted until ads arrive)
-        self.root: Tuple[int, int] = self.bid
-        self.root_cost = 0
-        self.root_port: Optional[int] = None
-        #: provenance of the adopted root claim (claimed age + when the
-        #: backing offer was last refreshed) — the basis of the Max-Age
-        #: discipline that kills ghost roots
-        self._root_offer_age_ns = 0
-        self._root_offer_heard_at = 0
+        #: learned routes and area summaries (attached segments are
+        #: implicit metric-0 routes through their port)
+        self.table = RouteTable(config.segments, config.area)
+        #: spanning-tree state (self-rooted until ads arrive)
+        self.election = Election.self_rooted(self.bid, config.segments)
         #: crossings captured while role-blocked, held for failover
         self.shadow: Deque[_Shadow] = deque()
+        self.shadow_capacity = (
+            config.shadow_capacity if config.shadow_capacity is not None
+            else 4 * config.egress_capacity
+        )
         self.counters = Counter()
         #: resilience policy (defaults = every pattern off)
         self.res = (config.resilience if config.resilience is not None
@@ -702,9 +196,9 @@ class SegmentRouter:
             if config.cache is not None and config.cache.enabled
             else None
         )
-        #: the dead-letter accounting channel always exists (the breaker
-        #: fails fast into it regardless of the dead_letter flag); inert
-        #: and allocation-free until something consumes into it
+        #: the router-wide dead-letter ledger: ports fail fast into it,
+        #: and with the ``dead_letter`` pattern on, lost shadows are
+        #: accounted here; inert until something consumes into it
         self.dead_letter = DeadLetterChannel(
             self.res.dead_letter_capacity, self.counters
         )
@@ -714,8 +208,8 @@ class SegmentRouter:
         self._completed: "OrderedDict[Tuple[int, int, int], None]" = OrderedDict()
         self._started = False
         self._ticking = False
-        self._readvertise_armed = False
-        self._shadow_retry_armed = False
+        #: names of the coalesced one-shot timers currently pending
+        self._pending: Set[str] = set()
 
     @property
     def bid(self) -> Tuple[int, int]:
@@ -723,10 +217,13 @@ class SegmentRouter:
         return (self.config.priority, self.router_id)
 
     @property
-    def shadow_capacity(self) -> int:
-        if self.config.shadow_capacity is not None:
-            return self.config.shadow_capacity
-        return 4 * self.config.egress_capacity
+    def root(self) -> Tuple[int, int]:
+        """The root bridge this router currently believes in."""
+        return self.election.root
+
+    def trace(self, event: str, **data) -> None:
+        self.tracer.record(self.sim.now, "routing", self.name,
+                           event=event, **data)
 
     # ------------------------------------------------------------- wiring
     def attach(
@@ -739,11 +236,10 @@ class SegmentRouter:
             raise ValueError(f"segment {segment_id} already attached")
         if segment_id not in self.config.segments:
             raise ValueError(f"segment {segment_id} not in this router's config")
-        gateway = cluster.nodes[gateway_id]
-        port = RouterPort(self, segment_id, cluster, gateway)
-        self.ports[segment_id] = port
         self.sim = cluster.sim
         self.tracer = cluster.tracer
+        port = RouterPort(self, segment_id, cluster, cluster.nodes[gateway_id])
+        self.ports[segment_id] = port
         return port
 
     def start(self) -> None:
@@ -752,31 +248,26 @@ class SegmentRouter:
         if missing:
             raise ValueError(f"unattached segments {sorted(missing)}")
         self._started = True
-        if self.res.bulkhead:
-            # Each egress queue gets one compartment per possible
-            # ingress (every *other* port), sharing the egress capacity.
-            cap = max(
-                1,
-                self.config.egress_capacity // max(1, len(self.ports) - 1),
-            )
-            for port in self.ports.values():
-                port.queue = CompartmentedQueue(cap)
         for port in self.ports.values():
             gw = port.gateway
-            gw.mac.capture = self._make_capture(port)
-            gw.messenger.on_message(Channel.ROUTING, self._make_ad_rx(port))
+            gw.mac.capture = lambda pkt, frame, p=port: self._ingest(p, pkt)
+            gw.messenger.on_message(
+                Channel.ROUTING,
+                lambda src, payload, channel, p=port:
+                    self._on_advertisement(p, payload),
+            )
             # A new roster may restore a parked crossing's destination.
             gw.ring_up_listeners.append(lambda roster, p=port: p.ring_up())
             if gw.membership is not None:
+                # The verdict itself lives in the gateway's view;
+                # counting it keeps an auditable record of gossip
+                # feeding the router.
                 gw.membership.transition_listeners.append(
-                    lambda state, p=port: self._on_gossip_transition(p, state)
+                    lambda state: self.counters.incr("gossip_transitions_seen")
                 )
         self._ticking = True
         self.sim.call_in(self.advertise_period_ns, self._advertise_tick)
-        self.tracer.record(
-            self.sim.now, "routing", self.name,
-            event="start", ports=tuple(sorted(self.ports)),
-        )
+        self.trace("start", ports=tuple(sorted(self.ports)))
 
     @property
     def advertise_period_ns(self) -> int:
@@ -786,11 +277,6 @@ class SegmentRouter:
         if self.config.advertise_period_tours is not None:
             return max(int(self.config.advertise_period_tours * tour), 1)
         return max(50 * tour, 200_000)
-
-    @property
-    def miss_deadline_ns(self) -> int:
-        """Silence longer than this declares a peer (or route) dead."""
-        return self.config.miss_deadline_periods * self.advertise_period_ns
 
     # ---------------------------------------------------------- lifecycle
     def crash(self) -> None:
@@ -804,80 +290,40 @@ class SegmentRouter:
         if self.failed:
             return
         self.failed = True
-        queued = sum(p.backlog for p in self.ports.values())
+        ports = self.ports.values()
+        queued = sum(p.backlog for p in ports)
         self.counters.incr("crash_lost_queued", queued)
-        fragments = sum(len(p._deferred) for p in self.ports.values())
+        fragments = sum(
+            p.resilience.drop_deferred() for p in ports
+            if p.resilience is not None
+        )
         if fragments:
             self.counters.incr("crash_lost_fragments", fragments)
-        for port in self.ports.values():
+        for port in ports:
             port.queue.clear()
             port.parked.clear()
-            port._deferred.clear()
         self.shadow.clear()
         lost_letters = self.dead_letter.clear()
         if lost_letters:
             self.counters.incr("crash_lost_dead_letters", lost_letters)
-        self.tracer.record(
-            self.sim.now, "routing", self.name,
-            event="router_crash", queued_lost=queued,
-        )
+        self.trace("router_crash", queued_lost=queued)
 
     def recover(self) -> None:
-        """Power back on with cold state; ads rebuild roles and routes.
-
-        Port-side pump state resets too: a ``_pump_timer`` that fired
-        into the ``failed`` early return left no timer armed, and an
-        insertion controller that died window-full would otherwise count
-        its crashed-era sends as outstanding forever — either way the
-        recovered port must pump on the next enqueue, not stall.
-        """
+        """Power back on with cold state; ads rebuild roles and routes
+        (port-side pump state resets too — see :meth:`RouterPort.reset`)."""
         if not self.failed:
             return
         self.failed = False
         self.table.clear()
-        self.summaries.clear()
-        self.remote_live.clear()
         for port in self.ports.values():
             port.peers.clear()
             port.reset()
-        self.root, self.root_cost, self.root_port = self.bid, 0, None
         self._recompute_roles()
         if not self._ticking:
             self._ticking = True
             self.sim.call_in(self.advertise_period_ns, self._advertise_tick)
         self._schedule_readvertise()
-        self.tracer.record(
-            self.sim.now, "routing", self.name, event="router_recover",
-        )
-
-    # ---------------------------------------------------------- dead-letter
-    def dead_letter_crossing(
-        self,
-        crossing: Optional[_Crossing],
-        reason: str,
-        segment: int,
-        redrivable: bool = False,
-    ) -> None:
-        """Consume one crossing (or a count-only record) into the
-        dead-letter channel, with the trace record the channel itself
-        stays agnostic of."""
-        now = self.sim.now
-        evicted = self.dead_letter.consume(
-            crossing, reason, segment=segment, redrivable=redrivable, now=now,
-        )
-        self.tracer.record(
-            now, "routing", self.name,
-            event="dead_letter", reason=reason, segment=segment,
-            dst=crossing.dst if crossing is not None else None,
-        )
-        if evicted is not None and evicted.redrivable:
-            # A redrivable entry pushed out by the bound is a real loss;
-            # the overflow counter ticked in the channel, the trace
-            # record lands here.
-            self.tracer.record(
-                now, "routing", self.name,
-                event="dead_letter_overflow", reason=evicted.reason,
-            )
+        self.trace("router_recover")
 
     # ----------------------------------------------------------- liveness
     def live_in_segment(self, segment_id: int) -> Set[int]:
@@ -889,14 +335,16 @@ class SegmentRouter:
         """
         port = self.ports.get(segment_id)
         if port is None:
-            known = self.remote_live.get(segment_id, set())
-            if known is None:
+            route = self.table.routes.get(segment_id)
+            if route is None:
+                return set()
+            if route.live is None:
                 # Elided live list on the last ad: the advertiser's ring
                 # was past the wire cap, so answer "everything" — node
                 # ids are 8-bit, and reachability gating must not deny a
                 # node the advertiser simply could not enumerate.
                 return set(range(256))
-            return set(known)
+            return set(route.live)
         gw = port.gateway
         if gw.membership is not None:
             return {
@@ -909,33 +357,19 @@ class SegmentRouter:
     def considers_live(self, addr: GlobalAddress) -> bool:
         return addr[1] in self.live_in_segment(addr[0])
 
-    def _on_gossip_transition(self, port: RouterPort, state) -> None:
-        # The verdict itself lives in the gateway's view; counting it
-        # here keeps an auditable record of gossip feeding the router.
-        self.counters.incr("gossip_transitions_seen")
-
     # ------------------------------------------------------------ ingress
-    def _make_capture(self, port: RouterPort):
-        segment_id = port.segment_id
-
-        def capture(pkt: MicroPacket, frame) -> None:
-            self._ingest(port, segment_id, pkt)
-
-        return capture
-
-    def _ingest(self, port: RouterPort, segment_id: int, pkt: MicroPacket) -> None:
+    def _ingest(self, port: RouterPort, pkt: MicroPacket) -> None:
         if self.failed:
             return
         dma = pkt.dma
         if dma is None or dma.src_segment is None:  # pragma: no cover
             return  # not a routed fragment; nothing to ferry
-        if not port.admit_fragment(pkt):
+        res = port.resilience
+        if res is not None and not res.admit_fragment(pkt):
             return  # deferred behind the token bucket (or shed)
-        self.ingest_now(port, segment_id, pkt)
+        self.ingest_now(port.segment_id, pkt)
 
-    def ingest_now(
-        self, port: RouterPort, segment_id: int, pkt: MicroPacket
-    ) -> None:
+    def ingest_now(self, segment_id: int, pkt: MicroPacket) -> None:
         """Capture processing past the throttle gate (the deferred-
         fragment drain re-enters here)."""
         if self.failed:
@@ -952,8 +386,8 @@ class SegmentRouter:
         state = self._reassembly.get(key)
         if state is None:
             state = self._reassembly[key] = _Reassembly()
-        result = state.add(dma.offset, pkt.payload, dma.last, pkt.channel)
-        if result is None:
+        payload = state.add(dma.offset, pkt.payload, dma.last, pkt.channel)
+        if payload is None:
             return
         del self._reassembly[key]
         self._completed[key] = None
@@ -962,87 +396,71 @@ class SegmentRouter:
         self.counters.incr("messages_captured")
         if dma.cluster_broadcast:
             self.counters.incr("broadcasts_captured")
-            self._forward_broadcast(
-                ingress=segment_id,
-                origin=(dma.src_segment, dma.src_node),
-                payload=result,
-                channel=state.channel,
-                tid=dma.transfer_id,
-            )
-            return
-        self._forward(
-            ingress=segment_id,
-            origin=(dma.src_segment, dma.src_node),
-            dst=(dma.dst_segment, pkt.dst),
-            payload=result,
-            channel=state.channel,
-            tid=dma.transfer_id,
-        )
+            dst = (segment_id, BROADCAST)
+        else:
+            dst = (dma.dst_segment, pkt.dst)
+        self._forward(Crossing(
+            (dma.src_segment, dma.src_node), dst, payload, state.channel,
+            dma.transfer_id, ingress=segment_id,
+            cluster_scope=bool(dma.cluster_broadcast),
+        ))
 
     # --------------------------------------------------------- forwarding
-    #: _egress_for verdict: this crossing belongs to another router on
-    #: the ingress ring (its route does not point back out the ingress
-    #: port).  Declining is normal operation, not a loss.
-    _NOT_OURS = -1
-
     def _forward(
-        self,
-        ingress: int,
-        origin: GlobalAddress,
-        dst: GlobalAddress,
-        payload: bytes,
-        channel: int,
-        tid: int = 0,
-        shadow: Optional["_Shadow"] = None,
+        self, crossing: Crossing, shadow: Optional[_Shadow] = None
     ) -> None:
-        egress = self._egress_for(ingress, dst[0])
-        if egress == self._NOT_OURS or egress is None:
-            if shadow is not None:
-                # A shadow entry must never be dropped on a transient
-                # verdict: a withdrawn route may be re-learned one
-                # advertise cycle later (which re-drains the shadow),
-                # and until its TTL expires the entry is the failover
-                # safety net.  Hold it.
-                self.shadow.append(shadow)
-                self.counters.incr("shadow_held")
+        """Offer one captured crossing — or, with ``shadow``, one
+        re-offered shadow entry — to its egress port(s).
+
+        A unicast crossing has the one egress the table names; a
+        cluster-scoped broadcast already toured (and delivered on) the
+        ingress ring and fans out to every *other* port.  On a converged
+        tree the forwarding ports span every segment exactly once, so
+        skipping a blocked egress is pruning, not loss.
+
+        A shadow entry is never dropped on a transient verdict: a
+        withdrawn route may be re-learned one advertise cycle later, the
+        tree may still be settling, and the burst a failover promotes
+        can exceed the egress bound — until its TTL the entry is the
+        failover safety net, so it is held and retried instead.
+        """
+        counters = self.counters
+        ports = self.ports
+        ingress = crossing.ingress
+        if crossing.cluster_scope:
+            targets = [seg for seg in ports if seg != ingress]
+            gate = [ingress]
+        else:
+            egress = self.table.egress_for(ingress, crossing.dst[0])
+            if egress is None or egress == NOT_OURS:
+                if shadow is not None:
+                    self.shadow.append(shadow)
+                    counters.incr("shadow_held")
+                elif egress == NOT_OURS:
+                    # Split horizon: a router nearer the destination (on
+                    # this same ring) forwards this one.  Every router
+                    # on a shared ring captures every routed frame, so
+                    # declines are routine, never data-plane drops.
+                    counters.incr("split_horizon_declines")
+                else:
+                    # No route *yet*: the origin's reliability window
+                    # closed when this frame was captured off its ring,
+                    # so dropping here would be permanent loss even for
+                    # a transient gap.  Park the sole copy; every route
+                    # learned re-drains the shadow, and a crossing still
+                    # unroutable at shadow TTL counts as the drop it
+                    # then genuinely is.  (On a blocked ingress the
+                    # ring's designated router owns the crossing — ours
+                    # is a failover duplicate, not the last copy.)
+                    sole = ports[ingress].role is PortRole.FORWARDING
+                    self._shadow_park(crossing, sole=sole)
+                    counters.incr("unroutable_parked")
+                    self.trace("unroutable_parked", dst=crossing.dst,
+                               ingress=ingress)
                 return
-            if egress == self._NOT_OURS:
-                # Split horizon: a router nearer the destination (on
-                # this same ring) forwards this one.  Every router on a
-                # shared ring captures every routed frame, so declines
-                # are routine and must never read as data-plane drops.
-                self.counters.incr("split_horizon_declines")
-                return
-            # No route *yet*: the origin messenger's reliability window
-            # closed when this frame was captured off its ring, so
-            # dropping here would be permanent loss even for a purely
-            # transient gap (mesh summaries a few relay generations
-            # away, a withdrawn route one advertise period from
-            # returning).  Park the sole copy instead; every
-            # route/summary learned re-drains the shadow, and a
-            # crossing still unroutable at shadow TTL is counted as the
-            # drop it then genuinely is.
-            crossing = _Crossing(origin, dst, payload, channel, tid,
-                                 ingress=ingress)
-            # A blocked ingress means the ring's designated router owns
-            # this crossing — our parked copy is a failover duplicate,
-            # not the last copy, so its expiry must not read as loss.
-            sole = self.ports[ingress].role is PortRole.FORWARDING
-            self._shadow_park(ingress, crossing, sole=sole)
-            self.counters.incr("unroutable_parked")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="unroutable_parked", dst=dst, ingress=ingress,
-            )
-            return
-        crossing = _Crossing(origin, dst, payload, channel, tid,
-                             ingress=ingress)
-        ingress_port = self.ports[ingress]
-        egress_port = self.ports[egress]
-        if (
-            ingress_port.role is not PortRole.FORWARDING
-            or egress_port.role is not PortRole.FORWARDING
-        ):
+            targets = [egress]
+            gate = [ingress, egress]
+        if any(ports[seg].role is not PortRole.FORWARDING for seg in gate):
             # Spanning tree says the designated router carries this one.
             # Shadow-park it instead of dropping: if the designated
             # router dies, re-convergence promotes the shadow, and the
@@ -1051,175 +469,70 @@ class SegmentRouter:
             if shadow is not None:
                 self.shadow.append(shadow)  # still blocked: keep holding
             else:
-                self._shadow_park(ingress, crossing)
+                self._shadow_park(crossing)
             return
-        if self.cache is not None and self.cache.serve(ingress_port, crossing):
+        if (self.cache is not None and not crossing.cluster_scope
+                and self.cache.serve(ports[ingress], crossing)):
             # Answered from the on-path cache: the response went back
             # onto the ingress ring and the crossing never leaves this
             # router.  Sits after the role gate so only the designated
-            # router answers (a blocked redundant router would have
-            # produced a duplicate response); a shadow entry promoted
-            # into a local answer is equally consumed.
-            return
-        if not egress_port.enqueue(crossing):
-            if shadow is not None:
-                # A promoted crossing must not be overflow-dropped: the
-                # burst a failover promotes can exceed the egress bound,
-                # so the surplus waits its turn in the shadow.
-                self.shadow.append(shadow)
-                self.counters.incr("shadow_deferred")
-                self._arm_shadow_retry()
-                return
-            self.counters.incr("egress_overflow_drop")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="egress_overflow", dst=dst, egress=egress,
-            )
-        elif shadow is not None:
-            self.counters.incr("shadow_promoted")
-
-    def _forward_broadcast(
-        self,
-        ingress: int,
-        origin: GlobalAddress,
-        payload: bytes,
-        channel: int,
-        tid: int = 0,
-        shadow: Optional["_Shadow"] = None,
-    ) -> None:
-        """Fan a cluster-scoped broadcast out over the spanning tree.
-
-        The frame already toured (and delivered on) the ingress ring;
-        this re-originates one copy per *other* forwarding port.  On a
-        converged tree the forwarding ports span every segment exactly
-        once, so skipping blocked egress ports is pruning, not loss —
-        the segment behind a blocked port receives its copy from that
-        segment's designated router.  A blocked *ingress* means the
-        designated router of the ingress ring carries this broadcast;
-        like unicast crossings the whole fan-out is shadow-parked so a
-        failover can promote and replay it (duplicate copies the dead
-        router did deliver are absorbed by the origin-keyed dedup).
-        """
-        ingress_port = self.ports[ingress]
-        if ingress_port.role is not PortRole.FORWARDING:
-            if shadow is not None:
-                self.shadow.append(shadow)  # still blocked: keep holding
-                return
-            crossing = _Crossing(
-                origin, (ingress, BROADCAST), payload, channel, tid,
-                ingress=ingress, cluster_scope=True,
-            )
-            self._shadow_park(ingress, crossing)
+            # router answers; a shadow entry promoted into a local
+            # answer is equally consumed.
             return
         deferred = False
-        for seg, port in self.ports.items():
-            if seg == ingress:
-                continue
-            if port.role is not PortRole.FORWARDING:
-                # The tree covers this segment via its designated router.
-                self.counters.incr("broadcast_pruned")
-                continue
-            crossing = _Crossing(
-                origin, (seg, BROADCAST), payload, channel, tid,
-                ingress=ingress, cluster_scope=True,
-            )
-            if port.enqueue(crossing):
-                self.counters.incr("broadcast_fanout")
-                continue
-            if shadow is not None:
+        for seg in targets:
+            port = ports[seg]
+            copy = crossing
+            if crossing.cluster_scope:
+                if port.role is not PortRole.FORWARDING:
+                    # The tree covers it via its designated router.
+                    counters.incr("broadcast_pruned")
+                    continue
+                copy = replace(crossing, dst=(seg, BROADCAST))
+            if port.enqueue(copy):
+                if crossing.cluster_scope:
+                    counters.incr("broadcast_fanout")
+            elif shadow is not None:
                 deferred = True
             else:
-                self.counters.incr("egress_overflow_drop")
-                self.tracer.record(
-                    self.sim.now, "routing", self.name,
-                    event="egress_overflow", dst=(seg, BROADCAST),
-                    egress=seg,
-                )
-        if shadow is not None:
-            if deferred:
-                # Part of the fan-out found its egress queue full: hold
-                # the shadow and retry (already-served segments dedup).
-                self.shadow.append(shadow)
-                self.counters.incr("shadow_deferred")
-                self._arm_shadow_retry()
-            else:
-                self.counters.incr("shadow_promoted")
-
-    def _egress_for(self, ingress: int, dst_segment: int) -> Optional[int]:
-        """Next-hop port for ``dst_segment``.
-
-        Returns the egress port's segment id; ``_NOT_OURS`` when the
-        route points back out the ingress port (another router on that
-        ring serves the crossing — the split-horizon half of loop
-        freedom); ``None`` when no route exists at all.
-
-        Lookup order: attached port, specific (intra-area) route, then
-        the per-area summaries — a destination covered by a summary
-        range heads towards that area's border router, which holds the
-        specifics.  Specifics always win over summaries, so an in-range
-        but locally-known segment is never detoured.
-        """
-        if dst_segment in self.ports:
-            return dst_segment if dst_segment != ingress else self._NOT_OURS
-        route = self.table.get(dst_segment)
-        if route is not None:
-            if route.via == ingress:
-                return self._NOT_OURS
-            return route.via
-        # Summary ranges from different areas may overlap (a border
-        # router's own-area summary spans its foreign attached ports
-        # too), so the globally best-metric summary can point back out
-        # the ingress while a slightly worse one offers a real detour.
-        # Preferring the best *forwardable* summary keeps such
-        # destinations reachable; we decline only when every covering
-        # summary points back where the frame came from.
-        best: Optional[_Summary] = None
-        covered = False
-        for summary in self.summaries.values():
-            if not summary.covers(dst_segment):
-                continue
-            covered = True
-            if summary.via == ingress:
-                continue
-            if best is None or summary.metric < best.metric:
-                best = summary
-        if best is not None:
-            return best.via
-        return self._NOT_OURS if covered else None
+                counters.incr("egress_overflow_drop")
+                self.trace("egress_overflow", dst=copy.dst, egress=seg)
+        if shadow is None:
+            return
+        if deferred:
+            # An egress queue was full: the surplus waits its turn in
+            # the shadow (already-served segments dedup the retry).
+            self.shadow.append(shadow)
+            counters.incr("shadow_deferred")
+            retry_ns = max(self.advertise_period_ns // 8, 1_000)
+            self._once("shadow_retry", retry_ns, self._drain_shadow)
+        else:
+            counters.incr("shadow_promoted")
 
     # ----------------------------------------------------- shadow parking
-    def _shadow_park(self, ingress: int, crossing: _Crossing,
-                     sole: bool = False) -> None:
+    def _shadow_park(self, crossing: Crossing, sole: bool = False) -> None:
         if len(self.shadow) >= self.shadow_capacity:
             evicted = self.shadow.popleft()
             self.counters.incr("shadow_evicted")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="shadow_evicted", dst=evicted.crossing.dst,
-                ingress=evicted.ingress,
-            )
-            self._count_if_sole_loss(evicted)
-            if self.res.dead_letter:
-                # Accounting record only: the shadow is a failover safety
-                # copy, not the authoritative crossing — nothing to
-                # redrive, but its disappearance must be countable.
-                self.dead_letter.consume(
-                    None, "shadow_evicted", segment=evicted.ingress,
-                    now=self.sim.now,
-                )
-        self.shadow.append(_Shadow(ingress, crossing, self.sim.now,
-                                   sole=sole))
+            self._shadow_lost(evicted, "shadow_evicted")
+        self.shadow.append(_Shadow(crossing, self.sim.now, sole=sole))
         self.counters.incr("shadow_parked")
 
-    def _count_if_sole_loss(self, entry: "_Shadow") -> None:
-        """An evicted/expired *sole* shadow was the crossing's only
-        copy: that is the (deferred) unroutable drop."""
+    def _shadow_lost(self, entry: _Shadow, event: str) -> None:
+        """Account one evicted/expired shadow entry."""
+        lost = entry.crossing
+        self.trace(event, dst=lost.dst, ingress=lost.ingress)
         if entry.sole:
+            # It was the crossing's only copy: this is the (deferred)
+            # unroutable drop.
             self.counters.incr("unroutable_drop")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="unroutable", dst=entry.crossing.dst,
-                ingress=entry.ingress,
+            self.trace("unroutable", dst=lost.dst, ingress=lost.ingress)
+        if self.res.dead_letter:
+            # Accounting record only: the shadow is a failover safety
+            # copy, not the authoritative crossing — nothing to redrive,
+            # but its disappearance must be countable.
+            self.dead_letter.consume(
+                None, event, segment=lost.ingress, now=self.sim.now,
             )
 
     def _drain_shadow(self) -> None:
@@ -1231,155 +544,51 @@ class SegmentRouter:
         not carry park again, and ones the bounded egress queue cannot
         take yet defer until it drains.
         """
-        if not self.shadow:
-            return
-        pending, self.shadow = list(self.shadow), deque()
+        pending, self.shadow = self.shadow, deque()
         for entry in pending:
-            c = entry.crossing
-            if c.cluster_scope:
-                self._forward_broadcast(entry.ingress, c.origin, c.payload,
-                                        c.channel, c.tid, shadow=entry)
-            else:
-                self._forward(entry.ingress, c.origin, c.dst, c.payload,
-                              c.channel, c.tid, shadow=entry)
-
-    def _arm_shadow_retry(self) -> None:
-        if self._shadow_retry_armed:
-            return
-        self._shadow_retry_armed = True
-
-        def fire() -> None:
-            self._shadow_retry_armed = False
-            if not self.failed:
-                self._drain_shadow()
-
-        self.sim.call_in(max(self.advertise_period_ns // 8, 1_000), fire)
+            self._forward(entry.crossing, shadow=entry)
 
     def _expire_shadow(self, now: int) -> None:
         # Held entries re-append at the tail with their old timestamps,
         # so the deque is not age-sorted: scan it all, or an expired
         # entry behind a newer head outlives its TTL.
-        if not self.shadow:
-            return
         ttl = self.config.shadow_ttl_periods * self.advertise_period_ns
-        kept: Deque[_Shadow] = deque()
-        expired = 0
-        for entry in self.shadow:
-            if now - entry.parked_at <= ttl:
-                kept.append(entry)
-                continue
-            expired += 1
-            self.tracer.record(
-                now, "routing", self.name,
-                event="shadow_expired", dst=entry.crossing.dst,
-                ingress=entry.ingress,
-            )
-            self._count_if_sole_loss(entry)
-            if self.res.dead_letter:
-                self.dead_letter.consume(
-                    None, "shadow_expired", segment=entry.ingress, now=now,
-                )
-        if expired:
-            self.counters.incr("shadow_expired", expired)
-            self.shadow = kept
+        expired = [e for e in self.shadow if now - e.parked_at > ttl]
+        if not expired:
+            return
+        self.shadow = deque(
+            e for e in self.shadow if now - e.parked_at <= ttl
+        )
+        for entry in expired:
+            self._shadow_lost(entry, "shadow_expired")
+        self.counters.incr("shadow_expired", len(expired))
 
     # ------------------------------------------------------ spanning tree
-    def _root_claim_age_ns(self, peer: _PeerRouter, now: int) -> int:
-        """Effective age of a peer's root claim: what the peer claimed,
-        plus how long ago it said so (real time, not periods — routers
-        attached to different-sized segments advertise at different
-        cadences, and ageing must be comparable across them)."""
-        return peer.root_age_ns + (now - peer.last_heard)
-
-    def _max_root_age_ns(self, peer: _PeerRouter) -> int:
-        """Max Age for one peer's claim: scaled by the *slower* of the
-        two cadences, so a leisurely advertiser is not declared a ghost
-        by a fast-ticking neighbour."""
-        return self.config.max_root_age_periods * max(
-            self.advertise_period_ns, peer.period_ns
-        )
-
-    def _advertised_root_age_units(self) -> int:
-        """The age we put in our own ads (wire units): 0 when we *are*
-        the root, else the adopted claim's age plus the time it has sat
-        here un-refreshed, plus one unit per relay hop so a chain of
-        instant relays still ages monotonically."""
-        if self.root == self.bid:
-            return 0
-        age_ns = self._root_offer_age_ns + (
-            self.sim.now - self._root_offer_heard_at
-        )
-        return min(0xFFFF, age_ns // _AGE_UNIT_NS + 1)
-
     def _recompute_roles(self) -> None:
-        """Deterministic role election from the current peer state.
-
-        Classic STP with segments as LANs: elect the lowest bridge id
-        heard anywhere as root, pick the cheapest port towards it as the
-        root port, claim designated-ness per segment when no peer on
-        that segment offers a cheaper path to the same root.  Ports that
-        are neither are blocked.
-
-        Root claims past the Max-Age bound are ignored: two survivors
-        of a dead root would otherwise relay its claim to each other
-        forever (count-to-infinity), each refresh keeping the ghost
-        'alive'.  The carried age only resets at the root itself, so a
-        dead root's claim ages out everywhere within the bound and the
-        election falls back to the live bridges.
-        """
-        now = self.sim.now
-        #: segment -> {router id -> peer} with an age-valid root claim
-        valid: Dict[int, Dict[int, _PeerRouter]] = {}
-        offers: List[Tuple[int, Tuple[int, int], int, _PeerRouter]] = []
-        for seg, port in self.ports.items():
-            valid[seg] = {}
-            for rid, peer in port.peers.items():
-                if self._root_claim_age_ns(peer, now) > self._max_root_age_ns(peer):
-                    continue  # ghost claim: the root may be long dead
-                valid[seg][rid] = peer
-                offers.append((peer.cost + 1, peer.bid(rid), seg, peer))
-        root = min(
-            [self.bid] + [offer[3].root for offer in offers]
+        """Re-run the election and act on every port whose verdict moved."""
+        old = self.election
+        new = self.election = elect(
+            self.bid,
+            {seg: port.peers for seg, port in self.ports.items()},
+            self.sim.now,
+            self.advertise_period_ns,
+            self.config.max_root_age_periods,
         )
-        if root == self.bid:
-            self.root, self.root_cost, self.root_port = self.bid, 0, None
-            self._root_offer_age_ns = self._root_offer_heard_at = 0
-        else:
-            cost, _bid, seg, peer = min(
-                (o for o in offers if o[3].root == root),
-                key=lambda o: o[:3],
-            )
-            self.root, self.root_cost, self.root_port = root, cost, seg
-            self._root_offer_age_ns = peer.root_age_ns
-            self._root_offer_heard_at = peer.last_heard
         changed = unblocked = False
-        for seg, port in self.ports.items():
-            my_offer = (self.root_cost, self.bid)
-            peer_offers = [
-                (p.cost, p.bid(rid))
-                for rid, p in valid[seg].items()
-                if p.root == root
-            ]
-            designated = not peer_offers or my_offer <= min(peer_offers)
-            role = (
-                PortRole.FORWARDING
-                if designated or seg == self.root_port
-                else PortRole.BLOCKED
-            )
-            if role is not port.role or designated != port.designated:
-                changed = True
-                if role is PortRole.FORWARDING and port.role is PortRole.BLOCKED:
-                    unblocked = True
-                port.role = role
-                port.designated = designated
-                self.counters.incr("role_changes")
-                self.tracer.record(
-                    self.sim.now, "routing", self.name,
-                    event="port_role", segment=seg, role=role.value,
-                    designated=designated,
-                )
-                if role is PortRole.BLOCKED:
-                    self._withdraw_routes_via(seg, reason="port_blocked")
+        for seg in self.ports:
+            role, designated = new.role(seg), new.designated[seg]
+            was = old.role(seg)
+            if role is was and designated == old.designated[seg]:
+                continue
+            changed = True
+            self.counters.incr("role_changes")
+            self.trace("port_role", segment=seg, role=role.value,
+                       designated=designated)
+            if role is PortRole.BLOCKED:
+                self._record(self.table.withdraw_via(seg),
+                             reason="port_blocked")
+            elif was is PortRole.BLOCKED:
+                unblocked = True
         if changed:
             # Topology moved: tell the neighbours now, not a period out.
             self._schedule_readvertise()
@@ -1388,96 +597,13 @@ class SegmentRouter:
             # was carrying get re-offered through the new tree.
             self._drain_shadow()
 
-    def _withdraw_routes_via(self, segment: int, reason: str,
-                             router: Optional[int] = None) -> None:
-        """Drop learned routes pointing out ``segment`` (optionally only
-        those learned from one router)."""
-        for seg in [
-            s for s, r in self.table.items()
-            if r.via == segment and (router is None or r.router == router)
-        ]:
-            del self.table[seg]
-            self.remote_live.pop(seg, None)
-            self.counters.incr("routes_withdrawn")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="route_withdrawn", segment=seg, via=segment,
-                reason=reason,
-            )
-        for area in [
-            a for a, s in self.summaries.items()
-            if s.via == segment and (router is None or s.router == router)
-        ]:
-            del self.summaries[area]
-            self.counters.incr("summaries_withdrawn")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="summary_withdrawn", area=area, via=segment,
-                reason=reason,
-            )
-
-    def _expire_peers(self, now: int) -> None:
-        """Declare silent peer routers dead and re-elect roles.
-
-        This is the failover trigger: the designated router's death is
-        observed as its advertisements missing the deadline, on blocked
-        ports as much as forwarding ones.  Each peer is judged against
-        the *slower* of the two advertise cadences, so a pair bridging
-        different-sized segments does not flap.
-        """
-        periods = self.config.miss_deadline_periods
-        expired = False
-        for seg, port in self.ports.items():
-            for rid in [
-                rid for rid, peer in port.peers.items()
-                if now - peer.last_heard
-                > periods * max(self.advertise_period_ns, peer.period_ns)
-            ]:
-                del port.peers[rid]
-                expired = True
-                self.counters.incr("peers_expired")
-                self.tracer.record(
-                    self.sim.now, "routing", self.name,
-                    event="peer_expired", peer=rid, segment=seg,
-                )
-                self._withdraw_routes_via(seg, reason="peer_expired",
-                                          router=rid)
-        if expired:
-            self._recompute_roles()
-
-    def _expire_routes(self, now: int) -> None:
-        """Withdraw learned routes that stopped being refreshed, each
-        judged against its advertiser's own refresh cadence."""
-        periods = self.config.miss_deadline_periods
-        for seg in [
-            s for s, route in self.table.items()
-            if now - route.last_heard
-            > periods * max(self.advertise_period_ns, route.period_ns)
-        ]:
-            route = self.table.pop(seg)
-            self.remote_live.pop(seg, None)
-            self.counters.incr("routes_expired")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="route_expired", segment=seg, via=route.via,
-            )
-        # Summaries age on the refresh cadence they carry — the worst
-        # advertise period along their relay path — never on the header
-        # period of whichever peer happened to relay them last.  That is
-        # the asymmetry guard: a slow origin area does not flap, and it
-        # does not stretch the expiry of anyone's specifics (judged
-        # above on their own advertiser's cadence).
-        for area in [
-            a for a, summary in self.summaries.items()
-            if now - summary.last_heard
-            > periods * max(self.advertise_period_ns, summary.period_ns)
-        ]:
-            summary = self.summaries.pop(area)
-            self.counters.incr("summaries_expired")
-            self.tracer.record(
-                self.sim.now, "routing", self.name,
-                event="summary_expired", area=area, via=summary.via,
-            )
+    def _record(self, changes: Iterable[Change], **extra) -> None:
+        """Count and trace table changes, in the order they happened."""
+        for kind, what, fields in changes:
+            if what == "widened":
+                continue  # coverage grew without a timeline record
+            self.counters.incr(f"{_PLURAL[kind]}_{what}")
+            self.trace(f"{kind}_{what}", **fields, **extra)
 
     # ----------------------------------------------------- advertisements
     def _advertise_tick(self) -> None:
@@ -1485,333 +611,129 @@ class SegmentRouter:
             self._ticking = False
             return
         now = self.sim.now
-        self._expire_peers(now)
-        self._expire_routes(now)
+        period = self.advertise_period_ns
+        deadline = self.config.miss_deadline_periods
+        # A silent peer is the failover trigger: the designated router's
+        # death is observed as its ads missing the deadline.
+        silent = silent_peers(
+            {seg: port.peers for seg, port in self.ports.items()},
+            now, period, deadline,
+        )
+        for seg, rid in silent:
+            del self.ports[seg].peers[rid]
+            self.counters.incr("peers_expired")
+            self.trace("peer_expired", peer=rid, segment=seg)
+            self._record(self.table.withdraw_via(seg, router=rid),
+                         reason="peer_expired")
+        if silent:
+            self._recompute_roles()
+        self._record(self.table.expire(now, period, deadline))
         self._expire_shadow(now)
         self._advertise_now()
-        self.sim.call_in(self.advertise_period_ns, self._advertise_tick)
+        self.sim.call_in(period, self._advertise_tick)
 
     def _advertise_now(self) -> None:
         for port in self.ports.values():
             if port.gateway.failed or not port.gateway.ring_up:
                 continue
-            payload = self._encode_ad(port)
+            payload = encode(self._build_ad(port))
             port.gateway.messenger.send(BROADCAST, payload, Channel.ROUTING)
             self.counters.incr("ads_tx")
             self.counters.incr("ad_bytes_tx", len(payload))
 
     def _schedule_readvertise(self) -> None:
-        """Send ads out of cycle after a topology change (coalesced)."""
-        if self._readvertise_armed or not self._started or self.sim is None:
+        """Send ads out of cycle after a topology change."""
+        if self._started:
+            self._once("readvertise", 1, self._readvertise)
+
+    def _readvertise(self) -> None:
+        self.counters.incr("ads_immediate")
+        self._advertise_now()
+
+    def _once(self, name: str, delay: int, action) -> None:
+        """Run ``action`` after ``delay`` unless the router has failed by
+        then; requests made while one is pending coalesce into it."""
+        if name in self._pending:
             return
-        self._readvertise_armed = True
+        self._pending.add(name)
 
         def fire() -> None:
-            self._readvertise_armed = False
+            self._pending.discard(name)
             if not self.failed:
-                self.counters.incr("ads_immediate")
-                self._advertise_now()
+                action()
 
-        self.sim.call_in(1, fire)
+        self.sim.call_in(delay, fire)
 
-    #: first ad byte announcing the v3 (summarized) wire format.  v2 ads
-    #: start with the router id, which is validated <= 0xFE, so the
-    #: escape can never collide with a legal v2 advertisement.
-    _AD_V3_ESCAPE = 0xFF
+    def _build_ad(self, out_port: RouterPort) -> Advertisement:
+        """The advertisement for one segment: the spanning-tree header
+        plus reachability rows.  Blocked ports send the header only —
+        presence for failure detection, no routes.
 
-    #: largest per-node live list an ad entry carries verbatim; bigger
-    #: segments ship the ``_LIVE_ELIDED`` sentinel instead, keeping ad
-    #: bytes O(areas + segments), never O(nodes)
-    _LIVE_LIST_CAP = 16
-
-    def _encode_ad(self, out_port: RouterPort) -> bytes:
-        """Advertisement for one segment: the spanning-tree header plus
-        reachability entries (split horizon; blocked ports send the
-        header only — presence for failure detection, no routes).
-
-        Two wire formats share the channel:
-
-        * **v2 (flat)** — one row per reachable segment.  Emitted
-          whenever this router is unlabelled (``area == 0``) and has
-          learned no summaries: the byte-for-byte pre-summarization
-          format, which is what keeps every single-area scenario's
-          timeline (frame lengths included) wire-identical.
-        * **v3 (summarized)** — an escape byte, the sender's area, the
-          same flat rows for the sender's *own* area only, then one
-          ``(area, lo, hi, metric, period)`` summary row per other
-          reachable area.  The summary's period field carries the worst
-          refresh cadence along its relay path so receivers age each
-          summary on its own clock (see :class:`_Summary`).
+        An unlabelled router (``area == 0``) that has learned no
+        summaries emits v2, byte for byte the pre-summarization format;
+        anything else emits v3 (see :mod:`.ads`).
         """
-        entries: List[Tuple[int, int, Set[int]]] = []
-        summaries: List[Tuple[int, int, int, int, int]] = []
-        v3 = self.config.area != 0 or bool(self.summaries)
-        period_units = min(
-            0xFFFF, -(-self.advertise_period_ns // _AGE_UNIT_NS)
-        )
+        out = out_port.segment_id
+        period = self.advertise_period_ns
+        v3 = self.config.area != 0 or bool(self.table.summaries)
+        entries: List[Entry] = []
+        summaries = []
         if out_port.role is PortRole.FORWARDING:
-            for seg, port in self.ports.items():
-                if seg == out_port.segment_id:
-                    continue
-                if port.role is not PortRole.FORWARDING:
-                    continue  # the designated router advertises it
-                entries.append((seg, 0, self.live_in_segment(seg)))
-            for seg, route in self.table.items():
-                if route.via == out_port.segment_id:
-                    continue  # learned from there; do not echo it back
-                if self.ports[route.via].role is not PortRole.FORWARDING:
-                    continue  # we could not actually carry it that way
-                entries.append((seg, route.metric, self.live_in_segment(seg)))
-            if v3:
-                # Own-area summary: everything this router can reach by
-                # specifics *through this port's point of view*,
-                # compressed to a range.  Same-area receivers ignore it
-                # (they hold the specifics); border routers relay it
-                # onward, +1 metric per hop like any route.  The range
-                # only counts segments behind FORWARDING ports and
-                # excludes the segment being advertised onto: a border
-                # whose only path into its area is tree-blocked must not
-                # advertise an attractive dead summary, or every capture
-                # contest on the far ring picks the hole.  Same-area
-                # peers on one ring advertise complementary ranges;
-                # receivers merge equal-metric same-port rows.
-                covered = {
-                    seg for seg, port in self.ports.items()
-                    if seg != out_port.segment_id
-                    and port.role is PortRole.FORWARDING
-                }
-                covered |= {
-                    seg for seg, route in self.table.items()
-                    if route.via != out_port.segment_id
-                    and self.ports[route.via].role is PortRole.FORWARDING
-                }
-                if covered:
-                    summaries.append((
-                        self.config.area, min(covered), max(covered),
-                        0, period_units,
-                    ))
-                for summary in self.summaries.values():
-                    if summary.via == out_port.segment_id:
-                        continue  # summary-level split horizon
-                    if self.ports[summary.via].role is not PortRole.FORWARDING:
-                        continue
-                    carried_units = min(0xFFFF, max(
-                        -(-summary.period_ns // _AGE_UNIT_NS), period_units,
-                    ))
-                    summaries.append((
-                        summary.area, summary.lo, summary.hi,
-                        min(summary.metric, 0xFF), carried_units,
-                    ))
-        root_priority, root_id = self.root
-        out = bytearray()
-        if v3:
-            out.append(self._AD_V3_ESCAPE)
-        out += bytes([
-            self.router_id,
-            self.config.priority & 0xFF,
-            root_id & 0xFF,
-            root_priority & 0xFF,
-            min(self.root_cost, 0xFF),
-        ])
-        out += period_units.to_bytes(2, "little")
-        out += self._advertised_root_age_units().to_bytes(2, "little")
-        if v3:
-            out.append(self.config.area)
-        out.append(len(entries))
-        for seg, metric, live in entries:
-            live_ids = sorted(live) if live is not None else None
-            if live_ids is None or len(live_ids) > self._LIVE_LIST_CAP:
-                # Elide the per-node live list past the cap: ad bytes
-                # must not scale with ring size, or one advertisement
-                # fragments across more tours than the staleness
-                # deadline allows and the mesh flaps itself apart.
-                # 0xFF marks "elided — assume the segment fully live";
-                # it cannot collide with a real count, which the cap
-                # keeps far below it.
-                out += bytes([seg, metric, _LIVE_ELIDED])
-            else:
-                out += bytes([seg, metric, len(live_ids)])
-                out += bytes(live_ids)
-        if v3:
-            out.append(len(summaries))
-            for area, lo, hi, metric, carried_units in summaries:
-                out += bytes([area, lo, hi, metric])
-                out += carried_units.to_bytes(2, "little")
-        return bytes(out)
-
-    @staticmethod
-    def _decode_ad(
-        payload: bytes,
-    ) -> Tuple[int, int, Tuple[int, int], int, int, int,
-               List[Tuple[int, int, Set[int]]], int,
-               List[Tuple[int, int, int, int, int]]]:
-        """-> (router_id, priority, root bid, root cost, period ns,
-        root age ns, entries, sender area, summaries).
-
-        Parses both wire formats: v3 when the escape byte leads,
-        otherwise v2 (sender area 0, no summaries) — so v3-speaking
-        routers interoperate with unlabelled v2 peers.  Summary periods
-        come back in nanoseconds like the header period.
-        """
-        v3 = payload[0] == SegmentRouter._AD_V3_ESCAPE
-        pos = 1 if v3 else 0
-        router_id, priority = payload[pos], payload[pos + 1]
-        root = (payload[pos + 3], payload[pos + 2])  # (priority, id)
-        root_cost = payload[pos + 4]
-        period_ns = (
-            int.from_bytes(payload[pos + 5 : pos + 7], "little") * _AGE_UNIT_NS
+            # Only what we can carry: a segment behind a blocked port is
+            # advertised by that segment's designated router.
+            forwarding = [
+                seg for seg, port in self.ports.items()
+                if port.role is PortRole.FORWARDING
+            ]
+            entries = [
+                Entry(seg, 0, frozenset(self.live_in_segment(seg)))
+                for seg in forwarding if seg != out
+            ]
+            learned, summaries = self.table.advertised(
+                out, forwarding, period, summarize=v3
+            )
+            entries += learned
+        election = self.election
+        return Advertisement(
+            router_id=self.router_id,
+            priority=self.config.priority,
+            root=election.root,
+            root_cost=election.root_cost,
+            period_ns=period,
+            root_age_ns=election.advertised_root_age_ns(self.sim.now),
+            entries=tuple(entries),
+            version=3 if v3 else 2,
+            area=self.config.area,
+            summaries=tuple(summaries),
         )
-        root_age_ns = (
-            int.from_bytes(payload[pos + 7 : pos + 9], "little") * _AGE_UNIT_NS
-        )
-        pos += 9
-        area = 0
-        if v3:
-            area = payload[pos]
-            pos += 1
-        n_entries = payload[pos]
-        pos += 1
-        entries: List[Tuple[int, int, Set[int]]] = []
-        for _ in range(n_entries):
-            seg, metric, n_live = payload[pos], payload[pos + 1], payload[pos + 2]
-            pos += 3
-            if n_live == _LIVE_ELIDED:
-                live: Optional[Set[int]] = None
-            else:
-                live = set(payload[pos : pos + n_live])
-                pos += n_live
-            entries.append((seg, metric, live))
-        summaries: List[Tuple[int, int, int, int, int]] = []
-        if v3:
-            n_summaries = payload[pos]
-            pos += 1
-            for _ in range(n_summaries):
-                s_area, lo, hi, metric = (
-                    payload[pos], payload[pos + 1],
-                    payload[pos + 2], payload[pos + 3],
-                )
-                s_period_ns = (
-                    int.from_bytes(payload[pos + 4 : pos + 6], "little")
-                    * _AGE_UNIT_NS
-                )
-                pos += 6
-                summaries.append((s_area, lo, hi, metric, s_period_ns))
-        return (router_id, priority, root, root_cost, period_ns,
-                root_age_ns, entries, area, summaries)
 
-    def _make_ad_rx(self, port: RouterPort):
-        def on_ad(src, payload: bytes, channel: int) -> None:
-            self._on_advertisement(port, src, payload)
-
-        return on_ad
-
-    def _on_advertisement(self, port: RouterPort, src, payload: bytes) -> None:
+    def _on_advertisement(self, port: RouterPort, payload: bytes) -> None:
         if self.failed:
             return
         try:
-            (router_id, priority, root, root_cost, period_ns,
-             root_age_ns, entries, ad_area, ad_summaries) = \
-                self._decode_ad(payload)
-        except IndexError:
+            ad = decode(payload)
+        except AdDecodeError:
             self.counters.incr("ads_malformed")
             return
-        if router_id == self.router_id:
+        if ad.router_id == self.router_id:
             return  # our own broadcast touring back is not news
         self.counters.incr("ads_rx")
         now = self.sim.now
-        port.peers[router_id] = _PeerRouter(
-            priority=priority, root=root, cost=root_cost,
-            period_ns=period_ns, root_age_ns=root_age_ns, last_heard=now,
+        port.peers[ad.router_id] = PeerClaim(
+            priority=ad.priority, root=ad.root, cost=ad.root_cost,
+            period_ns=ad.period_ns, root_age_ns=ad.root_age_ns,
+            last_heard=now,
         )
-        ingress = port.segment_id
-        learned = False
         # Reachability is data-plane information: a blocked port must
         # not learn (and then re-advertise) routes it cannot carry —
         # they would be withdrawn on the role transition and silently
-        # re-installed one period later, forever.  STP state above is
-        # still processed: that is what blocked ports listen *for*.
-        # Specifics are additionally intra-area only: an out-of-area
-        # sender's rows are covered by its summary, and installing them
-        # would regrow the flat O(segments) table summarization exists
-        # to shed.
-        if port.role is PortRole.FORWARDING and ad_area == self.config.area:
-            for seg, metric, live in entries:
-                if seg in self.ports:
-                    continue  # directly attached beats any advertisement
-                cost = metric + 1
-                route = self.table.get(seg)
-                # Take the route when it is new, strictly better, or a
-                # refresh from the router we already route through
-                # (whose metric may legitimately move either way).
-                is_refresh = (
-                    route is not None
-                    and route.via == ingress
-                    and route.router == router_id
-                )
-                if route is None or cost < route.metric or is_refresh:
-                    self.table[seg] = _Route(
-                        via=ingress, metric=cost, router=router_id,
-                        last_heard=now, period_ns=period_ns,
-                    )
-                    self.remote_live[seg] = (
-                        set(live) if live is not None else None
-                    )
-                    if route is None:
-                        learned = True
-                        self.counters.incr("routes_learned")
-                        self.tracer.record(
-                            self.sim.now, "routing", self.name,
-                            event="route_learned", segment=seg,
-                            via=ingress, metric=cost,
-                        )
-        if port.role is PortRole.FORWARDING:
-            for s_area, lo, hi, metric, s_period_ns in ad_summaries:
-                if s_area == self.config.area:
-                    continue  # we hold this area's specifics ourselves
-                cost = metric + 1
-                summary = self.summaries.get(s_area)
-                is_refresh = (
-                    summary is not None
-                    and summary.via == ingress
-                    and summary.router == router_id
-                )
-                if summary is None or cost < summary.metric:
-                    self.summaries[s_area] = _Summary(
-                        area=s_area, lo=lo, hi=hi, metric=cost,
-                        via=ingress, router=router_id, last_heard=now,
-                        period_ns=s_period_ns,
-                    )
-                    if summary is None:
-                        learned = True
-                        self.counters.incr("summaries_learned")
-                        self.tracer.record(
-                            self.sim.now, "routing", self.name,
-                            event="summary_learned", area=s_area,
-                            lo=lo, hi=hi, via=ingress, metric=cost,
-                        )
-                elif summary.via == ingress and cost == summary.metric:
-                    # Same ring, same cost: same-area peers advertise
-                    # complementary ranges (each omits its blocked
-                    # ports and the segment it advertises onto), and
-                    # the one keyed slot must cover their union or the
-                    # capture contest on this ring parks traffic into
-                    # the gap.  Refreshes merge for the same reason —
-                    # bounds only shrink by expiry or withdrawal.
-                    widened = lo < summary.lo or hi > summary.hi
-                    summary.lo = min(summary.lo, lo)
-                    summary.hi = max(summary.hi, hi)
-                    summary.last_heard = now
-                    summary.period_ns = max(summary.period_ns, s_period_ns)
-                    if widened:
-                        learned = True  # new coverage may free shadows
-                elif is_refresh:
-                    # The metric on the path we already use legitimately
-                    # moved (either way): track the advertiser.
-                    self.summaries[s_area] = _Summary(
-                        area=s_area, lo=lo, hi=hi, metric=cost,
-                        via=ingress, router=router_id, last_heard=now,
-                        period_ns=s_period_ns,
-                    )
+        # re-installed one period later, forever.  The STP claim above
+        # is still recorded: that is what blocked ports listen *for*.
+        learned = (
+            self.table.learn(ad, port.segment_id, now)
+            if port.role is PortRole.FORWARDING else []
+        )
+        self._record(learned)
         self._recompute_roles()
         if learned:
             # Newly reachable segments may free shadowed traffic; drain
@@ -1819,10 +741,6 @@ class SegmentRouter:
             self._drain_shadow()
 
     # ------------------------------------------------------------ queries
-    def backlog(self) -> Dict[int, int]:
-        """Egress queue depth per attached segment (observability)."""
-        return {seg: port.backlog for seg, port in self.ports.items()}
-
     def port_roles(self) -> Dict[int, str]:
         """Segment id -> spanning-tree role (observability)."""
         return {seg: port.role.value for seg, port in self.ports.items()}
@@ -1831,5 +749,5 @@ class SegmentRouter:
         roles = {seg: p.role.value[0] for seg, p in self.ports.items()}
         return (
             f"<SegmentRouter {self.router_id} ports={roles} "
-            f"routes={sorted(self.table)}>"
+            f"routes={sorted(self.table.routes)}>"
         )

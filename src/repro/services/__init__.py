@@ -5,7 +5,6 @@ from .amp_files import AmpFiles, FileError
 from .amp_ip import AmpIP, DatagramSocket
 from .amp_subscribe import AmpSubscribe
 from .amp_threads import AmpThreads, RemoteCallError
-from .router import InterSegmentRouter, SegmentEndpoint
 
 __all__ = [
     "AmpFiles",
@@ -14,7 +13,5 @@ __all__ = [
     "AmpThreads",
     "DatagramSocket",
     "FileError",
-    "InterSegmentRouter",
     "RemoteCallError",
-    "SegmentEndpoint",
 ]

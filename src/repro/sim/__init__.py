@@ -8,7 +8,6 @@ See :mod:`repro.sim.kernel` for the event-loop semantics.
 """
 
 from .events import (
-    AllOf,
     AnyOf,
     Callback,
     Event,
@@ -27,10 +26,9 @@ from .monitor import (
     Tracer,
 )
 from .rand import SeededStreams, derive_seed
-from .resources import Gate, PriorityStore, Resource, Store
+from .resources import Gate, Resource, Store
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Callback",
     "ConvergenceTracker",
@@ -40,7 +38,6 @@ __all__ = [
     "Interrupt",
     "LatencyStat",
     "NULL_TRACER",
-    "PriorityStore",
     "Process",
     "Resource",
     "SeededStreams",

@@ -29,7 +29,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AnyOf",
-    "AllOf",
     "Interrupt",
     "SimulationError",
 ]
@@ -325,10 +324,11 @@ class Process(Event):
             sim._active_process = None
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite wait conditions."""
+class AnyOf(Event):
+    """Fires when the first member event fires (failure propagates);
+    the value maps each already-fired member event to its value."""
 
-    __slots__ = ("events", "_count")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -336,7 +336,6 @@ class _Condition(Event):
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes events from simulators")
-        self._count = 0
         if not self.events:
             self.succeed(self._collect())
             return
@@ -348,19 +347,9 @@ class _Condition(Event):
                 ev.callbacks.append(self._check)
 
     def _collect(self) -> dict:
-        """Map of event -> value for all already-fired member events."""
         return {
             ev: ev._value for ev in self.events if ev.processed and ev._ok
         }
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires when the first member event fires (failure propagates)."""
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -368,20 +357,4 @@ class AnyOf(_Condition):
         if not event._ok:
             self.fail(event._value)
         else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires when every member event has fired (first failure propagates)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
             self.succeed(self._collect())

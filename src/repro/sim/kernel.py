@@ -61,7 +61,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Callback, Event, Process, SimulationError, Timeout
+from .events import AnyOf, Callback, Event, Process, SimulationError, Timeout
 from .rand import SeededStreams
 
 __all__ = ["Simulator", "StopSimulation"]
@@ -160,9 +160,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def call_at(self, time: int, fn: Callable[..., None], *args: Any) -> Callback:
         """Run ``fn(*args)`` at absolute simulated ``time`` (>= now).

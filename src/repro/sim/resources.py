@@ -4,8 +4,6 @@ These are the queueing primitives the AmpNet model is assembled from:
 
 * :class:`Store` — FIFO buffer with optional capacity; used for link
   receive queues, NIC transit buffers and DMA descriptor rings.
-* :class:`PriorityStore` — like Store but pops lowest priority first; used
-  where rostering MicroPackets must overtake data traffic.
 * :class:`Resource` — counting semaphore; models DMA channel arbitration
   and ColdFire firmware CPU slots.
 * :class:`Gate` — a reusable level-triggered condition ("ring is up",
@@ -14,14 +12,13 @@ These are the queueing primitives the AmpNet model is assembled from:
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 from .events import Event, SimulationError
 from .kernel import Simulator
 
-__all__ = ["Store", "PriorityStore", "Resource", "Gate"]
+__all__ = ["Store", "Resource", "Gate"]
 
 
 class StorePut(Event):
@@ -88,7 +85,7 @@ class Store:
         """Non-blocking get; ``(False, None)`` when nothing buffered."""
         if not len(self):
             return False, None
-        item = self._do_get()
+        item = self.items.popleft()
         self._settle()
         return True, item
 
@@ -99,54 +96,13 @@ class Store:
             progressed = False
             while self._putters and not self.is_full:
                 put = self._putters.popleft()
-                self._do_put(put.item)
+                self.items.append(put.item)
                 put.succeed()
                 progressed = True
             while self._getters and len(self):
                 get = self._getters.popleft()
-                get.succeed(self._do_get())
+                get.succeed(self.items.popleft())
                 progressed = True
-
-    # Subclass hooks ------------------------------------------------------
-    def _do_put(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _do_get(self) -> Any:
-        return self.items.popleft()
-
-
-class PriorityStore(Store):
-    """Store that pops the *lowest* ``(priority, seq)`` item first.
-
-    Items are ``(priority, payload)`` pairs on put; ``get`` returns just the
-    payload.  Equal priorities preserve insertion order.
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None):
-        super().__init__(sim, capacity)
-        self._heap: List[Tuple[Any, int, Any]] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._heap) >= self.capacity
-
-    def put(self, item: Any, priority: int = 0) -> StorePut:  # type: ignore[override]
-        ev = StorePut(self.sim, (priority, item))
-        self._putters.append(ev)
-        self._settle()
-        return ev
-
-    def _do_put(self, item: Any) -> None:
-        priority, payload = item
-        heapq.heappush(self._heap, (priority, self._count, payload))
-        self._count += 1
-
-    def _do_get(self) -> Any:
-        return heapq.heappop(self._heap)[2]
 
 
 class Resource:

@@ -124,6 +124,46 @@ def test_cross_segment_reply_path():
     ]
 
 
+def test_gateway_is_an_addressable_member_of_its_own_ring():
+    """Gateway addressing, ported from the retired backplane-router
+    suite to what the routed cluster supports: a gateway sends and
+    receives by global address like any member of *its own* ring.
+    (Across the router it is infrastructure, not an endpoint: its MAC
+    source-strips the frames it inserts, so it neither captures its own
+    crossings nor delivers a re-origination addressed to itself.)"""
+    cluster = build()
+    got = []
+    for addr in ((1, 4), (1, 0)):
+        cluster.nodes[addr].messenger.on_message(
+            CH, lambda src, data, ch, addr=addr: got.append((addr, src, data))
+        )
+    cluster.nodes[(1, 0)].messenger.send((1, 4), b"to the gateway", CH)
+    cluster.nodes[(1, 4)].messenger.send((1, 0), b"from the gateway", CH)
+    settle(cluster, tours=60)
+    assert sorted(got) == [
+        ((1, 0), (1, 4), b"from the gateway"),
+        ((1, 4), (1, 0), b"to the gateway"),
+    ]
+    assert cluster.routers[0].counters["messages_captured"] == 0
+
+
+def test_crossing_survives_ring_failure_in_destination_segment():
+    """A fibre cut in the destination segment just before the send: the
+    crossing rides out the re-roster and still arrives (ported from the
+    retired backplane-router suite)."""
+    cluster = build(n_nodes=6)
+    got = []
+    cluster.nodes[(1, 3)].messenger.on_message(
+        CH, lambda src, data, ch: got.append(data)
+    )
+    seg1 = cluster.segment(1)
+    seg1.cut_link(2, seg1.current_roster().hop_switch_from(2))
+    cluster.nodes[(0, 2)].messenger.send((1, 3), b"through the storm", CH)
+    seg1.run_until_reroster()
+    settle(cluster, tours=400)
+    assert got == [b"through the storm"]
+
+
 def test_fragmented_message_crosses_intact():
     cluster = build()
     payload = bytes(range(256)) * 4  # 16 fragments
@@ -161,8 +201,8 @@ def test_multi_hop_chain_learns_routes_and_delivers():
     r0, r1 = cluster.routers
     # Let advertisements cross: r0 must learn segment 2 via segment 1.
     cluster.run(until=cluster.sim.now + 3 * r0.advertise_period_ns)
-    assert r0.table[2].via == 1 and r0.table[2].metric == 1
-    assert r1.table[0].via == 1 and r1.table[0].metric == 1
+    assert r0.table.routes[2].via == 1 and r0.table.routes[2].metric == 1
+    assert r1.table.routes[0].via == 1 and r1.table.routes[0].metric == 1
 
     got = []
     cluster.nodes[(2, 1)].messenger.on_message(
@@ -514,10 +554,10 @@ def test_stale_routes_are_withdrawn_when_the_next_hop_dies():
     )
     r0, r1 = cluster.routers
     cluster.run(until=cluster.sim.now + 3 * r0.advertise_period_ns)
-    assert 2 in r0.table
+    assert 2 in r0.table.routes
     cluster.crash_router(1)
     cluster.run(until=cluster.sim.now + 5 * r0.advertise_period_ns)
-    assert 2 not in r0.table
+    assert 2 not in r0.table.routes
     assert r0.counters["routes_expired"] + r0.counters["routes_withdrawn"] >= 1
     # Crossings for the vanished segment shadow-park (visible, and
     # recoverable if the route returns) rather than silently queueing
@@ -569,30 +609,25 @@ def test_pump_wake_is_not_throttled_by_parked_traffic():
     """White-box timer check: with a pacing gap pending AND a parked
     crossing, pump must arm the (short) pacing wake, not the ~10-tour
     parked retry — one dead destination must not throttle live ones."""
-    from repro.routing.router import _Crossing
+    from repro.routing.port import Crossing
 
     cluster = build(n_segments=2, n_nodes=4)
     port = cluster.routers[0].ports[1]
-    delays = []
-    real_arm = port._arm_pump_timer
-    # Spy on — but do not replace — the arming path, so the armed/due
-    # bookkeeping behaves exactly as in production.
-    port._arm_pump_timer = lambda d: (delays.append(d), real_arm(d))[1]
+    now = cluster.sim.now
     # One crossing parks (node 99 is not rostered on segment 1); the
     # retry poll timer (long) is now armed.
-    port.queue.append(_Crossing((0, 1), (1, 99), b"dead", CH, 1))
+    port.queue.append(Crossing((0, 1), (1, 99), b"dead", CH, 1))
     port.pump()
     assert port.parked_count == 1
-    assert port._pump_timer_armed and delays[-1] == port.retry_ns
+    assert port._pump_timer_due - now == port.retry_ns
     # A live crossing arrives behind a 5 us pacing gap WHILE the long
     # timer is armed: pump must re-arm the earlier pacing wake.
     port.controller.gap_ns = 5_000
-    port.controller.next_insert_at = cluster.sim.now + 5_000
-    delays.clear()
-    port.queue.append(_Crossing((0, 1), (1, 2), b"live", CH, 2))
+    port.controller.next_insert_at = now + 5_000
+    port.queue.append(Crossing((0, 1), (1, 2), b"live", CH, 2))
     port.pump()
     assert len(port.queue) == 1
-    assert delays and delays[-1] <= 5_000 < port.retry_ns
+    assert port._pump_timer_due - now <= 5_000 < port.retry_ns
 
 
 def test_four_ring_512_spans_512_addressable_nodes():

@@ -10,37 +10,25 @@ Three load-bearing claims, machine-checked across generated meshes:
   to "no route", never to a detour: summarization must not invent
   reachability;
 * **wire pins** — the v2 (flat) and v3 (summarized) advertisement
-  layouts roundtrip through ``SegmentRouter._decode_ad`` byte for
-  byte against an independently hand-built encoder, so any codec
-  change that would break on-disk traces or cross-version
-  interoperability fails here first.
+  layouts decode through ``repro.routing.ads`` byte for byte against
+  an independently hand-built encoder, so any codec change that would
+  break on-disk traces or cross-version interoperability fails here
+  first.
 
-The egress properties run against a stub carrying only the routing
-state (``ports`` / ``table`` / ``summaries``) — ``_egress_for`` is a
-pure function of that state, so no simulator is needed and Hypothesis
+The egress properties run against a bare ``RouteTable`` — lookup is a
+pure function of its state, so no simulator is needed and Hypothesis
 can afford thousands of meshes.
 """
-
-from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.router import (
-    _AGE_UNIT_NS,
-    PortRole,
-    SegmentRouter,
-    _Route,
-    _Summary,
-)
+from repro.routing.ads import AGE_UNIT_NS, decode, encode
+from repro.routing.table import NOT_OURS, Route, RouteTable, Summary
 
 
-class _Port(SimpleNamespace):
-    role = PortRole.FORWARDING
-
-
-def router_state(areas, own_index, via_choice):
-    """Routing state for one hub of ``areas[own_index]``.
+def router_table(areas, own_index, via_choice):
+    """The table of one hub of ``areas[own_index]``.
 
     ``areas`` is a list of segment-count ints laid out contiguously
     from 0.  The router is attached to every segment of its own area
@@ -53,20 +41,16 @@ def router_state(areas, own_index, via_choice):
         starts.append(base)
         base += count
     own = list(range(starts[own_index], starts[own_index] + areas[own_index]))
-    ports = {seg: _Port(segment_id=seg) for seg in own}
-    summaries = {}
+    table = RouteTable(attached=own, area=own_index + 1)
     for index, count in enumerate(areas):
         if index == own_index:
             continue
         via = own[via_choice % len(own)]
-        summaries[index + 1] = _Summary(
+        table.summaries[index + 1] = Summary(
             area=index + 1, lo=starts[index], hi=starts[index] + count - 1,
             metric=1 + (index % 3), via=via, router=index,
         )
-    return SimpleNamespace(
-        ports=ports, table={}, summaries=summaries,
-        _NOT_OURS=SegmentRouter._NOT_OURS,
-    ), base
+    return table, base
 
 
 area_layouts = st.lists(st.integers(1, 6), min_size=1, max_size=5)
@@ -76,13 +60,13 @@ area_layouts = st.lists(st.integers(1, 6), min_size=1, max_size=5)
 @given(areas=area_layouts, own=st.integers(0, 4), via=st.integers(0, 5))
 def test_summarized_table_covers_every_reachable_segment(areas, own, via):
     own %= len(areas)
-    state, n_segments = router_state(areas, own, via)
+    table, n_segments = router_table(areas, own, via)
     for seg in range(n_segments):
-        egress = SegmentRouter._egress_for(state, ingress=-1, dst_segment=seg)
+        egress = table.egress_for(ingress=-1, dst_segment=seg)
         # ingress -1 matches no port, so a covered destination must
         # resolve to a concrete egress — never a decline, never None.
-        assert egress is not None and egress != SegmentRouter._NOT_OURS
-        if seg in state.ports:
+        assert egress is not None and egress != NOT_OURS
+        if seg in table.attached:
             assert egress == seg  # attached wins over any summary
 
 
@@ -91,11 +75,11 @@ def test_summarized_table_covers_every_reachable_segment(areas, own, via):
        beyond=st.integers(0, 99))
 def test_no_route_to_unreachable_segment(areas, own, via, beyond):
     own %= len(areas)
-    state, n_segments = router_state(areas, own, via)
+    table, n_segments = router_table(areas, own, via)
     # Everything past the mesh is unreachable: summarization must
     # report that honestly instead of hallucinating a range hit.
-    assert SegmentRouter._egress_for(
-        state, ingress=-1, dst_segment=n_segments + beyond
+    assert table.egress_for(
+        ingress=-1, dst_segment=n_segments + beyond
     ) is None
 
 
@@ -115,20 +99,15 @@ def test_overlapping_summaries_prefer_a_forwardable_via(data):
         label="metrics",
     )
     ingress = data.draw(st.sampled_from([100, 101, 102]), label="ingress")
-    summaries = {
-        index + 1: _Summary(area=index + 1, lo=dst, hi=dst, metric=metric,
-                            via=via, router=index)
-        for index, (via, metric) in enumerate(zip(vias, metrics))
-    }
-    state = SimpleNamespace(
-        ports={via: _Port(segment_id=via) for via in set(vias)},
-        table={}, summaries=summaries,
-        _NOT_OURS=SegmentRouter._NOT_OURS,
-    )
-    egress = SegmentRouter._egress_for(state, ingress, dst)
+    table = RouteTable(attached=set(vias))
+    summaries = table.summaries
+    for index, (via, metric) in enumerate(zip(vias, metrics)):
+        summaries[index + 1] = Summary(area=index + 1, lo=dst, hi=dst,
+                                       metric=metric, via=via, router=index)
+    egress = table.egress_for(ingress, dst)
     forwardable = [s for s in summaries.values() if s.via != ingress]
     if not forwardable:
-        assert egress == SegmentRouter._NOT_OURS
+        assert egress == NOT_OURS
     else:
         best = min(s.metric for s in forwardable)
         assert egress in {s.via for s in forwardable if s.metric == best}
@@ -138,16 +117,16 @@ def test_overlapping_summaries_prefer_a_forwardable_via(data):
 @given(areas=area_layouts, own=st.integers(0, 4), via=st.integers(0, 5))
 def test_specifics_always_win_over_summaries(areas, own, via):
     own %= len(areas)
-    state, n_segments = router_state(areas, own, via)
+    table, n_segments = router_table(areas, own, via)
     # Plant a specific for a summarized foreign segment: the table
     # entry must shadow the (in-range) summary.
-    foreign = [seg for seg in range(n_segments) if seg not in state.ports]
+    foreign = [seg for seg in range(n_segments) if seg not in table.attached]
     if not foreign:
         return
     seg = foreign[0]
-    specific_via = next(iter(state.ports))
-    state.table[seg] = _Route(via=specific_via, metric=7, router=9)
-    assert SegmentRouter._egress_for(state, -1, seg) == specific_via
+    specific_via = min(table.attached)
+    table.routes[seg] = Route(via=specific_via, metric=7, router=9)
+    assert table.egress_for(-1, seg) == specific_via
 
 
 # --------------------------------------------------------------- wire pins
@@ -173,7 +152,7 @@ def encode_v3(area, summaries, *args):
     """v3 = escape byte, v2 header, area, flat rows, summary rows."""
     body = bytearray(encode_v2(*args))
     # splice the area byte between the 9-byte header and the rows
-    out = bytearray([SegmentRouter._AD_V3_ESCAPE]) + body[:9]
+    out = bytearray([0xFF]) + body[:9]
     out.append(area)
     out += body[9:]
     out.append(len(summaries))
@@ -222,21 +201,17 @@ def test_v2_ad_roundtrip_pins_the_flat_layout(header, entries):
     (router_id, priority, root_id, root_priority, root_cost,
      period_units, age_units) = header
     payload = encode_v2(*header, entries)
-    (got_id, got_priority, got_root, got_cost, got_period, got_age,
-     got_entries, got_area, got_summaries) = SegmentRouter._decode_ad(payload)
-    assert got_id == router_id
-    assert got_priority == priority
-    assert got_root == (root_priority, root_id)
-    assert got_cost == root_cost
-    assert got_period == period_units * _AGE_UNIT_NS
-    assert got_age == age_units * _AGE_UNIT_NS
-    assert got_entries == [
-        (s, m, set(live) if live is not None else None)
-        for s, m, live in entries
-    ]
+    ad = decode(payload)
+    assert ad.router_id == router_id
+    assert ad.priority == priority
+    assert ad.root == (root_priority, root_id)
+    assert ad.root_cost == root_cost
+    assert ad.period_ns == period_units * AGE_UNIT_NS
+    assert ad.root_age_ns == age_units * AGE_UNIT_NS
+    assert list(ad.entries) == entries
     # v2 decodes as the unlabelled single area with no summaries.
-    assert got_area == 0
-    assert got_summaries == []
+    assert (ad.version, ad.area, ad.summaries) == (2, 0, ())
+    assert encode(ad) == payload  # and the codec's encoder agrees
 
 
 @settings(max_examples=200)
@@ -246,16 +221,12 @@ def test_v3_ad_roundtrip_pins_the_summarized_layout(
     header, entries, area, summaries
 ):
     payload = encode_v3(area, summaries, *header, entries)
-    (got_id, *_rest, got_entries, got_area, got_summaries) = \
-        SegmentRouter._decode_ad(payload)
-    assert got_id == header[0]
-    assert got_entries == [
-        (s, m, set(live) if live is not None else None)
-        for s, m, live in entries
-    ]
-    assert got_area == area
-    assert got_summaries == [
-        (s_area, lo, hi, metric, period_units * _AGE_UNIT_NS)
+    ad = decode(payload)
+    assert ad.router_id == header[0]
+    assert list(ad.entries) == entries
+    assert (ad.version, ad.area) == (3, area)
+    assert list(ad.summaries) == [
+        (s_area, lo, hi, metric, period_units * AGE_UNIT_NS)
         for s_area, lo, hi, metric, period_units in summaries
     ]
-
+    assert encode(ad) == payload

@@ -263,34 +263,6 @@ def test_any_of_fires_on_first():
     assert result == {"n": 1, "t": 10}
 
 
-def test_all_of_waits_for_every_member():
-    sim = Simulator()
-    result = {}
-
-    def proc():
-        events = [sim.timeout(d, value=d) for d in (5, 15, 25)]
-        fired = yield sim.all_of(events)
-        result["vals"] = sorted(fired.values())
-        result["t"] = sim.now
-
-    sim.process(proc())
-    sim.run()
-    assert result == {"vals": [5, 15, 25], "t": 25}
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    done = {}
-
-    def proc():
-        yield sim.all_of([])
-        done["t"] = sim.now
-
-    sim.process(proc())
-    sim.run()
-    assert done["t"] == 0
-
-
 def test_call_at_and_call_in():
     sim = Simulator()
     hits = []

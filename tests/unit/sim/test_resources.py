@@ -1,8 +1,8 @@
-"""Unit tests for Store, PriorityStore, Resource and Gate."""
+"""Unit tests for Store, Resource and Gate."""
 
 import pytest
 
-from repro.sim import Gate, PriorityStore, Resource, SimulationError, Simulator, Store
+from repro.sim import Gate, Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -92,69 +92,6 @@ def test_store_len_tracks_buffered_items():
     store.try_put(1)
     store.try_put(2)
     assert len(store) == 2
-
-
-# ---------------------------------------------------------- PriorityStore
-def test_priority_store_orders_by_priority():
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    got = []
-
-    def producer():
-        yield ps.put("bulk", priority=5)
-        yield ps.put("roster", priority=0)
-        yield ps.put("data", priority=2)
-
-    def consumer():
-        yield sim.timeout(1)
-        for _ in range(3):
-            got.append((yield ps.get()))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == ["roster", "data", "bulk"]
-
-
-def test_priority_store_fifo_within_priority():
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    got = []
-
-    def producer():
-        for tag in ("first", "second", "third"):
-            yield ps.put(tag, priority=1)
-
-    def consumer():
-        yield sim.timeout(1)
-        for _ in range(3):
-            got.append((yield ps.get()))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == ["first", "second", "third"]
-
-
-def test_priority_store_capacity_blocks():
-    sim = Simulator()
-    ps = PriorityStore(sim, capacity=1)
-    times = []
-
-    def producer():
-        yield ps.put("a")
-        times.append(sim.now)
-        yield ps.put("b")
-        times.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(42)
-        yield ps.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [0, 42]
 
 
 # -------------------------------------------------------------- Resource
