@@ -25,7 +25,7 @@ ages round *down*.  Metrics and costs saturate at one byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, NamedTuple, Optional, Tuple
+from typing import AbstractSet, NamedTuple, Optional, Tuple
 
 __all__ = [
     "AGE_UNIT_NS",
@@ -59,7 +59,7 @@ class Entry(NamedTuple):
 
     segment: int
     metric: int
-    live: Optional[FrozenSet[int]]
+    live: Optional[AbstractSet[int]]
 
 
 class SummaryRow(NamedTuple):
@@ -135,7 +135,8 @@ def decode(payload: bytes) -> Advertisement:
     Raises :class:`AdDecodeError` — and nothing else — when the payload
     is truncated, a count overruns it, or bytes trail the last row.
     """
-    pos = 0
+    v3 = payload[:1] == bytes([_V3_ESCAPE])
+    pos = 1 if v3 else 0
 
     def take(n: int) -> bytes:
         nonlocal pos
@@ -151,9 +152,6 @@ def decode(payload: bytes) -> Advertisement:
     def take_ns() -> int:
         return int.from_bytes(take(2), "little") * AGE_UNIT_NS
 
-    v3 = take(1)[0] == _V3_ESCAPE
-    if not v3:
-        pos = 0
     router_id, priority, root_id, root_priority, root_cost = take(5)
     period_ns = take_ns()
     root_age_ns = take_ns()

@@ -553,12 +553,13 @@ class SegmentRouter:
         # so the deque is not age-sorted: scan it all, or an expired
         # entry behind a newer head outlives its TTL.
         ttl = self.config.shadow_ttl_periods * self.advertise_period_ns
-        expired = [e for e in self.shadow if now - e.parked_at > ttl]
+        fresh: Deque[_Shadow] = deque()
+        expired: List[_Shadow] = []
+        for entry in self.shadow:
+            (fresh if now - entry.parked_at <= ttl else expired).append(entry)
         if not expired:
             return
-        self.shadow = deque(
-            e for e in self.shadow if now - e.parked_at <= ttl
-        )
+        self.shadow = fresh
         for entry in expired:
             self._shadow_lost(entry, "shadow_expired")
         self.counters.incr("shadow_expired", len(expired))
@@ -686,7 +687,7 @@ class SegmentRouter:
                 if port.role is PortRole.FORWARDING
             ]
             entries = [
-                Entry(seg, 0, frozenset(self.live_in_segment(seg)))
+                Entry(seg, 0, self.live_in_segment(seg))
                 for seg in forwarding if seg != out
             ]
             learned, summaries = self.table.advertised(

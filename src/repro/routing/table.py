@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Collection, Dict, FrozenSet, List, NamedTuple, Optional,
+    AbstractSet, Any, Callable, Collection, Dict, List, NamedTuple, Optional,
     Tuple,
 )
 
@@ -43,7 +43,7 @@ class Route:
     period_ns: int = 0
     #: live node ids behind the segment as last advertised; None = the
     #: advertiser elided the list ("assume all live")
-    live: Optional[FrozenSet[int]] = frozenset()
+    live: Optional[AbstractSet[int]] = frozenset()
 
 
 @dataclass
@@ -82,7 +82,7 @@ class RouteTable:
         self.summaries: Dict[int, Summary] = {}
 
     @property
-    def remote_live(self) -> Dict[int, Optional[FrozenSet[int]]]:
+    def remote_live(self) -> Dict[int, Optional[AbstractSet[int]]]:
         """Advertised liveness per remote segment (observability)."""
         return {seg: route.live for seg, route in self.routes.items()}
 
