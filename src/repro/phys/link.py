@@ -15,16 +15,31 @@ the wire is reserved arithmetically (``start = max(now, busy_until)``,
 dequeue→serialize→deliver callback chain — the arithmetic is the same
 next-free-time model — but the two intermediate hops per frame are gone,
 which at storm scale removes the largest single slice of kernel load.
+
+That entry is **the same object for every frame**: the frames on the
+wire sit in a plain FIFO (``_wire``, arrival order = reservation order,
+because ``busy_until`` only grows between cuts) and each firing of the
+one ``_arrive`` entry takes the head.  A frame in flight therefore costs
+a deque slot and a list slot in the kernel's wheel — nothing the cyclic
+collector tracks (see the entry-reuse contract in
+``docs/architecture.md``).
+
 Loss semantics: a frame transmitted while the link is down is lost
-immediately, and every cut bumps the epoch so reserved/in-flight
-arrivals from before the cut die at fire time (light that went dark
-mid-flight, including queued wire reservations not yet serialized — the
-transmitter commits frames to the wire schedule at transmit time).
+immediately, and every cut loses whatever was reserved or in flight
+(light that went dark mid-flight, including queued wire reservations not
+yet serialized — the transmitter commits frames to the wire schedule at
+transmit time).  A cut also resets ``busy_until``, so frames sent after
+a restore can arrive *before* the dead reservations' instants; the cut
+therefore detaches the FIFO — the link gets a fresh FIFO and entry, and
+the old entry, still on the schedule once per dead reservation, is
+re-pointed at a handler that counts one ``frames_lost`` each time it
+fires, at the instants the frames would have arrived.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque
 
 from ..sim import Callback, Simulator
 from .constants import CARRIER_DETECT_NS, propagation_ns
@@ -54,9 +69,12 @@ class SerialLink:
         self.name = name or f"{src.name}->{dst.name}"
         self.prop_ns = propagation_ns(length_m)
         self.up = True
-        #: epoch increments on every cut; in-flight deliveries from an
-        #: older epoch are discarded (the light went dark mid-flight).
-        self._epoch = 0
+        #: frames reserved on the wire since the last cut, in arrival
+        #: order; every pending firing of ``_arrive_cb`` takes the head.
+        self._wire: Deque[Frame] = deque()
+        #: the one arrival entry, on the schedule once per frame in
+        #: ``_wire`` (never hand it to ``Simulator.cancel``).
+        self._arrive_cb = Callback(self._arrive, ())
         #: instant the transmitter frees up; wire reservations are
         #: arithmetic, so backlog needs no queue and no chain callbacks.
         self._busy_until = 0
@@ -83,22 +101,30 @@ class SerialLink:
         busy = self._busy_until
         start = busy if busy > now else now
         self._busy_until = end = start + frame.ser_ns
-        sim._post(end + self.prop_ns, Callback(self._arrive, (frame, self._epoch)))
+        self._wire.append(frame)
+        sim._post(end + self.prop_ns, self._arrive_cb)
 
-    def _arrive(self, frame: Frame, epoch: int) -> None:
-        if not self.up or epoch != self._epoch:
-            self.frames_lost += 1
-            return
+    def _arrive(self) -> None:
+        # Only frames reserved since the last cut are in ``_wire`` and a
+        # down link accepts none, so the link is up whenever this fires.
         self.frames_delivered += 1
-        self.dst.deliver(frame)
+        self.dst.deliver(self._wire.popleft())
+
+    def _arrive_dark(self) -> None:
+        """A reservation from before a cut reaches its arrival instant."""
+        self.frames_lost += 1
 
     # ------------------------------------------------------------- faults
     def go_down(self) -> None:
         if not self.up:
             return
         self.up = False
-        self._epoch += 1
-        # All wire reservations die with the light.
+        # All wire reservations die with the light: the old entry keeps
+        # its places on the schedule but only counts the losses, and the
+        # frames themselves are dropped here.
+        self._arrive_cb.fn = self._arrive_dark
+        self._arrive_cb = Callback(self._arrive, ())
+        self._wire = deque()
         self._busy_until = 0
         # Receiver sees loss of light after the debounce time.
         self.sim.call_in(CARRIER_DETECT_NS, self._sync_carrier, False)

@@ -10,12 +10,19 @@ according to rostering rules", slide 16): the switch floods them out of
 every live port except the ingress, with duplicate suppression keyed on
 the rostering header, which is what lets the modified flooding algorithm
 explore the entire surviving topology in one tour.
+
+Both kinds of traffic leave through the same per-port **crossing FIFO**:
+the crossconnect latency is one constant, so frames bound for one egress
+port come out in the order they went in, and the port's single reusable
+schedule entry (on the schedule once per frame in the FIFO) sends the
+head each time it fires — see the entry-reuse contract in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..micropacket import MicroPacketType
 from ..rostering.wire import flood_key
@@ -61,6 +68,13 @@ class Switch:
         }
         for port in self.ports:
             port.set_handlers(on_frame=self._on_frame)
+        #: egress port index -> (frames crossing to that port, oldest
+        #: first; the port's one reusable entry).  Never hand an entry to
+        #: ``Simulator.cancel``.
+        self._crossing: List[Tuple[Deque[Frame], Callback]] = []
+        for port in self.ports:
+            fifo: Deque[Frame] = deque()
+            self._crossing.append((fifo, Callback(self._emit, (fifo, port))))
         #: ingress port index -> egress port index for ring traffic
         self.ring_map: Dict[int, int] = {}
         self.failed = False
@@ -122,11 +136,7 @@ class Switch:
                 ingress=ingress, packet=frame.packet.describe(),
             )
             return
-        out = self.ports[egress]
-        # Direct kernel post: one slim entry per forwarded frame (see the
-        # _post contract in sim/kernel.py).
-        sim = self.sim
-        sim._post(sim._now + self.latency_ns, Callback(out.send, (frame,)))
+        self._cross(frame, egress)
         self.counters.incr("forwarded")
 
     def _flood(self, frame: Frame, port: Port) -> None:
@@ -142,13 +152,25 @@ class Switch:
         for idx, out in enumerate(self.ports):
             if idx == ingress or not out.carrier_up:
                 continue
-            self.sim.call_in(self.latency_ns, out.send, frame)
+            self._cross(frame, idx)
             fanout += 1
         self.counters.incr("flooded", fanout)
         self.tracer.record(
             self.sim.now, "switch_flood", self.name,
             ingress=ingress, fanout=fanout, key=key.hex(),
         )
+
+    def _cross(self, frame: Frame, egress: int) -> None:
+        """Start ``frame`` across the crossconnect to port ``egress``."""
+        fifo, entry = self._crossing[egress]
+        fifo.append(frame)
+        # Direct kernel post (see the _post contract in sim/kernel.py).
+        sim = self.sim
+        sim._post(sim._now + self.latency_ns, entry)
+
+    @staticmethod
+    def _emit(fifo: Deque[Frame], out: Port) -> None:
+        out.send(fifo.popleft())
 
     def reset_flood_cache(self) -> None:
         """Forget flood keys (used between rostering rounds in tests)."""

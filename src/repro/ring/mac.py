@@ -54,12 +54,15 @@ class _PacerHub:
     cost nothing but a tuple in the tick's list.
     """
 
-    __slots__ = ("sim", "pending", "fires", "coalesced")
+    __slots__ = ("sim", "pending", "fires", "coalesced", "_fire_cb")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         #: tick -> [(mac, pace_gen), ...] awaiting that instant
         self.pending: Dict[int, List] = {}
+        #: reusable tick entry, on the schedule once per pending tick;
+        #: it fires *at* its tick, so the clock says which one it is
+        self._fire_cb = Callback(self._fire, ())
         #: tick entries actually scheduled
         self.fires = 0
         #: arms that rode an already-scheduled tick entry
@@ -69,15 +72,14 @@ class _PacerHub:
         waiters = self.pending.get(tick)
         if waiters is None:
             self.pending[tick] = [(mac, gen)]
-            sim = self.sim
-            sim._post(tick, Callback(self._fire, (tick,)))
+            self.sim._post(tick, self._fire_cb)
             self.fires += 1
         else:
             waiters.append((mac, gen))
             self.coalesced += 1
 
-    def _fire(self, tick: int) -> None:
-        for mac, gen in self.pending.pop(tick):
+    def _fire(self) -> None:
+        for mac, gen in self.pending.pop(self.sim._now):
             mac._pace_fire(gen)
 
 
@@ -135,6 +137,12 @@ class RingMAC:
         self._tx_port: Optional[Port] = None
         #: reusable pick entry (stateless; may recur on the schedule)
         self._tx_step_cb = Callback(self._tx_step, ())
+        #: the insertion register: the one frame between pick and emit
+        #: (``_tx_busy`` admits no second), and whether it is our own
+        self._tx_frame: Optional[Frame] = None
+        self._tx_inserted = False
+        #: reusable emit entry; its payload is the register above
+        self._tx_emit_cb = Callback(self._tx_emit, ())
         #: shared per-sim pacing coalescer (see :class:`_PacerHub`)
         self._pacer = _pacer_for(sim)
 
@@ -267,11 +275,15 @@ class RingMAC:
             return
         # Insertion-register latency, then occupy the transmitter.
         self._tx_busy = True
+        self._tx_frame = frame
+        self._tx_inserted = inserted
         sim = self.sim
-        sim._post(sim._now + NODE_TRANSIT_NS, Callback(self._tx_emit, (frame, inserted)))
+        sim._post(sim._now + NODE_TRANSIT_NS, self._tx_emit_cb)
 
-    def _tx_emit(self, frame: Frame, inserted: bool) -> None:
-        if self._transmit(frame, inserted):
+    def _tx_emit(self) -> None:
+        frame = self._tx_frame
+        self._tx_frame = None
+        if self._transmit(frame, self._tx_inserted):
             sim = self.sim
             sim._post(sim._now + frame.ser_ns, self._tx_step_cb)
         else:
@@ -327,8 +339,12 @@ class RingMAC:
 
     def _transmit(self, frame: Frame, inserted: bool) -> bool:
         if self.roster is None:
-            # Ring went down during the transit latency.
-            self._requeue(frame, inserted)
+            # Ring went down during the register latency: like the dead
+            # hop below, local frames wait and transit frames are lost.
+            if inserted:
+                self._requeue(frame)
+            else:
+                self.counters.incr("transit_lost_ring_down")
             return False
         if self._ring_size == 1:
             # Singleton ring: no fibre to cross; the "tour" is immediate.
@@ -343,7 +359,7 @@ class RingMAC:
             # Our active hop just died; rostering will rebuild.  Local
             # frames wait, transit frames are lost with the light.
             if inserted:
-                self._requeue(frame, inserted)
+                self._requeue(frame)
             else:
                 self.counters.incr("transit_lost_carrier")
             return False
@@ -359,13 +375,12 @@ class RingMAC:
         port.send(frame)
         return True
 
-    def _requeue(self, frame: Frame, inserted: bool) -> None:
-        if inserted:
-            if frame.packet.flags & Flags.PRIORITY:
-                self._priority_insertion.appendleft(frame)
-            else:
-                self._insertion.appendleft(frame)
-        # transit frames are dropped by the caller's accounting
+    def _requeue(self, frame: Frame) -> None:
+        """Put a refused local frame back at the head of its queue."""
+        if frame.packet.flags & Flags.PRIORITY:
+            self._priority_insertion.appendleft(frame)
+        else:
+            self._insertion.appendleft(frame)
 
     # ------------------------------------------------------------------- rx
     def on_frame(self, frame: Frame, port: Port) -> None:

@@ -56,17 +56,22 @@ _PENDING = object()
 
 
 class Callback:
-    """Allocation-light schedule entry: a bare callable on the heap.
+    """Allocation-light schedule entry: a callable and its arguments.
 
-    The hot path (link serialization, switch forwarding, the MAC transmit
-    engine) schedules hundreds of thousands of these per run; compared to
-    a :class:`Timeout` plus an appended closure it skips the callback
-    list, the wrapper lambda and the ``succeed`` bookkeeping entirely.
-    Instances cannot be waited on — processes must keep yielding real
-    events — so they carry no trigger state at all.  The class attributes
-    below satisfy the kernel's ``step()`` contract (nothing ever observes
-    a failure on a Callback: an exception in ``fn`` propagates out of the
-    event loop exactly as an unhandled callback error always did).
+    Compared to a :class:`Timeout` plus an appended closure it skips the
+    callback list, the wrapper lambda and the ``succeed`` bookkeeping
+    entirely.  Instances cannot be waited on — processes must keep
+    yielding real events — so they carry no trigger state at all.  The
+    class attributes below satisfy the kernel's ``step()`` contract
+    (nothing ever observes a failure on a Callback: an exception in
+    ``fn`` propagates out of the event loop exactly as an unhandled
+    callback error always did).
+
+    An entry made by ``call_at``/``call_in`` is one-shot and may be
+    cancelled.  The per-frame hot path (link arrivals, switch crossings,
+    the MAC transmit engine) instead posts one long-lived entry per
+    device over and over, and must never cancel it — see the ``_post``
+    contract in :mod:`repro.sim.kernel`.
     """
 
     __slots__ = ("fn", "args")

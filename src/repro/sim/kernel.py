@@ -188,13 +188,20 @@ class Simulator:
     # ------------------------------------------------------------- scheduling
     # CONTRACT: ``sim._post(fire_time, entry)`` is the one scheduling
     # primitive: entries at the same instant fire in submission order, no
-    # matter whether they land in a wheel slot or the overflow heap.  The
-    # hot-path producers in phys/link.py, phys/switch.py and ring/mac.py
-    # bind this method once and call it directly (skipping call_at's
-    # validation and Callback allocation where they reuse entries) — it is
-    # the replacement for the heap-shape contract they used to hand-inline.
+    # matter whether they land in a wheel slot or the overflow heap.
     # ``fire_time`` must be >= now; the public wrappers validate, hot
     # producers schedule only non-negative offsets from now by construction.
+    #
+    # The kernel never looks at an entry's identity, so one entry may sit
+    # on the schedule any number of times and fires once per post.  The
+    # per-frame producers (phys/link.py, phys/switch.py, ring/mac.py) rely
+    # on that: each device posts the *same* ``Callback`` for every frame
+    # and keeps the frames in a FIFO of its own, which is exact because
+    # the device's fire times never decrease from one post to the next.
+    # Such an entry must never be handed to ``cancel()`` — blanking it
+    # would kill every pending firing at once; a device that has to void
+    # its pending firings swaps in a fresh entry and re-points the old
+    # one (see ``SerialLink.go_down``).
     def _post(self, time: int, entry: Any) -> None:
         if self._lap_start <= time < self._lap_end:
             idx = time & _WHEEL_MASK

@@ -1,0 +1,241 @@
+"""The FIFO data path against a reference that carries its payload per entry.
+
+``SerialLink`` and ``Switch`` post one reusable schedule entry per frame
+and keep the frames in a FIFO of their own; which frame an entry firing
+stands for is decided by the FIFO's order, and a cut detaches the FIFO
+rather than stamping an epoch on every frame.  The references below do
+it the obvious way — a fresh entry per frame carrying ``(frame, epoch)``
+— and random fault/traffic sequences must not be able to tell the two
+apart: same ``(time, frame_id)`` delivery log, same loss and delivery
+counters, same number of schedule entries processed.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.micropacket import DmaControl, MicroPacket, MicroPacketType
+from repro.phys import CARRIER_DETECT_NS, Fiber, Port, Switch, frame_for
+from repro.phys.constants import propagation_ns
+from repro.rostering import encode_explore
+from repro.sim import Simulator
+
+
+class ReferenceLink:
+    """One direction of light; every arrival entry owns its frame."""
+
+    def __init__(self, sim, src, dst, length_m):
+        self.sim, self.src, self.dst = sim, src, dst
+        self.prop_ns = propagation_ns(length_m)
+        self.up = True
+        self.epoch = 0
+        self.busy_until = 0
+        self.frames_delivered = self.frames_lost = 0
+
+    def transmit(self, frame):
+        if not self.up:
+            self.frames_lost += 1
+            return
+        self.busy_until = max(self.sim.now, self.busy_until) + frame.ser_ns
+        self.sim.call_at(
+            self.busy_until + self.prop_ns, self.arrive, frame, self.epoch)
+
+    def arrive(self, frame, epoch):
+        if not self.up or epoch != self.epoch:
+            self.frames_lost += 1
+            return
+        self.frames_delivered += 1
+        self.dst.deliver(frame)
+
+    def go_down(self):
+        if self.up:
+            self.up = False
+            self.epoch += 1
+            self.busy_until = 0
+            self.sim.call_in(CARRIER_DETECT_NS, self.sync_carrier, False)
+
+    def go_up(self):
+        if not self.up:
+            self.up = True
+            self.sim.call_in(CARRIER_DETECT_NS, self.sync_carrier, True)
+
+    def sync_carrier(self, up):
+        if up == self.up:
+            self.dst.set_carrier(up)
+
+
+def reference_fiber(sim, a, b, length_m):
+    fiber = Fiber(sim, a, b, length_m)
+    fiber.ab = a.tx_link = b.rx_link = ReferenceLink(sim, a, b, length_m)
+    fiber.ba = b.tx_link = a.rx_link = ReferenceLink(sim, b, a, length_m)
+    return fiber
+
+
+class ReferenceSwitch(Switch):
+    """Every crossing is its own entry, bound to its frame and port."""
+
+    def _cross(self, frame, egress):
+        self.sim.call_in(self.latency_ns, self.ports[egress].send, frame)
+
+
+def data_frame(k):
+    """Fixed cells and DMA packets of three sizes: 189..791 ns of wire."""
+    size = (0, 16, 33, 64)[k % 4]
+    if not size:
+        return frame_for(MicroPacket(
+            ptype=MicroPacketType.DATA, src=0, dst=1, payload=bytes(8)))
+    return frame_for(MicroPacket(
+        ptype=MicroPacketType.DMA, src=0, dst=1, payload=bytes(size),
+        dma=DmaControl(channel=0, offset=0, transfer_id=1)))
+
+
+#: gaps around the scales that matter: inside one serialization, a few
+#: frames, the carrier debounce, and past everything in flight
+gap = st.one_of(
+    st.integers(0, 40),
+    st.integers(0, 3_000),
+    st.sampled_from([CARRIER_DETECT_NS - 1, CARRIER_DETECT_NS,
+                     CARRIER_DETECT_NS + 1]),
+    st.integers(0, 60_000),
+)
+
+link_ops = st.lists(
+    st.tuples(
+        gap,
+        st.one_of(
+            st.tuples(st.sampled_from(["a", "b"]), st.integers(1, 12)),
+            st.sampled_from(["cut", "restore", "dark", "lit"]),
+        ),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def run_link_world(make_fiber, ops, length_m, frames):
+    sim = Simulator()
+    ends = {"a": Port(sim, "a"), "b": Port(sim, "b")}
+    fiber = make_fiber(sim, ends["a"], ends["b"], length_m)
+    log = []
+    for name, port in ends.items():
+        port.set_handlers(
+            on_frame=lambda f, p, n=name: log.append((sim.now, n, f.frame_id)))
+    supply = iter(frames)
+    for wait, op in ops:
+        sim.run(until=sim.now + wait)
+        if op == "cut":
+            fiber.cut()
+        elif op == "restore":
+            fiber.restore()
+        elif op == "dark":
+            fiber.endpoint_dark()
+        elif op == "lit":
+            if fiber._dark_sides:
+                fiber.endpoint_lit()
+        else:
+            side, burst = op
+            for _ in range(burst):
+                # Straight to the link as well as through the port: the
+                # port refuses once carrier has dropped, the link is what
+                # loses frames inside the debounce window.
+                ends[side].send(next(supply))
+                ends[side].tx_link.transmit(next(supply))
+    sim.run()
+    return (
+        log,
+        [(l.frames_delivered, l.frames_lost) for l in (fiber.ab, fiber.ba)],
+        [(p.tx_frames, p.rx_frames, p.carrier_up) for p in ends.values()],
+        sim.events_processed,
+        sim.now,
+    )
+
+
+@given(ops=link_ops, length_m=st.sampled_from([0.0, 50.0, 400.0, 3000.0]))
+@settings(max_examples=300, deadline=None)
+def test_fifo_link_matches_reference_link(ops, length_m):
+    frames = [data_frame(k) for k in range(2 * 12 * len(ops))]
+    fifo = run_link_world(Fiber, ops, length_m, frames)
+    reference = run_link_world(reference_fiber, ops, length_m, frames)
+    assert fifo == reference
+
+
+def test_restore_while_dead_reservations_are_still_pending():
+    """The case the detached FIFO exists for: after cut + restore the wire
+    is free again, so new frames arrive *before* the instants the dead
+    reservations still hold on the schedule."""
+    backlog = 60  # ~23 us of reservations: outlives cut + debounce
+    ops = [(0, ("a", backlog)), (100, "cut"), (1, "restore"),
+           (CARRIER_DETECT_NS, ("a", 3))]
+    frames = [data_frame(0) for _ in range(2 * (backlog + 3))]
+    fifo = run_link_world(Fiber, ops, 50.0, frames)
+    assert fifo == run_link_world(reference_fiber, ops, 50.0, frames)
+    log, (ab, _ba), _ports, _events, _now = fifo
+    assert ab == (6, 2 * backlog)
+    last_dead_reservation = 2 * backlog * frames[0].ser_ns
+    assert max(t for t, _end, _fid in log) < last_dead_reservation
+
+
+switch_ops = st.lists(
+    st.tuples(
+        gap,
+        st.one_of(
+            st.tuples(st.sampled_from(["ring", "flood"]),
+                      st.sampled_from([0, 1, 3]), st.integers(1, 6)),
+            st.sampled_from(["cut", "restore", "fail", "repair"]),
+        ),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def run_switch_world(switch_type, ops, frames):
+    sim = Simulator()
+    sw = switch_type(sim, 0, n_ports=4)
+    log = []
+    for i, port in enumerate(sw.ports):
+        ep = Port(sim, f"ep{i}")
+        sw.attach_fiber(Fiber(sim, ep, port, 10.0))
+        ep.set_handlers(
+            on_frame=lambda f, p, i=i: log.append((sim.now, i, f.frame_id)))
+    ring = {0: 2, 1: 2, 3: 2}  # every ingress shares egress 2
+    sw.configure_ring(ring)
+    supply = {kind: iter(pool) for kind, pool in frames.items()}
+    for wait, op in ops:
+        sim.run(until=sim.now + wait)
+        if op == "cut":
+            sw.attached_fibers[2].cut()
+        elif op == "restore":
+            sw.attached_fibers[2].restore()
+        elif op == "fail":
+            sw.fail()
+        elif op == "repair":
+            sw.repair()
+            sw.configure_ring(ring)  # fail() cleared it
+        else:
+            kind, ingress, burst = op
+            for _ in range(burst):
+                sw.ports[ingress].deliver(next(supply[kind]))
+                # ...and a ring frame from another ingress at the same
+                # instant, so the two kinds interleave at port 2
+                sw.ports[{0: 1, 1: 3, 3: 0}[ingress]].deliver(
+                    next(supply["ring"]))
+    sim.run()
+    return (
+        log,
+        dict(sw.counters),
+        [(p.tx_frames, p.rx_frames) for p in sw.ports],
+        sim.events_processed,
+        sim.now,
+    )
+
+
+@given(ops=switch_ops)
+@settings(max_examples=200, deadline=None)
+def test_fifo_switch_matches_reference_switch(ops):
+    n = 6 * len(ops)
+    frames = {
+        "ring": [data_frame(k) for k in range(2 * n)],
+        # distinct flood keys, so none is suppressed as a duplicate
+        "flood": [frame_for(encode_explore(origin=k % 250, round_no=k // 250))
+                  for k in range(n)],
+    }
+    fifo = run_switch_world(Switch, ops, frames)
+    assert fifo == run_switch_world(ReferenceSwitch, ops, frames)

@@ -102,6 +102,37 @@ def test_teardown_reports_lost_tours():
     assert macs[0].counters["tours_lost"] == 1
 
 
+def test_teardown_with_transit_frame_in_register_counts_the_loss():
+    """Ring torn down during the 120 ns register latency: the transit
+    frame in the register is lost, and the ledger must say so."""
+    sim = Simulator()
+    macs, _sw = two_node_ring(sim)
+    mac = macs[1]
+    frame = frame_for(data(7, 0))  # someone else's frame, passing through
+    mac.on_frame(frame, mac.ports[0])
+    sim.run(until=sim.now + 1)  # the pick: frame moves into the register
+    assert mac._tx_busy and mac.transit_depth == 0
+    mac.teardown("fault")
+    sim.run(until=1_000_000)
+    assert mac.counters["transit_lost_ring_down"] == 1
+    assert mac.counters["tx_transit"] == 0
+    assert mac.counters["transit_flushed"] == 0  # it had left the buffer
+    assert not mac._tx_busy  # the engine went idle, not wedged
+
+
+def test_teardown_with_local_frame_in_register_keeps_it():
+    sim = Simulator()
+    macs, _sw = two_node_ring(sim)
+    mac = macs[0]
+    mac.send(data(0, 1))
+    sim.run(until=sim.now + 1)
+    assert mac._tx_busy and mac.insertion_backlog == 0
+    mac.teardown("fault")
+    sim.run(until=1_000_000)
+    assert mac.insertion_backlog == 1  # back at the head, not lost
+    assert mac.counters["transit_lost_ring_down"] == 0
+
+
 def test_priority_frames_overtake_data_in_insertion():
     sim = Simulator()
     macs, _sw = two_node_ring(sim)

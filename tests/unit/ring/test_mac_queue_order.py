@@ -90,7 +90,7 @@ def test_requeue_preserves_head_position():
     mac._insertion.append(second)
     picked, inserted = mac._pick_frame()
     assert picked is first and inserted
-    mac._requeue(picked, inserted)
+    mac._requeue(picked)
     assert [f.frame_id for f in mac._insertion] == [
         first.frame_id, second.frame_id
     ]

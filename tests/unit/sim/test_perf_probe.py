@@ -6,7 +6,10 @@ has to produce the identical event sequence, trace timeline and
 counters as a run without one — measuring may not perturb.
 """
 
+from pathlib import Path
+
 from repro import AmpNetCluster, ClusterConfig
+from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 from repro.perf import PerfProbe, PerfReport, layer_of
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import ScenarioRunner, trace_digest
@@ -77,6 +80,36 @@ def test_layer_classification():
         .startswith("")  # a plain module function classifies without error
     timeout = sim.timeout(5)
     assert layer_of(timeout) == "sim.Timeout"
+
+
+def test_switch_crossings_are_attributed_to_the_switch():
+    """The switch owns its egress entries, so a crossing is a
+    ``phys.switch`` entry — not ``phys.port``, the module of the bound
+    ``Port.send`` the per-frame entries used to name."""
+    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=1))
+    cluster.start()
+    probe = PerfProbe(cluster.sim, per_kind=True)
+    probe.start()  # from t=0: the rostering floods are in the window too
+    cluster.run_until_ring_up()
+    for node in cluster.nodes.values():
+        node.mac.send(MicroPacket(
+            ptype=MicroPacketType.DATA, src=node.node_id, dst=BROADCAST,
+            payload=b"12345678"))
+    cluster.run(until=cluster.sim.now + 20 * cluster.tour_estimate_ns)
+    by_layer = probe.stop().by_layer
+    (switch,) = cluster.topology.switches
+    crossings = switch.counters["forwarded"] + switch.counters["flooded"]
+    assert switch.counters["forwarded"] >= 16 and switch.counters["flooded"]
+    still_crossing = sum(len(fifo) for fifo, _entry in switch._crossing)
+    assert by_layer["phys.switch"] == crossings - still_crossing
+    assert "phys.port" not in by_layer
+
+
+def test_no_committed_result_names_the_old_switch_attribution():
+    results = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+    stale = [p.name for p in sorted(results.glob("*.json"))
+             if "phys.port" in p.read_text()]
+    assert stale == []
 
 
 # --------------------------------------------- measuring must not perturb
