@@ -56,6 +56,14 @@ GOLDEN = {
     "bulkhead_noisy_neighbor": "eae66f3c2f11d0ade1dc140a5db7f406",
     "routed_partition_heal": "cc97da99a274a7b6110cc83f54c962b5",
     "cache_offload_star": "795f3eed59d83ee1bf5d9e5d414f9379",
+    # Pinned at 043cfd5 ahead of the scenario-layer cut: the kinds no
+    # golden covered — raw broadcast, a tour-relative inhomogeneous
+    # profile, single-segment crash under file+poisson, and
+    # single-segment partition/heal with membership settling.
+    "broadcast_storm": "6e9804f1aa5ef5b8cc5c78d02f5ef3d0",
+    "diurnal_ramp": "c2bb9dd6a45b5f2a7b2c6a9e2de263e5",
+    "failover_under_load": "48298aba1bc4518f6b3a0ef611b26cac",
+    "partition_heal_under_load": "3703796e3a1c549e5d5a40772b78c2f6",
 }
 
 

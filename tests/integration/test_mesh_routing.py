@@ -14,6 +14,7 @@ from repro.micropacket import BROADCAST
 from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
 from repro.scenarios import (
     ScenarioRunner,
+    ScenarioSpec,
     TopologySpec,
     get_scenario,
     run_scenario,
@@ -66,13 +67,32 @@ def test_area_mesh_builder_shape():
 
 
 def test_topology_spec_shorthands_mirror_cluster_builders():
-    spec = TopologySpec.area_mesh(2, 2, 6, advertise_period_tours=8)
-    assert len(spec.segments) == 4
-    assert [r.area for r in spec.routers] == [1, 2, 1]
-    assert all(r.advertise_period_tours == 8 for r in spec.routers)
-    star = TopologySpec.star_mesh(15, 254, advertise_period_tours=8)
-    assert len(star.segments) == 15
-    assert star.routers[0].segments == tuple(range(15))
+    """The three library mesh shapes: the cluster a spec builds carries,
+    segment for segment and router for router, the config the
+    ``RoutedClusterConfig`` builder stamps from matching templates
+    (built, never started)."""
+    segment = ClusterConfig(n_switches=2, fiber_m=50.0)
+    router = RouterConfig(segments=(0, 1), advertise_period_tours=8)
+    shapes = [
+        (TopologySpec.area_mesh(2, 2, 6, advertise_period_tours=8),
+         RoutedClusterConfig.area_mesh(2, 2, 6, seed=7, segment=segment,
+                                       router=router)),
+        (TopologySpec.area_mesh(3, 5, 68, redundant_spokes=True,
+                                advertise_period_tours=8),
+         RoutedClusterConfig.area_mesh(3, 5, 68, redundant_spokes=True,
+                                       seed=7, segment=segment,
+                                       router=router)),
+        (TopologySpec.star_mesh(15, 254, advertise_period_tours=8),
+         RoutedClusterConfig.star_mesh(15, 254, seed=7, segment=segment,
+                                       router=router)),
+    ]
+    for topology, expected in shapes:
+        built = ScenarioSpec(
+            name="shape", topology=topology, seed=7
+        ).build_cluster().config
+        assert list(built.segments) == list(expected.segments)
+        assert list(built.routers) == list(expected.routers)
+        assert built == expected
 
 
 # --------------------------------------------------------------- broadcast
