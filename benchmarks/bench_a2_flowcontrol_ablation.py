@@ -34,7 +34,7 @@ def run_case(enabled: bool):
     cluster = AmpNetCluster(config=cfg)
     cluster.start()
     cluster.run_until_ring_up()
-    storm = AllToAllBroadcast(cluster, count_per_node=CELLS)
+    storm = AllToAllBroadcast(cluster, count=CELLS)
     horizon = cluster.sim.now + 4000 * cluster.tour_estimate_ns
     while not storm.complete() and cluster.sim.now < horizon:
         cluster.run(until=cluster.sim.now + 50 * cluster.tour_estimate_ns)

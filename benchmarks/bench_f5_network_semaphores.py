@@ -8,7 +8,7 @@ every increment land.
 
 from repro import AmpNetCluster, ClusterConfig
 from repro.analysis import render_table
-from repro.cache import RegionSpec
+from repro.netcache import RegionSpec
 
 import harness
 

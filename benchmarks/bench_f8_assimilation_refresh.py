@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro import AmpNetCluster, ClusterConfig
 from repro.analysis import fmt_ns, render_table
-from repro.cache import RegionSpec
+from repro.netcache import RegionSpec
 
 import harness
 

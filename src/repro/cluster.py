@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from .cache import (
+from .netcache import (
     CacheReplicator,
     NetworkCache,
     RefreshService,
@@ -182,16 +182,12 @@ class AmpNetCluster:
         # Default horizon covers both slow-fibre topologies (many tours)
         # and the fixed millisecond heartbeat backstop that node-crash
         # detection rides on.
-        default_horizon = max(200 * self.tour_estimate_ns, 20_000_000)
-        horizon = self.sim.now + (timeout_ns or default_horizon)
-        step = max(self.tour_estimate_ns // 4, 1_000)
-        while self.sim.now < horizon:
-            if self.all_rings_up(beyond_round=beyond_round):
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step, horizon))
-        if self.all_rings_up(beyond_round=beyond_round):
-            return self.sim.now
-        raise SimulationError("ring did not come up before the horizon")
+        return self.sim.run_until(
+            lambda: self.all_rings_up(beyond_round=beyond_round),
+            timeout_ns or max(200 * self.tour_estimate_ns, 20_000_000),
+            step_ns=max(self.tour_estimate_ns // 4, 1_000),
+            what="ring did not come up",
+        )
 
     def run_until_reroster(self, timeout_ns: Optional[int] = None) -> int:
         """Advance until a roster newer than the current one is installed."""
@@ -370,18 +366,13 @@ class AmpNetCluster:
         dissemination periods.  Raises ``SimulationError`` on timeout.
         """
         cfg = self._membership_cfg
-        default_horizon = (
-            cfg.stale_after_ns + cfg.suspicion_window_ns + 40 * cfg.period_ns
+        return self.sim.run_until(
+            lambda: self.membership_converged(dead),
+            timeout_ns
+            or cfg.stale_after_ns + cfg.suspicion_window_ns + 40 * cfg.period_ns,
+            step_ns=cfg.period_ns,
+            what="membership did not converge",
         )
-        horizon = self.sim.now + (timeout_ns or default_horizon)
-        step = cfg.period_ns
-        while self.sim.now < horizon:
-            if self.membership_converged(dead):
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step, horizon))
-        if self.membership_converged(dead):
-            return self.sim.now
-        raise SimulationError("membership did not converge before the horizon")
 
     def membership_overhead(self) -> Dict[str, float]:
         """Aggregate gossip message/byte counters across live nodes."""

@@ -1,28 +1,10 @@
-"""Fault injection: scripted schedules and named scenarios."""
+"""Fault injection: the fault vocabulary and scripted schedules."""
 
 from .injector import FaultAction, FaultKind, FaultSchedule, FaultScheduleError
-from .scenarios import (
-    crash_and_rejoin,
-    double_fault,
-    flapping_node,
-    partition_and_heal,
-    primary_crash,
-    rolling_switch_failures,
-    single_link_cut,
-    switch_blackout,
-)
 
 __all__ = [
     "FaultAction",
     "FaultKind",
     "FaultSchedule",
     "FaultScheduleError",
-    "crash_and_rejoin",
-    "flapping_node",
-    "partition_and_heal",
-    "double_fault",
-    "primary_crash",
-    "rolling_switch_failures",
-    "single_link_cut",
-    "switch_blackout",
 ]

@@ -34,30 +34,67 @@ class FaultScheduleError(ValueError):
     """A schedule references targets the cluster does not have."""
 
 
+#: Target signatures: ``(FaultAction field, what it names)`` pairs, in
+#: the argument order of the cluster method that applies the kind.
+#: "What it names" is also the :class:`~repro.scenarios.FaultSpec` field
+#: carrying that target, and picks the check :meth:`FaultAction.validate`
+#: runs on it.
+_LINK = (("target", "node"), ("switch", "switch"))
+_NODE = (("target", "node"),)
+_SWITCH = (("target", "switch"),)
+_SIDES = (("group", "nodes"), ("switch_group", "switches"))
+_ROUTER = (("target", "router"),)
+
+
 class FaultKind(Enum):
-    CUT_LINK = "cut_link"
-    RESTORE_LINK = "restore_link"
-    FAIL_SWITCH = "fail_switch"
-    REPAIR_SWITCH = "repair_switch"
-    CRASH_NODE = "crash_node"
-    RECOVER_NODE = "recover_node"
-    PARTITION = "partition"
-    HEAL_PARTITION = "heal_partition"
-    CRASH_ROUTER = "crash_router"
-    RECOVER_ROUTER = "recover_router"
+    """The fault vocabulary.  A kind's value is the name of the cluster
+    method that applies it (and of the :class:`FaultSchedule` builder
+    that schedules it); ``signature`` says which targets it takes.
+    Router kinds arm against a :class:`~repro.routing.RoutedCluster`,
+    every other kind against one segment."""
+
+    CUT_LINK = "cut_link", _LINK
+    RESTORE_LINK = "restore_link", _LINK
+    FAIL_SWITCH = "fail_switch", _SWITCH
+    REPAIR_SWITCH = "repair_switch", _SWITCH
+    CRASH_NODE = "crash_node", _NODE
+    RECOVER_NODE = "recover_node", _NODE
+    PARTITION = "partition", _SIDES
+    HEAL_PARTITION = "heal_partition", _SIDES
+    CRASH_ROUTER = "crash_router", _ROUTER
+    RECOVER_ROUTER = "recover_router", _ROUTER
+
+    def __new__(cls, value, signature):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.signature = signature
+        return kind
+
+    @property
+    def roles(self) -> Tuple[str, ...]:
+        """What the targets name, in argument order."""
+        return tuple(role for _field, role in self.signature)
 
 
-#: Kinds whose ``target`` is a node id and whose ``switch`` names a fibre.
-_LINK_KINDS = (FaultKind.CUT_LINK, FaultKind.RESTORE_LINK)
-#: Kinds whose ``target`` is a node id.
-_NODE_KINDS = _LINK_KINDS + (FaultKind.CRASH_NODE, FaultKind.RECOVER_NODE)
-#: Kinds whose ``target`` is a switch id.
-_SWITCH_KINDS = (FaultKind.FAIL_SWITCH, FaultKind.REPAIR_SWITCH)
-#: Kinds described by ``group``/``switch_group`` instead of ``target``.
-_GROUP_KINDS = (FaultKind.PARTITION, FaultKind.HEAL_PARTITION)
-#: Kinds whose ``target`` is a segment-router index; these schedules arm
-#: against a :class:`~repro.routing.RoutedCluster`, not a segment.
-_ROUTER_KINDS = (FaultKind.CRASH_ROUTER, FaultKind.RECOVER_ROUTER)
+#: How ``__post_init__`` words a missing :class:`FaultAction` field.
+_FIELD_NOUN = {
+    "target": "target id",
+    "switch": "switch id",
+    "group": "node group",
+    "switch_group": "switch group",
+}
+
+
+def _known_ids(cluster, role: str):
+    """``(noun, ids the cluster has, how an error lists them)`` for the
+    kind of thing a target role names."""
+    if role in ("node", "nodes"):
+        return "node", cluster.nodes, f"nodes {sorted(cluster.nodes)}"
+    if role in ("switch", "switches"):
+        n = len(cluster.topology.switches)
+        return "switch", range(n), f"switches 0..{n - 1}"
+    n = len(cluster.routers)
+    return "router", range(n), f"routers 0..{n - 1}"
 
 
 @dataclass(frozen=True)
@@ -69,8 +106,9 @@ class FaultAction:
     **router index** for router faults (armed against a
     :class:`~repro.routing.RoutedCluster`), and unused (``None``) for
     partition faults, which carry their node and switch sets in
-    ``group`` / ``switch_group``.  :meth:`validate` checks the
-    referenced ids against a real cluster.
+    ``group`` / ``switch_group``; :attr:`FaultKind.signature` is the
+    authority.  :meth:`validate` checks the referenced ids against a
+    real cluster.
     """
 
     at_ns: int
@@ -88,99 +126,40 @@ class FaultAction:
     def __post_init__(self) -> None:
         if self.at_ns < 0:
             raise ValueError("fault time must be non-negative")
-        if self.kind in _GROUP_KINDS:
-            if not self.group or not self.switch_group:
+        for field_name, _role in self.kind.signature:
+            if getattr(self, field_name) in (None, ()):
                 raise ValueError(
-                    f"{self.kind.value} needs a node group and a switch group"
+                    f"{self.kind.value} needs a {_FIELD_NOUN[field_name]}"
                 )
-        else:
-            if self.target is None:
-                raise ValueError(f"{self.kind.value} needs a target id")
-            if self.kind in _LINK_KINDS and self.switch is None:
-                raise ValueError(f"{self.kind.value} needs a switch id")
+
+    def targets(self) -> tuple:
+        """The kind's targets, in its cluster method's argument order."""
+        return tuple(getattr(self, f) for f, _role in self.kind.signature)
 
     def validate(self, cluster: "AmpNetCluster") -> None:
         """Check every referenced id exists; raise FaultScheduleError."""
-        if self.kind in _ROUTER_KINDS:
-            routers = getattr(cluster, "routers", None)
-            if routers is None:
+        where = f"{self.kind.value} at t={self.at_ns}ns"
+        for role, value in zip(self.kind.roles, self.targets()):
+            if role == "router" and not hasattr(cluster, "routers"):
                 raise FaultScheduleError(
-                    f"{self.kind.value} at t={self.at_ns}ns needs a routed "
-                    "cluster (this cluster has no segment routers)"
+                    f"{where} needs a routed cluster (this cluster has "
+                    "no segment routers)"
                 )
-            # __post_init__ guarantees a target for router kinds; keep
-            # the validator's error contract even for exotic callers.
-            if self.target is None or not 0 <= self.target < len(routers):
+            noun, known, shown = _known_ids(cluster, role)
+            for one in value if role in ("nodes", "switches") else (value,):
+                if one not in known:
+                    raise FaultScheduleError(
+                        f"{where} references {noun} {one}, but the "
+                        f"cluster only has {shown}"
+                    )
+            if role == "switches" and set(value) >= set(known):
                 raise FaultScheduleError(
-                    f"{self.kind.value} at t={self.at_ns}ns references "
-                    f"router {self.target}, but the cluster only has "
-                    f"routers 0..{len(routers) - 1}"
-                )
-            return
-        node_ids = set(cluster.nodes)
-        n_switches = len(cluster.topology.switches)
-
-        def check_node(node: int) -> None:
-            if node not in node_ids:
-                raise FaultScheduleError(
-                    f"{self.kind.value} at t={self.at_ns}ns references node "
-                    f"{node}, but the cluster only has nodes "
-                    f"{sorted(node_ids)}"
-                )
-
-        def check_switch(sw: int) -> None:
-            if not 0 <= sw < n_switches:
-                raise FaultScheduleError(
-                    f"{self.kind.value} at t={self.at_ns}ns references switch "
-                    f"{sw}, but the cluster only has switches "
-                    f"0..{n_switches - 1}"
-                )
-
-        if self.kind in _NODE_KINDS:
-            check_node(self.target)  # type: ignore[arg-type]
-        if self.kind in _LINK_KINDS:
-            check_switch(self.switch)  # type: ignore[arg-type]
-        if self.kind in _SWITCH_KINDS:
-            check_switch(self.target)  # type: ignore[arg-type]
-        if self.kind in _GROUP_KINDS:
-            for node in self.group or ():
-                check_node(node)
-            for sw in self.switch_group or ():
-                check_switch(sw)
-            if set(self.switch_group or ()) >= set(range(n_switches)):
-                raise FaultScheduleError(
-                    f"{self.kind.value} at t={self.at_ns}ns grants every "
-                    "switch to side A; side B would have no fabric at all"
+                    f"{where} grants every switch to side A; side B "
+                    "would have no fabric at all"
                 )
 
     def apply(self, cluster: "AmpNetCluster") -> None:
-        if self.kind == FaultKind.CUT_LINK:
-            cluster.cut_link(self.target, self._switch())
-        elif self.kind == FaultKind.RESTORE_LINK:
-            cluster.restore_link(self.target, self._switch())
-        elif self.kind == FaultKind.FAIL_SWITCH:
-            cluster.fail_switch(self.target)
-        elif self.kind == FaultKind.REPAIR_SWITCH:
-            cluster.repair_switch(self.target)
-        elif self.kind == FaultKind.CRASH_NODE:
-            cluster.crash_node(self.target)
-        elif self.kind == FaultKind.RECOVER_NODE:
-            cluster.recover_node(self.target)
-        elif self.kind == FaultKind.PARTITION:
-            cluster.partition(self.group, self.switch_group)
-        elif self.kind == FaultKind.HEAL_PARTITION:
-            cluster.heal_partition(self.group, self.switch_group)
-        elif self.kind == FaultKind.CRASH_ROUTER:
-            cluster.crash_router(self.target)
-        elif self.kind == FaultKind.RECOVER_ROUTER:
-            cluster.recover_router(self.target)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(self.kind)
-
-    def _switch(self) -> int:
-        if self.switch is None:
-            raise ValueError(f"{self.kind.value} needs a switch id")
-        return self.switch
+        getattr(cluster, self.kind.value)(*self.targets())
 
 
 @dataclass

@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-from ..cache import RegionSpec
+from ..netcache import RegionSpec
 from ..kernel import GroupApp
 from ..sim import Interrupt
 

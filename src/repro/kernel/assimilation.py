@@ -9,7 +9,7 @@ candidate's protocol version (see :mod:`repro.rostering.wire`), and the
 master excludes incompatible reporters from the roster it commits.  This
 module centralizes the policy plus the bookkeeping a node performs when
 it is assimilated (cache refresh hand-off is in
-:mod:`repro.cache.refresh`).
+:mod:`repro.netcache.refresh`).
 """
 
 from __future__ import annotations

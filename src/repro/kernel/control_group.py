@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..cache import RegionSpec
+from ..netcache import RegionSpec
 from ..rostering import Roster
 from ..sim import Counter, Event
 

@@ -8,7 +8,7 @@ SDRAM) of it on every NIC.
 This module is the *local replica*: typed regions of fixed-size records,
 each record guarded by the two "Lamport counters" of slide 9 (what the
 modern world calls a seqlock).  Replication — broadcasting writes and
-applying peers' updates — lives in :mod:`repro.cache.replication`.
+applying peers' updates — lives in :mod:`repro.netcache.replication`.
 
 Torn reads are real here: a peer's update is applied *gradually* (the DMA
 engine writes the record a few bytes per cycle), and a naive reader that

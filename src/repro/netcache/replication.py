@@ -2,7 +2,7 @@
 
 Every local write is broadcast to the ring on the CACHE channel; every
 replica applies it through the gradual DMA path of
-:meth:`~repro.cache.network_cache.NetworkCache.apply_update`.  Applies
+:meth:`~repro.netcache.network_cache.NetworkCache.apply_update`.  Applies
 are serialized *per record* (the NIC has one DMA target cursor per
 record) and coalesced: if several updates for the same record queue up
 while one is being written, only the newest survives — last-writer-wins

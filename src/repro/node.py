@@ -2,7 +2,7 @@
 
 This module composes the per-node hardware model.  The AmpDK distributed
 kernel (:mod:`repro.kernel`), the reliable messenger
-(:mod:`repro.transport`) and the network cache (:mod:`repro.cache`) all
+(:mod:`repro.transport`) and the network cache (:mod:`repro.netcache`) all
 hang off the hooks exposed here; :class:`~repro.cluster.AmpNetCluster`
 builds and wires the full stack.
 

@@ -37,7 +37,7 @@ layer diagram and the failover walk-through.
 
 from ..caching import CacheConfig
 from ..resilience import ResilienceConfig
-from .cluster import RoutedCluster, RoutedClusterConfig
+from .cluster import RoutedCluster, RoutedClusterConfig, mesh_layout
 from .router import PortRole, RouterConfig, SegmentRouter
 
 __all__ = [
@@ -48,4 +48,5 @@ __all__ = [
     "RoutedClusterConfig",
     "RouterConfig",
     "SegmentRouter",
+    "mesh_layout",
 ]

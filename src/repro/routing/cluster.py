@@ -30,15 +30,69 @@ ring ceiling that motivates this package in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cluster import AmpNetCluster, ClusterConfig
 from ..micropacket import MAX_SEGMENT
-from ..sim import ConvergenceTracker, SimulationError, Simulator, Tracer
+from ..sim import ConvergenceTracker, Simulator, Tracer
 from ..transport import GlobalAddress
 from .router import PortRole, RouterConfig, SegmentRouter
 
-__all__ = ["RoutedCluster", "RoutedClusterConfig"]
+__all__ = ["RoutedCluster", "RoutedClusterConfig", "mesh_layout"]
+
+
+def mesh_layout(
+    n_areas: int,
+    segments_per_area: int,
+    standbys: int = 0,
+    labelled: bool = True,
+) -> Tuple[int, List[Dict[str, Any]]]:
+    """The router layout of a hub-and-spoke mesh, as plain data.
+
+    Returns ``(n_segments, rows)``; each row holds the ``segments``,
+    ``priority`` and (when ``labelled``) ``area`` of one router, in
+    router-index order, for a builder to stamp its own template over —
+    :meth:`RoutedClusterConfig.star_mesh` / ``.area_mesh`` and the
+    ``TopologySpec`` shorthands of the same names all do, so a spec and
+    a hand-built config describe the same wire topology.
+
+    Area ``a`` (1-based; 0 stays the flat wire format) owns the
+    contiguous segment block ``[(a-1)*spa, a*spa)`` and gets one hub
+    router (priority 64) holding a port on each of its segments, plus
+    ``standbys`` standby hubs at priority 240 whose ports the
+    spanning-tree election blocks until the primary dies.  Border
+    routers (priority 128, labelled with the area of their first
+    attachment) stitch the areas together in a cycle — border ``i``
+    joins the first segment of area ``i`` to the first segment of area
+    ``i+1`` — so inter-area traffic rides summaries, never flat
+    per-segment rows.  A star is the one-area case with ``labelled``
+    off: no ``area`` key, so the template's (flat) area stands.
+    """
+    if n_areas < 1:
+        raise ValueError("a mesh needs at least one area")
+    if n_areas > 255:
+        raise ValueError("areas are labelled 1..255")
+    spa = segments_per_area
+    rows: List[Dict[str, Any]] = []
+    for ai in range(n_areas):
+        hub: Dict[str, Any] = {
+            "segments": tuple(range(ai * spa, (ai + 1) * spa))
+        }
+        if labelled:
+            hub["area"] = ai + 1
+        rows.append({**hub, "priority": 64})
+        rows.extend({**hub, "priority": 240} for _ in range(standbys))
+    if n_areas == 2:
+        border_pairs = [(0, 1)]
+    elif n_areas > 2:
+        border_pairs = [(ai, (ai + 1) % n_areas) for ai in range(n_areas)]
+    else:
+        border_pairs = []
+    for a, b in border_pairs:
+        rows.append(
+            {"segments": (a * spa, b * spa), "priority": 128, "area": a + 1}
+        )
+    return n_areas * spa, rows
 
 
 @dataclass
@@ -94,6 +148,30 @@ class RoutedClusterConfig:
 
     # ------------------------------------------------------- mesh builders
     @classmethod
+    def _mesh(
+        cls,
+        layout: Tuple[int, List[Dict[str, Any]]],
+        nodes_per_segment: int,
+        seed: int,
+        trace: bool,
+        segment: Optional[ClusterConfig],
+        router: Optional[RouterConfig],
+    ) -> "RoutedClusterConfig":
+        """Stamp the ``segment``/``router`` templates over a layout."""
+        n_segments, rows = layout
+        seg_template = segment or ClusterConfig()
+        rt_template = router or RouterConfig(segments=(0, 1))
+        return cls(
+            segments=[
+                replace(seg_template, n_nodes=nodes_per_segment)
+                for _ in range(n_segments)
+            ],
+            routers=[replace(rt_template, **row) for row in rows],
+            seed=seed,
+            trace=trace,
+        )
+
+    @classmethod
     def star_mesh(
         cls,
         n_segments: int,
@@ -112,26 +190,12 @@ class RoutedClusterConfig:
         convergence is needed — which is what lets this shape scale to
         the 3.8k-node addressing ceiling (15 segments x 254 users plus
         one gateway each fills every ring to exactly 255 members).
-        ``redundancy`` adds that many standby central routers at
-        priority 240; the spanning-tree election blocks their ports
-        until the primary dies.
+        ``redundancy`` adds that many standby central routers (see
+        :func:`mesh_layout`).
         """
-        seg_template = segment or ClusterConfig()
-        rt_template = router or RouterConfig(segments=(0, 1))
-        all_segs = tuple(range(n_segments))
-        routers = [replace(rt_template, segments=all_segs, priority=64)]
-        for _ in range(redundancy):
-            routers.append(
-                replace(rt_template, segments=all_segs, priority=240)
-            )
-        return cls(
-            segments=[
-                replace(seg_template, n_nodes=nodes_per_segment)
-                for _ in range(n_segments)
-            ],
-            routers=routers,
-            seed=seed,
-            trace=trace,
+        return cls._mesh(
+            mesh_layout(1, n_segments, standbys=redundancy, labelled=False),
+            nodes_per_segment, seed, trace, segment, router,
         )
 
     @classmethod
@@ -147,70 +211,13 @@ class RoutedClusterConfig:
         segment: Optional[ClusterConfig] = None,
         router: Optional[RouterConfig] = None,
     ) -> "RoutedClusterConfig":
-        """A hierarchical mesh: per-area hub stars joined by a border ring.
-
-        Area ``a`` (1-based; 0 stays the flat wire format) owns the
-        contiguous segment block ``[(a-1)*spa, a*spa)`` and gets one hub
-        router holding a port on each of its segments.  Border routers
-        stitch the areas together in a cycle — border ``i`` joins the
-        first segment of area ``i`` to the first segment of area
-        ``i+1`` — so inter-area traffic rides summaries, never flat
-        per-segment rows.  ``redundant_spokes`` adds a standby hub per
-        area at priority 240 (blocked until the primary hub dies).
-        """
-        if n_areas < 1:
-            raise ValueError("area mesh needs at least one area")
-        if n_areas > 255:
-            raise ValueError("areas are labelled 1..255")
-        seg_template = segment or ClusterConfig()
-        rt_template = router or RouterConfig(segments=(0, 1))
-        spa = segments_per_area
-
-        def area_segments(ai: int) -> Tuple[int, ...]:
-            return tuple(range(ai * spa, (ai + 1) * spa))
-
-        routers: List[RouterConfig] = []
-        for ai in range(n_areas):
-            routers.append(
-                replace(
-                    rt_template,
-                    segments=area_segments(ai),
-                    priority=64,
-                    area=ai + 1,
-                )
-            )
-            if redundant_spokes:
-                routers.append(
-                    replace(
-                        rt_template,
-                        segments=area_segments(ai),
-                        priority=240,
-                        area=ai + 1,
-                    )
-                )
-        if n_areas == 2:
-            border_pairs = [(0, 1)]
-        elif n_areas > 2:
-            border_pairs = [(ai, (ai + 1) % n_areas) for ai in range(n_areas)]
-        else:
-            border_pairs = []
-        for a, b in border_pairs:
-            routers.append(
-                replace(
-                    rt_template,
-                    segments=(a * spa, b * spa),
-                    priority=128,
-                    area=a + 1,
-                )
-            )
-        return cls(
-            segments=[
-                replace(seg_template, n_nodes=nodes_per_segment)
-                for _ in range(n_areas * spa)
-            ],
-            routers=routers,
-            seed=seed,
-            trace=trace,
+        """A hierarchical mesh: per-area hub stars joined by a border
+        ring (see :func:`mesh_layout`).  ``redundant_spokes`` adds a
+        standby hub per area."""
+        return cls._mesh(
+            mesh_layout(n_areas, segments_per_area,
+                        standbys=int(redundant_spokes)),
+            nodes_per_segment, seed, trace, segment, router,
         )
 
 
@@ -292,16 +299,12 @@ class RoutedCluster:
     def run_until_ring_up(self, timeout_ns: Optional[int] = None) -> int:
         """Advance until every segment's ring is operational; returns now."""
         tour = self.tour_estimate_ns
-        default_horizon = max(200 * tour, 20_000_000)
-        horizon = self.sim.now + (timeout_ns or default_horizon)
-        step = max(tour // 4, 1_000)
-        while self.sim.now < horizon:
-            if self.all_rings_up():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step, horizon))
-        if self.all_rings_up():
-            return self.sim.now
-        raise SimulationError("some segment's ring did not come up in time")
+        return self.sim.run_until(
+            self.all_rings_up,
+            timeout_ns or max(200 * tour, 20_000_000),
+            step_ns=max(tour // 4, 1_000),
+            what="some segment's ring did not come up",
+        )
 
     # -------------------------------------------------------------- faults
     def crash_router(self, router_index: int) -> None:

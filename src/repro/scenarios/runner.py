@@ -25,18 +25,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..analysis import ring_drop_count
 from ..caching import CacheDeployment
 from ..cluster import AmpNetCluster
-from ..micropacket import BROADCAST
 from ..sim import Tracer
 from ..workloads import (
-    AllToAllBroadcast,
-    BurstStream,
-    ClusterBroadcastStream,
-    FileStream,
-    InhomogeneousPoissonStream,
-    MessageStream,
-    PoissonStream,
-    TraceReplayStream,
-    ZipfStream,
+    PARAM_KEYWORDS,
+    WORKLOAD_KINDS,
+    Workload,
     pareto_size_fn,
     ramp_profile,
     sinusoidal_profile,
@@ -168,7 +161,7 @@ class ScenarioRunner:
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
         self.cluster: Optional[AmpNetCluster] = None
-        self.workloads: List[Any] = []
+        self.workloads: List[Workload] = []
         self.cache_deployment: Optional[CacheDeployment] = None
         self.ring_up_ns = 0
         self._phase_hook = phase_hook
@@ -202,24 +195,10 @@ class ScenarioRunner:
         self.workloads = [
             self._build_workload(w, index) for index, w in enumerate(spec.workloads)
         ]
-        if spec.topology.multi_segment:
-            # Fault ids are segment-local: arm one schedule per segment
-            # against that segment's sub-cluster.
-            for seg_id, sched in spec.build_fault_schedules(
-                self.ring_up_ns, tour
-            ).items():
-                if sched.actions:
-                    sched.arm(cluster.segment(seg_id))
-            # Router faults strike the routed cluster as a whole.
-            router_sched = spec.build_router_fault_schedule(
-                self.ring_up_ns, tour
-            )
-            if router_sched.actions:
-                router_sched.arm(cluster)
-        else:
-            sched = spec.build_fault_schedule(self.ring_up_ns, tour)
-            if sched.actions:
-                sched.arm(cluster)
+        for segment, sched in spec.fault_schedules(self.ring_up_ns, tour):
+            # Fault ids are segment-local; router faults (and a single
+            # ring's whole storyline) strike the cluster itself.
+            sched.arm(cluster if segment is None else cluster.segment(segment))
         self._phase("armed")
 
         cluster.run(until=self.ring_up_ns + spec.horizon_tours * tour)
@@ -240,98 +219,32 @@ class ScenarioRunner:
         return self._judge()
 
     # ----------------------------------------------------------- workloads
-    def _build_workload(self, w: WorkloadSpec, index: int):
+    def _build_workload(self, w: WorkloadSpec, index: int) -> Workload:
+        """One generic constructor call per :data:`WORKLOAD_KINDS` row:
+        the spec fields the row lists plus the params, with the few
+        cluster-relative params resolved first."""
         cluster = self.cluster
         assert cluster is not None
+        row = WORKLOAD_KINDS[w.kind]
         name = w.name or f"{self.spec.name}.{w.kind}-{index}"
-        params = dict(w.params)
-        start_tours = params.pop("start_tours", 0)
-        if start_tours:
-            if w.kind in ("file", "broadcast", "zipf", "trace_replay"):
-                raise ValueError(
-                    f"start_tours is not supported for {w.kind} workloads"
-                )
-            # Tour-relative like every other scenario time knob; meshes
-            # use it to hold multi-hop traffic until the routers'
-            # distance-vector exchange has converged.
-            params["start_ns"] = int(start_tours * cluster.tour_estimate_ns)
-        pareto = params.pop("pareto_sizes", None)
-        if pareto is not None:
-            if w.kind in ("file", "broadcast", "cluster_broadcast"):
-                raise ValueError(
-                    f"pareto_sizes is not supported for {w.kind} workloads"
-                )
-            # Sizes draw from their own named stream so they never perturb
-            # the arrival-process randomness of the same workload.
-            params["size_fn"] = pareto_size_fn(cluster, name, **dict(pareto))
-        if w.kind == "message":
-            return MessageStream(
-                cluster, w.src, w.dst, interval_ns=params.pop("interval_ns", 0),
-                count=w.count, channel=w.channel, name=name, reliable=w.reliable,
-                **params,
-            )
-        if w.kind == "file":
-            return FileStream(
-                cluster, w.src, w.dst,
-                chunk_bytes=params.pop("chunk_bytes", 2048),
-                count=w.count, interval_ns=params.pop("interval_ns", 0),
-                channel=w.channel, name=name, **params,
-            )
-        if w.kind == "broadcast":
-            return AllToAllBroadcast(cluster, count_per_node=w.count,
-                                     channel=w.channel)
-        if w.kind == "cluster_broadcast":
-            return ClusterBroadcastStream(
-                cluster, w.src, interval_ns=params.pop("interval_ns", 0),
-                count=w.count, channel=w.channel, name=name, **params,
-            )
-        if w.kind == "poisson":
-            return PoissonStream(
-                cluster, w.src, w.dst,
-                mean_interval_ns=params.pop("mean_interval_ns"),
-                count=w.count, channel=w.channel, name=name,
-                reliable=w.reliable, **params,
-            )
-        if w.kind == "inhomogeneous_poisson":
-            profile = self._build_profile(params.pop("profile"))
-            return InhomogeneousPoissonStream(
-                cluster, w.src, w.dst,
-                peak_interval_ns=params.pop("peak_interval_ns"),
-                profile=profile, count=w.count, channel=w.channel,
-                name=name, reliable=w.reliable, **params,
-            )
-        if w.kind == "burst":
-            return BurstStream(
-                cluster, w.src, w.dst,
-                burst_mean=params.pop("burst_mean"),
-                intra_gap_ns=params.pop("intra_gap_ns"),
-                off_mean_ns=params.pop("off_mean_ns"),
-                count=w.count, channel=w.channel, name=name,
-                reliable=w.reliable, **params,
-            )
-        if w.kind == "zipf":
-            return ZipfStream(
-                cluster, w.src, w.dst,
-                interval_ns=params.pop("interval_ns"),
-                count=w.count, alpha=params.pop("alpha", 0.9),
-                catalog_size=params.pop("catalog_size", 64),
-                channel=w.channel, name=name, **params,
-            )
-        if w.kind == "trace_replay":
-            trace = params.pop("trace", None)
-            if trace is None:
-                trace = params.pop("trace_path")
-            stream = TraceReplayStream(
-                cluster, w.src, w.dst, trace=trace,
-                channel=w.channel, name=name, **params,
-            )
-            if stream.count != w.count:
-                raise ValueError(
-                    f"trace_replay workload {name!r} declares count="
-                    f"{w.count} but its trace has {stream.count} records"
-                )
-            return stream
-        raise ValueError(f"unknown workload kind {w.kind!r}")  # pragma: no cover
+        kwargs = {f: getattr(w, f) for f in row.fields}
+        if "name" in kwargs:
+            kwargs["name"] = name
+        for key, value in w.params.items():
+            if key == "start_tours":
+                # Tour-relative like every other scenario time knob; meshes
+                # use it to hold multi-hop traffic until the routers'
+                # distance-vector exchange has converged.
+                value = int(value * cluster.tour_estimate_ns)
+            elif key == "pareto_sizes":
+                # Sizes draw from their own named stream so they never
+                # perturb the arrival-process randomness of the same
+                # workload.
+                value = pareto_size_fn(cluster, name, **dict(value))
+            elif key == "profile":
+                value = self._build_profile(value)
+            kwargs[PARAM_KEYWORDS.get(key, key)] = value
+        return row.cls(cluster, **kwargs)
 
     def _build_profile(self, profile_spec) -> Callable[[int], float]:
         """Resolve a declarative rate profile; tour-relative windows are
@@ -354,28 +267,22 @@ class ScenarioRunner:
             return ramp_profile(start_ns, end_ns, **spec)
         raise ValueError(f"unknown profile shape {shape!r}")
 
-    def _expected_deliveries(self, workload) -> Tuple[int, int]:
-        """(delivered, expected) for one workload object."""
-        if isinstance(workload, AllToAllBroadcast):
-            return workload.total_delivered(), workload.expected_deliveries()
-        if isinstance(workload, ClusterBroadcastStream):
-            return workload.stats.delivered, workload.expected_deliveries()
-        expected = workload.count
-        if getattr(workload, "dst", None) == BROADCAST:
-            expected *= len(self.cluster.nodes) - 1
-        return workload.stats.delivered, expected
-
-    def _workloads_complete(self) -> bool:
-        return all(
-            delivered >= expected
-            for delivered, expected in map(self._expected_deliveries, self.workloads)
-        )
+    def _deliveries(self) -> List[Tuple[str, int, int]]:
+        """``(label, delivered, expected)`` per workload."""
+        out = []
+        for workload in self.workloads:
+            stats = workload.stream_stats()
+            label = (stats[0].name if len(stats) == 1
+                     else type(workload).__name__)
+            out.append((label, sum(s.delivered for s in stats),
+                        workload.expected_deliveries()))
+        return out
 
     def _settled(self) -> bool:
         """True once every settling condition the spec cares about holds:
         offered work delivered, and (when the spec asserts on it) gossip
         views matching ground truth."""
-        if not self._workloads_complete():
+        if any(got < want for _label, got, want in self._deliveries()):
             return False
         if "membership_view_consistent" in self.spec.invariants:
             if not self.cluster.membership_converged(dead=self.spec.expect_dead):
@@ -390,13 +297,7 @@ class ScenarioRunner:
         streams: List[Dict[str, Any]] = []
         offered = delivered = 0
         for workload in self.workloads:
-            if isinstance(workload, AllToAllBroadcast):
-                for stats in workload.stats.values():
-                    streams.append(stats.as_dict())
-                    offered += stats.offered
-                    delivered += stats.delivered
-            else:
-                stats = workload.stats
+            for stats in workload.stream_stats():
                 streams.append(stats.as_dict())
                 offered += stats.offered
                 delivered += stats.delivered
@@ -473,20 +374,11 @@ class ScenarioRunner:
         )
 
     def _check_all_delivered(self) -> InvariantResult:
-        missing = []
-        for workload in self.workloads:
-            got, expected = self._expected_deliveries(workload)
-            if got < expected:
-                label = (
-                    workload.stats.name
-                    if hasattr(workload, "stats") and not isinstance(workload, AllToAllBroadcast)
-                    else type(workload).__name__
-                )
-                missing.append(f"{label}: {got}/{expected}")
-        return InvariantResult(
-            "all_delivered", not missing,
-            "" if not missing else "; ".join(missing),
+        missing = "; ".join(
+            f"{label}: {got}/{want}"
+            for label, got, want in self._deliveries() if got < want
         )
+        return InvariantResult("all_delivered", not missing, missing)
 
     def _check_roster_converged(self) -> InvariantResult:
         cluster = self.cluster
@@ -515,20 +407,11 @@ class ScenarioRunner:
         promotion, dead-letter redrive, throttle deferral — so this
         check is the dedup machinery's end-to-end witness.
         """
-        dupes = []
-        for workload in self.workloads:
-            got, expected = self._expected_deliveries(workload)
-            if got > expected:
-                label = (
-                    workload.stats.name
-                    if hasattr(workload, "stats") and not isinstance(workload, AllToAllBroadcast)
-                    else type(workload).__name__
-                )
-                dupes.append(f"{label}: {got}/{expected}")
-        return InvariantResult(
-            "no_duplicate_deliveries", not dupes,
-            "" if not dupes else "; ".join(dupes),
+        dupes = "; ".join(
+            f"{label}: {got}/{want}"
+            for label, got, want in self._deliveries() if got > want
         )
+        return InvariantResult("no_duplicate_deliveries", not dupes, dupes)
 
 
 _INVARIANTS: Dict[str, Callable[[ScenarioRunner], InvariantResult]] = {

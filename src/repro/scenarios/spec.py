@@ -20,8 +20,8 @@ scripts never had:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..caching import (
     CACHE_POLICIES,
@@ -30,8 +30,10 @@ from ..caching import (
     EVICTION_POLICIES,
 )
 from ..cluster import AmpNetCluster, ClusterConfig
-from ..faults import FaultSchedule
+from ..faults import FaultKind, FaultSchedule
 from ..resilience import ResilienceConfig
+from ..routing import RoutedCluster, RoutedClusterConfig, RouterConfig, mesh_layout
+from ..workloads import WORKLOAD_KINDS, ContentStream
 
 __all__ = [
     "SegmentSpec",
@@ -46,6 +48,18 @@ __all__ = [
 #: Workload/fault addressing: a plain node id on single-segment
 #: topologies, a ``(segment, node)`` pair on multi-segment ones.
 Address = Union[int, Tuple[int, int]]
+
+
+def _address(value):
+    """``(segment, node)`` pairs may arrive as lists from a JSON
+    round-trip; plain node ids pass through."""
+    return tuple(value) if isinstance(value, (list, tuple)) else value
+
+
+def _field_values(spec) -> Dict[str, Any]:
+    """A spec dataclass's fields, unconverted (``asdict`` would flatten
+    nested configs), for the config dataclass that shares their names."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -153,6 +167,26 @@ class TopologySpec:
 
     # --------------------------------------------------- mesh shorthands
     @classmethod
+    def _mesh(cls, layout, nodes_per_segment, n_switches, fiber_m,
+              advertise_period_tours) -> "TopologySpec":
+        """Stamp segment and router specs over a
+        :func:`repro.routing.mesh_layout`, so specs and hand-built
+        :class:`~repro.routing.RoutedClusterConfig` meshes describe the
+        same wire topology."""
+        n_segments, rows = layout
+        return cls(
+            segments=tuple(
+                SegmentSpec(nodes_per_segment, n_switches, fiber_m)
+                for _ in range(n_segments)
+            ),
+            routers=tuple(
+                RouterSpec(advertise_period_tours=advertise_period_tours,
+                           **row)
+                for row in rows
+            ),
+        )
+
+    @classmethod
     def star_mesh(
         cls,
         n_segments: int,
@@ -164,26 +198,10 @@ class TopologySpec:
         advertise_period_tours: Optional[float] = None,
     ) -> "TopologySpec":
         """Hub-and-spoke: one central router attached to every segment
-        (plus ``redundancy`` priority-240 standbys).  Mirrors
-        :meth:`repro.routing.RoutedClusterConfig.star_mesh` so specs and
-        hand-built clusters describe the same wire topology."""
-        all_segs = tuple(range(n_segments))
-        apt = advertise_period_tours
-        routers = [
-            RouterSpec(segments=all_segs, priority=64,
-                       advertise_period_tours=apt)
-        ]
-        routers += [
-            RouterSpec(segments=all_segs, priority=240,
-                       advertise_period_tours=apt)
-            for _ in range(redundancy)
-        ]
-        return cls(
-            segments=tuple(
-                SegmentSpec(nodes_per_segment, n_switches, fiber_m)
-                for _ in range(n_segments)
-            ),
-            routers=tuple(routers),
+        (plus ``redundancy`` priority-240 standbys)."""
+        return cls._mesh(
+            mesh_layout(1, n_segments, standbys=redundancy, labelled=False),
+            nodes_per_segment, n_switches, fiber_m, advertise_period_tours,
         )
 
     @classmethod
@@ -199,41 +217,11 @@ class TopologySpec:
         advertise_period_tours: Optional[float] = None,
     ) -> "TopologySpec":
         """Hierarchical mesh: a hub star per area, areas stitched into a
-        border-router cycle, summaries carrying the inter-area routes.
-        Mirrors :meth:`repro.routing.RoutedClusterConfig.area_mesh`."""
-        spa = segments_per_area
-        apt = advertise_period_tours
-        routers = []
-        for ai in range(n_areas):
-            segs = tuple(range(ai * spa, (ai + 1) * spa))
-            routers.append(
-                RouterSpec(segments=segs, priority=64, area=ai + 1,
-                           advertise_period_tours=apt)
-            )
-            if redundant_spokes:
-                routers.append(
-                    RouterSpec(segments=segs, priority=240, area=ai + 1,
-                               advertise_period_tours=apt)
-                )
-        if n_areas == 2:
-            border_pairs = [(0, 1)]
-        elif n_areas > 2:
-            border_pairs = [(ai, (ai + 1) % n_areas) for ai in range(n_areas)]
-        else:
-            border_pairs = []
-        for a, b in border_pairs:
-            routers.append(
-                RouterSpec(
-                    segments=(a * spa, b * spa), priority=128, area=a + 1,
-                    advertise_period_tours=apt,
-                )
-            )
-        return cls(
-            segments=tuple(
-                SegmentSpec(nodes_per_segment, n_switches, fiber_m)
-                for _ in range(n_areas * spa)
-            ),
-            routers=tuple(routers),
+        border-router cycle, summaries carrying the inter-area routes."""
+        return cls._mesh(
+            mesh_layout(n_areas, segments_per_area,
+                        standbys=int(redundant_spokes)),
+            nodes_per_segment, n_switches, fiber_m, advertise_period_tours,
         )
 
     @property
@@ -246,6 +234,27 @@ class TopologySpec:
         if self.multi_segment:
             return sum(s.n_nodes for s in self.segments)
         return self.n_nodes
+
+    def check_address(self, what: str, addr: "Address") -> None:
+        """Raise unless ``addr`` has this topology's address form: a
+        plain node id on a single segment, a ``(segment, node)`` pair
+        naming an existing segment on a routed shape."""
+        if not self.multi_segment:
+            if isinstance(addr, tuple):
+                raise ValueError(
+                    f"single-segment topologies use plain node ids; "
+                    f"got {what}={addr!r}"
+                )
+        elif not isinstance(addr, tuple):
+            raise ValueError(
+                f"multi-segment topologies address nodes as "
+                f"(segment, node); got {what}={addr!r}"
+            )
+        elif not 0 <= addr[0] < len(self.segments):
+            raise ValueError(
+                f"{what} names segment {addr[0]}; topology has "
+                f"segments 0..{len(self.segments) - 1}"
+            )
 
 
 @dataclass(frozen=True)
@@ -273,16 +282,8 @@ class CacheSpec:
     flush_batch: int = 8
 
     def __post_init__(self) -> None:
-        if isinstance(self.origin, (list, tuple)):
-            object.__setattr__(self, "origin", tuple(self.origin))
-        object.__setattr__(
-            self,
-            "caches",
-            tuple(
-                tuple(c) if isinstance(c, (list, tuple)) else c
-                for c in self.caches
-            ),
-        )
+        object.__setattr__(self, "origin", _address(self.origin))
+        object.__setattr__(self, "caches", tuple(map(_address, self.caches)))
         if self.policy not in CACHE_POLICIES:
             raise ValueError(
                 f"unknown cache policy {self.policy!r}; "
@@ -305,54 +306,16 @@ class CacheSpec:
             raise ValueError("the origin node cannot also be a cache")
 
 
-#: Workload kinds the runner knows how to instantiate.
-WORKLOAD_KINDS = (
-    "message",
-    "file",
-    "broadcast",
-    "cluster_broadcast",
-    "poisson",
-    "inhomogeneous_poisson",
-    "burst",
-    "zipf",
-    "trace_replay",
-)
-
-#: Content request/response kinds — always messenger-carried, addressed
-#: at a content service placed by the scenario's :class:`CacheSpec`.
-CONTENT_WORKLOAD_KINDS = ("zipf", "trace_replay")
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One traffic source in the mix.
 
-    ``params`` carries the kind-specific knobs (see
-    :mod:`repro.workloads`):
-
-    ``message``                  ``interval_ns``
-    ``file``                     ``chunk_bytes``, ``interval_ns``
-    ``broadcast``                (none — ``count`` is per node)
-    ``cluster_broadcast``        ``interval_ns`` — one source node
-                                 (``src``) floods the whole routed
-                                 cluster ``count`` times over the
-                                 spanning tree; every other node
-                                 (gateways included) hears each flood
-                                 exactly once
-    ``poisson``                  ``mean_interval_ns``
-    ``inhomogeneous_poisson``    ``peak_interval_ns`` and a ``profile``
-                                 mapping: ``{"shape": "sinusoidal",
-                                 "period_tours": ..., "floor": ...}`` or
-                                 ``{"shape": "ramp", "start_tours": ...,
-                                 "end_tours": ..., "floor": ...}``
-    ``burst``                    ``burst_mean``, ``intra_gap_ns``,
-                                 ``off_mean_ns``
-    ``zipf``                     ``interval_ns``, ``alpha``,
-                                 ``catalog_size``, ``request_bytes``
-    ``trace_replay``             ``trace`` (list of ``[time_ns,
-                                 content_id]`` pairs) or ``trace_path``,
-                                 plus ``request_bytes``; ``count`` must
-                                 equal the trace length
+    ``kind`` names a row of :data:`repro.workloads.WORKLOAD_KINDS` — the
+    one table of kinds, with each kind's required and optional
+    ``params`` and which of ``src``/``dst``/``reliable`` it takes
+    (:mod:`repro.workloads.kinds` documents every knob).  The spec is
+    validated against that row here, so a missing or typo'd knob fails
+    at spec build time, never inside a run.
 
     ``reliable`` routes unicast payloads through the messenger so they
     survive ring churn (required for fault scenarios that assert full
@@ -361,22 +324,6 @@ class WorkloadSpec:
     service — inherently messenger-carried, so they must declare
     ``reliable=True``; ``dst`` is the node they address (a cache, or
     the origin when crossings should hit the on-path router tap).
-
-    Any stream kind except ``file``/``broadcast`` additionally accepts a
-    ``pareto_sizes`` param (``{"alpha": ..., "min_bytes": ...,
-    "cap_bytes": ...}``): payload sizes are then drawn bounded-Pareto
-    from a dedicated ``workload.<name>.sizes`` random stream.  Sized
-    payloads fragment through the messenger, so they require
-    ``reliable=True``.
-
-    Two mesh-era params: the message-stream kinds (``message``,
-    ``poisson``, ``inhomogeneous_poisson``, ``burst``) accept a
-    ``dst_pool`` param — a list of destinations replacing ``dst``, one
-    drawn per message from a dedicated ``workload.<name>.dst`` stream
-    (requires ``reliable=True`` and an explicit ``name``) — and those
-    kinds plus ``cluster_broadcast`` accept ``start_tours``, a delay
-    before the first send that mesh scenarios use to hold multi-hop
-    traffic until the routers' distance-vector exchange has converged.
     """
 
     kind: str
@@ -389,80 +336,27 @@ class WorkloadSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Global addresses may arrive as lists from a JSON round-trip.
         for attr in ("src", "dst"):
-            value = getattr(self, attr)
-            if isinstance(value, (list, tuple)):
-                value = tuple(value)
-                if len(value) != 2:
-                    raise ValueError(
-                        f"{attr} global address must be (segment, node)"
-                    )
-                object.__setattr__(self, attr, value)
-        if self.kind not in WORKLOAD_KINDS:
+            value = _address(getattr(self, attr))
+            if isinstance(value, tuple) and len(value) != 2:
+                raise ValueError(
+                    f"{attr} global address must be (segment, node)"
+                )
+            object.__setattr__(self, attr, value)
+        row = WORKLOAD_KINDS.get(self.kind)
+        if row is None:
             raise ValueError(
                 f"unknown workload kind {self.kind!r}; "
-                f"expected one of {WORKLOAD_KINDS}"
+                f"expected one of {tuple(WORKLOAD_KINDS)}"
             )
         if self.count < 1:
             raise ValueError("workload count must be >= 1")
-        if self.kind == "broadcast":
-            # Every field the runner would silently ignore is rejected
-            # here, so a typo'd knob fails at spec build time.
-            if self.src is not None or self.dst is not None:
-                raise ValueError("broadcast workloads take no src/dst "
-                                 "(every node transmits)")
-            if self.reliable:
-                raise ValueError("broadcast workloads cannot be reliable "
-                                 "(raw-MAC drop accounting is their point)")
-            if self.params:
-                raise ValueError(
-                    f"broadcast workloads take no params, got "
-                    f"{sorted(self.params)}"
-                )
-        elif self.kind == "cluster_broadcast":
-            if self.src is None:
-                raise ValueError("cluster_broadcast workloads need a src")
-            if self.dst is not None:
-                raise ValueError(
-                    "cluster_broadcast workloads take no dst (the whole "
-                    "routed cluster is the destination)"
-                )
-            if self.reliable:
-                raise ValueError(
-                    "cluster_broadcast workloads cannot be reliable "
-                    "(broadcasts have no ack path)"
-                )
-        elif self.src is None or (
-            self.dst is None and "dst_pool" not in self.params
-        ):
-            raise ValueError(f"{self.kind} workload needs src and dst "
-                             "(or a dst_pool param)")
-        if self.kind in CONTENT_WORKLOAD_KINDS and not self.reliable:
-            raise ValueError(
-                f"{self.kind} workloads are messenger-carried "
-                "request/response streams; declare reliable=True"
-            )
+        row.validate(self.kind, self.src, self.dst, self.reliable, self.params)
 
 
-#: Fault kinds, mirroring the FaultSchedule builder methods.
-FAULT_KINDS = (
-    "cut_link",
-    "restore_link",
-    "fail_switch",
-    "repair_switch",
-    "crash_node",
-    "recover_node",
-    "flap_node",
-    "partition",
-    "heal_partition",
-    "crash_router",
-    "recover_router",
-)
-
-#: Kinds targeting a segment router (multi-segment topologies only);
-#: they arm against the routed cluster itself, not one segment.
-ROUTER_FAULT_KINDS = ("crash_router", "recover_router")
+#: Fault kinds: the :class:`~repro.faults.FaultKind` vocabulary plus
+#: ``flap_node``, the one composite (a crash/recover train).
+FAULT_KINDS = tuple(k.value for k in FaultKind) + ("flap_node",)
 
 
 @dataclass(frozen=True)
@@ -498,28 +392,36 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.kind in ROUTER_FAULT_KINDS and self.router is None:
-            raise ValueError(f"{self.kind} needs a router index")
+        for role in self.roles:
+            if getattr(self, role) in (None, ()):
+                raise ValueError(
+                    f"{self.kind} needs a {role}"
+                    + (" index" if role == "router" else "")
+                )
+
+    @property
+    def roles(self) -> Tuple[str, ...]:
+        """The fields carrying this kind's targets (its
+        :attr:`~repro.faults.FaultKind.roles`; ``flap_node`` strikes a
+        node).  A ``router`` role means the fault arms against the
+        routed cluster as a whole, not one segment."""
+        if self.kind == "flap_node":
+            return ("node",)
+        return FaultKind(self.kind).roles
 
     def add_to(self, sched: FaultSchedule, origin_ns: int, tour_ns: int) -> None:
         """Append this fault to ``sched`` with tours resolved to ns."""
         at_ns = origin_ns + int(self.at_tours * tour_ns)
-        if self.kind in ("cut_link", "restore_link"):
-            getattr(sched, self.kind)(at_ns, self.node, self.switch)
-        elif self.kind in ("fail_switch", "repair_switch"):
-            getattr(sched, self.kind)(at_ns, self.switch)
-        elif self.kind in ("crash_node", "recover_node"):
-            getattr(sched, self.kind)(at_ns, self.node)
-        elif self.kind == "flap_node":
+        if self.kind == "flap_node":
             sched.flap_node(
                 at_ns, self.node, flaps=self.flaps,
                 down_ns=max(1, int(self.down_tours * tour_ns)),
                 up_ns=max(1, int(self.up_tours * tour_ns)),
             )
-        elif self.kind in ROUTER_FAULT_KINDS:
-            getattr(sched, self.kind)(at_ns, self.router)
-        else:  # partition / heal_partition
-            getattr(sched, self.kind)(at_ns, self.nodes, self.switches)
+        else:
+            getattr(sched, self.kind)(
+                at_ns, *(getattr(self, role) for role in self.roles)
+            )
 
 
 #: Invariant names the runner can check (see runner._INVARIANTS).
@@ -569,92 +471,50 @@ class ScenarioSpec:
             raise ValueError(
                 "membership_view_consistent requires membership=True"
             )
-        multi = self.topology.multi_segment
+        topology = self.topology
+        multi = topology.multi_segment
         if self.cache is not None and not isinstance(self.cache, CacheSpec):
             object.__setattr__(self, "cache", CacheSpec(**dict(self.cache)))
         if self.cache is not None:
-            for what, addr in (
-                ("cache origin", self.cache.origin),
-                *(("cache node", c) for c in self.cache.caches),
-            ):
-                if multi:
-                    if not isinstance(addr, tuple):
-                        raise ValueError(
-                            f"multi-segment topologies address the "
-                            f"{what} as (segment, node); got {addr!r}"
-                        )
-                    seg, _node = addr
-                    if not 0 <= seg < len(self.topology.segments):
-                        raise ValueError(
-                            f"{what} names segment {seg}; topology has "
-                            f"segments 0..{len(self.topology.segments) - 1}"
-                        )
-                elif isinstance(addr, tuple):
-                    raise ValueError(
-                        f"single-segment topologies use plain node ids "
-                        f"for the {what}; got {addr!r}"
-                    )
-        for workload in self.workloads:
-            if workload.kind in CONTENT_WORKLOAD_KINDS and self.cache is None:
-                raise ValueError(
-                    f"{workload.kind} workloads need the scenario to "
-                    "declare a CacheSpec (they address its services)"
-                )
+            topology.check_address("cache origin", self.cache.origin)
+            for addr in self.cache.caches:
+                topology.check_address("cache node", addr)
         object.__setattr__(
-            self,
-            "expect_dead",
-            tuple(
-                tuple(d) if isinstance(d, (list, tuple)) else d
-                for d in self.expect_dead
-            ),
+            self, "expect_dead", tuple(map(_address, self.expect_dead))
         )
         for fault in self.faults:
-            if fault.kind in ROUTER_FAULT_KINDS:
+            if "router" in fault.roles:
                 if not multi:
                     raise ValueError(
                         f"{fault.kind} needs a multi-segment topology "
                         "(single rings have no routers)"
                     )
-                if not 0 <= fault.router < len(self.topology.routers):
+                if not 0 <= fault.router < len(topology.routers):
                     raise ValueError(
                         f"fault targets router {fault.router}; topology "
-                        f"has routers 0..{len(self.topology.routers) - 1}"
+                        f"has routers 0..{len(topology.routers) - 1}"
                     )
                 continue
-            if multi and not 0 <= fault.segment < len(self.topology.segments):
+            if multi and not 0 <= fault.segment < len(topology.segments):
                 raise ValueError(
                     f"fault targets segment {fault.segment}; topology has "
-                    f"segments 0..{len(self.topology.segments) - 1}"
+                    f"segments 0..{len(topology.segments) - 1}"
                 )
-            if fault.kind in ("partition", "heal_partition"):
-                n_switches = (
-                    self.topology.segments[fault.segment].n_switches
-                    if multi else self.topology.n_switches
-                )
-                if n_switches < 2:
+            if "switches" in fault.roles:
+                ring = topology.segments[fault.segment] if multi else topology
+                if ring.n_switches < 2:
                     raise ValueError("partition scenarios need >= 2 switches")
         for workload in self.workloads:
+            row = WORKLOAD_KINDS[workload.kind]
+            if issubclass(row.cls, ContentStream) and self.cache is None:
+                raise ValueError(
+                    f"{workload.kind} workloads need the scenario to "
+                    "declare a CacheSpec (they address its services)"
+                )
             for attr in ("src", "dst"):
                 addr = getattr(workload, attr)
-                if addr is None:
-                    continue
-                if multi:
-                    if not isinstance(addr, tuple):
-                        raise ValueError(
-                            f"multi-segment workloads address nodes as "
-                            f"(segment, node); got {attr}={addr!r}"
-                        )
-                    seg, _node = addr
-                    if not 0 <= seg < len(self.topology.segments):
-                        raise ValueError(
-                            f"workload {attr} names segment {seg}; topology "
-                            f"has segments 0..{len(self.topology.segments) - 1}"
-                        )
-                elif isinstance(addr, tuple):
-                    raise ValueError(
-                        f"single-segment workloads use plain node ids; "
-                        f"got {attr}={addr!r}"
-                    )
+                if addr is not None:
+                    topology.check_address(f"workload {attr}", addr)
             if multi and workload.kind == "broadcast":
                 raise ValueError(
                     "broadcast workloads are per-ring; use one scenario "
@@ -665,11 +525,7 @@ class ScenarioSpec:
                     "cluster_broadcast workloads need a multi-segment "
                     "topology (single rings use the broadcast kind)"
                 )
-            if (
-                multi
-                and not workload.reliable
-                and workload.kind != "cluster_broadcast"
-            ):
+            if multi and not workload.reliable and row.reliable is not False:
                 raise ValueError(
                     "multi-segment workloads must be reliable=True (raw "
                     "MAC cells carry no global address)"
@@ -729,86 +585,63 @@ class ScenarioSpec:
 
         Returns an :class:`~repro.cluster.AmpNetCluster` for the classic
         single-segment form, a :class:`~repro.routing.RoutedCluster` for
-        the ``segments``/``routers`` form.
+        the ``segments``/``routers`` form.  Segment and router specs map
+        onto their config dataclasses by field name.
         """
         seed = self.seed if seed is None else seed
-        if not self.topology.multi_segment:
+        topology = self.topology
+        gossip = {"membership": self.membership,
+                  "membership_liveness": self.membership_liveness}
+        if not topology.multi_segment:
             return AmpNetCluster(
                 config=ClusterConfig(
-                    n_nodes=self.topology.n_nodes,
-                    n_switches=self.topology.n_switches,
-                    fiber_m=self.topology.fiber_m,
+                    n_nodes=topology.n_nodes,
+                    n_switches=topology.n_switches,
+                    fiber_m=topology.fiber_m,
                     seed=seed,
-                    membership=self.membership,
-                    membership_liveness=self.membership_liveness,
+                    **gossip,
                 )
             )
-        from ..routing import RoutedCluster, RoutedClusterConfig, RouterConfig
-
         return RoutedCluster(
             RoutedClusterConfig(
                 segments=[
-                    ClusterConfig(
-                        n_nodes=seg.n_nodes,
-                        n_switches=seg.n_switches,
-                        fiber_m=seg.fiber_m,
-                        membership=self.membership,
-                        membership_liveness=self.membership_liveness,
-                    )
-                    for seg in self.topology.segments
+                    ClusterConfig(**_field_values(seg), **gossip)
+                    for seg in topology.segments
                 ],
                 routers=[
-                    RouterConfig(
-                        segments=r.segments,
-                        egress_capacity=r.egress_capacity,
-                        egress_window=r.egress_window,
-                        priority=r.priority,
-                        resilience=r.resilience,
-                        cache=r.cache,
-                        area=r.area,
-                        advertise_period_tours=r.advertise_period_tours,
-                    )
-                    for r in self.topology.routers
+                    RouterConfig(**_field_values(r)) for r in topology.routers
                 ],
                 seed=seed,
             )
         )
 
-    def build_fault_schedule(self, origin_ns: int, tour_ns: int) -> FaultSchedule:
-        """Resolve the tour-relative fault storyline to absolute ns."""
-        sched = FaultSchedule()
-        for fault in self.faults:
-            fault.add_to(sched, origin_ns, tour_ns)
-        return sched
-
-    def build_fault_schedules(
+    def fault_schedules(
         self, origin_ns: int, tour_ns: int
-    ) -> Dict[int, FaultSchedule]:
-        """Per-segment fault schedules (multi-segment topologies).
+    ) -> List[Tuple[Optional[int], FaultSchedule]]:
+        """The fault storyline resolved to absolute ns, as ``(segment,
+        schedule)`` pairs in arm order.
 
-        Each schedule is armed against its own segment's sub-cluster, so
-        node and switch ids in a :class:`FaultSpec` stay segment-local.
-        Router faults are excluded — they target the routed cluster as a
-        whole (see :meth:`build_router_fault_schedule`).
+        On a multi-segment topology each segment's faults arm against
+        that segment's sub-cluster (node and switch ids in a
+        :class:`FaultSpec` stay segment-local), segments in order of
+        first appearance; ``segment`` is ``None`` for the schedule that
+        arms against the cluster itself — router faults, armed last, or
+        the whole storyline of a single ring.  Same-instant faults fire
+        in arm order, so this order is part of the timeline.
         """
-        out: Dict[int, FaultSchedule] = {}
+        multi = self.topology.multi_segment
+        by_segment: Dict[Optional[int], FaultSchedule] = {}
         for fault in self.faults:
-            if fault.kind in ROUTER_FAULT_KINDS:
-                continue
-            sched = out.setdefault(fault.segment, FaultSchedule())
+            on_ring = multi and "router" not in fault.roles
+            sched = by_segment.setdefault(
+                fault.segment if on_ring else None, FaultSchedule()
+            )
             fault.add_to(sched, origin_ns, tour_ns)
-        return out
-
-    def build_router_fault_schedule(
-        self, origin_ns: int, tour_ns: int
-    ) -> FaultSchedule:
-        """Router crash/recover storyline, armed against the
-        :class:`~repro.routing.RoutedCluster` itself."""
-        sched = FaultSchedule()
-        for fault in self.faults:
-            if fault.kind in ROUTER_FAULT_KINDS:
-                fault.add_to(sched, origin_ns, tour_ns)
-        return sched
+        whole = by_segment.pop(None, None)
+        pairs = list(by_segment.items())
+        if whole is not None:
+            pairs.append((None, whole))
+        return pairs
 
     # ---------------------------------------------------------------- misc
     def to_dict(self) -> Dict[str, Any]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List, Optional, TYPE_CHECKING
 
-from ..cache import CacheError, NetworkCache, RegionSpec
+from ..netcache import CacheError, NetworkCache, RegionSpec
 from ..sim import Counter
 
 if TYPE_CHECKING:  # pragma: no cover

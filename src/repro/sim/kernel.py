@@ -500,6 +500,27 @@ class Simulator:
     def _stop_on(event: Event) -> None:
         raise StopSimulation(event)
 
+    def run_until(
+        self,
+        condition: Callable[[], bool],
+        timeout_ns: int,
+        step_ns: int,
+        what: str,
+    ) -> int:
+        """Advance in ``step_ns`` slices until ``condition()`` holds;
+        returns now.  The condition is polled from outside the schedule,
+        so waiting never adds an entry to the timeline.  Raises
+        :class:`SimulationError` (``"<what> before the horizon"``) when
+        ``timeout_ns`` passes first."""
+        horizon = self._now + timeout_ns
+        while self._now < horizon:
+            if condition():
+                return self._now
+            self.run(until=min(self._now + step_ns, horizon))
+        if condition():
+            return self._now
+        raise SimulationError(f"{what} before the horizon")
+
     # ------------------------------------------------------- introspection
     def scheduler_stats(self) -> Dict[str, int]:
         """Occupancy counters for :mod:`repro.perf` and tests."""

@@ -18,6 +18,10 @@ named ``sim.rng`` streams, so workloads never perturb each other and
 every run replays bit-identically under its seed.  Generators own the
 receive handlers they install and release them in ``close()``, letting
 sequential workloads share one cluster without double-counting.
+
+:data:`WORKLOAD_KINDS` (:mod:`repro.workloads.kinds`) is the one table
+of kinds a scenario can declare: class, required and optional params,
+and which ``WorkloadSpec`` fields each kind takes.
 """
 
 from .generators import (
@@ -26,6 +30,7 @@ from .generators import (
     FileStream,
     MessageStream,
     StreamStats,
+    Workload,
     run_slide7_mixed_workload,
 )
 from .popularity import (
@@ -39,14 +44,13 @@ from .popularity import (
 from .stochastic import (
     BurstStream,
     InhomogeneousPoissonStream,
-    ParetoPoissonStream,
-    ParetoSizeMixin,
     PoissonStream,
     pareto_size_fn,
     pareto_sizes,
     ramp_profile,
     sinusoidal_profile,
 )
+from .kinds import PARAM_KEYWORDS, WORKLOAD_KINDS, WorkloadKind
 
 __all__ = [
     "AllToAllBroadcast",
@@ -56,11 +60,13 @@ __all__ = [
     "FileStream",
     "InhomogeneousPoissonStream",
     "MessageStream",
-    "ParetoPoissonStream",
-    "ParetoSizeMixin",
+    "PARAM_KEYWORDS",
     "PoissonStream",
     "StreamStats",
     "TraceReplayStream",
+    "WORKLOAD_KINDS",
+    "Workload",
+    "WorkloadKind",
     "ZipfStream",
     "load_trace",
     "pareto_size_fn",

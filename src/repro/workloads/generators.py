@@ -6,9 +6,11 @@ messages.  These generators drive exactly those traffic classes through
 the public MAC/transport APIs and account for what was offered,
 delivered and dropped, which is all the benchmarks need.
 
-Every generator owns the receive handlers it installs and removes them
-again in :meth:`close`, so several sequential workloads can share one
-cluster without double-counting each other's deliveries.  Stochastic
+Every generator answers the same three questions (:class:`Workload`):
+``expected_deliveries()``, ``stream_stats()`` and ``close()`` — it owns
+the receive handlers it installs and removes them again in ``close()``,
+so several sequential workloads can share one cluster without
+double-counting each other's deliveries.  Stochastic
 arrival processes (Poisson, inhomogeneous Poisson, on/off bursts) build
 on the same machinery in :mod:`repro.workloads.stochastic` by overriding
 the :meth:`MessageStream._gap_ns` hook.
@@ -27,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "StreamStats",
+    "Workload",
     "MessageStream",
     "FileStream",
     "AllToAllBroadcast",
@@ -61,7 +64,28 @@ class StreamStats:
         return out
 
 
-class MessageStream:
+class Workload:
+    """What the scenario runner (and any other harness) asks of every
+    generator, whatever its traffic shape.  The defaults describe a
+    single-stream generator with ``cluster``/``count``/``dst``/``stats``
+    attributes; fan-out generators override them."""
+
+    def expected_deliveries(self) -> int:
+        """Deliveries a loss-free, duplicate-free run ends with."""
+        fanout = len(self.cluster.nodes) - 1 if self.dst == BROADCAST else 1
+        return self.count * fanout
+
+    def stream_stats(self) -> List[StreamStats]:
+        """One :class:`StreamStats` per accounted stream."""
+        return [self.stats]
+
+    def close(self) -> None:
+        """Remove every receive handler the generator installed
+        (idempotent)."""
+        raise NotImplementedError
+
+
+class MessageStream(Workload):
     """Fixed-cell DATA messages from one node at a constant rate.
 
     ``reliable=True`` routes the same payloads through the node's
@@ -83,8 +107,8 @@ class MessageStream:
         cluster: "AmpNetCluster",
         src: int,
         dst: Optional[int],
-        interval_ns: int,
-        count: int,
+        interval_ns: int = 0,
+        count: int = 1,
         channel: int = 0,
         name: Optional[str] = None,
         reliable: bool = False,
@@ -105,7 +129,7 @@ class MessageStream:
         self.start_ns = start_ns
         #: optional per-message payload size hook (seq -> bytes); sizes
         #: above one cell require the messenger's fragmentation, so a
-        #: sized stream must be reliable (see ParetoSizeMixin).
+        #: sized stream must be reliable (see pareto_size_fn).
         self.size_fn = size_fn
         if reliable and dst == BROADCAST:
             raise ValueError("reliable streams need a unicast destination")
@@ -242,56 +266,35 @@ class MessageStream:
             yield sim.timeout(max(0, self._gap_ns(seq)))
 
 
-class FileStream:
-    """Bulk transfer: repeated reliable messages of file-sized chunks."""
+class FileStream(MessageStream):
+    """Bulk transfer: reliable messages of file-sized chunks, each sent
+    once the previous one is confirmed delivered."""
 
     def __init__(
         self,
         cluster: "AmpNetCluster",
         src: int,
         dst: int,
-        chunk_bytes: int,
-        count: int,
+        chunk_bytes: int = 2048,
+        count: int = 1,
         interval_ns: int = 0,
         channel: int = 11,
         name: Optional[str] = None,
     ):
-        self.cluster = cluster
-        self.src = src
-        self.dst = dst
         self.chunk_bytes = chunk_bytes
-        self.count = count
-        self.interval_ns = interval_ns
-        self.channel = channel
-        self.stats = StreamStats(name or f"file-{src}->{dst}")
-        self._sent_at: Dict[bytes, int] = {}
-        self.closed = False
-        cluster.nodes[dst].messenger.on_message(channel, self._rx)
-        cluster.sim.process(self._tx(), name=self.stats.name)
-
-    def close(self) -> None:
-        """Release the messenger channel this stream claimed."""
-        if self.closed:
-            return
-        self.closed = True
-        self.cluster.nodes[self.dst].messenger.off_message(self.channel)
-
-    def _rx(self, src: int, payload: bytes, channel: int) -> None:
-        if src != self.src:
-            return
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += len(payload)
-        start = self._sent_at.pop(payload[:8], None)
-        if start is not None:
-            self.stats.latency.add(self.cluster.sim.now - start)
+        super().__init__(
+            cluster, src, dst, interval_ns=interval_ns, count=count,
+            channel=channel, name=name or f"file-{src}->{dst}",
+            reliable=True, size_fn=lambda seq: chunk_bytes,
+        )
 
     def _tx(self):
         sim = self.cluster.sim
         messenger = self.cluster.nodes[self.src].messenger
         for seq in range(self.count):
-            header = seq.to_bytes(8, "little")
-            body = header + bytes((seq + i) % 256 for i in range(self.chunk_bytes - 8))
-            self._sent_at[header] = sim.now
+            body = self._payload_for(seq)
+            self.tx_times.append(sim.now)
+            self._sent_at[body[:8]] = sim.now
             handle = messenger.send(self.dst, body, self.channel)
             self.stats.offered += 1
             yield handle.delivered
@@ -299,14 +302,15 @@ class FileStream:
                 yield sim.timeout(self.interval_ns)
 
 
-class AllToAllBroadcast:
+class AllToAllBroadcast(Workload):
     """Every node broadcasts ``count`` cells as fast as flow control
-    allows — the slide-8 stress case."""
+    allows — the slide-8 stress case.  ``stats`` is one
+    :class:`StreamStats` per source node."""
 
-    def __init__(self, cluster: "AmpNetCluster", count_per_node: int,
+    def __init__(self, cluster: "AmpNetCluster", count: int,
                  channel: int = 3):
         self.cluster = cluster
-        self.count = count_per_node
+        self.count = count
         self.channel = channel
         self.stats: Dict[int, StreamStats] = {}
         self.closed = False
@@ -373,6 +377,9 @@ class AllToAllBroadcast:
         n = len(self.cluster.nodes)
         return self.count * n * (n - 1)
 
+    def stream_stats(self) -> List[StreamStats]:
+        return list(self.stats.values())
+
     def total_delivered(self) -> int:
         return sum(s.delivered for s in self.stats.values())
 
@@ -380,7 +387,7 @@ class AllToAllBroadcast:
         return self.total_delivered() >= self.expected_deliveries()
 
 
-class ClusterBroadcastStream:
+class ClusterBroadcastStream(Workload):
     """One node floods the whole routed cluster over the spanning tree.
 
     Each of the ``count`` broadcasts is sent with the explicit
@@ -396,8 +403,8 @@ class ClusterBroadcastStream:
         self,
         cluster,
         src,
-        interval_ns: int,
-        count: int,
+        interval_ns: int = 0,
+        count: int = 1,
         channel: int = 0,
         name: Optional[str] = None,
         start_ns: int = 0,
@@ -413,13 +420,9 @@ class ClusterBroadcastStream:
         )
         self.tx_times: List[int] = []
         self._sent_at: Dict[bytes, int] = {}
-        #: per-node delivery tally, for the exactly-once assertions
-        self.per_node_delivered: Dict = {
-            addr: 0 for addr in cluster.nodes
-        }
         self.closed = False
         for node in cluster.nodes.values():
-            node.messenger.on_message(channel, self._rx_factory(node))
+            node.messenger.on_message(channel, self._rx)
         self._proc = cluster.sim.process(self._tx(), name=self.stats.name)
 
     def close(self) -> None:
@@ -430,20 +433,14 @@ class ClusterBroadcastStream:
         for node in self.cluster.nodes.values():
             node.messenger.off_message(self.channel)
 
-    def _rx_factory(self, node):
-        me = (node.messenger.segment_id, node.node_id)
-
-        def rx(src, payload: bytes, channel: int) -> None:
-            if src != self.src:
-                return
-            self.stats.delivered += 1
-            self.stats.bytes_delivered += len(payload)
-            self.per_node_delivered[me] += 1
-            start = self._sent_at.get(payload[:8])
-            if start is not None:
-                self.stats.latency.add(self.cluster.sim.now - start)
-
-        return rx
+    def _rx(self, src, payload: bytes, channel: int) -> None:
+        if src != self.src:
+            return
+        self.stats.delivered += 1
+        self.stats.bytes_delivered += len(payload)
+        start = self._sent_at.get(payload[:8])
+        if start is not None:
+            self.stats.latency.add(self.cluster.sim.now - start)
 
     def _tx(self):
         sim = self.cluster.sim
@@ -463,17 +460,6 @@ class ClusterBroadcastStream:
     # ------------------------------------------------------------- queries
     def expected_deliveries(self) -> int:
         return self.count * (len(self.cluster.nodes) - 1)
-
-    def complete(self) -> bool:
-        return self.stats.delivered >= self.expected_deliveries()
-
-    def duplicate_deliveries(self) -> int:
-        """Deliveries beyond exactly-once per node (0 on a settled tree)."""
-        return sum(
-            max(0, n - self.count)
-            for addr, n in self.per_node_delivered.items()
-            if addr != self.src
-        )
 
 
 def run_slide7_mixed_workload(cluster: "AmpNetCluster", duration_tours: int = 400):

@@ -215,7 +215,9 @@ class TraceReplayStream(ContentStream):
     non-decreasing; both the request instants and the content sequence
     are honoured exactly, and nothing is drawn from any rng — two runs
     under *different* seeds offer the identical request sequence (only
-    delivery timing may differ through the transport).
+    delivery timing may differ through the transport).  The trace sets
+    the request count; a caller that declares one (``count=``) has it
+    checked against the trace length.
     """
 
     def __init__(
@@ -227,12 +229,18 @@ class TraceReplayStream(ContentStream):
         channel: int = DEFAULT_CONTENT_CHANNEL,
         name: Optional[str] = None,
         request_bytes: int = 24,
+        count: Optional[int] = None,
     ):
         if isinstance(trace, str):
             trace = load_trace(trace)
         records = [(int(t), int(cid)) for t, cid in trace]
         if not records:
             raise ValueError("trace replay needs at least one record")
+        if count is not None and count != len(records):
+            raise ValueError(
+                f"trace replay {name!r} declares count={count} but its "
+                f"trace has {len(records)} records"
+            )
         for i, (t, cid) in enumerate(records):
             if t < 0 or cid < 0:
                 raise ValueError(

@@ -20,8 +20,9 @@ default name, since equal names share one rng sequence):
   back-to-back packet trains with geometric train lengths separated by
   exponential silences.
 
-All three honour ``reliable=True`` (messenger-backed delivery with
-retransmission across ring churn) exactly like their base class.
+All three pass :class:`MessageStream`'s own options through unchanged:
+``reliable=True`` (messenger-backed delivery with retransmission across
+ring churn), ``size_fn``, ``dst_pool`` and ``start_ns``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "PoissonStream",
     "InhomogeneousPoissonStream",
     "BurstStream",
-    "ParetoSizeMixin",
-    "ParetoPoissonStream",
     "pareto_size_fn",
     "pareto_sizes",
     "sinusoidal_profile",
@@ -87,8 +86,11 @@ def pareto_size_fn(
     cluster: "AmpNetCluster", name: str, **pareto_cfg
 ) -> Callable[[int], int]:
     """The one place the size-stream seeding contract lives: sizes for
-    workload ``name`` always draw from ``workload.<name>.sizes``, so the
-    scenario runner and :class:`ParetoSizeMixin` replay identically."""
+    workload ``name`` always draw from ``workload.<name>.sizes`` — never
+    from the stream's arrival draws — so a sized stream replays
+    identically however it was built.  Pass the result as ``size_fn=``
+    (sized payloads span several cells, so the stream must be
+    ``reliable=True``)."""
     return pareto_sizes(
         cluster.sim.rng.stream(f"workload.{name}.sizes"), **pareto_cfg
     )
@@ -117,37 +119,6 @@ def pareto_sizes(
     return draw
 
 
-class ParetoSizeMixin:
-    """Mixin giving any MessageStream subclass heavy-tailed payload sizes.
-
-    Mix in *before* the stream class and pass ``pareto_alpha`` /
-    ``pareto_min_bytes`` / ``pareto_cap_bytes``; the mixin derives a
-    dedicated ``workload.<name>.sizes`` random stream (so sizes never
-    perturb the arrival process draws) and installs a
-    :func:`pareto_sizes` hook.  Sized payloads span multiple cells, so
-    the stream must be ``reliable=True`` (enforced by MessageStream).
-    """
-
-    def __init__(
-        self,
-        cluster: "AmpNetCluster",
-        *args,
-        pareto_alpha: float = 1.5,
-        pareto_min_bytes: int = 16,
-        pareto_cap_bytes: int = 4096,
-        name: Optional[str] = None,
-        **kwargs,
-    ):
-        if name is None:
-            raise ValueError("Pareto-sized streams need an explicit name "
-                             "(it seeds the size stream)")
-        kwargs["size_fn"] = pareto_size_fn(
-            cluster, name, alpha=pareto_alpha,
-            min_bytes=pareto_min_bytes, cap_bytes=pareto_cap_bytes,
-        )
-        super().__init__(cluster, *args, name=name, **kwargs)
-
-
 class PoissonStream(MessageStream):
     """Homogeneous Poisson arrivals with mean gap ``mean_interval_ns``."""
 
@@ -160,9 +131,7 @@ class PoissonStream(MessageStream):
         count: int,
         channel: int = 0,
         name: Optional[str] = None,
-        reliable: bool = False,
-        size_fn: Optional[Callable[[int], int]] = None,
-        **kwargs,
+        **stream_options,
     ):
         if mean_interval_ns <= 0:
             raise ValueError("mean_interval_ns must be positive")
@@ -171,8 +140,7 @@ class PoissonStream(MessageStream):
         self._rng = cluster.sim.rng.stream(f"workload.{name}")
         super().__init__(
             cluster, src, dst, interval_ns=mean_interval_ns, count=count,
-            channel=channel, name=name, reliable=reliable, size_fn=size_fn,
-            **kwargs,
+            channel=channel, name=name, **stream_options,
         )
 
     def _gap_ns(self, seq: int) -> int:
@@ -199,9 +167,7 @@ class InhomogeneousPoissonStream(MessageStream):
         count: int,
         channel: int = 0,
         name: Optional[str] = None,
-        reliable: bool = False,
-        size_fn: Optional[Callable[[int], int]] = None,
-        **kwargs,
+        **stream_options,
     ):
         if peak_interval_ns <= 0:
             raise ValueError("peak_interval_ns must be positive")
@@ -211,8 +177,7 @@ class InhomogeneousPoissonStream(MessageStream):
         self._rng = cluster.sim.rng.stream(f"workload.{name}")
         super().__init__(
             cluster, src, dst, interval_ns=peak_interval_ns, count=count,
-            channel=channel, name=name, reliable=reliable, size_fn=size_fn,
-            **kwargs,
+            channel=channel, name=name, **stream_options,
         )
 
     def _gap_ns(self, seq: int) -> int:
@@ -251,9 +216,7 @@ class BurstStream(MessageStream):
         count: int,
         channel: int = 0,
         name: Optional[str] = None,
-        reliable: bool = False,
-        size_fn: Optional[Callable[[int], int]] = None,
-        **kwargs,
+        **stream_options,
     ):
         if burst_mean < 1:
             raise ValueError("burst_mean must be >= 1")
@@ -267,8 +230,7 @@ class BurstStream(MessageStream):
         self._left_in_burst = 0
         super().__init__(
             cluster, src, dst, interval_ns=intra_gap_ns, count=count,
-            channel=channel, name=name, reliable=reliable, size_fn=size_fn,
-            **kwargs,
+            channel=channel, name=name, **stream_options,
         )
         self._left_in_burst = self._draw_burst()
 
@@ -286,8 +248,3 @@ class BurstStream(MessageStream):
             return self.intra_gap_ns
         self._left_in_burst = self._draw_burst()
         return max(1, round(self._rng.expovariate(1.0 / self.off_mean_ns)))
-
-
-class ParetoPoissonStream(ParetoSizeMixin, PoissonStream):
-    """Poisson arrivals carrying bounded-Pareto-sized reliable payloads —
-    the heavy-tailed workload class the ROADMAP asks for."""

@@ -11,7 +11,7 @@ churn via the flap and partition fault actions.
 import pytest
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.faults import FaultSchedule, partition_and_heal
+from repro.faults import FaultSchedule
 from repro.membership import PeerStatus
 
 
@@ -112,7 +112,13 @@ def test_flapping_node_ends_alive_everywhere():
 def test_partition_splits_views_and_heal_reconciles():
     cluster = make_cluster(n_nodes=8, seed=7)
     tour = cluster.tour_estimate_ns
-    sched = partition_and_heal(cluster, after_tours=300, heal_tours=8000)
+    # Split down the middle (half the nodes keep half the switches),
+    # then heal.
+    sched = (
+        FaultSchedule()
+        .partition(300 * tour, (0, 1, 2, 3), (0,))
+        .heal_partition(8300 * tour, (0, 1, 2, 3), (0,))
+    )
     sched.arm(cluster)
     cluster.run(until=7000 * tour)
     # Mid-partition: each side runs its own ring and buries the other.

@@ -4,7 +4,7 @@ network semaphores — the slide 9/10/18 machinery end to end."""
 import pytest
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.cache import RegionSpec
+from repro.netcache import RegionSpec
 from repro.micropacket import BROADCAST
 from repro.transport import Channel
 

@@ -4,13 +4,7 @@ import pytest
 
 from repro import AmpNetCluster, ClusterConfig
 from repro.analysis import ring_drop_count
-from repro.faults import (
-    FaultSchedule,
-    crash_and_rejoin,
-    double_fault,
-    rolling_switch_failures,
-    single_link_cut,
-)
+from repro.faults import FaultSchedule
 from repro.workloads import (
     AllToAllBroadcast,
     FileStream,
@@ -61,7 +55,7 @@ def test_slide7_mixed_workload_all_streams_progress():
 def test_all_to_all_broadcast_no_drops_and_complete():
     """Slide 8: simultaneous all-to-all broadcast, zero drops."""
     cluster = make_cluster(n_nodes=6, n_switches=2)
-    storm = AllToAllBroadcast(cluster, count_per_node=30)
+    storm = AllToAllBroadcast(cluster, count=30)
     settle(cluster, tours=800)
     assert storm.total_drops() == 0
     assert storm.complete()
@@ -104,14 +98,21 @@ def test_fault_schedule_applies_in_order():
 
 def test_single_link_cut_scenario_heals():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    single_link_cut(cluster, node=2).arm(cluster)
+    # Cut node 2's active-hop fibre once the ring is steady.
+    switch = cluster.current_roster().hop_switch_from(2)
+    FaultSchedule().cut_link(20 * cluster.tour_estimate_ns, 2, switch).arm(cluster)
     cluster.run_until_reroster()
     assert set(cluster.current_roster().members) == set(range(6))
 
 
 def test_rolling_switch_failures_end_on_last_switch():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    rolling_switch_failures(cluster, gap_tours=80).arm(cluster)
+    # Switches die one after another until a single survivor remains.
+    tour = cluster.tour_estimate_ns
+    sched = FaultSchedule()
+    for sw in range(3):
+        sched.fail_switch((sw + 1) * 80 * tour, sw)
+    sched.arm(cluster)
     settle(cluster, tours=400)
     cluster.run_until_ring_up()
     roster = cluster.current_roster()
@@ -121,7 +122,9 @@ def test_rolling_switch_failures_end_on_last_switch():
 
 def test_crash_and_rejoin_scenario():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    crash_and_rejoin(cluster, node=4, crash_tours=20, rejoin_tours=150).arm(cluster)
+    # Node crashes, then powers back up and seeks assimilation.
+    tour = cluster.tour_estimate_ns
+    FaultSchedule().crash_node(20 * tour, 4).recover_node(150 * tour, 4).arm(cluster)
     settle(cluster, tours=400)
     cluster.run_until_ring_up()
     assert set(cluster.current_roster().members) == set(range(6))
@@ -130,7 +133,15 @@ def test_crash_and_rejoin_scenario():
 
 def test_double_fault_scenario_still_heals():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    double_fault(cluster).arm(cluster)
+    # A switch dies and, mid-rostering, a node's link to the next-best
+    # switch is cut — the overlapping-failure stress case.
+    tour = cluster.tour_estimate_ns
+    (
+        FaultSchedule()
+        .fail_switch(30 * tour, 0)
+        .cut_link(30 * tour + tour // 2, 1, 1)
+        .arm(cluster)
+    )
     settle(cluster, tours=200)
     cluster.run_until_ring_up()
     roster = cluster.current_roster()
@@ -176,13 +187,13 @@ def test_sequential_message_streams_do_not_double_count():
 
 def test_alltoall_close_releases_every_sink():
     cluster = make_cluster()
-    storm = AllToAllBroadcast(cluster, count_per_node=5)
+    storm = AllToAllBroadcast(cluster, count=5)
     settle(cluster, tours=200)
     assert storm.complete()
     storm.close()
     before = {k: v.delivered for k, v in storm.stats.items()}
 
-    rerun = AllToAllBroadcast(cluster, count_per_node=5)
+    rerun = AllToAllBroadcast(cluster, count=5)
     settle(cluster, tours=200)
     assert rerun.complete()
     assert {k: v.delivered for k, v in storm.stats.items()} == before

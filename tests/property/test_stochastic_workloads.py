@@ -19,8 +19,8 @@ from repro import AmpNetCluster, ClusterConfig
 from repro.workloads import (
     BurstStream,
     InhomogeneousPoissonStream,
-    ParetoPoissonStream,
     PoissonStream,
+    pareto_size_fn,
     pareto_sizes,
     sinusoidal_profile,
 )
@@ -137,10 +137,11 @@ def test_pareto_sizes_bounded_and_seed_replayable(
 
 
 def pareto_stream(cluster):
-    return ParetoPoissonStream(
+    return PoissonStream(
         cluster, 0, 2, mean_interval_ns=6_000, count=30, channel=12,
         name="prop-pareto", reliable=True,
-        pareto_alpha=1.3, pareto_min_bytes=16, pareto_cap_bytes=512,
+        size_fn=pareto_size_fn(cluster, "prop-pareto", alpha=1.3,
+                               min_bytes=16, cap_bytes=512),
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
+from repro.netcache import (
     CacheError,
     NetworkCache,
     RecordUpdate,

@@ -80,11 +80,16 @@ def test_flap_node_expands_to_alternating_actions():
 
 
 def test_partition_scenario_rejects_single_switch_segment():
-    from repro.faults import partition_and_heal
-
     single = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=1))
-    with pytest.raises(ValueError, match="single-switch"):
-        partition_and_heal(single)
+    tour = single.tour_estimate_ns
+    sched = (
+        FaultSchedule()
+        .partition(40 * tour, (0, 1), (0,))
+        .heal_partition(440 * tour, (0, 1), (0,))
+    )
+    # Both sides need at least one switch of their own.
+    with pytest.raises(ValueError, match="no fabric"):
+        sched.arm(single)
 
 
 def test_flap_node_rejects_bad_parameters():

@@ -151,8 +151,8 @@ def test_fault_schedules_group_by_segment():
             FaultSpec("cut_link", at_tours=30, node=2, switch=0, segment=1),
         ),
     )
-    schedules = spec.build_fault_schedules(origin_ns=1000, tour_ns=100)
-    assert sorted(schedules) == [0, 1]
+    schedules = dict(spec.fault_schedules(origin_ns=1000, tour_ns=100))
+    assert list(schedules) == [0, 1]
     assert len(schedules[0].actions) == 2
     assert len(schedules[1].actions) == 1
     assert schedules[1].actions[0].at_ns == 1000 + 3000
@@ -208,9 +208,11 @@ def test_router_faults_build_their_own_schedule():
             FaultSpec("recover_router", at_tours=40, router=0),
         ),
     )
-    per_segment = spec.build_fault_schedules(origin_ns=0, tour_ns=100)
-    router_sched = spec.build_router_fault_schedule(origin_ns=0, tour_ns=100)
-    assert len(per_segment[0].actions) == 1
+    pairs = spec.fault_schedules(origin_ns=0, tour_ns=100)
+    # Segments first, then the routers: the cluster-wide schedule arms last.
+    assert [segment for segment, _ in pairs] == [0, None]
+    (_, on_segment), (_, router_sched) = pairs
+    assert len(on_segment.actions) == 1
     assert [a.kind.value for a in router_sched.actions] == [
         "crash_router", "recover_router",
     ]

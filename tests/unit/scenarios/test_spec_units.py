@@ -8,6 +8,8 @@ from repro.scenarios import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
+    get_scenario,
+    scenario_names,
 )
 
 
@@ -31,10 +33,72 @@ def test_zero_count_rejected():
         WorkloadSpec("message", count=0, src=0, dst=1)
 
 
+STREAM = {"count": 1, "src": 0, "dst": 1}
+
+
+@pytest.mark.parametrize("kind, fields, offending", [
+    # a param the kind requires is missing
+    ("poisson", STREAM, "mean_interval_ns"),
+    ("inhomogeneous_poisson",
+     {**STREAM, "params": {"peak_interval_ns": 5}}, "profile"),
+    ("inhomogeneous_poisson",
+     {**STREAM, "params": {"profile": {"shape": "ramp"}}}, "peak_interval_ns"),
+    ("burst", {**STREAM, "params": {"burst_mean": 2, "intra_gap_ns": 1}},
+     "off_mean_ns"),
+    ("zipf", {**STREAM, "reliable": True}, "interval_ns"),
+    ("trace_replay", {**STREAM, "reliable": True}, "trace/trace_path"),
+    # a param the kind does not accept: typos ...
+    ("message", {**STREAM, "params": {"intervall_ns": 5}}, "intervall_ns"),
+    # ... and the runner-resolved knobs on kinds that cannot honour them
+    ("file", {**STREAM, "params": {"start_tours": 5}}, "start_tours"),
+    ("broadcast", {"count": 1, "params": {"start_tours": 5}}, "start_tours"),
+    ("zipf", {**STREAM, "reliable": True,
+              "params": {"interval_ns": 5, "start_tours": 5}}, "start_tours"),
+    ("trace_replay", {**STREAM, "reliable": True,
+                      "params": {"trace": [[0, 1]], "start_tours": 5}},
+     "start_tours"),
+    ("file", {**STREAM, "params": {"pareto_sizes": {}}}, "pareto_sizes"),
+    ("broadcast", {"count": 1, "params": {"pareto_sizes": {}}},
+     "pareto_sizes"),
+    ("cluster_broadcast",
+     {"count": 1, "src": (0, 1), "params": {"pareto_sizes": {}}},
+     "pareto_sizes"),
+])
+def test_workload_params_checked_against_kind(kind, fields, offending):
+    """Specs that could not run used to be accepted and die inside the
+    runner (``KeyError: 'mean_interval_ns'``, an unexpected-keyword
+    ``TypeError``) after the ring had been brought up."""
+    with pytest.raises(ValueError, match=f"{kind}.*{offending}"):
+        WorkloadSpec(kind, **fields)
+
+
+def test_every_library_scenario_still_constructs():
+    assert len([get_scenario(name) for name in scenario_names()]) == 25
+
+
 # --------------------------------------------------------------- FaultSpec
 def test_unknown_fault_kind_rejected():
     with pytest.raises(ValueError, match="unknown fault kind"):
         FaultSpec("meteor_strike", at_tours=1)
+
+
+@pytest.mark.parametrize("kind, targets, missing", [
+    ("crash_node", {}, "node"),
+    ("recover_node", {}, "node"),
+    ("flap_node", {}, "node"),
+    ("cut_link", {"node": 1}, "switch"),
+    ("restore_link", {"switch": 0}, "node"),
+    ("fail_switch", {"node": 1}, "switch"),
+    ("partition", {}, "nodes"),
+    ("heal_partition", {"nodes": (0, 1)}, "switches"),
+    ("crash_router", {"node": 1}, "router"),
+])
+def test_fault_missing_a_target_rejected(kind, targets, missing):
+    """Used to be accepted by ``ScenarioSpec`` and fail (``crash_node
+    needs a target id``) only once the ring was up and the schedule
+    armed."""
+    with pytest.raises(ValueError, match=f"{kind} needs a {missing}"):
+        FaultSpec(kind, 5.0, **targets)
 
 
 def test_fault_tours_resolve_against_origin_and_tour():
@@ -45,7 +109,8 @@ def test_fault_tours_resolve_against_origin_and_tour():
             FaultSpec("cut_link", at_tours=5.5, node=1, switch=0),
         ),
     )
-    sched = spec.build_fault_schedule(origin_ns=1_000, tour_ns=100)
+    ((segment, sched),) = spec.fault_schedules(origin_ns=1_000, tour_ns=100)
+    assert segment is None  # a single ring's storyline arms on the cluster
     by_kind = {a.kind: a for a in sched.actions}
     assert by_kind[FaultKind.CRASH_NODE].at_ns == 1_000 + 10 * 100
     assert by_kind[FaultKind.CUT_LINK].at_ns == 1_000 + 550
@@ -57,7 +122,7 @@ def test_flap_fault_expands_to_crash_recover_train():
         faults=(FaultSpec("flap_node", at_tours=1, node=3, flaps=2,
                           down_tours=2, up_tours=3),),
     )
-    sched = spec.build_fault_schedule(origin_ns=0, tour_ns=1_000)
+    ((_, sched),) = spec.fault_schedules(origin_ns=0, tour_ns=1_000)
     kinds = [a.kind for a in sorted(sched.actions, key=lambda a: a.at_ns)]
     assert kinds == [
         FaultKind.CRASH_NODE, FaultKind.RECOVER_NODE,
@@ -115,5 +180,5 @@ def test_broadcast_rejects_silently_ignorable_fields():
         WorkloadSpec("broadcast", count=4, src=0, dst=1)
     with pytest.raises(ValueError, match="cannot be reliable"):
         WorkloadSpec("broadcast", count=4, reliable=True)
-    with pytest.raises(ValueError, match="no params"):
+    with pytest.raises(ValueError, match="broadcast.*'interval_ns'"):
         WorkloadSpec("broadcast", count=4, params={"interval_ns": 5})

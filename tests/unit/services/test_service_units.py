@@ -15,7 +15,7 @@ def bare_node(node_id=0, n_nodes=2):
     topo = build_switched(sim, n_nodes, 1)
     node = AmpNode(sim, node_id, topo.ports_of(node_id))
     node.messenger = Messenger(node)
-    from repro.cache import NetworkCache
+    from repro.netcache import NetworkCache
 
     node.cache = NetworkCache(sim, node_id)
     return node, sim
