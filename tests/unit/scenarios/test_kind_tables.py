@@ -56,24 +56,35 @@ def test_every_kind_has_a_runnable_example():
     assert set(RUNNABLE) == set(WORKLOAD_KINDS)
 
 
+def constructor_parameters(cls):
+    """Keyword -> ``inspect.Parameter`` over the constructor chain: a
+    ``**kwargs`` forwards what it collects to the next base class."""
+    merged = {}
+    for klass in cls.__mro__:
+        if "__init__" not in vars(klass):
+            continue
+        parameters = inspect.signature(klass.__init__).parameters
+        for name, parameter in parameters.items():
+            merged.setdefault(name, parameter)
+        if not any(p.kind is inspect.Parameter.VAR_KEYWORD
+                   for p in parameters.values()):
+            break
+    return merged
+
+
 @pytest.mark.parametrize("kind", sorted(WORKLOAD_KINDS))
 def test_row_matches_the_constructor(kind):
     row = WORKLOAD_KINDS[kind]
-    signature = inspect.signature(row.cls.__init__).parameters
-    passes_extras = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in signature.values()
-    )
-    # ``**kwargs`` forwards to the base stream's constructor
-    base = inspect.signature(row.cls.__mro__[1].__init__).parameters
+    parameters = constructor_parameters(row.cls)
     required = [c for need in row.required
                 for c in ((need,) if isinstance(need, str) else need)]
     for name in (*row.fields, *required, *row.optional):
         keyword = PARAM_KEYWORDS.get(name, name)
-        assert keyword in signature or (passes_extras and keyword in base), (
+        assert keyword in parameters, (
             f"{kind}: {row.cls.__name__} takes no {keyword!r} keyword"
         )
     for name in required:
-        parameter = signature[PARAM_KEYWORDS.get(name, name)]
+        parameter = parameters[PARAM_KEYWORDS.get(name, name)]
         assert parameter.default is inspect.Parameter.empty, (
             f"{kind}: required param {name!r} has a constructor default"
         )
