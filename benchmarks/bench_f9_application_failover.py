@@ -8,7 +8,7 @@ loses acknowledged writes; AmpNet loses nothing.
 """
 
 from repro.analysis import fmt_ns, render_table
-from repro.baselines import FailoverConfig, TcpFailoverPair
+from repro.baselines import TcpFailoverPair
 from repro.hostapi import APP_REGION, CheckpointedSequenceApp, SequenceLedger
 from repro.kernel import ControlGroupConfig
 from repro.scenarios import ScenarioSpec, TopologySpec
@@ -65,7 +65,7 @@ def run_ampnet():
 
 def run_baseline():
     sim = Simulator()
-    pair = TcpFailoverPair(sim, FailoverConfig())
+    pair = TcpFailoverPair(sim)
     sim.call_in(500_000_000, pair.crash_primary)
     sim.run(until=3_000_000_000)
     report = pair.report

@@ -14,6 +14,7 @@ Run:  python examples/gossip_membership.py
 
 from repro import AmpNetCluster, ClusterConfig
 from repro.analysis import fmt_ns
+from repro.membership.gossip import FANOUT
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
     t_up = cluster.run_until_ring_up()
     cfg = cluster._membership_cfg
     print(f"ring up at {fmt_ns(t_up)}; gossip period {fmt_ns(cfg.period_ns)}, "
-          f"fanout {cfg.fanout}, staleness {fmt_ns(cfg.stale_after_ns)}, "
+          f"fanout {FANOUT}, staleness {fmt_ns(cfg.stale_after_ns)}, "
           f"suspicion window {fmt_ns(cfg.suspicion_window_ns)}")
 
     # Let the epidemic discover everyone.

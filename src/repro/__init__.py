@@ -59,7 +59,7 @@ See ``docs/architecture.md`` for the module map and layer diagrams.
 """
 
 from .cluster import AmpNetCluster, ClusterConfig
-from .membership import GossipProtocol, MembershipConfig
+from .membership import GossipProtocol
 from .node import AmpNode, NodeConfig
 from .routing import (
     RoutedCluster,
@@ -75,7 +75,6 @@ __all__ = [
     "AmpNode",
     "ClusterConfig",
     "GossipProtocol",
-    "MembershipConfig",
     "NodeConfig",
     "RoutedCluster",
     "RoutedClusterConfig",

@@ -2,8 +2,8 @@
 timeout-based failover, and a token-ring MAC ablation."""
 
 from .ethernet import EthConfig, EthFrame, EthNode, EthernetFabric
-from .tcp import TcpConfig, TcpConnection, TcpHost
-from .tcp_failover import FailoverConfig, FailoverReport, TcpFailoverPair
+from .tcp import TcpConnection, TcpHost
+from .tcp_failover import FailoverReport, TcpFailoverPair
 from .token_ring import TokenRing, TokenRingConfig
 
 __all__ = [
@@ -11,9 +11,7 @@ __all__ = [
     "EthFrame",
     "EthNode",
     "EthernetFabric",
-    "FailoverConfig",
     "FailoverReport",
-    "TcpConfig",
     "TcpConnection",
     "TcpFailoverPair",
     "TcpHost",

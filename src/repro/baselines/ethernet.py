@@ -21,21 +21,28 @@ from ..sim import Counter, Simulator, Store
 
 __all__ = ["EthernetFabric", "EthNode", "EthFrame", "EthConfig"]
 
+# Gigabit-class switched LAN parameters.
+#: Payload bits per nanosecond (1.0 = gigabit).
+RATE_BITS_PER_NS = 1.0
+#: One-way cable propagation (ns).
+CABLE_NS = 500
+#: Switch forwarding latency (ns).
+SWITCH_NS = 300
+#: Per-frame overhead bytes (preamble + header + FCS + IPG).
+OVERHEAD_BYTES = 38
+
+
+def _wire_ns(frame: "EthFrame") -> int:
+    """Serialization time of one frame at line rate."""
+    return int(8 * (frame.size_bytes + OVERHEAD_BYTES) / RATE_BITS_PER_NS)
+
 
 @dataclass(frozen=True)
 class EthConfig:
-    """Gigabit-class switched LAN parameters."""
+    """The one knob of the baseline LAN the benches turn."""
 
-    #: payload bits per nanosecond (1.0 = gigabit).
-    rate_bits_per_ns: float = 1.0
-    #: one-way cable propagation (ns).
-    cable_ns: int = 500
-    #: switch forwarding latency (ns).
-    switch_ns: int = 300
     #: frames buffered per egress port before tail-drop.
     egress_capacity: int = 32
-    #: per-frame overhead bytes (preamble + header + FCS + IPG).
-    overhead_bytes: int = 38
 
 
 @dataclass
@@ -66,12 +73,10 @@ class EthNode:
 
     def _uplink_proc(self):
         sim = self.fabric.sim
-        cfg = self.fabric.config
         while True:
             frame: EthFrame = yield self._uplink.get()
-            wire_bits = 8 * (frame.size_bytes + cfg.overhead_bytes)
-            yield sim.timeout(int(wire_bits / cfg.rate_bits_per_ns))
-            sim.call_in(cfg.cable_ns, lambda f=frame: self.fabric._ingress(f))
+            yield sim.timeout(_wire_ns(frame))
+            sim.call_in(CABLE_NS, lambda f=frame: self.fabric._ingress(f))
 
 
 class EthernetFabric:
@@ -107,14 +112,12 @@ class EthernetFabric:
 
     def _egress_proc(self, port: int):
         sim = self.sim
-        cfg = self.config
         queue = self._egress[port]
         while True:
             frame: EthFrame = yield queue.get()
-            yield sim.timeout(cfg.switch_ns)
-            wire_bits = 8 * (frame.size_bytes + cfg.overhead_bytes)
-            yield sim.timeout(int(wire_bits / cfg.rate_bits_per_ns))
-            sim.call_in(cfg.cable_ns, lambda f=frame: self._deliver(f))
+            yield sim.timeout(SWITCH_NS)
+            yield sim.timeout(_wire_ns(frame))
+            sim.call_in(CABLE_NS, lambda f=frame: self._deliver(f))
 
     def _deliver(self, frame: EthFrame) -> None:
         self.counters.incr("delivered")

@@ -10,24 +10,20 @@ dominate its failover story (bench F9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from ..sim import Counter, Event, Simulator
 from .ethernet import EthFrame, EthernetFabric
 
-__all__ = ["TcpConnection", "TcpConfig", "TcpHost"]
+__all__ = ["TcpConnection", "TcpHost"]
 
-
-@dataclass(frozen=True)
-class TcpConfig:
-    mss_bytes: int = 1460
-    window_segments: int = 8
-    #: initial retransmission timeout (ns) - 1 ms, aggressive for a LAN.
-    rto_ns: int = 1_000_000
-    rto_backoff: float = 2.0
-    max_rto_ns: int = 64_000_000
-    ack_bytes: int = 64
+MSS_BYTES = 1460
+WINDOW_SEGMENTS = 8
+#: Initial retransmission timeout (ns) - 1 ms, aggressive for a LAN.
+RTO_NS = 1_000_000
+RTO_BACKOFF = 2.0
+MAX_RTO_NS = 64_000_000
+ACK_BYTES = 64
 
 
 class TcpHost:
@@ -39,10 +35,10 @@ class TcpHost:
         self.connections: Dict[int, "TcpConnection"] = {}
         fabric.nodes[node_id].on_receive = self._on_frame
 
-    def connect(self, dst: int, config: Optional[TcpConfig] = None) -> "TcpConnection":
+    def connect(self, dst: int) -> "TcpConnection":
         if dst in self.connections:
             raise ValueError(f"connection to {dst} exists")
-        conn = TcpConnection(self, dst, config or TcpConfig())
+        conn = TcpConnection(self, dst)
         self.connections[dst] = conn
         return conn
 
@@ -61,10 +57,9 @@ class TcpHost:
 class TcpConnection:
     """One direction of reliable byte delivery between two hosts."""
 
-    def __init__(self, host: TcpHost, dst: int, config: TcpConfig):
+    def __init__(self, host: TcpHost, dst: int):
         self.host = host
         self.dst = dst
-        self.config = config
         self.sim = host.fabric.sim
         self.counters = Counter()
 
@@ -73,7 +68,7 @@ class TcpConnection:
         self._next_seq = 0
         self._send_base = 0
         self._inflight: Dict[int, int] = {}  # seq -> size
-        self._rto = config.rto_ns
+        self._rto = RTO_NS
         self._timer_epoch = 0
         self._done_waiters: List[Event] = []
         self.bytes_acked = 0
@@ -91,9 +86,8 @@ class TcpConnection:
         if n_bytes <= 0:
             raise ValueError("send needs a positive byte count")
         self.bytes_submitted += n_bytes
-        mss = self.config.mss_bytes
         while n_bytes > 0:
-            seg = min(mss, n_bytes)
+            seg = min(MSS_BYTES, n_bytes)
             self._segments.append(seg)
             n_bytes -= seg
         self._pump()
@@ -111,8 +105,7 @@ class TcpConnection:
         return not self._segments and not self._inflight
 
     def _pump(self) -> None:
-        cfg = self.config
-        while self._segments and len(self._inflight) < cfg.window_segments:
+        while self._segments and len(self._inflight) < WINDOW_SEGMENTS:
             size = self._segments.pop(0)
             seq = self._next_seq
             self._next_seq += size
@@ -138,9 +131,7 @@ class TcpConnection:
         # Go-back: retransmit the oldest unacked segment.
         seq = min(self._inflight)
         self.counters.incr("retransmits")
-        self._rto = min(
-            int(self._rto * self.config.rto_backoff), self.config.max_rto_ns
-        )
+        self._rto = min(int(self._rto * RTO_BACKOFF), MAX_RTO_NS)
         self._transmit(seq, self._inflight[seq])
         self._arm_timer()
 
@@ -152,7 +143,7 @@ class TcpConnection:
                 self.bytes_acked += size
                 advanced = True
         if advanced:
-            self._rto = self.config.rto_ns
+            self._rto = RTO_NS
             self._send_base = ack_seq
             self.counters.incr("acks_received")
             self._pump()
@@ -173,8 +164,8 @@ class TcpConnection:
             # implicitly: the baseline sender uses fixed MSS).
             while self._rcv_next in self._out_of_order:
                 self._out_of_order.discard(self._rcv_next)
-                self._rcv_next += self.config.mss_bytes
-                self.bytes_received += self.config.mss_bytes
+                self._rcv_next += MSS_BYTES
+                self.bytes_received += MSS_BYTES
         elif seq > self._rcv_next:
             self._out_of_order.add(seq)
             self.counters.incr("out_of_order")
@@ -182,5 +173,5 @@ class TcpConnection:
             self.counters.incr("duplicates")
         # Cumulative ack.
         self.host.fabric.nodes[self.host.node_id].send(
-            self.dst, self.config.ack_bytes, tag=("ack", self._rcv_next)
+            self.dst, ACK_BYTES, tag=("ack", self._rcv_next)
         )

@@ -19,29 +19,25 @@ numbers bench F9 compares against the AmpNet control group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..sim import Counter, Simulator
-from .ethernet import EthConfig, EthernetFabric
+from .ethernet import EthernetFabric
 
-__all__ = ["TcpFailoverPair", "FailoverConfig", "FailoverReport"]
+__all__ = ["TcpFailoverPair", "FailoverReport"]
 
-
-@dataclass(frozen=True)
-class FailoverConfig:
-    """Typical conventional-cluster policy knobs."""
-
-    #: application heartbeat period (100 ms was a common default).
-    heartbeat_interval_ns: int = 100_000_000
-    #: declared dead after this many missed beats.
-    missed_beats: int = 3
-    #: replication batch flush period (async replication).
-    replication_interval_ns: int = 10_000_000
-    #: client write arrival period.
-    write_interval_ns: int = 1_000_000
-    #: bytes per write record.
-    record_bytes: int = 64
+# Typical conventional-cluster policy.
+#: Application heartbeat period (100 ms was a common default).
+HEARTBEAT_INTERVAL_NS = 100_000_000
+#: Declared dead after this many missed beats.
+MISSED_BEATS = 3
+#: Replication batch flush period (async replication).
+REPLICATION_INTERVAL_NS = 10_000_000
+#: Client write arrival period.
+WRITE_INTERVAL_NS = 1_000_000
+#: Bytes per write record.
+RECORD_BYTES = 64
 
 
 @dataclass
@@ -74,15 +70,9 @@ class FailoverReport:
 class TcpFailoverPair:
     """Primary (node 0) and backup (node 1) on a baseline LAN."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: Optional[FailoverConfig] = None,
-        eth: Optional[EthConfig] = None,
-    ):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.config = config or FailoverConfig()
-        self.fabric = EthernetFabric(sim, 2, eth)
+        self.fabric = EthernetFabric(sim, 2)
         self.counters = Counter()
         self.report = FailoverReport()
 
@@ -100,9 +90,8 @@ class TcpFailoverPair:
 
     # -------------------------------------------------------------- primary
     def _primary_writes(self):
-        cfg = self.config
         while self._primary_alive:
-            yield self.sim.timeout(cfg.write_interval_ns)
+            yield self.sim.timeout(WRITE_INTERVAL_NS)
             if not self._primary_alive:
                 return
             self._seq += 1
@@ -112,21 +101,19 @@ class TcpFailoverPair:
             self.counters.incr("writes_acked")
 
     def _primary_replication(self):
-        cfg = self.config
         while self._primary_alive:
-            yield self.sim.timeout(cfg.replication_interval_ns)
+            yield self.sim.timeout(REPLICATION_INTERVAL_NS)
             if not self._primary_alive or not self._pending_batch:
                 continue
             batch = self._pending_batch
             self._pending_batch = []
-            size = cfg.record_bytes * len(batch)
+            size = RECORD_BYTES * len(batch)
             self.fabric.nodes[0].send(1, size, tag=("repl", batch[-1]))
             self.counters.incr("batches_sent")
 
     def _primary_heartbeat(self):
-        cfg = self.config
         while self._primary_alive:
-            yield self.sim.timeout(cfg.heartbeat_interval_ns)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
             if not self._primary_alive:
                 return
             self.fabric.nodes[0].send(1, 64, tag=("hb", None))
@@ -147,11 +134,10 @@ class TcpFailoverPair:
             self.report.replicated = self._backup_seq
 
     def _backup_monitor(self):
-        cfg = self.config
-        timeout = cfg.heartbeat_interval_ns * cfg.missed_beats
+        timeout = HEARTBEAT_INTERVAL_NS * MISSED_BEATS
         self._last_beat = self.sim.now
         while True:
-            yield self.sim.timeout(cfg.heartbeat_interval_ns)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
             if self.report.detected_at is not None:
                 return
             if self.sim.now - self._last_beat > timeout:

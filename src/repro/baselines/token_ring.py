@@ -27,19 +27,18 @@ from ..sim import Counter, LatencyStat, Simulator
 
 __all__ = ["TokenRing", "TokenRingConfig"]
 
+#: Frames a station may send per token visit.
+FRAMES_PER_TOKEN = 1
+#: Wire bits per frame (match AmpNet fixed cells).
+FRAME_WIRE_BITS = 200
+#: Wire bits of the token itself.
+TOKEN_WIRE_BITS = 30
+
 
 @dataclass(frozen=True)
 class TokenRingConfig:
     n_nodes: int = 8
     fiber_m: float = 50.0
-    #: frames a station may send per token visit.
-    frames_per_token: int = 1
-    #: wire bits per frame (match AmpNet fixed cells by default).
-    frame_wire_bits: int = 200
-    #: wire bits of the token itself.
-    token_wire_bits: int = 30
-    #: hop traverses a switch (two fibre legs), matching AmpNet geometry.
-    switched: bool = True
 
 
 class TokenRing:
@@ -56,16 +55,14 @@ class TokenRing:
             i: deque() for i in range(self.config.n_nodes)
         }
         self.on_deliver: Optional[Callable[[int, int, object], None]] = None
-        if self.config.switched:
-            # Same per-hop physics as the AmpNet cluster: node -> switch
-            # -> node, so A1 compares MAC disciplines, not geometry.
-            self._hop_ns = (
-                2 * propagation_ns(self.config.fiber_m)
-                + SWITCH_LATENCY_NS
-                + NODE_TRANSIT_NS
-            )
-        else:
-            self._hop_ns = propagation_ns(self.config.fiber_m) + NODE_TRANSIT_NS
+        # Same per-hop physics as the AmpNet cluster: node -> switch ->
+        # node (two fibre legs), so A1 compares MAC disciplines, not
+        # geometry.
+        self._hop_ns = (
+            2 * propagation_ns(self.config.fiber_m)
+            + SWITCH_LATENCY_NS
+            + NODE_TRANSIT_NS
+        )
         sim.process(self._token_proc(), name="token-ring")
 
     def send(self, src: int, dst: int, tag: object = None) -> None:
@@ -82,13 +79,13 @@ class TokenRing:
         sim = self.sim
         cfg = self.config
         station = 0
-        token_ns = serialization_ns(cfg.token_wire_bits)
-        frame_ns = serialization_ns(cfg.frame_wire_bits)
+        token_ns = serialization_ns(TOKEN_WIRE_BITS)
+        frame_ns = serialization_ns(FRAME_WIRE_BITS)
         while True:
             # Token arrives at `station`.
             queue = self._queues[station]
             sent = 0
-            while queue and sent < cfg.frames_per_token:
+            while queue and sent < FRAMES_PER_TOKEN:
                 dst, tag, queued_at = queue.popleft()
                 # Frame circulates from src to dst: hop count forward.
                 hops = (dst - station) % cfg.n_nodes

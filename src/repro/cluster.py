@@ -14,6 +14,7 @@ injection handles.  Most examples and every benchmark start here::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional
 
 from .netcache import (
@@ -25,13 +26,12 @@ from .netcache import (
 )
 from .kernel import (
     AmpDK,
-    AmpDKConfig,
     AssimilationTracker,
     ControlGroup,
     ControlGroupConfig,
-    GroupApp,
+    heartbeat_schedule,
 )
-from .membership import GossipProtocol, MembershipConfig
+from .membership import GossipProtocol, gossip_timing
 from .node import AmpNode, NodeConfig
 from .phys import PhysicalTopology, build_switched, ring_tour_estimate_ns
 from .ring import FlowControlConfig
@@ -53,17 +53,14 @@ class ClusterConfig:
     fiber_m: float = 50.0
     seed: int = 0
     trace: bool = True
+    #: Per-node template; the rostering report window in it is
+    #: overwritten with this ring's tour estimate.
     node: NodeConfig = field(default_factory=NodeConfig)
-    ampdk: AmpDKConfig = field(default_factory=AmpDKConfig)
     #: Cache regions every node defines at power-on (beyond built-ins).
     regions: List[RegionSpec] = field(default_factory=list)
-    #: Override the computed report window (ns); None = one tour estimate.
-    report_window_ns: Optional[int] = None
     #: Run the gossip membership / SWIM failure-detection protocol on
     #: every node (see :mod:`repro.membership`).
     membership: bool = False
-    #: Gossip tuning; unresolved fields scale with the ring-tour estimate.
-    membership_cfg: MembershipConfig = field(default_factory=MembershipConfig)
     #: Let rostering consume gossip verdicts: a master will not admit a
     #: node its membership view has declared DEAD.  Requires membership.
     membership_liveness: bool = False
@@ -81,6 +78,7 @@ class AmpNetCluster:
         config: Optional[ClusterConfig] = None,
         sim: Optional[Simulator] = None,
         tracer: Optional[Tracer] = None,
+        convergence: Optional[ConvergenceTracker] = None,
     ):
         if config is None:
             config = ClusterConfig(
@@ -88,10 +86,14 @@ class AmpNetCluster:
             )
         self.config = config
         # Segments joined by a router (slide 15) share one simulator —
-        # and one tracer, so a routed cluster's timeline digests cover
-        # every segment in one stream (see repro.routing.RoutedCluster).
+        # and one tracer with its one convergence tracker, so a routed
+        # cluster's timeline digests cover every segment in one stream
+        # (see repro.routing.RoutedCluster).
         self.sim = sim if sim is not None else Simulator(seed=config.seed)
         self.tracer = tracer if tracer is not None else Tracer(enabled=config.trace)
+        #: convergence metrics over membership trace records (it only
+        #: sees records when membership is on)
+        self.convergence = convergence or ConvergenceTracker(self.tracer)
         self.topology: PhysicalTopology = build_switched(
             self.sim, config.n_nodes, config.n_switches, config.fiber_m,
             tracer=self.tracer,
@@ -99,49 +101,47 @@ class AmpNetCluster:
         self.tour_estimate_ns = ring_tour_estimate_ns(
             config.n_nodes, config.fiber_m
         )
-        window = config.report_window_ns or self.tour_estimate_ns
 
         self.nodes: Dict[int, AmpNode] = {}
         self.kernels: Dict[int, AmpDK] = {}
         self.control_groups: Dict[str, Dict[int, ControlGroup]] = {}
-        #: convergence metrics over membership trace records (always
-        #: constructed; it only sees records when membership is on)
-        self.convergence = ConvergenceTracker(self.tracer)
         if config.membership_liveness and not config.membership:
             raise ValueError("membership_liveness requires membership=True")
-        # Gossip timing defaults scale with cluster size and fabric: see
-        # MembershipConfig.resolved_for for the ring-capacity math.
-        self._membership_cfg = config.membership_cfg.resolved_for(
-            config.n_nodes, self.tour_estimate_ns
-        )
-        # Heartbeat cadence scales with ring capacity (kept verbatim for
-        # small rings; see AmpDKConfig.resolved_for).
-        ampdk_cfg = config.ampdk.resolved_for(
-            config.n_nodes, self.tour_estimate_ns
+        # Every timing below follows from the ring the nodes find
+        # themselves on: gossip periods and heartbeat cadence scale with
+        # ring capacity (see gossip_timing / heartbeat_schedule), and the
+        # rostering report window is one tour estimate.
+        self._membership_cfg = gossip_timing(config.n_nodes, self.tour_estimate_ns)
+        schedule = heartbeat_schedule(config.n_nodes, self.tour_estimate_ns)
+        node_cfg = replace(
+            config.node,
+            roster=replace(
+                config.node.roster, report_window_ns=self.tour_estimate_ns
+            ),
         )
         for node_id in self.topology.node_ids:
-            node_cfg = replace(
-                config.node,
-                roster=replace(config.node.roster, report_window_ns=window),
-            )
             node = AmpNode(
                 self.sim, node_id, self.topology.ports_of(node_id),
                 node_cfg, self.tracer,
             )
             node.agent.switch_configurator = self._configure_switches
             self.nodes[node_id] = node
-            self.kernels[node_id] = AmpDK(node, ampdk_cfg)
+            self.kernels[node_id] = AmpDK(node, schedule)
             self._build_stack(node)
 
     def _build_stack(self, node: AmpNode) -> None:
-        """Attach messenger, cache replica and services to a node."""
+        """Attach messenger, cache replica and services to a node.
+
+        Each member registers its own power-failure wipe with the node
+        (``crash_listeners``), in this construction order — the fresh
+        cache replica first, so later members re-attach to it.
+        """
         node.messenger = Messenger(node)
-        node.cache = NetworkCache(self.sim, node.node_id)
-        for spec in self.config.regions:
-            node.cache.define_region(spec, announce=False)
-        node.replicator = CacheReplicator(node, node.cache, node.messenger)
-        node.refresh = RefreshService(node, node.cache, node.messenger)
-        node.sems = SemaphoreService(node, node.cache)
+        self._cold_replica(node)
+        node.crash_listeners.append(partial(self._cold_replica, node))
+        node.replicator = CacheReplicator(node)
+        node.refresh = RefreshService(node)
+        node.sems = SemaphoreService(node)
         node.amp_dc = AmpDC(node, node.messenger)
         node.subscribe = AmpSubscribe(node)
         node.files = AmpFiles(node)
@@ -155,13 +155,20 @@ class AmpNetCluster:
         # First boot: every replica is identically empty, hence warm.
         node.refresh.warm = True
 
+    def _cold_replica(self, node: AmpNode) -> None:
+        """Give ``node`` an empty cache replica: at power-on, and again
+        whenever a crash loses its NIC memory.  Always a fresh object —
+        an update the DMA engine was mid-way through applying finishes
+        on the dead replica, never in the new one."""
+        node.cache = NetworkCache(self.sim, node.node_id)
+        for spec in self.config.regions:
+            node.cache.define_region(spec, announce=False)
+
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Boot every node (they self-organize into a ring)."""
         for node in self.nodes.values():
             node.boot()
-            if node.membership is not None:
-                node.membership.start()
 
     def run(self, until=None):
         return self.sim.run(until=until)
@@ -230,33 +237,28 @@ class AmpNetCluster:
 
     # -------------------------------------------------------------- faults
     def crash_node(self, node_id: int) -> None:
-        """Power-fail a node: software stops, lasers go dark, NIC memory
-        (and with it the local cache replica) is lost."""
-        node = self.nodes[node_id]
-        node.crash()
-        fresh = NetworkCache(self.sim, node_id)
-        for spec in self.config.regions:
-            fresh.define_region(spec, announce=False)
-        node.cache = fresh
-        node.messenger.reset()
-        node.replicator.rebind(fresh)
-        node.refresh.rebind(fresh)
-        node.sems.rebind(fresh)
-        for group in self.control_groups.values():
-            member = group.get(node_id)
-            if member is not None:
-                member.crash_cleanup()
+        """Power-fail a node: software stops, NIC memory (and with it
+        the local cache replica) is lost, lasers go dark."""
+        self.nodes[node_id].crash()
         self.topology.node_dark(node_id)
 
     def recover_node(self, node_id: int) -> None:
         """Power the node back on and have it seek assimilation."""
         self.topology.node_lit(node_id)
-        node = self.nodes[node_id]
-        node.recover()
-        node.assimilation.mark_join_request()
-        node.join_existing()
-        if node.membership is not None:
-            node.membership.recover()
+        self.nodes[node_id].recover()
+
+    def _cross_links(self, nodes, switches):
+        """The ``(node, switch)`` fibres crossing a partition in which
+        ``nodes`` keep only ``switches`` and everyone else keeps only
+        the remaining switches — those of dark nodes included."""
+        side_a = set(nodes)
+        switches_a = set(switches)
+        return [
+            (node_id, sw)
+            for node_id in self.nodes
+            for sw in range(len(self.topology.switches))
+            if (node_id in side_a) != (sw in switches_a)
+        ]
 
     def partition(self, nodes, switches) -> None:
         """Split the segment: ``nodes`` keep only ``switches``; everyone
@@ -267,13 +269,8 @@ class AmpNetCluster:
         (cut is idempotent): a node that recovers mid-partition must
         wake up *inside* the partition, not straddling it.
         """
-        side_a = set(nodes)
-        switches_a = set(switches)
-        for node_id in self.nodes:
-            for sw in range(len(self.topology.switches)):
-                same_side = (node_id in side_a) == (sw in switches_a)
-                if not same_side:
-                    self.topology.cut_link(node_id, sw)
+        for node_id, sw in self._cross_links(nodes, switches):
+            self.topology.cut_link(node_id, sw)
 
     def heal_partition(self, nodes, switches) -> None:
         """Restore the fibres :meth:`partition` cut (same arguments).
@@ -284,13 +281,8 @@ class AmpNetCluster:
         does, it must come back with its full redundancy, not with the
         partition's cuts silently still in place.
         """
-        side_a = set(nodes)
-        switches_a = set(switches)
-        for node_id in self.nodes:
-            for sw in range(len(self.topology.switches)):
-                same_side = (node_id in side_a) == (sw in switches_a)
-                if not same_side:
-                    self.topology.restore_link(node_id, sw)
+        for node_id, sw in self._cross_links(nodes, switches):
+            self.topology.restore_link(node_id, sw)
 
     # -------------------------------------------------------- applications
     def create_control_group(

@@ -1,13 +1,12 @@
 """AmpDK: the distributed kernel (heartbeats, certification, assimilation,
 control groups) — slides 17-19."""
 
-from .ampdk import AmpDK, AmpDKConfig, CERTIFY_CHANNEL, HEARTBEAT_CHANNEL
+from .ampdk import AmpDK, CERTIFY_CHANNEL, HEARTBEAT_CHANNEL, heartbeat_schedule
 from .assimilation import AssimilationPolicy, AssimilationTracker
 from .control_group import ControlGroup, ControlGroupConfig, GroupApp
 
 __all__ = [
     "AmpDK",
-    "AmpDKConfig",
     "AssimilationPolicy",
     "AssimilationTracker",
     "CERTIFY_CHANNEL",
@@ -15,4 +14,5 @@ __all__ = [
     "ControlGroupConfig",
     "GroupApp",
     "HEARTBEAT_CHANNEL",
+    "heartbeat_schedule",
 ]

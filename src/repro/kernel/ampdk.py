@@ -20,7 +20,7 @@ Distributed Kernel".  The pieces modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..micropacket import BROADCAST, Flags, MicroPacket, MicroPacketType
@@ -30,11 +30,25 @@ from ..sim import Counter
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
 
-__all__ = ["AmpDK", "AmpDKConfig", "HEARTBEAT_CHANNEL", "CERTIFY_CHANNEL"]
+__all__ = ["AmpDK", "heartbeat_schedule", "HEARTBEAT_CHANNEL", "CERTIFY_CHANNEL"]
 
 #: Reserved DIAGNOSTIC channels.
 HEARTBEAT_CHANNEL = 15
 CERTIFY_CHANNEL = 14
+
+#: Heartbeat broadcast period on paper-scale rings (slide 19).
+HEARTBEAT_INTERVAL_NS = 200_000  # 200 us
+#: Silence threshold before a peer is declared dead (slide 19:
+#: millisecond failure detection).
+HEARTBEAT_TIMEOUT_NS = 1_000_000  # 1 ms
+#: How often the monitor sweeps for silent peers.
+CHECK_INTERVAL_NS = 100_000
+#: Master's patience for the certification tour, in ring tours.  The
+#: tour itself takes ~1 unloaded tour, but a cell cannot preempt a
+#: frame mid-serialization, so under bulk load each hop can add one
+#: DMA-cell time; four tours gives certification the headroom to
+#: succeed on a busy but healthy ring.
+CERTIFY_TOURS = 4
 
 #: Wire time of one heartbeat cell (fixed format, ~200 line bits).
 _HB_CELL_NS = 189
@@ -48,66 +62,48 @@ _HB_VERBATIM_MAX_NODES = 68
 _HB_MAX_LINE_SHARE = 0.05
 
 
-@dataclass
-class AmpDKConfig:
-    """Distributed-kernel timing knobs."""
+@dataclass(frozen=True)
+class HeartbeatSchedule:
+    """One ring's kernel timing, as :func:`heartbeat_schedule` sized it."""
 
-    #: Heartbeat broadcast period (floor; see :meth:`resolved_for` — at
-    #: production ring sizes the period stretches so heartbeat traffic
-    #: stays a bounded slice of the fabric).
-    heartbeat_interval_ns: int = 200_000  # 200 us
-    #: Silence threshold before a peer is declared dead (slide 19:
-    #: millisecond failure detection).
-    heartbeat_timeout_ns: int = 1_000_000  # 1 ms
-    #: How often the monitor sweeps for silent peers.
-    check_interval_ns: int = 100_000
-    #: Master's patience for the certification tour, in ring tours.
-    #: The tour itself takes ~1 unloaded tour, but a cell cannot preempt
-    #: a frame mid-serialization, so under bulk load each hop can add one
-    #: DMA-cell time; four tours gives certification the headroom to
-    #: succeed on a busy but healthy ring.
-    certify_tours: int = 4
-    #: One ring-tour estimate (installed by the cluster).
-    tour_estimate_ns: int = 100_000
-    enabled: bool = True
+    heartbeat_interval_ns: int
+    heartbeat_timeout_ns: int
+    check_interval_ns: int
+    #: one ring-tour estimate (paces the certification tour)
+    tour_estimate_ns: int
 
-    def resolved_for(self, n_nodes: int, tour_estimate_ns: int) -> "AmpDKConfig":
-        """Scale the heartbeat schedule to the ring's capacity.
 
-        Rings up to ``_HB_VERBATIM_MAX_NODES`` keep the paper's numbers
-        verbatim (200 us beat, 1 ms detection).  On larger rings, n
-        heartbeats crossing every link per interval would otherwise eat
-        the fabric — a 255-node ring beating every 200 us spends ~24% of
-        every link on heartbeats — so the interval is raised until the
-        heartbeat mesh consumes at most ``_HB_MAX_LINE_SHARE`` of line
-        capacity, and the silence timeout and monitor sweep stretch
-        proportionally.  Detection latency degrades gracefully (a few ms
-        at 255 nodes) instead of the data plane collapsing.
-        """
-        if n_nodes <= _HB_VERBATIM_MAX_NODES:
-            return replace(self, tour_estimate_ns=tour_estimate_ns)
-        interval = max(
-            self.heartbeat_interval_ns,
-            int(n_nodes * _HB_CELL_NS / _HB_MAX_LINE_SHARE),
-        )
-        if interval == self.heartbeat_interval_ns:
-            return replace(self, tour_estimate_ns=tour_estimate_ns)
-        return replace(
-            self,
-            heartbeat_interval_ns=interval,
-            heartbeat_timeout_ns=max(self.heartbeat_timeout_ns, 4 * interval),
-            check_interval_ns=max(self.check_interval_ns, interval // 2),
-            tour_estimate_ns=tour_estimate_ns,
-        )
+def heartbeat_schedule(n_nodes: int, tour_estimate_ns: int) -> HeartbeatSchedule:
+    """Scale the heartbeat schedule to the ring's capacity.
+
+    Rings up to ``_HB_VERBATIM_MAX_NODES`` keep the paper's numbers
+    verbatim (200 us beat, 1 ms detection).  On larger rings, n
+    heartbeats crossing every link per interval would otherwise eat
+    the fabric — a 255-node ring beating every 200 us spends ~24% of
+    every link on heartbeats — so the interval is raised until the
+    heartbeat mesh consumes at most ``_HB_MAX_LINE_SHARE`` of line
+    capacity, and the silence timeout and monitor sweep stretch
+    proportionally.  Detection latency degrades gracefully (a few ms
+    at 255 nodes) instead of the data plane collapsing.
+    """
+    interval = HEARTBEAT_INTERVAL_NS
+    if n_nodes > _HB_VERBATIM_MAX_NODES:
+        interval = max(interval, int(n_nodes * _HB_CELL_NS / _HB_MAX_LINE_SHARE))
+    return HeartbeatSchedule(
+        heartbeat_interval_ns=interval,
+        heartbeat_timeout_ns=max(HEARTBEAT_TIMEOUT_NS, 4 * interval),
+        check_interval_ns=max(CHECK_INTERVAL_NS, interval // 2),
+        tour_estimate_ns=tour_estimate_ns,
+    )
 
 
 class AmpDK:
     """Per-node distributed kernel services."""
 
-    def __init__(self, node: "AmpNode", config: Optional[AmpDKConfig] = None):
+    def __init__(self, node: "AmpNode", schedule: HeartbeatSchedule):
         self.node = node
         self.sim = node.sim
-        self.config = config or AmpDKConfig()
+        self.config = schedule
         self.name = f"ampdk-{node.node_id}"
         self.counters = Counter()
 
@@ -129,8 +125,6 @@ class AmpDK:
 
     # ------------------------------------------------------------ lifecycle
     def _ring_up(self, roster: Roster) -> None:
-        if not self.config.enabled:
-            return
         self._roster = roster
         self._epoch += 1
         now = self.sim.now
@@ -206,7 +200,7 @@ class AmpDK:
             flags=Flags.PRIORITY | Flags.BROADCAST_FLAG,
             payload=roster.round_no.to_bytes(1, "little"),
         )
-        window = self.config.certify_tours * self.config.tour_estimate_ns
+        window = CERTIFY_TOURS * self.config.tour_estimate_ns
         for attempt in range(2):
             frame = self.node.mac.send(cell)
             done = sim.event()

@@ -53,7 +53,8 @@ class AssimilationTracker:
         self.roster_joined_at = None
         self.warm_at = None
         node.ring_up_listeners.append(self._on_ring_up)
-        if getattr(node, "refresh", None) is not None:
+        node.recover_listeners.append(self.mark_join_request)
+        if node.refresh is not None:
             node.refresh.on_warm.append(self._on_warm)
 
     def mark_join_request(self) -> None:

@@ -107,8 +107,11 @@ class ControlGroup:
 
         if config.region is not None:
             node.cache.define_region(config.region, announce=False)
+        # No ring-down hook: the app keeps running through rostering (the
+        # ring heals in a couple of milliseconds); only checkpoint
+        # confirmation stalls.
         node.ring_up_listeners.append(self._on_ring_up)
-        node.ring_down_listeners.append(self._on_ring_down)
+        node.crash_listeners.append(self._on_crash)
 
     # ------------------------------------------------------------- election
     def elect(self, roster: Roster) -> Optional[int]:
@@ -135,18 +138,13 @@ class ControlGroup:
         else:
             self._stop_app("demoted" if old_primary == self.node.node_id else "")
 
-    def _on_ring_down(self, reason: str) -> None:
-        # The app keeps running through rostering (the ring heals in
-        # a couple of milliseconds); only checkpoint confirmation stalls.
-        pass
-
     def _takeover(self, epoch: int, promoted: bool):
         """Failover-period wait, recovery rules, then the app main loop."""
         if promoted and self.config.failover_period_ns:
             yield self.sim.timeout(self.config.failover_period_ns)
         # Assimilation rule: never run recovery against a cold replica —
         # wait for the cache refresh that warms a rejoining node.
-        refresh = getattr(self.node, "refresh", None)
+        refresh = self.node.refresh
         while refresh is not None and not refresh.warm:
             yield refresh.refreshed
         if epoch != self._epoch or self.primary != self.node.node_id:
@@ -172,9 +170,9 @@ class ControlGroup:
         self._app_process = None
         self.app = None
 
-    def crash_cleanup(self) -> None:
-        """Called by the cluster when this node power-fails (after the
-        fresh, empty cache replica is attached)."""
+    def _on_crash(self) -> None:
+        """The node power-failed (its fresh, empty cache replica is
+        already attached: the stack's listeners run before ours)."""
         self._epoch += 1
         self._stop_app("node crash")
         self.primary = None

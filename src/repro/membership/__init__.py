@@ -7,14 +7,14 @@ Verdicts (ALIVE → SUSPECT → DEAD, guarded by incarnation numbers) spread
 epidemically in O(log N) periods with no coordinator — the scalable
 alternative to waiting for the centralized rostering flood to notice.
 
-Enable per cluster::
+Enable per cluster (there is nothing to tune: the period and the
+detector windows follow from the ring's size and tour time, see
+:func:`gossip_timing`)::
 
     from repro import AmpNetCluster, ClusterConfig
-    from repro.membership import MembershipConfig
 
     cluster = AmpNetCluster(config=ClusterConfig(
         n_nodes=16, n_switches=2, membership=True,
-        membership_cfg=MembershipConfig(fanout=2),
     ))
 
 On router-joined clusters (:mod:`repro.routing`) gossip stays
@@ -27,18 +27,18 @@ See :mod:`repro.membership.state` for the merge semilattice and
 ``examples/gossip_membership.py`` for the full tour.
 """
 
-from .gossip import GossipProtocol, MembershipConfig
+from .gossip import GossipProtocol, gossip_timing
 from .state import PeerState, PeerStatus, PeerView, merge_states, state_key
 from .wire import decode_digest, encode_digest
 
 __all__ = [
     "GossipProtocol",
-    "MembershipConfig",
     "PeerState",
     "PeerStatus",
     "PeerView",
     "decode_digest",
     "encode_digest",
+    "gossip_timing",
     "merge_states",
     "state_key",
 ]

@@ -32,93 +32,88 @@ identical gossip timelines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..micropacket import VARIABLE_PAYLOAD_MAX
+from ..node import BOOT_DELAY_NS
 from ..sim import Counter
 from ..transport import Channel
 from .state import PeerState, PeerStatus, PeerView
-from .wire import ACK, PING, decode_digest, decode_probe, encode_digest, encode_probe
+from .wire import (
+    ACK,
+    ENTRY_BYTES,
+    PING,
+    decode_digest,
+    decode_probe,
+    encode_digest,
+    encode_probe,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
 
-__all__ = ["MembershipConfig", "GossipProtocol"]
+__all__ = ["GossipProtocol", "gossip_timing"]
 
 
-@dataclass
-class MembershipConfig:
-    """Gossip and failure-detector tuning.
+#: Gossip partners contacted per period (epidemic fan-out).
+FANOUT = 2
 
-    All ``*_ns`` fields left at ``None`` are resolved from the protocol
-    period at attach time; the cluster in turn defaults the period to a
-    few ring-tour estimates so the same config scales from machine-room
-    to campus fibre.
+
+@dataclass(frozen=True)
+class GossipTiming:
+    """One ring's gossip and failure-detector timing, as
+    :func:`gossip_timing` sized it."""
+
+    #: protocol period
+    period_ns: int
+    #: direct-probe ACK deadline (half a period)
+    ping_timeout_ns: int
+    #: ALIVE -> SUSPECT when the heartbeat stalls this long
+    stale_after_ns: int
+    #: SUSPECT -> DEAD after this unrefuted window (3 periods)
+    suspicion_window_ns: int
+
+
+def gossip_timing(n_nodes: int, tour_estimate_ns: int) -> GossipTiming:
+    """Gossip timing sized for a real cluster, so the same protocol
+    scales from machine-room to campus fibre.
+
+    Two capacity facts drive the numbers:
+
+    * The digest is O(N) bytes, and every fragment of every gossip
+      message tours the *entire shared ring* — so the protocol
+      period must grow with the per-period frame load
+      (``FANOUT * fragments + probe traffic`` tours, doubled for
+      headroom) or the ring saturates and heartbeats arrive late,
+      which reads exactly like mass death.
+    * A fresh heartbeat needs O(log N) periods to infect everyone,
+      so the staleness window must stay above the dissemination
+      latency or large clusters false-suspect in steady state.
     """
-
-    #: Protocol period; None = let the cluster derive it from the
-    #: ring-tour estimate (a handful of tours).
-    period_ns: Optional[int] = None
-    #: Gossip partners contacted per period (epidemic fan-out).
-    fanout: int = 2
-    #: Direct-probe ACK deadline; None = half a period.
-    ping_timeout_ns: Optional[int] = None
-    #: ALIVE -> SUSPECT when the heartbeat stalls this long; None = 4 periods.
-    stale_after_ns: Optional[int] = None
-    #: SUSPECT -> DEAD after this unrefuted window; None = 3 periods.
-    suspicion_window_ns: Optional[int] = None
-    #: Desynchronize first ticks with seeded jitter (keep True; False
-    #: makes every node gossip in lockstep, useful only in unit tests).
-    jitter: bool = True
-
-    def resolved_for(
-        self, n_nodes: int, tour_estimate_ns: int
-    ) -> "MembershipConfig":
-        """A copy with every None field sized for a real cluster.
-
-        Two capacity facts drive the defaults:
-
-        * The digest is O(N) bytes, and every fragment of every gossip
-          message tours the *entire shared ring* — so the protocol
-          period must grow with the per-period frame load
-          (``fanout * fragments + probe traffic`` tours, doubled for
-          headroom) or the ring saturates and heartbeats arrive late,
-          which reads exactly like mass death.
-        * A fresh heartbeat needs O(log N) periods to infect everyone,
-          so the staleness window must stay above the dissemination
-          latency or large clusters false-suspect in steady state.
-        """
-        from .wire import ENTRY_BYTES
-
-        fragments = max(1, math.ceil(n_nodes * ENTRY_BYTES / VARIABLE_PAYLOAD_MAX))
-        frames_per_period = self.fanout * fragments + 4
-        # 4x margin: variable-format digest frames serialize ~3x slower
-        # than the fixed cells the tour estimate is built from, and the
-        # post-fault retransmit burst needs slack to drain without
-        # starving the kernel's priority heartbeat cells.
-        period = self.period_ns or max(
-            4 * frames_per_period * tour_estimate_ns, 50_000
-        )
-        stale_periods = max(4, 2 + math.ceil(math.log2(max(n_nodes, 2))))
-        return replace(
-            self,
-            period_ns=period,
-            ping_timeout_ns=self.ping_timeout_ns or max(period // 2, 1),
-            stale_after_ns=self.stale_after_ns or stale_periods * period,
-            suspicion_window_ns=self.suspicion_window_ns or 3 * period,
-        )
+    fragments = max(1, math.ceil(n_nodes * ENTRY_BYTES / VARIABLE_PAYLOAD_MAX))
+    frames_per_period = FANOUT * fragments + 4
+    # 4x margin: variable-format digest frames serialize ~3x slower
+    # than the fixed cells the tour estimate is built from, and the
+    # post-fault retransmit burst needs slack to drain without
+    # starving the kernel's priority heartbeat cells.
+    period = max(4 * frames_per_period * tour_estimate_ns, 50_000)
+    stale_periods = max(4, 2 + math.ceil(math.log2(max(n_nodes, 2))))
+    return GossipTiming(
+        period_ns=period,
+        ping_timeout_ns=max(period // 2, 1),
+        stale_after_ns=stale_periods * period,
+        suspicion_window_ns=3 * period,
+    )
 
 
 class GossipProtocol:
     """Per-node membership endpoint (attach via cluster ``membership=True``)."""
 
-    def __init__(self, node: "AmpNode", config: MembershipConfig):
-        if config.period_ns is None:
-            raise ValueError("config must be resolved (MembershipConfig.resolved_for)")
+    def __init__(self, node: "AmpNode", timing: GossipTiming):
         self.node = node
         self.sim = node.sim
-        self.config = config
+        self.config = timing
         self.name = f"member-{node.node_id}"
         self.counters = Counter()
         self.rng = self.sim.rng.stream(f"membership-{node.node_id}")
@@ -149,17 +144,22 @@ class GossipProtocol:
         node.messenger.on_message(self._channel, self._on_digest)
         node.messenger.on_signal(self._channel, self._on_probe)
         node.ring_up_listeners.append(self._on_ring_up)
+        node.boot_listeners.append(self.start)
+        node.crash_listeners.append(self.crash)
+        node.recover_listeners.append(self.recover)
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
-        """Begin gossiping (idempotent; cluster calls this after boot)."""
+        """Begin gossiping (idempotent; runs when the node boots)."""
         if self._running:
             return
         self._running = True
         self._install_self()
         gen = self._generation
-        delay = self.rng.randrange(self.config.period_ns) if self.config.jitter else 0
-        self.sim.call_in(self.node.config.boot_delay_ns + delay, lambda: self._tick(gen))
+        # Seeded jitter desynchronizes first ticks; without it every
+        # node would gossip in lockstep.
+        delay = self.rng.randrange(self.config.period_ns)
+        self.sim.call_in(BOOT_DELAY_NS + delay, lambda: self._tick(gen))
 
     def crash(self) -> None:
         """Node power loss: NIC membership table is gone."""
@@ -185,10 +185,6 @@ class GossipProtocol:
     def considers_live(self, node_id: int) -> bool:
         """The verdict the roster layer consumes (only DEAD disqualifies)."""
         return self.view.considers_live(node_id)
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     # ------------------------------------------------------------ protocol
     def _tick(self, gen: int) -> None:
@@ -295,7 +291,7 @@ class GossipProtocol:
             candidates = [n for n in sorted(self.view.states) if n != self.node.node_id]
         if not candidates:
             return
-        k = min(self.config.fanout, len(candidates))
+        k = min(FANOUT, len(candidates))
         partners = self.rng.sample(candidates, k)
         payload = encode_digest(self.view.digest())
         for partner in partners:

@@ -23,11 +23,9 @@ from ..micropacket import BROADCAST
 from ..rostering import Roster
 from ..sim import Counter, Event
 from ..transport import Channel
-from .network_cache import NetworkCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
-    from ..transport import Messenger
 
 __all__ = ["RefreshService"]
 
@@ -37,10 +35,9 @@ _OP_REQUEST = 1
 class RefreshService:
     """Snapshot-based assimilation for one node's cache replica."""
 
-    def __init__(self, node: "AmpNode", cache: NetworkCache, messenger: "Messenger"):
+    def __init__(self, node: "AmpNode"):
         self.node = node
-        self.cache = cache
-        self.messenger = messenger
+        self.messenger = node.messenger
         self.sim = node.sim
         self.counters = Counter()
         #: a node that has never joined (or re-joined after a crash)
@@ -51,26 +48,16 @@ class RefreshService:
         self.refreshed: Event = node.sim.event()
         self.on_warm: List[Callable[[], None]] = []
 
-        messenger.on_signal(Channel.REFRESH, self._on_signal)
-        messenger.on_message(Channel.REFRESH, self._on_snapshot)
+        self.messenger.on_signal(Channel.REFRESH, self._on_signal)
+        self.messenger.on_message(Channel.REFRESH, self._on_snapshot)
         node.ring_up_listeners.append(self._on_ring_up)
+        node.crash_listeners.append(self.mark_cold)
 
     # --------------------------------------------------------------- joiner
     def mark_cold(self) -> None:
         """Called when the node crashes/loses its NIC memory."""
         self.warm = False
         self._requested_for_round = None
-
-    def rebind(self, cache: NetworkCache) -> None:
-        """Attach to a fresh (cold) replica after a crash."""
-        self.cache = cache
-        self.mark_cold()
-
-    def mark_warm(self) -> None:
-        """First-boot nodes with nothing to fetch start warm."""
-        if not self.warm:
-            self.warm = True
-            self._fire_warm()
 
     def _on_ring_up(self, roster: Roster) -> None:
         if self.warm:
@@ -92,7 +79,7 @@ class RefreshService:
         if self.warm:
             self.counters.incr("redundant_snapshots")
             return
-        applied = self.cache.apply_snapshot(payload)
+        applied = self.node.cache.apply_snapshot(payload)
         self.warm = True
         self.counters.incr("snapshots_received")
         self.counters.incr("records_refreshed", applied)
@@ -125,6 +112,6 @@ class RefreshService:
         others = [m for m in roster.members if m != src]
         if not others or self.node.node_id != min(others):
             return
-        snapshot = self.cache.snapshot()
+        snapshot = self.node.cache.snapshot()
         self.counters.incr("snapshots_served")
         self.messenger.send(src, snapshot, Channel.REFRESH)

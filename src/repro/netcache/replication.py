@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 from ..sim import Counter
 from ..transport import Channel
 from .network_cache import (
-    NetworkCache,
     RecordUpdate,
     RegionSpec,
     decode_update,
@@ -28,7 +27,6 @@ from .network_cache import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
-    from ..transport import Messenger
 
 __all__ = ["CacheReplicator"]
 
@@ -40,10 +38,9 @@ _TAG_REGION = 1
 class CacheReplicator:
     """Wires a NetworkCache replica to the reliable messenger."""
 
-    def __init__(self, node: "AmpNode", cache: NetworkCache, messenger: "Messenger"):
+    def __init__(self, node: "AmpNode"):
         self.node = node
-        self.cache = cache
-        self.messenger = messenger
+        self.messenger = node.messenger
         self.sim = node.sim
         self.counters = Counter()
         #: per-record apply serialization: key -> pending newest update
@@ -54,17 +51,20 @@ class CacheReplicator:
         #: applications use it as their durability gate (failover app)
         self.last_handle = None
 
-        cache.on_local_write = self._broadcast_update
-        cache.on_region_defined = self._broadcast_region
-        messenger.on_message(Channel.CACHE, self._on_message)
+        self._hook_replica()
+        self.messenger.on_message(Channel.CACHE, self._on_message)
+        node.crash_listeners.append(self._on_crash)
 
-    def rebind(self, cache: NetworkCache) -> None:
-        """Attach to a fresh replica after a crash wiped NIC memory."""
-        self.cache = cache
+    def _hook_replica(self) -> None:
+        self.node.cache.on_local_write = self._broadcast_update
+        self.node.cache.on_region_defined = self._broadcast_region
+
+    def _on_crash(self) -> None:
+        """NIC memory is gone: queued applies die with it, and the
+        node's fresh replica needs our hooks."""
         self._busy.clear()
         self._orphans.clear()
-        cache.on_local_write = self._broadcast_update
-        cache.on_region_defined = self._broadcast_region
+        self._hook_replica()
 
     # ----------------------------------------------------------------- out
     def _broadcast_update(self, update: RecordUpdate) -> None:
@@ -112,13 +112,13 @@ class CacheReplicator:
             int.from_bytes(rest[4:6], "little"),
         )
         # Define without re-announcing (the announcement is circulating).
-        self.cache.define_region(spec, announce=False)
+        self.node.cache.define_region(spec, announce=False)
         self.counters.incr("regions_learned")
         for orphan in self._orphans.pop(spec.region_id, []):
             self._enqueue_apply(orphan)
 
     def _enqueue_apply(self, update: RecordUpdate) -> None:
-        if not self.cache.has_region_id(update.region_id):
+        if not self.node.cache.has_region_id(update.region_id):
             # The region announcement is still in flight (retransmission
             # reordering); hold the update until it lands.
             self._orphans.setdefault(update.region_id, []).append(update)
@@ -140,7 +140,7 @@ class CacheReplicator:
     def _apply_chain(self, key: Tuple[int, int], first: RecordUpdate):
         update: Optional[RecordUpdate] = first
         while update is not None:
-            yield from self.cache.apply_update(update)
+            yield from self.node.cache.apply_update(update)
             self.counters.incr("applies_run")
             update = self._busy.get(key)
             self._busy[key] = None

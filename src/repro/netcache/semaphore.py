@@ -30,7 +30,7 @@ from typing import Deque, Dict, Generator, Optional, TYPE_CHECKING
 from ..micropacket import Flags, MicroPacket, MicroPacketType
 from ..rostering import Roster
 from ..sim import Counter, Event
-from .network_cache import NetworkCache, RegionSpec
+from .network_cache import RegionSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
@@ -58,12 +58,11 @@ class SemaphoreError(Exception):
 class SemaphoreService:
     """Network semaphore endpoint for one node."""
 
-    def __init__(self, node: "AmpNode", cache: NetworkCache):
+    def __init__(self, node: "AmpNode"):
         self.node = node
-        self.cache = cache
         self.sim = node.sim
         self.counters = Counter()
-        cache.define_region(SEM_REGION, announce=False)
+        node.cache.define_region(SEM_REGION, announce=False)
 
         #: home-side FIFO wait queues: sem id -> requester ids
         self._wait_queues: Dict[int, Deque[int]] = {}
@@ -73,12 +72,12 @@ class SemaphoreService:
 
         node.register_handler(MicroPacketType.D64_ATOMIC, _SEM_CHANNEL, self._on_cell)
         node.ring_up_listeners.append(self._on_ring_up)
+        node.crash_listeners.append(self._on_crash)
 
-    def rebind(self, cache: NetworkCache) -> None:
-        """Attach to a fresh replica after a crash (locks we held die
-        with us; the new home's sweep frees them)."""
-        self.cache = cache
-        cache.define_region(SEM_REGION, announce=False)
+    def _on_crash(self) -> None:
+        """Re-reserve our region in the node's fresh replica (locks we
+        held die with us; the new home's sweep frees them)."""
+        self.node.cache.define_region(SEM_REGION, announce=False)
         self._wait_queues.clear()
         self._pending.clear()
         self.held.clear()
@@ -96,7 +95,7 @@ class SemaphoreService:
     def _owner_of(self, sem_id: int) -> int:
         # Record layout: byte 0 = owner id, byte 1 = owned flag (so that
         # node 0 as owner is distinguishable from a never-written record).
-        ok, data, _v = self.cache.try_read(SEM_REGION.name, sem_id)
+        ok, data, _v = self.node.cache.try_read(SEM_REGION.name, sem_id)
         if not ok or len(data) < 2 or data[1] == 0:
             return _FREE
         return data[0]
@@ -104,7 +103,7 @@ class SemaphoreService:
     def _write_owner(self, sem_id: int, owner: int) -> None:
         owned = 0 if owner == _FREE else 1
         record = bytes([owner & 0xFF, owned]) + b"\x00" * 6
-        self.cache.write(SEM_REGION.name, sem_id, record)
+        self.node.cache.write(SEM_REGION.name, sem_id, record)
 
     def _cell(self, dst: int, op: int, sem_id: int, arg: int = 0) -> MicroPacket:
         return MicroPacket(

@@ -23,10 +23,14 @@ from .ring import FlowControlConfig, RingMAC
 from .rostering import AgentState, Roster, RosterAgent, RosterConfig
 from .sim import NULL_TRACER, Simulator, Tracer
 
-__all__ = ["AmpNode", "NodeConfig"]
+__all__ = ["AmpNode", "NodeConfig", "BOOT_DELAY_NS"]
 
 #: Plain-int mirror for the per-frame dispatch test.
 _ROSTERING = int(MicroPacketType.ROSTERING)
+
+#: AmpDK boot time before the node first seeks a ring (slide 17:
+#: "instantly self-boots" — tens of microseconds of firmware).
+BOOT_DELAY_NS = 20_000
 
 
 @dataclass
@@ -35,9 +39,6 @@ class NodeConfig:
 
     flow: FlowControlConfig = field(default_factory=FlowControlConfig)
     roster: RosterConfig = field(default_factory=RosterConfig)
-    #: AmpDK boot time before the node first seeks a ring (slide 17:
-    #: "instantly self-boots" — tens of microseconds of firmware).
-    boot_delay_ns: int = 20_000
 
 
 class AmpNode:
@@ -64,13 +65,22 @@ class AmpNode:
         self.agent.on_installed = self._roster_installed
         self.agent.on_ring_down = self._ring_down
 
-        #: gossip membership endpoint, attached by the cluster when the
-        #: ``membership`` config is on (see :mod:`repro.membership`)
-        self.membership = None
+        #: the software stack :class:`~repro.cluster.AmpNetCluster`
+        #: attaches (None on a bare node; ``membership`` stays None
+        #: unless the cluster runs gossip, see :mod:`repro.membership`)
+        self.messenger = self.cache = self.replicator = self.refresh = None
+        self.sems = self.amp_dc = self.subscribe = self.files = None
+        self.threads = self.ip = self.assimilation = self.membership = None
 
         #: subscribers notified on ring up/down (AmpDK, services)
         self.ring_up_listeners: List[Callable[[Roster], None]] = []
         self.ring_down_listeners: List[Callable[[str], None]] = []
+        #: power events: first boot, power failure (each stack member
+        #: registers the wipe of whatever it keeps in NIC memory) and
+        #: power-on after a failure
+        self.boot_listeners: List[Callable[[], None]] = []
+        self.crash_listeners: List[Callable[[], None]] = []
+        self.recover_listeners: List[Callable[[], None]] = []
         #: reliability signals fanned out from the MAC
         self.tour_complete_listeners: List[Callable] = []
         self.tour_lost_listeners: List[Callable] = []
@@ -96,7 +106,9 @@ class AmpNode:
     # ------------------------------------------------------------ lifecycle
     def boot(self) -> None:
         """Start AmpDK; the node seeks a ring after its boot delay."""
-        self.sim.call_in(self.config.boot_delay_ns, self._booted)
+        self.sim.call_in(BOOT_DELAY_NS, self._booted)
+        for listener in self.boot_listeners:
+            listener()
 
     def _booted(self) -> None:
         if self.failed:
@@ -104,16 +116,13 @@ class AmpNode:
         if self.agent.state == AgentState.DOWN:
             self.agent.trigger("boot")
 
-    def join_existing(self) -> None:
-        """Announce ourselves to an already-running network (slide 17)."""
-        self.sim.call_in(self.config.boot_delay_ns, self._join)
-
     def _join(self) -> None:
         if not self.failed:
             self.agent.request_join()
 
     def crash(self) -> None:
-        """Node power failure: stop participating entirely.
+        """Node power failure: stop participating entirely; NIC memory
+        (every crash listener's state) is lost.
 
         The physical side (lasers going dark) is driven by the topology's
         ``node_dark``; the cluster fault injector calls both.  Ring-down
@@ -125,12 +134,17 @@ class AmpNode:
         self.agent.enabled = False
         self.agent.state = AgentState.DOWN
         self.agent.roster = None
-        if self.membership is not None:
-            self.membership.crash()
+        for listener in self.crash_listeners:
+            listener()
 
     def recover(self) -> None:
+        """Power back on and, after the boot delay, announce ourselves
+        to the already-running network (slide 17 node entry)."""
         self.failed = False
         self.agent.enabled = True
+        self.sim.call_in(BOOT_DELAY_NS, self._join)
+        for listener in self.recover_listeners:
+            listener()
 
     # ------------------------------------------------------------- queries
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..sim import Gate, Simulator
+from ..sim import Simulator
 from .frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,12 +37,8 @@ class Port:
         self.name = name
         self.tx_link: Optional["SerialLink"] = None
         self.rx_link: Optional["SerialLink"] = None
-        #: waitable carrier condition.  Mutate carrier state only through
-        #: :meth:`set_carrier` / :meth:`force_carrier` — they keep this
-        #: gate and the ``carrier_up`` hot-path mirror in lockstep.
-        self.carrier = Gate(sim, open_=False)
-        #: plain-bool mirror of ``carrier.is_open`` — read on every send
-        #: and every MAC pick, so it skips the Gate property chain.
+        #: carrier present — read on every send and every MAC pick.
+        #: Mutate only through :meth:`set_carrier` / :meth:`force_carrier`.
         self.carrier_up = False
         self._on_frame: Optional[FrameHandler] = None
         self._on_carrier: Optional[CarrierHandler] = None
@@ -69,8 +65,8 @@ class Port:
         """Queue a frame for transmission.
 
         Returns False (frame silently lost, as on dark fibre) when the
-        port has no carrier — callers that need reliability must wait on
-        ``port.carrier`` first; the ring MAC does exactly that.
+        port has no carrier — callers that need reliability must check
+        ``port.carrier_up`` first; the ring MAC does exactly that.
         """
         if self.tx_link is None or not self.carrier_up:
             return False
@@ -98,17 +94,9 @@ class Port:
             self._on_carrier(up, self)
 
     def force_carrier(self, up: bool) -> None:
-        """Set carrier state without notifying handlers.
-
-        For fault rigs and tests that need a silent transition; keeps
-        the gate and its hot-path mirror consistent, which ad-hoc
-        ``port.carrier.close()`` calls would not.
-        """
+        """Set carrier state without notifying handlers (for fault rigs
+        and tests that need a silent transition)."""
         self.carrier_up = up
-        if up:
-            self.carrier.open()
-        else:
-            self.carrier.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.carrier_up else "down"

@@ -29,7 +29,7 @@ from ..micropacket import BROADCAST, Flags, MicroPacket
 from ..phys import NODE_TRANSIT_NS, Port, frame_for
 from ..phys.frame import Frame
 from ..rostering.roster import Roster
-from ..sim import Callback, Counter, Gate, LatencyStat, Simulator, Tracer
+from ..sim import Callback, Counter, LatencyStat, Simulator, Tracer
 from ..sim.monitor import NULL_TRACER
 from .flow_control import FlowControlConfig, InsertionController
 
@@ -110,7 +110,6 @@ class RingMAC:
         self.name = f"mac-{node_id}"
 
         self.roster: Optional[Roster] = None
-        self.ring_gate = Gate(sim, open_=False)
         self.controller = InsertionController(self.config)
 
         #: PRIORITY-flagged transit frames (kernel heartbeats, roster
@@ -129,9 +128,9 @@ class RingMAC:
         self._tx_busy = False
         self._tx_scheduled = False
         self._pace_gen = 0
-        # Per-roster caches, refreshed on install: the ring-open flag
-        # mirrors the gate, and the tx port / ring size replace an O(n)
-        # roster index lookup plus a property chain per transmitted frame.
+        # Per-roster state, refreshed on install: the ring-open flag, and
+        # the tx port / ring size that replace an O(n) roster index
+        # lookup plus a property chain per transmitted frame.
         self._ring_open = False
         self._ring_size = 0
         self._tx_port: Optional[Port] = None
@@ -170,7 +169,7 @@ class RingMAC:
     # ------------------------------------------------------------ lifecycle
     @property
     def ring_up(self) -> bool:
-        return self.ring_gate.is_open
+        return self._ring_open
 
     def install_roster(self, roster: Roster) -> None:
         """Bring the ring up for this node (called on commit)."""
@@ -185,14 +184,12 @@ class RingMAC:
             self.ports[roster.hop_switch_from(self.node_id)]
             if roster.size >= 2 else None
         )
-        self.ring_gate.open()
         self._ring_open = True
         self.counters.incr("roster_installs")
         self._kick()
 
     def teardown(self, reason: str = "") -> None:
         """Ring down: stop forwarding, surrender in-flight accounting."""
-        self.ring_gate.close()
         self._ring_open = False
         self.roster = None
         self._ring_size = 0

@@ -32,7 +32,7 @@ the slide-16 claim bench F7 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Callable, Dict, List, Optional, Set
 
@@ -55,6 +55,13 @@ from .wire import (
 
 __all__ = ["RosterAgent", "RosterConfig", "AgentState"]
 
+#: How long a non-master waits for a commit before escalating (and a
+#: joiner for an answer before rostering alone), in report windows.
+COMMIT_TIMEOUT_FACTOR = 3.0
+#: Minimum compatible protocol version a master will admit to its
+#: roster (assimilation rules, slide 17).
+MIN_VERSION = (1, 0)
+
 
 class AgentState(Enum):
     DOWN = auto()         # not part of any ring
@@ -68,14 +75,8 @@ class RosterConfig:
 
     #: Report collection window — one estimated ring-tour time.
     report_window_ns: int = 100_000
-    #: How long a non-master waits for a commit before escalating.
-    commit_timeout_factor: float = 3.0
     #: Protocol version advertised in reports (assimilation, slide 17).
     version: tuple = (1, 0)
-    #: Qualification score for failover elections (slide 19).
-    qualification: int = 0
-    #: Minimum compatible version a master will admit to its roster.
-    min_version: tuple = (1, 0)
 
 
 class RosterAgent:
@@ -158,7 +159,7 @@ class RosterAgent:
         self._flood(encode_join(self.node_id))
         # If nobody answers (we are first up), trigger our own round.
         self.sim.call_in(
-            int(self.config.report_window_ns * self.config.commit_timeout_factor),
+            int(self.config.report_window_ns * COMMIT_TIMEOUT_FACTOR),
             self._join_fallback,
         )
 
@@ -181,39 +182,14 @@ class RosterAgent:
             self.trigger(f"carrier loss on {port.name}")
 
     # --------------------------------------------------------------- rounds
-    def _start_round(self, round_no: int) -> None:
-        self.round_no = round_no & 0xFF or 1  # wrap past 0 (0 = "no round")
-        if self.state == AgentState.OPERATIONAL and self.on_ring_down is not None:
-            self.on_ring_down(f"round {self.round_no}")
-        self.state = AgentState.EXPLORING
-        self.roster = None
-        self._reports = {}
-        self._relayed = set()
-        self._assembler.reset()
-        self._round_started_at = self.sim.now
-        self.counters.incr("rounds_started")
-
-        explore = encode_explore(self.node_id, self.round_no)
-        self._relayed.add(flood_key(explore.payload))
-        self._flood(explore)
-        self._emit_report()
-        window = self.config.report_window_ns
-        round_snapshot = self.round_no
-        self.sim.call_in(window, lambda: self._decide(round_snapshot))
-        self.sim.call_in(
-            int(window * self.config.commit_timeout_factor),
-            lambda: self._commit_timeout(round_snapshot),
-        )
-
-    def _join_round(self, round_no: int) -> None:
-        """Adopt a newer round announced by someone else."""
-        self._start_round_for(round_no)
-
-    def _start_round_for(self, round_no: int) -> None:
-        # Same as _start_round but without bumping past the seen round.
+    def _start_round(self, round_no: int, joined: bool = False) -> None:
+        """Open round ``round_no``: ours (flood EXPLORE for it), or —
+        ``joined`` — a newer one somebody else announced."""
+        if not joined:
+            round_no = round_no & 0xFF or 1  # wrap past 0 (0 = "no round")
         if self.state == AgentState.OPERATIONAL and self.on_ring_down is not None:
             self.on_ring_down(f"round {round_no}")
-        if self._trigger_time is None:
+        if joined and self._trigger_time is None:
             self._trigger_time = self.sim.now
         self.state = AgentState.EXPLORING
         self.round_no = round_no
@@ -222,12 +198,17 @@ class RosterAgent:
         self._relayed = set()
         self._assembler.reset()
         self._round_started_at = self.sim.now
-        self.counters.incr("rounds_joined")
+        self.counters.incr("rounds_joined" if joined else "rounds_started")
+
+        if not joined:
+            explore = encode_explore(self.node_id, round_no)
+            self._relayed.add(flood_key(explore.payload))
+            self._flood(explore)
         self._emit_report()
         window = self.config.report_window_ns
         self.sim.call_in(window, lambda: self._decide(round_no))
         self.sim.call_in(
-            int(window * self.config.commit_timeout_factor),
+            int(window * COMMIT_TIMEOUT_FACTOR),
             lambda: self._commit_timeout(round_no),
         )
 
@@ -236,7 +217,6 @@ class RosterAgent:
             self.node_id,
             self.round_no,
             self.live_port_bitmap(),
-            qualification=self.config.qualification,
             version=self.config.version,
         )
         msg = decode(report)
@@ -259,14 +239,14 @@ class RosterAgent:
                 return
             if newer:
                 self._relay(frame, port)
-                self._join_round(msg.round_no)
+                self._start_round(msg.round_no, joined=True)
             elif msg.round_no == self.round_no and self.state == AgentState.EXPLORING:
                 self._relay(frame, port)
             return
 
         if msg.phase == Phase.REPORT:
             if newer:
-                self._join_round(msg.round_no)
+                self._start_round(msg.round_no, joined=True)
             if msg.round_no == self.round_no and self.state == AgentState.EXPLORING:
                 if msg.origin not in self._reports:
                     self._reports[msg.origin] = msg
@@ -307,10 +287,10 @@ class RosterAgent:
         self.counters.incr("cells_relayed")
 
     # -------------------------------------------------------------- decide
-    def attachment_from_reports(self) -> Dict[int, Set[int]]:
-        """Attachment map (switch -> nodes) from this round's reports."""
+    def _attachment(self, reports: Dict[int, RosterMessage]) -> Dict[int, Set[int]]:
+        """Attachment map (switch -> nodes) the ``reports`` describe."""
         attachment: Dict[int, Set[int]] = {}
-        for node, msg in self._reports.items():
+        for node, msg in reports.items():
             for k in range(len(self.ports)):
                 if msg.port_bitmap & (1 << k):
                     attachment.setdefault(k, set()).add(node)
@@ -321,10 +301,9 @@ class RosterAgent:
         when a membership verdict source is wired in — nodes the gossip
         layer has declared dead (their flooded report may be stale, or
         they may be a zombie the operator wants fenced off)."""
-        minv = self.config.min_version
         out = {}
         for node, msg in self._reports.items():
-            if msg.version < tuple(minv):
+            if msg.version < MIN_VERSION:
                 self.counters.incr("version_rejected")
                 continue
             if (
@@ -342,12 +321,7 @@ class RosterAgent:
             return
         if not self.is_master:
             return  # wait for the master's commit (or the timeout)
-        admissible = self._admissible_reports()
-        attachment: Dict[int, Set[int]] = {}
-        for node, msg in admissible.items():
-            for k in range(len(self.ports)):
-                if msg.port_bitmap & (1 << k):
-                    attachment.setdefault(k, set()).add(node)
+        attachment = self._attachment(self._admissible_reports())
         computed = compute_roster(self.round_no, attachment)
         if computed is None:
             # Totally isolated (all fibres dark): run as a singleton ring
@@ -399,7 +373,7 @@ class RosterAgent:
         return Roster(self.round_no, tuple(members), tuple(hops))
 
     def _install(self, members: List[int]) -> None:
-        attachment = self.attachment_from_reports()
+        attachment = self._attachment(self._reports)
         if self.node_id not in members:
             # Excluded (version, partition): stay down, keep listening.
             self.state = AgentState.DOWN

@@ -244,6 +244,7 @@ class RoutedCluster:
                 ),
                 sim=self.sim,
                 tracer=self.tracer,
+                convergence=self.convergence,
             )
             self.segments.append(sub)
             for nid, node in sub.nodes.items():

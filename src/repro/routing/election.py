@@ -27,6 +27,15 @@ __all__ = ["Election", "PeerClaim", "PortRole", "elect", "silent_peers"]
 
 BridgeId = Tuple[int, int]
 
+#: Advertise periods a *root claim* may age before it is discarded
+#: (classic STP Max Age).  Peer expiry handles a dead neighbour; this
+#: bound handles a dead root two-plus hops of routers away, whose stale
+#: claim surviving routers would otherwise echo to each other forever.
+#: Ads carry the claim's age and it keeps growing while it is only
+#: being relayed, so the ghost dies within the bound and the election
+#: falls back to the live bridges.
+MAX_ROOT_AGE_PERIODS = 8
+
 
 class PortRole(Enum):
     """Spanning-tree verdict for one router port."""
@@ -86,12 +95,11 @@ def elect(
     peers: Mapping[int, Mapping[int, PeerClaim]],
     now: int,
     period_ns: int,
-    max_root_age_periods: int,
 ) -> Election:
     """Elect root, root port and per-segment designation for bridge
     ``bid`` from ``peers`` (attached segment -> router id -> claim).
 
-    Root claims older than ``max_root_age_periods`` (STP Max Age) are
+    Root claims older than ``MAX_ROOT_AGE_PERIODS`` (STP Max Age) are
     ignored: survivors of a dead root would otherwise relay its claim
     to each other forever, each refresh keeping the ghost alive.  The
     carried age only resets at the root itself, so a dead root's claim
@@ -103,7 +111,7 @@ def elect(
             (claim.cost, (claim.priority, rid), claim)
             for rid, claim in claims.items()
             if claim.root_age_ns + (now - claim.last_heard)
-            <= max_root_age_periods * max(period_ns, claim.period_ns)
+            <= MAX_ROOT_AGE_PERIODS * max(period_ns, claim.period_ns)
         ]
     root = min(
         [bid] + [c.root for offers in valid.values() for _, _, c in offers]

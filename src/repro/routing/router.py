@@ -41,7 +41,9 @@ from ..sim import Counter
 from ..transport import Channel, GlobalAddress
 from ..transport.messaging import _Reassembly
 from .ads import AdDecodeError, Advertisement, Entry, decode, encode
-from .election import Election, PeerClaim, PortRole, elect, silent_peers
+from .election import (
+    MAX_ROOT_AGE_PERIODS, Election, PeerClaim, PortRole, elect, silent_peers,
+)
 from .port import Crossing, RouterPort
 from .table import NOT_OURS, Change, RouteTable
 
@@ -81,14 +83,6 @@ class RouterConfig:
     #: advertise periods a peer router (or learned route) may stay
     #: silent before it is declared dead and withdrawn
     miss_deadline_periods: int = 3
-    #: advertise periods a *root claim* may age before it is discarded
-    #: (classic STP Max Age).  Peer expiry handles a dead neighbour;
-    #: this bound handles a dead root two-plus hops of routers away,
-    #: whose stale claim surviving routers would otherwise echo to each
-    #: other forever.  Ads carry the claim's age and it keeps growing
-    #: while it is only being relayed, so the ghost dies within the
-    #: bound and the election falls back to the live bridges.
-    max_root_age_periods: int = 8
     #: shadow-parking buffer depth; None = 4x egress_capacity
     shadow_capacity: Optional[int] = None
     #: advertise periods a shadow-parked crossing is retained, covering
@@ -135,9 +129,9 @@ class RouterConfig:
             raise ValueError("advertise period must be a positive tour count")
         if self.miss_deadline_periods < 1:
             raise ValueError("miss deadline must be >= 1 advertise period")
-        if self.max_root_age_periods <= self.miss_deadline_periods:
+        if self.miss_deadline_periods >= MAX_ROOT_AGE_PERIODS:
             raise ValueError(
-                "max root age must exceed the miss deadline (direct "
+                "miss deadline must stay below the max root age (direct "
                 "neighbour death is the peer-expiry path)"
             )
         if self.shadow_capacity is not None and self.shadow_capacity < 1:
@@ -573,7 +567,6 @@ class SegmentRouter:
             {seg: port.peers for seg, port in self.ports.items()},
             self.sim.now,
             self.advertise_period_ns,
-            self.config.max_root_age_periods,
         )
         changed = unblocked = False
         for seg in self.ports:

@@ -338,8 +338,11 @@ class ScenarioRunner:
             convergence=self._convergence_summary(),
             trace_digest=trace_digest(cluster.tracer),
         )
-        for inv_name in spec.invariants:
-            result.invariants.append(_INVARIANTS[inv_name](self))
+        for name in spec.invariants:
+            # spec.INVARIANT_NAMES spells the names; each one's judge is
+            # the ``_check_<name>`` method below.
+            ok, detail = getattr(self, f"_check_{name}")()
+            result.invariants.append(InvariantResult(name, ok, detail))
         return result
 
     def _convergence_summary(self) -> Dict[str, float]:
@@ -366,41 +369,34 @@ class ScenarioRunner:
         assert self.cluster is not None
         return set(self.cluster.nodes) - set(self.spec.expect_dead)
 
-    def _check_no_drops(self) -> InvariantResult:
+    def _check_no_drops(self) -> Tuple[bool, str]:
         drops = ring_drop_count(self.cluster)
-        return InvariantResult(
-            "no_drops", drops == 0,
-            "" if drops == 0 else f"{drops} frames dropped in the data plane",
+        return not drops, (
+            f"{drops} frames dropped in the data plane" if drops else ""
         )
 
-    def _check_all_delivered(self) -> InvariantResult:
+    def _check_all_delivered(self) -> Tuple[bool, str]:
         missing = "; ".join(
             f"{label}: {got}/{want}"
             for label, got, want in self._deliveries() if got < want
         )
-        return InvariantResult("all_delivered", not missing, missing)
+        return not missing, missing
 
-    def _check_roster_converged(self) -> InvariantResult:
+    def _check_roster_converged(self) -> Tuple[bool, str]:
         cluster = self.cluster
         if not cluster.all_rings_up():
-            return InvariantResult(
-                "roster_converged", False, "ring not up on every live node"
-            )
+            return False, "ring not up on every live node"
         # Both cluster flavours judge their own roster shape: one ring's
         # roster against the expected ids, or (routed) every segment's
         # roster against that segment's expected members.
         detail = cluster.roster_mismatch(self._live_expected())
-        return InvariantResult("roster_converged", not detail, detail)
+        return not detail, detail
 
-    def _check_membership_view(self) -> InvariantResult:
-        cluster = self.cluster
-        ok = cluster.membership_converged(dead=self.spec.expect_dead)
-        return InvariantResult(
-            "membership_view_consistent", ok,
-            "" if ok else "gossip views disagree with ground truth",
-        )
+    def _check_membership_view_consistent(self) -> Tuple[bool, str]:
+        ok = self.cluster.membership_converged(dead=self.spec.expect_dead)
+        return ok, "" if ok else "gossip views disagree with ground truth"
 
-    def _check_no_duplicates(self) -> InvariantResult:
+    def _check_no_duplicate_deliveries(self) -> Tuple[bool, str]:
         """Exactly-once: no workload delivers more than it offered.
 
         The chaos storylines exist to provoke duplicate paths — failover
@@ -411,16 +407,7 @@ class ScenarioRunner:
             f"{label}: {got}/{want}"
             for label, got, want in self._deliveries() if got > want
         )
-        return InvariantResult("no_duplicate_deliveries", not dupes, dupes)
-
-
-_INVARIANTS: Dict[str, Callable[[ScenarioRunner], InvariantResult]] = {
-    "no_drops": ScenarioRunner._check_no_drops,
-    "all_delivered": ScenarioRunner._check_all_delivered,
-    "roster_converged": ScenarioRunner._check_roster_converged,
-    "membership_view_consistent": ScenarioRunner._check_membership_view,
-    "no_duplicate_deliveries": ScenarioRunner._check_no_duplicates,
-}
+        return not dupes, dupes
 
 
 def run_scenario(spec: ScenarioSpec, seed: Optional[int] = None) -> ScenarioResult:

@@ -31,6 +31,7 @@ from ..caching import (
 )
 from ..cluster import AmpNetCluster, ClusterConfig
 from ..faults import FaultKind, FaultSchedule
+from ..micropacket import BROADCAST
 from ..resilience import ResilienceConfig
 from ..routing import RoutedCluster, RoutedClusterConfig, RouterConfig, mesh_layout
 from ..workloads import WORKLOAD_KINDS, ContentStream
@@ -235,10 +236,16 @@ class TopologySpec:
             return sum(s.n_nodes for s in self.segments)
         return self.n_nodes
 
-    def check_address(self, what: str, addr: "Address") -> None:
-        """Raise unless ``addr`` has this topology's address form: a
+    def check_address(
+        self, what: str, addr: "Address", broadcast_ok: bool = False
+    ) -> None:
+        """Raise unless ``addr`` has this topology's address form — a
         plain node id on a single segment, a ``(segment, node)`` pair
-        naming an existing segment on a routed shape."""
+        naming an existing segment on a routed shape — and names one of
+        that ring's user nodes (gateways are the routers' own endpoints)
+        or, where ``broadcast_ok``, ``BROADCAST``."""
+        ring: Union[TopologySpec, SegmentSpec] = self
+        node = addr
         if not self.multi_segment:
             if isinstance(addr, tuple):
                 raise ValueError(
@@ -254,6 +261,14 @@ class TopologySpec:
             raise ValueError(
                 f"{what} names segment {addr[0]}; topology has "
                 f"segments 0..{len(self.segments) - 1}"
+            )
+        else:
+            ring, node = self.segments[addr[0]], addr[1]
+        if not (0 <= node < ring.n_nodes
+                or (broadcast_ok and node == BROADCAST)):
+            raise ValueError(
+                f"{what}={addr!r} names node {node}; the ring has user "
+                f"nodes 0..{ring.n_nodes - 1}"
             )
 
 
@@ -424,7 +439,8 @@ class FaultSpec:
             )
 
 
-#: Invariant names the runner can check (see runner._INVARIANTS).
+#: Invariant names the runner can check — the one place they are
+#: spelled; ``ScenarioRunner._check_<name>`` is each one's judge.
 INVARIANT_NAMES = (
     "no_drops",
     "all_delivered",
@@ -514,7 +530,17 @@ class ScenarioSpec:
             for attr in ("src", "dst"):
                 addr = getattr(workload, attr)
                 if addr is not None:
-                    topology.check_address(f"workload {attr}", addr)
+                    topology.check_address(
+                        f"{workload.kind} workload {attr}", addr,
+                        # a raw (unreliable) stream may address the ring
+                        broadcast_ok=attr == "dst"
+                        and "reliable" in row.fields
+                        and not workload.reliable,
+                    )
+            for addr in workload.params.get("dst_pool", ()):
+                topology.check_address(
+                    f"{workload.kind} workload dst_pool entry", _address(addr)
+                )
             if multi and workload.kind == "broadcast":
                 raise ValueError(
                     "broadcast workloads are per-ring; use one scenario "
@@ -553,8 +579,6 @@ class ScenarioSpec:
             )
         if n_nodes < 2:
             raise ValueError("with_size needs at least 2 nodes")
-        from ..micropacket import BROADCAST
-
         referenced = set()
         for workload in self.workloads:
             for attr in ("src", "dst"):

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Store, Gate, Tracer
+    from repro.sim import Simulator, Interrupt, Store, Tracer
 
 See :mod:`repro.sim.kernel` for the event-loop semantics.
 """
@@ -22,11 +22,10 @@ from .monitor import (
     ConvergenceTracker,
     Counter,
     LatencyStat,
-    TimeSeries,
     Tracer,
 )
 from .rand import SeededStreams, derive_seed
-from .resources import Gate, Resource, Store
+from .resources import Resource, Store
 
 __all__ = [
     "AnyOf",
@@ -34,7 +33,6 @@ __all__ = [
     "ConvergenceTracker",
     "Counter",
     "Event",
-    "Gate",
     "Interrupt",
     "LatencyStat",
     "NULL_TRACER",
@@ -45,7 +43,6 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "Store",
-    "TimeSeries",
     "Timeout",
     "Tracer",
     "derive_seed",

@@ -286,7 +286,6 @@ class Process(Event):
     # -- driving the generator ----------------------------------------------
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        sim._active_process = self
         try:
             while True:
                 if self._interrupts:
@@ -325,8 +324,6 @@ class Process(Event):
             self._value = exc
             self._ok = False
             sim._enqueue(self)
-        finally:
-            sim._active_process = None
 
 
 class AnyOf(Event):

@@ -117,7 +117,6 @@ class Simulator:
         self._cancelled_reclaimed: int = 0
         #: total schedules that missed the near wheel (occupancy metric)
         self._overflow_spills: int = 0
-        self._active_process: Optional[Process] = None
         self.strict = strict
         self.rng = SeededStreams(seed)
         #: total schedule entries processed; the kernel's throughput unit
@@ -135,11 +134,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------- factories
     def event(self) -> Event:

@@ -16,7 +16,6 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "Counter",
-    "TimeSeries",
     "LatencyStat",
     "ConvergenceTracker",
 ]
@@ -137,38 +136,6 @@ class Counter(dict):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({dict.__repr__(self)})"
-
-
-class TimeSeries:
-    """(time, value) samples with summary statistics."""
-
-    def __init__(self) -> None:
-        self.samples: List[Tuple[int, float]] = []
-
-    def add(self, time: int, value: float) -> None:
-        self.samples.append((time, value))
-
-    @property
-    def values(self) -> List[float]:
-        return [v for _t, v in self.samples]
-
-    def mean(self) -> float:
-        vals = self.values
-        return sum(vals) / len(vals) if vals else math.nan
-
-    def maximum(self) -> float:
-        vals = self.values
-        return max(vals) if vals else math.nan
-
-    def last(self) -> float:
-        return self.samples[-1][1] if self.samples else math.nan
-
-    def rate(self) -> float:
-        """Total value divided by the spanned time (per-ns rate)."""
-        if len(self.samples) < 2:
-            return math.nan
-        span = self.samples[-1][0] - self.samples[0][0]
-        return sum(self.values) / span if span else math.nan
 
 
 class LatencyStat:

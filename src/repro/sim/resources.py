@@ -6,19 +6,17 @@ These are the queueing primitives the AmpNet model is assembled from:
   receive queues, NIC transit buffers and DMA descriptor rings.
 * :class:`Resource` — counting semaphore; models DMA channel arbitration
   and ColdFire firmware CPU slots.
-* :class:`Gate` — a reusable level-triggered condition ("ring is up",
-  "carrier present") that processes can wait to become open.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from .events import Event, SimulationError
 from .kernel import Simulator
 
-__all__ = ["Store", "Resource", "Gate"]
+__all__ = ["Store", "Resource"]
 
 
 class StorePut(Event):
@@ -141,40 +139,3 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self.in_use -= 1
-
-
-class Gate:
-    """A reusable open/closed condition.
-
-    ``wait_open()`` fires immediately when open, otherwise when the gate
-    next opens.  Used for carrier-sense ("link up") and ring-operational
-    conditions that toggle over a simulation's lifetime.
-    """
-
-    def __init__(self, sim: Simulator, open_: bool = False):
-        self.sim = sim
-        self._open = open_
-        self._waiters: List[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def open(self) -> None:
-        if self._open:
-            return
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def close(self) -> None:
-        self._open = False
-
-    def wait_open(self) -> Event:
-        ev = Event(self.sim)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev

@@ -166,6 +166,7 @@ class Messenger:
         node.tour_complete_listeners.append(self._on_tour_complete)
         node.tour_lost_listeners.append(self._on_tour_lost)
         node.ring_up_listeners.append(self._on_ring_up)
+        node.crash_listeners.append(self.reset)
 
     def reset(self) -> None:
         """Forget all in-flight state (node crash: NIC memory lost)."""
@@ -349,17 +350,22 @@ class Messenger:
             handle.unconfirmed[offset] = pkt
         self.counters.incr("messages_sent")
         self.counters.incr("fragments_sent", len(handle.unconfirmed))
-        self.sim.process(self._stream(handle), name=f"{self.name}.tx{tid}")
+        self.sim.process(
+            self._stream(handle, handle.unconfirmed), name=f"{self.name}.tx{tid}"
+        )
         return handle
 
-    def _stream(self, handle: MessageHandle):
-        """Feed fragments through one of the sixteen DMA channels."""
+    def _stream(self, handle: MessageHandle, pending: Dict[int, MicroPacket]):
+        """Feed ``pending`` fragments (the whole message, or a ring-up
+        replay's snapshot of what was unconfirmed) through one of the
+        sixteen DMA channels."""
         grant = self.dma_channels.acquire()
         yield grant
         try:
-            for offset in sorted(handle.unconfirmed):
-                pkt = handle.unconfirmed[offset]
-                frame = self.node.mac.send(pkt)
+            for offset in sorted(pending):
+                if offset not in handle.unconfirmed:
+                    continue  # confirmed in the meantime
+                frame = self.node.mac.send(pending[offset])
                 frame.msg_tag = (handle.transfer_id, offset)
         finally:
             self.dma_channels.release()
@@ -507,17 +513,5 @@ class Messenger:
             handle.retransmits += len(pending)
             self.counters.incr("fragments_retransmitted", len(pending))
             self.sim.process(
-                self._restream(handle, pending), name=f"{self.name}.rtx"
+                self._stream(handle, pending), name=f"{self.name}.rtx"
             )
-
-    def _restream(self, handle: MessageHandle, pending: Dict[int, MicroPacket]):
-        grant = self.dma_channels.acquire()
-        yield grant
-        try:
-            for offset in sorted(pending):
-                if offset not in handle.unconfirmed:
-                    continue  # confirmed in the meantime
-                frame = self.node.mac.send(pending[offset])
-                frame.msg_tag = (handle.transfer_id, offset)
-        finally:
-            self.dma_channels.release()

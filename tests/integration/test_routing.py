@@ -17,6 +17,7 @@ from repro.routing import (
     RoutedClusterConfig,
     RouterConfig,
 )
+from repro.routing.election import MAX_ROOT_AGE_PERIODS
 from repro.scenarios import (
     RouterSpec,
     ScenarioSpec,
@@ -504,7 +505,7 @@ def test_dead_root_among_three_routers_ages_out():
     assert cluster.designated_router(0) == 0
     r1 = cluster.routers[1]
     period = r1.advertise_period_ns
-    max_age = r1.config.max_root_age_periods
+    max_age = MAX_ROOT_AGE_PERIODS
 
     t_crash = cluster.sim.now
     cluster.crash_router(0)

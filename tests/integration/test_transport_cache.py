@@ -183,6 +183,28 @@ def test_rejoining_node_refreshes_cache():
     assert ok and data[:18] == b"written while dead"
 
 
+def test_apply_in_flight_at_a_crash_finishes_on_the_dead_replica():
+    """The DMA engine is mid-way through a peer's update when the node
+    power-fails: the remaining bursts land in the replica that died,
+    never in the fresh one the node carries afterwards."""
+    cluster = make_cluster()
+    victim = cluster.nodes[3]
+    dead = victim.cache
+    cluster.nodes[0].cache.write("state", 5, b"x" * 64)
+    cluster.sim.run_until(
+        lambda: dead.version_of("state", 5)[0] == 1
+        and not dead.try_read("state", 5)[0],      # first counter set, not last
+        timeout_ns=50 * cluster.tour_estimate_ns, step_ns=20,
+        what="apply never began",
+    )
+    cluster.crash_node(3)
+    assert victim.cache is not dead
+    settle(cluster)
+    assert dead.counters["applied_updates"] == 1     # finished where it began
+    assert victim.cache.version_of("state", 5) == (0, 0)
+    assert not victim.cache.counters and not victim.replicator._busy
+
+
 # -------------------------------------------------------------- semaphores
 def test_semaphore_mutual_exclusion():
     cluster = make_cluster()

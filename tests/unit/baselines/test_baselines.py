@@ -6,13 +6,12 @@ import pytest
 from repro.baselines import (
     EthConfig,
     EthernetFabric,
-    FailoverConfig,
-    TcpConfig,
     TcpFailoverPair,
     TcpHost,
     TokenRing,
     TokenRingConfig,
 )
+from repro.baselines.tcp_failover import HEARTBEAT_INTERVAL_NS, MISSED_BEATS
 from repro.sim import Simulator
 
 
@@ -107,12 +106,11 @@ def test_tcp_failover_detection_latency_band():
     sim.call_in(500_000_000, pair.crash_primary)  # crash at 0.5 s
     sim.run(until=3_000_000_000)
     report = pair.report
-    cfg = pair.config
     assert report.detected_at is not None
     # Detection needs at least the missed-beat budget, at most budget +
     # one check interval (plus in-flight slack).
-    lo = cfg.heartbeat_interval_ns * cfg.missed_beats
-    hi = cfg.heartbeat_interval_ns * (cfg.missed_beats + 2)
+    lo = HEARTBEAT_INTERVAL_NS * MISSED_BEATS
+    hi = HEARTBEAT_INTERVAL_NS * (MISSED_BEATS + 2)
     assert lo <= report.detection_ns <= hi
 
 

@@ -7,6 +7,7 @@ from repro.node import AmpNode, NodeConfig
 from repro.phys import build_switched
 from repro.ring import FlowControlConfig
 from repro.rostering import AgentState, RosterConfig
+from repro.rostering.agent import COMMIT_TIMEOUT_FACTOR
 from repro.sim import Simulator
 from dataclasses import replace
 
@@ -93,7 +94,7 @@ def test_commit_timeout_escalates_round():
     assert agent.round_no == 5
     assert not agent.is_master  # node 0 outranks it
     sim.run(until=int(agent.config.report_window_ns
-                      * agent.config.commit_timeout_factor * 4))
+                      * COMMIT_TIMEOUT_FACTOR * 4))
     assert agent.counters["commit_timeouts"] >= 1
     assert agent.round_no != 5
 

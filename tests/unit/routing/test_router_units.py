@@ -21,7 +21,13 @@ from repro.routing import (
     SegmentRouter,
 )
 from repro.routing.ads import AGE_UNIT_NS, decode, encode
-from repro.routing.election import Election, PeerClaim, elect, silent_peers
+from repro.routing.election import (
+    MAX_ROOT_AGE_PERIODS,
+    Election,
+    PeerClaim,
+    elect,
+    silent_peers,
+)
 from repro.routing.port import Crossing
 from repro.routing.router import _Shadow
 from repro.routing.table import NOT_OURS, Route, RouteTable
@@ -97,6 +103,16 @@ def test_segment_member_ceiling_enforced():
         )
 
 
+def test_one_convergence_tracker_per_timeline():
+    """Segments share the cluster's tracer, so they take its tracker
+    too: sixteen listeners indexing the same records on ``mesh_1k`` was
+    fifteen too many."""
+    cluster = RoutedCluster(RoutedClusterConfig(
+        segments=_segs(3), routers=[RouterConfig(segments=(0, 1, 2))]))
+    assert len(cluster.tracer._listeners) == 1
+    assert all(s.convergence is cluster.convergence for s in cluster.segments)
+
+
 def test_gateway_ids_follow_user_nodes():
     cfg = RoutedClusterConfig(
         segments=_segs(3),
@@ -110,7 +126,7 @@ def test_gateway_ids_follow_user_nodes():
 
 # ------------------------------------------------- role election (pure)
 PERIOD = 200_000
-MAX_AGE = 8   # RouterConfig.max_root_age_periods default
+MAX_AGE = MAX_ROOT_AGE_PERIODS
 MISS = 3      # RouterConfig.miss_deadline_periods default
 
 
@@ -120,7 +136,7 @@ def claim(priority, root, cost=0, period_ns=PERIOD, root_age_ns=0,
 
 
 def run_election(bid, peers, now=0):
-    return elect(bid, peers, now, PERIOD, MAX_AGE)
+    return elect(bid, peers, now, PERIOD)
 
 
 def test_single_router_is_root_and_forwards_everywhere():

@@ -57,6 +57,13 @@ def test_scenario_enforces_cache_address_form():
     with pytest.raises(ValueError, match="names segment 5"):
         ScenarioSpec(name="t", topology=routed_topology(),
                      cache=CacheSpec(origin=(5, 1)))
+    # ... and a node id the ring does not have
+    with pytest.raises(ValueError, match="cache origin=8 names node 8"):
+        ScenarioSpec(name="t", topology=TopologySpec(n_nodes=6),
+                     cache=CacheSpec(origin=8))
+    with pytest.raises(ValueError, match="cache node=6 names node 6"):
+        ScenarioSpec(name="t", topology=TopologySpec(n_nodes=6),
+                     cache=CacheSpec(origin=0, caches=(1, 6)))
 
 
 def test_content_workloads_require_a_cache_spec():

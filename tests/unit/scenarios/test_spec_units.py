@@ -34,6 +34,12 @@ def test_zero_count_rejected():
 
 
 STREAM = {"count": 1, "src": 0, "dst": 1}
+RING_4 = TopologySpec(n_nodes=4)
+#: two 4-user-node rings; each ring's node 4 is the router's gateway
+PAIR_2X4 = TopologySpec(
+    segments=[{"n_nodes": 4}, {"n_nodes": 4}], routers=[{"segments": (0, 1)}]
+)
+CROSSING = {"count": 1, "src": (0, 0), "dst": (1, 1), "reliable": True}
 
 
 @pytest.mark.parametrize("kind, fields, offending", [
@@ -63,13 +69,38 @@ STREAM = {"count": 1, "src": 0, "dst": 1}
     ("cluster_broadcast",
      {"count": 1, "src": (0, 1), "params": {"pareto_sizes": {}}},
      "pareto_sizes"),
+    # an address outside the ring's (or the segment's) user nodes: used
+    # to die mid-run as a bare ``KeyError: 9``, or — naming a gateway —
+    # as ``message channel 0 already claimed``
+    ("message", {**STREAM, "dst": 9, "topology": RING_4}, "dst=9"),
+    ("poisson", {**STREAM, "src": 4, "topology": RING_4,
+                 "params": {"mean_interval_ns": 5}}, "src=4"),
+    ("message", {**STREAM, "dst": 0xFF, "reliable": True,
+                 "topology": RING_4}, "dst=255"),
+    ("message", {**CROSSING, "dst": (1, 4), "topology": PAIR_2X4},
+     r"dst=\(1, 4\)"),
+    ("file", {**CROSSING, "reliable": False, "src": (0, 7),
+              "topology": PAIR_2X4}, r"src=\(0, 7\)"),
+    ("message", {"count": 1, "src": (0, 0), "reliable": True, "name": "m",
+                 "params": {"dst_pool": [(1, 1), (1, 4)]},
+                 "topology": PAIR_2X4}, r"dst_pool entry=\(1, 4\)"),
 ])
 def test_workload_params_checked_against_kind(kind, fields, offending):
     """Specs that could not run used to be accepted and die inside the
     runner (``KeyError: 'mean_interval_ns'``, an unexpected-keyword
     ``TypeError``) after the ring had been brought up."""
+    fields = dict(fields)
+    topology = fields.pop("topology", None)
     with pytest.raises(ValueError, match=f"{kind}.*{offending}"):
-        WorkloadSpec(kind, **fields)
+        workload = WorkloadSpec(kind, **fields)
+        # address rows: the workload is sound, its topology lacks the node
+        assert topology is not None
+        ScenarioSpec(name="t", topology=topology, workloads=(workload,))
+
+
+def test_broadcast_address_stays_legal_for_raw_streams():
+    ScenarioSpec(name="t", topology=RING_4, workloads=(
+        WorkloadSpec("message", count=1, src=0, dst=0xFF),))
 
 
 def test_every_library_scenario_still_constructs():
@@ -134,6 +165,16 @@ def test_flap_fault_expands_to_crash_recover_train():
 def test_unknown_invariant_rejected():
     with pytest.raises(ValueError, match="unknown invariant"):
         ScenarioSpec(name="t", invariants=("always_sunny",))
+
+
+def test_every_invariant_name_has_a_judge():
+    """``INVARIANT_NAMES`` is the one spelling; the runner finds each
+    name's judge by it."""
+    from repro.scenarios import ScenarioRunner
+    from repro.scenarios.spec import INVARIANT_NAMES
+
+    for name in INVARIANT_NAMES:
+        assert callable(getattr(ScenarioRunner, f"_check_{name}"))
 
 
 def test_membership_invariant_requires_membership():

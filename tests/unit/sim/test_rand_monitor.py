@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Counter, LatencyStat, SeededStreams, TimeSeries, Tracer, derive_seed
+from repro.sim import Counter, LatencyStat, SeededStreams, Tracer, derive_seed
 
 
 # ------------------------------------------------------------- SeededStreams
@@ -92,23 +92,6 @@ def test_counter_incr_and_missing_default():
     assert c["drops"] == 5
     assert c["never"] == 0
     assert c.as_dict() == {"drops": 5}
-
-
-# ---------------------------------------------------------------- TimeSeries
-def test_timeseries_stats():
-    ts = TimeSeries()
-    for t, v in [(0, 1.0), (10, 3.0), (20, 2.0)]:
-        ts.add(t, v)
-    assert ts.mean() == pytest.approx(2.0)
-    assert ts.maximum() == 3.0
-    assert ts.last() == 2.0
-    assert ts.rate() == pytest.approx(6.0 / 20)
-
-
-def test_timeseries_empty_is_nan():
-    ts = TimeSeries()
-    assert math.isnan(ts.mean())
-    assert math.isnan(ts.rate())
 
 
 # --------------------------------------------------------------- LatencyStat

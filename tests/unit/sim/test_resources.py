@@ -1,8 +1,8 @@
-"""Unit tests for Store, Resource and Gate."""
+"""Unit tests for Store and Resource."""
 
 import pytest
 
-from repro.sim import Gate, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -147,68 +147,3 @@ def test_resource_available_accounting():
     assert res.available == 1
     res.release()
     assert res.available == 2
-
-
-# ------------------------------------------------------------------ Gate
-def test_gate_wait_open_immediate_when_open():
-    sim = Simulator()
-    gate = Gate(sim, open_=True)
-    done = {}
-
-    def proc():
-        yield gate.wait_open()
-        done["t"] = sim.now
-
-    sim.process(proc())
-    sim.run()
-    assert done["t"] == 0
-
-
-def test_gate_wait_blocks_until_opened():
-    sim = Simulator()
-    gate = Gate(sim)
-    done = {}
-
-    def waiter():
-        yield gate.wait_open()
-        done["t"] = sim.now
-
-    def opener():
-        yield sim.timeout(33)
-        gate.open()
-
-    sim.process(waiter())
-    sim.process(opener())
-    sim.run()
-    assert done["t"] == 33
-
-
-def test_gate_reusable_after_close():
-    sim = Simulator()
-    gate = Gate(sim, open_=True)
-    hits = []
-
-    def cycle():
-        yield gate.wait_open()
-        hits.append(sim.now)
-        gate.close()
-
-        def reopen():
-            yield sim.timeout(10)
-            gate.open()
-
-        sim.process(reopen())
-        yield gate.wait_open()
-        hits.append(sim.now)
-
-    sim.process(cycle())
-    sim.run()
-    assert hits == [0, 10]
-
-
-def test_gate_open_idempotent():
-    sim = Simulator()
-    gate = Gate(sim)
-    gate.open()
-    gate.open()  # no error
-    assert gate.is_open
