@@ -13,6 +13,7 @@ import struct
 
 from repro import AmpNetCluster
 from repro.analysis import fmt_ns
+from repro.services import AmpSubscribe
 
 
 def main() -> None:
@@ -21,9 +22,10 @@ def main() -> None:
     cluster.run_until_ring_up()
     sim = cluster.sim
 
-    # Every node runs a little dashboard.
+    # Every node runs a little dashboard on its own pub/sub endpoint.
+    pubsub = {i: AmpSubscribe(node) for i, node in cluster.nodes.items()}
     dashboards = {i: {} for i in cluster.nodes}
-    for node_id, node in cluster.nodes.items():
+    for node_id, endpoint in pubsub.items():
         def on_reading(topic, payload, publisher, node_id=node_id):
             (value,) = struct.unpack("<d", payload)
             dashboards[node_id][topic] = (value, publisher)
@@ -31,17 +33,16 @@ def main() -> None:
         # One topic per sensor: pub/sub imposes no global order between
         # different publishers on one topic, so shared topics would give
         # last-writer-races across dashboards.
-        node.subscribe.subscribe("sensors/temp/0", on_reading)
-        node.subscribe.subscribe("sensors/temp/2", on_reading)
-        node.subscribe.subscribe("sensors/pressure/1", on_reading)
+        endpoint.subscribe("sensors/temp/0", on_reading)
+        endpoint.subscribe("sensors/temp/2", on_reading)
+        endpoint.subscribe("sensors/pressure/1", on_reading)
 
     published = {"count": 0}
 
     def sensor(node_id: int, topic: str, base: float):
-        node = cluster.nodes[node_id]
         for k in range(40):
             value = base + 0.1 * k
-            node.subscribe.publish(topic, struct.pack("<d", value))
+            pubsub[node_id].publish(topic, struct.pack("<d", value))
             published["count"] += 1
             yield sim.timeout(100_000)  # 10 kHz sensors
 

@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import AmpNetCluster
 from repro.analysis import availability_timeline, fmt_ns, render_timeline
+from repro.services import AmpFiles
 from repro.transport import Channel
 
 
@@ -36,11 +37,12 @@ def main() -> None:
     print(f"message confirmed after {fmt_ns(cluster.sim.now - t_up)}; "
           f"node 5 got {received[0][1]!r}")
 
-    # 3. The network cache: write once, read anywhere.
-    cluster.nodes[2].files.write_file("motd", b"AmpNet never loses your data")
+    # 3. The network cache: write once, read anywhere.  Host software
+    #    attaches itself to a node; the cluster builds only the network.
+    AmpFiles(cluster.nodes[2]).write_file("motd", b"AmpNet never loses your data")
     cluster.run(until=cluster.sim.now + 50 * cluster.tour_estimate_ns)
     print(f"node 4 reads the replicated file: "
-          f"{cluster.nodes[4].files.read_file_now('motd')!r}")
+          f"{AmpFiles(cluster.nodes[4]).read_file_now('motd')!r}")
 
     # 4. Cut the fibre carrying node 0's active hop.  Hardware detects
     #    the carrier loss, rostering floods, the largest possible ring

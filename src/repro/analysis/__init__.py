@@ -2,12 +2,10 @@
 
 from .metrics import (
     aggregate_latency,
-    heartbeat_detection_times,
     ring_drop_count,
-    rostering_times,
     total_mac_counter,
 )
-from .report import fmt_ns, fmt_rate, render_series, render_table
+from .report import fmt_ns, render_table
 from .timeline import TimelineEvent, availability_timeline, render_timeline
 
 __all__ = [
@@ -15,12 +13,8 @@ __all__ = [
     "aggregate_latency",
     "availability_timeline",
     "fmt_ns",
-    "fmt_rate",
-    "heartbeat_detection_times",
-    "render_series",
     "render_table",
     "render_timeline",
     "ring_drop_count",
-    "rostering_times",
     "total_mac_counter",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..sim import LatencyStat
 
@@ -12,9 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "total_mac_counter",
     "ring_drop_count",
-    "rostering_times",
     "aggregate_latency",
-    "heartbeat_detection_times",
 ]
 
 
@@ -44,27 +42,9 @@ def ring_drop_count(cluster: "AmpNetCluster") -> int:
     return drops
 
 
-def rostering_times(cluster: "AmpNetCluster", round_no: Optional[int] = None
-                    ) -> List[int]:
-    """elapsed_ns of roster_installed trace records (per node)."""
-    records = cluster.tracer.select(category="roster_installed")
-    if round_no is not None:
-        records = [r for r in records if r.data["round"] == round_no]
-    return [r.data["elapsed_ns"] for r in records]
-
-
 def aggregate_latency(cluster: "AmpNetCluster") -> LatencyStat:
     """Pool every node's MAC delivery-latency samples."""
     stat = LatencyStat()
     for node in cluster.nodes.values():
         stat.extend(node.mac.delivery_latency.samples)
     return stat
-
-
-def heartbeat_detection_times(cluster: "AmpNetCluster") -> List[int]:
-    """Times of heartbeat-timeout triggers (roster_trigger records)."""
-    return [
-        r.time
-        for r in cluster.tracer.select(category="roster_trigger")
-        if "heartbeat" in r.data.get("reason", "")
-    ]

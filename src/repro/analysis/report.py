@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["render_table", "render_series", "fmt_ns", "fmt_rate"]
+__all__ = ["render_table", "fmt_ns"]
 
 
 def render_table(
@@ -30,12 +30,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(title: str, x_label: str, y_label: str,
-                  points: Iterable[Sequence[object]]) -> str:
-    """A two-column series (the text form of a figure)."""
-    return render_table(title, [x_label, y_label], points)
-
-
 def fmt_ns(ns: float) -> str:
     """Human-friendly time: ns / us / ms / s."""
     if ns != ns:  # NaN
@@ -47,8 +41,3 @@ def fmt_ns(ns: float) -> str:
     if ns < 1_000_000_000:
         return f"{ns / 1_000_000:.2f} ms"
     return f"{ns / 1_000_000_000:.2f} s"
-
-
-def fmt_rate(bits_per_ns: float) -> str:
-    """bits/ns == Gbit/s."""
-    return f"{bits_per_ns:.3f} Gbit/s"

@@ -1,8 +1,7 @@
-"""Baseline comparators: conventional switched LAN, TCP-style transport,
-timeout-based failover, and a token-ring MAC ablation."""
+"""Baseline comparators: conventional switched LAN, timeout-based
+failover, and a token-ring MAC ablation."""
 
 from .ethernet import EthConfig, EthFrame, EthNode, EthernetFabric
-from .tcp import TcpConnection, TcpHost
 from .tcp_failover import FailoverReport, TcpFailoverPair
 from .token_ring import TokenRing, TokenRingConfig
 
@@ -12,9 +11,7 @@ __all__ = [
     "EthNode",
     "EthernetFabric",
     "FailoverReport",
-    "TcpConnection",
     "TcpFailoverPair",
-    "TcpHost",
     "TokenRing",
     "TokenRingConfig",
 ]

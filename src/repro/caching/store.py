@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .config import EVICTION_POLICIES
 
@@ -40,9 +40,6 @@ class CacheStore:
 
     def __contains__(self, content_id: int) -> bool:
         return content_id in self._data
-
-    def keys(self) -> List[int]:
-        return list(self._data)
 
     def get(self, content_id: int) -> Optional[bytes]:
         body = self._data.get(content_id)

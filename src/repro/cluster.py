@@ -1,14 +1,19 @@
 """AmpNetCluster: the high-level facade assembling the whole system.
 
 A cluster owns the simulator, the redundant physical topology, every
-:class:`~repro.node.AmpNode` with its full software stack, and the fault
-injection handles.  Most examples and every benchmark start here::
+:class:`~repro.node.AmpNode` with its network-resident stack, and the
+fault injection handles.  Most examples and every benchmark start here::
 
     from repro import AmpNetCluster
 
     cluster = AmpNetCluster(n_nodes=6, n_switches=4, fiber_m=50.0)
     cluster.start()
     cluster.run_until_ring_up()
+
+Host software (slides 11-12: AmpDC, AmpFiles, AmpIP, AmpSubscribe,
+AmpThreads, MPI endpoints, control groups, workload generators) sits
+above the network and attaches itself to a built node —
+``AmpFiles(cluster.nodes[2])`` — so the cluster builds none of it.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from .membership import GossipProtocol, gossip_timing
 from .node import AmpNode, NodeConfig
 from .phys import PhysicalTopology, build_switched, ring_tour_estimate_ns
 from .ring import FlowControlConfig
-from .hostapi import AmpDC
-from .services import AmpFiles, AmpIP, AmpSubscribe, AmpThreads
 from .rostering import Roster, RosterConfig
 from .sim import ConvergenceTracker, SimulationError, Simulator, Tracer
 from .transport import Messenger
@@ -130,7 +133,9 @@ class AmpNetCluster:
             self._build_stack(node)
 
     def _build_stack(self, node: AmpNode) -> None:
-        """Attach messenger, cache replica and services to a node.
+        """Attach the network-resident stack to a node: messenger, cache
+        replica with its replicator/refresh/semaphores, assimilation
+        tracker and (when configured) gossip.
 
         Each member registers its own power-failure wipe with the node
         (``crash_listeners``), in this construction order — the fresh
@@ -142,11 +147,6 @@ class AmpNetCluster:
         node.replicator = CacheReplicator(node)
         node.refresh = RefreshService(node)
         node.sems = SemaphoreService(node)
-        node.amp_dc = AmpDC(node, node.messenger)
-        node.subscribe = AmpSubscribe(node)
-        node.files = AmpFiles(node)
-        node.threads = AmpThreads(node)
-        node.ip = AmpIP(node)
         node.assimilation = AssimilationTracker(node)
         if self.config.membership:
             node.membership = GossipProtocol(node, self._membership_cfg)

@@ -20,7 +20,7 @@ from ..transport import Channel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
-    from ..transport import MessageHandle, Messenger
+    from ..transport import MessageHandle
 
 __all__ = ["AmpDC", "HostRegion", "RegionError"]
 
@@ -64,12 +64,11 @@ class HostRegion:
 class AmpDC:
     """Per-node registered-region service."""
 
-    def __init__(self, node: "AmpNode", messenger: "Messenger"):
+    def __init__(self, node: "AmpNode"):
         self.node = node
-        self.messenger = messenger
         self.counters = Counter()
         self._regions: Dict[str, HostRegion] = {}
-        messenger.on_message(Channel.RDMA, self._on_rdma)
+        node.messenger.on_message(Channel.RDMA, self._on_rdma)
 
     # -------------------------------------------------------------- regions
     def register_region(self, name: str, size: int) -> HostRegion:
@@ -102,7 +101,7 @@ class AmpDC:
         name_b = region_name.encode("utf-8")
         header = bytes([len(name_b)]) + name_b + offset.to_bytes(4, "little")
         self.counters.incr("rdma_writes")
-        return self.messenger.send(dst, header + payload, Channel.RDMA)
+        return self.node.messenger.send(dst, header + payload, Channel.RDMA)
 
     def _on_rdma(self, src: int, payload: bytes, channel: int) -> None:
         name_len = payload[0]

@@ -2,12 +2,11 @@
 control groups) — slides 17-19."""
 
 from .ampdk import AmpDK, CERTIFY_CHANNEL, HEARTBEAT_CHANNEL, heartbeat_schedule
-from .assimilation import AssimilationPolicy, AssimilationTracker
+from .assimilation import AssimilationTracker
 from .control_group import ControlGroup, ControlGroupConfig, GroupApp
 
 __all__ = [
     "AmpDK",
-    "AssimilationPolicy",
     "AssimilationTracker",
     "CERTIFY_CHANNEL",
     "ControlGroup",

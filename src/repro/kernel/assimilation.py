@@ -6,35 +6,22 @@
 
 The enforcement point is the rostering master: REPORT cells carry each
 candidate's protocol version (see :mod:`repro.rostering.wire`), and the
-master excludes incompatible reporters from the roster it commits.  This
-module centralizes the policy plus the bookkeeping a node performs when
-it is assimilated (cache refresh hand-off is in
+master excludes reporters below ``rostering.agent.MIN_VERSION`` from the
+roster it commits.  This module keeps the bookkeeping a node performs
+when it is assimilated (cache refresh hand-off is in
 :mod:`repro.netcache.refresh`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..sim import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
 
-__all__ = ["AssimilationPolicy", "AssimilationTracker"]
-
-
-@dataclass(frozen=True)
-class AssimilationPolicy:
-    """Version-compatibility rule applied identically by every master."""
-
-    version: Tuple[int, int] = (1, 0)
-    min_version: Tuple[int, int] = (1, 0)
-
-    def admissible(self, candidate: Tuple[int, int]) -> bool:
-        """A candidate joins iff its version meets the network minimum."""
-        return tuple(candidate) >= tuple(self.min_version)
+__all__ = ["AssimilationTracker"]
 
 
 class AssimilationTracker:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "PeerStatus",
@@ -100,10 +100,6 @@ class PeerView:
     def get(self, node_id: int) -> Optional[PeerState]:
         return self.states.get(node_id)
 
-    def status_of(self, node_id: int) -> Optional[PeerStatus]:
-        state = self.states.get(node_id)
-        return state.status if state is not None else None
-
     def ids(self) -> List[int]:
         return sorted(self.states)
 
@@ -148,17 +144,6 @@ class PeerView:
             self.status_since[incoming.node_id] = now
         return (current, merged)
 
-    def merge_digest(
-        self, digest: Iterable[PeerState], now: int
-    ) -> List[Tuple[Optional[PeerState], PeerState]]:
-        """Merge a whole digest; returns the list of entry transitions."""
-        changes = []
-        for state in digest:
-            change = self.apply(state, now)
-            if change is not None:
-                changes.append(change)
-        return changes
-
     def override(self, state: PeerState, now: int) -> None:
         """Install a claim unconditionally (own-entry bumps, local verdicts).
 
@@ -169,11 +154,6 @@ class PeerView:
         self.states[state.node_id] = state
         self.heartbeat_seen_at.setdefault(state.node_id, now)
         self.status_since[state.node_id] = now
-
-    def drop(self, node_id: int) -> None:
-        self.states.pop(node_id, None)
-        self.heartbeat_seen_at.pop(node_id, None)
-        self.status_since.pop(node_id, None)
 
     def suspect(self, node_id: int, now: int) -> Optional[PeerState]:
         """Locally raise ALIVE -> SUSPECT; returns the new state if raised."""

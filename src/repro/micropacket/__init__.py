@@ -42,7 +42,6 @@ from .packet import (
     MicroPacket,
     MicroPacketType,
     TypeInfo,
-    type_table_rows,
 )
 from .serialize import PacketFormatError, layout_rows, pack, unpack
 
@@ -83,6 +82,5 @@ __all__ = [
     "max_run_length",
     "pack",
     "symbol_bits",
-    "type_table_rows",
     "unpack",
 ]

@@ -149,7 +149,3 @@ class Framer:
                 break
         content = decode_frame(core, self.decoder)
         return unpack(content, payload_len=payload_len)
-
-    def packet_wire_bits(self, pkt: MicroPacket) -> int:
-        """Total line bits for the packet including idle gap."""
-        return frame_wire_bits(pkt.wire_bytes) + 10 * self.idle_gap

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 __all__ = [
     "MicroPacketType",
@@ -340,11 +340,3 @@ class MicroPacket:
             f"{kind}[{self.src}->{target} ch{self.channel} "
             f"seq{self.seq} {len(self.payload)}B]"
         )
-
-
-def type_table_rows() -> List[Tuple[str, str, str]]:
-    """Rows of the slide-4 table: (name, length, mandatory)."""
-    return [
-        (info.name, info.length, "Yes" if info.mandatory else "No")
-        for info in TYPE_REGISTRY.values()
-    ]

@@ -113,10 +113,6 @@ class _Record:
         self.data = bytearray(size)
         self.writer = 0
 
-    @property
-    def stable(self) -> bool:
-        return self.c1 == self.c2
-
 
 class NetworkCache:
     """One node's replica of the network cache."""
@@ -246,12 +242,6 @@ class NetworkCache:
                 return data
             self.counters.incr("read_retries")
             yield self.sim.timeout(self.RETRY_NS)
-
-    def version_of(self, region_name: str, index: int) -> Tuple[int, int]:
-        """(version, writer) of a record — stable reads only in tests."""
-        spec = self.region(region_name)
-        rec = self._record(spec.region_id, index)
-        return max(rec.c1, rec.c2), rec.writer
 
     # ---------------------------------------------------------------- apply
     def should_apply(self, update: RecordUpdate) -> bool:

@@ -65,14 +65,14 @@ class AmpNode:
         self.agent.on_installed = self._roster_installed
         self.agent.on_ring_down = self._ring_down
 
-        #: the software stack :class:`~repro.cluster.AmpNetCluster`
+        #: the network-resident stack :class:`~repro.cluster.AmpNetCluster`
         #: attaches (None on a bare node; ``membership`` stays None
-        #: unless the cluster runs gossip, see :mod:`repro.membership`)
+        #: unless the cluster runs gossip, see :mod:`repro.membership`).
+        #: Applications hold their own reference to the node instead.
         self.messenger = self.cache = self.replicator = self.refresh = None
-        self.sems = self.amp_dc = self.subscribe = self.files = None
-        self.threads = self.ip = self.assimilation = self.membership = None
+        self.sems = self.assimilation = self.membership = None
 
-        #: subscribers notified on ring up/down (AmpDK, services)
+        #: subscribers notified on ring up/down (AmpDK, stack members)
         self.ring_up_listeners: List[Callable[[Roster], None]] = []
         self.ring_down_listeners: List[Callable[[str], None]] = []
         #: power events: first boot, power failure (each stack member

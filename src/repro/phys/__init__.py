@@ -15,8 +15,6 @@ from .port import Port
 from .switch import Switch
 from .topology import (
     PhysicalTopology,
-    build_dual_redundant,
-    build_quad_redundant,
     build_switched,
     ring_tour_estimate_ns,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "SWITCH_LATENCY_NS",
     "SerialLink",
     "Switch",
-    "build_dual_redundant",
-    "build_quad_redundant",
     "build_switched",
     "frame_for",
     "propagation_ns",

@@ -56,10 +56,6 @@ class Port:
         self._on_frame = on_frame
         self._on_carrier = on_carrier
 
-    @property
-    def connected(self) -> bool:
-        return self.tx_link is not None
-
     # ---------------------------------------------------------------- data
     def send(self, frame: Frame) -> bool:
         """Queue a frame for transmission.

@@ -86,9 +86,6 @@ class Switch:
     def attach_fiber(self, fiber: Fiber) -> None:
         self.attached_fibers.append(fiber)
 
-    def port_index(self, port: Port) -> int:
-        return self._port_index[port]
-
     # ------------------------------------------------------ configuration
     def configure_ring(self, mapping: Dict[int, int]) -> None:
         """Install the ring crossconnect (ingress -> egress port index)."""
@@ -96,9 +93,6 @@ class Switch:
             if not (0 <= src < len(self.ports) and 0 <= dst < len(self.ports)):
                 raise ValueError(f"ring map entry {src}->{dst} out of range")
         self.ring_map = dict(mapping)
-
-    def clear_ring(self) -> None:
-        self.ring_map = {}
 
     # ------------------------------------------------------------- faults
     def fail(self) -> None:

@@ -33,8 +33,6 @@ from .switch import Switch
 __all__ = [
     "PhysicalTopology",
     "build_switched",
-    "build_dual_redundant",
-    "build_quad_redundant",
     "ring_tour_estimate_ns",
 ]
 
@@ -65,9 +63,6 @@ class PhysicalTopology:
 
     def ports_of(self, node_id: int) -> List[Port]:
         return self.node_ports[node_id]
-
-    def fiber(self, node_id: int, switch_id: int) -> Fiber:
-        return self.fibers[(node_id, switch_id)]
 
     def live_attachment(self) -> Dict[int, Set[int]]:
         """Ground truth: switch id -> set of node ids with a live fibre.
@@ -147,23 +142,6 @@ def build_switched(
             topo.fibers[(i, k)] = fiber
             sw.attach_fiber(fiber)
     return topo
-
-
-def build_dual_redundant(
-    sim: Simulator, n_nodes: int, fiber_m: float = 50.0,
-    tracer: Optional[Tracer] = None,
-) -> PhysicalTopology:
-    """The dual-redundant segment of slide 15 (two switches)."""
-    return build_switched(sim, n_nodes, 2, fiber_m, tracer)
-
-
-def build_quad_redundant(
-    sim: Simulator, n_nodes: int = 6, fiber_m: float = 50.0,
-    tracer: Optional[Tracer] = None,
-) -> PhysicalTopology:
-    """The quad-redundant switched network of slide 14 (four switches,
-    six nodes by default, exactly as drawn)."""
-    return build_switched(sim, n_nodes, 4, fiber_m, tracer)
 
 
 def ring_tour_estimate_ns(

@@ -122,22 +122,12 @@ class CircuitBreaker:
         st = self._dsts.get(dst)
         return st.state if st is not None else BreakerState.CLOSED
 
-    def is_open(self, dst: Any) -> bool:
-        return self.state_of(dst) is BreakerState.OPEN
-
     def probes_due(self, now: int) -> List[Any]:
         """OPEN destinations whose probe window has arrived, in a
         deterministic (sorted) order."""
         return sorted(
             dst for dst, st in self._dsts.items()
             if st.state is BreakerState.OPEN and now >= st.probe_at
-        )
-
-    @property
-    def open_count(self) -> int:
-        return sum(
-            1 for st in self._dsts.values()
-            if st.state is not BreakerState.CLOSED
         )
 
     def reset(self) -> None:

@@ -19,7 +19,7 @@ involved.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List
+from typing import Any, Deque, Dict, Iterable
 
 __all__ = ["CompartmentedQueue"]
 
@@ -86,10 +86,3 @@ class CompartmentedQueue:
 
     def __bool__(self) -> bool:
         return self._len > 0
-
-    def depth_of(self, ingress: int) -> int:
-        return len(self._compartments.get(ingress, ()))
-
-    def compartments(self) -> List[int]:
-        """Known compartment keys in drain order (observability)."""
-        return list(self._order)

@@ -47,11 +47,6 @@ class TokenBucket:
         self._refill(now)
         return max(0, self.token_ns - self.level_ns)
 
-    @property
-    def tokens(self) -> int:
-        """Whole tokens currently available (observability)."""
-        return self.level_ns // self.token_ns
-
     def reset(self, now: int) -> None:
         """Cold restart: full bucket, clock re-anchored."""
         self.level_ns = self.cap_ns

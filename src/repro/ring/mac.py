@@ -222,14 +222,6 @@ class RingMAC:
         self._kick()
         return frame
 
-    @property
-    def insertion_backlog(self) -> int:
-        return len(self._insertion) + len(self._priority_insertion)
-
-    @property
-    def transit_depth(self) -> int:
-        return len(self._transit) + len(self._transit_priority)
-
     # The transmit engine is an event-driven state machine rather than a
     # resumed generator: a frame hop costs exactly two slim schedule
     # entries (insertion-register latency, then the serialization hold) —

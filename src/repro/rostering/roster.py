@@ -69,14 +69,6 @@ class Roster:
         except ValueError as exc:
             raise RosterError(f"node {node_id} not in roster") from exc
 
-    def successor(self, node_id: int) -> int:
-        idx = self.index_of(node_id)
-        return self.members[(idx + 1) % self.size]
-
-    def predecessor(self, node_id: int) -> int:
-        idx = self.index_of(node_id)
-        return self.members[(idx - 1) % self.size]
-
     def hop_switch_from(self, node_id: int) -> int:
         """The switch carrying this node's outgoing hop (= its tx port)."""
         if self.size < 2:

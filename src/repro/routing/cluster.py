@@ -387,23 +387,11 @@ class RoutedCluster:
                     return False
         return True
 
-    def port_roles(self) -> Dict[Tuple[int, int], str]:
-        """``(router_id, segment_id) -> role`` for every live port."""
-        return {
-            (r.router_id, seg): role
-            for r in self.live_routers()
-            for seg, role in r.port_roles().items()
-        }
-
     # ------------------------------------------------------------- queries
     @property
     def tour_estimate_ns(self) -> int:
         """Largest per-segment tour estimate (scenario time base)."""
         return max(sub.tour_estimate_ns for sub in self.segments)
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
 
     def segment(self, segment_id: int) -> AmpNetCluster:
         return self.segments[segment_id]
@@ -429,9 +417,11 @@ class RoutedCluster:
         return "; ".join(problems)
 
     def router_drop_count(self) -> int:
-        """Messages lost inside the routing layer (overflow/unroutable)."""
+        """Messages lost inside the routing layer (overflow, unroutable,
+        addressed to a gateway)."""
         return sum(
             r.counters["egress_overflow_drop"] + r.counters["unroutable_drop"]
+            + r.counters["gateway_addressed_drop"]
             for r in self.routers
         )
 

@@ -156,8 +156,16 @@ class RouterPort:
         res = self.resilience
         queue = self.queue
         messenger = self.gateway.messenger
+        own = (self.segment_id, self.gateway.node_id)
         while queue and controller.may_insert(now):
             crossing = queue.popleft()
+            if crossing.dst == own:
+                # The gateway is this port, not a host: a frame to its
+                # own MAC id is source-stripped, never delivered.
+                counters.incr("gateway_addressed_drop")
+                router.trace("gateway_addressed", dst=crossing.dst,
+                             ingress=crossing.ingress)
+                continue
             deliverable = self._deliverable(crossing)
             if res is not None and res.intercepts(crossing, deliverable, now):
                 continue  # failed fast into the dead-letter channel

@@ -69,13 +69,10 @@ class RouterConfig:
     egress_capacity: int = 64
     #: max unconfirmed re-originations in flight per port
     egress_window: int = 4
-    #: route/liveness advertisement period; None = derived from the
-    #: largest attached segment's tour estimate
-    advertise_period_ns: Optional[int] = None
-    #: advertisement period in *tours* of the largest attached segment —
-    #: scale-free alternative to ``advertise_period_ns`` (which wins if
-    #: both are set).  Large meshes set a small value here so DV/summary
-    #: convergence does not dominate the simulated span.
+    #: route/liveness advertisement period in *tours* of the largest
+    #: attached segment; None = 50 tours, at least 200 us.  Large meshes
+    #: set a small value here so DV/summary convergence does not
+    #: dominate the simulated span.
     advertise_period_tours: Optional[float] = None
     #: spanning-tree election priority (lower wins; ties broken by
     #: router id).  The default leaves room on both sides.
@@ -265,8 +262,6 @@ class SegmentRouter:
 
     @property
     def advertise_period_ns(self) -> int:
-        if self.config.advertise_period_ns is not None:
-            return self.config.advertise_period_ns
         tour = max(p.cluster.tour_estimate_ns for p in self.ports.values())
         if self.config.advertise_period_tours is not None:
             return max(int(self.config.advertise_period_tours * tour), 1)
@@ -733,11 +728,6 @@ class SegmentRouter:
             # Newly reachable segments may free shadowed traffic; drain
             # once, after the roles reflect this advertisement.
             self._drain_shadow()
-
-    # ------------------------------------------------------------ queries
-    def port_roles(self) -> Dict[int, str]:
-        """Segment id -> spanning-tree role (observability)."""
-        return {seg: port.role.value for seg, port in self.ports.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         roles = {seg: p.role.value[0] for seg, p in self.ports.items()}

@@ -81,11 +81,6 @@ class RouteTable:
         #: area -> summary; empty in single-area mode
         self.summaries: Dict[int, Summary] = {}
 
-    @property
-    def remote_live(self) -> Dict[int, Optional[AbstractSet[int]]]:
-        """Advertised liveness per remote segment (observability)."""
-        return {seg: route.live for seg, route in self.routes.items()}
-
     def clear(self) -> None:
         self.routes.clear()
         self.summaries.clear()

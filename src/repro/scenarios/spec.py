@@ -34,7 +34,13 @@ from ..faults import FaultKind, FaultSchedule
 from ..micropacket import BROADCAST
 from ..resilience import ResilienceConfig
 from ..routing import RoutedCluster, RoutedClusterConfig, RouterConfig, mesh_layout
-from ..workloads import WORKLOAD_KINDS, ContentStream
+from ..transport import Channel
+from ..workloads import (
+    WORKLOAD_KINDS,
+    ClusterBroadcastStream,
+    ContentStream,
+    FileStream,
+)
 
 __all__ = [
     "SegmentSpec",
@@ -228,13 +234,6 @@ class TopologySpec:
     @property
     def multi_segment(self) -> bool:
         return bool(self.segments)
-
-    @property
-    def addressable_nodes(self) -> int:
-        """User-addressable nodes across every segment."""
-        if self.multi_segment:
-            return sum(s.n_nodes for s in self.segments)
-        return self.n_nodes
 
     def check_address(
         self, what: str, addr: "Address", broadcast_ok: bool = False
@@ -520,8 +519,36 @@ class ScenarioSpec:
                 ring = topology.segments[fault.segment] if multi else topology
                 if ring.n_switches < 2:
                     raise ValueError("partition scenarios need >= 2 switches")
+        # Message channels the node stack listens on wherever a
+        # workload could: a second claimant used to die mid-run as a
+        # bare ``message channel N already claimed``.
+        reserved = {
+            Channel.CACHE: "cache replication",
+            Channel.REFRESH: "cache refresh",
+        }
+        if self.membership:
+            reserved[Channel.MEMBERSHIP] = "gossip membership"
+        if multi:
+            reserved[Channel.ROUTING] = "router advertisements"
+        if self.cache is not None and self.cache.channel in reserved:
+            raise ValueError(
+                f"cache channel {self.cache.channel} belongs to the node "
+                f"stack's {reserved[self.cache.channel]}"
+            )
         for workload in self.workloads:
             row = WORKLOAD_KINDS[workload.kind]
+            # Raw MAC streams sink DATA cells and claim nothing; every
+            # other stream listens on its channel of the messenger.
+            if workload.channel in reserved and (
+                workload.reliable
+                or issubclass(row.cls, (FileStream, ClusterBroadcastStream))
+            ):
+                label = f" {workload.name!r}" if workload.name else ""
+                raise ValueError(
+                    f"{workload.kind} workload{label} rides the messenger "
+                    f"on channel {workload.channel}, which belongs to the "
+                    f"node stack's {reserved[workload.channel]}"
+                )
             if issubclass(row.cls, ContentStream) and self.cache is None:
                 raise ValueError(
                     f"{workload.kind} workloads need the scenario to "

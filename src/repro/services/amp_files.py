@@ -140,13 +140,6 @@ class AmpFiles:
         self.counters.incr("reads")
         return bytes(out[:length])
 
-    def file_size(self, name: str) -> int:
-        spec = self._region_for(name)
-        ok, header, _v = self.node.cache.try_read(spec.name, 0)
-        if not ok:
-            raise FileError(f"file {name!r} is mid-update")
-        return struct.unpack_from(_HEADER_FMT, header)[0]
-
     def list_files(self) -> List[str]:
         return sorted(
             spec.name[len("file:") :]
@@ -154,5 +147,3 @@ class AmpFiles:
             if spec.name.startswith("file:")
         )
 
-    def exists(self, name: str) -> bool:
-        return self.node.cache.has_region(self._region_name(name))

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
-from ..micropacket import BROADCAST
 from ..sim import Counter, Event
 from ..transport import Channel
 
@@ -85,9 +84,6 @@ class DatagramSocket:
         if self.closed:
             raise ValueError("socket closed")
         return self.ip.send_datagram(dst, dst_port, payload, src_port=self.port)
-
-    def broadcast(self, dst_port: int, payload: bytes) -> bool:
-        return self.sendto(BROADCAST, dst_port, payload)
 
     def recvfrom(self):
         """Process: returns ((src_node, src_port), payload)."""

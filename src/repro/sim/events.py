@@ -61,8 +61,8 @@ class Callback:
     Compared to a :class:`Timeout` plus an appended closure it skips the
     callback list, the wrapper lambda and the ``succeed`` bookkeeping
     entirely.  Instances cannot be waited on — processes must keep
-    yielding real events — so they carry no trigger state at all.  The
-    class attributes below satisfy the kernel's ``step()`` contract
+    yielding real events — so they carry no trigger state at all, and
+    the kernel's ``run()`` loop fires them on a branch of their own
     (nothing ever observes a failure on a Callback: an exception in
     ``fn`` propagates out of the event loop exactly as an unhandled
     callback error always did).
@@ -75,10 +75,6 @@ class Callback:
     """
 
     __slots__ = ("fn", "args")
-
-    callbacks: tuple = ()  # step() sees "no waiters"
-    _ok = True             # never enters the strict failure path
-    processed = False      # inspectable, never flipped (one-shot fire)
 
     def __init__(self, fn: Optional[Callable[..., Any]], args: tuple):
         self.fn = fn
@@ -96,14 +92,6 @@ class Callback:
         """
         self.fn = None
         self.args = ()
-
-    @property
-    def cancelled(self) -> bool:
-        return self.fn is None
-
-    def _process(self) -> None:
-        if self.fn is not None:
-            self.fn(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Callback {getattr(self.fn, '__qualname__', self.fn)!r}>"

@@ -321,56 +321,6 @@ class Simulator:
         if not occ[g]:
             self._occ_top &= ~(1 << g)
 
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next scheduled event, or None if queue empty.
-
-        A cancelled entry still counts until its instant passes (it just
-        never fires) — the same answer the old heap gave.
-        """
-        t = self._wheel_next()
-        if t is not None:
-            return t  # wheel entries always precede overflow entries
-        return self._overflow[0][0] if self._overflow else None
-
-    def step(self) -> None:
-        """Process exactly one (live) event."""
-        while True:
-            t = self._wheel_next()
-            if t is None:
-                if not self._overflow:
-                    raise SimulationError("step() on empty schedule")
-                self._advance_lap()
-                continue
-            idx = t & _WHEEL_MASK
-            slot = self._wheel[idx]
-            entry = slot.pop(0)
-            self._wheel_count -= 1
-            if not slot:
-                self._clear_slot_bit(idx)
-            self._cursor = t
-            if type(entry) is Callback:
-                fn = entry.fn
-                if fn is None:  # cancelled: consume silently, keep looking
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                self._now = t
-                self.events_processed += 1
-                if self.on_event is not None:
-                    self.on_event(entry)
-                fn(*entry.args)
-                return
-            self._now = t
-            self.events_processed += 1
-            if self.on_event is not None:
-                self.on_event(entry)
-            had_waiters = bool(entry.callbacks)
-            entry._process()
-            if self.strict and not entry._ok and not had_waiters:
-                # A failure nobody observed: surface it instead of losing it.
-                raise entry._value
-            return
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 

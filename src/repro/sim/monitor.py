@@ -32,25 +32,18 @@ class TraceRecord:
 
 
 class Tracer:
-    """Append-only event trace with category filtering.
+    """Append-only event trace, filtered by category on read
+    (:meth:`select`).
 
     A single Tracer is shared by a whole cluster model; components call
-    :meth:`record` with their own ``source`` tag.  Categories can be
-    disabled wholesale to keep hot paths cheap.
+    :meth:`record` with their own ``source`` tag.  A disabled tracer
+    records nothing, which keeps hot paths cheap.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.records: List[TraceRecord] = []
-        self._muted: set = set()
         self._listeners: List[Callable[[TraceRecord], None]] = []
-
-    def mute(self, category: str) -> None:
-        """Stop recording a category (existing records are kept)."""
-        self._muted.add(category)
-
-    def unmute(self, category: str) -> None:
-        self._muted.discard(category)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a live listener (used by tests asserting on traces)."""
@@ -66,7 +59,7 @@ class Tracer:
         return self.enabled
 
     def record(self, time: int, category: str, source: str, **data: Any) -> None:
-        if not self.enabled or category in self._muted:
+        if not self.enabled:
             return
         rec = TraceRecord(time, category, source, data)
         self.records.append(rec)

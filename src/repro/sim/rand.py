@@ -47,10 +47,6 @@ class SeededStreams:
             self._streams[name] = rng
         return rng
 
-    def fork(self, name: str) -> "SeededStreams":
-        """A child registry whose master seed is derived from ``name``."""
-        return SeededStreams(derive_seed(self.master_seed, name))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

@@ -11,7 +11,7 @@ These are the queueing primitives the AmpNet model is assembled from:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Optional
 
 from .events import Event, SimulationError
 from .kernel import Simulator
@@ -79,14 +79,6 @@ class Store:
         self.put(item)
         return True
 
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get; ``(False, None)`` when nothing buffered."""
-        if not len(self):
-            return False, None
-        item = self.items.popleft()
-        self._settle()
-        return True, item
-
     def _settle(self) -> None:
         """Match queued putters with space and getters with items."""
         progressed = True
@@ -117,10 +109,6 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
 
     def acquire(self) -> Event:
         ev = Event(self.sim)

@@ -40,11 +40,6 @@ class SweepCell:
     seed: int
     replicate: int = 0
 
-    @property
-    def key(self) -> Tuple[str, int]:
-        """Aggregation identity: replicates of a cell share it."""
-        return (self.spec.name, self.seed)
-
 
 @dataclass(frozen=True)
 class SweepGrid:

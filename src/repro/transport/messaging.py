@@ -422,11 +422,6 @@ class Messenger:
         if 0 <= channel <= 0xF:
             self._message_handlers[channel] = None
 
-    def off_signal(self, channel: int) -> None:
-        """Release a signal channel so a later workload can claim it."""
-        if 0 <= channel <= 0xF:
-            self._signal_handlers[channel] = None
-
     def _on_dma(self, pkt: MicroPacket, frame) -> None:
         assert pkt.dma is not None
         if (

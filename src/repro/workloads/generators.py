@@ -48,9 +48,6 @@ class StreamStats:
     bytes_delivered: int = 0
     latency: LatencyStat = field(default_factory=LatencyStat)
 
-    def goodput_bits_per_ns(self, span_ns: int) -> float:
-        return 8 * self.bytes_delivered / span_ns if span_ns else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         """JSON-friendly summary used by the scenario/bench harnesses."""
         out: Dict[str, float] = {

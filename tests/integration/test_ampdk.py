@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import heartbeat_detection_times
+from repro.services import AmpFiles
 
 
 def make_cluster(n_nodes=4, n_switches=2, **kw):
@@ -16,6 +16,15 @@ def make_cluster(n_nodes=4, n_switches=2, **kw):
 
 def settle(cluster, tours=50):
     cluster.run(until=cluster.sim.now + tours * cluster.tour_estimate_ns)
+
+
+def heartbeat_detection_times(cluster):
+    """Times of heartbeat-timeout triggers (roster_trigger records)."""
+    return [
+        r.time
+        for r in cluster.tracer.select(category="roster_trigger")
+        if "heartbeat" in r.data.get("reason", "")
+    ]
 
 
 # ----------------------------------------------------------------- heartbeat
@@ -81,7 +90,7 @@ def test_certifier_is_lowest_member():
 # ------------------------------------------------------------ refresh rules
 def test_refresh_provider_is_lowest_other_member():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    cluster.nodes[1].files.write_file("f", b"data")
+    AmpFiles(cluster.nodes[1]).write_file("f", b"data")
     settle(cluster)
     cluster.crash_node(2)
     cluster.run_until_reroster()
@@ -98,7 +107,7 @@ def test_refresh_provider_is_lowest_other_member():
 
 def test_crashed_lowest_node_is_not_provider():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    cluster.nodes[1].files.write_file("f", b"data")
+    AmpFiles(cluster.nodes[1]).write_file("f", b"data")
     settle(cluster)
     cluster.crash_node(0)
     cluster.run_until_reroster()
@@ -115,7 +124,7 @@ def test_cold_node_does_not_serve_refresh():
     """Two nodes crash; the first to recover must not feed emptiness to
     the second."""
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    cluster.nodes[1].files.write_file("f", b"the good stuff")
+    AmpFiles(cluster.nodes[1]).write_file("f", b"the good stuff")
     settle(cluster)
     cluster.crash_node(4)
     cluster.run_until_reroster()
@@ -127,5 +136,5 @@ def test_cold_node_does_not_serve_refresh():
     settle(cluster, tours=500)
     assert cluster.nodes[4].refresh.warm
     assert cluster.nodes[5].refresh.warm
-    assert cluster.nodes[4].files.read_file_now("f") == b"the good stuff"
-    assert cluster.nodes[5].files.read_file_now("f") == b"the good stuff"
+    assert AmpFiles(cluster.nodes[4]).read_file_now("f") == b"the good stuff"
+    assert AmpFiles(cluster.nodes[5]).read_file_now("f") == b"the good stuff"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AmpNetCluster
+from repro import AmpNetCluster, ClusterConfig
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 
 
@@ -17,6 +17,24 @@ def data(src, dst, payload=b"payload!"):
 
 
 # --------------------------------------------------------------- bring-up
+@pytest.mark.parametrize("membership, stack_channels", [
+    (False, [1, 2]), (True, [1, 2, 10]),
+])
+def test_cluster_builds_the_network_and_nothing_else(membership, stack_channels):
+    """Applications attach themselves: a built node listens on the
+    cache channels (and gossip's when configured) and has no slot for
+    AmpDC, AmpFiles, AmpIP, AmpSubscribe or AmpThreads."""
+    cluster = AmpNetCluster(config=ClusterConfig(
+        n_nodes=3, n_switches=1, membership=membership))
+    for node in cluster.nodes.values():
+        assert [
+            channel
+            for channel, fn in enumerate(node.messenger._message_handlers)
+            if fn is not None
+        ] == stack_channels
+        assert not {"amp_dc", "files", "ip", "subscribe", "threads"} & set(vars(node))
+
+
 def test_cluster_self_organizes_into_one_ring():
     cluster = make_cluster()
     t_up = cluster.run_until_ring_up()

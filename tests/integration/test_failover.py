@@ -6,6 +6,7 @@ import pytest
 from repro import AmpNetCluster, ClusterConfig
 from repro.hostapi import (
     APP_REGION,
+    AmpDC,
     CheckpointedSequenceApp,
     MPIEndpoint,
     ReduceOp,
@@ -137,8 +138,9 @@ def test_recovered_node_rejoins_group_as_standby():
 def test_rdma_write_into_registered_region():
     cluster = make_cluster(n_nodes=4, n_switches=2)
     cluster.run_until_ring_up()
-    region = cluster.nodes[2].amp_dc.register_region("frames", 4096)
-    handle = cluster.nodes[0].amp_dc.rdma_write(2, "frames", 128, b"pixels" * 10)
+    dc = {i: AmpDC(node) for i, node in cluster.nodes.items()}
+    region = dc[2].register_region("frames", 4096)
+    handle = dc[0].rdma_write(2, "frames", 128, b"pixels" * 10)
     settle(cluster, tours=40)
     assert handle.delivered.triggered
     assert region.read(128, 60) == b"pixels" * 10
@@ -148,18 +150,20 @@ def test_rdma_write_into_registered_region():
 def test_rdma_unknown_region_counted():
     cluster = make_cluster(n_nodes=4, n_switches=2)
     cluster.run_until_ring_up()
-    cluster.nodes[0].amp_dc.rdma_write(1, "nope", 0, b"x")
+    dc = {i: AmpDC(node) for i, node in cluster.nodes.items()}
+    dc[0].rdma_write(1, "nope", 0, b"x")
     settle(cluster, tours=40)
-    assert cluster.nodes[1].amp_dc.counters["rdma_unknown_region"] == 1
+    assert dc[1].counters["rdma_unknown_region"] == 1
 
 
 def test_host_region_write_listener():
     cluster = make_cluster(n_nodes=4, n_switches=2)
     cluster.run_until_ring_up()
-    region = cluster.nodes[3].amp_dc.register_region("mb", 256)
+    dc = {i: AmpDC(node) for i, node in cluster.nodes.items()}
+    region = dc[3].register_region("mb", 256)
     hits = []
     region.on_write.append(lambda off, ln: hits.append((off, ln)))
-    cluster.nodes[1].amp_dc.rdma_write(3, "mb", 16, b"abcd")
+    dc[1].rdma_write(3, "mb", 16, b"abcd")
     settle(cluster, tours=40)
     assert hits == [(16, 4)]
 

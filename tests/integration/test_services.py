@@ -3,7 +3,14 @@
 import pytest
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.services import FileError, RemoteCallError
+from repro.services import (
+    AmpFiles,
+    AmpIP,
+    AmpSubscribe,
+    AmpThreads,
+    FileError,
+    RemoteCallError,
+)
 
 
 def make_cluster(n_nodes=4, n_switches=2, **kw):
@@ -18,15 +25,21 @@ def settle(cluster, tours=30):
     cluster.run(until=cluster.sim.now + tours * cluster.tour_estimate_ns)
 
 
+def attach(service, cluster):
+    """One ``service`` endpoint per node, as an application would."""
+    return {i: service(node) for i, node in cluster.nodes.items()}
+
+
 # ---------------------------------------------------------------- subscribe
 def test_publish_reaches_all_subscribers():
     cluster = make_cluster()
+    subs = attach(AmpSubscribe, cluster)
     got = {i: [] for i in cluster.nodes}
-    for i, node in cluster.nodes.items():
-        node.subscribe.subscribe(
+    for i, endpoint in subs.items():
+        endpoint.subscribe(
             "sensors/temp", lambda t, p, pub, i=i: got[i].append((p, pub))
         )
-    cluster.nodes[2].subscribe.publish("sensors/temp", b"21.5C")
+    subs[2].publish("sensors/temp", b"21.5C")
     settle(cluster)
     for i in cluster.nodes:
         assert got[i] == [(b"21.5C", 2)], i  # including the publisher
@@ -34,24 +47,26 @@ def test_publish_reaches_all_subscribers():
 
 def test_subscribe_topic_filtering():
     cluster = make_cluster()
+    subs = attach(AmpSubscribe, cluster)
     temp, motion = [], []
-    cluster.nodes[0].subscribe.subscribe("t", lambda t, p, s: temp.append(p))
-    cluster.nodes[0].subscribe.subscribe("m", lambda t, p, s: motion.append(p))
-    cluster.nodes[1].subscribe.publish("t", b"a")
-    cluster.nodes[1].subscribe.publish("m", b"b")
-    cluster.nodes[1].subscribe.publish("other", b"c")
+    subs[0].subscribe("t", lambda t, p, s: temp.append(p))
+    subs[0].subscribe("m", lambda t, p, s: motion.append(p))
+    subs[1].publish("t", b"a")
+    subs[1].publish("m", b"b")
+    subs[1].publish("other", b"c")
     settle(cluster)
     assert temp == [b"a"] and motion == [b"b"]
 
 
 def test_unsubscribe_stops_delivery():
     cluster = make_cluster()
+    subs = attach(AmpSubscribe, cluster)
     got = []
-    cancel = cluster.nodes[0].subscribe.subscribe("x", lambda t, p, s: got.append(p))
-    cluster.nodes[1].subscribe.publish("x", b"1")
+    cancel = subs[0].subscribe("x", lambda t, p, s: got.append(p))
+    subs[1].publish("x", b"1")
     settle(cluster)
     cancel()
-    cluster.nodes[1].subscribe.publish("x", b"2")
+    subs[1].publish("x", b"2")
     settle(cluster)
     assert got == [b"1"]
 
@@ -59,66 +74,70 @@ def test_unsubscribe_stops_delivery():
 # -------------------------------------------------------------------- files
 def test_file_write_readable_from_every_node():
     cluster = make_cluster()
+    files = attach(AmpFiles, cluster)
     content = bytes(i % 251 for i in range(1000))
-    cluster.nodes[0].files.write_file("dataset.bin", content)
+    files[0].write_file("dataset.bin", content)
     settle(cluster, tours=120)
-    for node in cluster.nodes.values():
-        assert node.files.exists("dataset.bin")
-        assert node.files.read_file_now("dataset.bin") == content
-        assert node.files.file_size("dataset.bin") == 1000
+    for replica in files.values():
+        assert replica.read_file_now("dataset.bin") == content
 
 
 def test_file_overwrite_in_place():
     cluster = make_cluster()
-    cluster.nodes[0].files.write_file("cfg", b"version-1")
+    files = attach(AmpFiles, cluster)
+    files[0].write_file("cfg", b"version-1")
     settle(cluster, tours=60)
-    cluster.nodes[1].files.write_file("cfg", b"version-2 is longer")
+    files[1].write_file("cfg", b"version-2 is longer")
     settle(cluster, tours=60)
-    for node in cluster.nodes.values():
-        assert node.files.read_file_now("cfg") == b"version-2 is longer"
+    for replica in files.values():
+        assert replica.read_file_now("cfg") == b"version-2 is longer"
 
 
 def test_file_listing():
     cluster = make_cluster()
-    cluster.nodes[0].files.write_file("a", b"1")
-    cluster.nodes[1].files.write_file("b", b"2")
+    files = attach(AmpFiles, cluster)
+    files[0].write_file("a", b"1")
+    files[1].write_file("b", b"2")
     settle(cluster, tours=60)
-    assert cluster.nodes[3].files.list_files() == ["a", "b"]
+    assert files[3].list_files() == ["a", "b"]
 
 
 def test_file_errors():
     cluster = make_cluster()
+    files = attach(AmpFiles, cluster)
     with pytest.raises(FileError):
-        cluster.nodes[0].files.read_file_now("ghost")
+        files[0].read_file_now("ghost")
     with pytest.raises(FileError):
-        cluster.nodes[0].files.write_file("big", b"x" * (64 * 600))
+        files[0].write_file("big", b"x" * (64 * 600))
 
 
 def test_files_survive_node_crash_and_rejoin():
     cluster = make_cluster(n_nodes=6, n_switches=4)
-    cluster.nodes[0].files.write_file("ark", b"two of each")
+    files = attach(AmpFiles, cluster)
+    files[0].write_file("ark", b"two of each")
     settle(cluster, tours=60)
     cluster.crash_node(2)
     cluster.run_until_reroster()
     cluster.recover_node(2)
     cluster.run_until_reroster()
     settle(cluster, tours=200)
-    assert cluster.nodes[2].files.read_file_now("ark") == b"two of each"
+    assert files[2].read_file_now("ark") == b"two of each"
 
 
 # ------------------------------------------------------------------ threads
 def test_remote_spawn_returns_result():
     cluster = make_cluster()
+    threads = attach(AmpThreads, cluster)
 
     def double(node, args):
         yield node.sim.timeout(1_000)
         return bytes(2 * b for b in args)
 
-    cluster.nodes[3].threads.register("double", double)
+    threads[3].register("double", double)
     result = {}
 
     def caller():
-        out = yield from cluster.nodes[0].threads.spawn(3, "double", bytes([1, 2, 3]))
+        out = yield from threads[0].spawn(3, "double", bytes([1, 2, 3]))
         result["out"] = out
 
     cluster.sim.process(caller())
@@ -128,11 +147,12 @@ def test_remote_spawn_returns_result():
 
 def test_remote_spawn_unknown_entry_raises():
     cluster = make_cluster()
+    threads = attach(AmpThreads, cluster)
     result = {}
 
     def caller():
         try:
-            yield from cluster.nodes[0].threads.spawn(1, "nope")
+            yield from threads[0].spawn(1, "nope")
         except RemoteCallError as exc:
             result["err"] = str(exc)
 
@@ -143,17 +163,18 @@ def test_remote_spawn_unknown_entry_raises():
 
 def test_remote_spawn_exception_propagates():
     cluster = make_cluster()
+    threads = attach(AmpThreads, cluster)
 
     def bad(node, args):
         yield node.sim.timeout(10)
         raise RuntimeError("kaboom")
 
-    cluster.nodes[2].threads.register("bad", bad)
+    threads[2].register("bad", bad)
     result = {}
 
     def caller():
         try:
-            yield from cluster.nodes[1].threads.spawn(2, "bad")
+            yield from threads[1].spawn(2, "bad")
         except RemoteCallError as exc:
             result["err"] = str(exc)
 
@@ -165,7 +186,8 @@ def test_remote_spawn_exception_propagates():
 # -------------------------------------------------------------------- AmpIP
 def test_datagram_roundtrip():
     cluster = make_cluster()
-    server = cluster.nodes[2].ip.socket(7)
+    ip = attach(AmpIP, cluster)
+    server = ip[2].socket(7)
     got = {}
 
     def serve():
@@ -173,7 +195,7 @@ def test_datagram_roundtrip():
         got["req"] = (addr, payload)
 
     cluster.sim.process(serve())
-    client = cluster.nodes[0].ip.socket(1234)
+    client = ip[0].socket(1234)
     assert client.sendto(2, 7, b"ping") is True
     settle(cluster)
     assert got["req"] == ((0, 1234), b"ping")
@@ -181,15 +203,17 @@ def test_datagram_roundtrip():
 
 def test_datagram_to_unbound_port_dropped():
     cluster = make_cluster()
-    cluster.nodes[0].ip.send_datagram(1, 9999, b"void")
+    ip = attach(AmpIP, cluster)
+    ip[0].send_datagram(1, 9999, b"void")
     settle(cluster)
-    assert cluster.nodes[1].ip.counters["no_socket_drop"] == 1
+    assert ip[1].counters["no_socket_drop"] == 1
 
 
 def test_port_rebind_rejected_and_close_frees():
     cluster = make_cluster()
-    sock = cluster.nodes[0].ip.socket(80)
+    ip = attach(AmpIP, cluster)
+    sock = ip[0].socket(80)
     with pytest.raises(ValueError):
-        cluster.nodes[0].ip.socket(80)
+        ip[0].socket(80)
     sock.close()
-    cluster.nodes[0].ip.socket(80)  # rebind after close is fine
+    ip[0].socket(80)  # rebind after close is fine

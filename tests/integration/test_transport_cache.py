@@ -172,7 +172,8 @@ def test_rejoining_node_refreshes_cache():
     # Write more while node 3 is dead.
     cluster.nodes[1].cache.write("state", 11, b"written while dead")
     settle(cluster)
-    assert cluster.nodes[3].cache.version_of("state", 10) == (0, 0)  # wiped
+    ok, data, version = cluster.nodes[3].cache.try_read("state", 10)
+    assert ok and version == 0 and not any(data)  # wiped
     cluster.recover_node(3)
     cluster.run_until_reroster()
     settle(cluster, tours=100)
@@ -192,8 +193,7 @@ def test_apply_in_flight_at_a_crash_finishes_on_the_dead_replica():
     dead = victim.cache
     cluster.nodes[0].cache.write("state", 5, b"x" * 64)
     cluster.sim.run_until(
-        lambda: dead.version_of("state", 5)[0] == 1
-        and not dead.try_read("state", 5)[0],      # first counter set, not last
+        lambda: not dead.try_read("state", 5)[0],  # first counter set, not last
         timeout_ns=50 * cluster.tour_estimate_ns, step_ns=20,
         what="apply never began",
     )
@@ -201,7 +201,7 @@ def test_apply_in_flight_at_a_crash_finishes_on_the_dead_replica():
     assert victim.cache is not dead
     settle(cluster)
     assert dead.counters["applied_updates"] == 1     # finished where it began
-    assert victim.cache.version_of("state", 5) == (0, 0)
+    assert victim.cache.try_read("state", 5)[2] == 0
     assert not victim.cache.counters and not victim.replicator._busy
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import AmpNetCluster, ClusterConfig
 from repro.analysis import ring_drop_count
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
+from repro.services import AmpFiles
 
 SLOW = settings(
     max_examples=12,
@@ -138,10 +139,10 @@ def test_single_fault_always_heals_with_maximal_roster(fault, victim, seed):
 @SLOW
 def test_file_replication_is_content_faithful(data, seed):
     cluster = fresh_cluster(4, 2, seed)
-    cluster.nodes[1].files.write_file("blob", data)
+    AmpFiles(cluster.nodes[1]).write_file("blob", data)
     cluster.run(until=cluster.sim.now + 500 * cluster.tour_estimate_ns)
     for node in cluster.nodes.values():
-        assert node.files.read_file_now("blob") == data
+        assert AmpFiles(node).read_file_now("blob") == data
 
 
 @given(

@@ -1,5 +1,4 @@
-"""Baseline substrate tests: Ethernet drops, TCP recovery, failover
-timing, token ring."""
+"""Baseline substrate tests: Ethernet drops, failover timing, token ring."""
 
 import pytest
 
@@ -7,7 +6,6 @@ from repro.baselines import (
     EthConfig,
     EthernetFabric,
     TcpFailoverPair,
-    TcpHost,
     TokenRing,
     TokenRingConfig,
 )
@@ -57,46 +55,6 @@ def test_ethernet_fifo_per_destination():
         fabric.nodes[0].send(2, 500, tag=("seg", i))
     sim.run()
     assert got == [0, 1, 2, 3, 4]
-
-
-# ---------------------------------------------------------------------- tcp
-def test_tcp_delivers_without_loss():
-    sim = Simulator()
-    fabric = EthernetFabric(sim, 2)
-    a = TcpHost(fabric, 0)
-    TcpHost(fabric, 1)
-    conn = a.connect(1)
-    conn.send(100_000)
-    done = conn.wait_drained()
-    sim.run(until=done)
-    assert conn.bytes_acked == 100_000
-    assert conn.counters["retransmits"] == 0
-
-
-def test_tcp_recovers_from_congestion_drops():
-    sim = Simulator()
-    fabric = EthernetFabric(sim, 4, EthConfig(egress_capacity=3))
-    hosts = {i: TcpHost(fabric, i) for i in range(4)}
-    conns = [hosts[src].connect(0) for src in (1, 2, 3)]
-    for conn in conns:
-        conn.send(200_000)
-    events = [c.wait_drained() for c in conns]
-    for ev in events:
-        sim.run(until=ev)
-    assert all(c.bytes_acked == 200_000 for c in conns)
-    assert fabric.counters["drops"] > 0  # drops happened...
-    assert sum(c.counters["retransmits"] for c in conns) > 0  # ...and were repaired
-
-
-def test_tcp_send_validation():
-    sim = Simulator()
-    fabric = EthernetFabric(sim, 2)
-    conn = TcpHost(fabric, 0).connect(1)
-    with pytest.raises(ValueError):
-        conn.send(0)
-    # a second connection to the same peer is rejected
-    with pytest.raises(ValueError):
-        conn.host.connect(1)
 
 
 # ----------------------------------------------------------- tcp failover

@@ -92,9 +92,11 @@ def test_write_oversized_rejected():
 
 def test_versions_monotonic_per_record():
     _sim, cache = cache_with_region()
-    for _ in range(5):
-        cache.write("r", 3, b"v")
-    assert cache.version_of("r", 3) == (5, 1)
+    updates = [cache.write("r", 3, b"v") for _ in range(5)]
+    assert [(u.version, u.writer) for u in updates] == [
+        (version, 1) for version in range(1, 6)
+    ]
+    assert cache.try_read("r", 3)[2] == 5
 
 
 def test_local_write_hook_invoked():

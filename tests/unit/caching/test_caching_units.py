@@ -68,7 +68,7 @@ def test_lru_evicts_least_recently_touched():
     assert store.put(2, b"b") is None
     store.get(1)  # refresh 1: now 2 is the LRU victim
     assert store.put(3, b"c") == 2
-    assert store.keys() == [1, 3]
+    assert [k for k in (1, 2, 3) if k in store] == [1, 3]
     assert store.evictions == 1
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hostapi import SequenceLedger
-from repro.kernel import AssimilationPolicy, ControlGroup, ControlGroupConfig
+from repro.kernel import ControlGroup, ControlGroupConfig
 from repro.rostering import Roster
 
 
@@ -50,25 +50,6 @@ def test_elect_none_when_no_member_alive():
 def test_elect_nonmember_rosters_dont_count():
     # Node 7 is rostered but not a group member.
     assert elect([0, 1], {1: 3}, [1, 7]) == 1
-
-
-# ------------------------------------------------------- assimilation policy
-def test_policy_admits_equal_and_newer():
-    p = AssimilationPolicy(version=(1, 0), min_version=(1, 0))
-    assert p.admissible((1, 0))
-    assert p.admissible((1, 5))
-    assert p.admissible((2, 0))
-
-
-def test_policy_rejects_older():
-    p = AssimilationPolicy(min_version=(1, 0))
-    assert not p.admissible((0, 9))
-
-
-def test_policy_minor_version_ordering():
-    p = AssimilationPolicy(min_version=(1, 2))
-    assert not p.admissible((1, 1))
-    assert p.admissible((1, 2))
 
 
 # ------------------------------------------------------------------- ledger

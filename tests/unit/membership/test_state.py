@@ -73,9 +73,9 @@ def test_dead_peer_only_resurrects_with_new_incarnation():
     view.apply(PeerState(3, 1, 5), now=0)
     view.declare_dead(3, now=1)
     view.apply(PeerState(3, 1, 500, PeerStatus.ALIVE), now=2)
-    assert view.status_of(3) == PeerStatus.DEAD
+    assert view.states[3].status == PeerStatus.DEAD
     view.apply(PeerState(3, 2, 1, PeerStatus.ALIVE), now=3)
-    assert view.status_of(3) == PeerStatus.ALIVE
+    assert view.states[3].status == PeerStatus.ALIVE
 
 
 def test_digest_roundtrip():

@@ -9,7 +9,6 @@ from repro.micropacket import (
     MicroPacket,
     MicroPacketType,
     TYPE_REGISTRY,
-    type_table_rows,
 )
 
 
@@ -28,7 +27,10 @@ def test_registry_has_all_six_types():
 
 
 def test_registry_matches_slide_4_table():
-    rows = type_table_rows()
+    rows = [
+        (info.name, info.length, "Yes" if info.mandatory else "No")
+        for info in TYPE_REGISTRY.values()
+    ]
     assert ("Rostering", "Fixed", "Yes") in rows
     assert ("Data", "Fixed", "Yes") in rows
     assert ("DMA", "Variable", "Yes") in rows

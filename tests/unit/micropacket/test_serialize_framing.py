@@ -227,8 +227,3 @@ def test_framer_variable_roundtrip_with_payload_len():
     back = fr_rx.symbols_to_packet(fr_tx.packet_to_symbols(pkt), payload_len=5)
     assert back == pkt
 
-
-def test_framer_wire_bits_accounting():
-    fr = Framer(idle_gap=2)
-    pkt = fixed_pkt()
-    assert fr.packet_wire_bits(pkt) == frame_wire_bits(12) + 20

@@ -6,8 +6,6 @@ from repro.micropacket import MicroPacket, MicroPacketType
 from repro.phys import (
     Port,
     Switch,
-    build_dual_redundant,
-    build_quad_redundant,
     build_switched,
     frame_for,
     ring_tour_estimate_ns,
@@ -140,7 +138,7 @@ def test_flood_skips_dark_ports():
 # ---------------------------------------------------------------- topologies
 def test_quad_redundant_matches_slide_14():
     sim = Simulator()
-    topo = build_quad_redundant(sim)
+    topo = build_switched(sim, 6, 4)
     assert topo.n_nodes == 6
     assert len(topo.switches) == 4
     assert len(topo.fibers) == 24  # full bipartite 6x4
@@ -150,7 +148,7 @@ def test_quad_redundant_matches_slide_14():
 
 def test_dual_redundant_has_two_switches():
     sim = Simulator()
-    topo = build_dual_redundant(sim, n_nodes=4)
+    topo = build_switched(sim, 4, 2)
     assert len(topo.switches) == 2
     assert len(topo.fibers) == 8
 
@@ -165,7 +163,7 @@ def test_builder_validation():
 
 def test_live_attachment_ground_truth():
     sim = Simulator()
-    topo = build_quad_redundant(sim)
+    topo = build_switched(sim, 6, 4)
     live = topo.live_attachment()
     assert all(live[k] == set(range(6)) for k in range(4))
     topo.cut_link(2, 1)
@@ -178,7 +176,7 @@ def test_live_attachment_ground_truth():
 
 def test_node_dark_removes_node_from_all_switches():
     sim = Simulator()
-    topo = build_quad_redundant(sim)
+    topo = build_switched(sim, 6, 4)
     topo.node_dark(4)
     live = topo.live_attachment()
     assert all(4 not in live[k] for k in range(4))
@@ -189,7 +187,7 @@ def test_node_dark_removes_node_from_all_switches():
 
 def test_cut_and_restore_link_roundtrip():
     sim = Simulator()
-    topo = build_dual_redundant(sim, n_nodes=3)
+    topo = build_switched(sim, 3, 2)
     topo.cut_link(0, 0)
     assert 0 not in topo.live_attachment()[0]
     topo.restore_link(0, 0)

@@ -38,7 +38,7 @@ def test_send_requires_ring_for_transmit_but_queues_when_down():
     macs[0].teardown("test")
     macs[0].send(data(0, 1))
     sim.run(until=1_000_000)
-    assert macs[0].insertion_backlog == 1  # held, not lost
+    assert len(macs[0]._insertion) == 1  # held, not lost
 
 
 def test_unicast_delivers_and_strips_at_source():
@@ -111,7 +111,7 @@ def test_teardown_with_transit_frame_in_register_counts_the_loss():
     frame = frame_for(data(7, 0))  # someone else's frame, passing through
     mac.on_frame(frame, mac.ports[0])
     sim.run(until=sim.now + 1)  # the pick: frame moves into the register
-    assert mac._tx_busy and mac.transit_depth == 0
+    assert mac._tx_busy and not mac._transit and not mac._transit_priority
     mac.teardown("fault")
     sim.run(until=1_000_000)
     assert mac.counters["transit_lost_ring_down"] == 1
@@ -126,10 +126,10 @@ def test_teardown_with_local_frame_in_register_keeps_it():
     mac = macs[0]
     mac.send(data(0, 1))
     sim.run(until=sim.now + 1)
-    assert mac._tx_busy and mac.insertion_backlog == 0
+    assert mac._tx_busy and not mac._insertion
     mac.teardown("fault")
     sim.run(until=1_000_000)
-    assert mac.insertion_backlog == 1  # back at the head, not lost
+    assert len(mac._insertion) == 1  # back at the head, not lost
     assert mac.counters["transit_lost_ring_down"] == 0
 
 

@@ -12,8 +12,7 @@ def test_roster_basic_accessors():
     r = Roster(1, (0, 2, 5), (0, 0, 0))
     assert r.size == 3
     assert 2 in r and 1 not in r
-    assert r.successor(0) == 2 and r.successor(5) == 0
-    assert r.predecessor(0) == 5
+    assert r.index_of(2) == 1 and r.index_of(5) == 2
     assert r.hop_switch_from(5) == 0
 
 

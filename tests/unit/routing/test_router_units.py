@@ -271,7 +271,7 @@ def test_stale_route_withdrawn_after_miss_deadline():
     assert table.expire(deadline + 1, PERIOD, MISS) == [
         ("route", "expired", dict(segment=3, via=1)),
     ]
-    assert table.routes == {} and table.remote_live == {}
+    assert table.routes == {}
 
 
 def test_live_set_rides_reachability_entries():
@@ -354,7 +354,7 @@ def test_advertisement_updates_table_with_distance_vector():
     port = router.ports[1]
     router._on_advertisement(port, AD_FROM_7)
     assert router.table.routes[3].via == 1
-    assert router.table.remote_live == {3: frozenset({4, 5})}
+    assert router.table.routes[3].live == frozenset({4, 5})
     assert router.live_in_segment(3) == {4, 5}
     assert router.counters["routes_learned"] == 1
     assert port.peers[7].root == (50, 7)
@@ -393,7 +393,9 @@ def test_peer_expiry_fails_over_to_the_backup():
     primary = bytes([0, 10, 0, 10, 0, 20, 0, 0, 0, 0])
     for port in backup.ports.values():
         backup._on_advertisement(port, primary)
-    assert backup.port_roles() == {0: "forwarding", 1: "blocked"}
+    assert {seg: p.role.value for seg, p in backup.ports.items()} == {
+        0: "forwarding", 1: "blocked"
+    }
     backup._started = backup._ticking = True
     backup.sim.run(until=MISS * backup.advertise_period_ns + 1)
     backup._advertise_tick()
@@ -476,6 +478,25 @@ def test_parked_crossings_still_count_against_capacity():
         assert port.enqueue(Crossing((1, 1), (0, 2), b"x", 13, i))
     assert not port.enqueue(Crossing((1, 1), (0, 2), b"x", 13, cap))
     assert router.counters["egress_parked"] == cap
+
+
+def test_crossing_addressed_to_the_egress_gateway_is_a_counted_drop():
+    """The gateway is a router port, not a host: re-originating a
+    crossing to the port's own ``(segment, gateway)`` put a frame on the
+    ring that its own MAC source-stripped — counted ``egress_tx``, never
+    delivered (PR 12's finding (ii))."""
+    cluster = RoutedCluster(RoutedClusterConfig(
+        segments=_segs(2), routers=[RouterConfig(segments=(0, 1))]))
+    router = cluster.routers[0]
+    port = router.ports[0]
+    gateway = (0, port.gateway.node_id)
+    assert port.enqueue(Crossing((1, 1), gateway, b"x", 13, 5, ingress=1))
+    assert router.counters["gateway_addressed_drop"] == 1
+    assert router.counters["egress_tx"] == 0
+    assert port.backlog == 0  # neither queued nor parked
+    assert cluster.router_drop_count() == 1
+    (record,) = cluster.tracer.select(category="routing")
+    assert record.data == dict(event="gateway_addressed", dst=gateway, ingress=1)
 
 
 def test_port_holds_no_resilience_state_unless_a_pattern_is_on():

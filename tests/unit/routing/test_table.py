@@ -47,7 +47,6 @@ def test_advertisement_installs_distance_vector_routes():
         3: Route(via=1, metric=1, router=7, last_heard=100,
                  period_ns=PERIOD, live=frozenset({4, 5})),
     }  # attached segment 1 was not overridden by the advertisement
-    assert table.remote_live == {3: frozenset({4, 5})}
 
 
 def test_route_replacement_rules():
@@ -136,7 +135,7 @@ def test_entries_expire_on_their_own_cadence():
     assert table.expire(deadline + 1, PERIOD, MISS) == [
         Change("route", "expired", dict(segment=3, via=1)),
     ]
-    assert table.remote_live == {} and 2 in table.summaries
+    assert table.routes == {} and 2 in table.summaries
     # A slow *listener* stretches every deadline to its own period.
     assert table.expire(MISS * slow, 20 * PERIOD, MISS) == []
     assert table.expire(MISS * slow + 1, PERIOD, MISS) == [

@@ -66,6 +66,15 @@ def test_scenario_enforces_cache_address_form():
                      cache=CacheSpec(origin=0, caches=(1, 6)))
 
 
+def test_scenario_keeps_the_cache_service_off_the_stack_channels():
+    """The origin and cache services listen on ``CacheSpec.channel``: on
+    a channel the node stack owns that was ``message channel 1 already
+    claimed`` once the ring was up."""
+    with pytest.raises(ValueError, match="cache channel 1.*cache replication"):
+        ScenarioSpec(name="t", topology=TopologySpec(n_nodes=6),
+                     cache=CacheSpec(origin=0, channel=1))
+
+
 def test_content_workloads_require_a_cache_spec():
     workload = WorkloadSpec("zipf", count=5, src=1, dst=0, reliable=True,
                             params={"interval_ns": 1_000})

@@ -32,13 +32,13 @@ def reliable(src, dst, channel=13, count=5):
 def test_single_segment_form_unchanged():
     t = TopologySpec(n_nodes=6, n_switches=4)
     assert not t.multi_segment
-    assert t.addressable_nodes == 6
+    assert t.n_nodes == 6 and not t.segments
 
 
 def test_multi_segment_counts_user_nodes():
     t = topo(4, 128)
     assert t.multi_segment
-    assert t.addressable_nodes == 512
+    assert sum(seg.n_nodes for seg in t.segments) == 512
 
 
 def test_routers_need_segments():

@@ -9,6 +9,7 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
     get_scenario,
+    run_scenario,
     scenario_names,
 )
 
@@ -84,6 +85,21 @@ CROSSING = {"count": 1, "src": (0, 0), "dst": (1, 1), "reliable": True}
     ("message", {"count": 1, "src": (0, 0), "reliable": True, "name": "m",
                  "params": {"dst_pool": [(1, 1), (1, 4)]},
                  "topology": PAIR_2X4}, r"dst_pool entry=\(1, 4\)"),
+    # a messenger-carried stream on a channel the node stack listens on:
+    # used to die mid-run as ``message channel N already claimed``
+    ("message", {**STREAM, "reliable": True, "channel": 1,
+                 "topology": RING_4}, "channel 1.*cache replication"),
+    ("poisson", {**STREAM, "reliable": True, "channel": 2,
+                 "params": {"mean_interval_ns": 5}, "topology": RING_4},
+     "channel 2.*cache refresh"),
+    ("file", {**STREAM, "channel": 2, "topology": RING_4},
+     "channel 2.*cache refresh"),
+    ("message", {**STREAM, "reliable": True, "channel": 10, "name": "m",
+                 "topology": RING_4, "scenario": {"membership": True}},
+     "'m'.*channel 10.*gossip membership"),
+    ("cluster_broadcast", {"count": 1, "src": (0, 1), "channel": 11,
+                           "topology": PAIR_2X4},
+     "channel 11.*router advertisements"),
 ])
 def test_workload_params_checked_against_kind(kind, fields, offending):
     """Specs that could not run used to be accepted and die inside the
@@ -91,16 +107,40 @@ def test_workload_params_checked_against_kind(kind, fields, offending):
     ``TypeError``) after the ring had been brought up."""
     fields = dict(fields)
     topology = fields.pop("topology", None)
+    scenario = fields.pop("scenario", {})
     with pytest.raises(ValueError, match=f"{kind}.*{offending}"):
         workload = WorkloadSpec(kind, **fields)
-        # address rows: the workload is sound, its topology lacks the node
+        # address and channel rows: the workload is sound, the scenario
+        # it joins lacks the node or has given the channel away
         assert topology is not None
-        ScenarioSpec(name="t", topology=topology, workloads=(workload,))
+        ScenarioSpec(name="t", topology=topology, workloads=(workload,),
+                     **scenario)
 
 
 def test_broadcast_address_stays_legal_for_raw_streams():
     ScenarioSpec(name="t", topology=RING_4, workloads=(
         WorkloadSpec("message", count=1, src=0, dst=0xFF),))
+
+
+def test_stack_channels_stay_legal_where_nothing_listens():
+    """Raw MAC streams claim no message channel, and channel 10 is the
+    gossip layer's only when the scenario runs it."""
+    ScenarioSpec(name="t", topology=RING_4, workloads=(
+        WorkloadSpec("message", channel=1, **STREAM),
+        WorkloadSpec("message", channel=10, reliable=True, **STREAM),
+    ))
+
+
+def test_reliable_stream_on_its_default_channel_is_delivered():
+    """Channel 0 was AmpIP's on every node while the cluster built the
+    application layer: the default ``WorkloadSpec`` channel died mid-run
+    with ``message channel 0 already claimed``."""
+    result = run_scenario(ScenarioSpec(
+        name="t", topology=RING_4, horizon_tours=60,
+        workloads=(WorkloadSpec("message", reliable=True, **STREAM),),
+        invariants=("all_delivered",),
+    ))
+    assert result.ok, result.failures()
 
 
 def test_every_library_scenario_still_constructs():

@@ -95,8 +95,7 @@ def test_read_local_file_without_network():
     content = bytes(range(200))
     files.write_file("local", content)
     assert files.read_file_now("local") == content
-    assert files.file_size("local") == 200
-    assert files.exists("local") and not files.exists("ghost")
+    assert files.list_files() == ["local"]
 
 
 def test_read_file_process_variant():

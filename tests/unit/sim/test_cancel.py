@@ -22,7 +22,7 @@ def test_cancelled_wheel_entry_never_fires():
     sim.cancel(drop)
     sim.run()
     assert hits == ["keep"]
-    assert drop.cancelled
+    assert drop.fn is None
 
 
 def test_cancelled_overflow_entry_never_fires():
@@ -74,7 +74,7 @@ def test_direct_handle_cancel_without_kernel_involvement():
     hits = []
     handle = sim.call_in(7, hits.append, "x")
     handle.cancel()  # scheduler-agnostic path: blank the handle itself
-    assert handle.cancelled
+    assert handle.fn is None
     sim.run()
     assert hits == []
 

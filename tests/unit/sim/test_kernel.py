@@ -280,19 +280,6 @@ def test_call_at_in_past_rejected():
         sim.call_at(5, lambda: None)
 
 
-def test_peek_returns_next_timestamp():
-    sim = Simulator()
-    assert sim.peek() is None
-    sim.timeout(77)
-    assert sim.peek() == 77
-
-
-def test_step_on_empty_queue_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
 def test_determinism_same_seed_same_trace():
     def run_once(seed):
         sim = Simulator(seed=seed)

@@ -35,14 +35,6 @@ def test_derive_seed_stable_values():
     assert derive_seed(0, "x") != derive_seed(0, "y")
 
 
-def test_fork_produces_derived_registry():
-    s = SeededStreams(9)
-    f1 = s.fork("node-1")
-    f2 = s.fork("node-1")
-    assert f1.master_seed == f2.master_seed
-    assert f1.master_seed != s.master_seed
-
-
 def test_negative_master_seed_rejected():
     with pytest.raises(ValueError):
         SeededStreams(-1)
@@ -58,16 +50,6 @@ def test_tracer_records_and_selects():
     assert [r.time for r in t.select(category="tx")] == [10, 30]
     assert [r.time for r in t.select(source="node-1")] == [20, 30]
     assert [r.time for r in t.select(since=20)] == [20, 30]
-
-
-def test_tracer_mute_unmute():
-    t = Tracer()
-    t.mute("noise")
-    t.record(1, "noise", "x")
-    t.record(2, "signal", "x")
-    t.unmute("noise")
-    t.record(3, "noise", "x")
-    assert [r.category for r in t.records] == ["signal", "noise"]
 
 
 def test_tracer_disabled_records_nothing():

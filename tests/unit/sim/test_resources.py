@@ -80,10 +80,9 @@ def test_store_try_put_try_get():
     store = Store(sim, capacity=1)
     assert store.try_put("x") is True
     assert store.try_put("y") is False
-    ok, item = store.try_get()
-    assert (ok, item) == (True, "x")
-    ok, item = store.try_get()
-    assert ok is False
+    first, second = store.get(), store.get()
+    assert first.triggered and first.value == "x"
+    assert not second.triggered  # nothing buffered: the getter waits
 
 
 def test_store_len_tracks_buffered_items():
@@ -144,6 +143,6 @@ def test_resource_available_accounting():
     res = Resource(sim, capacity=3)
     res.acquire()
     res.acquire()
-    assert res.available == 1
+    assert res.capacity - res.in_use == 1
     res.release()
-    assert res.available == 2
+    assert res.capacity - res.in_use == 2

@@ -31,7 +31,6 @@ def test_cells_expand_scenario_major_then_seed_then_replicate():
     # with_seed is applied at expansion: the spec a worker receives
     # already carries the cell's seed.
     assert all(c.spec.seed == c.seed for c in cells)
-    assert cells[0].key == ("a", 7) == cells[1].key
 
 
 def test_grid_rejects_duplicate_seeds():

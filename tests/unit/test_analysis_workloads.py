@@ -1,11 +1,10 @@
-"""Unit tests for the analysis/report helpers and workload stats."""
+"""Unit tests for the analysis/report helpers."""
 
 import math
 
 import pytest
 
-from repro.analysis import fmt_ns, fmt_rate, render_series, render_table
-from repro.workloads import StreamStats
+from repro.analysis import fmt_ns, render_table
 
 
 # ------------------------------------------------------------------ tables
@@ -28,7 +27,7 @@ def test_render_table_widens_for_long_cells():
 
 
 def test_render_series_is_two_column_table():
-    text = render_series("S", "x", "y", [(1, 2), (3, 4)])
+    text = render_table("S", ["x", "y"], [(1, 2), (3, 4)])
     assert "x" in text and "y" in text and "3" in text
 
 
@@ -46,14 +45,3 @@ def test_fmt_ns_units(ns, expect):
 def test_fmt_ns_nan():
     assert fmt_ns(float("nan")) == "n/a"
 
-
-def test_fmt_rate_gbits():
-    assert fmt_rate(0.85) == "0.850 Gbit/s"
-
-
-# ------------------------------------------------------------- stream stats
-def test_stream_stats_goodput():
-    s = StreamStats("s")
-    s.bytes_delivered = 1000
-    assert s.goodput_bits_per_ns(8_000) == pytest.approx(1.0)
-    assert s.goodput_bits_per_ns(0) == 0.0
