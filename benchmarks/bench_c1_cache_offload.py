@@ -16,9 +16,9 @@ narrowed for smoke runs: ``C1_CAPACITIES=4 pytest benchmarks/bench_c1...``.
 """
 
 from repro.analysis import render_table
+from repro.routing import RouterConfig
 from repro.scenarios import (
     CacheSpec,
-    RouterSpec,
     ScenarioSpec,
     SegmentSpec,
     TopologySpec,
@@ -57,9 +57,9 @@ def offload_spec(alpha: float, capacity: int) -> ScenarioSpec:
         description="scaled cache_offload_star cell for the C1 sweep",
         topology=TopologySpec(
             segments=tuple(SegmentSpec(n_nodes=16) for _ in range(4)),
-            routers=(RouterSpec(segments=(0, 1, 2, 3),
-                                cache={"enabled": True,
-                                       "capacity": capacity}),),
+            routers=(RouterConfig(segments=(0, 1, 2, 3),
+                                  cache={"enabled": True,
+                                         "capacity": capacity}),),
         ),
         seed=7,
         cache=CacheSpec(origin=(0, 1)),

@@ -13,8 +13,12 @@ it to the strict tolerance across commits.
 """
 
 from repro.analysis import fmt_ns, render_table
-from repro.cluster import ClusterConfig
-from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+from repro.routing import (
+    RoutedCluster,
+    RouterConfig,
+    SegmentSpec,
+    TopologySpec,
+)
 from repro.workloads import MessageStream
 
 import harness
@@ -27,12 +31,11 @@ SIZES = (8, 512)      # single cell; 8-fragment message
 
 def build_cluster() -> RoutedCluster:
     cluster = RoutedCluster(
-        RoutedClusterConfig(
-            segments=[ClusterConfig(n_nodes=N_NODES, n_switches=2)
-                      for _ in range(2)],
+        TopologySpec(
+            segments=[SegmentSpec(N_NODES)] * 2,
             routers=[RouterConfig(segments=(0, 1))],
-            seed=7,
-        )
+        ),
+        seed=7,
     )
     cluster.start()
     cluster.run_until_ring_up()

@@ -20,8 +20,12 @@ The bench pins, from one seeded run:
 """
 
 from repro.analysis import render_table
-from repro.cluster import ClusterConfig
-from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+from repro.routing import (
+    RoutedCluster,
+    RouterConfig,
+    SegmentSpec,
+    TopologySpec,
+)
 from repro.workloads import MessageStream
 
 import harness
@@ -35,17 +39,15 @@ MISS_PERIODS = 3
 
 def build_cluster() -> RoutedCluster:
     cluster = RoutedCluster(
-        RoutedClusterConfig(
-            segments=[ClusterConfig(n_nodes=N_NODES, n_switches=2)
-                      for _ in range(2)],
+        TopologySpec(
+            segments=[SegmentSpec(N_NODES)] * 2,
             routers=[
-                RouterConfig(segments=(0, 1), priority=PRIORITIES[0],
-                             miss_deadline_periods=MISS_PERIODS),
-                RouterConfig(segments=(0, 1), priority=PRIORITIES[1],
-                             miss_deadline_periods=MISS_PERIODS),
+                RouterConfig(segments=(0, 1), priority=priority,
+                             miss_deadline_periods=MISS_PERIODS)
+                for priority in PRIORITIES
             ],
-            seed=7,
-        )
+        ),
+        seed=7,
     )
     cluster.start()
     cluster.run_until_ring_up()

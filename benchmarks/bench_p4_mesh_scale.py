@@ -31,7 +31,7 @@ from dataclasses import replace
 
 from repro.analysis import render_table
 from repro.perf import PerfProbe
-from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+from repro.routing import RoutedCluster, TopologySpec
 from repro.workloads import MessageStream
 
 import harness
@@ -47,18 +47,18 @@ MEASURE_PERIODS = 10
 
 def build_mesh(n_areas, spa, nodes, *, redundant=False, flat=False,
                cadence=ADVERTISE_TOURS, seed=7):
-    cfg = RoutedClusterConfig.area_mesh(
-        n_areas, spa, nodes, redundant_spokes=redundant, seed=seed,
-        trace=False,
-        router=RouterConfig(segments=(0, 1),
-                            advertise_period_tours=cadence,
-                            miss_deadline_periods=MISS_PERIODS),
+    topology = TopologySpec.area_mesh(
+        n_areas, spa, nodes, redundant_spokes=redundant, n_switches=4,
+        advertise_period_tours=cadence, miss_deadline_periods=MISS_PERIODS,
     )
     if flat:
         # Same topology, no hierarchy: every router in area 0 advertises
         # flat per-segment rows instead of area summaries.
-        cfg = replace(cfg, routers=[replace(r, area=0) for r in cfg.routers])
-    cluster = RoutedCluster(cfg)
+        topology = replace(
+            topology,
+            routers=[replace(r, area=0) for r in topology.routers],
+        )
+    cluster = RoutedCluster(topology, seed=seed, trace=False)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

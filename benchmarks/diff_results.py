@@ -11,11 +11,12 @@ fresh emission, or two commits' results directories — and reports, per
 experiment:
 
 * **metric drift** — numeric ``metrics`` entries whose relative change
-  exceeds the tolerance.  Wall-clock-derived metrics (anything matching
-  ``wall``, ``per_sec``, ``speedup``) are inherently machine-dependent,
-  so they get their own (much looser) tolerance.  Simulated-time
-  numbers (latencies in ns, counts, drops) are deterministic under the
-  seed and held to the strict tolerance.
+  exceeds the tolerance.  Wall-clock-derived numbers are inherently
+  machine-dependent, so they get their own (much looser) tolerance;
+  only the experiments that time the host have any
+  (``VOLATILE_MARKERS``).  Simulated-time numbers (latencies in ns,
+  counts, drops, ratios of the two) are deterministic under the seed
+  and held to the strict tolerance.
 * **row drift** — numeric cells of rows whose key matches across both
   trees.  The row key is the shortest prefix of leading cells that is
   unique within each tree: plain benches join on their first column
@@ -50,13 +51,20 @@ from typing import Any, Dict, List, Optional, Tuple
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_VOLATILE_TOLERANCE = 1.0
 
-#: Substrings marking a metric/column as wall-clock-derived.
-VOLATILE_MARKERS = ("wall", "per_sec", "per_wall", "speedup")
+#: Substrings marking a metric/column as wall-clock-derived, for the
+#: experiments that time the host.  Every number of every other
+#: emission is simulated: F9's ``detection_speedup`` is a ratio of two
+#: simulated detection times, and a bare substring match used to hand
+#: it the wall-clock bound.
+VOLATILE_MARKERS = {
+    "P1": ("wall", "per_sec", "speedup"),
+    "P4": ("wall", "per_sec"),
+}
 
 
-def is_volatile(name: str) -> bool:
+def is_volatile(exp: str, name: str) -> bool:
     low = name.lower()
-    return any(marker in low for marker in VOLATILE_MARKERS)
+    return any(marker in low for marker in VOLATILE_MARKERS.get(exp, ()))
 
 
 def _is_number(value: Any) -> bool:
@@ -119,7 +127,7 @@ def compare_exp(
             if a != b:
                 notes.append(f"  note {exp}: metric {key!r} {a!r} -> {b!r}")
             continue
-        volatile = is_volatile(key)
+        volatile = is_volatile(exp, key)
         limit = volatile_tolerance if volatile else tolerance
         change = rel_change(a, b)
         if change > limit:
@@ -147,7 +155,7 @@ def compare_exp(
                                  new_rows[key][width:]):
                 if not (_is_number(a) and _is_number(b)):
                     continue
-                volatile = is_volatile(col)
+                volatile = is_volatile(exp, col)
                 limit = volatile_tolerance if volatile else tolerance
                 change = rel_change(a, b)
                 if change > limit:

@@ -46,12 +46,10 @@ space; id 255 is broadcast).  :mod:`repro.routing` joins several rings
 through segment routers into one cluster addressed by
 ``(segment, node)`` pairs::
 
-    from repro import RoutedCluster, RoutedClusterConfig, RouterConfig
-    from repro import ClusterConfig
+    from repro import RoutedCluster, RouterConfig, SegmentSpec, TopologySpec
 
-    cluster = RoutedCluster(RoutedClusterConfig(
-        segments=[ClusterConfig(n_nodes=128, n_switches=2)
-                  for _ in range(2)],
+    cluster = RoutedCluster(TopologySpec(
+        segments=[SegmentSpec(n_nodes=128)] * 2,
         routers=[RouterConfig(segments=(0, 1))],
     ))
 
@@ -63,9 +61,10 @@ from .membership import GossipProtocol
 from .node import AmpNode, NodeConfig
 from .routing import (
     RoutedCluster,
-    RoutedClusterConfig,
     RouterConfig,
     SegmentRouter,
+    SegmentSpec,
+    TopologySpec,
 )
 
 __version__ = "1.2.0"
@@ -77,8 +76,9 @@ __all__ = [
     "GossipProtocol",
     "NodeConfig",
     "RoutedCluster",
-    "RoutedClusterConfig",
     "RouterConfig",
     "SegmentRouter",
+    "SegmentSpec",
+    "TopologySpec",
     "__version__",
 ]

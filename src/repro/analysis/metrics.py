@@ -28,18 +28,11 @@ def ring_drop_count(cluster: "AmpNetCluster") -> int:
     switch misroutes.  (Frames in flight during a failure are not drops —
     they are retransmitted by the messenger and counted separately.)
 
-    A :class:`~repro.routing.RoutedCluster` sums its segments and adds
+    Each cluster flavour counts its own: a
+    :class:`~repro.routing.RoutedCluster` sums its segments and adds
     messages the routing layer lost (egress overflow, unroutable).
     """
-    if not hasattr(cluster, "topology"):  # routed: a cluster of clusters
-        return (
-            sum(ring_drop_count(sub) for sub in cluster.segments)
-            + cluster.router_drop_count()
-        )
-    drops = total_mac_counter(cluster, "transit_overflow_drop")
-    for sw in cluster.topology.switches:
-        drops += sw.counters["no_route_drop"]
-    return drops
+    return cluster.ring_drop_count()
 
 
 def aggregate_latency(cluster: "AmpNetCluster") -> LatencyStat:

@@ -38,7 +38,12 @@ from .kernel import (
 )
 from .membership import GossipProtocol, gossip_timing
 from .node import AmpNode, NodeConfig
-from .phys import PhysicalTopology, build_switched, ring_tour_estimate_ns
+from .phys import (
+    PhysicalTopology,
+    build_switched,
+    check_ring_shape,
+    ring_tour_estimate_ns,
+)
 from .ring import FlowControlConfig
 from .rostering import Roster, RosterConfig
 from .sim import ConvergenceTracker, SimulationError, Simulator, Tracer
@@ -68,9 +73,16 @@ class ClusterConfig:
     #: node its membership view has declared DEAD.  Requires membership.
     membership_liveness: bool = False
 
+    def __post_init__(self) -> None:
+        check_ring_shape(self.n_nodes, self.n_switches, self.fiber_m)
+
 
 class AmpNetCluster:
     """Builds and runs a complete AmpNet segment."""
+
+    #: a single ring has no segment routers (the routed flavour is
+    #: :class:`repro.routing.RoutedCluster`)
+    routers = ()
 
     def __init__(
         self,
@@ -328,6 +340,20 @@ class AmpNetCluster:
 
     def live_nodes(self) -> List[AmpNode]:
         return [n for n in self.nodes.values() if not n.failed]
+
+    def ring_drop_count(self) -> int:
+        """Frames dropped in the ring data plane: transit overflows and
+        switch misroutes (see :func:`repro.analysis.ring_drop_count`)."""
+        return sum(
+            node.mac.counters["transit_overflow_drop"]
+            for node in self.nodes.values()
+        ) + sum(
+            sw.counters["no_route_drop"] for sw in self.topology.switches
+        )
+
+    def router_counter_totals(self) -> Dict[str, int]:
+        """No routers, so no router counters."""
+        return {}
 
     # ---------------------------------------------------------- membership
     def membership_converged(self, dead=frozenset()) -> bool:

@@ -140,7 +140,7 @@ class FaultAction:
         """Check every referenced id exists; raise FaultScheduleError."""
         where = f"{self.kind.value} at t={self.at_ns}ns"
         for role, value in zip(self.kind.roles, self.targets()):
-            if role == "router" and not hasattr(cluster, "routers"):
+            if role == "router" and not cluster.routers:
                 raise FaultScheduleError(
                     f"{where} needs a routed cluster (this cluster has "
                     "no segment routers)"

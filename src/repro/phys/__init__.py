@@ -16,6 +16,7 @@ from .switch import Switch
 from .topology import (
     PhysicalTopology,
     build_switched,
+    check_ring_shape,
     ring_tour_estimate_ns,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "SerialLink",
     "Switch",
     "build_switched",
+    "check_ring_shape",
     "frame_for",
     "propagation_ns",
     "ring_tour_estimate_ns",

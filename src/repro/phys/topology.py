@@ -24,7 +24,7 @@ from .constants import (
     propagation_ns,
     serialization_ns,
 )
-from ..micropacket import frame_wire_bits, FIXED_WIRE_BYTES
+from ..micropacket import BROADCAST, frame_wire_bits, FIXED_WIRE_BYTES
 from .frame import IDLE_GAP_SYMBOLS
 from .link import Fiber
 from .port import Port
@@ -33,6 +33,7 @@ from .switch import Switch
 __all__ = [
     "PhysicalTopology",
     "build_switched",
+    "check_ring_shape",
     "ring_tour_estimate_ns",
 ]
 
@@ -112,6 +113,26 @@ class PhysicalTopology:
             self.fibers[(node_id, k)].endpoint_lit()
 
 
+def check_ring_shape(n_nodes: int, n_switches: int, fiber_m: float) -> None:
+    """Raise ``ValueError``, naming the field, unless one ring can have
+    this shape.  Every class that declares a ring's shape calls this
+    when it is constructed, and :func:`build_switched` when it wires
+    one, so a shape that cannot run is refused where it is written."""
+    if not 2 <= n_nodes <= BROADCAST:
+        raise ValueError(
+            f"n_nodes={n_nodes}: a ring has 2..{BROADCAST} members (8-bit "
+            f"address, {BROADCAST} is broadcast); join rings with routers "
+            "to go further"
+        )
+    if not 1 <= n_switches <= 4:
+        raise ValueError(
+            f"n_switches={n_switches}: AmpNet NICs have one to four ports "
+            "(slide 15)"
+        )
+    if fiber_m < 0:
+        raise ValueError(f"fiber_m={fiber_m}: a fibre has no negative length")
+
+
 def build_switched(
     sim: Simulator,
     n_nodes: int,
@@ -125,10 +146,7 @@ def build_switched(
     Node *i*'s port *k* attaches to port *i* of switch *k* over a fibre of
     ``fiber_m`` metres — the wiring drawn on slide 14.
     """
-    if n_nodes < 2:
-        raise ValueError("a segment needs at least two nodes")
-    if not 1 <= n_switches <= 4:
-        raise ValueError("AmpNet NICs have one to four ports (slide 15)")
+    check_ring_shape(n_nodes, n_switches, fiber_m)
     topo = PhysicalTopology(sim, n_nodes, n_switches, fiber_m)
     topo.switches = [
         Switch(sim, k, n_ports=n_nodes, latency_ns=switch_latency_ns, tracer=tracer)

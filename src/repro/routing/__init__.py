@@ -13,11 +13,16 @@ This package is that architecture step:
   and re-originates them on the next ring.  Egress is governed by
   bounded per-segment queues whose backpressure reuses
   :class:`repro.ring.flow_control.InsertionController`.
-* :class:`RoutedCluster` / :class:`RoutedClusterConfig` — the
-  multi-segment counterpart of :class:`repro.cluster.AmpNetCluster`:
-  several segments on one simulator and one tracer, joined by routers,
-  addressed by ``(segment, node)``
-  :data:`~repro.transport.GlobalAddress` pairs.
+* :class:`TopologySpec` / :class:`SegmentSpec` / :class:`RouterConfig`
+  — the one description of a cluster's shape: rings of at most 255
+  members joined by routers.  A shape that cannot run does not
+  construct.
+* :class:`RoutedCluster` — the multi-segment counterpart of
+  :class:`repro.cluster.AmpNetCluster`: the topology's segments on one
+  simulator and one tracer, joined by its routers, addressed by
+  ``(segment, node)`` :data:`~repro.transport.GlobalAddress` pairs::
+
+      cluster = RoutedCluster(TopologySpec.star_mesh(2, 128), seed=7)
 
 The wire-level global address rides in reserved bits of the MicroPacket
 DMA control block (see :class:`repro.micropacket.DmaControl`); routers
@@ -37,7 +42,7 @@ layer diagram and the failover walk-through.
 
 from ..caching import CacheConfig
 from ..resilience import ResilienceConfig
-from .cluster import RoutedCluster, RoutedClusterConfig, mesh_layout
+from .cluster import RoutedCluster, SegmentSpec, TopologySpec, mesh_layout
 from .router import PortRole, RouterConfig, SegmentRouter
 
 __all__ = [
@@ -45,8 +50,9 @@ __all__ = [
     "PortRole",
     "ResilienceConfig",
     "RoutedCluster",
-    "RoutedClusterConfig",
     "RouterConfig",
     "SegmentRouter",
+    "SegmentSpec",
+    "TopologySpec",
     "mesh_layout",
 ]

@@ -22,23 +22,28 @@ router's silence re-converges the tree, and this class exposes the
 resulting graph-role state (:meth:`RoutedCluster.designated_router`,
 :meth:`RoutedCluster.spanning_tree_converged`) plus the router fault
 hooks (:meth:`RoutedCluster.crash_router` /
-:meth:`RoutedCluster.recover_router`).  Build-time validation still
-pins every segment — user nodes plus gateways — within the 255-member
-ring ceiling that motivates this package in the first place.
+:meth:`RoutedCluster.recover_router`).
+
+The shape itself is a :class:`TopologySpec` — the one description of a
+cluster's shape, which scenarios embed and :class:`RoutedCluster` takes
+as is.  Constructing it pins every segment — user nodes plus gateways —
+within the 255-member ring ceiling that motivates this package in the
+first place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..cluster import AmpNetCluster, ClusterConfig
-from ..micropacket import MAX_SEGMENT
+from ..micropacket import BROADCAST, MAX_SEGMENT
+from ..phys import check_ring_shape
 from ..sim import ConvergenceTracker, Simulator, Tracer
 from ..transport import GlobalAddress
 from .router import PortRole, RouterConfig, SegmentRouter
 
-__all__ = ["RoutedCluster", "RoutedClusterConfig", "mesh_layout"]
+__all__ = ["RoutedCluster", "SegmentSpec", "TopologySpec", "mesh_layout"]
 
 
 def mesh_layout(
@@ -51,10 +56,8 @@ def mesh_layout(
 
     Returns ``(n_segments, rows)``; each row holds the ``segments``,
     ``priority`` and (when ``labelled``) ``area`` of one router, in
-    router-index order, for a builder to stamp its own template over —
-    :meth:`RoutedClusterConfig.star_mesh` / ``.area_mesh`` and the
-    ``TopologySpec`` shorthands of the same names all do, so a spec and
-    a hand-built config describe the same wire topology.
+    router-index order, for :meth:`TopologySpec.star_mesh` /
+    ``.area_mesh`` to stamp segments and router keywords over.
 
     Area ``a`` (1-based; 0 stays the flat wire format) owns the
     contiguous segment block ``[(a-1)*spa, a*spa)`` and gets one hub
@@ -66,7 +69,7 @@ def mesh_layout(
     joins the first segment of area ``i`` to the first segment of area
     ``i+1`` — so inter-area traffic rides summaries, never flat
     per-segment rows.  A star is the one-area case with ``labelled``
-    off: no ``area`` key, so the template's (flat) area stands.
+    off: no ``area`` key, so the routers stay in the flat area 0.
     """
     if n_areas < 1:
         raise ValueError("a mesh needs at least one area")
@@ -95,80 +98,97 @@ def mesh_layout(
     return n_areas * spa, rows
 
 
-@dataclass
-class RoutedClusterConfig:
-    """Shape of a router-joined multi-segment cluster.
+@dataclass(frozen=True)
+class SegmentSpec:
+    """One ring segment of a multi-segment topology (user nodes only;
+    gateway nodes for attached routers are appended automatically)."""
 
-    ``segments[i].n_nodes`` counts *user* nodes; gateway nodes for the
-    routers attached to segment ``i`` are appended automatically.
-    """
-
-    segments: Sequence[ClusterConfig] = field(default_factory=list)
-    routers: Sequence[RouterConfig] = field(default_factory=list)
-    seed: int = 0
-    trace: bool = True
+    n_nodes: int
+    n_switches: int = 2
+    fiber_m: float = 50.0
 
     def __post_init__(self) -> None:
-        n_seg = len(self.segments)
-        if n_seg < 1:
-            raise ValueError("a routed cluster needs at least one segment")
-        if n_seg > MAX_SEGMENT + 1:
+        check_ring_shape(self.n_nodes, self.n_switches, self.fiber_m)
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    """Physical shape of a cluster: the one description scenarios,
+    benches and :class:`RoutedCluster` all read.
+
+    Two mutually exclusive forms:
+
+    * **single segment** (the default): ``n_nodes`` nodes wired to
+      ``n_switches`` switches — one :class:`~repro.cluster.AmpNetCluster`;
+    * **multi segment**: ``segments`` lists the rings and ``routers``
+      the :class:`~repro.routing.RouterConfig` attachments joining them
+      into one :class:`RoutedCluster`.  The single-segment fields are
+      ignored in this form.
+
+    A shape that cannot run does not construct: each ring goes through
+    :func:`repro.phys.check_ring_shape`, each router through
+    :class:`RouterConfig`, and what only the whole shape can tell — the
+    4-bit segment field, routers naming real segments, user nodes plus
+    gateways within the 255-member ring — is checked here.
+    """
+
+    n_nodes: int = 6
+    n_switches: int = 4
+    fiber_m: float = 50.0
+    segments: Tuple[SegmentSpec, ...] = ()
+    routers: Tuple[RouterConfig, ...] = ()
+
+    def __post_init__(self) -> None:
+        segments = tuple(
+            s if isinstance(s, SegmentSpec) else SegmentSpec(**dict(s))
+            for s in self.segments
+        )
+        routers = tuple(
+            r if isinstance(r, RouterConfig) else RouterConfig(**dict(r))
+            for r in self.routers
+        )
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "routers", routers)
+        if not segments:
+            if routers:
+                raise ValueError("routers need a segments list")
+            check_ring_shape(self.n_nodes, self.n_switches, self.fiber_m)
+            return
+        if len(segments) > MAX_SEGMENT + 1:
             raise ValueError(
-                f"at most {MAX_SEGMENT + 1} segments are addressable "
-                "(4-bit segment field)"
+                f"segments: {len(segments)} given, at most "
+                f"{MAX_SEGMENT + 1} are addressable (4-bit segment field)"
             )
         # Cycles are allowed (that is what router redundancy *is*); the
         # spanning-tree election blocks the surplus ports at run time.
-        # Only referential integrity is checked here.
-        for router in self.routers:
+        members = [seg.n_nodes for seg in segments]
+        for router in routers:
             for seg in router.segments:
-                if not 0 <= seg < n_seg:
+                if not 0 <= seg < len(segments):
                     raise ValueError(
-                        f"router references segment {seg}; cluster has "
-                        f"segments 0..{n_seg - 1}"
+                        f"router references segment {seg}; topology has "
+                        f"segments 0..{len(segments) - 1}"
                     )
-        for si, seg_cfg in enumerate(self.segments):
-            total = seg_cfg.n_nodes + sum(
-                1 for r in self.routers if si in r.segments
-            )
-            if total > 255:
+                members[seg] += 1
+        for si, total in enumerate(members):
+            if total > BROADCAST:
                 raise ValueError(
-                    f"segment {si}: {seg_cfg.n_nodes} user nodes plus "
-                    f"gateways exceed the 255-member ring ceiling"
+                    f"segment {si}: n_nodes={segments[si].n_nodes} user "
+                    f"nodes plus {total - segments[si].n_nodes} gateway(s) "
+                    f"exceed the {BROADCAST}-member ring ceiling"
                 )
-
-    def gateways_of(self, segment: int) -> List[Tuple[int, int]]:
-        """``(router_index, gateway_node_id)`` per router on ``segment``."""
-        out: List[Tuple[int, int]] = []
-        base = self.segments[segment].n_nodes
-        for ri, router in enumerate(self.routers):
-            if segment in router.segments:
-                out.append((ri, base + len(out)))
-        return out
 
     # ------------------------------------------------------- mesh builders
     @classmethod
-    def _mesh(
-        cls,
-        layout: Tuple[int, List[Dict[str, Any]]],
-        nodes_per_segment: int,
-        seed: int,
-        trace: bool,
-        segment: Optional[ClusterConfig],
-        router: Optional[RouterConfig],
-    ) -> "RoutedClusterConfig":
-        """Stamp the ``segment``/``router`` templates over a layout."""
+    def _mesh(cls, layout, nodes_per_segment, n_switches, fiber_m,
+              router) -> "TopologySpec":
+        """Stamp segments and ``router``-keyword routers over a
+        :func:`mesh_layout`."""
         n_segments, rows = layout
-        seg_template = segment or ClusterConfig()
-        rt_template = router or RouterConfig(segments=(0, 1))
         return cls(
-            segments=[
-                replace(seg_template, n_nodes=nodes_per_segment)
-                for _ in range(n_segments)
-            ],
-            routers=[replace(rt_template, **row) for row in rows],
-            seed=seed,
-            trace=trace,
+            segments=(SegmentSpec(nodes_per_segment, n_switches, fiber_m),)
+            * n_segments,
+            routers=tuple(RouterConfig(**row, **router) for row in rows),
         )
 
     @classmethod
@@ -178,24 +198,24 @@ class RoutedClusterConfig:
         nodes_per_segment: int,
         *,
         redundancy: int = 0,
-        seed: int = 0,
-        trace: bool = True,
-        segment: Optional[ClusterConfig] = None,
-        router: Optional[RouterConfig] = None,
-    ) -> "RoutedClusterConfig":
-        """A hub-and-spoke mesh: one central router on every segment.
+        n_switches: int = 2,
+        fiber_m: float = 50.0,
+        **router: Any,
+    ) -> "TopologySpec":
+        """Hub-and-spoke: one central router attached to every segment
+        (plus ``redundancy`` priority-240 standbys).
 
-        The central router attaches all ``n_segments`` rings, so every
-        cross-segment hop is a single crossing and no distance-vector
-        convergence is needed — which is what lets this shape scale to
-        the 3.8k-node addressing ceiling (15 segments x 254 users plus
-        one gateway each fills every ring to exactly 255 members).
-        ``redundancy`` adds that many standby central routers (see
-        :func:`mesh_layout`).
+        Every cross-segment hop is a single crossing and no
+        distance-vector convergence is needed — which is what lets this
+        shape scale to the 3.8k-node addressing ceiling (15 segments x
+        254 users plus one gateway each fills every ring to exactly 255
+        members).  ``router`` keywords (``advertise_period_tours=``,
+        ``miss_deadline_periods=``, ...) go into every
+        :class:`RouterConfig` stamped.
         """
         return cls._mesh(
             mesh_layout(1, n_segments, standbys=redundancy, labelled=False),
-            nodes_per_segment, seed, trace, segment, router,
+            nodes_per_segment, n_switches, fiber_m, router,
         )
 
     @classmethod
@@ -206,41 +226,109 @@ class RoutedClusterConfig:
         nodes_per_segment: int,
         *,
         redundant_spokes: bool = False,
-        seed: int = 0,
-        trace: bool = True,
-        segment: Optional[ClusterConfig] = None,
-        router: Optional[RouterConfig] = None,
-    ) -> "RoutedClusterConfig":
-        """A hierarchical mesh: per-area hub stars joined by a border
-        ring (see :func:`mesh_layout`).  ``redundant_spokes`` adds a
-        standby hub per area."""
+        n_switches: int = 2,
+        fiber_m: float = 50.0,
+        **router: Any,
+    ) -> "TopologySpec":
+        """Hierarchical mesh: a hub star per area, areas stitched into a
+        border-router cycle, summaries carrying the inter-area routes
+        (see :func:`mesh_layout`).  ``redundant_spokes`` adds a standby
+        hub per area; ``router`` keywords as in :meth:`star_mesh`."""
         return cls._mesh(
             mesh_layout(n_areas, segments_per_area,
                         standbys=int(redundant_spokes)),
-            nodes_per_segment, seed, trace, segment, router,
+            nodes_per_segment, n_switches, fiber_m, router,
         )
+
+    @property
+    def multi_segment(self) -> bool:
+        return bool(self.segments)
+
+    def check_address(
+        self,
+        what: str,
+        addr: Union[int, GlobalAddress],
+        broadcast_ok: bool = False,
+    ) -> None:
+        """Raise unless ``addr`` has this topology's address form — a
+        plain node id on a single segment, a ``(segment, node)`` pair
+        naming an existing segment on a routed shape — and names one of
+        that ring's user nodes (gateways are the routers' own endpoints)
+        or, where ``broadcast_ok``, ``BROADCAST``."""
+        ring: Union[TopologySpec, SegmentSpec] = self
+        node = addr
+        if not self.multi_segment:
+            if isinstance(addr, tuple):
+                raise ValueError(
+                    f"single-segment topologies use plain node ids; "
+                    f"got {what}={addr!r}"
+                )
+        elif not isinstance(addr, tuple):
+            raise ValueError(
+                f"multi-segment topologies address nodes as "
+                f"(segment, node); got {what}={addr!r}"
+            )
+        elif not 0 <= addr[0] < len(self.segments):
+            raise ValueError(
+                f"{what} names segment {addr[0]}; topology has "
+                f"segments 0..{len(self.segments) - 1}"
+            )
+        else:
+            ring, node = self.segments[addr[0]], addr[1]
+        if not (0 <= node < ring.n_nodes
+                or (broadcast_ok and node == BROADCAST)):
+            raise ValueError(
+                f"{what}={addr!r} names node {node}; the ring has user "
+                f"nodes 0..{ring.n_nodes - 1}"
+            )
 
 
 class RoutedCluster:
     """Builds and runs a router-joined multi-segment cluster."""
 
-    def __init__(self, config: RoutedClusterConfig):
-        self.config = config
-        self.sim = Simulator(seed=config.seed)
-        self.tracer = Tracer(enabled=config.trace)
+    def __init__(
+        self,
+        topology: TopologySpec,
+        *,
+        seed: int = 0,
+        trace: bool = True,
+        membership: bool = False,
+        membership_liveness: bool = False,
+    ):
+        if not topology.multi_segment:
+            raise ValueError(
+                "a routed cluster needs a segments list (a single-segment "
+                "TopologySpec describes an AmpNetCluster)"
+            )
+        self.sim = Simulator(seed=seed)
+        self.tracer = Tracer(enabled=trace)
         self.convergence = ConvergenceTracker(self.tracer)
         self.segments: List[AmpNetCluster] = []
         self.routers: List[SegmentRouter] = []
         self.nodes: Dict[GlobalAddress, "AmpNode"] = {}  # noqa: F821
 
-        for si, seg_cfg in enumerate(config.segments):
-            n_gateways = len(config.gateways_of(si))
+        # Gateways take the node ids after a segment's user nodes, in
+        # router-index order; what is left in ``members`` is each ring's
+        # full size.
+        members = [seg.n_nodes for seg in topology.segments]
+        gateway_ids: List[Dict[int, int]] = []
+        for router_cfg in topology.routers:
+            ids = {}
+            for seg in router_cfg.segments:
+                ids[seg] = members[seg]
+                members[seg] += 1
+            gateway_ids.append(ids)
+
+        for si, seg in enumerate(topology.segments):
             sub = AmpNetCluster(
-                config=replace(
-                    seg_cfg,
-                    n_nodes=seg_cfg.n_nodes + n_gateways,
-                    seed=config.seed,
-                    trace=config.trace,
+                config=ClusterConfig(
+                    n_nodes=members[si],
+                    n_switches=seg.n_switches,
+                    fiber_m=seg.fiber_m,
+                    seed=seed,
+                    trace=trace,
+                    membership=membership,
+                    membership_liveness=membership_liveness,
                 ),
                 sim=self.sim,
                 tracer=self.tracer,
@@ -253,13 +341,10 @@ class RoutedCluster:
                 self.nodes[(si, nid)] = node
             self._label_segment(si, sub)
 
-        for ri, router_cfg in enumerate(config.routers):
+        for ri, router_cfg in enumerate(topology.routers):
             router = SegmentRouter(ri, router_cfg)
             for seg in router_cfg.segments:
-                gateway_id = dict(
-                    (r, g) for r, g in config.gateways_of(seg)
-                )[ri]
-                router.attach(seg, self.segments[seg], gateway_id)
+                router.attach(seg, self.segments[seg], gateway_ids[ri][seg])
             self.routers.append(router)
 
     def _label_segment(self, si: int, sub: AmpNetCluster) -> None:
@@ -415,6 +500,13 @@ class RoutedCluster:
                     f"expected {sorted(expected)}"
                 )
         return "; ".join(problems)
+
+    def ring_drop_count(self) -> int:
+        """Every segment's ring drops plus what the routers lost."""
+        return (
+            sum(sub.ring_drop_count() for sub in self.segments)
+            + self.router_drop_count()
+        )
 
     def router_drop_count(self) -> int:
         """Messages lost inside the routing layer (overflow, unroutable,

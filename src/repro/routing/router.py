@@ -61,7 +61,12 @@ _PLURAL = {"route": "routes", "summary": "summaries"}
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """One router and the segments it joins."""
+    """One router and the segments it joins: the one description a
+    :class:`~repro.routing.TopologySpec` holds, a scenario serialises
+    and a :class:`SegmentRouter` runs from.
+
+    Field order is the serialised order (``ScenarioSpec.to_dict``).
+    """
 
     #: segment ids this router holds a port on (>= 2, distinct)
     segments: Tuple[int, ...]
@@ -69,24 +74,14 @@ class RouterConfig:
     egress_capacity: int = 64
     #: max unconfirmed re-originations in flight per port
     egress_window: int = 4
-    #: route/liveness advertisement period in *tours* of the largest
-    #: attached segment; None = 50 tours, at least 200 us.  Large meshes
-    #: set a small value here so DV/summary convergence does not
-    #: dominate the simulated span.
-    advertise_period_tours: Optional[float] = None
     #: spanning-tree election priority (lower wins; ties broken by
-    #: router id).  The default leaves room on both sides.
+    #: router id).  On redundant shapes — several routers joining the
+    #: same segments — it decides deterministically which router
+    #: forwards and which stands by blocked.
     priority: int = 128
-    #: advertise periods a peer router (or learned route) may stay
-    #: silent before it is declared dead and withdrawn
-    miss_deadline_periods: int = 3
-    #: shadow-parking buffer depth; None = 4x egress_capacity
-    shadow_capacity: Optional[int] = None
-    #: advertise periods a shadow-parked crossing is retained, covering
-    #: the failure-detection window with margin
-    shadow_ttl_periods: int = 12
     #: resilience-pattern suite (circuit breaker, dead-letter,
-    #: throttling, bulkhead); None = every pattern off
+    #: throttling, bulkhead); None = every pattern off — the exact
+    #: pre-resilience wire behaviour
     resilience: Optional[ResilienceConfig] = None
     #: on-path content cache (see :class:`repro.caching.CacheConfig`);
     #: None (or enabled=False) = tap absent, bit-identical forwarding
@@ -97,6 +92,19 @@ class RouterConfig:
     #: per-area segment-range summaries instead of one row per remote
     #: segment (see the module docstring).
     area: int = 0
+    #: route/liveness advertisement period in *tours* of the largest
+    #: attached segment; None = 50 tours, at least 200 us.  Large meshes
+    #: set a small value here so DV/summary convergence does not
+    #: dominate the simulated span.
+    advertise_period_tours: Optional[float] = None
+    #: advertise periods a peer router (or learned route) may stay
+    #: silent before it is declared dead and withdrawn
+    miss_deadline_periods: int = 3
+    #: shadow-parking buffer depth; None = 4x egress_capacity
+    shadow_capacity: Optional[int] = None
+    #: advertise periods a shadow-parked crossing is retained, covering
+    #: the failure-detection window with margin
+    shadow_ttl_periods: int = 12
 
     def __post_init__(self) -> None:
         segs = tuple(self.segments)

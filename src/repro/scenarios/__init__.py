@@ -6,9 +6,10 @@ tour-relative fault storyline, membership flags, invariants — and the
 whose timeline folds into a digest (the golden-trace regression
 contract).  Topologies come in two shapes: a single ring
 (``TopologySpec(n_nodes=..., n_switches=...)``) or a router-joined
-multi-ring cluster (``TopologySpec(segments=[...], routers=[...])``,
-see :mod:`repro.routing`), which is how the library scales past the
-255-node single-ring ceiling (``two_ring_256``, ``four_ring_512``).
+multi-ring cluster (``TopologySpec(segments=[...], routers=[...])``;
+the shape classes live in :mod:`repro.routing` and are re-exported
+here), which is how the library scales past the 255-node single-ring
+ceiling (``two_ring_256``, ``four_ring_512``).
 The authoring guide lives in ``docs/scenarios.md``.
 
 Quickstart::
@@ -25,6 +26,7 @@ Or from the shell::
     python -m repro.scenarios run slide7_mixed --seed 7 --json out.json
 """
 
+from ..routing import SegmentSpec, TopologySpec
 from .library import SCENARIOS, get_scenario, scenario_names
 from .runner import (
     InvariantResult,
@@ -33,22 +35,13 @@ from .runner import (
     run_scenario,
     trace_digest,
 )
-from .spec import (
-    CacheSpec,
-    FaultSpec,
-    RouterSpec,
-    ScenarioSpec,
-    SegmentSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
+from .spec import CacheSpec, FaultSpec, ScenarioSpec, WorkloadSpec
 
 __all__ = [
     "SCENARIOS",
     "CacheSpec",
     "FaultSpec",
     "InvariantResult",
-    "RouterSpec",
     "ScenarioResult",
     "ScenarioRunner",
     "ScenarioSpec",

@@ -19,15 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from .spec import (
-    CacheSpec,
-    FaultSpec,
-    RouterSpec,
-    ScenarioSpec,
-    SegmentSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
+from ..routing import RouterConfig, SegmentSpec, TopologySpec
+from .spec import CacheSpec, FaultSpec, ScenarioSpec, WorkloadSpec
 
 __all__ = ["SCENARIOS", "get_scenario", "scenario_names"]
 
@@ -305,7 +298,7 @@ def two_ring_256() -> ScenarioSpec:
                     "local stream shares each ring.",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=128), SegmentSpec(n_nodes=128)),
-            routers=(RouterSpec(segments=(0, 1)),),
+            routers=(RouterConfig(segments=(0, 1)),),
         ),
         seed=7,
         workloads=(
@@ -339,7 +332,7 @@ def four_ring_512() -> ScenarioSpec:
                     "global (segment, node) address extension.",
         topology=TopologySpec(
             segments=tuple(SegmentSpec(n_nodes=128) for _ in range(4)),
-            routers=(RouterSpec(segments=(0, 1, 2, 3)),),
+            routers=(RouterConfig(segments=(0, 1, 2, 3)),),
         ),
         seed=7,
         workloads=(
@@ -375,7 +368,7 @@ def routed_partition_heal() -> ScenarioSpec:
                     "delivers everything — no data loss across rings.",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8)),
-            routers=(RouterSpec(segments=(0, 1)),),
+            routers=(RouterConfig(segments=(0, 1)),),
         ),
         seed=7,
         membership=True,
@@ -420,8 +413,8 @@ def redundant_router_failover() -> ScenarioSpec:
                     "offered message still arrives exactly once.",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8)),
-            routers=(RouterSpec(segments=(0, 1), priority=16),
-                     RouterSpec(segments=(0, 1), priority=240)),
+            routers=(RouterConfig(segments=(0, 1), priority=16),
+                     RouterConfig(segments=(0, 1), priority=240)),
         ),
         seed=7,
         workloads=(
@@ -454,8 +447,8 @@ def two_path_256() -> ScenarioSpec:
                     "first.",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=128), SegmentSpec(n_nodes=128)),
-            routers=(RouterSpec(segments=(0, 1), priority=32),
-                     RouterSpec(segments=(0, 1), priority=224)),
+            routers=(RouterConfig(segments=(0, 1), priority=32),
+                     RouterConfig(segments=(0, 1), priority=224)),
         ),
         seed=7,
         workloads=(
@@ -500,9 +493,9 @@ def chaos_router_storm() -> ScenarioSpec:
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8)),
             routers=(
-                RouterSpec(segments=(0, 1), priority=16,
+                RouterConfig(segments=(0, 1), priority=16,
                            resilience={"dead_letter": True}),
-                RouterSpec(segments=(0, 1), priority=240,
+                RouterConfig(segments=(0, 1), priority=240,
                            resilience={"dead_letter": True}),
             ),
         ),
@@ -547,7 +540,7 @@ def flapping_spine() -> ScenarioSpec:
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8)),
             routers=(
-                RouterSpec(segments=(0, 1),
+                RouterConfig(segments=(0, 1),
                            resilience={"throttle": True,
                                        "throttle_token_ns": 40_000,
                                        "throttle_burst": 2}),
@@ -600,7 +593,7 @@ def breaker_asymmetric_partition() -> ScenarioSpec:
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8)),
             routers=(
-                RouterSpec(segments=(0, 1),
+                RouterConfig(segments=(0, 1),
                            resilience={"circuit_breaker": True,
                                        "breaker_threshold": 3,
                                        "dead_letter": True}),
@@ -646,7 +639,7 @@ def bulkhead_noisy_neighbor() -> ScenarioSpec:
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8),
                       SegmentSpec(n_nodes=8)),
             routers=(
-                RouterSpec(segments=(0, 1, 2), egress_capacity=32,
+                RouterConfig(segments=(0, 1, 2), egress_capacity=32,
                            egress_window=2,
                            resilience={"bulkhead": True}),
             ),
@@ -715,7 +708,7 @@ def cache_offload_star() -> ScenarioSpec:
                     "segment; Zipf clients on three segments drive it.",
         topology=TopologySpec(
             segments=tuple(SegmentSpec(n_nodes=128) for _ in range(4)),
-            routers=(RouterSpec(segments=(0, 1, 2, 3),
+            routers=(RouterConfig(segments=(0, 1, 2, 3),
                                 cache={"enabled": True, "capacity": 32}),),
         ),
         seed=7,

@@ -311,14 +311,13 @@ class ScenarioRunner:
                 1 for r in cluster.tracer.records if r.category == "fault"
             ),
         }
-        if hasattr(cluster, "router_counter_totals"):
-            # Routed clusters: fold the routers' own accounting (parked,
-            # dead-lettered, breaker transitions, ...) into the result so
-            # replay tests and benches can assert on it.
-            counters.update(
-                (f"router_{k}", v)
-                for k, v in cluster.router_counter_totals().items()
-            )
+        # Fold the routers' own accounting (parked, dead-lettered,
+        # breaker transitions, ...; nothing on a single ring) into the
+        # result so replay tests and benches can assert on it.
+        counters.update(
+            (f"router_{k}", v)
+            for k, v in cluster.router_counter_totals().items()
+        )
         if self.cache_deployment is not None:
             # Caching scenarios: the service tier's accounting (hits,
             # misses, fills, origin traffic, flush activity) under the

@@ -25,15 +25,13 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..caching import (
     CACHE_POLICIES,
-    CacheConfig,
     DEFAULT_CONTENT_CHANNEL,
     EVICTION_POLICIES,
 )
 from ..cluster import AmpNetCluster, ClusterConfig
 from ..faults import FaultKind, FaultSchedule
 from ..micropacket import BROADCAST
-from ..resilience import ResilienceConfig
-from ..routing import RoutedCluster, RoutedClusterConfig, RouterConfig, mesh_layout
+from ..routing import RoutedCluster, RouterConfig, TopologySpec
 from ..transport import Channel
 from ..workloads import (
     WORKLOAD_KINDS,
@@ -43,9 +41,6 @@ from ..workloads import (
 )
 
 __all__ = [
-    "SegmentSpec",
-    "RouterSpec",
-    "TopologySpec",
     "CacheSpec",
     "WorkloadSpec",
     "FaultSpec",
@@ -61,214 +56,6 @@ def _address(value):
     """``(segment, node)`` pairs may arrive as lists from a JSON
     round-trip; plain node ids pass through."""
     return tuple(value) if isinstance(value, (list, tuple)) else value
-
-
-def _field_values(spec) -> Dict[str, Any]:
-    """A spec dataclass's fields, unconverted (``asdict`` would flatten
-    nested configs), for the config dataclass that shares their names."""
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """One ring segment of a multi-segment topology (user nodes only;
-    gateway nodes for attached routers are appended automatically)."""
-
-    n_nodes: int
-    n_switches: int = 2
-    fiber_m: float = 50.0
-
-
-@dataclass(frozen=True)
-class RouterSpec:
-    """One segment router and the segment indices it joins.
-
-    ``priority`` is the spanning-tree election weight (lower wins, ties
-    broken by router index): on redundant shapes — several routers
-    joining the same segments — it decides deterministically which
-    router forwards and which stands by blocked.
-    """
-
-    segments: Tuple[int, ...]
-    egress_capacity: int = 64
-    egress_window: int = 4
-    priority: int = 128
-    #: resilience-pattern toggles for this router (see
-    #: :class:`repro.resilience.ResilienceConfig`); ``None`` keeps every
-    #: pattern off — the exact pre-resilience wire behaviour.
-    resilience: Optional[ResilienceConfig] = None
-    #: on-path content cache at this router (see
-    #: :class:`repro.caching.CacheConfig`); ``None`` keeps the
-    #: forwarding path bit-identical to the cache-free router.
-    cache: Optional[CacheConfig] = None
-    #: routing area (see :mod:`repro.routing.router`); 0 keeps the flat
-    #: single-area v2 advertisement wire format byte for byte, 1..255
-    #: opts the router into v3 per-area summarized advertisements.
-    area: int = 0
-    #: advertisement period in tours of the largest attached segment;
-    #: ``None`` keeps the router's 50-tour default.  Mesh scenarios set
-    #: a small value so route convergence does not dominate the run.
-    advertise_period_tours: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not 0 <= self.priority <= 255:
-            raise ValueError("router priority must fit one byte (0..255)")
-        if not 0 <= self.area <= 255:
-            raise ValueError("router area must fit one byte (0..255)")
-        if (self.advertise_period_tours is not None
-                and self.advertise_period_tours <= 0):
-            raise ValueError("advertise period must be a positive tour count")
-        if self.resilience is not None and not isinstance(
-            self.resilience, ResilienceConfig
-        ):
-            object.__setattr__(
-                self, "resilience", ResilienceConfig(**dict(self.resilience))
-            )
-        if self.cache is not None and not isinstance(self.cache, CacheConfig):
-            object.__setattr__(
-                self, "cache", CacheConfig(**dict(self.cache))
-            )
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Physical shape of the cluster under test.
-
-    Two mutually exclusive forms:
-
-    * **single segment** (the default): ``n_nodes`` nodes wired to
-      ``n_switches`` switches — every pre-routing scenario, unchanged;
-    * **multi segment**: ``segments`` lists the rings and ``routers``
-      the :class:`~repro.routing.SegmentRouter` attachments joining
-      them into one routed cluster (see :mod:`repro.routing`).  The
-      single-segment fields are ignored in this form.
-    """
-
-    n_nodes: int = 6
-    n_switches: int = 4
-    fiber_m: float = 50.0
-    segments: Tuple[SegmentSpec, ...] = ()
-    routers: Tuple[RouterSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        segments = tuple(
-            s if isinstance(s, SegmentSpec) else SegmentSpec(**dict(s))
-            for s in self.segments
-        )
-        routers = tuple(
-            r if isinstance(r, RouterSpec) else RouterSpec(**dict(r))
-            for r in self.routers
-        )
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "routers", routers)
-        if routers and not segments:
-            raise ValueError("routers need a segments list")
-        for router in routers:
-            for seg in router.segments:
-                if not 0 <= seg < len(segments):
-                    raise ValueError(
-                        f"router references segment {seg}; topology has "
-                        f"segments 0..{len(segments) - 1}"
-                    )
-
-    # --------------------------------------------------- mesh shorthands
-    @classmethod
-    def _mesh(cls, layout, nodes_per_segment, n_switches, fiber_m,
-              advertise_period_tours) -> "TopologySpec":
-        """Stamp segment and router specs over a
-        :func:`repro.routing.mesh_layout`, so specs and hand-built
-        :class:`~repro.routing.RoutedClusterConfig` meshes describe the
-        same wire topology."""
-        n_segments, rows = layout
-        return cls(
-            segments=tuple(
-                SegmentSpec(nodes_per_segment, n_switches, fiber_m)
-                for _ in range(n_segments)
-            ),
-            routers=tuple(
-                RouterSpec(advertise_period_tours=advertise_period_tours,
-                           **row)
-                for row in rows
-            ),
-        )
-
-    @classmethod
-    def star_mesh(
-        cls,
-        n_segments: int,
-        nodes_per_segment: int,
-        *,
-        redundancy: int = 0,
-        n_switches: int = 2,
-        fiber_m: float = 50.0,
-        advertise_period_tours: Optional[float] = None,
-    ) -> "TopologySpec":
-        """Hub-and-spoke: one central router attached to every segment
-        (plus ``redundancy`` priority-240 standbys)."""
-        return cls._mesh(
-            mesh_layout(1, n_segments, standbys=redundancy, labelled=False),
-            nodes_per_segment, n_switches, fiber_m, advertise_period_tours,
-        )
-
-    @classmethod
-    def area_mesh(
-        cls,
-        n_areas: int,
-        segments_per_area: int,
-        nodes_per_segment: int,
-        *,
-        redundant_spokes: bool = False,
-        n_switches: int = 2,
-        fiber_m: float = 50.0,
-        advertise_period_tours: Optional[float] = None,
-    ) -> "TopologySpec":
-        """Hierarchical mesh: a hub star per area, areas stitched into a
-        border-router cycle, summaries carrying the inter-area routes."""
-        return cls._mesh(
-            mesh_layout(n_areas, segments_per_area,
-                        standbys=int(redundant_spokes)),
-            nodes_per_segment, n_switches, fiber_m, advertise_period_tours,
-        )
-
-    @property
-    def multi_segment(self) -> bool:
-        return bool(self.segments)
-
-    def check_address(
-        self, what: str, addr: "Address", broadcast_ok: bool = False
-    ) -> None:
-        """Raise unless ``addr`` has this topology's address form — a
-        plain node id on a single segment, a ``(segment, node)`` pair
-        naming an existing segment on a routed shape — and names one of
-        that ring's user nodes (gateways are the routers' own endpoints)
-        or, where ``broadcast_ok``, ``BROADCAST``."""
-        ring: Union[TopologySpec, SegmentSpec] = self
-        node = addr
-        if not self.multi_segment:
-            if isinstance(addr, tuple):
-                raise ValueError(
-                    f"single-segment topologies use plain node ids; "
-                    f"got {what}={addr!r}"
-                )
-        elif not isinstance(addr, tuple):
-            raise ValueError(
-                f"multi-segment topologies address nodes as "
-                f"(segment, node); got {what}={addr!r}"
-            )
-        elif not 0 <= addr[0] < len(self.segments):
-            raise ValueError(
-                f"{what} names segment {addr[0]}; topology has "
-                f"segments 0..{len(self.segments) - 1}"
-            )
-        else:
-            ring, node = self.segments[addr[0]], addr[1]
-        if not (0 <= node < ring.n_nodes
-                or (broadcast_ok and node == BROADCAST)):
-            raise ValueError(
-                f"{what}={addr!r} names node {node}; the ring has user "
-                f"nodes 0..{ring.n_nodes - 1}"
-            )
 
 
 @dataclass(frozen=True)
@@ -449,6 +236,17 @@ INVARIANT_NAMES = (
 )
 
 
+#: Router fields newer than the first committed routed emission, with
+#: their defaults: ``to_dict`` leaves one out while it holds its default.
+_LATE_ROUTER_FIELDS = {
+    f.name: f.default
+    for f in fields(RouterConfig)
+    if f.name in ("cache", "area", "advertise_period_tours",
+                  "miss_deadline_periods", "shadow_capacity",
+                  "shadow_ttl_periods")
+}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, reproducible experiment description."""
@@ -604,8 +402,7 @@ class ScenarioSpec:
                 "with_size applies to single-segment topologies; "
                 "multi-segment scenarios size their segments explicitly"
             )
-        if n_nodes < 2:
-            raise ValueError("with_size needs at least 2 nodes")
+        topology = replace(self.topology, n_nodes=n_nodes)
         referenced = set()
         for workload in self.workloads:
             for attr in ("src", "dst"):
@@ -627,8 +424,7 @@ class ScenarioSpec:
             )
         return replace(
             self,
-            name=f"{self.name}_n{n_nodes}",
-            topology=replace(self.topology, n_nodes=n_nodes),
+            name=f"{self.name}_n{n_nodes}", topology=topology,
         )
 
     def build_cluster(self, seed: Optional[int] = None):
@@ -636,33 +432,21 @@ class ScenarioSpec:
 
         Returns an :class:`~repro.cluster.AmpNetCluster` for the classic
         single-segment form, a :class:`~repro.routing.RoutedCluster` for
-        the ``segments``/``routers`` form.  Segment and router specs map
-        onto their config dataclasses by field name.
+        the ``segments``/``routers`` form.
         """
         seed = self.seed if seed is None else seed
         topology = self.topology
         gossip = {"membership": self.membership,
                   "membership_liveness": self.membership_liveness}
-        if not topology.multi_segment:
-            return AmpNetCluster(
-                config=ClusterConfig(
-                    n_nodes=topology.n_nodes,
-                    n_switches=topology.n_switches,
-                    fiber_m=topology.fiber_m,
-                    seed=seed,
-                    **gossip,
-                )
-            )
-        return RoutedCluster(
-            RoutedClusterConfig(
-                segments=[
-                    ClusterConfig(**_field_values(seg), **gossip)
-                    for seg in topology.segments
-                ],
-                routers=[
-                    RouterConfig(**_field_values(r)) for r in topology.routers
-                ],
+        if topology.multi_segment:
+            return RoutedCluster(topology, seed=seed, **gossip)
+        return AmpNetCluster(
+            config=ClusterConfig(
+                n_nodes=topology.n_nodes,
+                n_switches=topology.n_switches,
+                fiber_m=topology.fiber_m,
                 seed=seed,
+                **gossip,
             )
         )
 
@@ -698,9 +482,10 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form, embedded in bench emissions and the CLI.
 
-        Optional late-addition fields (``cache`` here and on routers)
-        are omitted while unset so every pre-caching emission keeps its
-        exact committed schema — the F3 regression pins this.
+        Late-addition fields (``cache`` here, ``_LATE_ROUTER_FIELDS`` on
+        routers) are omitted at their defaults so every emission
+        written before they existed keeps its exact committed schema —
+        the F3 regression and the ``benchmarks/e2e`` pins hold this.
         """
         out = asdict(self)
         out["workloads"] = [dict(asdict(w), params=dict(w.params))
@@ -708,12 +493,7 @@ class ScenarioSpec:
         if out.get("cache") is None:
             out.pop("cache", None)
         for router in out["topology"]["routers"]:
-            if router.get("cache") is None:
-                router.pop("cache", None)
-            if not router.get("area"):
-                # Flat single-area routers omit the field so every
-                # pre-mesh emission keeps its exact committed schema.
-                router.pop("area", None)
-            if router.get("advertise_period_tours") is None:
-                router.pop("advertise_period_tours", None)
+            for name, default in _LATE_ROUTER_FIELDS.items():
+                if router[name] == default:
+                    del router[name]
         return out

@@ -22,13 +22,12 @@ from repro.caching import (
     origin_body,
 )
 from repro.cluster import AmpNetCluster, ClusterConfig
-from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+from repro.routing import RoutedCluster, RouterConfig
 from repro.scenarios import (
     CacheSpec,
     FaultSpec,
     ScenarioSpec,
     SegmentSpec,
-    RouterSpec,
     TopologySpec,
     WorkloadSpec,
     run_scenario,
@@ -48,13 +47,11 @@ def ring(n_nodes=6, seed=7):
 
 
 def routed(seed=7, cache=None, n_nodes=6):
-    cfg = RoutedClusterConfig(
-        segments=[ClusterConfig(n_nodes=n_nodes, n_switches=2)
-                  for _ in range(2)],
+    topology = TopologySpec(
+        segments=[SegmentSpec(n_nodes)] * 2,
         routers=[RouterConfig(segments=(0, 1), cache=cache)],
-        seed=seed,
     )
-    cluster = RoutedCluster(cfg)
+    cluster = RoutedCluster(topology, seed=seed)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster
@@ -277,7 +274,7 @@ def _composed_cache_chaos_spec() -> ScenarioSpec:
         name="composed_cache_chaos",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=6), SegmentSpec(n_nodes=6)),
-            routers=(RouterSpec(segments=(0, 1),
+            routers=(RouterConfig(segments=(0, 1),
                                 cache={"enabled": True, "capacity": 8}),),
         ),
         seed=7,

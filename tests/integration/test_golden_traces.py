@@ -26,8 +26,6 @@ update — it is a determinism bug.
 
 import pytest
 
-from repro.scenarios import get_scenario, run_scenario
-
 #: scenario name -> (library seed implied) golden timeline digest
 GOLDEN = {
     "quiet_ring": "a2b978c605fb0c164f4296cdc4cdc9e9",
@@ -68,8 +66,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_timeline_matches_golden_digest(name):
-    result = run_scenario(get_scenario(name))
+def test_timeline_matches_golden_digest(name, first_run):
+    result = first_run(name)
     assert result.ok, [i.detail for i in result.failures()]
     assert result.trace_digest == GOLDEN[name], (
         f"{name}: timeline digest {result.trace_digest} != golden "

@@ -9,13 +9,15 @@ same-seed determinism contract at mesh scale.
 
 from collections import Counter
 
-from repro.cluster import ClusterConfig
 from repro.micropacket import BROADCAST
-from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+from repro.routing import (
+    RoutedCluster,
+    RouterConfig,
+    SegmentSpec,
+    TopologySpec,
+)
 from repro.scenarios import (
     ScenarioRunner,
-    ScenarioSpec,
-    TopologySpec,
     get_scenario,
     run_scenario,
 )
@@ -24,13 +26,11 @@ from repro.scenarios import (
 CH = 13
 
 
-def build_area_mesh(n_areas=3, spa=2, nodes=4, seed=7, **kw):
-    cfg = RoutedClusterConfig.area_mesh(
-        n_areas, spa, nodes, seed=seed, trace=False,
-        router=RouterConfig(segments=(0, 1), advertise_period_tours=8),
-        **kw,
+def build_area_mesh(n_areas=3, spa=2, nodes=4, seed=7):
+    topology = TopologySpec.area_mesh(
+        n_areas, spa, nodes, n_switches=4, advertise_period_tours=8,
     )
-    cluster = RoutedCluster(cfg)
+    cluster = RoutedCluster(topology, seed=seed, trace=False)
     cluster.start()
     cluster.run_until_ring_up()
     # Let elections settle and summaries relay border-to-border.
@@ -42,7 +42,7 @@ def build_area_mesh(n_areas=3, spa=2, nodes=4, seed=7, **kw):
 
 
 def test_star_mesh_builder_shape():
-    cfg = RoutedClusterConfig.star_mesh(5, 6, redundancy=2)
+    cfg = TopologySpec.star_mesh(5, 6, redundancy=2)
     assert len(cfg.segments) == 5
     primary, *standbys = cfg.routers
     assert primary.segments == (0, 1, 2, 3, 4)
@@ -52,7 +52,7 @@ def test_star_mesh_builder_shape():
 
 
 def test_area_mesh_builder_shape():
-    cfg = RoutedClusterConfig.area_mesh(3, 2, 5, redundant_spokes=True)
+    cfg = TopologySpec.area_mesh(3, 2, 5, redundant_spokes=True)
     assert len(cfg.segments) == 6
     hubs = [r for r in cfg.routers if r.priority == 64]
     standbys = [r for r in cfg.routers if r.priority == 240]
@@ -64,35 +64,6 @@ def test_area_mesh_builder_shape():
     assert [b.segments for b in borders] == [(0, 2), (2, 4), (4, 0)]
     # A border is labelled with the area of its first attachment.
     assert [b.area for b in borders] == [1, 2, 3]
-
-
-def test_topology_spec_shorthands_mirror_cluster_builders():
-    """The three library mesh shapes: the cluster a spec builds carries,
-    segment for segment and router for router, the config the
-    ``RoutedClusterConfig`` builder stamps from matching templates
-    (built, never started)."""
-    segment = ClusterConfig(n_switches=2, fiber_m=50.0)
-    router = RouterConfig(segments=(0, 1), advertise_period_tours=8)
-    shapes = [
-        (TopologySpec.area_mesh(2, 2, 6, advertise_period_tours=8),
-         RoutedClusterConfig.area_mesh(2, 2, 6, seed=7, segment=segment,
-                                       router=router)),
-        (TopologySpec.area_mesh(3, 5, 68, redundant_spokes=True,
-                                advertise_period_tours=8),
-         RoutedClusterConfig.area_mesh(3, 5, 68, redundant_spokes=True,
-                                       seed=7, segment=segment,
-                                       router=router)),
-        (TopologySpec.star_mesh(15, 254, advertise_period_tours=8),
-         RoutedClusterConfig.star_mesh(15, 254, seed=7, segment=segment,
-                                       router=router)),
-    ]
-    for topology, expected in shapes:
-        built = ScenarioSpec(
-            name="shape", topology=topology, seed=7
-        ).build_cluster().config
-        assert list(built.segments) == list(expected.segments)
-        assert list(built.routers) == list(expected.routers)
-        assert built == expected
 
 
 # --------------------------------------------------------------- broadcast
@@ -144,8 +115,8 @@ def test_slow_cadence_summaries_survive_at_fast_routers():
     or drops every inter-area crossing.  The v3 summary rows carry
     their refresh period precisely so this mesh stays quiet.
     """
-    cfg = RoutedClusterConfig(
-        segments=[ClusterConfig(n_nodes=4, n_switches=2) for _ in range(4)],
+    cfg = TopologySpec(
+        segments=[SegmentSpec(n_nodes=4)] * 4,
         routers=[
             RouterConfig(segments=(0, 1), priority=64, area=1,
                          advertise_period_tours=4),
@@ -154,9 +125,8 @@ def test_slow_cadence_summaries_survive_at_fast_routers():
             RouterConfig(segments=(2, 3), priority=64, area=2,
                          advertise_period_tours=24),
         ],
-        seed=7,
     )
-    cluster = RoutedCluster(cfg)
+    cluster = RoutedCluster(cfg, seed=7)
     cluster.start()
     cluster.run_until_ring_up()
     tour = cluster.tour_estimate_ns

@@ -9,12 +9,10 @@ and chaos fault composition staying deterministic and exactly-once.
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.resilience import ResilienceConfig
-from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+from repro.routing import RoutedCluster, RouterConfig
 from repro.scenarios import (
     FaultSpec,
-    RouterSpec,
     ScenarioSpec,
     SegmentSpec,
     TopologySpec,
@@ -28,15 +26,11 @@ CH = 13
 
 
 def build(n_segments=2, n_nodes=6, membership=False, seed=7, **router_kw):
-    cfg = RoutedClusterConfig(
-        segments=[
-            ClusterConfig(n_nodes=n_nodes, n_switches=2, membership=membership)
-            for _ in range(n_segments)
-        ],
+    topology = TopologySpec(
+        segments=[SegmentSpec(n_nodes)] * n_segments,
         routers=[RouterConfig(segments=tuple(range(n_segments)), **router_kw)],
-        seed=seed,
     )
-    cluster = RoutedCluster(cfg)
+    cluster = RoutedCluster(topology, seed=seed, membership=membership)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster
@@ -193,9 +187,9 @@ def _chaos_composed_spec():
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=8), SegmentSpec(n_nodes=8)),
             routers=(
-                RouterSpec(segments=(0, 1), priority=16,
+                RouterConfig(segments=(0, 1), priority=16,
                            resilience={"dead_letter": True}),
-                RouterSpec(segments=(0, 1), priority=240,
+                RouterConfig(segments=(0, 1), priority=240,
                            resilience={"dead_letter": True}),
             ),
         ),

@@ -11,9 +11,9 @@ choices from the seeded streams, so its traced timeline moves — the
 same lever the PR 1 cluster-level regression uses).
 """
 
+from repro.routing import RouterConfig
 from repro.scenarios import (
     FaultSpec,
-    RouterSpec,
     ScenarioSpec,
     SegmentSpec,
     TopologySpec,
@@ -27,8 +27,8 @@ def failover_spec(seed: int) -> ScenarioSpec:
         name="router_kill_determinism",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=4), SegmentSpec(n_nodes=4)),
-            routers=(RouterSpec(segments=(0, 1), priority=8),
-                     RouterSpec(segments=(0, 1), priority=192)),
+            routers=(RouterConfig(segments=(0, 1), priority=8),
+                     RouterConfig(segments=(0, 1), priority=192)),
         ),
         seed=seed,
         membership=True,

@@ -9,17 +9,10 @@ story across partitions.
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.micropacket import BROADCAST
-from repro.routing import (
-    PortRole,
-    RoutedCluster,
-    RoutedClusterConfig,
-    RouterConfig,
-)
+from repro.routing import PortRole, RoutedCluster, RouterConfig
 from repro.routing.election import MAX_ROOT_AGE_PERIODS
 from repro.scenarios import (
-    RouterSpec,
     ScenarioSpec,
     SegmentSpec,
     TopologySpec,
@@ -33,15 +26,11 @@ CH = 13
 
 
 def build(n_segments=2, n_nodes=4, routers=None, membership=False, seed=7):
-    cfg = RoutedClusterConfig(
-        segments=[
-            ClusterConfig(n_nodes=n_nodes, n_switches=2, membership=membership)
-            for _ in range(n_segments)
-        ],
+    topology = TopologySpec(
+        segments=[SegmentSpec(n_nodes)] * n_segments,
         routers=routers or [RouterConfig(segments=tuple(range(n_segments)))],
-        seed=seed,
     )
-    cluster = RoutedCluster(cfg)
+    cluster = RoutedCluster(topology, seed=seed, membership=membership)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

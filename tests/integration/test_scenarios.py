@@ -91,8 +91,8 @@ def test_banked_scenarios_build(name):
 
 
 @pytest.mark.parametrize("name", REPLAY_NAMES)
-def test_named_scenario_invariants_and_replay(name):
-    first = run_scenario(get_scenario(name))
+def test_named_scenario_invariants_and_replay(name, first_run):
+    first = first_run(name)
     assert first.ok, f"{name}: {[i.detail for i in first.failures()]}"
     assert first.counters["offered"] > 0
     assert first.counters["delivered"] >= first.counters["offered"]
@@ -103,11 +103,11 @@ def test_named_scenario_invariants_and_replay(name):
 
 
 @pytest.mark.parametrize("name", LARGE_NAMES)
-def test_large_ring_scenarios_run_green(name):
+def test_large_ring_scenarios_run_green(name, first_run):
     """The production-scale capstones — single rings at the 8-bit
     ceiling and router-joined clusters beyond it — run end to end with
     full delivery and zero drops inside the suite."""
-    result = run_scenario(get_scenario(name))
+    result = first_run(name)
     assert result.ok, f"{name}: {[i.detail for i in result.failures()]}"
     assert result.counters["offered"] > 0
     assert result.counters["delivered"] >= result.counters["offered"]

@@ -107,15 +107,9 @@ def test_router_fault_needs_a_routed_cluster(cluster):
 
 
 def test_router_fault_unknown_router_rejected():
-    from repro.routing import RoutedCluster, RoutedClusterConfig, RouterConfig
+    from repro.routing import RoutedCluster, TopologySpec
 
-    routed = RoutedCluster(
-        RoutedClusterConfig(
-            segments=[ClusterConfig(n_nodes=3, n_switches=2)
-                      for _ in range(2)],
-            routers=[RouterConfig(segments=(0, 1))],
-        )
-    )
+    routed = RoutedCluster(TopologySpec.star_mesh(2, 3))
     sched = FaultSchedule().crash_router(1_000, 5)
     with pytest.raises(FaultScheduleError, match=r"router 5.*routers 0\.\.0"):
         sched.arm(routed)

@@ -11,14 +11,14 @@ multi-segment behaviour is in ``tests/integration/test_routing.py``.)
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.resilience import ResilienceConfig
 from repro.routing import (
     PortRole,
     RoutedCluster,
-    RoutedClusterConfig,
     RouterConfig,
     SegmentRouter,
+    SegmentSpec,
+    TopologySpec,
 )
 from repro.routing.ads import AGE_UNIT_NS, decode, encode
 from repro.routing.election import (
@@ -60,45 +60,44 @@ def test_redundancy_knobs_validated():
         RouterConfig(segments=(0, 1), shadow_capacity=0)
 
 
-# ----------------------------------------------- RoutedClusterConfig shape
+# ---------------------------------------------------- TopologySpec shape
 def _segs(n):
-    return [ClusterConfig(n_nodes=3, n_switches=2) for _ in range(n)]
+    return [SegmentSpec(n_nodes=3)] * n
 
 
 def test_cyclic_router_graphs_are_allowed():
     """Redundant routers form cycles by design; the spanning tree (not
     the validator) is what keeps forwarding loop-free."""
     # Two routers between the same pair of segments.
-    RoutedClusterConfig(
+    TopologySpec(
         segments=_segs(2),
         routers=[RouterConfig(segments=(0, 1)),
                  RouterConfig(segments=(0, 1))],
     )
     # A triangle of segments.
-    RoutedClusterConfig(
+    TopologySpec(
         segments=_segs(3),
         routers=[RouterConfig(segments=(0, 1)),
                  RouterConfig(segments=(1, 2)),
                  RouterConfig(segments=(2, 0))],
     )
     # Trees still build, obviously.
-    RoutedClusterConfig(
+    TopologySpec(
         segments=_segs(4), routers=[RouterConfig(segments=(0, 1, 2, 3))]
     )
 
 
 def test_unknown_segment_reference_rejected():
     with pytest.raises(ValueError, match="references segment"):
-        RoutedClusterConfig(
+        TopologySpec(
             segments=_segs(2), routers=[RouterConfig(segments=(0, 5))]
         )
 
 
 def test_segment_member_ceiling_enforced():
     with pytest.raises(ValueError, match="255-member"):
-        RoutedClusterConfig(
-            segments=[ClusterConfig(n_nodes=255, n_switches=2),
-                      ClusterConfig(n_nodes=4, n_switches=2)],
+        TopologySpec(
+            segments=[SegmentSpec(n_nodes=255), SegmentSpec(n_nodes=4)],
             routers=[RouterConfig(segments=(0, 1))],
         )
 
@@ -107,21 +106,24 @@ def test_one_convergence_tracker_per_timeline():
     """Segments share the cluster's tracer, so they take its tracker
     too: sixteen listeners indexing the same records on ``mesh_1k`` was
     fifteen too many."""
-    cluster = RoutedCluster(RoutedClusterConfig(
+    cluster = RoutedCluster(TopologySpec(
         segments=_segs(3), routers=[RouterConfig(segments=(0, 1, 2))]))
     assert len(cluster.tracer._listeners) == 1
     assert all(s.convergence is cluster.convergence for s in cluster.segments)
 
 
 def test_gateway_ids_follow_user_nodes():
-    cfg = RoutedClusterConfig(
+    first, second = RoutedCluster(TopologySpec(
         segments=_segs(3),
         routers=[RouterConfig(segments=(0, 1)), RouterConfig(segments=(1, 2))],
-    )
+    )).routers
+
+    def gateways(router):
+        return {seg: port.gateway.node_id for seg, port in router.ports.items()}
+
     # Segment 1 hosts both routers: gateway ids 3 and 4.
-    assert cfg.gateways_of(1) == [(0, 3), (1, 4)]
-    assert cfg.gateways_of(0) == [(0, 3)]
-    assert cfg.gateways_of(2) == [(1, 3)]
+    assert gateways(first) == {0: 3, 1: 3}
+    assert gateways(second) == {1: 4, 2: 3}
 
 
 # ------------------------------------------------- role election (pure)
@@ -298,9 +300,7 @@ def idle_router(router_id=0, **router_kw):
     up and no advertisement flows."""
     routers = [RouterConfig(segments=(0, 1)) for _ in range(router_id)]
     routers.append(RouterConfig(segments=(0, 1), **router_kw))
-    cluster = RoutedCluster(
-        RoutedClusterConfig(segments=_segs(2), routers=routers)
-    )
+    cluster = RoutedCluster(TopologySpec(segments=_segs(2), routers=routers))
     return cluster.routers[router_id]
 
 
@@ -485,7 +485,7 @@ def test_crossing_addressed_to_the_egress_gateway_is_a_counted_drop():
     crossing to the port's own ``(segment, gateway)`` put a frame on the
     ring that its own MAC source-stripped — counted ``egress_tx``, never
     delivered (PR 12's finding (ii))."""
-    cluster = RoutedCluster(RoutedClusterConfig(
+    cluster = RoutedCluster(TopologySpec(
         segments=_segs(2), routers=[RouterConfig(segments=(0, 1))]))
     router = cluster.routers[0]
     port = router.ports[0]

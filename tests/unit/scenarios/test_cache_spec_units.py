@@ -6,9 +6,9 @@ must not grow ``cache: null`` keys)."""
 import pytest
 
 from repro.caching import CacheConfig
+from repro.routing import RouterConfig
 from repro.scenarios import (
     CacheSpec,
-    RouterSpec,
     ScenarioSpec,
     SegmentSpec,
     TopologySpec,
@@ -19,7 +19,7 @@ from repro.scenarios import (
 def routed_topology():
     return TopologySpec(
         segments=(SegmentSpec(n_nodes=6), SegmentSpec(n_nodes=6)),
-        routers=(RouterSpec(segments=(0, 1)),),
+        routers=(RouterConfig(segments=(0, 1)),),
     )
 
 
@@ -98,7 +98,7 @@ def test_cache_spec_accepts_a_plain_dict():
 
 # ----------------------------------------------------- router cache knob
 def test_router_spec_coerces_cache_dict():
-    router = RouterSpec(segments=(0, 1), cache={"enabled": True,
+    router = RouterConfig(segments=(0, 1), cache={"enabled": True,
                                                 "capacity": 32})
     assert isinstance(router.cache, CacheConfig)
     assert router.cache.enabled and router.cache.capacity == 32
@@ -124,7 +124,7 @@ def test_to_dict_serialises_both_cache_layers():
         name="t",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=6), SegmentSpec(n_nodes=6)),
-            routers=(RouterSpec(segments=(0, 1),
+            routers=(RouterConfig(segments=(0, 1),
                                 cache={"enabled": True, "capacity": 16}),),
         ),
         cache=CacheSpec(origin=(0, 1), caches=((1, 3),), capacity=8),

@@ -8,9 +8,9 @@ import inspect
 import pytest
 
 from repro.faults import FaultKind, FaultSchedule
+from repro.routing import RouterConfig
 from repro.scenarios import (
     CacheSpec,
-    RouterSpec,
     ScenarioRunner,
     ScenarioSpec,
     SegmentSpec,
@@ -22,7 +22,7 @@ from repro.workloads import PARAM_KEYWORDS, WORKLOAD_KINDS
 RING = TopologySpec(n_nodes=4, n_switches=2)
 PAIR = TopologySpec(
     segments=(SegmentSpec(4), SegmentSpec(4)),
-    routers=(RouterSpec(segments=(0, 1), advertise_period_tours=8),),
+    routers=(RouterConfig(segments=(0, 1), advertise_period_tours=8),),
 )
 
 #: one runnable spec per kind: (topology, WorkloadSpec keywords)

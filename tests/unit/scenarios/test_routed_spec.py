@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.cluster import AmpNetCluster
+from repro.routing import RouterConfig
 from repro.scenarios import (
     FaultSpec,
-    RouterSpec,
     ScenarioSpec,
     SegmentSpec,
     TopologySpec,
@@ -18,7 +19,7 @@ def topo(n_segments=2, n_nodes=4, n_switches=2):
             SegmentSpec(n_nodes=n_nodes, n_switches=n_switches)
             for _ in range(n_segments)
         ),
-        routers=(RouterSpec(segments=tuple(range(n_segments))),),
+        routers=(RouterConfig(segments=tuple(range(n_segments))),),
     )
 
 
@@ -43,15 +44,57 @@ def test_multi_segment_counts_user_nodes():
 
 def test_routers_need_segments():
     with pytest.raises(ValueError, match="need a segments list"):
-        TopologySpec(routers=(RouterSpec(segments=(0, 1)),))
+        TopologySpec(routers=(RouterConfig(segments=(0, 1)),))
 
 
 def test_router_segment_references_validated():
     with pytest.raises(ValueError, match="references segment"):
         TopologySpec(
             segments=(SegmentSpec(n_nodes=4),),
-            routers=(RouterSpec(segments=(0, 3)),),
+            routers=(RouterConfig(segments=(0, 3)),),
         )
+
+
+_PAIR = [{"n_nodes": 4}, {"n_nodes": 4}]
+
+#: Shapes that cannot run, and the field the error names.  Each used to
+#: construct and only fail inside ``build_cluster`` — or, past 255
+#: members, build and die mid ring-up on a bare ``source id 255 out of
+#: range``.  Routers come in their dict (JSON round-trip) form so the
+#: row exercises the spec's own coercion into ``RouterConfig``.
+REJECTED_SHAPES = {
+    "17_segments": (
+        TopologySpec, dict(segments=[{"n_nodes": 4}] * 17), "segments: 17"),
+    "255_users_and_a_gateway": (
+        TopologySpec,
+        dict(segments=[{"n_nodes": 255}, {"n_nodes": 4}],
+             routers=[{"segments": (0, 1)}]),
+        "segment 0: n_nodes=255 user nodes plus 1 gateway"),
+    "no_nodes": (TopologySpec, dict(n_nodes=0), "n_nodes=0"),
+    "one_node": (TopologySpec, dict(n_nodes=1), "n_nodes=1"),
+    "300_nodes": (TopologySpec, dict(n_nodes=300), "n_nodes=300"),
+    "no_switches": (TopologySpec, dict(n_switches=0), "n_switches=0"),
+    "negative_fibre": (TopologySpec, dict(fiber_m=-1), "fiber_m=-1"),
+    "router_on_one_segment": (
+        TopologySpec, dict(segments=_PAIR, routers=[{"segments": (0,)}]),
+        "at least two segments"),
+    "router_twice_on_a_segment": (
+        TopologySpec, dict(segments=_PAIR, routers=[{"segments": (0, 0)}]),
+        "twice to one segment"),
+    "no_egress_capacity": (
+        TopologySpec,
+        dict(segments=_PAIR,
+             routers=[{"segments": (0, 1), "egress_capacity": 0}]),
+        "egress capacity"),
+    "256_node_cluster": (AmpNetCluster, dict(n_nodes=256), "n_nodes=256"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REJECTED_SHAPES))
+def test_a_shape_that_cannot_run_does_not_construct(shape):
+    declare, fields, named = REJECTED_SHAPES[shape]
+    with pytest.raises(ValueError, match=named):
+        declare(**fields)
 
 
 def test_dict_round_trip_normalizes_to_dataclasses():
@@ -126,7 +169,7 @@ def test_partition_check_uses_target_segment_switches():
     single_switch = TopologySpec(
         segments=(SegmentSpec(n_nodes=4, n_switches=2),
                   SegmentSpec(n_nodes=4, n_switches=1)),
-        routers=(RouterSpec(segments=(0, 1)),),
+        routers=(RouterConfig(segments=(0, 1)),),
     )
     with pytest.raises(ValueError, match=">= 2 switches"):
         ScenarioSpec(
@@ -221,4 +264,5 @@ def test_router_faults_build_their_own_schedule():
 
 def test_router_priority_validated():
     with pytest.raises(ValueError, match="priority"):
-        RouterSpec(segments=(0, 1), priority=999)
+        TopologySpec(segments=_PAIR,
+                     routers=[{"segments": (0, 1), "priority": 999}])

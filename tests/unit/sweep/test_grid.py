@@ -3,8 +3,14 @@
 import pytest
 
 from repro.micropacket import BROADCAST
-from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
-from repro.scenarios.spec import FaultSpec, RouterSpec, SegmentSpec
+from repro.routing import RouterConfig
+from repro.scenarios import (
+    FaultSpec,
+    ScenarioSpec,
+    SegmentSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.sweep import SweepGrid, grid_from_names
 
 
@@ -74,7 +80,7 @@ def test_with_size_renames_and_resizes():
 
 
 def test_with_size_rejects_degenerate_rings():
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="n_nodes=1"):
         tiny_spec().with_size(1)
 
 
@@ -110,7 +116,7 @@ def test_with_size_rejects_multi_segment_topologies():
         name="routed",
         topology=TopologySpec(
             segments=(SegmentSpec(n_nodes=3), SegmentSpec(n_nodes=3)),
-            routers=(RouterSpec(segments=(0, 1)),),
+            routers=(RouterConfig(segments=(0, 1)),),
         ),
         invariants=("roster_converged",),
     )

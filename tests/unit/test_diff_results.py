@@ -137,3 +137,16 @@ def test_plain_tables_still_join_on_first_column(tmp_path):
     assert diff_results._row_key_width(
         ["s", "m", "v"], [["a", "x", 1], ["a", "y", 2]]
     ) == 2
+
+
+def test_only_host_timing_experiments_have_volatile_numbers():
+    """Regression: a bare substring match gave F9's ``detection_speedup``
+    — a ratio of two *simulated* detection times — the wall-clock bound."""
+    volatile = diff_results.is_volatile
+    assert not volatile("F9", "detection_speedup")
+    assert not volatile("P4", "failover_convergence_ns")
+    assert not volatile("P1", "n16_schedule_entries_ratio")
+    assert volatile("P1", "n16_speedup_same_workload")
+    assert volatile("P1", "Events/wall-s")
+    assert volatile("P4", "probe_events_per_sec")
+    assert volatile("P4", "probe_wall_s")
