@@ -1,16 +1,11 @@
 """Metric extraction and text table/series rendering."""
 
-from .metrics import (
-    aggregate_latency,
-    ring_drop_count,
-    total_mac_counter,
-)
+from .metrics import ring_drop_count, total_mac_counter
 from .report import fmt_ns, render_table
 from .timeline import TimelineEvent, availability_timeline, render_timeline
 
 __all__ = [
     "TimelineEvent",
-    "aggregate_latency",
     "availability_timeline",
     "fmt_ns",
     "render_table",

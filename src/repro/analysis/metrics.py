@@ -4,15 +4,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim import LatencyStat
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import AmpNetCluster
 
 __all__ = [
     "total_mac_counter",
     "ring_drop_count",
-    "aggregate_latency",
 ]
 
 
@@ -33,11 +30,3 @@ def ring_drop_count(cluster: "AmpNetCluster") -> int:
     messages the routing layer lost (egress overflow, unroutable).
     """
     return cluster.ring_drop_count()
-
-
-def aggregate_latency(cluster: "AmpNetCluster") -> LatencyStat:
-    """Pool every node's MAC delivery-latency samples."""
-    stat = LatencyStat()
-    for node in cluster.nodes.values():
-        stat.extend(node.mac.delivery_latency.samples)
-    return stat

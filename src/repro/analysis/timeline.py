@@ -86,15 +86,12 @@ def _detail(category: str, data: dict) -> str:
 
 
 def availability_timeline(
-    cluster: "AmpNetCluster",
-    since: int = 0,
-    dedupe_installs: bool = True,
+    cluster: "AmpNetCluster", since: int = 0
 ) -> List[TimelineEvent]:
     """Extract the ordered availability events from the cluster trace.
 
-    ``dedupe_installs`` keeps only the first RING UP / COMMIT per round
-    (every node records one; the timeline wants the moment, not the
-    chorus).
+    Only the first RING UP / COMMIT per round is kept (every node
+    records one; the timeline wants the moment, not the chorus).
     """
     events: List[TimelineEvent] = []
     seen_rounds = {"roster_installed": set(), "roster_commit": set(),
@@ -102,7 +99,7 @@ def availability_timeline(
     for record in cluster.tracer.records:
         if record.time < since or record.category not in _CATEGORIES:
             continue
-        if dedupe_installs and record.category in seen_rounds:
+        if record.category in seen_rounds:
             key = record.data.get("round", record.data.get("reason"))
             if key in seen_rounds[record.category]:
                 continue

@@ -185,11 +185,7 @@ class AmpNetCluster:
     def run(self, until=None):
         return self.sim.run(until=until)
 
-    def run_until_ring_up(
-        self,
-        timeout_ns: Optional[int] = None,
-        beyond_round: Optional[int] = None,
-    ) -> int:
+    def run_until_ring_up(self, beyond_round: Optional[int] = None) -> int:
         """Advance until every live node is ring-operational; returns now.
 
         ``beyond_round`` waits for a roster *newer* than the given round —
@@ -198,21 +194,21 @@ class AmpNetCluster:
 
         Raises ``SimulationError`` if the horizon passes first.
         """
-        # Default horizon covers both slow-fibre topologies (many tours)
-        # and the fixed millisecond heartbeat backstop that node-crash
+        # The horizon covers both slow-fibre topologies (many tours) and
+        # the fixed millisecond heartbeat backstop that node-crash
         # detection rides on.
         return self.sim.run_until(
             lambda: self.all_rings_up(beyond_round=beyond_round),
-            timeout_ns or max(200 * self.tour_estimate_ns, 20_000_000),
+            max(200 * self.tour_estimate_ns, 20_000_000),
             step_ns=max(self.tour_estimate_ns // 4, 1_000),
             what="ring did not come up",
         )
 
-    def run_until_reroster(self, timeout_ns: Optional[int] = None) -> int:
+    def run_until_reroster(self) -> int:
         """Advance until a roster newer than the current one is installed."""
         current = self.current_roster()
         beyond = current.round_no if current is not None else None
-        return self.run_until_ring_up(timeout_ns=timeout_ns, beyond_round=beyond)
+        return self.run_until_ring_up(beyond_round=beyond)
 
     def all_rings_up(self, beyond_round: Optional[int] = None) -> bool:
         live = [n for n in self.nodes.values() if not n.failed]
@@ -375,19 +371,16 @@ class AmpNetCluster:
                     return False
         return True
 
-    def run_until_membership_converged(
-        self, dead=frozenset(), timeout_ns: Optional[int] = None
-    ) -> int:
+    def run_until_membership_converged(self, dead=frozenset()) -> int:
         """Advance until :meth:`membership_converged`; returns now.
 
-        Default horizon covers staleness + suspicion windows plus several
+        The horizon covers staleness + suspicion windows plus several
         dissemination periods.  Raises ``SimulationError`` on timeout.
         """
         cfg = self._membership_cfg
         return self.sim.run_until(
             lambda: self.membership_converged(dead),
-            timeout_ns
-            or cfg.stale_after_ns + cfg.suspicion_window_ns + 40 * cfg.period_ns,
+            cfg.stale_after_ns + cfg.suspicion_window_ns + 40 * cfg.period_ns,
             step_ns=cfg.period_ns,
             what="membership did not converge",
         )

@@ -55,9 +55,9 @@ def crc32(data: bytes, crc: int = 0) -> int:
     return acc ^ 0xFFFFFFFF
 
 
-def crc16_ccitt(data: bytes, crc: int = 0xFFFF) -> int:
+def crc16_ccitt(data: bytes) -> int:
     """CRC-16/CCITT-FALSE (init 0xFFFF, no reflection, no xorout)."""
-    acc = crc
+    acc = 0xFFFF
     for byte in data:
         acc = ((acc << 8) & 0xFFFF) ^ _CRC16_TABLE[((acc >> 8) ^ byte) & 0xFF]
     return acc

@@ -260,9 +260,8 @@ class DmaControl:
 class MicroPacket:
     """One MicroPacket as handled by NICs, switches and the ring protocol.
 
-    Instances are immutable; forwarding stages that must annotate a packet
-    (hop counts for rostering, for example) use :meth:`with_seq` /
-    ``dataclasses.replace``.
+    Instances are immutable; a stage that must annotate a packet uses
+    :meth:`with_seq` / ``dataclasses.replace``.
     """
 
     ptype: MicroPacketType

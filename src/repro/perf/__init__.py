@@ -195,8 +195,6 @@ class PerfProbe:
             "wheel_entries": stats["wheel_entries"],
             "overflow_entries": stats["overflow_entries"],
             "overflow_spills": stats["overflow_spills"] - self._start_spills,
-            "cancelled_pending": stats["cancelled_pending"],
-            "cancelled_reclaimed": stats["cancelled_reclaimed"],
             # entries-per-occupied-slot -> slot count, densest first
             "wheel_slot_histogram": {
                 str(k): v for k, v in sorted(histogram.items())

@@ -52,28 +52,21 @@ __all__ = ["SerialLink", "Fiber"]
 class SerialLink:
     """Unidirectional serial run from ``src`` to ``dst``."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        src: Port,
-        dst: Port,
-        length_m: float,
-        name: str = "",
-    ):
+    def __init__(self, sim: Simulator, src: Port, dst: Port, length_m: float):
         if length_m < 0:
             raise ValueError("fibre length must be non-negative")
         self.sim = sim
         self.src = src
         self.dst = dst
         self.length_m = length_m
-        self.name = name or f"{src.name}->{dst.name}"
+        self.name = f"{src.name}->{dst.name}"
         self.prop_ns = propagation_ns(length_m)
         self.up = True
         #: frames reserved on the wire since the last cut, in arrival
         #: order; every pending firing of ``_arrive_cb`` takes the head.
         self._wire: Deque[Frame] = deque()
         #: the one arrival entry, on the schedule once per frame in
-        #: ``_wire`` (never hand it to ``Simulator.cancel``).
+        #: ``_wire``.
         self._arrive_cb = Callback(self._arrive, ())
         #: instant the transmitter frees up; wire reservations are
         #: arithmetic, so backlog needs no queue and no chain callbacks.

@@ -49,7 +49,6 @@ class Switch:
         sim: Simulator,
         switch_id: int,
         n_ports: int,
-        latency_ns: int = SWITCH_LATENCY_NS,
         tracer: Optional[Tracer] = None,
     ):
         if n_ports <= 0:
@@ -57,7 +56,6 @@ class Switch:
         self.sim = sim
         self.switch_id = switch_id
         self.name = f"switch-{switch_id}"
-        self.latency_ns = latency_ns
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.ports: List[Port] = [
             Port(sim, f"{self.name}.p{i}") for i in range(n_ports)
@@ -69,8 +67,7 @@ class Switch:
         for port in self.ports:
             port.set_handlers(on_frame=self._on_frame)
         #: egress port index -> (frames crossing to that port, oldest
-        #: first; the port's one reusable entry).  Never hand an entry to
-        #: ``Simulator.cancel``.
+        #: first; the port's one reusable entry).
         self._crossing: List[Tuple[Deque[Frame], Callback]] = []
         for port in self.ports:
             fifo: Deque[Frame] = deque()
@@ -160,7 +157,7 @@ class Switch:
         fifo.append(frame)
         # Direct kernel post (see the _post contract in sim/kernel.py).
         sim = self.sim
-        sim._post(sim._now + self.latency_ns, entry)
+        sim._post(sim._now + SWITCH_LATENCY_NS, entry)
 
     @staticmethod
     def _emit(fifo: Deque[Frame], out: Port) -> None:

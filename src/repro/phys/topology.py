@@ -139,7 +139,6 @@ def build_switched(
     n_switches: int,
     fiber_m: float = 50.0,
     tracer: Optional[Tracer] = None,
-    switch_latency_ns: int = SWITCH_LATENCY_NS,
 ) -> PhysicalTopology:
     """Wire ``n_nodes`` nodes to ``n_switches`` switches, full bipartite.
 
@@ -149,7 +148,7 @@ def build_switched(
     check_ring_shape(n_nodes, n_switches, fiber_m)
     topo = PhysicalTopology(sim, n_nodes, n_switches, fiber_m)
     topo.switches = [
-        Switch(sim, k, n_ports=n_nodes, latency_ns=switch_latency_ns, tracer=tracer)
+        Switch(sim, k, n_ports=n_nodes, tracer=tracer)
         for k in range(n_switches)
     ]
     for i in range(n_nodes):
@@ -162,12 +161,7 @@ def build_switched(
     return topo
 
 
-def ring_tour_estimate_ns(
-    n_nodes: int,
-    fiber_m: float,
-    switch_latency_ns: int = SWITCH_LATENCY_NS,
-    payload_wire_bytes: int = FIXED_WIRE_BYTES,
-) -> int:
+def ring_tour_estimate_ns(n_nodes: int, fiber_m: float) -> int:
     """Upper-bound estimate of one ring-tour time for a fixed cell.
 
     Each of the ``n_nodes`` hops costs: node transit logic + cell
@@ -178,8 +172,8 @@ def ring_tour_estimate_ns(
     """
     per_hop = (
         NODE_TRANSIT_NS
-        + serialization_ns(frame_wire_bits(payload_wire_bytes) + 10 * IDLE_GAP_SYMBOLS)
+        + serialization_ns(frame_wire_bits(FIXED_WIRE_BYTES) + 10 * IDLE_GAP_SYMBOLS)
         + 2 * propagation_ns(fiber_m)
-        + switch_latency_ns
+        + SWITCH_LATENCY_NS
     )
     return n_nodes * per_hop

@@ -29,7 +29,7 @@ from ..micropacket import BROADCAST, Flags, MicroPacket
 from ..phys import NODE_TRANSIT_NS, Port, frame_for
 from ..phys.frame import Frame
 from ..rostering.roster import Roster
-from ..sim import Callback, Counter, LatencyStat, Simulator, Tracer
+from ..sim import Callback, Counter, Simulator, Tracer
 from ..sim.monitor import NULL_TRACER
 from .flow_control import FlowControlConfig, InsertionController
 
@@ -164,7 +164,6 @@ class RingMAC:
         self.on_tour_lost: Optional[FrameFn] = None
 
         self.counters = Counter()
-        self.delivery_latency = LatencyStat()
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -430,8 +429,6 @@ class RingMAC:
                 or dma.dst_segment == self.segment_id
             ):
                 counters.incr("rx_delivered")
-                if frame.inserted_at is not None:
-                    self.delivery_latency.add(self.sim._now - frame.inserted_at)
                 if self.on_deliver is not None:
                     self.on_deliver(pkt, frame)
 

@@ -182,9 +182,7 @@ def _build_ring(
 
 
 def compute_roster(
-    round_no: int,
-    attachment: Dict[int, Set[int]],
-    max_chain_len: Optional[int] = None,
+    round_no: int, attachment: Dict[int, Set[int]]
 ) -> Optional[Roster]:
     """Compute the largest constructible logical ring.
 
@@ -195,10 +193,9 @@ def compute_roster(
     attachment:
         switch id -> set of node ids with live fibres to that switch
         (as collected from REPORT cells).
-    max_chain_len:
-        Bound on switch-chain length; defaults to ``2 * live switches``,
-        enough to bridge any union-of-cliques arrangement of at most four
-        switches.
+
+    Switch chains are bounded at ``2 * live switches`` long, enough to
+    bridge any union-of-cliques arrangement of at most four switches.
 
     Returns None when no node is attached to anything.
     """
@@ -214,7 +211,7 @@ def compute_roster(
         return Roster(round_no, (next(iter(all_nodes)),), ())
 
     switch_ids = sorted(live)
-    cap = max_chain_len or 2 * len(switch_ids)
+    cap = 2 * len(switch_ids)
 
     best: Optional[Tuple[int, int, Tuple[int, ...], List[int]]] = None
 

@@ -8,19 +8,18 @@ must fit eight payload bytes.  Four phases share a common header::
     byte 2   round number (mod 256, monotonic per rostering epoch)
     bytes 3..7  phase-specific
 
-EXPLORE   byte 3 = hop count, rest zero
+EXPLORE   bytes 3..7 zero (relays re-flood the cell unchanged)
 REPORT    byte 3 = live-port bitmap (bit k = port to switch k has carrier)
-          byte 4 = qualification score (failover election, slide 19)
+          byte 4 = zero (control groups carry their own qualification)
           byte 5, 6 = protocol version major/minor (assimilation, slide 17)
-          byte 7 = reserved
+          byte 7 = zero
 COMMIT    byte 3 = chunk index, byte 4 = total chunks,
           bytes 5..7 = up to three roster member ids (0xFF = padding)
 JOIN      same as EXPLORE; emitted by a booting node that wants in
 
 ``flood_key`` gives switches and nodes the duplicate-suppression key of
 the "rostering rules" (slide 16): EXPLORE/REPORT/JOIN flood once per
-(phase, origin, round) regardless of hop count; COMMIT floods once per
-chunk.
+(phase, origin, round); COMMIT floods once per chunk.
 
 This module is a leaf (imports nothing above :mod:`repro.micropacket`) so
 the physical layer can apply flood rules without a dependency cycle.
@@ -68,9 +67,7 @@ class RosterMessage:
     phase: Phase
     origin: int
     round_no: int
-    hops: int = 0
     port_bitmap: int = 0
-    qualification: int = 0
     version: tuple = (0, 0)
     chunk_index: int = 0
     total_chunks: int = 0
@@ -86,21 +83,20 @@ def _cell(origin: int, payload: bytes) -> MicroPacket:
     )
 
 
-def encode_explore(origin: int, round_no: int, hops: int = 0) -> MicroPacket:
-    payload = bytes([Phase.EXPLORE, origin, round_no & 0xFF, hops & 0xFF, 0, 0, 0, 0])
+def encode_explore(origin: int, round_no: int) -> MicroPacket:
+    payload = bytes([Phase.EXPLORE, origin, round_no & 0xFF, 0, 0, 0, 0, 0])
     return _cell(origin, payload)
 
 
-def encode_join(origin: int, round_no: int = 0, hops: int = 0) -> MicroPacket:
-    payload = bytes([Phase.JOIN, origin, round_no & 0xFF, hops & 0xFF, 0, 0, 0, 0])
-    return _cell(origin, payload)
+def encode_join(origin: int) -> MicroPacket:
+    """A booting node knows no round yet: JOIN always carries round 0."""
+    return _cell(origin, bytes([Phase.JOIN, origin, 0, 0, 0, 0, 0, 0]))
 
 
 def encode_report(
     origin: int,
     round_no: int,
     port_bitmap: int,
-    qualification: int = 0,
     version: Sequence[int] = (1, 0),
 ) -> MicroPacket:
     if not 0 <= port_bitmap <= 0xFF:
@@ -111,7 +107,7 @@ def encode_report(
             origin,
             round_no & 0xFF,
             port_bitmap,
-            qualification & 0xFF,
+            0,
             version[0] & 0xFF,
             version[1] & 0xFF,
             0,
@@ -150,11 +146,11 @@ def decode(packet: MicroPacket) -> RosterMessage:
     phase = Phase(p[0])
     origin, round_no = p[1], p[2]
     if phase in (Phase.EXPLORE, Phase.JOIN):
-        return RosterMessage(phase, origin, round_no, hops=p[3])
+        return RosterMessage(phase, origin, round_no)
     if phase == Phase.REPORT:
         return RosterMessage(
             phase, origin, round_no,
-            port_bitmap=p[3], qualification=p[4], version=(p[5], p[6]),
+            port_bitmap=p[3], version=(p[5], p[6]),
         )
     if phase == Phase.COMMIT:
         members = tuple(m for m in p[5:8] if m != PAD)
@@ -168,9 +164,9 @@ def decode(packet: MicroPacket) -> RosterMessage:
 def flood_key(payload: bytes) -> bytes:
     """Duplicate-suppression key for flooding rostering cells.
 
-    EXPLORE/REPORT/JOIN: once per (phase, origin, round) — the hop count
-    changes as the cell is relayed and must not defeat suppression.
-    COMMIT: once per chunk, so multi-cell rosters get through.
+    EXPLORE/REPORT/JOIN: once per (phase, origin, round), whatever the
+    phase-specific bytes say.  COMMIT: once per chunk, so multi-cell
+    rosters get through.
     """
     p = bytes(payload[:5]).ljust(5, b"\x00")
     if p[0] == Phase.COMMIT:

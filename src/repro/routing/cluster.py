@@ -180,14 +180,12 @@ class TopologySpec:
 
     # ------------------------------------------------------- mesh builders
     @classmethod
-    def _mesh(cls, layout, nodes_per_segment, n_switches, fiber_m,
-              router) -> "TopologySpec":
-        """Stamp segments and ``router``-keyword routers over a
+    def _mesh(cls, layout, segment, router) -> "TopologySpec":
+        """Stamp ``segment`` and ``router``-keyword routers over a
         :func:`mesh_layout`."""
         n_segments, rows = layout
         return cls(
-            segments=(SegmentSpec(nodes_per_segment, n_switches, fiber_m),)
-            * n_segments,
+            segments=(segment,) * n_segments,
             routers=tuple(RouterConfig(**row, **router) for row in rows),
         )
 
@@ -198,8 +196,6 @@ class TopologySpec:
         nodes_per_segment: int,
         *,
         redundancy: int = 0,
-        n_switches: int = 2,
-        fiber_m: float = 50.0,
         **router: Any,
     ) -> "TopologySpec":
         """Hub-and-spoke: one central router attached to every segment
@@ -215,7 +211,7 @@ class TopologySpec:
         """
         return cls._mesh(
             mesh_layout(1, n_segments, standbys=redundancy, labelled=False),
-            nodes_per_segment, n_switches, fiber_m, router,
+            SegmentSpec(nodes_per_segment), router,
         )
 
     @classmethod
@@ -227,7 +223,6 @@ class TopologySpec:
         *,
         redundant_spokes: bool = False,
         n_switches: int = 2,
-        fiber_m: float = 50.0,
         **router: Any,
     ) -> "TopologySpec":
         """Hierarchical mesh: a hub star per area, areas stitched into a
@@ -237,7 +232,7 @@ class TopologySpec:
         return cls._mesh(
             mesh_layout(n_areas, segments_per_area,
                         standbys=int(redundant_spokes)),
-            nodes_per_segment, n_switches, fiber_m, router,
+            SegmentSpec(nodes_per_segment, n_switches), router,
         )
 
     @property
@@ -382,12 +377,12 @@ class RoutedCluster:
     def run(self, until=None):
         return self.sim.run(until=until)
 
-    def run_until_ring_up(self, timeout_ns: Optional[int] = None) -> int:
+    def run_until_ring_up(self) -> int:
         """Advance until every segment's ring is operational; returns now."""
         tour = self.tour_estimate_ns
         return self.sim.run_until(
             self.all_rings_up,
-            timeout_ns or max(200 * tour, 20_000_000),
+            max(200 * tour, 20_000_000),
             step_ns=max(tour // 4, 1_000),
             what="some segment's ring did not come up",
         )

@@ -29,7 +29,7 @@ role change).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -38,8 +38,7 @@ from ..membership import PeerStatus
 from ..micropacket import BROADCAST, MicroPacket
 from ..resilience import DeadLetterChannel, ResilienceConfig
 from ..sim import Counter
-from ..transport import Channel, GlobalAddress
-from ..transport.messaging import _Reassembly
+from ..transport import Channel, GlobalAddress, TransferTable
 from .ads import AdDecodeError, Advertisement, Entry, decode, encode
 from .election import (
     MAX_ROOT_AGE_PERIODS, Election, PeerClaim, PortRole, elect, silent_peers,
@@ -51,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import AmpNetCluster
 
 __all__ = ["PortRole", "RouterConfig", "SegmentRouter"]
-
-#: Remembered completed crossings (dedup of late duplicate fragments).
-_COMPLETED_CACHE = 4096
 
 #: table-change kind -> counter prefix (``routes_learned``, ...)
 _PLURAL = {"route": "routes", "summary": "summaries"}
@@ -203,8 +199,7 @@ class SegmentRouter:
         )
         self.sim = None  # bound at first attach
         self.tracer = None
-        self._reassembly: Dict[Tuple[int, int, int], _Reassembly] = {}
-        self._completed: "OrderedDict[Tuple[int, int, int], None]" = OrderedDict()
+        self._transfers = TransferTable()
         self._started = False
         self._ticking = False
         #: names of the coalesced one-shot timers currently pending
@@ -377,19 +372,13 @@ class SegmentRouter:
         # across re-originations, so a crossing revisiting this router
         # (on any port) is recognized instead of looping.
         key = (dma.src_segment, dma.src_node, dma.transfer_id)
-        if key in self._completed:
+        if key in self._transfers:
             self.counters.incr("duplicate_fragments")
             return
-        state = self._reassembly.get(key)
-        if state is None:
-            state = self._reassembly[key] = _Reassembly()
-        payload = state.add(dma.offset, pkt.payload, dma.last, pkt.channel)
-        if payload is None:
+        done = self._transfers.add(key, pkt)
+        if done is None:
             return
-        del self._reassembly[key]
-        self._completed[key] = None
-        if len(self._completed) > _COMPLETED_CACHE:
-            self._completed.popitem(last=False)
+        payload, channel = done
         self.counters.incr("messages_captured")
         if dma.cluster_broadcast:
             self.counters.incr("broadcasts_captured")
@@ -397,7 +386,7 @@ class SegmentRouter:
         else:
             dst = (dma.dst_segment, pkt.dst)
         self._forward(Crossing(
-            (dma.src_segment, dma.src_node), dst, payload, state.channel,
+            (dma.src_segment, dma.src_node), dst, payload, channel,
             dma.transfer_id, ingress=segment_id,
             cluster_scope=bool(dma.cluster_broadcast),
         ))

@@ -67,31 +67,17 @@ class Callback:
     ``fn`` propagates out of the event loop exactly as an unhandled
     callback error always did).
 
-    An entry made by ``call_at``/``call_in`` is one-shot and may be
-    cancelled.  The per-frame hot path (link arrivals, switch crossings,
-    the MAC transmit engine) instead posts one long-lived entry per
-    device over and over, and must never cancel it — see the ``_post``
-    contract in :mod:`repro.sim.kernel`.
+    An entry made by ``call_at``/``call_in`` is one-shot.  The per-frame
+    hot path (link arrivals, switch crossings, the MAC transmit engine)
+    instead posts one long-lived entry per device over and over — see
+    the ``_post`` contract in :mod:`repro.sim.kernel`.
     """
 
     __slots__ = ("fn", "args")
 
-    def __init__(self, fn: Optional[Callable[..., Any]], args: tuple):
+    def __init__(self, fn: Callable[..., Any], args: tuple):
         self.fn = fn
         self.args = args
-
-    def cancel(self) -> None:
-        """Mark the entry dead: the kernel skips it at fire time.
-
-        Scheduler-agnostic by design — cancellation is a property of the
-        entry, not of its position in a heap or wheel slot, so it works
-        no matter which queue the entry currently sits in.  The handle
-        stays on the schedule until its instant passes (or the kernel
-        compacts, see :meth:`Simulator.cancel`); it just never fires.
-        Idempotent, and harmless after the entry has already fired.
-        """
-        self.fn = None
-        self.args = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Callback {getattr(self.fn, '__qualname__', self.fn)!r}>"
@@ -149,8 +135,8 @@ class Event:
         """Trigger the event with an exception.
 
         The exception propagates into every waiting process at its yield
-        point.  Unwaited failures surface when the kernel processes the
-        event (configurable via ``Simulator(strict=...)``).
+        point.  An unwaited failure surfaces when the kernel processes
+        the event.
         """
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")

@@ -50,10 +50,10 @@ submission order.  Slot order therefore equals submission order — the
 same ``(time, seq)`` semantics the heap provided, and the golden-trace
 digests pin it.
 
-Cancellation is a property of the entry (``Callback.cancel`` blanks the
-callable), so it is scheduler-agnostic; :meth:`Simulator.cancel` adds
-eager compaction so cancel-heavy workloads cannot pin memory in wheel
-slots or the overflow heap across long idle spans.
+An entry, once posted, fires: the kernel has no cancellation.  Every
+timer in the tree is fire-and-guard — the handler checks a generation
+counter or a due time it owns and returns when it has been superseded
+(``docs/architecture.md``, "The event scheduler").
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ class Simulator:
         stochastic component (workload generators, fault injectors, jitter
         models) draws from ``sim.rng.stream(name)`` so components never
         perturb each other's randomness.
-    strict:
-        When True (default), an event that *fails* with no process waiting
-        on it aborts the simulation by re-raising the exception.  This
-        catches silently-dying firmware processes in tests.
+
+    An event that *fails* with no process waiting on it aborts the
+    simulation by re-raising the exception, so a firmware process cannot
+    die silently.
     """
 
-    def __init__(self, seed: int = 0, strict: bool = True):
+    def __init__(self, seed: int = 0):
         self._now: int = 0
         # --- timer wheel state (see module docstring) ---
         self._wheel: List[List[Any]] = [[] for _ in range(_WHEEL_SLOTS)]
@@ -112,12 +112,8 @@ class Simulator:
         self._cursor: int = 0
         self._overflow: List[Tuple[int, int, Any]] = []
         self._seq: int = 0  # FIFO tie-break for overflow entries only
-        # --- cancellation bookkeeping ---
-        self._cancelled_pending: int = 0
-        self._cancelled_reclaimed: int = 0
         #: total schedules that missed the near wheel (occupancy metric)
         self._overflow_spills: int = 0
-        self.strict = strict
         self.rng = SeededStreams(seed)
         #: total schedule entries processed; the kernel's throughput unit
         #: (see :mod:`repro.perf`).  Always maintained — an int bump per
@@ -155,29 +151,24 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def call_at(self, time: int, fn: Callable[..., None], *args: Any) -> Callback:
+    def call_at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time`` (>= now).
 
         This is the allocation-light scheduling path: one slim
         :class:`~repro.sim.events.Callback` goes straight into a wheel
         slot — no intermediate Timeout, wrapper lambda or callback list.
-        The returned handle cannot be yielded on (processes that need to
-        wait should use :meth:`timeout`) but it can be passed to
-        :meth:`cancel`.
+        Nothing can wait on the entry (processes that need to wait
+        should use :meth:`timeout`).
         """
         if time < self._now:
             raise SimulationError(f"call_at({time}) is in the past (now={self._now})")
-        cb = Callback(fn, args)
-        self._post(time, cb)
-        return cb
+        self._post(time, Callback(fn, args))
 
-    def call_in(self, delay: int, fn: Callable[..., None], *args: Any) -> Callback:
+    def call_in(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` ns (see :meth:`call_at`)."""
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        cb = Callback(fn, args)
-        self._post(self._now + delay, cb)
-        return cb
+        self._post(self._now + delay, Callback(fn, args))
 
     # ------------------------------------------------------------- scheduling
     # CONTRACT: ``sim._post(fire_time, entry)`` is the one scheduling
@@ -192,10 +183,8 @@ class Simulator:
     # on that: each device posts the *same* ``Callback`` for every frame
     # and keeps the frames in a FIFO of its own, which is exact because
     # the device's fire times never decrease from one post to the next.
-    # Such an entry must never be handed to ``cancel()`` — blanking it
-    # would kill every pending firing at once; a device that has to void
-    # its pending firings swaps in a fresh entry and re-points the old
-    # one (see ``SerialLink.go_down``).
+    # A device that has to void its pending firings swaps in a fresh
+    # entry and re-points the old one (see ``SerialLink.go_down``).
     def _post(self, time: int, entry: Any) -> None:
         if self._lap_start <= time < self._lap_end:
             idx = time & _WHEEL_MASK
@@ -214,64 +203,6 @@ class Simulator:
     def _enqueue(self, event: Event, delay: int = 0) -> None:
         """Put a triggered event on the schedule (kernel internal)."""
         self._post(self._now + delay, event)
-
-    def cancel(self, handle: Callback) -> None:
-        """Cancel a :class:`Callback` handle returned by ``call_at``/``call_in``.
-
-        The entry never fires (scheduler-agnostic: the handle itself is
-        blanked, wherever it sits).  On top of that the kernel reclaims
-        dead entries eagerly — once cancellations outnumber live entries
-        the wheel slots and overflow heap are compacted — so workloads
-        that arm and tear down far-future timers in a loop cannot leak
-        schedule memory across long idle spans.
-        """
-        if type(handle) is not Callback:
-            raise SimulationError(
-                f"cancel() takes a Callback handle, got {handle!r}"
-            )
-        if handle.fn is None:
-            return
-        handle.cancel()
-        self._cancelled_pending += 1
-        pending = self._cancelled_pending
-        if pending >= 64 and 2 * pending > self._wheel_count + len(self._overflow):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the wheel and the overflow heap."""
-        reclaimed = 0
-        live: List[Tuple[int, int, Any]] = []
-        for item in self._overflow:
-            entry = item[2]
-            if type(entry) is Callback and entry.fn is None:
-                reclaimed += 1
-            else:
-                live.append(item)
-        heapq.heapify(live)
-        self._overflow = live
-        occ = self._occ
-        wheel = self._wheel
-        for g in range(_GROUPS):
-            bits = occ[g]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                idx = (g << _GROUP_SHIFT) + low.bit_length() - 1
-                slot = wheel[idx]
-                kept = [
-                    e for e in slot
-                    if not (type(e) is Callback and e.fn is None)
-                ]
-                if len(kept) != len(slot):
-                    reclaimed += len(slot) - len(kept)
-                    self._wheel_count -= len(slot) - len(kept)
-                    slot[:] = kept
-                    if not slot:
-                        occ[g] &= ~low
-                        if not occ[g]:
-                            self._occ_top &= ~(1 << g)
-        self._cancelled_reclaimed += reclaimed
-        self._cancelled_pending = 0
 
     def _advance_lap(self) -> None:
         """Jump the (empty) wheel to the overflow head's lap and refill."""
@@ -357,7 +288,6 @@ class Simulator:
         # bound to locals once.
         wheel = self._wheel
         occ = self._occ
-        strict = self.strict
         observer = self.on_event
         callback_type = Callback
         processed = 0
@@ -395,23 +325,15 @@ class Simulator:
                     while i < len(slot):
                         entry = slot[i]
                         i += 1
-                        if type(entry) is callback_type:
-                            fn = entry.fn
-                            if fn is None:  # cancelled
-                                if self._cancelled_pending:
-                                    self._cancelled_pending -= 1
-                                continue
-                            processed += 1
-                            if observer is not None:
-                                observer(entry)
-                            fn(*entry.args)
-                            continue
                         processed += 1
                         if observer is not None:
                             observer(entry)
+                        if type(entry) is callback_type:
+                            entry.fn(*entry.args)
+                            continue
                         had_waiters = bool(entry.callbacks)
                         entry._process()
-                        if strict and not entry._ok and not had_waiters:
+                        if not entry._ok and not had_waiters:
                             # A failure nobody observed: surface it.
                             raise entry._value
                 except BaseException:
@@ -473,8 +395,6 @@ class Simulator:
             "wheel_entries": self._wheel_count,
             "overflow_entries": len(self._overflow),
             "overflow_spills": self._overflow_spills,
-            "cancelled_pending": self._cancelled_pending,
-            "cancelled_reclaimed": self._cancelled_reclaimed,
         }
 
     def wheel_histogram(self) -> Dict[int, int]:

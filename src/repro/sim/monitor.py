@@ -189,9 +189,9 @@ class LatencyStat:
 class ConvergenceTracker:
     """Convergence metrics over per-observer verdict trace records.
 
-    Subscribes live to a :class:`Tracer` and indexes records of one
-    category (``"membership"`` by default) that carry ``peer`` and
-    ``status`` fields, keyed by the record's ``source`` (the observer).
+    Subscribes live to a :class:`Tracer` and indexes the ``"membership"``
+    records that carry ``peer`` and ``status`` fields, keyed by the
+    record's ``source`` (the observer).
     From that index it answers the questions every churn experiment asks:
 
     * **time-to-detect** — how long after an incident did the *first*
@@ -205,8 +205,7 @@ class ConvergenceTracker:
     for offline analysis).
     """
 
-    def __init__(self, tracer: Tracer, category: str = "membership"):
-        self.category = category
+    def __init__(self, tracer: Tracer):
         #: (peer, status) -> {observer source: every time it was recorded}.
         #: All times are kept (transitions are rare), so repeated
         #: incidents for the same peer — exactly what flapping and
@@ -215,7 +214,7 @@ class ConvergenceTracker:
         tracer.subscribe(self._on_record)
 
     def _on_record(self, rec: TraceRecord) -> None:
-        if rec.category != self.category:
+        if rec.category != "membership":
             return
         peer = rec.data.get("peer")
         status = rec.data.get("status")
@@ -247,11 +246,11 @@ class ConvergenceTracker:
         self,
         peer: int,
         observers: Iterable[str],
-        status: str = "DEAD",
         since: int = 0,
     ) -> Optional[int]:
-        """Incident -> last required observer's verdict, or None if any holdout."""
-        times = self.verdict_times(peer, status, since)
+        """Incident -> last required observer's DEAD verdict, or None if
+        any holdout."""
+        times = self.verdict_times(peer, "DEAD", since)
         required = list(observers)
         if not required or any(obs not in times for obs in required):
             return None

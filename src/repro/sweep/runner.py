@@ -121,23 +121,18 @@ def _call(task: Tuple[Callable[..., Any], tuple]) -> Any:
     return fn(*args)
 
 
-def pool_map(
-    fn: Callable[..., Any],
-    argtuples: Sequence[tuple],
-    workers: Optional[int] = None,
-) -> List[Any]:
+def pool_map(fn: Callable[..., Any], argtuples: Sequence[tuple]) -> List[Any]:
     """Order-preserving map over a worker pool — the bench-grid helper.
 
     ``fn(*args)`` runs once per tuple; results come back in *input*
     order whatever the completion order, so a bench's per-size rows are
-    reproducible at any worker count.  ``workers=None`` reads
+    reproducible at any worker count.  The worker count is
     ``REPRO_SWEEP_WORKERS`` (default serial); serial runs call ``fn``
     inline with no pool and no pickling.  ``fn`` and its results must be
     picklable when workers > 1 (module-level functions returning plain
     data).
     """
-    if workers is None:
-        workers = workers_from_env()
+    workers = workers_from_env()
     tasks = [(fn, tuple(args)) for args in argtuples]
     if workers <= 1 or len(tasks) <= 1:
         return [_call(task) for task in tasks]

@@ -7,6 +7,10 @@ signals) on sixteen channels; on router-joined clusters it also resolves
 :mod:`repro.routing`).
 """
 
-from .messaging import Channel, GlobalAddress, MessageHandle, Messenger
+from .messaging import (
+    Channel, GlobalAddress, MessageHandle, Messenger, TransferTable,
+)
 
-__all__ = ["Channel", "GlobalAddress", "MessageHandle", "Messenger"]
+__all__ = [
+    "Channel", "GlobalAddress", "MessageHandle", "Messenger", "TransferTable",
+]

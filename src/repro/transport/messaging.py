@@ -41,7 +41,9 @@ from ..sim import Counter, Event, Resource
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
 
-__all__ = ["Messenger", "MessageHandle", "Channel", "GlobalAddress"]
+__all__ = [
+    "Messenger", "MessageHandle", "Channel", "GlobalAddress", "TransferTable",
+]
 
 #: Cluster-wide address of a node in a router-joined multi-ring cluster:
 #: ``(segment_id, node_id)``.  Every segment keeps its own 8-bit MAC
@@ -70,10 +72,7 @@ class Channel:
     # 14/15 are reserved by AmpDK diagnostics.
 
 
-#: Completed transfers remembered for duplicate delivery suppression,
-#: keyed (src, transfer_id) for local traffic and by the origin's
-#: end-to-end identity (src_segment, src_node, transfer_id) for ferried
-#: traffic — the latter is what suppresses a redundant router's replay.
+#: Completed transfers a :class:`TransferTable` remembers.
 _COMPLETED_CACHE = 4096
 
 #: Hardware DMA channels on the NIC (slide 11: sixteen DMA channels).
@@ -130,6 +129,55 @@ class _Reassembly:
         return bytes(out)
 
 
+class TransferTable:
+    """Receive-side transfer state, shared by the messenger and the
+    segment routers: fragments reassemble under the key they arrive
+    with, and the last ``_COMPLETED_CACHE`` completed keys are
+    remembered (oldest evicted first) so a late copy is recognised as a
+    duplicate instead of being delivered, or ferried, twice.
+
+    Keys are ``(src, transfer_id)`` for local traffic and the origin's
+    end-to-end identity ``(src_segment, src_node, transfer_id)`` for
+    ferried traffic — stable across router re-originations, which is
+    what suppresses a redundant router's replay.
+    """
+
+    def __init__(self) -> None:
+        self._reassembly: Dict[Tuple[int, ...], _Reassembly] = {}
+        self._completed: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
+
+    def __contains__(self, key: Tuple[int, ...]) -> bool:
+        """True when ``key`` names a remembered completed transfer."""
+        return key in self._completed
+
+    def add(
+        self, key: Tuple[int, ...], pkt: MicroPacket
+    ) -> Optional[Tuple[bytes, int]]:
+        """Apply one DMA fragment of transfer ``key``; returns the
+        ``(payload, channel)`` of the message it completes, which is
+        then remembered, or None while fragments are missing."""
+        state = self._reassembly.get(key)
+        if state is None:
+            state = self._reassembly[key] = _Reassembly()
+        dma = pkt.dma
+        payload = state.add(dma.offset, pkt.payload, dma.last, pkt.channel)
+        if payload is None:
+            return None
+        del self._reassembly[key]
+        self.remember(key)
+        return payload, state.channel
+
+    def remember(self, key: Tuple[int, ...]) -> None:
+        """Record ``key`` as completed, evicting the oldest past the cap."""
+        self._completed[key] = None
+        if len(self._completed) > _COMPLETED_CACHE:
+            self._completed.popitem(last=False)
+
+    def clear(self) -> None:
+        self._reassembly.clear()
+        self._completed.clear()
+
+
 #: (src, payload, channel) — src is an int node id for same-segment
 #: traffic, a (segment, node) GlobalAddress for ferried traffic.
 MessageFn = Callable[[Union[int, GlobalAddress], bytes, int], None]
@@ -152,10 +200,7 @@ class Messenger:
 
         self._next_tid = 1
         self._outgoing: Dict[int, MessageHandle] = {}
-        # Keys: (src, tid) for local transfers, (src_segment, src_node,
-        # tid) — the origin's end-to-end identity — for ferried ones.
-        self._reassembly: Dict[Tuple[int, ...], _Reassembly] = {}
-        self._completed: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
+        self._transfers = TransferTable()
         # Per-channel dispatch tables: the channel space is 4 bits, so a
         # sixteen-slot list replaces dict hashing on every delivery.
         self._message_handlers: List[Optional[MessageFn]] = [None] * 16
@@ -171,8 +216,7 @@ class Messenger:
     def reset(self) -> None:
         """Forget all in-flight state (node crash: NIC memory lost)."""
         self._outgoing.clear()
-        self._reassembly.clear()
-        self._completed.clear()
+        self._transfers.clear()
 
     # ---------------------------------------------------------------- send
     def send(
@@ -251,10 +295,8 @@ class Messenger:
             # hears the broadcast it relays.  Deliver locally, through
             # the same origin-keyed dedup the receive path uses.
             key = (origin[0], origin[1], wire_tid)
-            if key not in self._completed:
-                self._completed[key] = None
-                if len(self._completed) > _COMPLETED_CACHE:
-                    self._completed.popitem(last=False)
+            if key not in self._transfers:
+                self._transfers.remember(key)
                 self.counters.incr("messages_received")
                 self.counters.incr("broadcast_self_deliveries")
                 handler = self._message_handlers[channel]
@@ -375,9 +417,8 @@ class Messenger:
         dst: int,
         payload: bytes,
         channel: int = Channel.GENERAL,
-        priority: bool = True,
     ):
-        """Send a single INTERRUPT cell (<= 8 bytes).
+        """Send a single priority INTERRUPT cell (<= 8 bytes).
 
         Fixed-format cells have no reserved header bits for the
         global-address extension, so signals cannot cross segments —
@@ -390,13 +431,12 @@ class Messenger:
             )
         if len(payload) > 8:
             raise ValueError("signals carry at most eight bytes")
-        flags = Flags.PRIORITY if priority else 0
         pkt = MicroPacket(
             ptype=MicroPacketType.INTERRUPT,
             src=self.node.node_id,
             dst=dst,
             channel=channel,
-            flags=flags,
+            flags=Flags.PRIORITY,
             payload=payload,
         )
         self.counters.incr("signals_sent")
@@ -443,22 +483,16 @@ class Messenger:
             key = (pkt.dma.src_segment, pkt.dma.src_node, pkt.dma.transfer_id)
         else:
             key = (pkt.src, pkt.dma.transfer_id)
-        if key in self._completed:
+        if key in self._transfers:
             self.counters.incr("duplicate_fragments")
             return
-        state = self._reassembly.get(key)
-        if state is None:
-            state = self._reassembly[key] = _Reassembly()
-        result = state.add(pkt.dma.offset, pkt.payload, pkt.dma.last, pkt.channel)
+        done = self._transfers.add(key, pkt)
         self.counters.incr("fragments_received")
-        if result is None:
+        if done is None:
             return
-        del self._reassembly[key]
-        self._completed[key] = None
-        if len(self._completed) > _COMPLETED_CACHE:
-            self._completed.popitem(last=False)
+        payload, channel = done
         self.counters.incr("messages_received")
-        handler = self._message_handlers[state.channel]
+        handler = self._message_handlers[channel]
         if handler is not None:
             # Ferried messages carry the original sender's global
             # address in the header extension; hand that to the handler
@@ -466,9 +500,9 @@ class Messenger:
             # replies can cross back.
             dma = pkt.dma
             if dma.src_segment is not None:
-                handler((dma.src_segment, dma.src_node), result, state.channel)
+                handler((dma.src_segment, dma.src_node), payload, channel)
             else:
-                handler(pkt.src, result, state.channel)
+                handler(pkt.src, payload, channel)
 
     def _on_interrupt(self, pkt: MicroPacket, frame) -> None:
         self.counters.incr("signals_received")

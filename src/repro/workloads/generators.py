@@ -274,14 +274,13 @@ class FileStream(MessageStream):
         dst: int,
         chunk_bytes: int = 2048,
         count: int = 1,
-        interval_ns: int = 0,
         channel: int = 11,
         name: Optional[str] = None,
     ):
         self.chunk_bytes = chunk_bytes
         super().__init__(
-            cluster, src, dst, interval_ns=interval_ns, count=count,
-            channel=channel, name=name or f"file-{src}->{dst}",
+            cluster, src, dst, count=count, channel=channel,
+            name=name or f"file-{src}->{dst}",
             reliable=True, size_fn=lambda seq: chunk_bytes,
         )
 
@@ -295,8 +294,6 @@ class FileStream(MessageStream):
             handle = messenger.send(self.dst, body, self.channel)
             self.stats.offered += 1
             yield handle.delivered
-            if self.interval_ns:
-                yield sim.timeout(self.interval_ns)
 
 
 class AllToAllBroadcast(Workload):

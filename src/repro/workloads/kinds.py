@@ -127,7 +127,7 @@ WORKLOAD_KINDS: Dict[str, WorkloadKind] = {
     ),
     "file": WorkloadKind(
         FileStream, _UNICAST,
-        optional=("chunk_bytes", "interval_ns"),
+        optional=("chunk_bytes",),
     ),
     "broadcast": WorkloadKind(
         AllToAllBroadcast, ("count", "channel"), reliable=False,
@@ -152,11 +152,10 @@ WORKLOAD_KINDS: Dict[str, WorkloadKind] = {
     "zipf": WorkloadKind(
         ZipfStream, _UNICAST,
         required=("interval_ns",),
-        optional=("alpha", "catalog_size", "request_bytes"), reliable=True,
+        optional=("alpha", "catalog_size"), reliable=True,
     ),
     "trace_replay": WorkloadKind(
         TraceReplayStream, _UNICAST,
-        required=(("trace", "trace_path"),),
-        optional=("request_bytes",), reliable=True,
+        required=(("trace", "trace_path"),), reliable=True,
     ),
 }

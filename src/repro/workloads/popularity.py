@@ -49,6 +49,9 @@ __all__ = [
 #: two-column trace file (``#`` comments and blank lines ignored).
 Trace = Union[str, Sequence[Tuple[int, int]]]
 
+#: every REQUEST frame is padded out to this many bytes
+_REQUEST_BYTES = 24
+
 
 def zipf_weights(alpha: float, catalog_size: int) -> List[float]:
     """Normalised Zipf probabilities over ranks ``0..catalog_size-1``:
@@ -117,14 +120,10 @@ class ContentStream(MessageStream):
         count: int,
         channel: int = DEFAULT_CONTENT_CHANNEL,
         name: Optional[str] = None,
-        request_bytes: int = 24,
     ):
         if src == dst:
             raise ValueError("content streams need src != dst "
                              "(the destination runs the content service)")
-        if request_bytes < 0:
-            raise ValueError("request_bytes must be >= 0")
-        self.request_bytes = request_bytes
         #: content id of every offered request, in offer order (the
         #: property suite asserts replay identity on this)
         self.content_ids: List[int] = []
@@ -166,7 +165,7 @@ class ContentStream(MessageStream):
     def _payload_for(self, seq: int) -> bytes:
         content_id = self._content_for(seq)
         self.content_ids.append(content_id)
-        return encode_request(seq, content_id, pad_to=self.request_bytes)
+        return encode_request(seq, content_id, pad_to=_REQUEST_BYTES)
 
 
 class ZipfStream(ContentStream):
@@ -192,7 +191,6 @@ class ZipfStream(ContentStream):
         catalog_size: int = 64,
         channel: int = DEFAULT_CONTENT_CHANNEL,
         name: Optional[str] = None,
-        request_bytes: int = 24,
     ):
         self.alpha = alpha
         self.catalog_size = catalog_size
@@ -201,7 +199,7 @@ class ZipfStream(ContentStream):
         self._draw = zipf_sampler(self._rng, alpha, catalog_size)
         super().__init__(
             cluster, src, dst, interval_ns=interval_ns, count=count,
-            channel=channel, name=name, request_bytes=request_bytes,
+            channel=channel, name=name,
         )
 
     def _content_for(self, seq: int) -> int:
@@ -228,7 +226,6 @@ class TraceReplayStream(ContentStream):
         trace: Trace,
         channel: int = DEFAULT_CONTENT_CHANNEL,
         name: Optional[str] = None,
-        request_bytes: int = 24,
         count: Optional[int] = None,
     ):
         if isinstance(trace, str):
@@ -254,7 +251,7 @@ class TraceReplayStream(ContentStream):
         name = name or f"trace-{src}->{dst}.ch{channel}"
         super().__init__(
             cluster, src, dst, interval_ns=0, count=len(records),
-            channel=channel, name=name, request_bytes=request_bytes,
+            channel=channel, name=name,
         )
 
     def _content_for(self, seq: int) -> int:

@@ -52,16 +52,16 @@ _MAX_THINNING_REJECTIONS = 10_000
 
 
 def sinusoidal_profile(
-    period_ns: int, floor: float = 0.1, phase: float = 0.0
+    period_ns: int, floor: float = 0.1
 ) -> Callable[[int], float]:
     """A smooth diurnal-style intensity in [floor, 1] with one cycle per
-    ``period_ns`` (peak at ``phase`` fraction into the cycle)."""
+    ``period_ns``, peaking at the start of each cycle."""
     if not 0.0 <= floor <= 1.0:
         raise ValueError("floor must be in [0, 1]")
     span = 1.0 - floor
 
     def profile(t_ns: int) -> float:
-        x = (t_ns / period_ns - phase) * 2.0 * math.pi
+        x = t_ns / period_ns * 2.0 * math.pi
         return floor + span * 0.5 * (1.0 + math.cos(x))
 
     return profile

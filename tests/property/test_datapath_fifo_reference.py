@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.micropacket import DmaControl, MicroPacket, MicroPacketType
-from repro.phys import CARRIER_DETECT_NS, Fiber, Port, Switch, frame_for
+from repro.phys import (
+    CARRIER_DETECT_NS, SWITCH_LATENCY_NS, Fiber, Port, Switch, frame_for,
+)
 from repro.phys.constants import propagation_ns
 from repro.rostering import encode_explore
 from repro.sim import Simulator
@@ -74,7 +76,7 @@ class ReferenceSwitch(Switch):
     """Every crossing is its own entry, bound to its frame and port."""
 
     def _cross(self, frame, egress):
-        self.sim.call_in(self.latency_ns, self.ports[egress].send, frame)
+        self.sim.call_in(SWITCH_LATENCY_NS, self.ports[egress].send, frame)
 
 
 def data_frame(k):

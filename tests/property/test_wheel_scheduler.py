@@ -11,8 +11,6 @@ is *observably the same scheduler*:
   ``(time, seq)`` heap would fire it;
 * FIFO stability at equal timestamps holds regardless of which side of
   the wheel/overflow split the entries land on;
-* cancelling an arbitrary subset removes exactly that subset from the
-  fired sequence without perturbing the rest;
 * the same seed produces the same trace digest through the new
   one-entry-per-frame link and batched-MAC scheduling (whole-stack
   determinism, not just kernel ordering).
@@ -119,29 +117,6 @@ def test_fifo_stability_at_equal_timestamps(groups):
     for at in sorted(expected):
         at_instant = [t for (when, t) in fired if when == at]
         assert at_instant == expected[at]
-
-
-@given(
-    items=st.lists(st.tuples(delay, st.booleans()), min_size=1, max_size=40)
-)
-@CALM
-def test_cancelled_subset_is_exactly_removed(items):
-    sim = Simulator()
-    fired = []
-    handles = []
-    for tag, (at, live) in enumerate(items):
-        handles.append((sim.call_in(at, fired.append, tag), live))
-    for handle, live in handles:
-        if not live:
-            sim.cancel(handle)
-    sim.run()
-    survivors = {
-        tag for tag, (at, live) in enumerate(items) if live
-    }
-    assert set(fired) == survivors
-    # Order among survivors still matches the reference heap.
-    ref = reference_order([(at, ()) for at, _ in items])
-    assert fired == [tag for _, tag in ref if tag in survivors]
 
 
 @given(seed=st.integers(0, 40))

@@ -1,5 +1,7 @@
 """Switch forwarding/flooding and redundant topology builder tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.micropacket import MicroPacket, MicroPacketType
@@ -118,8 +120,12 @@ def test_flood_different_round_not_suppressed():
 def test_explore_hop_count_does_not_defeat_suppression():
     sim = Simulator()
     sw, eps, boxes = switch_with_endpoints(sim)
-    eps[0].send(frame_for(encode_explore(origin=0, round_no=1, hops=0)))
-    eps[1].send(frame_for(encode_explore(origin=0, round_no=1, hops=3)))
+    explore = encode_explore(origin=0, round_no=1)
+    counted = replace(
+        explore, payload=explore.payload[:3] + b"\x03" + explore.payload[4:]
+    )
+    eps[0].send(frame_for(explore))
+    eps[1].send(frame_for(counted))
     sim.run()
     assert sum(len(b) for b in boxes) == 3
 

@@ -18,9 +18,9 @@ from repro.rostering import (
 
 
 def test_explore_roundtrip():
-    msg = decode(encode_explore(origin=7, round_no=3, hops=2))
+    msg = decode(encode_explore(origin=7, round_no=3))
     assert msg.phase == Phase.EXPLORE
-    assert (msg.origin, msg.round_no, msg.hops) == (7, 3, 2)
+    assert (msg.origin, msg.round_no) == (7, 3)
 
 
 def test_join_roundtrip():
@@ -30,12 +30,21 @@ def test_join_roundtrip():
 
 def test_report_roundtrip():
     pkt = encode_report(origin=4, round_no=9, port_bitmap=0b1010,
-                        qualification=77, version=(2, 5))
+                        version=(2, 5))
     msg = decode(pkt)
     assert msg.phase == Phase.REPORT
     assert msg.port_bitmap == 0b1010
-    assert msg.qualification == 77
     assert msg.version == (2, 5)
+
+
+def test_unused_wire_bytes_are_zero():
+    """Nothing fills or reads the old hop-count and qualification bytes:
+    the encoders write zero there, so cells stay byte-identical."""
+    for pkt in (encode_explore(origin=7, round_no=3), encode_join(origin=9)):
+        assert pkt.payload[3:8] == bytes(5)
+    report = encode_report(origin=4, round_no=9, port_bitmap=0xFF,
+                           version=(255, 255))
+    assert report.payload[4] == 0 and report.payload[7] == 0
 
 
 def test_report_bitmap_validation():
@@ -113,9 +122,11 @@ def test_assembler_keeps_rounds_separate():
 
 # ---------------------------------------------------------------- flood key
 def test_flood_key_ignores_hops_for_explore():
-    a = encode_explore(origin=3, round_no=7, hops=0)
-    b = encode_explore(origin=3, round_no=7, hops=5)
-    assert flood_key(a.payload) == flood_key(b.payload)
+    # No encoder counts hops in byte 3 any more; a cell that does (an
+    # older relay's) must still not defeat suppression.
+    a = encode_explore(origin=3, round_no=7).payload
+    b = a[:3] + b"\x05" + a[4:]
+    assert flood_key(a) == flood_key(b)
 
 
 def test_flood_key_distinguishes_rounds_and_origins():

@@ -17,9 +17,13 @@ objects allocated, and it must not grow with the number of frames.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
+from repro import AmpNetCluster, ClusterConfig
+from repro.analysis import total_mac_counter
+from repro.kernel.ampdk import HEARTBEAT_INTERVAL_NS
 from repro.micropacket import MicroPacket, MicroPacketType
 from repro.phys import Fiber, Port, Switch, frame_for
 from repro.ring import FlowControlConfig, RingMAC
@@ -135,3 +139,26 @@ def test_frames_stepping_through_the_mac_register_are_untracked(
     assert mac.counters["tx_transit"] == FRAMES
     assert len(fired) == 3 * FRAMES  # pick, emit, pick-after-hold
     assert grew <= SLACK
+
+
+def test_a_quiet_ring_retains_nothing_per_delivered_frame():
+    """Heartbeats are delivered at every hop for as long as the ring is
+    up, so anything kept per delivery grows without bound: the traced
+    memory of an idle ring must be flat from one window to the next."""
+    cluster = AmpNetCluster(
+        config=ClusterConfig(n_nodes=8, n_switches=2, trace=False)
+    )
+    cluster.start()
+    cluster.run_until_ring_up()
+    window = 200 * HEARTBEAT_INTERVAL_NS
+    cluster.run(until=cluster.sim.now + window)  # caches and pools settle
+    delivered = total_mac_counter(cluster, "rx_delivered")
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        cluster.run(until=cluster.sim.now + window)
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total_mac_counter(cluster, "rx_delivered") - delivered > 10_000
+    assert after - before < 32_000

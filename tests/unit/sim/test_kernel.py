@@ -134,7 +134,7 @@ def test_process_exception_propagates_to_waiter():
 
 
 def test_unhandled_process_failure_raises_in_strict_mode():
-    sim = Simulator(strict=True)
+    sim = Simulator()
 
     def bad():
         yield sim.timeout(1)
@@ -143,17 +143,6 @@ def test_unhandled_process_failure_raises_in_strict_mode():
     sim.process(bad())
     with pytest.raises(RuntimeError, match="firmware died"):
         sim.run()
-
-
-def test_unhandled_failure_ignored_when_not_strict():
-    sim = Simulator(strict=False)
-
-    def bad():
-        yield sim.timeout(1)
-        raise RuntimeError("ignored")
-
-    sim.process(bad())
-    sim.run()  # does not raise
 
 
 def test_event_succeed_wakes_waiter():
@@ -205,7 +194,7 @@ def test_yield_already_processed_event_resumes_immediately():
 
 
 def test_yield_non_event_is_error():
-    sim = Simulator(strict=True)
+    sim = Simulator()
 
     def bad():
         yield 42  # type: ignore[misc]

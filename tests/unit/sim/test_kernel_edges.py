@@ -37,8 +37,9 @@ def test_run_until_already_processed_event_returns_without_running():
 
 
 def test_run_until_already_failed_event_reraises():
-    sim = Simulator(strict=False)
+    sim = Simulator()
     ev = sim.event()
+    ev.callbacks.append(lambda _ev: None)  # observed, so the run survives it
     ev.fail(RuntimeError("stale failure"))
     sim.run()
     with pytest.raises(RuntimeError, match="stale failure"):
@@ -99,25 +100,17 @@ def test_run_until_boundary_event_executes_exactly_once():
     assert fired == [100]
 
 
-# ------------------------------------- strict mode: unobserved failures
+# -------------------------------------------------- unobserved failures
 def test_strict_mode_surfaces_unobserved_event_failure():
-    sim = Simulator(strict=True)
+    sim = Simulator()
     ev = sim.event()
     ev.fail(ValueError("nobody saw this"))
     with pytest.raises(ValueError, match="nobody saw this"):
         sim.run()
 
 
-def test_non_strict_mode_swallows_unobserved_event_failure():
-    sim = Simulator(strict=False)
-    ev = sim.event()
-    ev.fail(ValueError("lost quietly"))
-    sim.run()  # does not raise
-    assert ev.processed
-
-
 def test_strict_mode_spares_failures_with_a_waiter():
-    sim = Simulator(strict=True)
+    sim = Simulator()
     ev = sim.event()
     caught = []
 

@@ -1,4 +1,4 @@
-"""Options audit: every ``*Config`` field must be given a value by someone.
+"""Options audit: whatever a caller could set, some caller must set.
 
 The rule (docs/architecture.md, "Options"): a field earns its place on a
 config dataclass when some caller sets it; a value nobody ever sets is a
@@ -9,11 +9,19 @@ constructor call, ``replace(...)``, ``*Spec(...)``/``*_mesh(...)``
 pass-through or dict-coerced config in ``src/``, ``benchmarks/``
 (``benchmarks/e2e`` pins specs by hash and is left out), ``examples/``
 or ``tests/`` ever sets.
+
+The same rule holds for the two other places an option hides: a
+defaulted parameter of a public function, method or constructor must be
+passed by some call, and an optional param of a ``WORKLOAD_KINDS`` row
+must be carried by some ``WorkloadSpec``.
 """
 
 import ast
+import inspect
 import pathlib
 import re
+
+from repro.workloads import PARAM_KEYWORDS, WORKLOAD_KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCANNED = ("src", "benchmarks", "examples", "tests")
@@ -30,6 +38,15 @@ def _name(node):
     """Terminal name of a call target or decorator (``a.b.C(...)`` -> ``C``)."""
     node = node.func if isinstance(node, ast.Call) else node
     return getattr(node, "attr", getattr(node, "id", ""))
+
+
+def _dict_keys(node):
+    """Constant keys of a dict literal or a ``dict(k=...)`` call."""
+    if isinstance(node, ast.Dict):
+        return [k.value for k in node.keys if isinstance(k, ast.Constant)]
+    if isinstance(node, ast.Call) and _name(node) == "dict":
+        return [kw.arg for kw in node.keywords if kw.arg]
+    return []
 
 
 def _config_classes():
@@ -94,10 +111,170 @@ def test_every_config_field_is_set_by_someone():
             for kw in call.keywords:
                 for node in [kw.value, *getattr(kw.value, "elts", ())]:
                     if isinstance(node, ast.Dict) and kw.arg in carried:
-                        credit([k.value for k in node.keys
-                                if isinstance(k, ast.Constant)],
-                               [carried[kw.arg]])
+                        credit(_dict_keys(node), [carried[kw.arg]])
 
     assert not unset, "config fields no caller ever sets: " + ", ".join(
         f"{cls}.{field}" for cls, field in sorted(unset)
+    )
+
+
+#: The only escape from the parameter rule: defaulted parameters kept
+#: although no call passes them, each with its reason.  Five at most.
+ALLOWED_PARAMETERS = {}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defaulted(fn, bound):
+    """``[(parameter, positional index or None for keyword-only)]`` for
+    every parameter of ``fn`` that has a default; ``bound`` discounts
+    the ``self``/``cls`` a caller never writes."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [
+        (arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first
+    ] + [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _public_defaulted_parameters():
+    """``{(callee name, parameter): [(label, positional index)]}`` for
+    every defaulted parameter of a public module-level function, public
+    method or constructor of a public class under ``src/repro``.  The
+    callee name is what a call site spells: the function or method name,
+    or the class name for ``__init__``."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT / "src").as_posix()
+        for stmt in ast.parse(path.read_text()).body:
+            if getattr(stmt, "name", "_").startswith("_"):
+                continue
+            if isinstance(stmt, _FUNCTIONS):
+                members = [(stmt.name, stmt.name, stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                members = [
+                    (stmt.name if m.name == "__init__" else m.name,
+                     f"{stmt.name}.{m.name}", m,
+                     not any(_name(d) == "staticmethod"
+                             for d in m.decorator_list))
+                    for m in stmt.body if isinstance(m, _FUNCTIONS)
+                    and (m.name == "__init__" or not m.name.startswith("_"))
+                ]
+            else:
+                continue
+            for callee, qual, fn, bound in members:
+                for param, index in _defaulted(fn, bound):
+                    found.setdefault((callee, param), []).append(
+                        (f"{rel}: {qual}({param})", index)
+                    )
+    return found
+
+
+def unpassed_parameters():
+    """Labels of the defaulted parameters nothing passes.
+
+    A call passes a parameter by keyword, by reaching its position, or
+    through ``**name`` when ``name`` is assigned a dict literal or a
+    ``dict(...)`` call in the same module.  Calls are matched to
+    definitions by name alone, so a method is credited by a call to any
+    method of that name.  Two dispatch tables pass parameters no call
+    site spells: a ``WORKLOAD_KINDS`` row names the constructor keywords
+    the runner forwards from a spec (to the row's class and the bases
+    it forwards to), and a declarative ``{"shape": s, ...}`` rate
+    profile names the keywords of ``<s>_profile``.
+    """
+    defined = _public_defaulted_parameters()
+    unpassed = {label for sites in defined.values() for label, _ in sites}
+
+    def credit(callee, keywords, n_positional=0):
+        for (name, param), sites in defined.items():
+            if name == callee:
+                unpassed.difference_update(
+                    label for label, index in sites
+                    if param in keywords
+                    or (index is not None and index < n_positional)
+                )
+
+    for tree in _trees(*SCANNED):
+        #: name -> keys of the dict literals / dict(...) calls assigned to it
+        spread = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(
+                    node.targets[0], ast.Name):
+                spread.setdefault(node.targets[0].id, set()).update(
+                    _dict_keys(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                keywords = {kw.arg for kw in node.keywords if kw.arg}
+                for kw in node.keywords:
+                    if kw.arg is None:
+                        keywords |= spread.get(_name(kw.value), set())
+                # ``f(*args)`` may reach any position.
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                credit(_name(node), keywords,
+                       float("inf") if starred else len(node.args))
+            elif isinstance(node, ast.Dict):
+                keys = dict(zip(_dict_keys(node), node.values))
+                shape = keys.get("shape")
+                if isinstance(shape, ast.Constant):
+                    credit(f"{shape.value}_profile", set(keys))
+    for row in WORKLOAD_KINDS.values():
+        named = set(row.fields) | set(row.optional)
+        for need in row.required:
+            named |= {need} if isinstance(need, str) else set(need)
+        for cls in row.cls.__mro__:
+            credit(cls.__name__, {PARAM_KEYWORDS.get(n, n) for n in named})
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_by_someone():
+    assert len(ALLOWED_PARAMETERS) <= 5
+    unpassed = unpassed_parameters()
+    stale = set(ALLOWED_PARAMETERS) - unpassed
+    assert not stale, f"allowlisted but passed (drop the entry): {sorted(stale)}"
+    unpassed -= set(ALLOWED_PARAMETERS)
+    assert not unpassed, (
+        "defaulted parameters no call passes (make each the constant it "
+        "defaults to, or delete it with the branch it selects):\n  "
+        + "\n  ".join(sorted(unpassed))
+    )
+
+
+def test_every_optional_workload_param_is_given_by_someone():
+    """An optional param belongs to the constructor that names its
+    keyword, so the stream options ``MessageStream`` declares are given
+    once for every kind that forwards to it."""
+
+    def owner(kind, param):
+        keyword = PARAM_KEYWORDS.get(param, param)
+        for cls in WORKLOAD_KINDS[kind].cls.__mro__:
+            init = vars(cls).get("__init__")
+            if init and keyword in inspect.signature(init).parameters:
+                return f"{cls.__name__}({keyword})"
+        raise AssertionError(f"{kind}: no constructor takes {param!r}")
+
+    ungiven = {
+        owner(kind, param): f"{kind}.{param}"
+        for kind, row in WORKLOAD_KINDS.items() for param in row.optional
+    }
+    assert len(ungiven) >= 8, "the walk lost the kinds table"
+    for tree in _trees(*SCANNED):
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and _name(call) == "WorkloadSpec"):
+                continue
+            given = {kw.arg: kw.value for kw in call.keywords}
+            kind = getattr(call.args[0] if call.args else given.get("kind"),
+                           "value", None)
+            if kind in WORKLOAD_KINDS:
+                for param in _dict_keys(given.get("params")):
+                    if param in WORKLOAD_KINDS[kind].optional:
+                        ungiven.pop(owner(kind, param), None)
+    assert not ungiven, (
+        "optional workload params no WorkloadSpec gives: "
+        + ", ".join(sorted(ungiven.values()))
     )

@@ -43,10 +43,6 @@ ALLOWED = {
     "repro/phys/topology.py: PhysicalTopology.live_attachment":
         "the ground truth validate_against is fed (which fibres carry "
         "light right now)",
-    "repro/sim/kernel.py: Simulator.cancel":
-        "kernel primitive: tests/property/test_wheel_scheduler.py holds "
-        "cancel + slot reclaim against a reference heap; no timer in the "
-        "tree is cancelled today",
     "repro/micropacket/encoding.py: max_run_length":
         "the 8b/10b run-length measure the encoder's property tests "
         "bound at five",

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.transport.messaging import _Reassembly
-from repro.micropacket import VARIABLE_PAYLOAD_MAX
+from repro.transport.messaging import _COMPLETED_CACHE, _Reassembly
+from repro.micropacket import (
+    VARIABLE_PAYLOAD_MAX, DmaControl, MicroPacket, MicroPacketType,
+)
 from repro.node import AmpNode
 from repro.phys import build_switched
 from repro.sim import Simulator
-from repro.transport import Messenger
+from repro.transport import Messenger, TransferTable
 
 
 def make_messenger():
@@ -47,6 +49,56 @@ def test_reassembly_duplicate_fragment_idempotent():
 def test_reassembly_single_fragment():
     r = _Reassembly()
     assert r.add(0, b"whole", last=True, channel=2) == b"whole"
+
+
+# ------------------------------------------------------------ transfer table
+def fragment(tid, offset, data, last, channel=5):
+    return MicroPacket(
+        ptype=MicroPacketType.DMA, src=3, dst=0, channel=channel, payload=data,
+        dma=DmaControl(channel=0, offset=offset, transfer_id=tid, last=last),
+    )
+
+
+def test_transfer_table_completes_then_recognises_a_duplicate():
+    """The messenger's and the router's shared receive path: the last
+    fragment hands back the message and its channel, and every later
+    copy of any fragment is a known duplicate."""
+    table = TransferTable()
+    key = (1, 3, 9)  # a ferried transfer's origin identity
+    assert key not in table
+    assert table.add(key, fragment(9, 4, b"bb", last=True)) is None
+    assert key not in table  # still reassembling
+    assert table.add(key, fragment(9, 0, b"aaaa", last=False)) == (b"aaaabb", 5)
+    assert key in table
+    assert (3, 9) not in table  # the local (src, tid) key is another transfer
+
+
+def test_transfer_table_gap_is_not_completed():
+    table = TransferTable()
+    table.add((3, 1), fragment(1, 0, b"aa", last=False))
+    assert table.add((3, 1), fragment(1, 4, b"cc", last=True)) is None
+    assert (3, 1) not in table
+    assert table.add((3, 1), fragment(1, 2, b"bb", last=False)) == (b"aabbcc", 5)
+
+
+def test_transfer_table_evicts_the_oldest_completed_key():
+    table = TransferTable()
+    for tid in range(_COMPLETED_CACHE):
+        table.add((3, tid), fragment(tid, 0, b"x", last=True))
+    assert (3, 0) in table
+    table.remember((3, _COMPLETED_CACHE))  # the self-delivery path
+    assert (3, 0) not in table and (3, 1) in table
+    assert (3, _COMPLETED_CACHE) in table
+
+
+def test_transfer_table_clear_forgets_both_halves():
+    table = TransferTable()
+    table.add((3, 1), fragment(1, 0, b"whole", last=True))
+    table.add((3, 2), fragment(2, 0, b"aa", last=False))
+    table.clear()
+    assert (3, 1) not in table
+    # The half-received transfer restarts from nothing.
+    assert table.add((3, 2), fragment(2, 2, b"bb", last=True)) is None
 
 
 # ---------------------------------------------------------------- messenger
@@ -99,4 +151,4 @@ def test_reset_clears_inflight_state():
     messenger.send(1, b"pending data")
     messenger.reset()
     assert not messenger._outgoing
-    assert not messenger._reassembly
+    assert not messenger._transfers._reassembly
