@@ -8,7 +8,7 @@ start.
 """
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import fmt_ns, render_table
+from repro.analysis import fmt_ns
 from repro.baselines import TokenRing, TokenRingConfig
 from repro.sim import LatencyStat, Simulator
 from repro.workloads import MessageStream
@@ -68,7 +68,7 @@ def run_experiment():
     return ins_delivered, ins_lat, tok_delivered, tok_lat
 
 
-def test_a1_insertion_vs_token_ring(benchmark, publish, publish_json):
+def test_a1_insertion_vs_token_ring(benchmark, publish_json):
     ins_delivered, ins_lat, tok_delivered, tok_lat = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
@@ -87,14 +87,6 @@ def test_a1_insertion_vs_token_ring(benchmark, publish, publish_json):
         ("token passing", tok_delivered,
          fmt_ns(tok_lat.mean()), fmt_ns(tok_lat.percentile(99))),
     ]
-    publish(
-        "A1",
-        render_table(
-            f"A1: MAC comparison, {N_NODES} nodes, light unicast load",
-            columns,
-            rows,
-        ),
-    )
     publish_json(
         harness.bench_payload(
             exp="A1",

@@ -7,10 +7,7 @@ slide 8's guarantee is a property of the flow control, not of the ring
 topology.
 """
 
-from dataclasses import replace
-
 from repro import AmpNetCluster, ClusterConfig, NodeConfig
-from repro.analysis import render_table
 from repro.ring import FlowControlConfig
 from repro.workloads import AllToAllBroadcast
 
@@ -49,30 +46,13 @@ def run_experiment():
     return on, off
 
 
-def test_a2_flow_control_ablation(benchmark, publish, publish_json):
+def test_a2_flow_control_ablation(benchmark, publish_json):
     on, off = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     assert on.total_drops() == 0
     assert on.complete()
     assert off.total_drops() > 0, "uncontrolled insertion failed to overflow"
 
-    rows = [
-        ("flow control ON (window + pacing)", on.total_delivered(),
-         on.expected_deliveries(), on.total_drops()),
-        ("flow control OFF (ablation)", off.total_delivered(),
-         off.expected_deliveries(), off.total_drops()),
-    ]
-    publish(
-        "A2",
-        render_table(
-            f"A2: broadcast storm, {N_NODES} nodes, transit buffers of "
-            f"{TRANSIT_CAPACITY} frames",
-            ["Configuration", "Delivered", "Expected", "Drops"],
-            rows,
-        )
-        + "\nThe slide-8 guarantee is the flow control's doing: with it"
-        "\ndisabled the same ring drops frames on transit overflow.",
-    )
     publish_json(
         harness.bench_payload(
             exp="A2",

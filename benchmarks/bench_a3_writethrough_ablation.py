@@ -9,7 +9,6 @@ replication flight time.
 """
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import fmt_ns, render_table
 from repro.netcache import RegionSpec
 
 import harness
@@ -80,7 +79,7 @@ def run_experiment():
     }
 
 
-def test_a3_writethrough_ablation(benchmark, publish, publish_json):
+def test_a3_writethrough_ablation(benchmark, publish_json):
     summary = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     wt_mean, _wt_max = summary["write-through (slide 10)"]
@@ -91,18 +90,6 @@ def test_a3_writethrough_ablation(benchmark, publish, publish_json):
     # poll interval — the reason slide 10 forbids host caching.
     assert wt_mean < fast_mean < slow_mean
 
-    rows = [
-        (name, fmt_ns(mean), fmt_ns(worst))
-        for name, (mean, worst) in summary.items()
-    ]
-    publish(
-        "A3",
-        render_table(
-            "A3 (slide 10): host view staleness under a 25 kHz writer",
-            ["Host view discipline", "Mean staleness", "Worst staleness"],
-            rows,
-        ),
-    )
     publish_json(
         harness.bench_payload(
             exp="A3",

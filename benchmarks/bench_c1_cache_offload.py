@@ -15,7 +15,6 @@ is a full scenario run judged by the engine's invariants.  Knobs can be
 narrowed for smoke runs: ``C1_CAPACITIES=4 pytest benchmarks/bench_c1...``.
 """
 
-from repro.analysis import render_table
 from repro.routing import RouterConfig
 from repro.scenarios import (
     CacheSpec,
@@ -121,7 +120,7 @@ def run_experiment():
     return rows, list(grid.specs)
 
 
-def test_c1_cache_offload(benchmark, publish, publish_json):
+def test_c1_cache_offload(benchmark, publish_json):
     rows, specs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     alphas, capacities = alphas_under_test(), capacities_under_test()
     ratio = {(a, cap): r[5] for r, (a, cap) in zip(
@@ -146,16 +145,6 @@ def test_c1_cache_offload(benchmark, publish, publish_json):
 
     columns = ["Zipf alpha", "Cache capacity", "Requests",
                "Router cache hits", "Origin requests", "Hit ratio"]
-    publish(
-        "C1",
-        render_table(
-            "C1: on-path cache offload vs Zipf skew and capacity",
-            columns,
-            rows,
-        )
-        + "\nShape: hit ratio (== origin offload) rises monotonically in"
-        "\nboth the skew and the capacity; every cell offloads the origin.",
-    )
     publish_json(
         harness.bench_payload(
             exp="C1",

@@ -24,7 +24,6 @@ benchmarks/bench_f10_gossip_convergence.py``.
 
 import math
 
-from repro.analysis import fmt_ns, render_table
 from repro.scenarios import ScenarioSpec, TopologySpec
 from repro.sweep import pool_map
 
@@ -98,7 +97,7 @@ def run_experiment():
     return pool_map(measure_once, [(n,) for n in sizes_under_test()])
 
 
-def test_f10_gossip_convergence(benchmark, publish, publish_json):
+def test_f10_gossip_convergence(benchmark, publish_json):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     for r in results:
@@ -113,31 +112,6 @@ def test_f10_gossip_convergence(benchmark, publish, publish_json):
         # not O(N) — gossip does not turn into a broadcast storm.
         assert r["msgs_per_node_period"] <= 8, r
 
-    rows = [
-        (
-            r["n"],
-            fmt_ns(r["period_ns"]),
-            f"{r['msgs_per_node_period']:.1f}",
-            f"{r['bytes_per_node_period']:.0f}",
-            fmt_ns(r["detect_ns"]),
-            f"{r['detect_periods']:.1f}",
-            fmt_ns(r["converge_ns"]),
-            f"{r['converge_periods']:.1f}",
-        )
-        for r in results
-    ]
-    publish(
-        "F10",
-        render_table(
-            "F10: gossip membership — one crashed node, detection & convergence",
-            ["Nodes", "Period", "Msgs/node/period", "B/node/period",
-             "Detect", "(periods)", "Converge", "(periods)"],
-            rows,
-        )
-        + "\nShape: per-node message load flat in N (epidemic fan-out);"
-        "\ndigest bytes grow O(N); detection a fixed few periods;"
-        "\nconvergence adds only O(log N) dissemination periods.",
-    )
     publish_json(
         harness.bench_payload(
             exp="F10",
@@ -164,7 +138,9 @@ def test_f10_gossip_convergence(benchmark, publish, publish_json):
                 ),
             },
             scenarios=[membership_spec(r["n"]).to_dict() for r in results],
-            notes="Per-node message load stays O(fanout) while convergence "
-                  "grows only O(log N) periods.",
+            notes="Per-node message load stays O(fanout), flat in N, while "
+                  "digest bytes grow O(N); detection takes a fixed few "
+                  "periods and convergence adds only O(log N) "
+                  "dissemination periods.",
         )
     )

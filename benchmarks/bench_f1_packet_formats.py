@@ -4,7 +4,6 @@ Regenerates the two layout figures byte-for-byte from the serializer and
 benchmarks the full frame pipeline (pack -> CRC -> 8b/10b -> decode).
 """
 
-from repro.analysis import render_table
 from repro.micropacket import (
     DmaControl,
     Framer,
@@ -31,7 +30,7 @@ def variable_packet() -> MicroPacket:
     )
 
 
-def test_f1_packet_format_layouts(benchmark, publish, publish_json):
+def test_f1_packet_format_layouts(benchmark, publish_json):
     fixed_rows = layout_rows(fixed_packet())
     var_rows = layout_rows(variable_packet())
 
@@ -54,12 +53,6 @@ def test_f1_packet_format_layouts(benchmark, publish, publish_json):
     assert benchmark(full_pipeline) == pkt
 
     headers = ["Word", "Byte 3", "Byte 2", "Byte 1", "Byte 0"]
-    text = (
-        render_table("F1a (slide 5): MicroPacket fixed format", headers, fixed_rows)
-        + "\n\n"
-        + render_table("F1b (slide 6): MicroPacket variable format", headers, var_rows)
-    )
-    publish("F1", text)
     publish_json(
         harness.bench_payload(
             exp="F1",

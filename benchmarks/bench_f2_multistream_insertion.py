@@ -6,7 +6,7 @@ progress with zero ring drops.
 """
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import fmt_ns, render_table, ring_drop_count
+from repro.analysis import fmt_ns, ring_drop_count
 from repro.workloads import run_slide7_mixed_workload
 
 import harness
@@ -33,7 +33,7 @@ def run_experiment():
     return rows, stats, ring_drop_count(cluster)
 
 
-def test_f2_multistream_insertion(benchmark, publish, publish_json):
+def test_f2_multistream_insertion(benchmark, publish_json):
     (rows, stats, drops) = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     # Every concurrent stream made progress and nothing was dropped.
@@ -44,15 +44,6 @@ def test_f2_multistream_insertion(benchmark, publish, publish_json):
     assert all(s.delivered == s.offered for s in msg)
 
     columns = ["Stream", "Offered", "Delivered", "Bytes", "Mean latency"]
-    publish(
-        "F2",
-        render_table(
-            "F2 (slide 7): concurrent per-node streams (files + messages)",
-            columns,
-            rows,
-        )
-        + f"\nRing drops during the run: {drops}",
-    )
     publish_json(
         harness.bench_payload(
             exp="F2",

@@ -15,7 +15,6 @@ library-name expansion would rename the cells).  Sizes can be
 overridden for smoke runs: ``F3_SIZES=4 pytest benchmarks/bench_f3...``.
 """
 
-from repro.analysis import render_table
 from repro.baselines import EthConfig, EthernetFabric
 from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.sim import Simulator
@@ -90,7 +89,7 @@ def run_experiment():
     return rows, specs
 
 
-def test_f3_alltoall_broadcast_no_drops(benchmark, publish, publish_json):
+def test_f3_alltoall_broadcast_no_drops(benchmark, publish_json):
     rows, specs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     for n, expected, delivered, amp_drops, _offered, eth_drops, scenario_ok in rows:
@@ -110,16 +109,6 @@ def test_f3_alltoall_broadcast_no_drops(benchmark, publish, publish_json):
         "Ethernet drops",
     ]
     table_rows = [row[:6] for row in rows]
-    publish(
-        "F3",
-        render_table(
-            "F3 (slide 8): all-to-all broadcast storm — drops",
-            columns,
-            table_rows,
-        )
-        + "\nShape: AmpNet completes every storm with zero drops; the"
-        "\ndrop-capable baseline tail-drops at every scale.",
-    )
     publish_json(
         harness.bench_payload(
             exp="F3",

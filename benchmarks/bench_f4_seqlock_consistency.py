@@ -7,7 +7,6 @@ protocol never does, at the price of a bounded number of retries.
 """
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import render_table
 from repro.netcache import RegionSpec
 
 import harness
@@ -66,7 +65,7 @@ def run_experiment():
     return stats
 
 
-def test_f4_seqlock_consistency(benchmark, publish, publish_json):
+def test_f4_seqlock_consistency(benchmark, publish_json):
     stats = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     # The ablation sees torn data; the slide-9 protocol never does.
@@ -79,14 +78,6 @@ def test_f4_seqlock_consistency(benchmark, publish, publish_json):
         ["naive (ignore counters)", stats["naive_reads"], stats["naive_torn"]],
         ["seqlock (slide 9)", stats["seqlock_reads"], stats["seqlock_torn"]],
     ]
-    publish(
-        "F4",
-        render_table(
-            "F4 (slide 9): reader protocol vs torn reads under write storm",
-            columns, rows,
-        )
-        + f"\nSeqlock retries paid for consistency: {stats['retries_before']}",
-    )
     publish_json(
         harness.bench_payload(
             exp="F4",

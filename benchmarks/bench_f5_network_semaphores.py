@@ -7,7 +7,6 @@ every increment land.
 """
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import render_table
 from repro.netcache import RegionSpec
 
 import harness
@@ -58,7 +57,7 @@ def run_experiment():
     return locked, unlocked
 
 
-def test_f5_network_semaphores(benchmark, publish, publish_json):
+def test_f5_network_semaphores(benchmark, publish_json):
     locked, unlocked = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     expected = WORKERS * INCREMENTS
 
@@ -69,14 +68,6 @@ def test_f5_network_semaphores(benchmark, publish, publish_json):
         ("network semaphore (slide 10)", expected, locked, expected - locked),
         ("unprotected RMW", expected, unlocked, expected - unlocked),
     ]
-    publish(
-        "F5",
-        render_table(
-            "F5 (slide 10): contended counter, 4 nodes x 12 increments",
-            ["Discipline", "Expected", "Final value", "Lost updates"],
-            rows,
-        ),
-    )
     publish_json(
         harness.bench_payload(
             exp="F5",

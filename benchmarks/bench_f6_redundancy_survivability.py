@@ -8,7 +8,6 @@ drawn with four switches.
 
 import random
 
-from repro.analysis import render_table
 from repro.rostering import compute_roster
 from repro.sweep import pool_map
 
@@ -57,7 +56,7 @@ def run_experiment():
     return pool_map(measure_failures, [(f,) for f in FAILURE_GRID])
 
 
-def test_f6_redundancy_survivability(benchmark, publish, publish_json):
+def test_f6_redundancy_survivability(benchmark, publish_json):
     rows = run_experiment()
 
     # Time the core roster computation on a damaged quad segment.
@@ -76,16 +75,6 @@ def test_f6_redundancy_survivability(benchmark, publish, publish_json):
         "quad redundancy should clearly win under deep damage"
     )
 
-    publish(
-        "F6",
-        render_table(
-            "F6 (slides 14-15): mean constructible ring size vs random failures"
-            f" ({TRIALS} trials, {N_NODES} nodes)",
-            ["Failures injected", "Dual-redundant (2 switches)",
-             "Quad-redundant (4 switches)"],
-            rows,
-        ),
-    )
     publish_json(
         harness.bench_payload(
             exp="F6",

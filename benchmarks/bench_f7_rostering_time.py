@@ -10,7 +10,7 @@ Topologies come from declarative ``ScenarioSpec``s (the measurement loop
 itself stays hand-driven: it times a protocol phase, not a workload).
 """
 
-from repro.analysis import fmt_ns, render_table
+from repro.analysis import fmt_ns
 from repro.scenarios import ScenarioSpec, TopologySpec
 
 import harness
@@ -82,7 +82,7 @@ def run_experiment():
     return measurements
 
 
-def test_f7_rostering_two_tour_times(benchmark, publish, publish_json):
+def test_f7_rostering_two_tour_times(benchmark, publish_json):
     measurements = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     ratios = [m["tours"] for m in measurements]
@@ -96,27 +96,6 @@ def test_f7_rostering_two_tour_times(benchmark, publish, publish_json):
     assert "us" in fmt_ns(by_cfg[(8, 50.0)]["elapsed_ns"])
     assert "ms" in fmt_ns(by_cfg[(16, 5_000.0)]["elapsed_ns"])
 
-    table_rows = [
-        (
-            m["n_nodes"],
-            f"{m['fiber_m']:g}",
-            fmt_ns(m["tour_ns"]),
-            fmt_ns(m["elapsed_ns"]),
-            f"{m['tours']:.2f}",
-        )
-        for m in measurements
-    ]
-    publish(
-        "F7",
-        render_table(
-            "F7 (slide 16): rostering time vs nodes and fibre length",
-            ["Nodes", "Fibre (m)", "Ring tour", "Rostering (trigger->certified)",
-             "Tours"],
-            table_rows,
-        )
-        + "\nShape: linear in node count and fibre length; ~2 ring tours;"
-        "\nkm-scale fibre lands in the 1-2 ms band the slide quotes.",
-    )
     publish_json(
         harness.bench_payload(
             exp="F7",
@@ -133,7 +112,8 @@ def test_f7_rostering_two_tour_times(benchmark, publish, publish_json):
                 "min_tours": round(min(ratios), 3),
             },
             scenarios=[m["spec"].to_dict() for m in measurements],
-            notes="~2 ring-tour completion at every scale; km fibre in the "
-                  "paper's millisecond band.",
+            notes="Linear in node count and fibre length; ~2 ring-tour "
+                  "completion at every scale; km fibre in the paper's "
+                  "1-2 ms band.",
         )
     )

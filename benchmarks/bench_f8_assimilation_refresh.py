@@ -9,7 +9,6 @@ incompatible nodes are kept out entirely.
 from dataclasses import replace
 
 from repro import AmpNetCluster, ClusterConfig
-from repro.analysis import fmt_ns, render_table
 from repro.netcache import RegionSpec
 
 import harness
@@ -80,7 +79,7 @@ def run_experiment():
     return rows, members
 
 
-def test_f8_assimilation_and_refresh(benchmark, publish, publish_json):
+def test_f8_assimilation_and_refresh(benchmark, publish_json):
     rows, members = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     # Assimilation completes at every size and latency grows with payload.
@@ -89,16 +88,6 @@ def test_f8_assimilation_and_refresh(benchmark, publish, publish_json):
     # Version gate (slide 17): the incompatible node is not rostered.
     assert members == {0, 1, 2}
 
-    publish(
-        "F8",
-        render_table(
-            "F8 (slides 17-18): crash + re-entry -> cache refresh",
-            ["Network cache payload", "Snapshot bytes", "JOIN -> warm"],
-            [(f"{kb} KB", snap, fmt_ns(ns)) for kb, snap, ns in rows],
-        )
-        + "\nVersion enforcement: node with protocol 0.9 kept out of a"
-        f" 1.0 network (roster = {sorted(members)}).",
-    )
     publish_json(
         harness.bench_payload(
             exp="F8",

@@ -7,7 +7,6 @@ replication).  The baseline detects two orders of magnitude slower and
 loses acknowledged writes; AmpNet loses nothing.
 """
 
-from repro.analysis import fmt_ns, render_table
 from repro.baselines import TcpFailoverPair
 from repro.hostapi import APP_REGION, CheckpointedSequenceApp, SequenceLedger
 from repro.kernel import ControlGroupConfig
@@ -81,7 +80,7 @@ def run_experiment():
     return run_ampnet(), run_baseline()
 
 
-def test_f9_application_failover(benchmark, publish, publish_json):
+def test_f9_application_failover(benchmark, publish_json):
     amp, base = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     # Millisecond-class detection vs hundreds of milliseconds.
@@ -93,32 +92,6 @@ def test_f9_application_failover(benchmark, publish, publish_json):
     assert base["lost"] > 0
     assert amp["continued"]
 
-    rows = [
-        (
-            "AmpNet control group",
-            fmt_ns(amp["detection_ns"]),
-            fmt_ns(amp["failover_ns"]),
-            amp["acked_before"],
-            amp["lost"],
-        ),
-        (
-            "TCP primary/backup",
-            fmt_ns(base["detection_ns"]),
-            fmt_ns(base["failover_ns"]),
-            base["acked_before"],
-            base["lost"],
-        ),
-    ]
-    publish(
-        "F9",
-        render_table(
-            "F9 (slide 19): primary crash — detection, failover, data loss",
-            ["System", "Detection", "Failover", "Writes acked", "Acked lost"],
-            rows,
-        )
-        + "\nShape: millisecond detection and zero acked-write loss vs"
-        "\nhundred-millisecond detection and real loss for the baseline.",
-    )
     publish_json(
         harness.bench_payload(
             exp="F9",
@@ -138,7 +111,10 @@ def test_f9_application_failover(benchmark, publish, publish_json):
                 "baseline_acked_lost": base["lost"],
             },
             scenarios=[AMPNET_SPEC.to_dict()],
-            notes="AmpNet cluster built from the f9_failover ScenarioSpec; "
-                  "the control-group app and crash remain hand-driven.",
+            notes="Millisecond detection and zero acked-write loss vs "
+                  "hundred-millisecond detection and real loss for the "
+                  "baseline.  AmpNet cluster built from the f9_failover "
+                  "ScenarioSpec; the control-group app and crash remain "
+                  "hand-driven.",
         )
     )

@@ -1,155 +1,80 @@
-"""P1: kernel throughput of the frame hot path (the kernel-speed gauge).
+"""P1: schedule entries the kernel spends on the frame hot path.
 
-Measures the discrete-event kernel over the steady-state window of an
-all-to-all broadcast storm (the workload where every layer of the
+Counts the discrete-event kernel's work over the steady-state window of
+an all-to-all broadcast storm (the workload where every layer of the
 kernel -> phys -> MAC -> transport stack is hot), using the scenario
-runner's phase hooks so ring bring-up is excluded.  Two families of
-numbers come out:
+runner's phase hooks so ring bring-up is excluded.  Everything emitted
+is fixed by the seed: schedule entries processed in the window and how
+many of them spilled past the timer wheel's horizon.  The bench asserts
+the hot path keeps doing the same simulated work with no drops, and
+with fewer schedule entries than the wave-1 implementation needed
+(``WAVE1_EVENTS``: commit ``c6a1465``, the heap kernel + chained link
+scheduling that the timer wheel, one-entry-per-frame links and batched
+MAC ticks replaced — ~0.6x the entries per frame since).
 
-* **deterministic** — schedule entries processed for the fixed seeded
-  workload.  These are identical on every machine and every run, so the
-  bench *asserts* on them: the optimised hot path must keep doing the
-  same simulated work with no drops, and with fewer schedule entries
-  than the previous implementation needed (recorded below).
-* **measured** — events/sec and simulated-ns per wall-second on this
-  machine, recorded (never asserted: CI hardware varies).
+How *fast* the host gets through those entries is not this bench's
+business: ``benchmarks/e2e`` times the n=64 storm and the 255-node
+ring themselves (``storm_n64``, ``ring_255``) under ``BENCHMARK.json``.
 
 The grid runs through :mod:`repro.sweep` (``grid_from_names`` over the
 ``kernel_storm`` library scenario x the size axis, executed by
 ``run_grid`` with a probe-attaching cell function), so P1 shares the
 expansion, pool transport and grid-order sorting every sweep uses; the
-emission is identical at any ``REPRO_SWEEP_WORKERS`` except for the
-wall-derived columns.  Storm cells run best-of-``STORM_BEST_OF`` for
-wall fidelity (the deterministic columns are identical across repeats).
-
-Two baselines are pinned, both storm-window, best-of-N on the machine
-that produced the committed ``results/P1.json``:
-
-* ``PRE_REFACTOR_BASELINE`` — commit ``70649d8``, before the PR-3
-  hot-path refactor (historical context);
-* ``WAVE1_BASELINE`` — commit ``c6a1465``, the heap kernel + chained
-  link scheduling the wave-2 work (timer wheel, one-entry-per-frame
-  links, batched MAC ticks) replaced.  ``speedup_same_workload`` and
-  ``equivalent_events_per_sec`` are computed against this one.
-
-The two implementations do different amounts of *scheduling* for the
-same simulated work — wave 2 posts ~0.6x the schedule entries per
-frame — so raw events/sec understates the speedup; the like-for-like
-number is the same-workload wall ratio (``speedup_same_workload``).
-
-Sizes can be overridden for smoke runs: ``P1_SIZES=16 pytest ...``
-(which also skips the large committed rows below).  Beyond the size
-grid, two library scale points are emitted as committed rows:
-``large_ring_256`` (255 nodes, the 8-bit address ceiling) and the
-routed ``four_ring_512`` star (4x128 nodes on one router).
+emission is identical at any ``REPRO_SWEEP_WORKERS``.  Beyond the size
+grid, two library scale points are emitted: ``large_ring_256`` (255
+nodes, the 8-bit address ceiling) and the routed ``four_ring_512`` star
+(4x128 nodes on one router).
 """
 
-import os
-
-from repro.analysis import render_table
 from repro.perf import PerfProbe
 from repro.scenarios.runner import ScenarioRunner
 from repro.sweep import grid_from_names, run_grid, workers_from_env
 
 import harness
 
-DEFAULT_SIZES = (16, 64)
+SIZES = (16, 64)
 CELLS_PER_NODE = 8
-#: wall best-of for the storm cells (deterministic columns are repeat-
-#: invariant; only the wall-derived numbers differ between repeats).
-STORM_BEST_OF = 7
-#: library scale points emitted as committed rows (single run each —
-#: minutes-scale cells, and no baseline ratio is computed for them).
-LARGE_SCENARIOS = ("large_ring_256", "four_ring_512")
+#: library scale points (name -> node count), no wave-1 count to compare
+LARGE_SCENARIOS = {"large_ring_256": 255, "four_ring_512": 512}
 LARGE_SEED = 7
 
-#: Storm-window numbers at the pre-refactor commit (70649d8), measured
-#: on the machine that produced the committed results/P1.json.
-PRE_REFACTOR_BASELINE = {
-    16: {"events": 35_824, "wall_s": 0.128, "events_per_sec": 280_694},
-    64: {"events": 1_098_696, "wall_s": 3.992, "events_per_sec": 275_209},
-}
-
-#: Storm-window numbers at the wave-1 commit (c6a1465: heap kernel,
-#: chained link callbacks, per-MAC pacing timers), best of five on the
-#: machine that produced the committed results/P1.json — the baseline
-#: the wave-2 speedup metrics are computed against.
-WAVE1_BASELINE = {
-    16: {"events": 29_728, "wall_s": 0.038, "events_per_sec": 792_419},
-    64: {"events": 914_563, "wall_s": 1.209, "events_per_sec": 756_482},
-}
+#: Storm-window schedule entries at the wave-1 commit, per ring size.
+WAVE1_COMMIT = "c6a1465"
+WAVE1_EVENTS = {16: 29_728, 64: 914_563}
 
 
-def sizes_under_test():
-    return harness.sizes_from_env("P1_SIZES", DEFAULT_SIZES)
+def probed_cell(cell):
+    """Run one grid cell with a PerfProbe over the workload phase.
 
-
-def smoke_override_active() -> bool:
-    """True when P1_SIZES trims the grid (CI smoke): skip the large rows."""
-    return bool((os.environ.get("P1_SIZES") or "").strip())
-
-
-def storm_grid():
-    return grid_from_names(["kernel_storm"], seeds=[0],
-                           sizes=sizes_under_test())
-
-
-def large_grid():
-    return grid_from_names(list(LARGE_SCENARIOS), seeds=[LARGE_SEED])
-
-
-def _probed_cell(cell, runs):
-    """Run one grid cell ``runs`` times, keeping the best-wall window.
-
-    The PerfProbe windows the workload phase only (armed -> settled):
-    ring bring-up is construction cost, not kernel throughput.  The
-    scenario payload rides along unchanged; the window report (with the
-    scheduler-occupancy snapshot) lands under ``payload["perf"]``.
+    The window is armed -> settled: ring bring-up is construction cost,
+    not the hot path.  The scenario payload rides along unchanged; the
+    window's two counts land under ``payload["perf"]``.
     """
-    payload = best = None
-    for _ in range(runs):
-        state = {}
+    state = {}
 
-        def hook(phase: str) -> None:
-            if phase == "built":
-                probe = state["probe"] = PerfProbe(runner.cluster.sim)
-                probe.start()
-            elif phase == "armed":
-                state["probe"].start()  # reset: measure armed -> settled
-            elif phase == "settled":
-                state["report"] = state["probe"].stop()
+    def hook(phase: str) -> None:
+        if phase == "armed":
+            state["probe"] = PerfProbe(runner.cluster.sim)
+            state["probe"].start()
+        elif phase == "settled":
+            state["report"] = state["probe"].stop()
 
-        runner = ScenarioRunner(cell.spec, seed=cell.seed, phase_hook=hook)
-        result = runner.run()
-        report = state["report"]
-        if best is None or report.wall_s < best.wall_s:
-            best = report
-            payload = result.to_dict()
-    payload["perf"] = best.to_dict()
+    runner = ScenarioRunner(cell.spec, seed=cell.seed, phase_hook=hook)
+    payload = runner.run().to_dict()
+    report = state["report"]
+    payload["perf"] = {
+        "events": report.events,
+        "overflow_spills": report.scheduler["overflow_spills"],
+    }
     return payload
 
 
-def storm_cell(cell):
-    return _probed_cell(cell, STORM_BEST_OF)
-
-
-def large_cell(cell):
-    return _probed_cell(cell, 1)
-
-
 def run_experiment():
-    # Serial by default: the wall numbers in the committed emission come
-    # from an uncontended machine; REPRO_SWEEP_WORKERS=N trades
-    # wall-metric fidelity for turnaround (the deterministic columns are
-    # unaffected — run_grid re-sorts into grid order at any fan-out).
     workers = workers_from_env()
-    storm_records = run_grid(storm_grid(), workers=workers,
-                             cell_fn=storm_cell)
-    large_records = []
-    if not smoke_override_active():
-        large_records = run_grid(large_grid(), workers=workers,
-                                 cell_fn=large_cell)
-    return storm_records, large_records
+    storm = grid_from_names(["kernel_storm"], seeds=[0], sizes=SIZES)
+    large = grid_from_names(list(LARGE_SCENARIOS), seeds=[LARGE_SEED])
+    return (run_grid(storm, workers=workers, cell_fn=probed_cell),
+            run_grid(large, workers=workers, cell_fn=probed_cell))
 
 
 def _storm_size(record):
@@ -157,7 +82,7 @@ def _storm_size(record):
     return int(record["name"].rsplit("_n", 1)[1])
 
 
-def test_p1_kernel_throughput(benchmark, publish, publish_json):
+def test_p1_kernel_throughput(benchmark, publish_json):
     storm_records, large_records = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
@@ -166,120 +91,56 @@ def test_p1_kernel_throughput(benchmark, publish, publish_json):
         assert "error" not in record, record.get("error")
         assert record["result"]["ok"], f"invariants failed: {record['name']}"
 
+    rows = []
+    metrics = {}
     for record in storm_records:
         n = _storm_size(record)
         result = record["result"]
         assert result["counters"]["ring_drops"] == 0
-        expected = CELLS_PER_NODE * n * (n - 1)
-        assert result["counters"]["delivered"] == expected
-        base = WAVE1_BASELINE.get(n)
-        if base is not None:
-            # Deterministic: same seeded workload, strictly less
-            # scheduling work than the wave-1 hot path needed.
-            events = result["perf"]["events"]
-            assert events < base["events"], (
-                f"n={n}: {events} schedule entries, wave 1 "
-                f"needed {base['events']}"
-            )
-
-    columns = [
-        "Scenario",
-        "Nodes",
-        "Events (window)",
-        "Wall s",
-        "Events/wall-s",
-        "Sim-ns per wall-s",
-        "Overflow spills",
-        "Wave-1 events",
-        "Wave-1 ev/s",
-    ]
-    table_rows = []
-    metrics = {}
-    for record in storm_records:
-        n = _storm_size(record)
-        perf = record["result"]["perf"]
-        base = WAVE1_BASELINE.get(n)
-        table_rows.append((
-            record["name"],
-            n,
-            perf["events"],
-            round(perf["wall_s"], 3),
-            round(perf["events_per_sec"]),
-            round(perf["sim_ns_per_wall_s"]),
-            perf["scheduler"]["overflow_spills"],
-            base["events"] if base else None,
-            base["events_per_sec"] if base else None,
-        ))
-        if base:
-            # Like-for-like: the wall ratio for the identical workload
-            # (equivalently, wave-1-basis events over wave-2 wall).
-            metrics[f"n{n}_speedup_same_workload"] = round(
-                base["wall_s"] / perf["wall_s"], 2
-            )
-            metrics[f"n{n}_speedup_events_per_sec"] = round(
-                perf["events_per_sec"] / base["events_per_sec"], 2
-            )
-            metrics[f"n{n}_equivalent_events_per_sec"] = round(
-                base["events"] / perf["wall_s"]
-            )
-            metrics[f"n{n}_schedule_entries_ratio"] = round(
-                perf["events"] / base["events"], 3
-            )
+        assert result["counters"]["delivered"] == CELLS_PER_NODE * n * (n - 1)
+        # Same seeded workload, strictly less scheduling work than the
+        # wave-1 hot path needed.
+        events = result["perf"]["events"]
+        assert events < WAVE1_EVENTS[n], (
+            f"n={n}: {events} schedule entries, wave 1 "
+            f"needed {WAVE1_EVENTS[n]}"
+        )
+        rows.append([record["name"], n, events,
+                     result["perf"]["overflow_spills"], WAVE1_EVENTS[n]])
+        metrics[f"n{n}_schedule_entries_ratio"] = round(
+            events / WAVE1_EVENTS[n], 3
+        )
     for record in large_records:
         perf = record["result"]["perf"]
-        table_rows.append((
-            record["name"],
-            {"large_ring_256": 255, "four_ring_512": 512}[record["name"]],
-            perf["events"],
-            round(perf["wall_s"], 3),
-            round(perf["events_per_sec"]),
-            round(perf["sim_ns_per_wall_s"]),
-            perf["scheduler"]["overflow_spills"],
-            None,
-            None,
-        ))
-        metrics[f"{record['name']}_events_per_sec"] = round(
-            perf["events_per_sec"]
-        )
+        rows.append([record["name"], LARGE_SCENARIOS[record["name"]],
+                     perf["events"], perf["overflow_spills"], None])
 
-    publish(
-        "P1",
-        render_table(
-            "P1: kernel throughput, steady-state workload window", columns,
-            table_rows,
-        )
-        + "\nShape: the timer-wheel kernel + one-entry-per-frame links do"
-        "\nthe same simulated work with ~0.6x the schedule entries and a"
-        "\nmultiple of the wall speed; wave-1 columns are the pre-wheel"
-        "\ncommit on the same machine.  Large rows are the n=255 address-"
-        "\nceiling ring and the routed 4x128 star.",
-    )
     publish_json(
         harness.bench_payload(
             exp="P1",
-            title="Kernel throughput: storm window, timer wheel vs wave 1",
+            title="Kernel schedule entries: storm window, timer wheel "
+                  "vs wave 1",
             params={
                 "cells_per_node": CELLS_PER_NODE,
-                "sizes": list(sizes_under_test()),
-                "storm_best_of": STORM_BEST_OF,
-                "large_scenarios": (
-                    [] if smoke_override_active() else list(LARGE_SCENARIOS)
-                ),
-                "baseline_commit": "c6a1465",
-                "baseline": {str(k): v for k, v in WAVE1_BASELINE.items()},
-                "pre_refactor_commit": "70649d8",
-                "pre_refactor": {
-                    str(k): v for k, v in PRE_REFACTOR_BASELINE.items()
+                "sizes": list(SIZES),
+                "large_scenarios": list(LARGE_SCENARIOS),
+                "baseline_commit": WAVE1_COMMIT,
+                "baseline": {
+                    str(n): {"events": events}
+                    for n, events in WAVE1_EVENTS.items()
                 },
             },
-            columns=columns,
-            rows=table_rows,
+            columns=["Scenario", "Nodes", "Events (window)",
+                     "Overflow spills", "Wave-1 events"],
+            rows=rows,
             metrics=metrics,
-            notes="Wall-derived metrics are machine-dependent and only "
-                  "asserted on manually; the events column is exact and "
-                  "asserted in CI.  speedup_same_workload is the "
-                  "like-for-like number (wave 2 also removed ~40% of "
-                  "schedule entries per frame, so raw events/sec "
-                  "understates it).",
+            notes="Every number is a count the seed fixes.  The timer-"
+                  "wheel kernel + one-entry-per-frame links do the same "
+                  "simulated work with ~0.6x the schedule entries wave 1 "
+                  "(the pre-wheel commit) posted; overflow spills stay a "
+                  "few percent of window events.  Large rows are the "
+                  "n=255 address-ceiling ring and the routed 4x128 star. "
+                  "Host speed on these storms is benchmarks/e2e's to "
+                  "judge (storm_n64, ring_255).",
         )
     )

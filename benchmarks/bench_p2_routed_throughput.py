@@ -9,10 +9,9 @@ second ring insertion paced by the router's egress flow control.
 
 All latency numbers are *simulated* nanoseconds from a seeded run, so
 the emission is deterministic and ``benchmarks/diff_results.py`` holds
-it to the strict tolerance across commits.
+it exactly across commits.
 """
 
-from repro.analysis import fmt_ns, render_table
 from repro.routing import (
     RoutedCluster,
     RouterConfig,
@@ -79,7 +78,7 @@ def run_experiment():
     return cluster, router, rows, stats_by_scope
 
 
-def test_p2_routed_throughput(benchmark, publish, publish_json):
+def test_p2_routed_throughput(benchmark, publish_json):
     cluster, router, rows, stats = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
@@ -105,16 +104,6 @@ def test_p2_routed_throughput(benchmark, publish, publish_json):
         )
         for size in SIZES
     }
-    text = render_table(
-        "P2: routed vs local reliable delivery (2x16-node segments)",
-        columns, rows,
-    ) + (
-        f"\nCrossing factor (mean crossed / mean local): "
-        f"{crossing_factor[8]}x at 8 B, {crossing_factor[512]}x at 512 B"
-        f"\nRouter: {router.counters['fragments_captured']} fragments "
-        f"captured, egress backlog peaked per flow control"
-    )
-    publish("P2", text)
     publish_json(
         harness.bench_payload(
             exp="P2",

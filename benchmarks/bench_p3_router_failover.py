@@ -10,7 +10,7 @@ The bench pins, from one seeded run:
   re-converges and the backup is designated on every segment.  The
   protocol bound is ``(miss_deadline_periods + 1)`` advertise periods;
   the measured figure is simulated nanoseconds, so the differ holds it
-  to the strict tolerance.
+  exactly.
 * **zero confirmed-and-lost crossings** — every message offered before,
   during and after the failover is delivered.  Crossings the dead
   router held were also shadow-parked by the (then blocked) backup;
@@ -19,7 +19,6 @@ The bench pins, from one seeded run:
   parked, not lost, and exactly-once.
 """
 
-from repro.analysis import render_table
 from repro.routing import (
     RoutedCluster,
     RouterConfig,
@@ -95,7 +94,7 @@ def run_experiment():
     return cluster, streams, t_crash, failover_ns
 
 
-def test_p3_router_failover(benchmark, publish, publish_json):
+def test_p3_router_failover(benchmark, publish_json):
     cluster, streams, t_crash, failover_ns = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
@@ -125,20 +124,6 @@ def test_p3_router_failover(benchmark, publish, publish_json):
          round(s.stats.latency.percentile(95), 1)]
         for s in streams
     ]
-    text = render_table(
-        "P3: redundant-router failover under crossing load "
-        f"(2x{N_NODES}-node segments)",
-        columns, rows,
-    ) + (
-        f"\nFailover convergence: {failover_ns} ns"
-        f" ({failover_ns / period:.2f} advertise periods;"
-        f" miss deadline {MISS_PERIODS} periods)"
-        f"\nShadow: {r1.counters['shadow_parked']} parked,"
-        f" {r1.counters['shadow_promoted']} promoted on failover;"
-        f" {dup_suppressed} duplicate fragments suppressed end-to-end"
-        f"\nConfirmed-and-lost crossings: {lost}"
-    )
-    publish("P3", text)
     publish_json(
         harness.bench_payload(
             exp="P3",

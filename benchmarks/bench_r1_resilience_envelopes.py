@@ -19,11 +19,9 @@ compartments).  The bench pins, per scenario:
   each scenario actually exercised the pattern it is named for.
 
 Everything is simulated time under a pinned seed, so the committed
-JSON is exactly reproducible and the differ holds it to the strict
-tolerance.
+JSON is exactly reproducible and the differ holds it to that.
 """
 
-from repro.analysis import render_table
 from repro.scenarios import get_scenario, run_scenario
 
 import harness
@@ -60,7 +58,7 @@ def run_experiment():
     return {name: run_scenario(get_scenario(name)) for name in SCENARIOS}
 
 
-def test_r1_resilience_envelopes(benchmark, publish, publish_json):
+def test_r1_resilience_envelopes(benchmark, publish_json):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     columns = ["Scenario", "Stream", "Offered", "Delivered", "Lost",
@@ -105,22 +103,6 @@ def test_r1_resilience_envelopes(benchmark, publish, publish_json):
     lost = total_offered - total_delivered
     assert lost == 0, f"{lost} crossings confirmed-and-lost"
 
-    text = render_table(
-        "R1: resilience-pattern loss/latency envelopes "
-        "(chaos scenarios, seed 7)",
-        columns, rows,
-    ) + (
-        f"\nConfirmed-and-lost crossings across all storylines: {lost}"
-        "\nPattern witnesses: "
-        + "; ".join(
-            f"{name}: " + ", ".join(
-                f"{w[len('router_'):]}={results[name].counters.get(w, 0)}"
-                for w in witnesses
-            )
-            for name, witnesses in SCENARIOS.items()
-        )
-    )
-    publish("R1", text)
     publish_json(
         harness.bench_payload(
             exp="R1",

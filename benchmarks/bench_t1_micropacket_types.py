@@ -4,7 +4,6 @@ Regenerates the table from the implementation's registry, extended with
 measured wire sizes, and benchmarks the serialization hot path.
 """
 
-from repro.analysis import render_table
 from repro.micropacket import (
     BROADCAST,
     DmaControl,
@@ -44,7 +43,7 @@ def build_rows():
     return rows
 
 
-def test_t1_micropacket_type_table(benchmark, publish, publish_json):
+def test_t1_micropacket_type_table(benchmark, publish_json):
     rows = build_rows()
 
     # Slide-4 ground truth.
@@ -68,14 +67,6 @@ def test_t1_micropacket_type_table(benchmark, publish, publish_json):
     result = benchmark(serialize_roundtrip)
     assert result == pkt.with_seq(pkt.seq)
 
-    publish(
-        "T1",
-        render_table(
-            "T1 (slide 4): MicroPacket types",
-            ["MicroPacket", "Length", "Mandatory", "Wire bytes", "Frame bits"],
-            rows,
-        ),
-    )
     publish_json(
         harness.bench_payload(
             exp="T1",

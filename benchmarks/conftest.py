@@ -1,11 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the benchmark harness.
 
-Every bench regenerates one table or figure from the paper (see
-DESIGN.md section 4).  The text artefact is printed (visible with
-``pytest -s``) *and* written to ``benchmarks/results/<exp>.txt`` so the
-EXPERIMENTS.md evidence survives the run.  The pytest-benchmark fixture
-times a representative kernel of each experiment, and the bench asserts
-the paper's qualitative *shape* (who wins, by roughly what factor).
+Every bench regenerates one table or figure of the paper (or pins one
+of this repo's own protocol claims) from a seeded simulation and
+asserts its qualitative *shape* (who wins, by roughly what factor).
+It publishes one document through ``publish_json``; see
+``docs/benchmarks.md``.
 """
 
 from __future__ import annotations
@@ -26,24 +25,15 @@ def results_dir() -> pathlib.Path:
 
 
 @pytest.fixture
-def publish(results_dir):
-    """publish(exp_id, text): print and persist a table/series."""
-
-    def _publish(exp_id: str, text: str) -> None:
-        print()
-        print(text)
-        (results_dir / f"{exp_id}.txt").write_text(text + "\n")
-
-    return _publish
-
-
-@pytest.fixture
 def publish_json(results_dir):
-    """publish_json(payload): validate against the bench schema and
-    persist ``results/<exp>.json`` (see benchmarks/harness.py)."""
+    """publish_json(payload): validate against the bench schema, persist
+    ``results/<exp>.json`` and, rendered from that same payload, the
+    human table ``results/<exp>.txt`` (printed too; see it with ``-s``)."""
 
     def _publish(payload) -> None:
         path = harness.write_result(payload, results_dir)
-        print(f"\n[bench-json] wrote {path}")
+        text = harness.render_text(payload)
+        path.with_suffix(".txt").write_text(text)
+        print(f"\n{text}\n[bench-json] wrote {path}")
 
     return _publish

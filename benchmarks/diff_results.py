@@ -1,184 +1,130 @@
-"""Benchmark trajectory differ: compare two ``results/`` trees.
+"""Benchmark trajectory differ: are two ``results/`` trees equal?
 
 ::
 
     python benchmarks/diff_results.py OLD_DIR NEW_DIR
-    python benchmarks/diff_results.py OLD_DIR NEW_DIR --check --tolerance 0.1
+    python benchmarks/diff_results.py OLD_DIR NEW_DIR --check
 
-Every bench emits schema-versioned JSON (``repro-bench/1``); this tool
+Every bench emits schema-versioned JSON (``repro-bench/1``) holding
+only what the seed determines, so two emissions of one experiment at
+one setup either agree or the simulated behaviour changed.  This tool
 compares two such trees — typically the committed results against a
-fresh emission, or two commits' results directories — and reports, per
-experiment:
+fresh emission — and flags, per experiment, every difference as a
+**drift**:
 
-* **metric drift** — numeric ``metrics`` entries whose relative change
-  exceeds the tolerance.  Wall-clock-derived numbers are inherently
-  machine-dependent, so they get their own (much looser) tolerance;
-  only the experiments that time the host have any
-  (``VOLATILE_MARKERS``).  Simulated-time numbers (latencies in ns,
-  counts, drops, ratios of the two) are deterministic under the seed
-  and held to the strict tolerance.
-* **row drift** — numeric cells of rows whose key matches across both
-  trees.  The row key is the shortest prefix of leading cells that is
-  unique within each tree: plain benches join on their first column
-  (node count, stream name, ...) exactly as before, while sweep
-  aggregates — which repeat the first column across one row per
-  (scenario, metric) — automatically join on (scenario, metric).
-  Joining on the first column alone used to collapse such rows
-  (last-one-wins), silently comparing the wrong cells.
-* **coverage changes** — experiments present on only one side, and rows
-  or metrics added/removed.  An emission present in OLD but missing
-  entirely from NEW is a **failure** (a deleted or silently-skipped
-  bench must not read as "no drift"); pass ``--allow-missing`` when the
-  removal is intentional.
+* a ``metrics`` entry or a row cell whose value differs (integers,
+  strings, booleans and nulls compare exactly; a float compares to
+  ``FLOAT_NOISE``, the room ``repr`` round-tripping needs and nothing
+  more);
+* a metric or row present on one side only, or a changed column list
+  (the rows under it are then not compared).
 
-Experiments whose ``params`` differ are *skipped*, not compared: a
-changed setup (smoke sizes, different workload) makes numbers
-incomparable, and pretending otherwise would drown real regressions in
-noise.
+Rows are joined on the shortest prefix of leading cells that is unique
+within each tree: plain benches join on their first column (node
+count, stream name, ...), while sweep aggregates — which repeat the
+first column across one row per (scenario, metric) — join on
+(scenario, metric) instead of collapsing last-one-wins.
 
-``--check`` exits non-zero when any in-tolerance-scope drift is found —
-the CI wiring that keeps committed results honest.
+Two things are not drifts.  Experiments whose ``params`` differ are
+*skipped*: a changed setup makes the numbers incomparable.  An
+experiment only NEW has is a note.  An emission present in OLD but
+missing from NEW **is** a failure (a deleted or silently-skipped bench
+must not read as "equal"); pass ``--allow-missing`` when the removal is
+intentional.
+
+``--check`` exits non-zero when anything is flagged — the CI wiring
+that keeps committed results honest.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-DEFAULT_TOLERANCE = 0.05
-DEFAULT_VOLATILE_TOLERANCE = 1.0
+#: Relative room a float cell gets: ``repr`` noise, not a drift budget.
+FLOAT_NOISE = 1e-9
 
-#: Substrings marking a metric/column as wall-clock-derived, for the
-#: experiments that time the host.  Every number of every other
-#: emission is simulated: F9's ``detection_speedup`` is a ratio of two
-#: simulated detection times, and a bare substring match used to hand
-#: it the wall-clock bound.
-VOLATILE_MARKERS = {
-    "P1": ("wall", "per_sec", "speedup"),
-    "P4": ("wall", "per_sec"),
-}
+#: What the side lacking a metric or row shows in a drift.
+ABSENT = "(absent)"
 
 
-def is_volatile(exp: str, name: str) -> bool:
-    low = name.lower()
-    return any(marker in low for marker in VOLATILE_MARKERS.get(exp, ()))
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def rel_change(old: float, new: float) -> float:
-    if old == new:
-        return 0.0
-    if old == 0:
-        return float("inf")
-    return abs(new - old) / abs(old)
+def same(old: Any, new: Any) -> bool:
+    if isinstance(old, float) or isinstance(new, float):
+        return (
+            all(isinstance(v, (int, float)) for v in (old, new))
+            and math.isclose(old, new, rel_tol=FLOAT_NOISE)
+        )
+    return old == new
 
 
 class Drift:
     """One flagged difference."""
 
-    def __init__(self, exp: str, where: str, old: Any, new: Any,
-                 change: float, volatile: bool):
+    def __init__(self, exp: str, where: str, old: Any, new: Any):
         self.exp = exp
         self.where = where
         self.old = old
         self.new = new
-        self.change = change
-        self.volatile = volatile
 
     def __str__(self) -> str:
-        tag = "volatile" if self.volatile else "METRIC"
-        pct = ("inf" if self.change == float("inf")
-               else f"{self.change * 100:.1f}%")
-        return (f"  [{tag}] {self.exp} {self.where}: "
-                f"{self.old} -> {self.new} ({pct})")
+        return f"  [DRIFT] {self.exp} {self.where}: {self.old} -> {self.new}"
 
 
 def compare_exp(
-    exp: str,
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    tolerance: float,
-    volatile_tolerance: float,
-) -> Tuple[List[Drift], List[str]]:
-    """Compare one experiment's payloads; returns (drifts, notes)."""
-    notes: List[str] = []
-    if old.get("params") != new.get("params"):
-        return [], [f"  skipped {exp}: params changed (not comparable)"]
-
+    exp: str, old: Dict[str, Any], new: Dict[str, Any]
+) -> List[Drift]:
+    """Every difference between two same-setup emissions of ``exp``."""
     drifts: List[Drift] = []
 
-    old_metrics = old.get("metrics", {})
-    new_metrics = new.get("metrics", {})
-    for key in sorted(set(old_metrics) | set(new_metrics)):
-        if key not in old_metrics:
-            notes.append(f"  note {exp}: metric {key!r} added")
-            continue
-        if key not in new_metrics:
-            notes.append(f"  note {exp}: metric {key!r} removed")
-            continue
-        a, b = old_metrics[key], new_metrics[key]
-        if not (_is_number(a) and _is_number(b)):
-            if a != b:
-                notes.append(f"  note {exp}: metric {key!r} {a!r} -> {b!r}")
-            continue
-        volatile = is_volatile(exp, key)
-        limit = volatile_tolerance if volatile else tolerance
-        change = rel_change(a, b)
-        if change > limit:
-            drifts.append(Drift(exp, f"metrics.{key}", a, b, change, volatile))
+    def compare(where: str, old_cells: Dict[str, Any],
+                new_cells: Dict[str, Any]) -> None:
+        for name in sorted(set(old_cells) | set(new_cells)):
+            a = old_cells.get(name, ABSENT)
+            b = new_cells.get(name, ABSENT)
+            if not same(a, b):
+                drifts.append(Drift(exp, where + name, a, b))
 
-    # Rows: join on the shortest unique leading-cell key, compare
-    # numeric cells per column.
-    columns = old.get("columns", [])
-    if columns == new.get("columns", []):
-        width = _row_key_width(columns, old.get("rows", []),
-                               new.get("rows", []))
-        old_rows = {tuple(row[:width]): row
-                    for row in old.get("rows", []) if row}
-        new_rows = {tuple(row[:width]): row
-                    for row in new.get("rows", []) if row}
-        for key in sorted(set(old_rows) | set(new_rows), key=str):
-            label = key[0] if width == 1 else key
-            if key not in old_rows:
-                notes.append(f"  note {exp}: row {label!r} added")
-                continue
-            if key not in new_rows:
-                notes.append(f"  note {exp}: row {label!r} removed")
-                continue
-            for col, a, b in zip(columns[width:], old_rows[key][width:],
-                                 new_rows[key][width:]):
-                if not (_is_number(a) and _is_number(b)):
-                    continue
-                volatile = is_volatile(exp, col)
-                limit = volatile_tolerance if volatile else tolerance
-                change = rel_change(a, b)
-                if change > limit:
-                    drifts.append(Drift(
-                        exp, f"row[{label!r}].{col}", a, b, change, volatile
-                    ))
-    else:
-        notes.append(f"  note {exp}: columns changed (rows not compared)")
+    compare("metrics.", old.get("metrics", {}), new.get("metrics", {}))
 
-    return drifts, notes
+    # Rows: join on the shortest unique leading-cell key, then compare
+    # cell by cell under the column's name.
+    columns = old["columns"]
+    if columns != new["columns"]:
+        drifts.append(Drift(exp, "columns (rows not compared)",
+                            columns, new["columns"]))
+        return drifts
+    width = _row_key_width(columns, old["rows"], new["rows"])
+    old_rows = {tuple(row[:width]): row for row in old["rows"]}
+    new_rows = {tuple(row[:width]): row for row in new["rows"]}
+    for key in sorted(set(old_rows) | set(new_rows), key=str):
+        label = key[0] if width == 1 else key
+        if key not in old_rows or key not in new_rows:
+            drifts.append(Drift(
+                exp, f"row[{label!r}]",
+                "present" if key in old_rows else ABSENT,
+                "present" if key in new_rows else ABSENT,
+            ))
+            continue
+        compare(f"row[{label!r}].",
+                dict(zip(columns[width:], old_rows[key][width:])),
+                dict(zip(columns[width:], new_rows[key][width:])))
+    return drifts
 
 
 def _row_key_width(columns: List[str], *row_sets: List[List[Any]]) -> int:
     """Shortest leading-cell prefix that uniquely keys every row set.
 
-    A width-1 key (the historical behaviour) suffices for plain bench
-    tables; aggregate emissions repeat their first column, so the key
-    widens until rows stop colliding (or every column is consumed).
+    A width-1 key suffices for plain bench tables; aggregate emissions
+    repeat their first column, so the key widens until rows stop
+    colliding (or every column is consumed).
     """
     for width in range(1, max(len(columns), 1) + 1):
         if all(
-            len({tuple(row[:width]) for row in rows if row}) ==
-            len([row for row in rows if row])
+            len({tuple(row[:width]) for row in rows}) == len(rows)
             for rows in row_sets
         ):
             return width
@@ -196,10 +142,7 @@ def load_tree(path: pathlib.Path) -> Dict[str, Dict[str, Any]]:
 
 
 def diff_trees(
-    old_dir: pathlib.Path,
-    new_dir: pathlib.Path,
-    tolerance: float = DEFAULT_TOLERANCE,
-    volatile_tolerance: float = DEFAULT_VOLATILE_TOLERANCE,
+    old_dir: pathlib.Path, new_dir: pathlib.Path
 ) -> Tuple[List[Drift], List[str], List[str]]:
     """-> (drifts, notes, missing): ``missing`` lists experiments whose
     emission exists in OLD but vanished from NEW — coverage loss, which
@@ -216,11 +159,10 @@ def diff_trees(
         if exp not in new_tree:
             missing.append(exp)
             continue
-        exp_drifts, exp_notes = compare_exp(
-            exp, old_tree[exp], new_tree[exp], tolerance, volatile_tolerance
-        )
-        drifts.extend(exp_drifts)
-        notes.extend(exp_notes)
+        if old_tree[exp]["params"] != new_tree[exp]["params"]:
+            notes.append(f"  skipped {exp}: params changed (not comparable)")
+            continue
+        drifts.extend(compare_exp(exp, old_tree[exp], new_tree[exp]))
     return drifts, notes, missing
 
 
@@ -228,18 +170,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python benchmarks/diff_results.py")
     parser.add_argument("old_dir", type=pathlib.Path)
     parser.add_argument("new_dir", type=pathlib.Path)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="relative drift allowed for deterministic "
-                             f"metrics (default {DEFAULT_TOLERANCE})")
-    parser.add_argument("--volatile-tolerance", type=float,
-                        default=DEFAULT_VOLATILE_TOLERANCE,
-                        help="relative drift allowed for wall-clock-derived "
-                             f"metrics (default {DEFAULT_VOLATILE_TOLERANCE})")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when any drift (or missing "
                              "emission) is flagged")
     parser.add_argument("--allow-missing", action="store_true",
-                        help="tolerate emissions present in OLD but "
+                        help="accept emissions present in OLD but "
                              "absent from NEW (intentional bench "
                              "removal)")
     args = parser.parse_args(argv)
@@ -249,11 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"not a directory: {path}", file=sys.stderr)
             return 2
 
-    drifts, notes, missing = diff_trees(
-        args.old_dir, args.new_dir,
-        tolerance=args.tolerance,
-        volatile_tolerance=args.volatile_tolerance,
-    )
+    drifts, notes, missing = diff_trees(args.old_dir, args.new_dir)
     for note in notes:
         print(note)
     if args.allow_missing:
@@ -267,8 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for drift in drifts:
         print(drift)
     if not drifts and not missing:
-        print(f"ok: no metric drift beyond tolerance "
-              f"({args.old_dir} vs {args.new_dir})")
+        print(f"ok: {args.new_dir} equals {args.old_dir}")
         return 0
     flagged = []
     if drifts:

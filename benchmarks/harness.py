@@ -1,17 +1,15 @@
 """Shared machine-readable benchmark emission.
 
-Every bench publishes two artefacts into ``benchmarks/results/``:
-
-* the human table (``<exp>.txt``, unchanged — see conftest ``publish``);
-* a schema-versioned JSON document (``<exp>.json``) that seeds the
-  repo's perf trajectory: stable key order, no timestamps, fully
-  reproducible from the seeded simulation, so the files are
-  git-trackable and diffs show *performance* changes only.
+Every bench publishes one document, ``benchmarks/results/<exp>.json``:
+schema-versioned, stable key order, no timestamps, nothing
+wall-clock-derived — the seed determines every byte, so the files are
+git-trackable and a diff is a change in simulated behaviour.  The human
+table beside it (``<exp>.txt``) is :func:`render_text` of that same
+document, never a second hand-built copy.
 
 The document shape is pinned by ``SCHEMA_VERSION`` and enforced by
 :func:`validate_payload`, a dependency-free validator (CI runs it with
-nothing but the standard library; the JSON-Schema mirror in
-``BENCH_JSON_SCHEMA`` is for external tooling).
+nothing but the standard library).
 
 Run ``python benchmarks/harness.py validate results/F3.json`` to check
 an emission by hand, or ``... validate --all`` for every JSON result.
@@ -23,36 +21,14 @@ import json
 import os
 import pathlib
 import sys
+import textwrap
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = "repro-bench/1"
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: JSON-Schema mirror of validate_payload, for external consumers.
-BENCH_JSON_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro benchmark result",
-    "type": "object",
-    "required": ["schema", "exp", "title", "params", "columns", "rows"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "exp": {"type": "string", "pattern": "^[A-Za-z][A-Za-z0-9_]*$"},
-        "title": {"type": "string"},
-        "params": {"type": "object"},
-        "columns": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": ["number", "string", "boolean", "null"]},
-            },
-        },
-        "metrics": {"type": "object"},
-        "scenarios": {"type": "array", "items": {"type": "object"}},
-        "notes": {"type": "string"},
-    },
-}
+REQUIRED_KEYS = ("schema", "exp", "title", "params", "columns", "rows")
+OPTIONAL_KEYS = ("metrics", "scenarios", "notes")
 
 
 class BenchSchemaError(ValueError):
@@ -98,11 +74,10 @@ def validate_payload(payload: Any) -> None:
 
     if not isinstance(payload, dict):
         fail(f"top level must be an object, got {type(payload).__name__}")
-    allowed = set(BENCH_JSON_SCHEMA["properties"])
-    unknown = set(payload) - allowed
+    unknown = set(payload) - set(REQUIRED_KEYS + OPTIONAL_KEYS)
     if unknown:
         fail(f"unknown keys {sorted(unknown)}")
-    for key in BENCH_JSON_SCHEMA["required"]:
+    for key in REQUIRED_KEYS:
         if key not in payload:
             fail(f"missing required key {key!r}")
     if payload["schema"] != SCHEMA_VERSION:
@@ -166,6 +141,25 @@ def write_result(payload: Dict[str, Any],
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def render_text(payload: Dict[str, Any]) -> str:
+    """The human table of one emission, rendered from the document
+    itself: title, ``columns`` / ``rows``, ``metrics``, ``notes``."""
+    # Imported here: ``validate`` runs without ``src/`` on the path.
+    from repro.analysis import render_table
+
+    blocks = [render_table(
+        f"{payload['exp']}: {payload['title']}",
+        payload["columns"], payload["rows"],
+    )]
+    if "metrics" in payload:
+        blocks.append("\n".join(
+            f"{key}: {value}" for key, value in payload["metrics"].items()
+        ))
+    if "notes" in payload:
+        blocks.append(textwrap.fill(payload["notes"], 72))
+    return "\n\n".join(blocks) + "\n"
 
 
 def sizes_from_env(name: str, default: Sequence[int]) -> Tuple[int, ...]:

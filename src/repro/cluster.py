@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .netcache import (
     CacheReplicator,
@@ -49,7 +49,7 @@ from .rostering import Roster, RosterConfig
 from .sim import ConvergenceTracker, SimulationError, Simulator, Tracer
 from .transport import Messenger
 
-__all__ = ["AmpNetCluster", "ClusterConfig"]
+__all__ = ["AmpNetCluster", "ClusterConfig", "gossip_overhead"]
 
 
 @dataclass
@@ -77,6 +77,22 @@ class ClusterConfig:
         check_ring_shape(self.n_nodes, self.n_switches, self.fiber_m)
 
 
+def gossip_overhead(nodes: Iterable[AmpNode]) -> Dict[str, float]:
+    """Gossip message/byte counters summed over ``nodes`` (those that
+    run the protocol), and the messages each of them sent on average."""
+    live = [n for n in nodes if n.membership is not None]
+    totals = {"gossip_tx": 0, "gossip_bytes_tx": 0, "pings_tx": 0, "acks_tx": 0}
+    for node in live:
+        for key in totals:
+            totals[key] += node.membership.counters[key]
+    out: Dict[str, float] = dict(totals)
+    out["per_node_msgs"] = (
+        (totals["gossip_tx"] + totals["pings_tx"] + totals["acks_tx"]) / len(live)
+        if live else 0.0
+    )
+    return out
+
+
 class AmpNetCluster:
     """Builds and runs a complete AmpNet segment."""
 
@@ -95,10 +111,24 @@ class AmpNetCluster:
         tracer: Optional[Tracer] = None,
         convergence: Optional[ConvergenceTracker] = None,
     ):
+        shape = dict(
+            n_nodes=n_nodes, n_switches=n_switches, fiber_m=fiber_m, seed=seed
+        )
         if config is None:
-            config = ClusterConfig(
-                n_nodes=n_nodes, n_switches=n_switches, fiber_m=fiber_m, seed=seed
-            )
+            config = ClusterConfig(**shape)
+        else:
+            # ``config`` is the whole description; a shape argument given
+            # beside it would be dropped without a word.
+            defaults = ClusterConfig()
+            ignored = [
+                f"{name}={value!r}" for name, value in shape.items()
+                if value != getattr(defaults, name)
+            ]
+            if ignored:
+                raise ValueError(
+                    f"{', '.join(ignored)} would be ignored: config= already "
+                    "describes the cluster (set the field on the ClusterConfig)"
+                )
         self.config = config
         # Segments joined by a router (slide 15) share one simulator —
         # and one tracer with its one convergence tracker, so a routed
@@ -386,15 +416,5 @@ class AmpNetCluster:
         )
 
     def membership_overhead(self) -> Dict[str, float]:
-        """Aggregate gossip message/byte counters across live nodes."""
-        live = [n for n in self.live_nodes() if n.membership is not None]
-        totals = {"gossip_tx": 0, "gossip_bytes_tx": 0, "pings_tx": 0, "acks_tx": 0}
-        for node in live:
-            for key in totals:
-                totals[key] += node.membership.counters[key]
-        out: Dict[str, float] = dict(totals)
-        out["per_node_msgs"] = (
-            (totals["gossip_tx"] + totals["pings_tx"] + totals["acks_tx"]) / len(live)
-            if live else 0.0
-        )
-        return out
+        """Gossip message/byte counters across live nodes."""
+        return gossip_overhead(self.live_nodes())

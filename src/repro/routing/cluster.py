@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from ..cluster import AmpNetCluster, ClusterConfig
+from ..cluster import AmpNetCluster, ClusterConfig, gossip_overhead
 from ..micropacket import BROADCAST, MAX_SEGMENT
 from ..phys import check_ring_shape
 from ..sim import ConvergenceTracker, Simulator, Tracer
@@ -538,15 +538,7 @@ class RoutedCluster:
         return True
 
     def membership_overhead(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for sub in self.segments:
-            for key, value in sub.membership_overhead().items():
-                totals[key] = totals.get(key, 0.0) + value
-        if self.segments:
-            totals["per_node_msgs"] = totals.get("per_node_msgs", 0.0) / len(
-                self.segments
-            )
-        return totals
+        return gossip_overhead(self.live_nodes())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "x".join(str(len(s.nodes)) for s in self.segments)

@@ -225,3 +225,17 @@ def test_double_cut_heals_to_threaded_two_switch_roster():
     for node in cluster.nodes.values():
         assert node.ring_up
     roster.validate_against(cluster.topology.live_attachment())
+
+
+def test_shape_arguments_beside_a_config_raise_instead_of_vanishing():
+    """Regression: ``AmpNetCluster(n_nodes=12, seed=9, config=...)``
+    built the config's six nodes at seed 0 without a word."""
+    config = ClusterConfig(n_switches=2)
+    with pytest.raises(ValueError, match=r"n_nodes=12, seed=9"):
+        AmpNetCluster(n_nodes=12, seed=9, config=config)
+    for ignored in ({"n_switches": 3}, {"fiber_m": 10.0}):
+        with pytest.raises(ValueError, match=next(iter(ignored))):
+            AmpNetCluster(config=config, **ignored)
+    # Either form alone still builds what it says.
+    assert len(AmpNetCluster(config=config).nodes) == 6
+    assert len(AmpNetCluster(n_nodes=12, n_switches=2).nodes) == 12

@@ -240,6 +240,30 @@ def test_liveness_crosses_the_router_via_advertisements():
     assert not r0.considers_live((2, 99))
 
 
+def test_gossip_overhead_per_node_is_messages_over_live_nodes():
+    """Regression: the routed flavour averaged the per-segment averages,
+    so a 5-member ring weighed as much as a 41-member one (48.04 where
+    messages / live nodes is 13.63)."""
+    cluster = RoutedCluster(
+        TopologySpec(
+            segments=[SegmentSpec(4), SegmentSpec(40)],
+            routers=[RouterConfig(segments=(0, 1))],
+        ),
+        seed=1, membership=True,
+    )
+    cluster.start()
+    cluster.run_until_ring_up()
+    cluster.run(until=cluster.sim.now + 3_000_000)
+    overhead = cluster.membership_overhead()
+    messages = overhead["gossip_tx"] + overhead["pings_tx"] + overhead["acks_tx"]
+    assert messages == sum(
+        sub.membership_overhead()[key]
+        for sub in cluster.segments
+        for key in ("gossip_tx", "pings_tx", "acks_tx")
+    )
+    assert overhead["per_node_msgs"] == messages / len(cluster.live_nodes())
+
+
 def test_unroutable_destination_is_counted_not_crashed():
     cluster = build(n_segments=2)
     router = cluster.routers[0]

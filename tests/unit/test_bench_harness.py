@@ -89,11 +89,16 @@ def test_validate_file_flags_corrupt_json(tmp_path):
 
 def test_committed_results_conform():
     """Every JSON emission checked into benchmarks/results/ must stay
-    schema-valid (they are the repo's perf trajectory)."""
-    results = sorted((_HARNESS_PATH.parent / "results").glob("*.json"))
+    schema-valid (they are the repo's perf trajectory), and every table
+    beside one must be that document rendered, not a second copy."""
+    results_dir = _HARNESS_PATH.parent / "results"
+    results = sorted(results_dir.glob("*.json"))
     assert results, "no committed bench JSON found"
     for path in results:
         harness.validate_file(path)
+    for table in sorted(results_dir.glob("*.txt")):
+        payload = json.loads(table.with_suffix(".json").read_text())
+        assert table.read_text() == harness.render_text(payload), table.name
 
 
 def test_cli_validate_without_targets_is_a_usage_error(capsys):

@@ -1,8 +1,11 @@
 """Unit tests for the benchmark trajectory differ.
 
-The regression that motivated these: an emission present in OLD but
+Two regressions motivated these.  An emission present in OLD but
 missing entirely from NEW used to surface as a quiet note, so a deleted
-(or silently-skipped) bench sailed through ``--check`` as "no drift".
+(or silently-skipped) bench sailed through ``--check``.  And the differ
+used to allow 5 % of relative change, so eleven committed cells the
+tree no longer produced (a cache-hit count off by one, a simulated
+latency off by 0.6 %) read as "no drift" for nine PRs.
 """
 
 import importlib.util
@@ -139,14 +142,54 @@ def test_plain_tables_still_join_on_first_column(tmp_path):
     ) == 2
 
 
-def test_only_host_timing_experiments_have_volatile_numbers():
-    """Regression: a bare substring match gave F9's ``detection_speedup``
-    — a ratio of two *simulated* detection times — the wall-clock bound."""
-    volatile = diff_results.is_volatile
-    assert not volatile("F9", "detection_speedup")
-    assert not volatile("P4", "failover_convergence_ns")
-    assert not volatile("P1", "n16_schedule_entries_ratio")
-    assert volatile("P1", "n16_speedup_same_workload")
-    assert volatile("P1", "Events/wall-s")
-    assert volatile("P4", "probe_events_per_sec")
-    assert volatile("P4", "probe_wall_s")
+def test_a_one_count_drift_fails_the_check(tmp_path):
+    """C1's (1.0, 16) cell: 263 committed cache hits, 264 produced."""
+    old = write_tree(tmp_path / "old", [emission("C1", metric=263)])
+    new = write_tree(tmp_path / "new", [emission("C1", metric=264)])
+    drifts, _notes, _missing = diff_results.diff_trees(old, new)
+    assert [d.where for d in drifts] == ["metrics.latency_ns", "row['a'].v"]
+    assert (drifts[0].old, drifts[0].new) == (263, 264)
+    assert diff_results.main([str(old), str(new), "--check"]) == 1
+
+
+def test_float_repr_noise_is_not_a_drift(tmp_path):
+    old = write_tree(tmp_path / "old", [emission("P2", metric=11597.5)])
+    new = write_tree(tmp_path / "new",
+                     [emission("P2", metric=11597.5 * (1 + 1e-12))])
+    assert diff_results.main([str(old), str(new), "--check"]) == 0
+    # ...and that is all the room there is: integers get none.
+    assert not diff_results.same(10**12, 10**12 + 1)
+    assert not diff_results.same(11597.5, 11597.6)
+    assert not diff_results.same(3.12, "3.12")
+
+
+def _check_fails_on(tmp_path, change):
+    changed = emission("F1")
+    change(changed)
+    old = write_tree(tmp_path / "old", [emission("F1")])
+    new = write_tree(tmp_path / "new", [changed])
+    drifts, _notes, _missing = diff_results.diff_trees(old, new)
+    assert diff_results.main([str(old), str(new), "--check"]) == 1
+    return [d.where for d in drifts]
+
+
+def test_an_added_column_fails_the_check(tmp_path):
+    def add_column(payload):
+        payload["columns"].append("extra")
+        payload["rows"][0].append(7)
+
+    assert _check_fails_on(tmp_path, add_column) == [
+        "columns (rows not compared)"
+    ]
+
+
+def test_a_removed_row_fails_the_check(tmp_path):
+    assert _check_fails_on(
+        tmp_path, lambda payload: payload["rows"].clear()
+    ) == ["row['a']"]
+
+
+def test_a_removed_metric_fails_the_check(tmp_path):
+    assert _check_fails_on(
+        tmp_path, lambda payload: payload["metrics"].clear()
+    ) == ["metrics.latency_ns"]
