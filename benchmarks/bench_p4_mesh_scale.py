@@ -286,6 +286,11 @@ def test_p4_mesh_scale(benchmark, publish_json):
                   "summarization (vs the flat area-0 baseline on the "
                   "same topology), and a deterministic PerfProbe window "
                   "over the steady-state ~1k-node mesh.  Simulated ns "
-                  "throughout.",
+                  "throughout.  Re-emitted by PR 22: the probe's window "
+                  "events and scheduler occupancy fell with the fused "
+                  "uncontended ring hop (three schedule entries instead "
+                  "of six; bench P1 carries the per-hop count); every "
+                  "simulated latency, byte and message count is as it "
+                  "was.",
         )
     )

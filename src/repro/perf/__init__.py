@@ -11,6 +11,10 @@ numbers the performance work is steered by:
 * **per-layer event counts** — how the schedule entries split across the
   stack (phys.link arrivals, ring.mac picks, switch forwards, ...),
   derived from each entry's callback target;
+* **entries per ring hop** — window events over the transit forwards the
+  MACs made in it, the figure the data path is budgeted by (three on a
+  quiet ring: emit, arrival at the switch, arrival at the next node —
+  ``docs/architecture.md``, "The event scheduler");
 * **scheduler occupancy** — how the timer wheel is being used at the
   close of the window (entries resident in the wheel vs the overflow
   heap, the entries-per-occupied-slot histogram, how many posts spilled
@@ -68,6 +72,13 @@ class PerfReport:
     wall_s: float
     by_layer: Dict[str, int] = field(default_factory=dict)
     scheduler: Dict[str, Any] = field(default_factory=dict)
+    #: transit forwards by every MAC in the window (the probe sees only
+    #: the simulator; whoever holds the cluster fills this in)
+    ring_hops: int = 0
+
+    @property
+    def entries_per_ring_hop(self) -> float:
+        return self.events / self.ring_hops if self.ring_hops else 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -93,6 +104,9 @@ class PerfReport:
             "sim_ns_per_wall_s": round(self.sim_ns_per_wall_s, 1),
             "wall_s_per_sim_s": round(self.wall_s_per_sim_s, 6),
         }
+        if self.ring_hops:
+            out["ring_hops"] = self.ring_hops
+            out["entries_per_ring_hop"] = round(self.entries_per_ring_hop, 3)
         if self.by_layer:
             out["by_layer"] = dict(
                 sorted(self.by_layer.items(), key=lambda kv: -kv[1])

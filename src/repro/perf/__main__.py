@@ -13,7 +13,8 @@ Runs the scenario through the ordinary :class:`ScenarioRunner` with a
   waits for);
 * **workload** — the window between the ``armed`` and ``settled``
   phases, i.e. the steady-state frame hot path with ring bring-up
-  excluded (what the P1 bench tracks across commits).
+  excluded (what the P1 bench tracks across commits), with the
+  schedule entries it spent per ring hop.
 
 Exits non-zero if the scenario's invariants fail — a profile of a
 broken run is not a data point.
@@ -26,6 +27,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..analysis import total_mac_counter
 from ..scenarios import SCENARIOS, get_scenario, scenario_names
 from ..scenarios.runner import ScenarioRunner
 from . import PerfProbe, PerfReport
@@ -46,9 +48,13 @@ def profile_scenario(name: str, seed: Optional[int] = None,
             probe.start()
         elif phase == "armed":
             state["ring_up"] = state["probe"].snapshot()
+            state["hops"] = total_mac_counter(runner.cluster, "tx_transit")
             state["probe"].start()
         elif phase == "settled":
             state["workload"] = state["probe"].snapshot()
+            state["workload"].ring_hops = (
+                total_mac_counter(runner.cluster, "tx_transit") - state["hops"]
+            )
 
     runner = ScenarioRunner(spec, phase_hook=hook)
     result = runner.run()
@@ -76,6 +82,9 @@ def _print_report(label: str, report: PerfReport) -> None:
     print(f"    events/sec      {report.events_per_sec:,.0f}")
     print(f"    sim-ns / wall-s {report.sim_ns_per_wall_s:,.0f}")
     print(f"    wall-s / sim-s  {report.wall_s_per_sim_s:,.2f}")
+    if report.ring_hops:
+        print(f"    entries / ring hop {report.entries_per_ring_hop:.2f}"
+              f"  ({report.ring_hops:,} hops)")
     for layer, count in sorted(report.by_layer.items(), key=lambda kv: -kv[1]):
         print(f"      {layer:<24} {count:,}")
 

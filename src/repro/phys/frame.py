@@ -56,6 +56,13 @@ class Frame:
     #: Serialization time, precomputed once: every link and every MAC the
     #: frame crosses charges this, which is twice per ring hop.
     ser_ns: int = 0
+    #: Instant the frame was, or will be, handed to the wire it is on:
+    #: now for ``SerialLink.transmit``, the end of the crossing for a
+    #: switch that reserves its egress wire on arrival
+    #: (``SerialLink.reserve``).  Ahead of the clock it means "reserved,
+    #: not yet light" (a cut hands the frame back); at the next MAC it
+    #: orders the arrival against a pick due in the same instant.
+    wire_at: int = 0
 
     def __post_init__(self) -> None:
         self.ser_ns = serialization_ns(self.wire_bits)

@@ -34,12 +34,20 @@ therefore detaches the FIFO — the link gets a fresh FIFO and entry, and
 the old entry, still on the schedule once per dead reservation, is
 re-pointed at a handler that counts one ``frames_lost`` each time it
 fires, at the instants the frames would have arrived.
+
+A switch does not queue for its egress wire: a frame that arrives to an
+empty crossing is reserved here at once (:meth:`SerialLink.reserve`) for
+the instant the crossconnect will have carried it over, so the crossing
+costs no schedule entry of its own.  Until that instant the frame is not
+light yet, and a cut that lands first does not lose it: it goes back to
+the switch (``Port.recall``), which offers it to the port again at the
+instant it was due — where it meets whatever the wire is by then.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Deque, List
 
 from ..sim import Callback, Simulator
 from .constants import CARRIER_DETECT_NS, propagation_ns
@@ -94,8 +102,21 @@ class SerialLink:
         busy = self._busy_until
         start = busy if busy > now else now
         self._busy_until = end = start + frame.ser_ns
+        frame.wire_at = now
         self._wire.append(frame)
         sim._post(end + self.prop_ns, self._arrive_cb)
+
+    def reserve(self, frame: Frame, at: int) -> None:
+        """:meth:`transmit`, ahead of time: the sender will hand ``frame``
+        over at ``at`` (not before now), so serialization starts then or
+        when the transmitter frees up.  Only for a link that is ``up``,
+        and whose sender's port takes back what a cut recalls."""
+        busy = self._busy_until
+        start = busy if busy > at else at
+        self._busy_until = end = start + frame.ser_ns
+        frame.wire_at = at
+        self._wire.append(frame)
+        self.sim._post(end + self.prop_ns, self._arrive_cb)
 
     def _arrive(self) -> None:
         # Only frames reserved since the last cut are in ``_wire`` and a
@@ -103,22 +124,39 @@ class SerialLink:
         self.frames_delivered += 1
         self.dst.deliver(self._wire.popleft())
 
-    def _arrive_dark(self) -> None:
-        """A reservation from before a cut reaches its arrival instant."""
-        self.frames_lost += 1
+    def _arrive_dark(self, dead: List[int]) -> None:
+        """A reservation from before a cut reaches its arrival instant.
+
+        The first ``dead[0]`` firings stand for frames that died on the
+        wire; any after those belong to reservations the cut recalled,
+        which were never on it.
+        """
+        if dead[0]:
+            dead[0] -= 1
+            self.frames_lost += 1
 
     # ------------------------------------------------------------- faults
     def go_down(self) -> None:
         if not self.up:
             return
         self.up = False
-        # All wire reservations die with the light: the old entry keeps
-        # its places on the schedule but only counts the losses, and the
-        # frames themselves are dropped here.
-        self._arrive_cb.fn = self._arrive_dark
+        # Reservations made ahead of time (``reserve``) that are not due
+        # yet sit at the tail, hand-over instants only growing along the
+        # wire: those go back to the sender.  All the others die with the
+        # light: the old entry keeps its places on the schedule but only
+        # counts the losses, and the frames themselves are dropped here.
+        wire = self._wire
+        now = self.sim._now
+        recalled: List[Frame] = []
+        while wire and wire[-1].wire_at > now:
+            recalled.append(wire.pop())
+        old = self._arrive_cb
+        old.fn, old.args = self._arrive_dark, ([len(wire)],)
         self._arrive_cb = Callback(self._arrive, ())
         self._wire = deque()
         self._busy_until = 0
+        if recalled:
+            self.src.recall(recalled)
         # Receiver sees loss of light after the debounce time.
         self.sim.call_in(CARRIER_DETECT_NS, self._sync_carrier, False)
 

@@ -1,7 +1,9 @@
 """Ports: the attachment points between devices and fibres.
 
 A :class:`Port` belongs to a device (NIC or switch).  The device registers
-two callbacks: one for received frames and one for carrier transitions.
+callbacks for received frames and for carrier transitions (and a switch,
+which reserves its egress wire ahead of time, one for reservations a cut
+hands back — see :meth:`~repro.phys.link.SerialLink.reserve`).
 Carrier loss is how AmpNet hardware detects failures (slide 18, "network
 failures detected by hardware"), so the carrier path is modelled with the
 same care as the data path: transitions are delivered after the hardware
@@ -10,7 +12,7 @@ debounce delay :data:`~repro.phys.constants.CARRIER_DETECT_NS`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from ..sim import Simulator
 from .frame import Frame
@@ -22,6 +24,7 @@ __all__ = ["Port"]
 
 FrameHandler = Callable[[Frame, "Port"], None]
 CarrierHandler = Callable[[bool, "Port"], None]
+RecallHandler = Callable[[List[Frame], "Port"], None]
 
 
 class Port:
@@ -42,6 +45,7 @@ class Port:
         self.carrier_up = False
         self._on_frame: Optional[FrameHandler] = None
         self._on_carrier: Optional[CarrierHandler] = None
+        self._on_recall: Optional[RecallHandler] = None
         #: counters kept here so every layer above can read them
         self.tx_frames = 0
         self.rx_frames = 0
@@ -52,9 +56,11 @@ class Port:
         self,
         on_frame: Optional[FrameHandler] = None,
         on_carrier: Optional[CarrierHandler] = None,
+        on_recall: Optional[RecallHandler] = None,
     ) -> None:
         self._on_frame = on_frame
         self._on_carrier = on_carrier
+        self._on_recall = on_recall
 
     # ---------------------------------------------------------------- data
     def send(self, frame: Frame) -> bool:
@@ -79,6 +85,14 @@ class Port:
         self.rx_frames += 1
         if self._on_frame is not None:
             self._on_frame(frame, self)
+
+    def recall(self, frames: List[Frame]) -> None:
+        """Called by the tx link when a cut catches reservations ahead
+        of their hand-over instant (``frames``: newest first, as they
+        come off the wire's tail): they are the device's again, and no
+        longer count as transmitted."""
+        self.tx_frames -= len(frames)
+        self._on_recall(frames, self)
 
     # -------------------------------------------------------------- carrier
     def set_carrier(self, up: bool) -> None:

@@ -11,12 +11,17 @@ every live port except the ingress, with duplicate suppression keyed on
 the rostering header, which is what lets the modified flooding algorithm
 explore the entire surviving topology in one tour.
 
-Both kinds of traffic leave through the same per-port **crossing FIFO**:
-the crossconnect latency is one constant, so frames bound for one egress
-port come out in the order they went in, and the port's single reusable
-schedule entry (on the schedule once per frame in the FIFO) sends the
-head each time it fires — see the entry-reuse contract in
-``docs/architecture.md``.
+Both kinds of traffic can leave through the same per-port **crossing
+FIFO**: the crossconnect latency is one constant, so frames bound for
+one egress port come out in the order they went in, and the port's
+single reusable schedule entry (on the schedule once per frame in the
+FIFO) sends the head each time it fires — see the entry-reuse contract
+in ``docs/architecture.md``.  Ring traffic only queues there behind
+something: while the FIFO is empty and the egress fibre lit, the switch
+reserves the wire on arrival for the instant the crossing ends
+(``SerialLink.reserve``) and spends no entry on it.  A cut that lands
+inside those 300 ns hands the frames back (``_recall``) and they finish
+the crossing in the FIFO.
 """
 
 from __future__ import annotations
@@ -65,13 +70,14 @@ class Switch:
             port: i for i, port in enumerate(self.ports)
         }
         for port in self.ports:
-            port.set_handlers(on_frame=self._on_frame)
+            port.set_handlers(on_frame=self._on_frame, on_recall=self._recall)
         #: egress port index -> (frames crossing to that port, oldest
-        #: first; the port's one reusable entry).
-        self._crossing: List[Tuple[Deque[Frame], Callback]] = []
+        #: first; the port's one reusable entry; the port).
+        self._crossing: List[Tuple[Deque[Frame], Callback, Port]] = []
         for port in self.ports:
             fifo: Deque[Frame] = deque()
-            self._crossing.append((fifo, Callback(self._emit, (fifo, port))))
+            self._crossing.append(
+                (fifo, Callback(self._emit, (fifo, port)), port))
         #: ingress port index -> egress port index for ring traffic
         self.ring_map: Dict[int, int] = {}
         self.failed = False
@@ -127,7 +133,15 @@ class Switch:
                 ingress=ingress, packet=frame.packet.describe(),
             )
             return
-        self._cross(frame, egress)
+        fifo, _entry, out = self._crossing[egress]
+        link = out.tx_link
+        if not fifo and out.carrier_up and link is not None and link.up:
+            # Nothing ahead of it and a lit fibre: what ``_emit`` would
+            # do when the crossing ends, done now.
+            out.tx_frames += 1
+            link.reserve(frame, self.sim._now + SWITCH_LATENCY_NS)
+        else:
+            self._cross(frame, egress)
         self.counters.incr("forwarded")
 
     def _flood(self, frame: Frame, port: Port) -> None:
@@ -153,15 +167,29 @@ class Switch:
 
     def _cross(self, frame: Frame, egress: int) -> None:
         """Start ``frame`` across the crossconnect to port ``egress``."""
-        fifo, entry = self._crossing[egress]
+        fifo, entry, _out = self._crossing[egress]
         fifo.append(frame)
         # Direct kernel post (see the _post contract in sim/kernel.py).
         sim = self.sim
         sim._post(sim._now + SWITCH_LATENCY_NS, entry)
 
-    @staticmethod
-    def _emit(fifo: Deque[Frame], out: Port) -> None:
-        out.send(fifo.popleft())
+    def _emit(self, fifo: Deque[Frame], out: Port) -> None:
+        if not out.send(fifo.popleft()):
+            # No carrier (or no fibre) at the egress: lost, and nobody
+            # below the switch saw the frame to count it.
+            self.counters.incr("egress_dark_drop")
+
+    def _recall(self, frames: List[Frame], port: Port) -> None:
+        """A cut caught ``frames`` (newest first) reserved on ``port``'s
+        wire but not yet across the crossconnect: they finish crossing in
+        the FIFO — ahead of anything that queued since, and keeping later
+        arrivals from reserving past them — and ``_emit`` offers each to
+        the port at the instant it was due."""
+        fifo, entry, _out = self._crossing[self._port_index[port]]
+        fifo.extendleft(frames)  # the oldest ends up at the head
+        post = self.sim._post
+        for frame in frames:
+            post(frame.wire_at, entry)
 
     def reset_flood_cache(self) -> None:
         """Forget flood keys (used between rostering rounds in tests)."""

@@ -42,6 +42,10 @@ FrameFn = Callable[[Frame], None]
 _PRIORITY = int(Flags.PRIORITY)
 
 
+def _voided() -> None:
+    """What a pick or emit entry fires once its MAC has voided it."""
+
+
 class _PacerHub:
     """Per-simulator coalescer for MAC pacing wakeups.
 
@@ -122,12 +126,29 @@ class RingMAC:
         self._outstanding: Dict[int, Frame] = {}
 
         # Transmit engine state (event-driven; see _tx_step).  ``_tx_busy``
-        # covers the insertion-register + serialization occupancy window;
-        # ``_tx_scheduled`` means a pick is already enqueued for this
-        # instant; ``_pace_gen`` invalidates stale pacing timers.
+        # covers the insertion register, and the serialization hold too
+        # while anything is queued behind it; with nothing queued the
+        # hold is just ``_hold_from``..``_hold_end``, before whose end no
+        # pick may run.  ``_tx_scheduled`` means a pick is already
+        # enqueued; ``_pace_gen`` invalidates stale pacing timers.
         self._tx_busy = False
         self._tx_scheduled = False
+        self._hold_from = 0
+        self._hold_end = 0
         self._pace_gen = 0
+        #: instant of the last fused load (see on_frame); -1 once undone
+        self._fused_at = -1
+        cfg = self.config
+        #: may an idle engine take the fused path at all (A2's greedy NIC
+        #: picks its own frames first, so it always queues and picks)
+        self._fuses = cfg.transit_priority
+        #: ``controller.gap_ns`` at which a non-priority frame may fuse:
+        #: the pacing floor, where the depth-1 and depth-0 observations
+        #: the queue-then-pick path feeds the controller change nothing
+        #: (-1, never equal, when a depth of one already backs off).
+        self._rest_gap = (
+            cfg.min_gap_ns if cfg.hi_watermark > 1 or not cfg.enabled else -1
+        )
         # Per-roster state, refreshed on install: the ring-open flag, and
         # the tx port / ring size that replace an O(n) roster index
         # lookup plus a property chain per transmitted frame.
@@ -189,6 +210,8 @@ class RingMAC:
 
     def teardown(self, reason: str = "") -> None:
         """Ring down: stop forwarding, surrender in-flight accounting."""
+        if self._fused_at == self.sim._now:
+            self._unfuse()  # still in the buffer at this instant: flushed
         self._ring_open = False
         self.roster = None
         self._ring_size = 0
@@ -222,24 +245,31 @@ class RingMAC:
         return frame
 
     # The transmit engine is an event-driven state machine rather than a
-    # resumed generator: a frame hop costs exactly two slim schedule
-    # entries (insertion-register latency, then the serialization hold) —
-    # no generator frames, no wakeup Event allocations, no AnyOf per
-    # pacing nap.  Timing matches the old process loop: a kick wakes the
-    # engine one event-step later (so same-instant arrivals still compete
-    # for priority before the pick) and the pick after a serialization
-    # hold happens inside the hold's own event.  Pacing naps go through
-    # the per-simulator :class:`_PacerHub`, which batches every wakeup
-    # that lands on the same tick into one schedule entry and calls the
-    # engine directly from it (no intermediate hop).
+    # resumed generator — no generator frames, no wakeup Event
+    # allocations, no AnyOf per pacing nap.  A frame costs it up to three
+    # slim schedule entries: the pick (one event-step after the kick, so
+    # same-instant arrivals still compete for priority before it), the
+    # emit at the end of the insertion-register latency, and the pick at
+    # the end of the serialization hold.  The last is posted only while
+    # something is queued behind the frame; otherwise the emit records
+    # ``_hold_end`` and the next kick posts the pick no earlier than
+    # that.  A transit frame meeting an idle engine skips the first too
+    # (``on_frame`` loads the register itself), which leaves the emit as
+    # the only entry a heartbeat cell costs a quiet node.  Pacing naps go
+    # through the per-simulator :class:`_PacerHub`, which batches every
+    # wakeup that lands on the same tick into one schedule entry.
 
     def _kick(self) -> None:
         if self._tx_busy or self._tx_scheduled or not self._ring_open:
             return
         self._tx_scheduled = True
-        # Direct kernel post (see the _post contract in sim/kernel.py).
+        # Direct kernel post (see the _post contract in sim/kernel.py):
+        # one event step from now, or when the last frame's
+        # serialization hold ends if that is still ahead.
         sim = self.sim
-        sim._post(sim._now, self._tx_step_cb)
+        now = sim._now
+        hold_end = self._hold_end
+        sim._post(hold_end if hold_end > now else now, self._tx_step_cb)
 
     def _tx_step(self) -> None:
         self._tx_scheduled = False
@@ -273,28 +303,71 @@ class RingMAC:
         self._tx_frame = None
         if self._transmit(frame, self._tx_inserted):
             sim = self.sim
-            sim._post(sim._now + frame.ser_ns, self._tx_step_cb)
+            self._hold_from = now = sim._now
+            self._hold_end = hold_end = now + frame.ser_ns
+            if (
+                self._transit_priority or self._transit
+                or self._priority_insertion or self._insertion
+            ):
+                sim._post(hold_end, self._tx_step_cb)
+            else:
+                # Nothing to pick when the hold ends: an entry there
+                # would find four empty queues and go idle.  Go idle now
+                # and leave the hold to whoever kicks next.
+                self._tx_busy = False
         else:
             # Transmit refused (ring/carrier changed during the register
             # latency): re-pick immediately within this event.
             self._tx_step()
 
-    def _pace_fire(self, gen: int) -> None:
-        if gen != self._pace_gen or self._tx_busy or self._tx_scheduled:
-            return  # stale timer: the engine moved on since it was armed
-        if not self._ring_open:
-            return
-        # Defer the pick by one event step (same instant), exactly like
-        # a kick: arrivals landing on this tick that are already queued
-        # behind the hub's entry must still compete for priority before
-        # the pick — picking directly from the hub would let a paced
-        # MAC jump ahead of same-instant transit traffic.
-        self._tx_scheduled = True
-        sim = self.sim
-        sim._post(sim._now, self._tx_step_cb)
+    def _hold_pick_first(self) -> None:
+        """An arrival has fired ahead of the pick due at this instant's
+        hold end, and must not be picked by it.
 
-    # NOTE: _tx_emit schedules the post-serialization pick with the same
-    # reusable _tx_step_cb the kick path uses; both are plain kernel posts.
+        With an entry for every stage the two are ordered by when they
+        are posted: the pick at the emit that began the hold
+        (``_hold_from``), the arrival when its frame is handed to the
+        wire (``Frame.wire_at``).  The short ways move both within the
+        slot — a switch that reserves the wire posts the arrival 300 ns
+        before the hand-over; a pick nobody was waiting for is posted by
+        whoever kicks during the hold — so the instants themselves
+        decide: handed over after the hold began, the arrival comes
+        second.  The pick runs now, and its entry is voided.
+        """
+        self._tx_step_cb.fn = _voided
+        self._tx_step_cb = Callback(self._tx_step, ())
+        self._tx_step()
+
+    def _unfuse(self) -> None:
+        """Put a fused load (see :meth:`on_frame`) back in the buffer.
+
+        Something else reached this MAC in the instant of the load — a
+        second arrival, a teardown — and on the queue-then-pick path the
+        frame would still be in its transit queue with the pick pending:
+        the arrival might overtake it or overflow behind it, the
+        teardown would flush it.  Restore exactly that state.  The emit
+        entry already posted is voided the way ``SerialLink.go_down``
+        voids its arrivals: re-pointed, and replaced by a fresh one.
+        """
+        frame = self._tx_frame
+        self._tx_frame = None
+        self._fused_at = -1
+        self._tx_busy = False
+        if frame.packet.flags & _PRIORITY:
+            self._transit_priority.append(frame)
+        else:
+            self._transit.append(frame)
+        self._tx_emit_cb.fn = _voided
+        self._tx_emit_cb = Callback(self._tx_emit, ())
+        self._kick()
+
+    def _pace_fire(self, gen: int) -> None:
+        # A stale timer (the engine moved on since it was armed) does
+        # nothing; a live one is a kick like any other, pick deferred by
+        # one event step so that arrivals landing on this tick behind
+        # the hub's entry still compete for priority before it.
+        if gen == self._pace_gen:
+            self._kick()
 
     def _pick_frame(self):
         """Transit first, then priority insertions, then data insertions.
@@ -373,6 +446,16 @@ class RingMAC:
     # ------------------------------------------------------------------- rx
     def on_frame(self, frame: Frame, port: Port) -> None:
         """Entry point for ring traffic arriving from the physical layer."""
+        sim = self.sim
+        now = sim._now
+        if (
+            self._hold_end == now and frame.wire_at > self._hold_from
+            and (self._tx_scheduled
+                 or (self._tx_busy and self._tx_frame is None))
+        ):
+            # A hold ends this instant with its pick still to run, and
+            # the frame was handed to its wire after the hold began.
+            self._hold_pick_first()
         counters = self.counters
         if not self._ring_open or self.roster is None:
             counters.incr("rx_ring_down_drop")
@@ -387,8 +470,10 @@ class RingMAC:
                 counters.incr("tours_completed")
                 if self.on_tour_complete is not None:
                     self.on_tour_complete(frame)
-                # The freed window slot may unblock a queued insertion.
-                self._kick()
+                # The freed window slot may unblock a queued insertion
+                # (with none queued, a pick would find nothing to do).
+                if self._insertion or self._priority_insertion:
+                    self._kick()
             else:
                 counters.incr("stale_strip")
             return
@@ -433,15 +518,36 @@ class RingMAC:
                     self.on_deliver(pkt, frame)
 
         # Source removal: everything keeps circulating back to its source.
+        priority = pkt.flags & _PRIORITY
+        if (
+            not (self._tx_busy or self._tx_scheduled)
+            and self._fuses and now >= self._hold_end
+            and (priority or self.controller.gap_ns == self._rest_gap)
+        ):
+            # Idle engine, no pick pending — so an empty transit buffer,
+            # every append kicks — and the hold over: queueing the frame,
+            # kicking and picking it one event step later can only end
+            # with this frame in the register at this instant, so load
+            # it now and save the pick entry.  (``_unfuse`` takes it back
+            # should a second arrival or a teardown land in this instant.)
+            self._tx_busy = True
+            self._tx_frame = frame
+            self._tx_inserted = False
+            self._fused_at = now
+            sim._post(now + NODE_TRANSIT_NS, self._tx_emit_cb)
+            return
+        if self._fused_at == now:
+            self._unfuse()
         transit = self._transit
-        if len(transit) + len(self._transit_priority) >= self.config.transit_capacity:
+        transit_priority = self._transit_priority
+        if len(transit) + len(transit_priority) >= self.config.transit_capacity:
             counters.incr("transit_overflow_drop")
             self.tracer.record(
-                self.sim.now, "transit_drop", self.name, packet=pkt.describe(),
+                now, "transit_drop", self.name, packet=pkt.describe(),
             )
             return
-        if pkt.flags & _PRIORITY:
-            self._transit_priority.append(frame)
+        if priority:
+            transit_priority.append(frame)
         else:
             transit.append(frame)
             self.controller.observe_transit_depth(len(transit))

@@ -179,12 +179,16 @@ class Simulator:
     #
     # The kernel never looks at an entry's identity, so one entry may sit
     # on the schedule any number of times and fires once per post.  The
-    # per-frame producers (phys/link.py, phys/switch.py, ring/mac.py) rely
-    # on that: each device posts the *same* ``Callback`` for every frame
-    # and keeps the frames in a FIFO of its own, which is exact because
-    # the device's fire times never decrease from one post to the next.
-    # A device that has to void its pending firings swaps in a fresh
-    # entry and re-points the old one (see ``SerialLink.go_down``).
+    # per-frame producers rely on that — phys/link.py (an arrival per
+    # frame), phys/switch.py (a crossing per frame that has to queue for
+    # its egress; ring traffic that need not reserves the link's wire
+    # and posts nothing), ring/mac.py (an emit per frame, and a pick
+    # either side of it only under contention): each device posts the
+    # *same* ``Callback`` for every frame and keeps the frames in a FIFO
+    # of its own, which is exact because the device's fire times never
+    # decrease from one post to the next.  A device that has to void its
+    # pending firings swaps in a fresh entry and re-points the old one
+    # (see ``SerialLink.go_down``, ``RingMAC._unfuse``).
     def _post(self, time: int, entry: Any) -> None:
         if self._lap_start <= time < self._lap_end:
             idx = time & _WHEEL_MASK

@@ -7,7 +7,14 @@ rather than stamping an epoch on every frame.  The references below do
 it the obvious way — a fresh entry per frame carrying ``(frame, epoch)``
 — and random fault/traffic sequences must not be able to tell the two
 apart: same ``(time, frame_id)`` delivery log, same loss and delivery
-counters, same number of schedule entries processed.
+counters, and for the link the same number of schedule entries processed.
+
+The switch goes further than a FIFO: ring traffic that meets an empty
+crossing and a lit egress fibre reserves the wire on arrival and spends
+no entry on the crossing.  ``ReferenceSwitch`` never does — every frame
+spends its 300 ns as an entry of its own and meets the port only when
+that fires — so a cut, a power loss or a dark port landing inside the
+crossing must come out the same either way.
 """
 
 from hypothesis import given, settings
@@ -73,10 +80,30 @@ def reference_fiber(sim, a, b, length_m):
 
 
 class ReferenceSwitch(Switch):
-    """Every crossing is its own entry, bound to its frame and port."""
+    """Every crossing is its own entry, bound to its frame and port.
+
+    ``_switch`` is the three-stage path as it stood before ring traffic
+    learned to reserve the egress wire, overridden whole: a reference
+    that only replaced ``_cross`` would inherit the fused path in
+    ``Switch._switch`` and compare it with itself (``run_switch_world``
+    makes the reference's links refuse ``reserve`` to prove it).
+    """
+
+    def _switch(self, frame, port):
+        ingress = self._port_index[port]
+        egress = self.ring_map.get(ingress)
+        if egress is None:
+            self.counters.incr("no_route_drop")
+            return
+        self._cross(frame, egress)
+        self.counters.incr("forwarded")
 
     def _cross(self, frame, egress):
-        self.sim.call_in(SWITCH_LATENCY_NS, self.ports[egress].send, frame)
+        self.sim.call_in(SWITCH_LATENCY_NS, self._send, egress, frame)
+
+    def _send(self, egress, frame):
+        if not self.ports[egress].send(frame):
+            self.counters.incr("egress_dark_drop")
 
 
 def data_frame(k):
@@ -175,17 +202,32 @@ def test_restore_while_dead_reservations_are_still_pending():
     assert max(t for t, _end, _fid in log) < last_dead_reservation
 
 
+#: gaps as above, plus the scale of one crossing: a fault SWITCH_LATENCY_NS
+#: or less after a burst lands while its frames are between the ports
+switch_gap = st.one_of(
+    gap,
+    st.integers(0, SWITCH_LATENCY_NS + 1),
+    st.sampled_from([SWITCH_LATENCY_NS - 1, SWITCH_LATENCY_NS,
+                     SWITCH_LATENCY_NS + 1]),
+)
+
 switch_ops = st.lists(
     st.tuples(
-        gap,
+        switch_gap,
         st.one_of(
             st.tuples(st.sampled_from(["ring", "flood"]),
                       st.sampled_from([0, 1, 3]), st.integers(1, 6)),
+            st.tuples(st.just("solo"), st.sampled_from([0, 1, 3]),
+                      st.integers(1, 22)),
             st.sampled_from(["cut", "restore", "fail", "repair"]),
         ),
     ),
     min_size=1, max_size=40,
 )
+
+
+def _reference_never_reserves(frame, at):
+    raise AssertionError("the reference switch reserved an egress wire")
 
 
 def run_switch_world(switch_type, ops, frames):
@@ -197,6 +239,8 @@ def run_switch_world(switch_type, ops, frames):
         sw.attach_fiber(Fiber(sim, ep, port, 10.0))
         ep.set_handlers(
             on_frame=lambda f, p, i=i: log.append((sim.now, i, f.frame_id)))
+        if switch_type is ReferenceSwitch:
+            port.tx_link.reserve = _reference_never_reserves
     ring = {0: 2, 1: 2, 3: 2}  # every ingress shares egress 2
     sw.configure_ring(ring)
     supply = {kind: iter(pool) for kind, pool in frames.items()}
@@ -214,30 +258,113 @@ def run_switch_world(switch_type, ops, frames):
         else:
             kind, ingress, burst = op
             for _ in range(burst):
+                if kind == "solo":  # ring frames only, one ingress
+                    sw.ports[ingress].deliver(next(supply["ring"]))
+                    continue
                 sw.ports[ingress].deliver(next(supply[kind]))
                 # ...and a ring frame from another ingress at the same
                 # instant, so the two kinds interleave at port 2
                 sw.ports[{0: 1, 1: 3, 3: 0}[ingress]].deliver(
                     next(supply["ring"]))
     sim.run()
+    # Not compared: ``sim.events_processed`` and the instant the schedule
+    # drains.  A crossing costs the reference an entry and the switch
+    # none, and a cut leaves different ghosts behind: the arrival entry
+    # of a reservation the cut recalled still fires (counting nothing) at
+    # an instant where the reference, which never reserved, has nothing.
     return (
         log,
         dict(sw.counters),
         [(p.tx_frames, p.rx_frames) for p in sw.ports],
-        sim.events_processed,
-        sim.now,
+        [(f.ab.frames_delivered, f.ab.frames_lost,
+          f.ba.frames_delivered, f.ba.frames_lost)
+         for f in sw.attached_fibers],
     )
 
 
-@given(ops=switch_ops)
-@settings(max_examples=200, deadline=None)
-def test_fifo_switch_matches_reference_switch(ops):
-    n = 6 * len(ops)
-    frames = {
-        "ring": [data_frame(k) for k in range(2 * n)],
+def switch_frames(ops):
+    """As many frames of each kind as ``ops`` will take from the supply."""
+    need = {"ring": 0, "flood": 0}
+    for _wait, op in ops:
+        if isinstance(op, tuple):
+            kind, _ingress, burst = op
+            need["ring"] += burst
+            if kind != "solo":
+                need[kind] += burst
+    return {
+        "ring": [data_frame(k) for k in range(need["ring"])],
         # distinct flood keys, so none is suppressed as a duplicate
         "flood": [frame_for(encode_explore(origin=k % 250, round_no=k // 250))
-                  for k in range(n)],
+                  for k in range(need["flood"])],
     }
-    fifo = run_switch_world(Switch, ops, frames)
-    assert fifo == run_switch_world(ReferenceSwitch, ops, frames)
+
+
+def both_switch_worlds(ops):
+    frames = switch_frames(ops)
+    fused = run_switch_world(Switch, ops, frames)
+    assert fused == run_switch_world(ReferenceSwitch, ops, frames)
+    return fused
+
+
+@given(ops=switch_ops)
+@settings(max_examples=2000, deadline=None)
+def test_fifo_switch_matches_reference_switch(ops):
+    both_switch_worlds(ops)
+
+
+def test_cut_mid_crossing_loses_the_frame_at_the_hand_over_instant():
+    """The wire was reserved on arrival, the cut lands 100 ns into the
+    crossing: the frame was not light yet, so the cut itself loses
+    nothing — the port still has carrier when the crossing ends, takes
+    the frame, and the dark transmitter loses it there."""
+    ops = [(0, ("solo", 0, 1)), (100, "cut")]
+    log, counters, ports, links = both_switch_worlds(ops)
+    assert log == [] and counters == {"forwarded": 1}
+    assert ports[2] == (1, 0)  # offered to the port, once
+    assert links[2] == (0, 0, 0, 1)  # switch -> endpoint: lost, not delivered
+
+
+def test_cut_and_restore_mid_crossing_delivers_on_the_mended_wire():
+    ops = [(0, ("solo", 0, 1)), (100, "cut"), (100, "restore")]
+    log, _counters, ports, links = both_switch_worlds(ops)
+    (arrival,) = log
+    frame = data_frame(0)
+    assert arrival[:2] == (SWITCH_LATENCY_NS + frame.ser_ns + 50, 2)
+    assert ports[2] == (1, 0) and links[2] == (0, 0, 1, 0)
+
+
+def test_fail_and_repair_in_one_instant_mid_crossing():
+    """Power blinks while two frames are crossing: both fibres of every
+    port went down and came back inside the instant, so the frames cross
+    to a lit wire; the ring map is gone until the next commit, so what
+    arrives afterwards has no route."""
+    ops = [(0, ("solo", 0, 2)), (150, "fail"), (0, "repair"),
+           (0, ("solo", 1, 1))]
+    log, counters, _ports, links = both_switch_worlds(ops)
+    assert [end for _t, end, _fid in log] == [2, 2, 2]
+    assert counters == {"forwarded": 3} and links[2] == (0, 0, 3, 0)
+
+
+def test_same_instant_burst_to_one_egress_then_cut():
+    """Twenty-two frames reserve the wire back to back in one instant —
+    ten microseconds of serialization — and the cut lands before the
+    first has crossed: all of them come back, in order, and are lost one
+    by one at the hand-over instant; cut later and they die on the wire."""
+    burst = (0, ("solo", 0, 22))
+    early = both_switch_worlds([burst, (SWITCH_LATENCY_NS - 1, "cut")])
+    late = both_switch_worlds([burst, (SWITCH_LATENCY_NS, "cut")])
+    for log, counters, ports, links in (early, late):
+        assert log == [] and counters == {"forwarded": 22}
+        assert ports[2] == (22, 0) and links[2] == (0, 0, 0, 22)
+
+
+def test_port_that_lost_carrier_mid_crossing_counts_the_drop():
+    """cut, restore, cut again inside one debounce: the first cut's
+    carrier loss reaches the egress port while a frame reserved between
+    the cuts is still crossing, and the port refuses it.  The switch is
+    the only device that saw the frame, so the switch counts it."""
+    ops = [(0, "cut"), (1, "restore"), (CARRIER_DETECT_NS - 150, ("solo", 0, 1)),
+           (50, "cut")]
+    _log, counters, ports, links = both_switch_worlds(ops)
+    assert counters == {"forwarded": 1, "egress_dark_drop": 1}
+    assert ports[2] == (0, 0) and links[2] == (0, 0, 0, 0)

@@ -2,9 +2,11 @@
 
 The three devices a frame passes per ring hop — the serial link, the
 switch crossconnect, the MAC's insertion register — each post one
-*reusable* schedule entry per frame and keep the frame itself in a FIFO
-they own.  So frames in flight add no GC-tracked objects beyond the heap
-tuple the kernel builds for a post that spills past the timer wheel.
+*reusable* schedule entry per frame (the crossconnect none at all while
+its egress wire is free to be reserved, the register's pick only under
+contention) and keep the frame itself in a FIFO they own.  So frames in
+flight add no GC-tracked objects beyond the heap tuple the kernel builds
+for a post that spills past the timer wheel.
 
 That is what keeps the cyclic collector out of the large tiers: with a
 fresh ``Callback`` + bound method + args tuple per entry, the in-flight
@@ -83,6 +85,10 @@ def switch_with_lit_ports(sim, n_ports):
 
 
 def test_ring_forwards_crossing_a_switch_are_untracked(tracked_allocations):
+    """A thousand frames in one instant: each reserves the egress wire on
+    arrival, back to back — 189 us of serialization, far past one lap of
+    the wheel, so what would have been a thousand same-instant crossing
+    entries are arrival entries that spill, as on any backlogged link."""
     sim = Simulator()
     sw = switch_with_lit_ports(sim, 2)
     sw.configure_ring({0: 1})
@@ -91,11 +97,35 @@ def test_ring_forwards_crossing_a_switch_are_untracked(tracked_allocations):
     for frame in frames:
         sw.ports[0].deliver(frame)
     grew = tracked_allocations() - before
-    assert sim.scheduler_stats()["overflow_spills"] == 0
-    assert grew <= SLACK
+    spills = sim.scheduler_stats()["overflow_spills"]
+    assert spills > FRAMES // 2
+    assert grew <= spills + SLACK
+    assert sw.ports[1].tx_frames == FRAMES  # reserved, every one
+    fired = []
+    sim.on_event = fired.append
     sim.run()
     assert sw.counters["forwarded"] == FRAMES
-    assert sw.ports[1].tx_frames == FRAMES
+    assert len(fired) == FRAMES  # one arrival each; the crossing cost none
+
+
+def test_ring_forwards_queueing_at_a_switch_are_untracked(tracked_allocations):
+    """Behind a flood the ring frames cannot reserve: they queue in the
+    crossing FIFO, one firing of the port's reusable entry each."""
+    sim = Simulator()
+    sw = switch_with_lit_ports(sim, 2)
+    sw.configure_ring({0: 1})
+    frames = data_frames(FRAMES)
+    sw.ports[0].deliver(frame_for(encode_explore(origin=1, round_no=1)))
+    before = tracked_allocations()
+    for frame in frames:
+        sw.ports[0].deliver(frame)
+    grew = tracked_allocations() - before
+    assert sim.scheduler_stats()["overflow_spills"] == 0
+    assert grew <= SLACK
+    assert sw.ports[1].tx_frames == 0  # all of it still crossing
+    sim.run()
+    assert sw.counters["forwarded"] == FRAMES
+    assert sw.ports[1].tx_frames == FRAMES + 1
 
 
 def test_rostering_floods_crossing_a_switch_are_untracked(tracked_allocations):
@@ -116,29 +146,64 @@ def test_rostering_floods_crossing_a_switch_are_untracked(tracked_allocations):
     assert [p.tx_frames for p in sw.ports] == [0, FRAMES, FRAMES, FRAMES]
 
 
-def test_frames_stepping_through_the_mac_register_are_untracked(
-    tracked_allocations,
-):
-    """The register holds one frame at a time, so nothing accumulates on
-    the schedule; an observer that keeps every fired entry alive makes a
-    per-frame entry show up as growth all the same."""
-    sim = Simulator()
+def mac_on_a_lit_port(sim):
     port = Port(sim, "n1.p0")
     port.force_carrier(True)  # lit, wired to nothing: frames go nowhere
     mac = RingMAC(sim, 1, [port], FlowControlConfig())
     mac.install_roster(Roster(1, (0, 1), (0, 0)))
     sim.run()
+    return mac, port
+
+
+def test_frames_stepping_through_the_mac_register_are_untracked(
+    tracked_allocations,
+):
+    """The register holds one frame at a time, so nothing accumulates on
+    the schedule; an observer that keeps every fired entry alive makes a
+    per-frame entry show up as growth all the same.  Each frame meets an
+    idle engine, its predecessor's serialization over: one entry, the
+    emit."""
+    sim = Simulator()
+    mac, port = mac_on_a_lit_port(sim)
     frames = data_frames(FRAMES)
     fired = []
     sim.on_event = fired.append
     before = tracked_allocations()
     for frame in frames:
         mac.on_frame(frame, port)
-        sim.run()
+        sim.run(until=sim.now + 1_000)
     grew = tracked_allocations() - before
     assert mac.counters["tx_transit"] == FRAMES
-    assert len(fired) == 3 * FRAMES  # pick, emit, pick-after-hold
+    assert len(fired) == FRAMES  # emit; no pick before it, none after
     assert grew <= SLACK
+
+
+def test_frames_queueing_for_the_mac_register_are_untracked(
+    tracked_allocations,
+):
+    """Two frames in one instant contend: the second takes back the
+    first's fused load, and both go the queue-then-pick way — pick, emit,
+    pick-after-hold, emit, and the voided emit of the fused load."""
+    sim = Simulator()
+    mac, port = mac_on_a_lit_port(sim)
+    frames = data_frames(FRAMES)
+    mac.on_frame(frames[0], port)
+    mac.on_frame(frames[1], port)
+    sim.run(until=sim.now + 1_000)
+    fired = []
+    sim.on_event = fired.append
+    before = tracked_allocations()
+    for first, second in zip(frames[2::2], frames[3::2]):
+        mac.on_frame(first, port)
+        mac.on_frame(second, port)
+        sim.run(until=sim.now + 1_000)
+    grew = tracked_allocations() - before
+    pairs = FRAMES // 2 - 1
+    assert mac.counters["tx_transit"] == FRAMES
+    assert len(fired) == 5 * pairs
+    # an unfuse costs one fresh entry, which ``fired`` keeps alive; the
+    # frames themselves and the other four firings cost nothing
+    assert grew <= pairs + SLACK
 
 
 def test_a_quiet_ring_retains_nothing_per_delivered_frame():

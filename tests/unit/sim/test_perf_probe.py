@@ -83,26 +83,34 @@ def test_layer_classification():
 
 
 def test_switch_crossings_are_attributed_to_the_switch():
-    """The switch owns its egress entries, so a crossing is a
+    """The switch owns its egress entries, so a crossing that queues is a
     ``phys.switch`` entry — not ``phys.port``, the module of the bound
-    ``Port.send`` the per-frame entries used to name."""
+    ``Port.send`` the per-frame entries used to name.  Floods always
+    queue; ring traffic only behind one, and otherwise reserves the
+    egress wire on arrival and costs the switch no entry at all."""
     cluster = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=1))
     cluster.start()
+    (switch,) = cluster.topology.switches
     probe = PerfProbe(cluster.sim, per_kind=True)
-    probe.start()  # from t=0: the rostering floods are in the window too
+    probe.start()  # from t=0: the rostering floods
     cluster.run_until_ring_up()
+    bring_up = probe.snapshot().by_layer
+    flooded, early = switch.counters["flooded"], switch.counters["forwarded"]
+    still_crossing = sum(len(fifo) for fifo, _entry, _port in switch._crossing)
+    assert flooded and not still_crossing
+    assert flooded <= bring_up["phys.switch"] <= flooded + early
+
+    probe.start()  # ring up, floods over: ring traffic alone
     for node in cluster.nodes.values():
         node.mac.send(MicroPacket(
             ptype=MicroPacketType.DATA, src=node.node_id, dst=BROADCAST,
             payload=b"12345678"))
     cluster.run(until=cluster.sim.now + 20 * cluster.tour_estimate_ns)
-    by_layer = probe.stop().by_layer
-    (switch,) = cluster.topology.switches
-    crossings = switch.counters["forwarded"] + switch.counters["flooded"]
-    assert switch.counters["forwarded"] >= 16 and switch.counters["flooded"]
-    still_crossing = sum(len(fifo) for fifo, _entry in switch._crossing)
-    assert by_layer["phys.switch"] == crossings - still_crossing
-    assert "phys.port" not in by_layer
+    quiet = probe.stop().by_layer
+    assert switch.counters["flooded"] == flooded
+    assert switch.counters["forwarded"] - early >= 16
+    assert "phys.switch" not in quiet
+    assert "phys.port" not in bring_up and "phys.port" not in quiet
 
 
 def test_no_committed_result_names_the_old_switch_attribution():
