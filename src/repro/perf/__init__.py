@@ -15,6 +15,9 @@ numbers the performance work is steered by:
   MACs made in it, the figure the data path is budgeted by (three on a
   quiet ring: emit, arrival at the switch, arrival at the next node —
   ``docs/architecture.md``, "The event scheduler");
+* **entries per node** — the ring-up window's events over the nodes it
+  brought up, the figure bring-up is budgeted by (one arrival per
+  distinct rostering cell per switch, and little else);
 * **scheduler occupancy** — how the timer wheel is being used at the
   close of the window (entries resident in the wheel vs the overflow
   heap, the entries-per-occupied-slot histogram, how many posts spilled
@@ -75,10 +78,17 @@ class PerfReport:
     #: transit forwards by every MAC in the window (the probe sees only
     #: the simulator; whoever holds the cluster fills this in)
     ring_hops: int = 0
+    #: nodes the window's work is spread over (filled in likewise; what
+    #: a ring bring-up is budgeted by)
+    nodes: int = 0
 
     @property
     def entries_per_ring_hop(self) -> float:
         return self.events / self.ring_hops if self.ring_hops else 0.0
+
+    @property
+    def entries_per_node(self) -> float:
+        return self.events / self.nodes if self.nodes else 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -107,6 +117,9 @@ class PerfReport:
         if self.ring_hops:
             out["ring_hops"] = self.ring_hops
             out["entries_per_ring_hop"] = round(self.entries_per_ring_hop, 3)
+        if self.nodes:
+            out["nodes"] = self.nodes
+            out["entries_per_node"] = round(self.entries_per_node, 3)
         if self.by_layer:
             out["by_layer"] = dict(
                 sorted(self.by_layer.items(), key=lambda kv: -kv[1])

@@ -7,10 +7,13 @@
     python -m repro.perf large_ring_64 --seed 9 --json out.json
 
 Runs the scenario through the ordinary :class:`ScenarioRunner` with a
-:class:`~repro.perf.PerfProbe` attached, and reports two windows:
+:class:`~repro.perf.PerfProbe` attached, and reports three windows:
 
 * **total** — cluster construction through judgement (what a user
   waits for);
+* **ring-up** — the ``built`` phase to ``ring_up``: the rostering
+  floods, with the schedule entries they cost per node and how many of
+  them were posted past the timer wheel's lap;
 * **workload** — the window between the ``armed`` and ``settled``
   phases, i.e. the steady-state frame hot path with ring bring-up
   excluded (what the P1 bench tracks across commits), with the
@@ -35,7 +38,8 @@ from . import PerfProbe, PerfReport
 
 def profile_scenario(name: str, seed: Optional[int] = None,
                      per_kind: bool = False):
-    """Run ``name`` under the probe; returns (result, total, workload)."""
+    """Run ``name`` under the probe; returns (result, total, ring_up,
+    workload)."""
     spec = get_scenario(name, seed=seed)
     state = {}
 
@@ -46,8 +50,11 @@ def profile_scenario(name: str, seed: Optional[int] = None,
                 runner.cluster.sim, per_kind=per_kind
             )
             probe.start()
-        elif phase == "armed":
+        elif phase == "ring_up":
             state["ring_up"] = state["probe"].snapshot()
+            state["ring_up"].nodes = len(runner.cluster.nodes)
+        elif phase == "armed":
+            state["setup"] = state["probe"].snapshot()
             state["hops"] = total_mac_counter(runner.cluster, "tx_transit")
             state["probe"].start()
         elif phase == "settled":
@@ -59,19 +66,19 @@ def profile_scenario(name: str, seed: Optional[int] = None,
     runner = ScenarioRunner(spec, phase_hook=hook)
     result = runner.run()
     tail = state["probe"].stop()  # armed -> end of run
-    ring_up = state["ring_up"]
+    setup = state["setup"]
     workload = state.get("workload", tail)
     merged = {
-        layer: ring_up.by_layer.get(layer, 0) + tail.by_layer.get(layer, 0)
-        for layer in set(ring_up.by_layer) | set(tail.by_layer)
+        layer: setup.by_layer.get(layer, 0) + tail.by_layer.get(layer, 0)
+        for layer in set(setup.by_layer) | set(tail.by_layer)
     }
     total = PerfReport(
-        events=ring_up.events + tail.events,
-        sim_ns=ring_up.sim_ns + tail.sim_ns,
-        wall_s=ring_up.wall_s + tail.wall_s,
+        events=setup.events + tail.events,
+        sim_ns=setup.sim_ns + tail.sim_ns,
+        wall_s=setup.wall_s + tail.wall_s,
         by_layer=merged,
     )
-    return result, total, workload
+    return result, total, state["ring_up"], workload
 
 
 def _print_report(label: str, report: PerfReport) -> None:
@@ -85,6 +92,11 @@ def _print_report(label: str, report: PerfReport) -> None:
     if report.ring_hops:
         print(f"    entries / ring hop {report.entries_per_ring_hop:.2f}"
               f"  ({report.ring_hops:,} hops)")
+    if report.nodes:
+        print(f"    entries / node  {report.entries_per_node:,.1f}"
+              f"  ({report.nodes:,} nodes)")
+    if report.scheduler:
+        print(f"    overflow spills {report.scheduler['overflow_spills']:,}")
     for layer, count in sorted(report.by_layer.items(), key=lambda kv: -kv[1]):
         print(f"      {layer:<24} {count:,}")
 
@@ -107,12 +119,13 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{', '.join(scenario_names())}", file=sys.stderr)
         return 2
 
-    result, total, workload = profile_scenario(
+    result, total, ring_up, workload = profile_scenario(
         args.scenario, seed=args.seed, per_kind=args.per_kind
     )
     status = "OK" if result.ok else "FAIL"
     print(f"[{status}] {result.name} (seed {result.seed})")
     _print_report("total (build + ring-up + workload)", total)
+    _print_report("ring-up (built -> ring up)", ring_up)
     _print_report("workload window (armed -> settled)", workload)
 
     if args.json:
@@ -121,6 +134,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "seed": result.seed,
             "ok": result.ok,
             "total": total.to_dict(),
+            "ring_up": ring_up.to_dict(),
             "workload": workload.to_dict(),
         }
         with open(args.json, "w") as fh:

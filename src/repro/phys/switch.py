@@ -14,14 +14,15 @@ explore the entire surviving topology in one tour.
 Both kinds of traffic can leave through the same per-port **crossing
 FIFO**: the crossconnect latency is one constant, so frames bound for
 one egress port come out in the order they went in, and the port's
-single reusable schedule entry (on the schedule once per frame in the
-FIFO) sends the head each time it fires — see the entry-reuse contract
-in ``docs/architecture.md``.  Ring traffic only queues there behind
-something: while the FIFO is empty and the egress fibre lit, the switch
-reserves the wire on arrival for the instant the crossing ends
-(``SerialLink.reserve``) and spends no entry on it.  A cut that lands
-inside those 300 ns hands the frames back (``_recall``) and they finish
-the crossing in the FIFO.
+single reusable schedule entry (on the schedule once per frame it put
+in the FIFO) sends the head each time it fires — see the entry-reuse
+contract in ``docs/architecture.md``.  A flood spends one entry, not one
+per egress (``_flood``).  Ring traffic only queues behind something:
+while the FIFO is empty, no flood is crossing and the egress fibre is
+lit, the switch reserves the wire on arrival for the instant the
+crossing ends (``SerialLink.reserve``) and spends no entry on it.  A cut
+that lands inside those 300 ns hands the frames back (``_recall``) and
+they finish the crossing in the FIFO.
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ class Switch:
             fifo: Deque[Frame] = deque()
             self._crossing.append(
                 (fifo, Callback(self._emit, (fifo, port)), port))
+        #: one int per flood still crossing, oldest first: bit ``i`` set
+        #: = the flooded frame went into egress ``i``'s FIFO.  The one
+        #: reusable flood entry is on the schedule once per mask.
+        self._flood_masks: Deque[int] = deque()
+        self._flood_entry = Callback(self._emit_flood, ())
+        self._port_bits = tuple(1 << i for i in range(n_ports))
         #: ingress port index -> egress port index for ring traffic
         self.ring_map: Dict[int, int] = {}
         self.failed = False
@@ -135,9 +142,14 @@ class Switch:
             return
         fifo, _entry, out = self._crossing[egress]
         link = out.tx_link
-        if not fifo and out.carrier_up and link is not None and link.up:
+        if (not fifo and not self._flood_masks and out.carrier_up
+                and link is not None and link.up):
             # Nothing ahead of it and a lit fibre: what ``_emit`` would
-            # do when the crossing ends, done now.
+            # do when the crossing ends, done now.  Not while a flood is
+            # crossing, to any port: the reserved arrival goes on the
+            # schedule now and the flood's when its crossing ends, so in
+            # an instant both reach their far ends the frame that came
+            # second would be heard first.
             out.tx_frames += 1
             link.reserve(frame, self.sim._now + SWITCH_LATENCY_NS)
         else:
@@ -152,17 +164,23 @@ class Switch:
         self._flood_seen[key] = None
         if len(self._flood_seen) > _FLOOD_CACHE_SIZE:
             self._flood_seen.popitem(last=False)
-        ingress = self._port_index[port]
-        fanout = 0
-        for idx, out in enumerate(self.ports):
-            if idx == ingress or not out.carrier_up:
-                continue
-            self._cross(frame, idx)
-            fanout += 1
+        # The fan-out is decided now: the frame joins the crossing FIFO
+        # of every egress lit at this instant, behind whatever is already
+        # crossing to it, and one entry carries it over to all of them.
+        mask = 0
+        for bit, (fifo, _entry, out) in zip(self._port_bits, self._crossing):
+            if out.carrier_up and out is not port:
+                fifo.append(frame)
+                mask |= bit
+        fanout = mask.bit_count()
+        if mask:
+            self._flood_masks.append(mask)
+            sim = self.sim
+            sim._post(sim._now + SWITCH_LATENCY_NS, self._flood_entry)
         self.counters.incr("flooded", fanout)
         self.tracer.record(
             self.sim.now, "switch_flood", self.name,
-            ingress=ingress, fanout=fanout, key=key.hex(),
+            ingress=self._port_index[port], fanout=fanout, key=key.hex(),
         )
 
     def _cross(self, frame: Frame, egress: int) -> None:
@@ -178,6 +196,15 @@ class Switch:
             # No carrier (or no fibre) at the egress: lost, and nobody
             # below the switch saw the frame to count it.
             self.counters.incr("egress_dark_drop")
+
+    def _emit_flood(self) -> None:
+        """The oldest flood's crossing ends: every egress it fanned out
+        to sends the head of its FIFO, in port order — what one firing
+        of ``_emit`` per egress, posted in that order, would do."""
+        mask = self._flood_masks.popleft()
+        for bit, (fifo, _entry, out) in zip(self._port_bits, self._crossing):
+            if mask & bit and not out.send(fifo.popleft()):
+                self.counters.incr("egress_dark_drop")
 
     def _recall(self, frames: List[Frame], port: Port) -> None:
         """A cut caught ``frames`` (newest first) reserved on ``port``'s

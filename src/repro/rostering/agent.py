@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from ..micropacket import MicroPacket
 from ..phys import Port
 from ..phys.frame import Frame, frame_for
 from ..sim import NULL_TRACER, Counter, Simulator, Tracer
-from .roster import Roster, compute_roster
+from .roster import Roster, compute_roster, hop_switches
 from .wire import (
     CommitAssembler,
     Phase,
@@ -156,7 +155,7 @@ class RosterAgent:
     def request_join(self) -> None:
         """Booting node announces itself (slide 17 node entry)."""
         self.counters.incr("join_requests")
-        self._flood(encode_join(self.node_id))
+        self._flood(frame_for(encode_join(self.node_id)))
         # If nobody answers (we are first up), trigger our own round.
         self.sim.call_in(
             int(self.config.report_window_ns * COMMIT_TIMEOUT_FACTOR),
@@ -176,7 +175,7 @@ class RosterAgent:
             # node-entry JOIN, reused for segment reunification).
             if self.state == AgentState.OPERATIONAL:
                 self.counters.incr("carrier_up_joins")
-                self._flood(encode_join(self.node_id))
+                self._flood(frame_for(encode_join(self.node_id)))
             return
         if self.state == AgentState.OPERATIONAL:
             self.trigger(f"carrier loss on {port.name}")
@@ -203,7 +202,7 @@ class RosterAgent:
         if not joined:
             explore = encode_explore(self.node_id, round_no)
             self._relayed.add(flood_key(explore.payload))
-            self._flood(explore)
+            self._flood(frame_for(explore))
         self._emit_report()
         window = self.config.report_window_ns
         self.sim.call_in(window, lambda: self._decide(round_no))
@@ -222,7 +221,7 @@ class RosterAgent:
         msg = decode(report)
         self._reports[self.node_id] = msg
         self._relayed.add(flood_key(report.payload))
-        self._flood(report)
+        self._flood(frame_for(report))
 
     # ------------------------------------------------------------- receive
     def on_cell(self, frame: Frame, port: Port) -> None:
@@ -264,17 +263,19 @@ class RosterAgent:
 
     def _is_newer_round(self, seen: int) -> bool:
         """Round numbers are mod-256 monotonic; compare on a half-circle."""
-        return (seen - self.round_no) % 256 not in (0,) and (
-            (seen - self.round_no) % 256 < 128
-        )
+        return 0 < (seen - self.round_no) % 256 < 128
 
     # ---------------------------------------------------------------- flood
-    def _flood(self, packet: MicroPacket, except_port: Optional[Port] = None) -> None:
+    def _flood(self, frame: Frame, except_port: Optional[Port] = None) -> None:
+        """Send ``frame`` out of every live port but ``except_port`` — the
+        one frame on all of them, as a switch shares one across its
+        fan-out: no device keeps state of its own on a rostering frame
+        (``wire_at`` is only ever the instant of its latest transmit)."""
         sent = 0
         for port in self.ports:
             if port is except_port or not port.carrier_up:
                 continue
-            port.send(frame_for(packet))
+            port.send(frame)
             sent += 1
         self.counters.incr("cells_flooded", sent)
 
@@ -283,7 +284,7 @@ class RosterAgent:
         if key in self._relayed:
             return
         self._relayed.add(key)
-        self._flood(frame.packet, except_port=arrival)
+        self._flood(frame, except_port=arrival)
         self.counters.incr("cells_relayed")
 
     # -------------------------------------------------------------- decide
@@ -321,8 +322,8 @@ class RosterAgent:
             return
         if not self.is_master:
             return  # wait for the master's commit (or the timeout)
-        attachment = self._attachment(self._admissible_reports())
-        computed = compute_roster(self.round_no, attachment)
+        admissible = self._admissible_reports()
+        computed = compute_roster(self.round_no, self._attachment(admissible))
         if computed is None:
             # Totally isolated (all fibres dark): run as a singleton ring
             # so local applications and the cache replica stay alive —
@@ -333,7 +334,7 @@ class RosterAgent:
         # Normalize hop switches with the shared deterministic rule so the
         # switch maps the master installs match the tx ports every member
         # derives at install time.
-        roster = self._normalized_roster(list(computed.members), attachment)
+        roster = self._normalized_roster(computed.members, admissible)
         if roster is None:  # pragma: no cover - master has the reports
             self.counters.incr("empty_roster")
             self.state = AgentState.DOWN
@@ -347,7 +348,7 @@ class RosterAgent:
             self.switch_configurator(roster.switch_maps(), roster)
         for cell in encode_commit_chunks(self.node_id, self.round_no, roster.members):
             self._relayed.add(flood_key(cell.payload))
-            self._flood(cell)
+            self._flood(frame_for(cell))
         self._install(list(roster.members))
 
     def _commit_timeout(self, round_no: int) -> None:
@@ -358,28 +359,25 @@ class RosterAgent:
 
     # -------------------------------------------------------------- install
     def _normalized_roster(
-        self, members: List[int], attachment: Dict[int, Set[int]]
+        self, members: Sequence[int], reports: Dict[int, RosterMessage]
     ) -> Optional[Roster]:
-        """Roster with hop switches from the shared deterministic rule."""
-        if len(members) == 1:
-            return Roster(self.round_no, tuple(members), ())
-        hops = []
-        for i, node in enumerate(members):
-            nxt = members[(i + 1) % len(members)]
-            try:
-                hops.append(self._hop_switch(node, nxt, attachment))
-            except ValueError:
-                return None
-        return Roster(self.round_no, tuple(members), tuple(hops))
+        """Roster with hop switches from the shared deterministic rule
+        (None while a member's report is missing)."""
+        ports = (1 << len(self.ports)) - 1
+        hops = hop_switches(members, {
+            node: msg.port_bitmap & ports for node, msg in reports.items()
+        })
+        if hops is None:
+            return None
+        return Roster(self.round_no, tuple(members), hops)
 
     def _install(self, members: List[int]) -> None:
-        attachment = self._attachment(self._reports)
         if self.node_id not in members:
             # Excluded (version, partition): stay down, keep listening.
             self.state = AgentState.DOWN
             self.counters.incr("excluded_from_roster")
             return
-        roster = self._normalized_roster(members, attachment)
+        roster = self._normalized_roster(members, self._reports)
         if roster is None:
             # Missing reports leave us unable to derive hops; escalate so
             # the next round's flood fills the gap.
@@ -401,14 +399,3 @@ class RosterAgent:
         )
         if self.on_installed is not None:
             self.on_installed(roster)
-
-    @staticmethod
-    def _hop_switch(u: int, v: int, attachment: Dict[int, Set[int]]) -> int:
-        """Deterministic hop-switch rule shared by master and members."""
-        common = [
-            sw for sw, nodes in sorted(attachment.items())
-            if u in nodes and v in nodes
-        ]
-        if not common:
-            raise ValueError(f"no common live switch for hop {u}->{v}")
-        return common[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Roster", "compute_roster", "RosterError"]
+__all__ = ["Roster", "compute_roster", "hop_switches", "RosterError"]
 
 
 class RosterError(Exception):
@@ -264,3 +264,26 @@ def compute_roster(
         return Roster(round_no, members, tuple([sw] * len(members)))
     members, hops = _build_ring(chain, bridges, live)
     return Roster(round_no, members, hops)
+
+
+def hop_switches(
+    members: Sequence[int], live_ports: Dict[int, int]
+) -> Optional[Tuple[int, ...]]:
+    """The switch each hop of the ring ``members`` crosses: the
+    lowest-numbered one both of its ends reported a live port to.
+
+    ``live_ports`` is a round's reports as node -> live-port bitmap.
+    This is the rule the master configures the switches by and every
+    member derives its tx port by, from the same reports.  None when
+    some hop has no common live switch: a report has not arrived.
+    """
+    if len(members) == 1:
+        return ()
+    hops = []
+    for i, node in enumerate(members):
+        nxt = members[(i + 1) % len(members)]
+        common = live_ports.get(node, 0) & live_ports.get(nxt, 0)
+        if not common:
+            return None
+        hops.append((common & -common).bit_length() - 1)
+    return tuple(hops)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..micropacket import BROADCAST, MicroPacket, MicroPacketType
 
@@ -51,6 +51,12 @@ PAD = 0xFF
 
 #: Members carried per commit chunk cell.
 _MEMBERS_PER_CHUNK = 3
+
+#: Distinct payloads whose parse is remembered.  A flooded cell reaches
+#: every node once through every switch, byte for byte the same, so a
+#: bring-up parses what its distinct cells cost (595 on a 255-node ring),
+#: not what its arrivals do (302,260 there).
+_PARSE_CACHE_SIZE = 4096
 
 
 class Phase(IntEnum):
@@ -138,15 +144,41 @@ def encode_commit_chunks(
     return chunks
 
 
+def _remember(cache: dict, payload: bytes, value):
+    """Bounded insert: the oldest remembered payload makes room."""
+    if len(cache) >= _PARSE_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[payload] = value
+    return value
+
+
+#: payload -> its decoded view / its flood key.  Both are pure functions
+#: of the immutable payload and both results are immutable, so every
+#: arrival of one cell shares them.  Plain dicts of bytes: remembering a
+#: flood key allocates nothing the cyclic collector tracks.
+_decoded: Dict[bytes, RosterMessage] = {}
+_flood_keys: Dict[bytes, bytes] = {}
+
+
 def decode(packet: MicroPacket) -> RosterMessage:
     """Parse a ROSTERING MicroPacket's payload."""
     if packet.ptype != MicroPacketType.ROSTERING:
         raise ValueError(f"not a rostering packet: {packet.ptype.name}")
-    p = packet.payload.ljust(8, b"\x00")
-    phase = Phase(p[0])
+    payload = packet.payload
+    msg = _decoded.get(payload)
+    if msg is None:
+        # A payload that raises is not remembered.
+        msg = _remember(_decoded, payload, _parse(payload))
+    return msg
+
+
+def _parse(payload: bytes) -> RosterMessage:
+    p = payload.ljust(8, b"\x00")
+    try:
+        phase = Phase(p[0])
+    except ValueError:
+        raise ValueError(f"unknown rostering phase {p[0]}") from None
     origin, round_no = p[1], p[2]
-    if phase in (Phase.EXPLORE, Phase.JOIN):
-        return RosterMessage(phase, origin, round_no)
     if phase == Phase.REPORT:
         return RosterMessage(
             phase, origin, round_no,
@@ -158,7 +190,7 @@ def decode(packet: MicroPacket) -> RosterMessage:
             phase, origin, round_no,
             chunk_index=p[3], total_chunks=p[4], members=members,
         )
-    raise ValueError(f"unknown rostering phase {p[0]}")  # pragma: no cover
+    return RosterMessage(phase, origin, round_no)  # EXPLORE, JOIN
 
 
 def flood_key(payload: bytes) -> bytes:
@@ -166,12 +198,16 @@ def flood_key(payload: bytes) -> bytes:
 
     EXPLORE/REPORT/JOIN: once per (phase, origin, round), whatever the
     phase-specific bytes say.  COMMIT: once per chunk, so multi-cell
-    rosters get through.
+    rosters get through.  ``payload`` must be ``bytes``, as a
+    MicroPacket's is: it is the memo's key.
     """
-    p = bytes(payload[:5]).ljust(5, b"\x00")
-    if p[0] == Phase.COMMIT:
-        return p[:4]  # phase, origin, round, chunk index
-    return p[:3]
+    key = _flood_keys.get(payload)
+    if key is None:
+        p = payload[:4].ljust(4, b"\x00")
+        # phase, origin, round (+ chunk index)
+        key = _remember(
+            _flood_keys, payload, p if p[0] == Phase.COMMIT else p[:3])
+    return key
 
 
 class CommitAssembler:

@@ -15,6 +15,15 @@ no entry on the crossing.  ``ReferenceSwitch`` never does — every frame
 spends its 300 ns as an entry of its own and meets the port only when
 that fires — so a cut, a power loss or a dark port landing inside the
 crossing must come out the same either way.
+
+A flood goes further too: the frame joins the crossing FIFO of every
+egress lit when it arrives, and *one* entry carries it over to all of
+them.  ``ReferenceSwitch._flood`` is the per-egress loop that preceded
+it — an entry per egress per flood — so floods from any port (the ring's
+own egress included), duplicates, ring frames in the same instant and
+inside the crossing, and fibres cut or mended on any port between flood
+and emit must leave every wire carrying the same frames at the same
+instants, and the endpoints hearing them in the same order inside one.
 """
 
 from hypothesis import given, settings
@@ -25,7 +34,7 @@ from repro.phys import (
     CARRIER_DETECT_NS, SWITCH_LATENCY_NS, Fiber, Port, Switch, frame_for,
 )
 from repro.phys.constants import propagation_ns
-from repro.rostering import encode_explore
+from repro.rostering import encode_explore, flood_key
 from repro.sim import Simulator
 
 
@@ -97,6 +106,23 @@ class ReferenceSwitch(Switch):
             return
         self._cross(frame, egress)
         self.counters.incr("forwarded")
+
+    def _flood(self, frame, port):
+        """The flood as it stood before one entry carried it to every
+        egress: a crossing of its own per lit egress, verbatim."""
+        key = flood_key(frame.packet.payload)
+        if key in self._flood_seen:
+            self.counters.incr("flood_duplicate")
+            return
+        self._flood_seen[key] = None
+        ingress = self._port_index[port]
+        fanout = 0
+        for idx, out in enumerate(self.ports):
+            if idx == ingress or not out.carrier_up:
+                continue
+            self._cross(frame, idx)
+            fanout += 1
+        self.counters.incr("flooded", fanout)
 
     def _cross(self, frame, egress):
         self.sim.call_in(SWITCH_LATENCY_NS, self._send, egress, frame)
@@ -203,12 +229,16 @@ def test_restore_while_dead_reservations_are_still_pending():
 
 
 #: gaps as above, plus the scale of one crossing: a fault SWITCH_LATENCY_NS
-#: or less after a burst lands while its frames are between the ports
+#: or less after a burst lands while its frames are between the ports,
+#: and a burst less than a crossing short of a debounce after a fault
+#: meets the carrier change between its arrival and its emit
 switch_gap = st.one_of(
     gap,
     st.integers(0, SWITCH_LATENCY_NS + 1),
     st.sampled_from([SWITCH_LATENCY_NS - 1, SWITCH_LATENCY_NS,
                      SWITCH_LATENCY_NS + 1]),
+    st.integers(CARRIER_DETECT_NS - SWITCH_LATENCY_NS - 1,
+                CARRIER_DETECT_NS + 1),
 )
 
 switch_ops = st.lists(
@@ -219,6 +249,12 @@ switch_ops = st.lists(
                       st.sampled_from([0, 1, 3]), st.integers(1, 6)),
             st.tuples(st.just("solo"), st.sampled_from([0, 1, 3]),
                       st.integers(1, 22)),
+            # floods alone, from any port — 2 is where the ring map sends
+            # everything — and cells whose keys the "flood" pool repeats
+            st.tuples(st.sampled_from(["wave", "echo"]),
+                      st.sampled_from([0, 1, 2, 3]), st.integers(1, 4)),
+            st.tuples(st.sampled_from(["cut", "restore"]),
+                      st.sampled_from([0, 1, 2, 3])),
             st.sampled_from(["cut", "restore", "fail", "repair"]),
         ),
     ),
@@ -226,8 +262,23 @@ switch_ops = st.lists(
 )
 
 
+#: burst kinds that deliver one pool's frames alone -> the pool: ring
+#: frames, cells with keys not seen before, cells that repeat those keys
+ALONE = {"solo": "ring", "wave": "flood", "echo": "echo"}
+
+
 def _reference_never_reserves(frame, at):
     raise AssertionError("the reference switch reserved an egress wire")
+
+
+class RecallNotingSwitch(Switch):
+    """``Switch``, noting whether a cut ever handed a reservation back."""
+
+    recalled = False
+
+    def _recall(self, frames, port):
+        self.recalled = True
+        super()._recall(frames, port)
 
 
 def run_switch_world(switch_type, ops, frames):
@@ -246,20 +297,22 @@ def run_switch_world(switch_type, ops, frames):
     supply = {kind: iter(pool) for kind, pool in frames.items()}
     for wait, op in ops:
         sim.run(until=sim.now + wait)
-        if op == "cut":
-            sw.attached_fibers[2].cut()
-        elif op == "restore":
-            sw.attached_fibers[2].restore()
-        elif op == "fail":
+        if op in ("cut", "restore"):
+            op = (op, 2)  # the fibre every ring frame leaves by
+        if op == "fail":
             sw.fail()
         elif op == "repair":
             sw.repair()
             sw.configure_ring(ring)  # fail() cleared it
+        elif op[0] == "cut":
+            sw.attached_fibers[op[1]].cut()
+        elif op[0] == "restore":
+            sw.attached_fibers[op[1]].restore()
         else:
             kind, ingress, burst = op
             for _ in range(burst):
-                if kind == "solo":  # ring frames only, one ingress
-                    sw.ports[ingress].deliver(next(supply["ring"]))
+                if kind in ALONE:  # one kind of frame, one ingress
+                    sw.ports[ingress].deliver(next(supply[ALONE[kind]]))
                     continue
                 sw.ports[ingress].deliver(next(supply[kind]))
                 # ...and a ring frame from another ingress at the same
@@ -279,30 +332,48 @@ def run_switch_world(switch_type, ops, frames):
         [(f.ab.frames_delivered, f.ab.frames_lost,
           f.ba.frames_delivered, f.ba.frames_lost)
          for f in sw.attached_fibers],
-    )
+    ), getattr(sw, "recalled", False)
 
 
 def switch_frames(ops):
     """As many frames of each kind as ``ops`` will take from the supply."""
-    need = {"ring": 0, "flood": 0}
+    need = {"ring": 0, "flood": 0, "echo": 0}
     for _wait, op in ops:
-        if isinstance(op, tuple):
+        if isinstance(op, tuple) and len(op) == 3:
             kind, _ingress, burst = op
-            need["ring"] += burst
-            if kind != "solo":
+            if kind in ALONE:
+                need[ALONE[kind]] += burst
+            else:
                 need[kind] += burst
-    return {
-        "ring": [data_frame(k) for k in range(need["ring"])],
-        # distinct flood keys, so none is suppressed as a duplicate
-        "flood": [frame_for(encode_explore(origin=k % 250, round_no=k // 250))
-                  for k in range(need["flood"])],
+                need["ring"] += burst
+    cells = {
+        # distinct flood keys within a pool, so none is suppressed as a
+        # duplicate; the k-th "echo" repeats the k-th "flood" key, and
+        # whichever of the two arrives second is the duplicate
+        pool: [frame_for(encode_explore(origin=k % 250, round_no=k // 250))
+               for k in range(need[pool])]
+        for pool in ("flood", "echo")
     }
+    return {"ring": [data_frame(k) for k in range(need["ring"])], **cells}
 
 
 def both_switch_worlds(ops):
     frames = switch_frames(ops)
-    fused = run_switch_world(Switch, ops, frames)
-    assert fused == run_switch_world(ReferenceSwitch, ops, frames)
+    fused, recalled = run_switch_world(RecallNotingSwitch, ops, frames)
+    reference, _ = run_switch_world(ReferenceSwitch, ops, frames)
+    if recalled:
+        # The one thing a recall does not put back: its entry goes on the
+        # schedule at the cut, where the reference's crossing entry has
+        # been since the frame arrived.  Both fire when the crossing
+        # ends, but a crossing to another port posted in between fires on
+        # the other side of it, so two *endpoints* may hear in the other
+        # order inside that instant.  Sorted by instant, then endpoint:
+        # one wire never delivers twice in an instant, so every instant
+        # and every wire's order are still compared.
+        assert sorted(fused[0]) == sorted(reference[0])
+        assert fused[1:] == reference[1:]
+    else:
+        assert fused == reference
     return fused
 
 
@@ -368,3 +439,153 @@ def test_port_that_lost_carrier_mid_crossing_counts_the_drop():
     _log, counters, ports, links = both_switch_worlds(ops)
     assert counters == {"forwarded": 1, "egress_dark_drop": 1}
     assert ports[2] == (0, 0) and links[2] == (0, 0, 0, 0)
+
+
+# ------------------------------------------------ one entry per flood
+CELL_SER_NS = frame_for(encode_explore(origin=0, round_no=0)).ser_ns
+#: 10 m of fibre between the switch and every endpoint
+PROP_NS = propagation_ns(10.0)
+
+
+def arrivals_at(log, end):
+    return [(t, fid) for t, at, fid in log if at == end]
+
+
+def ends_reached(log, frame_id):
+    return [at for _t, at, fid in log if fid == frame_id]
+
+
+def test_ring_frame_one_instant_before_a_flood_to_its_egress():
+    """The ring frame reserved wire 2 a nanosecond before the cell came:
+    it leaves first, and the cell, in port 2's FIFO like in every other,
+    waits for the wire behind it and nowhere else."""
+    ops = [(0, ("solo", 0, 1)), (1, ("wave", 1, 1))]
+    log, counters, ports, links = both_switch_worlds(ops)
+    assert counters == {"forwarded": 1, "flooded": 3}
+    (ring_at, ring), (cell_at, cell) = arrivals_at(log, 2)
+    assert ends_reached(log, ring) == [2]
+    assert sorted(ends_reached(log, cell)) == [0, 2, 3]
+    ring_ser = data_frame(0).ser_ns
+    assert ring_at == SWITCH_LATENCY_NS + ring_ser + PROP_NS
+    assert cell_at == ring_at + CELL_SER_NS  # behind it on the wire
+    assert arrivals_at(log, 0) == [
+        (1 + SWITCH_LATENCY_NS + CELL_SER_NS + PROP_NS, cell)]
+    assert [p[0] for p in ports] == [1, 0, 2, 1] and links[2][2:] == (2, 0)
+
+
+def test_ring_frame_one_instant_after_a_flood_to_its_egress():
+    """The cell is crossing to port 2 when the ring frame arrives: the
+    frame may not reserve past it, queues behind it, and leaves second —
+    on a wire the cell keeps busy, so later than its own crossing ends."""
+    ops = [(0, ("wave", 1, 1)), (1, ("solo", 0, 1))]
+    log, counters, _ports, links = both_switch_worlds(ops)
+    assert counters == {"forwarded": 1, "flooded": 3}
+    (cell_at, cell), (ring_at, ring) = arrivals_at(log, 2)
+    assert sorted(ends_reached(log, cell)) == [0, 2, 3]
+    assert ends_reached(log, ring) == [2]
+    assert cell_at == SWITCH_LATENCY_NS + CELL_SER_NS + PROP_NS
+    assert ring_at == cell_at + data_frame(0).ser_ns
+    assert links[2][2:] == (2, 0)
+
+
+def test_ring_frame_bound_for_the_floods_own_ingress_port():
+    """A cell that came in by port 2 is not crossing *to* port 2, and
+    port 2's FIFO is empty — but a ring frame bound there in the same
+    instant may not reserve the wire: its arrival would go on the
+    schedule a crossing early, ahead of the cell's at the other three
+    endpoints, and all four land in one instant (a cell and a fixed-size
+    ring frame serialize alike).  While a flood is between the ports
+    every ring frame queues; the next one after it reserves again."""
+    ops = [(0, ("wave", 2, 1)), (0, ("solo", 0, 1)),
+           (SWITCH_LATENCY_NS, ("solo", 0, 1))]
+    log, counters, ports, _links = both_switch_worlds(ops)
+    assert counters == {"forwarded": 2, "flooded": 3}
+    heard = SWITCH_LATENCY_NS + CELL_SER_NS + PROP_NS
+    assert [(t, at) for t, at, _fid in log] == [
+        (heard, 0), (heard, 1), (heard, 3), (heard, 2),
+        (2 * SWITCH_LATENCY_NS + data_frame(1).ser_ns + PROP_NS, 2)]
+    assert [p[0] for p in ports] == [1, 1, 2, 1]
+
+    sim = Simulator()
+    sw = Switch(sim, 0, n_ports=4)
+    for i, port in enumerate(sw.ports):
+        sw.attach_fiber(Fiber(sim, Port(sim, f"ep{i}"), port, 10.0))
+    sw.configure_ring({0: 2})
+    sw.ports[2].deliver(frame_for(encode_explore(origin=1, round_no=1)))
+    sw.ports[0].deliver(data_frame(0))
+    assert sw.ports[2].tx_frames == 0  # queued behind the flood's entry
+    sim.run(until=SWITCH_LATENCY_NS)
+    sw.ports[0].deliver(data_frame(0))
+    assert sw.ports[2].tx_frames == 2  # reserved on arrival
+    fired = []
+    sim.on_event = fired.append
+    sim.run()
+    assert len(fired) == 5  # the arrivals; the crossings took two entries
+    assert sim.events_processed == 2 + 5
+
+
+def test_flood_reaches_the_egress_ports_in_port_order():
+    """One entry stands for what used to be one per egress, posted in
+    port order: the endpoints still hear a cell, and the one behind it,
+    lowest port first inside the instant."""
+    ops = [(0, ("wave", 1, 2)), (0, ("wave", 3, 1))]
+    log, counters, _ports, _links = both_switch_worlds(ops)
+    assert counters == {"flooded": 9}
+    heard = SWITCH_LATENCY_NS + CELL_SER_NS + PROP_NS
+    assert [(t - heard, at) for t, at, _fid in log] == [
+        (0, 0), (0, 2), (0, 3),  # first cell from port 1
+        (0, 1),                  # the cell from port 3: wire 1 was free
+        (CELL_SER_NS, 0), (CELL_SER_NS, 2), (CELL_SER_NS, 3),
+        (2 * CELL_SER_NS, 0), (2 * CELL_SER_NS, 2)]
+
+
+def test_port_whose_carrier_comes_up_mid_crossing_is_not_in_the_fan_out():
+    """Fibre 3 was mended a debounce ago less 100 ns: its port is dark
+    when the cell arrives and lit when the crossing ends.  The fan-out
+    was decided on arrival, so the cell does not go there — and the next
+    cell, 400 ns on, does."""
+    ops = [(0, ("cut", 3)), (2 * CARRIER_DETECT_NS, ("restore", 3)),
+           (CARRIER_DETECT_NS - 100, ("wave", 0, 1)), (400, ("wave", 0, 1))]
+    log, counters, ports, _links = both_switch_worlds(ops)
+    assert counters == {"flooded": 2 + 3}
+    assert [at for _t, at, _fid in log] == [1, 2, 1, 2, 3]
+    assert ports[3][0] == 1
+
+
+def test_port_whose_carrier_drops_mid_crossing_counts_the_drop():
+    """...and the other way round: lit when the cell arrives, so in the
+    fan-out; dark when the crossing ends, so the port refuses the cell
+    and the switch counts it."""
+    ops = [(0, ("cut", 3)), (CARRIER_DETECT_NS - 100, ("wave", 0, 1))]
+    log, counters, ports, _links = both_switch_worlds(ops)
+    assert counters == {"flooded": 3, "egress_dark_drop": 1}
+    assert [at for _t, at, _fid in log] == [1, 2]
+    assert ports[3][0] == 0
+
+
+def test_duplicate_cell_inside_the_crossing_of_the_first():
+    """The same key from another port while the first copy is still
+    between the ports: suppressed on arrival, nothing to emit."""
+    ops = [(0, ("wave", 0, 1)), (100, ("echo", 1, 1))]
+    log, counters, _ports, _links = both_switch_worlds(ops)
+    assert counters == {"flooded": 3, "flood_duplicate": 1}
+    assert [at for _t, at, _fid in log] == [1, 2, 3]
+
+
+def test_recalled_reservation_leaves_ahead_of_the_flood_that_followed_it():
+    """Ring frame, then a cell, in one instant; the fibre is cut and
+    mended inside the crossing.  The cut hands the reservation back to
+    the head of port 2's FIFO — ahead of the cell already waiting there —
+    and the flood's entry, first on the schedule for that instant, sends
+    whatever is at the head: the ring frame.  The cell follows when the
+    recall's own entry fires; on this wire as on any other, the order is
+    the order of arrival at the switch.  (A flood kept in a FIFO of its
+    own, beside the per-port ones, gets this one backwards.)"""
+    ops = [(0, ("solo", 0, 1)), (0, ("wave", 1, 1)), (100, "cut"),
+           (100, "restore")]
+    log, counters, _ports, links = both_switch_worlds(ops)
+    assert counters == {"forwarded": 1, "flooded": 3}
+    (_ring_at, ring), (_cell_at, cell) = arrivals_at(log, 2)
+    assert ends_reached(log, ring) == [2]
+    assert sorted(ends_reached(log, cell)) == [0, 2, 3]
+    assert links[2] == (0, 0, 2, 0)

@@ -44,6 +44,25 @@ def test_round_number_wraps_mod_256():
     assert not agent._is_newer_round(4)
 
 
+def test_newer_round_is_less_than_half_a_circle_ahead():
+    """Across the wrap in both directions, and at the half-circle edge:
+    255 -> 1 is a step forward, 1 -> 255 a step back; 127 ahead is newer,
+    128 ahead is as far behind as ahead and is not."""
+    _sim, _topo, nodes = mini_cluster()
+    agent = nodes[0].agent
+    agent.round_no = 255
+    assert agent._is_newer_round(1)
+    agent.round_no = 1
+    assert not agent._is_newer_round(255)
+    assert not agent._is_newer_round(1)
+    assert agent._is_newer_round(128)
+    assert not agent._is_newer_round(129)
+    for here in range(256):
+        agent.round_no = here
+        newer = [r for r in range(256) if agent._is_newer_round(r)]
+        assert newer == sorted((here + d) % 256 for d in range(1, 128))
+
+
 def test_start_round_skips_zero_on_wrap():
     sim, _topo, nodes = mini_cluster()
     agent = nodes[0].agent

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.micropacket import MicroPacket, MicroPacketType
+from repro.rostering import wire
 from repro.rostering import (
     CommitAssembler,
     Phase,
@@ -147,3 +148,80 @@ def test_flood_key_distinguishes_phases():
     e = encode_explore(origin=1, round_no=1)
     r = encode_report(origin=1, round_no=1, port_bitmap=0xF)
     assert flood_key(e.payload) != flood_key(r.payload)
+
+
+# ------------------------------------------------------------ parse memo
+well_formed = st.builds(
+    lambda phase, rest: bytes([phase]) + rest,
+    st.sampled_from(list(Phase)), st.binary(max_size=7))
+#: anything that fits a fixed cell: mostly no phase at all, so half are
+#: steered to one
+payloads = st.one_of(st.binary(min_size=0, max_size=8), well_formed)
+
+
+def rostering(payload):
+    return MicroPacket(ptype=MicroPacketType.ROSTERING, src=0, dst=0xFF,
+                       payload=payload)
+
+
+def key_by_the_rule(payload):
+    """Slide 16's rule, said the long way round."""
+    header = list(payload[:4]) + [0] * (4 - len(payload[:4]))
+    return bytes(header if header[0] == Phase.COMMIT else header[:3])
+
+
+@given(st.lists(payloads, min_size=1, max_size=30))
+def test_remembered_parse_equals_a_fresh_one(cells):
+    """Whatever was decoded before, in whatever order: a payload decodes
+    to what parsing it afresh gives, and errors the same way, every time."""
+    for payload in cells + cells:
+        assert flood_key(payload) == key_by_the_rule(payload)
+        try:
+            fresh = wire._parse(payload)
+        except ValueError as exc:
+            for _again in range(2):
+                with pytest.raises(ValueError, match=str(exc)):
+                    decode(rostering(payload))
+            assert payload not in wire._decoded
+        else:
+            assert decode(rostering(payload)) == fresh
+            assert decode(rostering(payload)) is wire._decoded[payload]
+
+
+@given(payloads)
+def test_unknown_phase_is_a_decode_error_naming_it(payload):
+    phase = payload[0] if payload else 0
+    if phase in tuple(Phase):
+        assert decode(rostering(payload)).phase == phase
+        return
+    for _again in range(2):  # an error is never remembered
+        with pytest.raises(ValueError, match=f"unknown rostering phase {phase}$"):
+            decode(rostering(payload))
+
+
+@given(well_formed)
+def test_a_remembered_payload_is_still_refused_under_another_type(payload):
+    """The type check runs on every call, ahead of the memo."""
+    decode(rostering(payload))
+    assert payload in wire._decoded
+    stranger = MicroPacket(ptype=MicroPacketType.DATA, src=0, dst=1,
+                           payload=payload)
+    for _again in range(2):
+        with pytest.raises(ValueError, match="not a rostering packet"):
+            decode(stranger)
+
+
+@given(st.lists(payloads, min_size=1, max_size=60))
+def test_parse_memo_never_exceeds_its_bound(cells):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wire, "_PARSE_CACHE_SIZE", 8)
+        patch.setattr(wire, "_decoded", {})
+        patch.setattr(wire, "_flood_keys", {})
+        for payload in cells:
+            assert flood_key(payload) == key_by_the_rule(payload)
+            try:
+                assert decode(rostering(payload)) == wire._parse(payload)
+            except ValueError:
+                pass
+            assert len(wire._decoded) <= 8 and len(wire._flood_keys) <= 8
+        assert len(wire._flood_keys) == min(8, len(set(cells)))

@@ -6,11 +6,13 @@ has to produce the identical event sequence, trace timeline and
 counters as a run without one — measuring may not perturb.
 """
 
+import json
 from pathlib import Path
 
 from repro import AmpNetCluster, ClusterConfig
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 from repro.perf import PerfProbe, PerfReport, layer_of
+from repro.perf.__main__ import main
 from repro.scenarios import get_scenario
 from repro.scenarios.runner import ScenarioRunner, trace_digest
 from repro.sim import Callback, Simulator
@@ -86,7 +88,8 @@ def test_switch_crossings_are_attributed_to_the_switch():
     """The switch owns its egress entries, so a crossing that queues is a
     ``phys.switch`` entry — not ``phys.port``, the module of the bound
     ``Port.send`` the per-frame entries used to name.  Floods always
-    queue; ring traffic only behind one, and otherwise reserves the
+    queue, and a flood is one entry however many ports it fans out to;
+    ring traffic queues only behind one, and otherwise reserves the
     egress wire on arrival and costs the switch no entry at all."""
     cluster = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=1))
     cluster.start()
@@ -98,7 +101,9 @@ def test_switch_crossings_are_attributed_to_the_switch():
     flooded, early = switch.counters["flooded"], switch.counters["forwarded"]
     still_crossing = sum(len(fifo) for fifo, _entry, _port in switch._crossing)
     assert flooded and not still_crossing
-    assert flooded <= bring_up["phys.switch"] <= flooded + early
+    floods, uneven = divmod(flooded, 3)  # four lit ports: a fan-out of three
+    assert not uneven
+    assert floods <= bring_up["phys.switch"] <= floods + early
 
     probe.start()  # ring up, floods over: ring traffic alone
     for node in cluster.nodes.values():
@@ -153,3 +158,25 @@ def test_perf_accounting_does_not_change_the_event_sequence():
     assert sum(report.by_layer.values()) == report.events
     assert any(layer.startswith("phys.link") for layer in report.by_layer)
     assert any(layer.startswith("ring.mac") for layer in report.by_layer)
+
+
+# ------------------------------------------------------- the ring-up row
+def test_profile_runner_reports_ring_up_as_its_own_window(tmp_path, capsys):
+    """``python -m repro.perf`` prints bring-up beside the workload
+    window — events, entries per node, overflow spills — and writes it to
+    ``--json``; total is still build through judgement."""
+    out = tmp_path / "perf.json"
+    assert main(["quiet_ring", "--per-kind", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.index("total (") < text.index("ring-up (") < text.index(
+        "workload window (")
+    assert "entries / node" in text and "overflow spills" in text
+    doc = json.loads(out.read_text())
+    ring_up, workload, total = doc["ring_up"], doc["workload"], doc["total"]
+    assert ring_up["nodes"] == 6
+    assert ring_up["entries_per_node"] == round(ring_up["events"] / 6, 3)
+    assert ring_up["scheduler"]["overflow_spills"] >= 0
+    assert sum(ring_up["by_layer"].values()) == ring_up["events"]
+    assert ring_up["by_layer"]["phys.switch"] > 0  # the floods
+    assert "nodes" not in workload and "nodes" not in total
+    assert ring_up["events"] + workload["events"] <= total["events"]
