@@ -68,10 +68,8 @@ def run_experiment():
     return ins_delivered, ins_lat, tok_delivered, tok_lat
 
 
-def test_a1_insertion_vs_token_ring(benchmark, publish_json):
-    ins_delivered, ins_lat, tok_delivered, tok_lat = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_a1_insertion_vs_token_ring(publish_json):
+    ins_delivered, ins_lat, tok_delivered, tok_lat = run_experiment()
 
     assert ins_delivered == N_NODES * FRAMES_PER_NODE
     assert tok_delivered == N_NODES * FRAMES_PER_NODE

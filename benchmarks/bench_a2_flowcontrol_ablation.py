@@ -46,8 +46,8 @@ def run_experiment():
     return on, off
 
 
-def test_a2_flow_control_ablation(benchmark, publish_json):
-    on, off = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_a2_flow_control_ablation(publish_json):
+    on, off = run_experiment()
 
     assert on.total_drops() == 0
     assert on.complete()

@@ -79,8 +79,8 @@ def run_experiment():
     }
 
 
-def test_a3_writethrough_ablation(benchmark, publish_json):
-    summary = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_a3_writethrough_ablation(publish_json):
+    summary = run_experiment()
 
     wt_mean, _wt_max = summary["write-through (slide 10)"]
     slow_mean, _ = summary["host cache, 2 ms poll"]

@@ -12,7 +12,7 @@ cache offloads a meaningful share of a skewed workload.
 The grid is the ``cache_offload_star`` library shape scaled down (16
 nodes per segment instead of 128) so nine cells stay cheap; each cell
 is a full scenario run judged by the engine's invariants.  Knobs can be
-narrowed for smoke runs: ``C1_CAPACITIES=4 pytest benchmarks/bench_c1...``.
+narrowed for smoke runs: ``C1_CAPACITIES=4 pytest -q benchmarks/bench_c1...``.
 """
 
 from repro.routing import RouterConfig
@@ -120,8 +120,8 @@ def run_experiment():
     return rows, list(grid.specs)
 
 
-def test_c1_cache_offload(benchmark, publish_json):
-    rows, specs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c1_cache_offload(publish_json):
+    rows, specs = run_experiment()
     alphas, capacities = alphas_under_test(), capacities_under_test()
     ratio = {(a, cap): r[5] for r, (a, cap) in zip(
         rows, [(a, c) for a in alphas for c in capacities])}

@@ -12,7 +12,7 @@ through :mod:`repro.sweep`'s ``run_grid`` (a ``SweepGrid`` built from
 the exact specs below rather than ``grid_from_names``: the committed
 emission pins the ``f3_storm_{n}`` spec metadata byte for byte, and
 library-name expansion would rename the cells).  Sizes can be
-overridden for smoke runs: ``F3_SIZES=4 pytest benchmarks/bench_f3...``.
+overridden for smoke runs: ``F3_SIZES=4 pytest -q benchmarks/bench_f3...``.
 """
 
 from repro.baselines import EthConfig, EthernetFabric
@@ -89,8 +89,8 @@ def run_experiment():
     return rows, specs
 
 
-def test_f3_alltoall_broadcast_no_drops(benchmark, publish_json):
-    rows, specs = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_f3_alltoall_broadcast_no_drops(publish_json):
+    rows, specs = run_experiment()
 
     for n, expected, delivered, amp_drops, _offered, eth_drops, scenario_ok in rows:
         # The paper's guarantee, verbatim: zero drops, storm completes.

@@ -56,13 +56,8 @@ def run_experiment():
     return pool_map(measure_failures, [(f,) for f in FAILURE_GRID])
 
 
-def test_f6_redundancy_survivability(benchmark, publish_json):
+def test_f6_redundancy_survivability(publish_json):
     rows = run_experiment()
-
-    # Time the core roster computation on a damaged quad segment.
-    rng = random.Random(42)
-    attachment = surviving_attachment(4, 6, rng)
-    benchmark(lambda: compute_roster(1, attachment))
 
     # Shape: quad >= dual everywhere; gap widens with damage depth;
     # both start at the full ring.

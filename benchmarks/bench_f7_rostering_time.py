@@ -82,8 +82,8 @@ def run_experiment():
     return measurements
 
 
-def test_f7_rostering_two_tour_times(benchmark, publish_json):
-    measurements = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_f7_rostering_two_tour_times(publish_json):
+    measurements = run_experiment()
 
     ratios = [m["tours"] for m in measurements]
     # The slide-16 claim: completion in ~two ring-tour times.  Allow

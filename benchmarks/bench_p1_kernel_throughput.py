@@ -109,10 +109,8 @@ def _entries_per_hop(record):
     return per_hop
 
 
-def test_p1_kernel_throughput(benchmark, publish_json):
-    storm_records, large_records = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_p1_kernel_throughput(publish_json):
+    storm_records, large_records = run_experiment()
 
     for record in storm_records + large_records:
         assert "error" not in record, record.get("error")

@@ -94,10 +94,8 @@ def run_experiment():
     return cluster, streams, t_crash, failover_ns
 
 
-def test_p3_router_failover(benchmark, publish_json):
-    cluster, streams, t_crash, failover_ns = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_p3_router_failover(publish_json):
+    cluster, streams, t_crash, failover_ns = run_experiment()
     r0, r1 = cluster.routers
     period = r1.advertise_period_ns
 

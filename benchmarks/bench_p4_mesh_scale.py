@@ -205,15 +205,11 @@ def exp_scale_probe():
 # ------------------------------------------------------------------ test
 
 
-def test_p4_mesh_scale(benchmark, publish_json):
-    def run_all():
-        return (exp_crossing_premium(), exp_hub_failover(),
-                exp_ad_scaling(), exp_scale_probe())
-
-    (crossing_stats, means), (failover_ns, period, fo_stats), \
-        (curve, growth), (n_nodes, report) = benchmark.pedantic(
-            run_all, rounds=1, iterations=1
-        )
+def test_p4_mesh_scale(publish_json):
+    crossing_stats, means = exp_crossing_premium()
+    failover_ns, period, fo_stats = exp_hub_failover()
+    curve, growth = exp_ad_scaling()
+    n_nodes, report = exp_scale_probe()
 
     columns = ["Experiment", "Case", "Metric", "Value"]
     rows = []

@@ -1,7 +1,7 @@
 """T1 (slide 4): the MicroPacket type table.
 
 Regenerates the table from the implementation's registry, extended with
-measured wire sizes, and benchmarks the serialization hot path.
+measured wire sizes, and round-trips one cell through the serializer.
 """
 
 from repro.micropacket import (
@@ -43,7 +43,7 @@ def build_rows():
     return rows
 
 
-def test_t1_micropacket_type_table(benchmark, publish_json):
+def test_t1_micropacket_type_table(publish_json):
     rows = build_rows()
 
     # Slide-4 ground truth.
@@ -60,12 +60,7 @@ def test_t1_micropacket_type_table(benchmark, publish_json):
     assert rows[2][3] == "76 B"
 
     pkt = sample_packet(MicroPacketType.DATA)
-
-    def serialize_roundtrip():
-        return unpack(pack(pkt))
-
-    result = benchmark(serialize_roundtrip)
-    assert result == pkt.with_seq(pkt.seq)
+    assert unpack(pack(pkt)) == pkt.with_seq(pkt.seq)
 
     publish_json(
         harness.bench_payload(

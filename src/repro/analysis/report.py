@@ -1,8 +1,7 @@
 """Plain-text table/series rendering for the benchmark harness.
 
-Every bench regenerates its paper table/figure as text via these
-helpers, so ``pytest benchmarks/ --benchmark-only`` output doubles as
-the EXPERIMENTS.md evidence.
+Every bench's ``results/<exp>.txt`` is its ``<exp>.json`` rendered
+through these helpers (``benchmarks/harness.py``).
 """
 
 from __future__ import annotations

@@ -130,7 +130,9 @@ class NetworkCache:
         self.counters = Counter()
         self._regions: Dict[int, RegionSpec] = {}
         self._by_name: Dict[str, RegionSpec] = {}
-        self._records: Dict[int, List[_Record]] = {}
+        #: region id -> index -> record, filled on first touch: most of
+        #: a region (all 256 semaphores, as a rule) is never written
+        self._records: Dict[int, Dict[int, _Record]] = {}
         #: replication hook: called with each local RecordUpdate
         self.on_local_write: Optional[Callable[[RecordUpdate], None]] = None
         #: hook: called after a region is defined locally
@@ -150,9 +152,7 @@ class NetworkCache:
             raise CacheError(f"region name {spec.name!r} already in use")
         self._regions[spec.region_id] = spec
         self._by_name[spec.name] = spec
-        self._records[spec.region_id] = [
-            _Record(spec.record_size) for _ in range(spec.n_records)
-        ]
+        self._records[spec.region_id] = {}
         if announce and self.on_region_defined is not None:
             self.on_region_defined(spec)
 
@@ -179,9 +179,13 @@ class NetworkCache:
         records = self._records.get(region_id)
         if records is None:
             raise CacheError(f"unknown region id {region_id}")
-        if not 0 <= index < len(records):
-            raise CacheError(f"record index {index} out of range")
-        return records[index]
+        rec = records.get(index)
+        if rec is None:
+            spec = self._regions[region_id]
+            if not 0 <= index < spec.n_records:
+                raise CacheError(f"record index {index} out of range")
+            rec = records[index] = _Record(spec.record_size)
+        return rec
 
     # ---------------------------------------------------------------- write
     def write(self, region_name: str, index: int, data: bytes) -> RecordUpdate:
@@ -287,6 +291,11 @@ class NetworkCache:
             return False
         rec = self._record(update.region_id, update.index)
         spec = self._regions[update.region_id]
+        if len(update.data) > spec.record_size:
+            raise CacheError(
+                f"data ({len(update.data)}B) exceeds record size "
+                f"{spec.record_size}"
+            )
         rec.c1 = update.version
         rec.writer = update.writer
         rec.data[:] = update.data.ljust(spec.record_size, b"\x00")
@@ -309,11 +318,10 @@ class NetworkCache:
                 + spec.record_size.to_bytes(2, "little")
             )
         for spec in specs:
-            for idx in range(spec.n_records):
-                rec = self._record(spec.region_id, idx)
+            for idx, rec in sorted(self._records[spec.region_id].items()):
                 version = max(rec.c1, rec.c2)
                 if version == 0:
-                    continue  # never written; skip for compactness
+                    continue  # read, never written; skip for compactness
                 parts.append(
                     encode_update(
                         RecordUpdate(
@@ -330,10 +338,14 @@ class NetworkCache:
         n_specs = int.from_bytes(raw[:2], "little")
         cursor = raw[2:]
         for _ in range(n_specs):
-            if len(cursor) < 2:
+            # Row: region(1) name_len(1) name n_records(4) record_size(2).
+            if len(cursor) < 2 or len(cursor) < 8 + cursor[1]:
                 raise CacheError("truncated snapshot region table")
             region_id, name_len = cursor[0], cursor[1]
-            name = cursor[2 : 2 + name_len].decode("utf-8")
+            try:
+                name = cursor[2 : 2 + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CacheError("snapshot region name is not UTF-8") from exc
             rest = cursor[2 + name_len :]
             n_records = int.from_bytes(rest[:4], "little")
             record_size = int.from_bytes(rest[4:6], "little")

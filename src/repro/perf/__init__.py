@@ -20,9 +20,8 @@ numbers the performance work is steered by:
   distinct rostering cell per switch, and little else);
 * **scheduler occupancy** — how the timer wheel is being used at the
   close of the window (entries resident in the wheel vs the overflow
-  heap, the entries-per-occupied-slot histogram, how many posts spilled
-  past the wheel horizon during the window, and how many MAC pacing
-  fires the per-simulation pacer hub coalesced).
+  heap, the entries-per-occupied-slot histogram, and how many posts
+  spilled past the wheel horizon during the window).
 
 Attaching a probe never changes simulation behaviour: the kernel's
 ``on_event`` observer is read-only accounting, so a run with the probe
@@ -145,7 +144,6 @@ class PerfProbe:
         self._start_events = 0
         self._start_sim_ns = 0
         self._start_spills = 0
-        self._start_pacer = (0, 0)
         self._start_wall = 0.0
         self._running = False
         #: the exact bound method installed as the kernel observer (bound
@@ -170,11 +168,6 @@ class PerfProbe:
         self._start_events = self.sim.events_processed
         self._start_sim_ns = self.sim.now
         self._start_spills = self.sim.scheduler_stats()["overflow_spills"]
-        pacer = getattr(self.sim, "_mac_pacer", None)
-        if pacer is not None:
-            self._start_pacer = (pacer.fires, pacer.coalesced)
-        else:
-            self._start_pacer = (0, 0)
         self._start_wall = time.perf_counter()
         self._running = True
 
@@ -204,18 +197,14 @@ class PerfProbe:
         """Occupancy of the timer-wheel scheduler at this instant.
 
         Resident-entry counts and the slot histogram describe the queue
-        *now*; ``overflow_spills`` and the pacer counters are deltas over
-        the measurement window.  Reading these touches only counters and
+        *now*; ``overflow_spills`` is a delta over the measurement
+        window.  Reading these touches only counters and
         the occupancy bitmap — the schedule itself is never mutated, so
         probed runs stay digest-identical to unprobed ones.
         """
         sim = self.sim
         stats = sim.scheduler_stats()
         histogram = sim.wheel_histogram()
-        pacer = getattr(sim, "_mac_pacer", None)
-        fires, coalesced = (
-            (pacer.fires, pacer.coalesced) if pacer is not None else (0, 0)
-        )
         return {
             "wheel_slots": stats["wheel_slots"],
             "wheel_slots_occupied": sum(histogram.values()),
@@ -226,8 +215,8 @@ class PerfProbe:
             "wheel_slot_histogram": {
                 str(k): v for k, v in sorted(histogram.items())
             },
-            "mac_pacer_fires": fires - self._start_pacer[0],
-            "mac_pacer_coalesced": coalesced - self._start_pacer[1],
+            # always 0 now; its reader is benchmarks/e2e/run.py:475
+            "mac_pacer_coalesced": 0,
         }
 
     def _observe(self, entry: Any) -> None:

@@ -46,55 +46,6 @@ def _voided() -> None:
     """What a pick or emit entry fires once its MAC has voided it."""
 
 
-class _PacerHub:
-    """Per-simulator coalescer for MAC pacing wakeups.
-
-    Every MAC on the same simulator arms its pacing naps here.  All
-    wakeups that land on the same tick — one MAC re-arming the same gap
-    end on repeated kicks, or many MACs whose insertion gaps expire
-    together — share a single schedule entry; the hub fans the fire out
-    to the armed MACs in arm order (deterministic, so traces stay
-    seed-stable).  Stale arms are gen-guarded by the MACs themselves and
-    cost nothing but a tuple in the tick's list.
-    """
-
-    __slots__ = ("sim", "pending", "fires", "coalesced", "_fire_cb")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        #: tick -> [(mac, pace_gen), ...] awaiting that instant
-        self.pending: Dict[int, List] = {}
-        #: reusable tick entry, on the schedule once per pending tick;
-        #: it fires *at* its tick, so the clock says which one it is
-        self._fire_cb = Callback(self._fire, ())
-        #: tick entries actually scheduled
-        self.fires = 0
-        #: arms that rode an already-scheduled tick entry
-        self.coalesced = 0
-
-    def arm(self, mac: "RingMAC", tick: int, gen: int) -> None:
-        waiters = self.pending.get(tick)
-        if waiters is None:
-            self.pending[tick] = [(mac, gen)]
-            self.sim._post(tick, self._fire_cb)
-            self.fires += 1
-        else:
-            waiters.append((mac, gen))
-            self.coalesced += 1
-
-    def _fire(self) -> None:
-        for mac, gen in self.pending.pop(self.sim._now):
-            mac._pace_fire(gen)
-
-
-def _pacer_for(sim: Simulator) -> _PacerHub:
-    """The sim's shared pacing hub (created on first MAC)."""
-    hub = getattr(sim, "_mac_pacer", None)
-    if hub is None:
-        hub = sim._mac_pacer = _PacerHub(sim)  # type: ignore[attr-defined]
-    return hub
-
-
 class RingMAC:
     """The per-node ring MAC engine."""
 
@@ -130,12 +81,13 @@ class RingMAC:
         # while anything is queued behind it; with nothing queued the
         # hold is just ``_hold_from``..``_hold_end``, before whose end no
         # pick may run.  ``_tx_scheduled`` means a pick is already
-        # enqueued; ``_pace_gen`` invalidates stale pacing timers.
+        # enqueued; ``_pace_due`` is the gap end the one live pacing
+        # wake-up is posted for (an earlier one fires and does nothing).
         self._tx_busy = False
         self._tx_scheduled = False
         self._hold_from = 0
         self._hold_end = 0
-        self._pace_gen = 0
+        self._pace_due = -1
         #: instant of the last fused load (see on_frame); -1 once undone
         self._fused_at = -1
         cfg = self.config
@@ -163,8 +115,8 @@ class RingMAC:
         self._tx_inserted = False
         #: reusable emit entry; its payload is the register above
         self._tx_emit_cb = Callback(self._tx_emit, ())
-        #: shared per-sim pacing coalescer (see :class:`_PacerHub`)
-        self._pacer = _pacer_for(sim)
+        #: reusable pacing wake-up (guarded by ``_pace_due``)
+        self._pace_cb = Callback(self._pace_fire, ())
 
         #: Segment id of the ring this MAC sits on (multi-segment
         #: clusters only; None = classic single-segment operation).  A
@@ -255,9 +207,10 @@ class RingMAC:
     # ``_hold_end`` and the next kick posts the pick no earlier than
     # that.  A transit frame meeting an idle engine skips the first too
     # (``on_frame`` loads the register itself), which leaves the emit as
-    # the only entry a heartbeat cell costs a quiet node.  Pacing naps go
-    # through the per-simulator :class:`_PacerHub`, which batches every
-    # wakeup that lands on the same tick into one schedule entry.
+    # the only entry a heartbeat cell costs a quiet node.  A pacing nap
+    # is one more reusable entry, fire-and-guard like every other timer:
+    # posted once per distinct gap end, and a no-op unless the clock
+    # still reads the gap end it was last armed for.
 
     def _kick(self) -> None:
         if self._tx_busy or self._tx_scheduled or not self._ring_open:
@@ -286,10 +239,11 @@ class RingMAC:
                 self.controller.window_full()
             ):
                 # Pacing gap: wake when it ends unless a kick (transit
-                # arrival, ring change) preempts the nap first.  Wakeups
-                # are coalesced per tick across every MAC on this sim.
-                self._pace_gen += 1
-                self._pacer.arm(self, gap_end, self._pace_gen)
+                # arrival, ring change) preempts the nap first.  Repeated
+                # picks that find the same gap end share one wake-up.
+                if self._pace_due != gap_end:
+                    self._pace_due = gap_end
+                    sim._post(gap_end, self._pace_cb)
             return
         # Insertion-register latency, then occupy the transmitter.
         self._tx_busy = True
@@ -361,12 +315,12 @@ class RingMAC:
         self._tx_emit_cb = Callback(self._tx_emit, ())
         self._kick()
 
-    def _pace_fire(self, gen: int) -> None:
-        # A stale timer (the engine moved on since it was armed) does
-        # nothing; a live one is a kick like any other, pick deferred by
-        # one event step so that arrivals landing on this tick behind
-        # the hub's entry still compete for priority before it.
-        if gen == self._pace_gen:
+    def _pace_fire(self) -> None:
+        # A wake-up superseded by a later gap end does nothing; the live
+        # one is a kick like any other, pick deferred by one event step
+        # so that arrivals landing on this tick behind it still compete
+        # for priority before the pick.
+        if self.sim._now == self._pace_due:
             self._kick()
 
     def _pick_frame(self):

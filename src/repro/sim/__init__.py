@@ -25,7 +25,7 @@ from .monitor import (
     Tracer,
 )
 from .rand import SeededStreams, derive_seed
-from .resources import Resource, Store
+from .resources import Store
 
 __all__ = [
     "AnyOf",
@@ -37,7 +37,6 @@ __all__ = [
     "LatencyStat",
     "NULL_TRACER",
     "Process",
-    "Resource",
     "SeededStreams",
     "SimulationError",
     "Simulator",

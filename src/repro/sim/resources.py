@@ -1,11 +1,9 @@
 """Waitable resources built on the event kernel.
 
-These are the queueing primitives the AmpNet model is assembled from:
+One queueing primitive, for cold-path processes that wait on a queue:
 
-* :class:`Store` — FIFO buffer with optional capacity; used for link
-  receive queues, NIC transit buffers and DMA descriptor rings.
-* :class:`Resource` — counting semaphore; models DMA channel arbitration
-  and ColdFire firmware CPU slots.
+* :class:`Store` — FIFO buffer with optional capacity and waitable
+  get/put (mailboxes, descriptor rings).
 """
 
 from __future__ import annotations
@@ -13,10 +11,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .events import Event, SimulationError
+from .events import Event
 from .kernel import Simulator
 
-__all__ = ["Store", "Resource"]
+__all__ = ["Store"]
 
 
 class StorePut(Event):
@@ -94,36 +92,3 @@ class Store:
                 get.succeed(self.items.popleft())
                 progressed = True
 
-
-class Resource:
-    """Counting semaphore with FIFO grant order.
-
-    ``acquire`` returns an event that fires once a slot is granted; the
-    holder must call ``release`` exactly once per grant.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError("release() without matching acquire()")
-        if self._waiters:
-            # Hand the slot straight to the next waiter; in_use unchanged.
-            self._waiters.popleft().succeed()
-        else:
-            self.in_use -= 1

@@ -36,7 +36,7 @@ from ..micropacket import (
     MicroPacketType,
     VARIABLE_PAYLOAD_MAX,
 )
-from ..sim import Counter, Event, Resource
+from ..sim import Counter, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import AmpNode
@@ -192,7 +192,6 @@ class Messenger:
         self.sim = node.sim
         self.name = f"msgr-{node.node_id}"
         self.counters = Counter()
-        self.dma_channels = Resource(self.sim, _N_DMA_CHANNELS)
         #: Segment this node belongs to in a router-joined cluster (set
         #: by :class:`repro.routing.RoutedCluster`; None = classic
         #: single-segment operation, where global sends are rejected).
@@ -392,25 +391,17 @@ class Messenger:
             handle.unconfirmed[offset] = pkt
         self.counters.incr("messages_sent")
         self.counters.incr("fragments_sent", len(handle.unconfirmed))
-        self.sim.process(
-            self._stream(handle, handle.unconfirmed), name=f"{self.name}.tx{tid}"
-        )
+        self._stream(handle)
         return handle
 
-    def _stream(self, handle: MessageHandle, pending: Dict[int, MicroPacket]):
-        """Feed ``pending`` fragments (the whole message, or a ring-up
-        replay's snapshot of what was unconfirmed) through one of the
-        sixteen DMA channels."""
-        grant = self.dma_channels.acquire()
-        yield grant
-        try:
-            for offset in sorted(pending):
-                if offset not in handle.unconfirmed:
-                    continue  # confirmed in the meantime
-                frame = self.node.mac.send(pending[offset])
-                frame.msg_tag = (handle.transfer_id, offset)
-        finally:
-            self.dma_channels.release()
+    def _stream(self, handle: MessageHandle) -> None:
+        """Hand every unconfirmed fragment of ``handle`` (the whole
+        message, or what a ring-up replay finds outstanding) to the MAC,
+        in offset order."""
+        send = self.node.mac.send
+        tid = handle.transfer_id
+        for offset, pkt in handle.unconfirmed.items():  # offset order
+            send(pkt).msg_tag = (tid, offset)
 
     def signal(
         self,
@@ -538,9 +529,7 @@ class Messenger:
         for handle in list(self._outgoing.values()):
             if not handle.unconfirmed:
                 continue
-            pending = dict(handle.unconfirmed)
-            handle.retransmits += len(pending)
-            self.counters.incr("fragments_retransmitted", len(pending))
-            self.sim.process(
-                self._stream(handle, pending), name=f"{self.name}.rtx"
-            )
+            replayed = len(handle.unconfirmed)
+            handle.retransmits += replayed
+            self.counters.incr("fragments_retransmitted", replayed)
+            self._stream(handle)

@@ -52,7 +52,11 @@ GOLDEN = {
     "flapping_spine": "a55826b12891c2136788907663e8e3b4",
     "breaker_asymmetric_partition": "7a388d4794bdce4fdbac0a132b8e0557",
     "bulkhead_noisy_neighbor": "eae66f3c2f11d0ade1dc140a5db7f406",
-    "routed_partition_heal": "cc97da99a274a7b6110cc83f54c962b5",
+    # Re-pinned with partition_heal_under_load below (was cc97da99...):
+    # see the note there.  Here the earlier replay also reorders which
+    # peer's gossip reaches a member first after the heal (80 of 471
+    # records move, same invariants, same final views).
+    "routed_partition_heal": "3e146621b07c7a72d3256989110e8efd",
     "cache_offload_star": "795f3eed59d83ee1bf5d9e5d414f9379",
     # Pinned at 043cfd5 ahead of the scenario-layer cut: the kinds no
     # golden covered — raw broadcast, a tour-relative inhomogeneous
@@ -61,7 +65,15 @@ GOLDEN = {
     "broadcast_storm": "6e9804f1aa5ef5b8cc5c78d02f5ef3d0",
     "diurnal_ramp": "c2bb9dd6a45b5f2a7b2c6a9e2de263e5",
     "failover_under_load": "48298aba1bc4518f6b3a0ef611b26cac",
-    "partition_heal_under_load": "3703796e3a1c549e5d5a40772b78c2f6",
+    # Re-pinned (was 3703796e...) when Messenger.send became a function
+    # call: a ring-up replay, and a send made from inside a delivery,
+    # queue their fragments at the MAC in the calling schedule entry
+    # instead of one event step later in the same instant (the
+    # per-message Process is gone), so after the heal the replayed
+    # fragments and the gossip refutations leave in a different order:
+    # the same 337 records, 21 of them up to 1.8 us earlier or later.
+    # The other fourteen goldens did not move.
+    "partition_heal_under_load": "7eb3ee92e51822e2441b8cce2dcbf4d6",
 }
 
 

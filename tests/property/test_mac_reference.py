@@ -8,7 +8,13 @@ before — queue, kick, pick one event step later, emit, pick again when
 the hold ends, three entries whatever the load — with the six methods
 that differ copied verbatim over the subclass, so nothing of the fused
 path can leak into it (the tests check that its fused-path state is
-never touched).
+never touched).  Its pacing naps are the old engine's too: a hub that
+shares one schedule entry among the wake-ups armed for a tick, each
+guarded by a generation counter that every arm bumps.  ``RingMAC`` posts
+its own reusable entry once per distinct gap end and fires only if the
+clock still reads the gap end it last armed for — the differential is
+the proof that the due-time guard and the generation guard kick at the
+same place in the same instants.
 
 Random sequences of arrivals, local sends, source strips, teardowns,
 roster installs and carrier flips, under every flow-control setting that
@@ -49,7 +55,7 @@ from repro.phys import NODE_TRANSIT_NS, SWITCH_LATENCY_NS, Port, frame_for
 from repro.phys.frame import Frame
 from repro.ring import FlowControlConfig, RingMAC
 from repro.rostering import Roster
-from repro.sim import Simulator, Tracer
+from repro.sim import Callback, Simulator, Tracer
 
 _PRIORITY = int(Flags.PRIORITY)
 
@@ -59,8 +65,36 @@ NODE = 1
 SETTLE_NS = 200_000
 
 
+class ReferencePacer:
+    """The pacing hub the old engine armed: wake-ups for one tick share
+    a schedule entry, posted by the first arm and fanned out in arm
+    order; stale ones are told apart by the MAC's generation counter."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.pending = {}
+        self._fire_cb = Callback(self._fire, ())
+
+    def arm(self, mac, tick, gen):
+        waiters = self.pending.get(tick)
+        if waiters is None:
+            self.pending[tick] = [(mac, gen)]
+            self.sim._post(tick, self._fire_cb)
+        else:
+            waiters.append((mac, gen))
+
+    def _fire(self):
+        for mac, gen in self.pending.pop(self.sim._now):
+            mac._pace_fire(gen)
+
+
 class ReferenceMAC(RingMAC):
     """Queue, kick, pick, emit, pick: the engine before the fused path."""
+
+    def __init__(self, sim, *args, **kwargs):
+        super().__init__(sim, *args, **kwargs)
+        self._pace_gen = 0
+        self._pacer = ReferencePacer(sim)
 
     def teardown(self, reason: str = "") -> None:
         """Ring down: stop forwarding, surrender in-flight accounting."""
@@ -412,8 +446,10 @@ def both_mac_worlds(config, ops, mode):
     reference, reference_events, ref = run_mac_world(
         ReferenceMAC, config, ops, mode)
     assert fused == reference
-    # the reference never set foot on the fused path
+    # the reference never set foot on the fused path, nor armed the
+    # due-time wake-up
     assert ref._fused_at == -1 and ref._hold_end == 0
+    assert ref._pace_due == -1
     return fused, fused_events, reference_events
 
 

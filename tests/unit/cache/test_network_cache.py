@@ -239,3 +239,115 @@ def test_apply_snapshot_truncation_rejected():
     _sim, cache = cache_with_region()
     with pytest.raises(CacheError):
         cache.apply_snapshot(b"\x01")
+
+
+def two_region_cache():
+    _sim, cache = cache_with_region()
+    cache.define_region(RegionSpec(2, "önder", 4, 16), announce=False)
+    cache.write("r", 3, b"three")
+    return cache
+
+
+def test_snapshot_cut_inside_a_region_row_defines_nothing_from_that_row():
+    """Two bytes of a row used to be all that was checked: a cut inside
+    ``record_size`` was accepted (a one-byte ``int.from_bytes``), a cut
+    inside ``n_records`` defined a region of the wrong shape."""
+    snap = two_region_cache().snapshot()
+    first_row = 2 + 2 + len(b"r") + 6
+    table = first_row + 2 + len("önder".encode()) + 6
+    for cut in range(table):
+        fresh = NetworkCache(Simulator(), node_id=2)
+        with pytest.raises(CacheError):
+            fresh.apply_snapshot(snap[:cut])
+        whole_rows = [RegionSpec(1, "r", 8, 32)] if cut >= first_row else []
+        assert fresh.regions() == whole_rows
+    fresh = NetworkCache(Simulator(), node_id=2)
+    assert fresh.apply_snapshot(snap[:table]) == 0  # records are optional
+    assert len(fresh.regions()) == 2
+
+
+def test_snapshot_with_a_garbled_region_name_is_a_cache_error():
+    snap = bytearray(two_region_cache().snapshot())
+    snap[snap.index("ö".encode())] = 0xFF
+    fresh = NetworkCache(Simulator(), node_id=2)
+    with pytest.raises(CacheError):
+        fresh.apply_snapshot(bytes(snap))
+    assert [s.name for s in fresh.regions()] == ["r"]
+
+
+def test_snapshot_record_longer_than_its_region_allows_is_rejected():
+    snap = two_region_cache().snapshot()
+    snap += encode_update(RecordUpdate(2, 0, 1, 1, bytes(17)))
+    fresh = NetworkCache(Simulator(), node_id=2)
+    with pytest.raises(CacheError):
+        fresh.apply_snapshot(snap)
+    assert fresh.try_read("önder", 0) == (True, bytes(16), 0)
+
+
+@given(raw=st.one_of(
+    st.binary(max_size=64),
+    # a well-formed table in front, so the fuzz reaches the record walk
+    st.binary(max_size=64).map(
+        lambda tail: b"\x01\x00\x07\x01r\x08\x00\x00\x00\x04\x00" + tail),
+))
+@settings(max_examples=300, deadline=None)
+def test_apply_snapshot_of_arbitrary_bytes_raises_only_cache_error(raw):
+    cache = NetworkCache(Simulator(), node_id=1)
+    try:
+        cache.apply_snapshot(raw)
+    except CacheError:
+        pass
+    # whatever got in is a region of the declared shape, and costs
+    # nothing until touched: a row may declare 2**32 - 1 records
+    for spec in cache.regions():
+        for rec in cache._records[spec.region_id].values():
+            assert len(rec.data) == spec.record_size
+
+
+region_specs = st.lists(
+    st.tuples(st.integers(0, 255), st.text(min_size=1, max_size=12),
+              st.integers(1, 300), st.integers(1, 40)),
+    min_size=1, max_size=4,
+    unique_by=(lambda r: r[0], lambda r: r[1]),
+)
+
+
+@given(regions=region_specs, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_snapshot_round_trips_regions_and_written_records(regions, data):
+    cache = NetworkCache(Simulator(), node_id=1)
+    written = {}
+    for region_id, name, n_records, record_size in regions:
+        cache.define_region(RegionSpec(region_id, name, n_records, record_size),
+                            announce=False)
+        for index in data.draw(st.sets(st.integers(0, n_records - 1),
+                                       max_size=5)):
+            value = data.draw(st.binary(max_size=record_size))
+            cache.write(name, index, value)
+            written[name, index] = value.ljust(record_size, b"\x00")
+    snap = cache.snapshot()
+    fresh = NetworkCache(Simulator(), node_id=2)
+    assert fresh.apply_snapshot(snap) == len(written)
+    assert fresh.regions() == cache.regions()
+    for (name, index), value in written.items():
+        assert fresh.try_read(name, index) == (True, value, 1)
+    assert fresh.snapshot() == snap
+
+
+# ------------------------------------------------------------ lazy records
+def test_a_region_holds_no_record_until_one_is_touched():
+    _sim, cache = cache_with_region(n_records=256)
+    assert cache._records[1] == {}
+    empty = cache.snapshot()
+    assert cache.try_read("r", 200) == (True, bytes(32), 0)
+    cache.write("r", 9, b"nine")
+    cache.write("r", 2, b"two")
+    assert sorted(cache._records[1]) == [2, 9, 200]
+    # a record that was only read is not in the snapshot, and written
+    # ones appear in index order whatever order they were touched in
+    assert cache.snapshot() == empty + b"".join(
+        encode_update(RecordUpdate(1, index, 1, 1, value.ljust(32, b"\x00")))
+        for index, value in ((2, b"two"), (9, b"nine")))
+    with pytest.raises(CacheError):
+        cache.try_read("r", 256)
+    assert 256 not in cache._records[1]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.micropacket import BROADCAST, Flags, MicroPacket, MicroPacketType
-from repro.phys import Fiber, Port, Switch, frame_for
+from repro.phys import NODE_TRANSIT_NS, Fiber, Port, Switch, frame_for
 from repro.ring import FlowControlConfig, RingMAC
 from repro.rostering import Roster
 from repro.sim import Simulator
@@ -185,3 +185,72 @@ def test_orphan_scrubbed_after_excess_hops():
     macs[1].on_frame(frame, macs[1].ports[0])
     sim.run(until=100_000)
     assert macs[1].counters["orphans_scrubbed"] == 1
+
+
+# ------------------------------------------------------------------ pacing
+def scheduled_entries(sim):
+    stats = sim.scheduler_stats()
+    return stats["wheel_entries"] + stats["overflow_entries"]
+
+
+def count_empty_picks(mac):
+    """How often a pick came up empty and asked when the gap ends."""
+    asked = []
+    earliest_insert = mac.controller.earliest_insert
+
+    def spy():
+        asked.append(earliest_insert())
+        return asked[-1]
+
+    mac.controller.earliest_insert = spy
+    return asked
+
+
+def test_one_pacing_wakeup_per_mac_however_often_its_pick_finds_the_gap():
+    """Both nodes insert a frame at the same instant and have a second
+    waiting out the 5 µs pacing gap.  Each MAC's pick comes up empty at
+    the hold's end, again behind the peer's frame it forwarded, again
+    when its own frame is stripped and again on a third send: one gap
+    end, one wake-up on the schedule — the MAC's own, so two for two
+    MACs whose gaps end in the same instant."""
+    sim = Simulator()
+    macs, _sw = two_node_ring(sim, min_gap_ns=5_000, window_override=4)
+    asked = [count_empty_picks(mac) for mac in macs]
+    for mac in macs:
+        mac.send(data(mac.node_id, BROADCAST))
+        mac.send(data(mac.node_id, BROADCAST))
+    sim.run(until=3_000)
+    for mac in macs:
+        mac.send(data(mac.node_id, BROADCAST))
+    sim.run(until=4_000)
+    gap_end = NODE_TRANSIT_NS + 5_000
+    assert asked[0] == asked[1] and set(asked[0]) == {gap_end}
+    assert len(asked[0]) >= 3
+    assert scheduled_entries(sim) == 2
+    sim.run(until=gap_end + NODE_TRANSIT_NS)
+    assert [mac.counters["tx_inserted"] for mac in macs] == [2, 2]
+
+
+def test_pacing_wakeup_superseded_by_a_later_gap_end_does_nothing():
+    """A priority cell skips the pacing gap but restarts it: the data
+    frame waiting for the first gap end now waits for the second, and
+    the wake-up posted for the first fires into nothing."""
+    sim = Simulator()
+    (mac, _peer), _sw = two_node_ring(sim, min_gap_ns=5_000, window_override=4)
+    mac.send(data(0, BROADCAST))
+    waiting = mac.send(data(0, BROADCAST))
+    first_end = NODE_TRANSIT_NS + 5_000
+    sim.run(until=2_000)
+    assert scheduled_entries(sim) == 1
+    mac.send(MicroPacket(ptype=MicroPacketType.DATA, src=0, dst=BROADCAST,
+                         flags=Flags.PRIORITY, payload=b"p" * 8))
+    sim.run(until=first_end - 1)
+    second_end = 2_000 + NODE_TRANSIT_NS + 5_000
+    assert mac.controller.earliest_insert() == second_end
+    assert scheduled_entries(sim) == 2  # the stale wake-up and the live one
+    before = sim.events_processed
+    sim.run(until=second_end - 1)
+    assert sim.events_processed == before + 1  # fired, kicked nothing
+    assert list(mac._insertion) == [waiting]
+    sim.run(until=second_end + NODE_TRANSIT_NS)
+    assert waiting.inserted_at == second_end + NODE_TRANSIT_NS

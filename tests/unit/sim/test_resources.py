@@ -1,8 +1,8 @@
-"""Unit tests for Store and Resource."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -92,57 +92,3 @@ def test_store_len_tracks_buffered_items():
     store.try_put(2)
     assert len(store) == 2
 
-
-# -------------------------------------------------------------- Resource
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    active = []
-    peak = []
-
-    def worker(tag):
-        yield res.acquire()
-        active.append(tag)
-        peak.append(len(active))
-        yield sim.timeout(10)
-        active.remove(tag)
-        res.release()
-
-    for tag in range(4):
-        sim.process(worker(tag))
-    sim.run()
-    assert max(peak) == 2
-
-
-def test_resource_fifo_grant_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(tag):
-        yield res.acquire()
-        order.append(tag)
-        yield sim.timeout(1)
-        res.release()
-
-    for tag in range(3):
-        sim.process(worker(tag))
-    sim.run()
-    assert order == [0, 1, 2]
-
-
-def test_resource_release_without_acquire_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_available_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=3)
-    res.acquire()
-    res.acquire()
-    assert res.capacity - res.in_use == 1
-    res.release()
-    assert res.capacity - res.in_use == 2

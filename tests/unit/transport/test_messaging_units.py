@@ -8,6 +8,7 @@ from repro.micropacket import (
 )
 from repro.node import AmpNode
 from repro.phys import build_switched
+from repro.rostering import Roster
 from repro.sim import Simulator
 from repro.transport import Messenger, TransferTable
 
@@ -152,3 +153,36 @@ def test_reset_clears_inflight_state():
     messenger.reset()
     assert not messenger._outgoing
     assert not messenger._transfers._reassembly
+
+
+def test_send_and_ring_up_replay_post_no_schedule_entry_of_their_own():
+    """A send is a function call: when it returns the fragments are in
+    the MAC's insertion queue, tagged for the tour callbacks, and the
+    schedule holds what it held — the pick a busy engine already has
+    pending is the only entry they will ever need.  A ring-up replay of
+    what is still unconfirmed is the same call."""
+    messenger, sim = make_messenger()
+    mac = messenger.node.mac
+    roster = Roster(1, (0, 1), (0, 0))
+    mac.install_roster(roster)  # its kick posts the pick: engine busy
+
+    def scheduled():
+        stats = sim.scheduler_stats()
+        return stats["wheel_entries"] + stats["overflow_entries"]
+
+    before = scheduled()
+    handle = messenger.send(1, b"z" * (2 * VARIABLE_PAYLOAD_MAX + 1))
+    tid = handle.transfer_id
+    tags = [(tid, 0), (tid, 64), (tid, 128)]
+    assert scheduled() == before
+    assert [frame.msg_tag for frame in mac._insertion] == tags
+    assert [frame.packet for frame in mac._insertion] == [
+        handle.unconfirmed[offset] for _tid, offset in tags]
+
+    del handle.unconfirmed[64]  # its tour completed before the ring fell
+    mac._insertion.clear()
+    messenger._on_ring_up(roster)
+    assert scheduled() == before
+    assert [frame.msg_tag for frame in mac._insertion] == [tags[0], tags[2]]
+    assert handle.retransmits == 2
+    assert messenger.counters["fragments_retransmitted"] == 2
