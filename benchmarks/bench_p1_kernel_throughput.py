@@ -5,7 +5,8 @@ an all-to-all broadcast storm (the workload where every layer of the
 kernel -> phys -> MAC -> transport stack is hot), using the scenario
 runner's phase hooks so ring bring-up is excluded.  Everything emitted
 is fixed by the seed: schedule entries processed in the window, how
-many of them spilled past the timer wheel's horizon, and how many the
+many of them were posted past the 8.192 µs lap holding ``now`` (the
+"overflow spills" of the timer wheel the kernel once was), and how many the
 window spent per ring hop (entries over the MACs' transit forwards).
 The bench asserts the hot path keeps doing the same simulated work with
 no drops, with fewer schedule entries than the wave-1 implementation

@@ -230,10 +230,10 @@ def test_p4_mesh_scale(publish_json):
     sched = report.scheduler
     rows.append(["scale_1k", "probe", "window_events", report.events])
     rows.append(["scale_1k", "probe", "window_sim_ns", report.sim_ns])
-    rows.append(["scale_1k", "probe", "wheel_entries",
-                 sched["wheel_entries"]])
-    rows.append(["scale_1k", "probe", "overflow_entries",
-                 sched["overflow_entries"]])
+    rows.append(["scale_1k", "probe", "pending_entries",
+                 sched["pending_entries"]])
+    rows.append(["scale_1k", "probe", "pending_instants",
+                 sched["pending_instants"]])
 
     premium = {
         "intra": round(means["intra_area"] / means["local"], 2),
@@ -270,9 +270,8 @@ def test_p4_mesh_scale(publish_json):
                 "probe_nodes": n_nodes,
                 "probe_window_events": report.events,
                 "probe_window_sim_ns": report.sim_ns,
-                "sched_wheel_entries": sched["wheel_entries"],
-                "sched_overflow_entries": sched["overflow_entries"],
-                "sched_wheel_slots_occupied": sched["wheel_slots_occupied"],
+                "sched_pending_entries": sched["pending_entries"],
+                "sched_pending_instants": sched["pending_instants"],
             },
             notes="Area-tier scaling story in one emission: the premium "
                   "each hierarchy tier adds to a reliable crossing, "
@@ -282,11 +281,16 @@ def test_p4_mesh_scale(publish_json):
                   "summarization (vs the flat area-0 baseline on the "
                   "same topology), and a deterministic PerfProbe window "
                   "over the steady-state ~1k-node mesh.  Simulated ns "
-                  "throughout.  Re-emitted by PR 22: the probe's window "
-                  "events and scheduler occupancy fell with the fused "
-                  "uncontended ring hop (three schedule entries instead "
-                  "of six; bench P1 carries the per-hop count); every "
+                  "throughout.  Re-emitted once when the uncontended "
+                  "ring hop was fused: the probe's window events and "
+                  "scheduler occupancy fell with it (three schedule "
+                  "entries instead of six; bench P1 carries the per-hop "
+                  "count); every "
                   "simulated latency, byte and message count is as it "
-                  "was.",
+                  "was.  Re-emitted again when the kernel lost its timer "
+                  "wheel: the probe's occupancy rows are the pending "
+                  "entries and pending instants at the window's close "
+                  "(840 wheel + 2121 overflow entries before); every "
+                  "other cell is as it was.",
         )
     )

@@ -302,9 +302,14 @@ class GossipProtocol:
     def _on_digest(self, src: int, payload: bytes, channel: int) -> None:
         if not self._running or self.node.failed:
             return
+        try:
+            states = decode_digest(payload)
+        except ValueError:
+            self.counters.incr("malformed_rx")  # dropped whole
+            return
         self.counters.incr("gossip_rx")
         now = self.sim.now
-        for state in decode_digest(payload):
+        for state in states:
             if state.node_id == self.node.node_id:
                 self._maybe_refute(state)
                 continue
@@ -348,7 +353,11 @@ class GossipProtocol:
     def _on_probe(self, src: int, payload: bytes) -> None:
         if not self._running or self.node.failed:
             return
-        op, origin, nonce, _heartbeat = decode_probe(payload)
+        try:
+            op, origin, nonce, _heartbeat = decode_probe(payload)
+        except ValueError:
+            self.counters.incr("malformed_rx")
+            return
         if op == PING:
             self.counters.incr("pings_rx")
             # Answering proves *we* are alive; seeing the ping proves the

@@ -59,7 +59,9 @@ def encode_digest(states: Iterable[PeerState]) -> bytes:
 
 
 def decode_digest(payload: bytes) -> List[PeerState]:
-    """Unpack a digest payload; raises ValueError on a malformed length."""
+    """Unpack a digest payload; raises ValueError, and nothing else, on a
+    malformed length, an unknown status (``PeerStatus``) or an
+    out-of-range node id (``PeerState``)."""
     if len(payload) % ENTRY_BYTES:
         raise ValueError(f"digest length {len(payload)} not a multiple of {ENTRY_BYTES}")
     states = []
@@ -81,5 +83,8 @@ def encode_probe(op: int, origin: int, nonce: int, heartbeat: int) -> bytes:
 
 
 def decode_probe(payload: bytes) -> Tuple[int, int, int, int]:
-    """Returns ``(op, origin, nonce, heartbeat)``."""
+    """Returns ``(op, origin, nonce, heartbeat)``; raises ValueError on a
+    cell that is not one probe long."""
+    if len(payload) != _PROBE.size:
+        raise ValueError(f"probe length {len(payload)} is not {_PROBE.size}")
     return _PROBE.unpack(payload)

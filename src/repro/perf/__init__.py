@@ -18,10 +18,10 @@ numbers the performance work is steered by:
 * **entries per node** — the ring-up window's events over the nodes it
   brought up, the figure bring-up is budgeted by (one arrival per
   distinct rostering cell per switch, and little else);
-* **scheduler occupancy** — how the timer wheel is being used at the
-  close of the window (entries resident in the wheel vs the overflow
-  heap, the entries-per-occupied-slot histogram, and how many posts
-  spilled past the wheel horizon during the window).
+* **scheduler occupancy** — what is pending at the close of the window
+  (entries, distinct instants, the entries-per-instant histogram) and
+  how many posts during the window landed past the 8.192 µs lap that
+  held ``now`` (``overflow_spills``).
 
 Attaching a probe never changes simulation behaviour: the kernel's
 ``on_event`` observer is read-only accounting, so a run with the probe
@@ -194,26 +194,24 @@ class PerfProbe:
 
     # ----------------------------------------------------------- internal
     def _scheduler_snapshot(self) -> Dict[str, Any]:
-        """Occupancy of the timer-wheel scheduler at this instant.
+        """Occupancy of the scheduler at this instant.
 
-        Resident-entry counts and the slot histogram describe the queue
-        *now*; ``overflow_spills`` is a delta over the measurement
-        window.  Reading these touches only counters and
-        the occupancy bitmap — the schedule itself is never mutated, so
-        probed runs stay digest-identical to unprobed ones.
+        Pending entries, pending instants and the histogram describe the
+        schedule *now*; ``overflow_spills`` is a delta over the
+        measurement window.  Reading these only walks the pending slots
+        — the schedule itself is never mutated, so probed runs stay
+        digest-identical to unprobed ones.
         """
         sim = self.sim
         stats = sim.scheduler_stats()
-        histogram = sim.wheel_histogram()
         return {
-            "wheel_slots": stats["wheel_slots"],
-            "wheel_slots_occupied": sum(histogram.values()),
-            "wheel_entries": stats["wheel_entries"],
-            "overflow_entries": stats["overflow_entries"],
+            "pending_entries": stats["pending_entries"],
+            "pending_instants": stats["pending_instants"],
+            # its readers are benchmarks/e2e/run.py:473 and bench P1
             "overflow_spills": stats["overflow_spills"] - self._start_spills,
-            # entries-per-occupied-slot -> slot count, densest first
-            "wheel_slot_histogram": {
-                str(k): v for k, v in sorted(histogram.items())
+            # entries-per-instant -> instant count, sparsest first
+            "instant_histogram": {
+                str(k): v for k, v in sorted(sim.instant_histogram().items())
             },
             # always 0 now; its reader is benchmarks/e2e/run.py:475
             "mac_pacer_coalesced": 0,

@@ -13,7 +13,7 @@ Runs the scenario through the ordinary :class:`ScenarioRunner` with a
   waits for);
 * **ring-up** — the ``built`` phase to ``ring_up``: the rostering
   floods, with the schedule entries they cost per node and how many of
-  them were posted past the timer wheel's lap;
+  them were posted past the 8.192 µs lap that held ``now``;
 * **workload** — the window between the ``armed`` and ``settled``
   phases, i.e. the steady-state frame hot path with ring bring-up
   excluded (what the P1 bench tracks across commits), with the
@@ -96,7 +96,7 @@ def _print_report(label: str, report: PerfReport) -> None:
         print(f"    entries / node  {report.entries_per_node:,.1f}"
               f"  ({report.nodes:,} nodes)")
     if report.scheduler:
-        print(f"    overflow spills {report.scheduler['overflow_spills']:,}")
+        print(f"    posts past lap  {report.scheduler['overflow_spills']:,}")
     for layer, count in sorted(report.by_layer.items(), key=lambda kv: -kv[1]):
         print(f"      {layer:<24} {count:,}")
 

@@ -20,7 +20,7 @@ That entry is **the same object for every frame**: the frames on the
 wire sit in a plain FIFO (``_wire``, arrival order = reservation order,
 because ``busy_until`` only grows between cuts) and each firing of the
 one ``_arrive`` entry takes the head.  A frame in flight therefore costs
-a deque slot and a list slot in the kernel's wheel — nothing the cyclic
+a deque slot and, on the schedule, an int instant — nothing the cyclic
 collector tracks (see the entry-reuse contract in
 ``docs/architecture.md``).
 

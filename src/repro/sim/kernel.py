@@ -7,11 +7,11 @@ in order:
    events scheduled at the same instant, and seeded random streams (see
    :mod:`repro.sim.rand`).  Two runs with the same seed produce identical
    traces, which the failover experiments rely on.
-2. **Speed** — a hierarchical timer wheel (see below) sized for the
-   simulator's dense near-future event distribution; callbacks are plain
-   Python callables; events use ``__slots__``.  A full F3 all-to-all
-   broadcast storm (16 nodes) pushes a few hundred thousand events and
-   completes in seconds on a laptop, matching the repro band.
+2. **Speed** — one dict lookup per post and one heap pop per distinct
+   instant (see below); callbacks are plain Python callables; events use
+   ``__slots__``.  A full F3 all-to-all broadcast storm (16 nodes) pushes
+   a few hundred thousand events and completes in seconds on a laptop,
+   matching the repro band.
 3. **Ergonomics** — simpy-style generator processes so protocol state
    machines (rostering, DMA engines, TCP baseline) read like sequential
    code.
@@ -19,36 +19,26 @@ in order:
 Scheduler design
 ----------------
 
-Profiling the broadcast-storm workloads showed the binary heap the kernel
-started with spending ~a third of the run in ``heappush``/``heappop``
-churn, on events whose firing times cluster within a few nanoseconds of
-``now`` (serialization completions, switch hops, MAC pacing ticks — the
-n=64 storm averages one event every ~3 ns of simulated time).  That dense
-near-future regime is exactly what a calendar queue / timer wheel is for,
-so the heap was replaced with a two-level structure:
+The schedule is a dict from instant (an int nanosecond) to what is due
+then, beside a ``heapq`` of the distinct pending instants — plain ints.
+A slot is either one entry or, once a second entry lands at the same
+instant, a list of them in posting order; an entry is never a list, so
+``type(held) is list`` tells the two shapes apart and a lone entry costs
+the collector nothing.
 
-* **Near wheel** — ``_WHEEL_SLOTS`` one-nanosecond slots covering one
-  *lap* ``[lap_start, lap_start + _WHEEL_SLOTS)`` of simulated time,
-  aligned to a multiple of the wheel size.  A slot is a bare list of
-  entries: the fire time is implicit in the slot index and FIFO order is
-  list order, so insertion is an O(1) append with no key tuple and no
-  comparison at all.  Occupancy is tracked in a two-level bitmap (one
-  64-bit word per group of 64 slots plus a summary word) so finding the
-  next occupied slot is a couple of shifts regardless of how sparse the
-  lap is.
-* **Overflow heap** — entries beyond the current lap go to a classic
-  ``(time, seq, entry)`` heap.  When the wheel drains, the kernel jumps
-  the lap straight to the overflow head's lap (no empty-lap scanning)
-  and refills every overflow entry that lands inside the new lap.
+A post is one ``dict.get`` and a store or an append; a post to a fresh
+instant also pushes one int onto the heap.  How far ahead the instant
+lies does not enter into it: an entry 100 µs out costs what one 100 ns
+out does — and ring bring-up posts over half its entries more than
+8 µs ahead, behind a flood (``docs/architecture.md``, "The event
+scheduler").
 
-FIFO correctness at equal timestamps needs no per-entry sequence number
-in the wheel: the lap only ever advances when the wheel is empty, so for
-any slot, all overflow refills (scheduled in an earlier lap, drained in
-heap ``(time, seq)`` order) land in the slot *before* any direct append
-(only possible once the lap is current), and direct appends land in
-submission order.  Slot order therefore equals submission order — the
-same ``(time, seq)`` semantics the heap provided, and the golden-trace
-digests pin it.
+The run loop pops the earliest instant, takes its slot out of the dict
+and fires it.  Anything posted at that instant while the slot fires
+lands in a fresh slot for the same instant, which the heap yields right
+after.  So entries fire in ``(time, submission order)`` — what a
+``(time, seq)`` heap does, pinned by the golden-trace digests and by the
+reference heap in ``tests/property/test_scheduler_reference.py``.
 
 An entry, once posted, fires: the kernel has no cancellation.  Every
 timer in the tree is fire-and-guard — the handler checks a generation
@@ -58,23 +48,19 @@ counter or a due time it owns and returns when it has been superseded
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from .events import AnyOf, Callback, Event, Process, SimulationError, Timeout
 from .rand import SeededStreams
 
 __all__ = ["Simulator", "StopSimulation"]
 
-#: Near-wheel geometry.  8192 one-nanosecond slots cover ~8.2 µs per lap —
-#: comfortably past serialization (~0.5 µs/cell), propagation (0.25 µs at
-#: 50 m), switch latency (0.3 µs) and node transit (0.12 µs), so in the
-#: storm workloads nearly every schedule lands in the current lap.
-_WHEEL_BITS = 13
-_WHEEL_SLOTS = 1 << _WHEEL_BITS
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-_GROUP_SHIFT = 6  # 64 slots per occupancy word
-_GROUPS = _WHEEL_SLOTS >> _GROUP_SHIFT
+#: The reporting lap: a post landing outside the 8,192 ns-aligned lap
+#: that holds ``now`` counts as an overflow spill.  The scheduler treats
+#: such a post like any other; the count is kept because the benchmark's
+#: ``sim.overflow_spills`` column reads it (see :meth:`scheduler_stats`).
+_LAP_BITS = 13
 
 
 class StopSimulation(Exception):
@@ -99,21 +85,13 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now: int = 0
-        # --- timer wheel state (see module docstring) ---
-        self._wheel: List[List[Any]] = [[] for _ in range(_WHEEL_SLOTS)]
-        self._occ: List[int] = [0] * _GROUPS
-        self._occ_top: int = 0
-        self._wheel_count: int = 0
-        self._lap_start: int = 0
-        self._lap_end: int = _WHEEL_SLOTS
-        #: next instant the run loop will scan from; always <= now at
-        #: every point where user code can schedule, so nothing lands
-        #: behind it.
-        self._cursor: int = 0
-        self._overflow: List[Tuple[int, int, Any]] = []
-        self._seq: int = 0  # FIFO tie-break for overflow entries only
-        #: total schedules that missed the near wheel (occupancy metric)
-        self._overflow_spills: int = 0
+        # --- schedule (see module docstring) ---
+        #: instant -> its entry, or a list of its entries in posting order
+        self._slots: Dict[int, Any] = {}
+        #: heap of the instants that have a slot; each appears once
+        self._instants: List[int] = []
+        #: posts that landed past the reporting lap holding ``now``
+        self._spills: int = 0
         self.rng = SeededStreams(seed)
         #: total schedule entries processed; the kernel's throughput unit
         #: (see :mod:`repro.perf`).  Always maintained — an int bump per
@@ -155,9 +133,9 @@ class Simulator:
         """Run ``fn(*args)`` at absolute simulated ``time`` (>= now).
 
         This is the allocation-light scheduling path: one slim
-        :class:`~repro.sim.events.Callback` goes straight into a wheel
-        slot — no intermediate Timeout, wrapper lambda or callback list.
-        Nothing can wait on the entry (processes that need to wait
+        :class:`~repro.sim.events.Callback` goes straight onto the
+        schedule — no intermediate Timeout, wrapper lambda or callback
+        list.  Nothing can wait on the entry (processes that need to wait
         should use :meth:`timeout`).
         """
         if time < self._now:
@@ -172,8 +150,7 @@ class Simulator:
 
     # ------------------------------------------------------------- scheduling
     # CONTRACT: ``sim._post(fire_time, entry)`` is the one scheduling
-    # primitive: entries at the same instant fire in submission order, no
-    # matter whether they land in a wheel slot or the overflow heap.
+    # primitive: entries at the same instant fire in submission order.
     # ``fire_time`` must be >= now; the public wrappers validate, hot
     # producers schedule only non-negative offsets from now by construction.
     #
@@ -190,71 +167,34 @@ class Simulator:
     # pending firings swaps in a fresh entry and re-points the old one
     # (see ``SerialLink.go_down``, ``RingMAC._unfuse``).
     def _post(self, time: int, entry: Any) -> None:
-        if self._lap_start <= time < self._lap_end:
-            idx = time & _WHEEL_MASK
-            slot = self._wheel[idx]
-            if not slot:
-                g = idx >> _GROUP_SHIFT
-                self._occ[g] |= 1 << (idx & 63)
-                self._occ_top |= 1 << g
-            slot.append(entry)
-            self._wheel_count += 1
+        slots = self._slots
+        held = slots.get(time)
+        if held is None:
+            slots[time] = entry
+            heappush(self._instants, time)
+        elif type(held) is list:
+            held.append(entry)
         else:
-            heapq.heappush(self._overflow, (time, self._seq, entry))
-            self._seq += 1
-            self._overflow_spills += 1
+            slots[time] = [held, entry]
+        if (time ^ self._now) >> _LAP_BITS:
+            self._spills += 1
 
     def _enqueue(self, event: Event, delay: int = 0) -> None:
         """Put a triggered event on the schedule (kernel internal)."""
         self._post(self._now + delay, event)
 
-    def _advance_lap(self) -> None:
-        """Jump the (empty) wheel to the overflow head's lap and refill."""
-        head = self._overflow[0][0]
-        lap_start = head & ~_WHEEL_MASK
-        self._lap_start = lap_start
-        self._lap_end = lap_end = lap_start + _WHEEL_SLOTS
-        self._cursor = head
-        overflow = self._overflow
-        wheel = self._wheel
-        occ = self._occ
-        heappop = heapq.heappop
-        count = 0
-        while overflow and overflow[0][0] < lap_end:
-            time, _seq, entry = heappop(overflow)
-            idx = time & _WHEEL_MASK
-            slot = wheel[idx]
-            if not slot:
-                g = idx >> _GROUP_SHIFT
-                occ[g] |= 1 << (idx & 63)
-                self._occ_top |= 1 << g
-            slot.append(entry)
-            count += 1
-        self._wheel_count += count
-
-    def _wheel_next(self) -> Optional[int]:
-        """Earliest wheel-entry instant at/after the cursor, or None."""
-        if not self._wheel_count:
-            return None
-        cursor = self._cursor
-        idx = cursor & _WHEEL_MASK
-        g = idx >> _GROUP_SHIFT
-        x = self._occ[g] >> (idx & 63)
-        if x:
-            return cursor + ((x & -x).bit_length() - 1)
-        top = self._occ_top >> (g + 1)
-        if not top:  # pragma: no cover - nothing lands behind the cursor
-            return None
-        g2 = g + 1 + ((top & -top).bit_length() - 1)
-        y = self._occ[g2]
-        return self._lap_start + (g2 << _GROUP_SHIFT) + ((y & -y).bit_length() - 1)
-
-    def _clear_slot_bit(self, idx: int) -> None:
-        g = idx >> _GROUP_SHIFT
-        occ = self._occ
-        occ[g] &= ~(1 << (idx & 63))
-        if not occ[g]:
-            self._occ_top &= ~(1 << g)
+    def _requeue(self, time: int, unfired: List[Any]) -> None:
+        """Put the unfired tail of instant ``time`` back on the schedule,
+        ahead of anything posted for ``time`` while it fired."""
+        if not unfired:
+            return
+        later = self._slots.get(time)
+        if later is None:
+            heappush(self._instants, time)
+            later = []
+        elif type(later) is not list:
+            later = [later]
+        self._slots[time] = unfired + later
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -283,53 +223,42 @@ class Simulator:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        # Hot loop: one bitmap scan finds the next occupied slot, then the
-        # whole slot is drained with plain list iteration — entries a
-        # handler appends to the *current* instant are picked up by the
-        # growing-length check, exactly as the heap interleaved them.  At
-        # production scale (128/256-node rings) per-event attribute
-        # lookups are a measurable fraction of the run, so hot names are
-        # bound to locals once.
-        wheel = self._wheel
-        occ = self._occ
+        # Hot loop: pop the earliest instant, take its slot out of the
+        # dict and fire it.  At production scale (128/256-node rings)
+        # per-event attribute lookups are a measurable fraction of the
+        # run, so hot names are bound to locals once.
+        instants = self._instants
+        take = self._slots.pop
         observer = self.on_event
         callback_type = Callback
         processed = 0
-        cursor = self._cursor
         try:
-            while True:
-                # ---- locate the next occupied instant ----
-                if self._wheel_count:
-                    idx = cursor & _WHEEL_MASK
-                    x = occ[idx >> _GROUP_SHIFT] >> (idx & 63)
-                    if x:
-                        t = cursor + ((x & -x).bit_length() - 1)
-                    else:
-                        self._cursor = cursor
-                        t = self._wheel_next()  # cross-group scan
-                elif self._overflow:
-                    if stop_time is not None and self._overflow[0][0] > stop_time:
-                        self._now = stop_time
-                        return None
-                    self._advance_lap()
-                    cursor = self._cursor
-                    continue
-                else:
-                    break  # schedule drained
+            while instants:
+                t = heappop(instants)
                 if stop_time is not None and t > stop_time:
-                    self._now = stop_time
-                    return None
-                # ---- drain the slot at t ----
-                idx = t & _WHEEL_MASK
-                slot = wheel[idx]
+                    heappush(instants, t)
+                    break
+                held = take(t)
                 self._now = t
-                self._cursor = cursor = t
+                # A lone entry fires as it is, with no sequence built
+                # around it; a list keeps its place in case one raises.
+                if type(held) is not list:
+                    processed += 1
+                    if observer is not None:
+                        observer(held)
+                    if type(held) is callback_type:
+                        held.fn(*held.args)
+                        continue
+                    had_waiters = bool(held.callbacks)
+                    held._process()
+                    if not held._ok and not had_waiters:
+                        # A failure nobody observed: surface it.
+                        raise held._value
+                    continue
                 i = 0
                 try:
-                    while i < len(slot):
-                        entry = slot[i]
+                    for entry in held:
                         i += 1
-                        processed += 1
                         if observer is not None:
                             observer(entry)
                         if type(entry) is callback_type:
@@ -338,19 +267,14 @@ class Simulator:
                         had_waiters = bool(entry.callbacks)
                         entry._process()
                         if not entry._ok and not had_waiters:
-                            # A failure nobody observed: surface it.
                             raise entry._value
                 except BaseException:
-                    # Keep not-yet-fired entries at this instant so a
+                    # Keep the not-yet-fired entries at this instant so a
                     # later run() resumes exactly where this one stopped.
-                    del slot[:i]
-                    self._wheel_count -= i
-                    if not slot:
-                        self._clear_slot_bit(idx)
+                    processed += i
+                    self._requeue(t, held[i:])
                     raise
-                self._wheel_count -= i
-                del slot[:]
-                self._clear_slot_bit(idx)
+                processed += i
         except StopSimulation as stop:
             event = stop.args[0]
             if event._ok:
@@ -359,8 +283,9 @@ class Simulator:
         finally:
             self.events_processed += processed
         if stop_time is not None:
-            # Queue drained before the horizon: advance the clock anyway so
-            # repeated run(until=...) calls observe monotonic time.
+            # The horizon was reached, or the schedule drained before it:
+            # advance the clock anyway so repeated run(until=...) calls
+            # observe monotonic time.
             self._now = stop_time
         if isinstance(until, Event) and not until.processed:
             raise SimulationError("run(until=event): schedule drained first")
@@ -394,26 +319,26 @@ class Simulator:
     # ------------------------------------------------------- introspection
     def scheduler_stats(self) -> Dict[str, int]:
         """Occupancy counters for :mod:`repro.perf` and tests."""
+        hist = self.instant_histogram()
         return {
-            "wheel_slots": _WHEEL_SLOTS,
-            "wheel_entries": self._wheel_count,
-            "overflow_entries": len(self._overflow),
-            "overflow_spills": self._overflow_spills,
+            # the reporting lap in ns; benchmarks/e2e/run.py (drive_kernel)
+            # reads it to place its posts inside or past one lap
+            "wheel_slots": 1 << _LAP_BITS,
+            # posts that landed past the lap holding now; read by
+            # benchmarks/e2e/run.py (drive_kernel, sim.overflow_spills)
+            "overflow_spills": self._spills,
+            "pending_entries": sum(n * count for n, count in hist.items()),
+            "pending_instants": len(self._instants),
         }
 
-    def wheel_histogram(self) -> Dict[int, int]:
-        """Map entries-per-occupied-slot -> number of such slots (now)."""
+    def instant_histogram(self) -> Dict[int, int]:
+        """Map entries-per-pending-instant -> number of such instants."""
         hist: Dict[int, int] = {}
-        for g in range(_GROUPS):
-            bits = self._occ[g]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                idx = (g << _GROUP_SHIFT) + low.bit_length() - 1
-                n = len(self._wheel[idx])
-                hist[n] = hist.get(n, 0) + 1
+        for held in self._slots.values():
+            n = len(held) if type(held) is list else 1
+            hist[n] = hist.get(n, 0) + 1
         return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        queued = self._wheel_count + len(self._overflow)
+        queued = self.scheduler_stats()["pending_entries"]
         return f"<Simulator now={self._now}ns queued={queued}>"

@@ -13,6 +13,8 @@ import pytest
 from repro import AmpNetCluster, ClusterConfig
 from repro.faults import FaultSchedule
 from repro.membership import PeerStatus
+from repro.membership.wire import ENTRY_BYTES
+from repro.transport import Channel
 
 
 def make_cluster(n_nodes=16, seed=42, **kwargs):
@@ -172,3 +174,16 @@ def test_membership_liveness_requires_membership():
         AmpNetCluster(
             config=ClusterConfig(n_nodes=4, n_switches=2, membership_liveness=True)
         )
+
+
+def test_malformed_membership_traffic_is_counted_and_dropped():
+    """A probe cell of the wrong length and a digest naming an unknown
+    status are dropped by the receiver, which counts them; the run goes
+    on and the views still agree."""
+    cluster = make_cluster(n_nodes=8)
+    sender = cluster.nodes[0].messenger
+    sender.signal(1, b"\x01\x02", Channel.MEMBERSHIP)
+    sender.send(1, bytes([2, 7]) + bytes(ENTRY_BYTES - 2), Channel.MEMBERSHIP)
+    cluster.run(until=cluster.sim.now + 200 * cluster.tour_estimate_ns)
+    assert cluster.nodes[1].membership.counters["malformed_rx"] == 2
+    assert cluster.membership_converged()

@@ -10,8 +10,10 @@ view.  Hypothesis machine-checks the algebra here:
   a DEAD verdict has sealed that incarnation);
 * a DEAD peer never transitions back to ALIVE/SUSPECT without a higher
   incarnation number, no matter what claims arrive in what order;
-* digest encode/decode is a faithful roundtrip, so nothing on the wire
-  can break the algebra.
+* digest and probe encode/decode are faithful roundtrips, so nothing on
+  the wire can break the algebra;
+* arbitrary bytes either decode or raise ``ValueError`` — nothing else —
+  so a malformed cell or message is one gossip can count and drop.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from repro.membership import (
     merge_states,
     state_key,
 )
+from repro.membership.wire import decode_probe, encode_probe
 
 peer_states = st.builds(
     PeerState,
@@ -109,3 +112,23 @@ def test_dead_never_resurrects_without_new_incarnation(claims):
 @given(states=st.lists(any_peer_states, max_size=32))
 def test_digest_roundtrip_is_faithful(states):
     assert decode_digest(encode_digest(states)) == states
+
+
+@given(op=st.integers(0, 0xFF), origin=st.integers(0, 0xFF),
+       nonce=st.integers(0, 0xFFFF), heartbeat=st.integers(0, 0xFFFFFFFF))
+def test_probe_roundtrip_is_faithful(op, origin, nonce, heartbeat):
+    cell = encode_probe(op, origin, nonce, heartbeat)
+    assert decode_probe(cell) == (op, origin, nonce, heartbeat)
+
+
+@given(payload=st.binary(max_size=64))
+def test_arbitrary_bytes_decode_or_raise_value_error(payload):
+    for decode in (decode_digest, decode_probe):
+        try:
+            decoded = decode(payload)
+        except ValueError:
+            continue
+        if decode is decode_digest:
+            assert encode_digest(decoded) == payload
+        else:
+            assert encode_probe(*decoded) == payload

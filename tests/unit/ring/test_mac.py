@@ -189,8 +189,7 @@ def test_orphan_scrubbed_after_excess_hops():
 
 # ------------------------------------------------------------------ pacing
 def scheduled_entries(sim):
-    stats = sim.scheduler_stats()
-    return stats["wheel_entries"] + stats["overflow_entries"]
+    return sim.scheduler_stats()["pending_entries"]
 
 
 def count_empty_picks(mac):

@@ -5,8 +5,8 @@ switch crossconnect, the MAC's insertion register — each post one
 *reusable* schedule entry per frame (the crossconnect none at all while
 its egress wire is free to be reserved, the register's pick only under
 contention) and keep the frame itself in a FIFO they own.  So frames in
-flight add no GC-tracked objects beyond the heap tuple the kernel builds
-for a post that spills past the timer wheel.
+flight add no GC-tracked objects at all: the kernel files a lone entry
+under its instant as it is, and the instant itself is a plain int.
 
 That is what keeps the cyclic collector out of the large tiers: with a
 fresh ``Callback`` + bound method + args tuple per entry, the in-flight
@@ -68,9 +68,8 @@ def test_frames_pending_on_a_link_are_untracked(tracked_allocations):
     for frame in frames:
         link.transmit(frame)
     grew = tracked_allocations() - before
-    spills = sim.scheduler_stats()["overflow_spills"]
-    assert spills > FRAMES // 2  # the backlog reaches far past one lap
-    assert grew <= spills + SLACK
+    assert sim.scheduler_stats()["overflow_spills"] > FRAMES // 2  # far out
+    assert grew <= SLACK
     got = []
     b.set_handlers(on_frame=lambda frame, port: got.append(frame))
     sim.run()
@@ -86,9 +85,9 @@ def switch_with_lit_ports(sim, n_ports):
 
 def test_ring_forwards_crossing_a_switch_are_untracked(tracked_allocations):
     """A thousand frames in one instant: each reserves the egress wire on
-    arrival, back to back — 189 us of serialization, far past one lap of
-    the wheel, so what would have been a thousand same-instant crossing
-    entries are arrival entries that spill, as on any backlogged link."""
+    arrival, back to back — 189 us of serialization, so what would have
+    been a thousand same-instant crossing entries are a thousand arrival
+    entries at distinct instants far out, as on any backlogged link."""
     sim = Simulator()
     sw = switch_with_lit_ports(sim, 2)
     sw.configure_ring({0: 1})
@@ -97,9 +96,8 @@ def test_ring_forwards_crossing_a_switch_are_untracked(tracked_allocations):
     for frame in frames:
         sw.ports[0].deliver(frame)
     grew = tracked_allocations() - before
-    spills = sim.scheduler_stats()["overflow_spills"]
-    assert spills > FRAMES // 2
-    assert grew <= spills + SLACK
+    assert sim.scheduler_stats()["overflow_spills"] > FRAMES // 2
+    assert grew <= SLACK
     assert sw.ports[1].tx_frames == FRAMES  # reserved, every one
     fired = []
     sim.on_event = fired.append
@@ -145,7 +143,7 @@ def test_rostering_floods_crossing_a_switch_are_untracked(tracked_allocations):
     grew = tracked_allocations() - before
     assert sim.scheduler_stats()["overflow_spills"] == 0
     assert grew <= SLACK
-    assert sim.scheduler_stats()["wheel_entries"] == FRAMES  # not 3 * FRAMES
+    assert sim.scheduler_stats()["pending_entries"] == FRAMES  # not 3 * FRAMES
     sim.run()
     assert sw.counters["flooded"] == 3 * FRAMES
     assert [p.tx_frames for p in sw.ports] == [0, FRAMES, FRAMES, FRAMES]

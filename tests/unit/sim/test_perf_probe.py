@@ -46,30 +46,29 @@ def test_probe_window_and_report_fields():
     payload = report.to_dict()
     assert payload["events"] == 100 and "by_layer" in payload
     # Scheduler occupancy rides along: the schedule drained, so nothing
-    # is resident, and this workload (gaps of 7ns) never left the wheel.
+    # is pending, and this workload (gaps of 7ns) never left the lap.
     sched = payload["scheduler"]
-    assert sched["wheel_entries"] == 0
-    assert sched["overflow_entries"] == 0
+    assert sched["pending_entries"] == 0
+    assert sched["pending_instants"] == 0
     assert sched["overflow_spills"] == 0
-    assert sched["wheel_slot_histogram"] == {}
+    assert sched["instant_histogram"] == {}
 
 
 def test_scheduler_snapshot_sees_resident_entries_and_spills():
     sim = Simulator()
     probe = PerfProbe(sim)
     probe.start()
-    # Three entries in one slot, one in another, one past the wheel
-    # horizon (the wheel covers [0, 8192) at t=0).
+    # Three entries at one instant, one at another, one past the lap
+    # that holds now (the lap is [0, 8192) at t=0).
     for _ in range(3):
         sim.call_in(100, lambda: None)
     sim.call_in(200, lambda: None)
     sim.call_in(1_000_000, lambda: None)
     sched = probe.snapshot().scheduler
-    assert sched["wheel_entries"] == 4
-    assert sched["wheel_slots_occupied"] == 2
-    assert sched["overflow_entries"] == 1
+    assert sched["pending_entries"] == 5
+    assert sched["pending_instants"] == 3
     assert sched["overflow_spills"] == 1
-    assert sched["wheel_slot_histogram"] == {"1": 1, "3": 1}
+    assert sched["instant_histogram"] == {"1": 2, "3": 1}
     # Spills are a window delta: reopening the window zeroes them.
     probe.start()
     assert probe.snapshot().scheduler["overflow_spills"] == 0
@@ -163,14 +162,14 @@ def test_perf_accounting_does_not_change_the_event_sequence():
 # ------------------------------------------------------- the ring-up row
 def test_profile_runner_reports_ring_up_as_its_own_window(tmp_path, capsys):
     """``python -m repro.perf`` prints bring-up beside the workload
-    window — events, entries per node, overflow spills — and writes it to
+    window — events, entries per node, posts past the lap — and writes it to
     ``--json``; total is still build through judgement."""
     out = tmp_path / "perf.json"
     assert main(["quiet_ring", "--per-kind", "--json", str(out)]) == 0
     text = capsys.readouterr().out
     assert text.index("total (") < text.index("ring-up (") < text.index(
         "workload window (")
-    assert "entries / node" in text and "overflow spills" in text
+    assert "entries / node" in text and "posts past lap" in text
     doc = json.loads(out.read_text())
     ring_up, workload, total = doc["ring_up"], doc["workload"], doc["total"]
     assert ring_up["nodes"] == 6

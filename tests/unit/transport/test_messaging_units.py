@@ -167,8 +167,7 @@ def test_send_and_ring_up_replay_post_no_schedule_entry_of_their_own():
     mac.install_roster(roster)  # its kick posts the pick: engine busy
 
     def scheduled():
-        stats = sim.scheduler_stats()
-        return stats["wheel_entries"] + stats["overflow_entries"]
+        return sim.scheduler_stats()["pending_entries"]
 
     before = scheduled()
     handle = messenger.send(1, b"z" * (2 * VARIABLE_PAYLOAD_MAX + 1))
