@@ -21,7 +21,7 @@ Distributed Kernel".  The pieces modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..micropacket import BROADCAST, Flags, MicroPacket, MicroPacketType
 from ..rostering import Roster
@@ -107,7 +107,9 @@ class AmpDK:
         self.name = f"ampdk-{node.node_id}"
         self.counters = Counter()
 
-        self._last_heard: Dict[int, int] = {}
+        #: last-heard instant per peer id (None: not tracked), as long as
+        #: the highest id heard of: the monitor scans all of it
+        self._last_heard: List[Optional[int]] = []
         self._roster: Optional[Roster] = None
         self._epoch = 0  # bumps on every ring up/down to retire old loops
         self._certified_round: Optional[int] = None
@@ -128,7 +130,10 @@ class AmpDK:
         self._roster = roster
         self._epoch += 1
         now = self.sim.now
-        self._last_heard = {m: now for m in roster.members if m != self.node.node_id}
+        self._last_heard = last_heard = [None] * (max(roster.members) + 1)
+        for m in roster.members:
+            if m != self.node.node_id:
+                last_heard[m] = now
         epoch = self._epoch
         self.sim.process(self._heartbeat_loop(epoch), name=f"{self.name}.hb")
         self.sim.process(self._monitor_loop(epoch), name=f"{self.name}.mon")
@@ -162,7 +167,10 @@ class AmpDK:
             yield sim.timeout(self.config.heartbeat_interval_ns)
 
     def _on_heartbeat(self, pkt: MicroPacket, frame) -> None:
-        self._last_heard[pkt.src] = self.sim.now
+        last_heard, src = self._last_heard, pkt.src
+        if src >= len(last_heard):  # a sender the roster did not name
+            last_heard.extend([None] * (src + 1 - len(last_heard)))
+        last_heard[src] = self.sim.now
         self.counters.incr("heartbeats_seen")
 
     def _monitor_loop(self, epoch: int):
@@ -173,13 +181,12 @@ class AmpDK:
         while epoch == self._epoch and self._roster is not None:
             deadline = sim.now - cfg.heartbeat_timeout_ns
             silent = [
-                peer for peer, heard in self._last_heard.items() if heard < deadline
+                peer for peer, heard in enumerate(self._last_heard)
+                if heard is not None and heard < deadline
             ]
             if silent:
                 self.counters.incr("peer_timeouts")
-                self.node.agent.trigger(
-                    f"heartbeat timeout: peers {sorted(silent)} silent"
-                )
+                self.node.agent.trigger(f"heartbeat timeout: peers {silent} silent")
                 return
             yield sim.timeout(cfg.check_interval_ns)
 

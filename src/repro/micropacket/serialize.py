@@ -31,7 +31,8 @@ __all__ = ["pack", "unpack", "PacketFormatError", "layout_rows"]
 
 
 class PacketFormatError(Exception):
-    """Malformed wire bytes (length, type nibble, padding)."""
+    """Malformed wire bytes (length, type nibble, padding, or a field
+    value the packet's own validation refuses)."""
 
 
 def _pack_control(pkt: MicroPacket) -> bytes:
@@ -69,7 +70,17 @@ def unpack(raw: bytes, payload_len: int | None = None) -> MicroPacket:
     ``payload_len`` trims word padding for variable packets whose logical
     payload is not a word multiple (the DMA engine carries the true length
     in its transfer descriptor; fixed packets always deliver all 8 bytes).
+    Arbitrary bytes raise nothing but :class:`PacketFormatError`.
     """
+    try:
+        return _unpack(raw, payload_len)
+    except ValueError as exc:
+        # A field the wire can carry but MicroPacket / DmaControl refuse
+        # (source id 255, a routed offset past 24 bits, ...).
+        raise PacketFormatError(str(exc)) from exc
+
+
+def _unpack(raw: bytes, payload_len: int | None) -> MicroPacket:
     if len(raw) < FIXED_WIRE_BYTES:
         raise PacketFormatError(f"truncated packet: {len(raw)} bytes")
     type_nibble = raw[0] >> 4

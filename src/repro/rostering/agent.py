@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..phys import Port
 from ..phys.frame import Frame, frame_for
@@ -49,7 +49,6 @@ from .wire import (
     encode_explore,
     encode_join,
     encode_report,
-    flood_key,
 )
 
 __all__ = ["RosterAgent", "RosterConfig", "AgentState"]
@@ -60,6 +59,13 @@ COMMIT_TIMEOUT_FACTOR = 3.0
 #: Minimum compatible protocol version a master will admit to its
 #: roster (assimilation rules, slide 17).
 MIN_VERSION = (1, 0)
+#: Slots in a round's report list: one per value of a cell's 8-bit
+#: origin byte.
+_NODE_IDS = 256
+#: Plain-int mirrors for the per-arrival relay test (a class attribute
+#: of an Enum costs a metaclass lookup).
+_EXPLORE = int(Phase.EXPLORE)
+_COMMIT = int(Phase.COMMIT)
 
 
 class AgentState(Enum):
@@ -104,8 +110,13 @@ class RosterAgent:
         self.enabled = True
         self.counters = Counter()
 
-        self._reports: Dict[int, RosterMessage] = {}
-        self._relayed: Set[bytes] = set()
+        #: this round's REPORT per origin (None: not heard)
+        self._reports: List[Optional[RosterMessage]] = []
+        #: this round's relay suppression (see ``_relay``): EXPLORE and
+        #: REPORT one bit per origin, COMMIT a chunk mask per origin
+        self._explored = 0
+        self._reported = 0
+        self._committed: Dict[int, int] = {}
         self._assembler = CommitAssembler()
         self._round_started_at = 0
         self._trigger_time: Optional[int] = None
@@ -127,7 +138,10 @@ class RosterAgent:
     @property
     def is_master(self) -> bool:
         """Master of the current round = lowest reporting node id."""
-        return bool(self._reports) and min(self._reports) == self.node_id
+        for node, msg in enumerate(self._reports):
+            if msg is not None:
+                return node == self.node_id
+        return False
 
     def live_port_bitmap(self) -> int:
         bitmap = 0
@@ -193,16 +207,16 @@ class RosterAgent:
         self.state = AgentState.EXPLORING
         self.round_no = round_no
         self.roster = None
-        self._reports = {}
-        self._relayed = set()
+        self._reports = [None] * _NODE_IDS
+        self._explored = self._reported = 0
+        self._committed = {}
         self._assembler.reset()
         self._round_started_at = self.sim.now
         self.counters.incr("rounds_joined" if joined else "rounds_started")
 
         if not joined:
-            explore = encode_explore(self.node_id, round_no)
-            self._relayed.add(flood_key(explore.payload))
-            self._flood(frame_for(explore))
+            self._explored = 1 << self.node_id
+            self._flood(frame_for(encode_explore(self.node_id, round_no)))
         self._emit_report()
         window = self.config.report_window_ns
         self.sim.call_in(window, lambda: self._decide(round_no))
@@ -218,9 +232,8 @@ class RosterAgent:
             self.live_port_bitmap(),
             version=self.config.version,
         )
-        msg = decode(report)
-        self._reports[self.node_id] = msg
-        self._relayed.add(flood_key(report.payload))
+        self._reports[self.node_id] = decode(report)
+        self._reported |= 1 << self.node_id
         self._flood(frame_for(report))
 
     # ------------------------------------------------------------- receive
@@ -237,25 +250,25 @@ class RosterAgent:
                     self.trigger(f"join request from node {msg.origin}")
                 return
             if newer:
-                self._relay(frame, port)
+                self._relay(frame, port, msg)
                 self._start_round(msg.round_no, joined=True)
             elif msg.round_no == self.round_no and self.state == AgentState.EXPLORING:
-                self._relay(frame, port)
+                self._relay(frame, port, msg)
             return
 
         if msg.phase == Phase.REPORT:
             if newer:
                 self._start_round(msg.round_no, joined=True)
             if msg.round_no == self.round_no and self.state == AgentState.EXPLORING:
-                if msg.origin not in self._reports:
+                if self._reports[msg.origin] is None:
                     self._reports[msg.origin] = msg
-                self._relay(frame, port)
+                self._relay(frame, port, msg)
             return
 
         if msg.phase == Phase.COMMIT:
             if msg.round_no != self.round_no:
                 return
-            self._relay(frame, port)
+            self._relay(frame, port, msg)
             members = self._assembler.add(msg)
             if members is not None and self.state == AgentState.EXPLORING:
                 self._install(members)
@@ -279,11 +292,32 @@ class RosterAgent:
             sent += 1
         self.counters.incr("cells_flooded", sent)
 
-    def _relay(self, frame: Frame, arrival: Port) -> None:
-        key = flood_key(frame.packet.payload)
-        if key in self._relayed:
-            return
-        self._relayed.add(key)
+    def _relay(self, frame: Frame, arrival: Port, msg: RosterMessage) -> None:
+        """Relay each distinct cell of this round once — once per
+        (phase, origin), a COMMIT once per chunk: the rostering rules of
+        :func:`~repro.rostering.wire.flood_key`, kept as bits because
+        every cell a node has relayed or sent is of its current round.
+        A cell of any other round is a newer-round EXPLORE about to open
+        that round, and always relays: the round it opens starts with
+        nothing relayed, so its second copy relays too."""
+        if msg.round_no == self.round_no:
+            phase, origin = msg.phase, msg.origin
+            if phase == _COMMIT:
+                seen = self._committed.get(origin, 0)
+                bit = 1 << msg.chunk_index
+                if seen & bit:
+                    return
+                self._committed[origin] = seen | bit
+            elif phase == _EXPLORE:
+                bit = 1 << origin
+                if self._explored & bit:
+                    return
+                self._explored |= bit
+            else:  # REPORT
+                bit = 1 << origin
+                if self._reported & bit:
+                    return
+                self._reported |= bit
         self._flood(frame, except_port=arrival)
         self.counters.incr("cells_relayed")
 
@@ -297,13 +331,19 @@ class RosterAgent:
                     attachment.setdefault(k, set()).add(node)
         return attachment
 
+    def _reporters(self) -> List[Tuple[int, RosterMessage]]:
+        """This round's reports as (origin, report), in origin order."""
+        return [
+            (node, msg) for node, msg in enumerate(self._reports) if msg is not None
+        ]
+
     def _admissible_reports(self) -> Dict[int, RosterMessage]:
         """Assimilation rules: exclude version-incompatible nodes, and —
         when a membership verdict source is wired in — nodes the gossip
         layer has declared dead (their flooded report may be stale, or
         they may be a zombie the operator wants fenced off)."""
         out = {}
-        for node, msg in self._reports.items():
+        for node, msg in self._reporters():
             if msg.version < MIN_VERSION:
                 self.counters.incr("version_rejected")
                 continue
@@ -346,8 +386,10 @@ class RosterAgent:
         )
         if self.switch_configurator is not None:
             self.switch_configurator(roster.switch_maps(), roster)
-        for cell in encode_commit_chunks(self.node_id, self.round_no, roster.members):
-            self._relayed.add(flood_key(cell.payload))
+        cells = encode_commit_chunks(self.node_id, self.round_no, roster.members)
+        own = self._committed.get(self.node_id, 0)
+        self._committed[self.node_id] = own | ((1 << len(cells)) - 1)
+        for cell in cells:
             self._flood(frame_for(cell))
         self._install(list(roster.members))
 
@@ -377,7 +419,7 @@ class RosterAgent:
             self.state = AgentState.DOWN
             self.counters.incr("excluded_from_roster")
             return
-        roster = self._normalized_roster(members, self._reports)
+        roster = self._normalized_roster(members, dict(self._reporters()))
         if roster is None:
             # Missing reports leave us unable to derive hops; escalate so
             # the next round's flood fills the gap.

@@ -17,9 +17,11 @@ COMMIT    byte 3 = chunk index, byte 4 = total chunks,
           bytes 5..7 = up to three roster member ids (0xFF = padding)
 JOIN      same as EXPLORE; emitted by a booting node that wants in
 
-``flood_key`` gives switches and nodes the duplicate-suppression key of
-the "rostering rules" (slide 16): EXPLORE/REPORT/JOIN flood once per
-(phase, origin, round); COMMIT floods once per chunk.
+``flood_key`` gives switches the duplicate-suppression key of the
+"rostering rules" (slide 16): EXPLORE/REPORT/JOIN flood once per
+(phase, origin, round); COMMIT floods once per chunk.  Nodes apply the
+same rule to the decoded :class:`RosterMessage`, as bits per origin
+(``RosterAgent._relay``), and do not call it.
 
 This module is a leaf (imports nothing above :mod:`repro.micropacket`) so
 the physical layer can apply flood rules without a dependency cycle.

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import AmpNetCluster, ClusterConfig
+from repro.kernel.ampdk import HEARTBEAT_CHANNEL
+from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 from repro.services import AmpFiles
 
 
@@ -56,6 +58,25 @@ def test_no_false_positives_on_healthy_ring():
     cluster.run(until=cluster.sim.now + 10_000_000)  # 10 ms of calm
     assert not heartbeat_detection_times(cluster)
     assert sum(k.counters["peer_timeouts"] for k in cluster.kernels.values()) == 0
+
+
+def test_heartbeat_from_outside_the_roster_is_tracked_until_silent():
+    """A beat from a sender the roster did not name (here a stray id past
+    every member's) is tracked like a peer's, so its silence triggers."""
+    cluster = make_cluster()
+    kernel = cluster.kernels[0]
+    stray = MicroPacket(ptype=MicroPacketType.DIAGNOSTIC, src=9, dst=BROADCAST,
+                        channel=HEARTBEAT_CHANNEL, payload=b"HB")
+    kernel._on_heartbeat(stray, None)
+    heard_at = cluster.sim.now
+    cluster.run(until=heard_at + 2 * kernel.config.heartbeat_timeout_ns)
+    reasons = [
+        (r.time, r.data["reason"])
+        for r in cluster.tracer.select(category="roster_trigger")
+        if "heartbeat" in r.data.get("reason", "")
+    ]
+    assert reasons and reasons[0][1] == "heartbeat timeout: peers [9] silent"
+    assert reasons[0][0] > heard_at + kernel.config.heartbeat_timeout_ns
 
 
 def test_heartbeats_not_sent_on_singleton_ring():

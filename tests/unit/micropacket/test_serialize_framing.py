@@ -137,6 +137,44 @@ def test_unpack_payload_len_bounds_checked():
         unpack(pack(fixed_pkt()), payload_len=9)
 
 
+#: Wire bytes whose fields the packet's own validation refuses; each
+#: once escaped ``unpack`` as a bare ValueError.
+REFUSED_FIELDS = {
+    "cluster_broadcast_with_dst_segment":
+        "2df05b1dec62807de5a23ec26c22f7ac39d843403624f57ef00d93b589a00f73"
+        "e12ca33e",
+    "routed_offset_over_24_bits":
+        "2bccc402380157df00407b9cbc54efe093a9e6c15ce193b3b8e15a8392755b32"
+        "2806d0274ffa4a49",
+    "cluster_broadcast_without_origin":
+        "2cda75da6502f463754b7f99f9870651f9256d5003b332bd9b76c04d5285b085"
+        "eddfd36b7d221d35",
+    "src_255": "45ffefe62f667caf69143cdd",
+    "dma_src_node_255":
+        "23df3bdd1e79a8aafcff299941dddd9ed33c5e002148e3fcc525f1b51bc3fec3"
+        "5c078e0453f5e4a104b1f395",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_FIELDS))
+def test_unpack_refused_field_is_a_format_error(name):
+    raw = bytes.fromhex(REFUSED_FIELDS[name])
+    with pytest.raises(PacketFormatError):
+        unpack(raw)
+    # ... and so it is through the frame layer.
+    with pytest.raises(PacketFormatError):
+        Framer().symbols_to_packet(encode_frame(raw))
+
+
+@settings(max_examples=500)
+@given(st.binary(max_size=64), st.none() | st.integers(-1, 80))
+def test_unpack_arbitrary_bytes_raise_only_format_error(raw, payload_len):
+    try:
+        unpack(raw, payload_len=payload_len)
+    except PacketFormatError:
+        pass
+
+
 # ----------------------------------------------------------- layout table
 def test_layout_rows_fixed_matches_slide5():
     rows = layout_rows(fixed_pkt())
