@@ -7,9 +7,9 @@ every frame an average of half a token rotation before it can even
 start.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis import fmt_ns
-from repro.baselines import TokenRing, TokenRingConfig
+from repro.baselines import TokenRing
 from repro.sim import LatencyStat, Simulator
 from repro.workloads import MessageStream
 
@@ -22,9 +22,7 @@ INTERVAL_NS = 20_000  # light load: ~1 frame / 20 us / node
 
 
 def run_insertion():
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=N_NODES, n_switches=2, fiber_m=FIBER_M)
-    )
+    cluster = AmpNetCluster(n_nodes=N_NODES, n_switches=2, fiber_m=FIBER_M)
     cluster.start()
     cluster.run_until_ring_up()
     streams = [
@@ -49,7 +47,7 @@ def run_insertion():
 
 def run_token():
     sim = Simulator()
-    ring = TokenRing(sim, TokenRingConfig(n_nodes=N_NODES, fiber_m=FIBER_M))
+    ring = TokenRing(sim, N_NODES, fiber_m=FIBER_M)
 
     def offer():
         for k in range(FRAMES_PER_NODE):

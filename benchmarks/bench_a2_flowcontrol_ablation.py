@@ -7,7 +7,7 @@ slide 8's guarantee is a property of the flow control, not of the ring
 topology.
 """
 
-from repro import AmpNetCluster, ClusterConfig, NodeConfig
+from repro import AmpNetCluster
 from repro.ring import FlowControlConfig
 from repro.workloads import AllToAllBroadcast
 
@@ -25,10 +25,7 @@ def run_case(enabled: bool):
         enabled=enabled,
         transit_priority=enabled,
     )
-    cfg = ClusterConfig(
-        n_nodes=N_NODES, n_switches=2, node=NodeConfig(flow=flow)
-    )
-    cluster = AmpNetCluster(config=cfg)
+    cluster = AmpNetCluster(n_nodes=N_NODES, n_switches=2, flow=flow)
     cluster.start()
     cluster.run_until_ring_up()
     storm = AllToAllBroadcast(cluster, count=CELLS)

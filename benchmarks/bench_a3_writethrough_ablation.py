@@ -8,7 +8,7 @@ view (reading NIC SRAM directly under the seqlock) is stale only for the
 replication flight time.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.netcache import RegionSpec
 
 import harness
@@ -19,9 +19,7 @@ WRITE_INTERVAL_NS = 40_000
 
 
 def run_experiment():
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=4, n_switches=2, regions=[REGION])
-    )
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2, regions=[REGION])
     cluster.start()
     cluster.run_until_ring_up()
     sim = cluster.sim

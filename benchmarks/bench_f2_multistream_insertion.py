@@ -5,7 +5,7 @@ files, two sending messages, all simultaneously — and every stream makes
 progress with zero ring drops.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis import fmt_ns, ring_drop_count
 from repro.workloads import run_slide7_mixed_workload
 
@@ -16,7 +16,7 @@ DURATION_TOURS = 800
 
 
 def run_experiment():
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=N_NODES, n_switches=2))
+    cluster = AmpNetCluster(n_nodes=N_NODES, n_switches=2)
     cluster.start()
     cluster.run_until_ring_up()
     stats = run_slide7_mixed_workload(cluster, duration_tours=DURATION_TOURS)

@@ -15,7 +15,7 @@ library-name expansion would rename the cells).  Sizes can be
 overridden for smoke runs: ``F3_SIZES=4 pytest -q benchmarks/bench_f3...``.
 """
 
-from repro.baselines import EthConfig, EthernetFabric
+from repro.baselines import EthernetFabric
 from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.sim import Simulator
 from repro.sweep import SweepGrid, run_grid, workers_from_env
@@ -44,7 +44,7 @@ def storm_spec(n_nodes: int) -> ScenarioSpec:
 
 def run_baseline(n_nodes: int):
     sim = Simulator()
-    fabric = EthernetFabric(sim, n_nodes, EthConfig(egress_capacity=8))
+    fabric = EthernetFabric(sim, n_nodes, egress_capacity=8)
     # Broadcast storm as N-1 unicasts per cell (switched LANs replicate
     # broadcast at the switch; the convergence pattern is identical).
     for src in range(n_nodes):

@@ -6,7 +6,7 @@ that ignores the counters observes torn records; the slide-9 two-counter
 protocol never does, at the price of a bounded number of retries.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.netcache import RegionSpec
 
 import harness
@@ -22,9 +22,7 @@ def is_torn(data: bytes) -> bool:
 
 
 def run_experiment():
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=4, n_switches=2, regions=[REGION])
-    )
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2, regions=[REGION])
     cluster.start()
     cluster.run_until_ring_up()
     sim = cluster.sim

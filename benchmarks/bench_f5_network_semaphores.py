@@ -6,7 +6,7 @@ concurrent increments); wrapping the RMW in a network semaphore makes
 every increment land.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.netcache import RegionSpec
 
 import harness
@@ -22,9 +22,7 @@ def read_counter(cache) -> int:
 
 
 def run_case(with_semaphore: bool) -> int:
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=WORKERS, n_switches=2, regions=[REGION])
-    )
+    cluster = AmpNetCluster(n_nodes=WORKERS, n_switches=2, regions=[REGION])
     cluster.start()
     cluster.run_until_ring_up()
     sim = cluster.sim

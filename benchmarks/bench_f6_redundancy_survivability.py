@@ -37,8 +37,8 @@ def mean_ring_size(n_switches: int, n_failures: int, seed: int) -> float:
     total = 0
     for _ in range(TRIALS):
         attachment = surviving_attachment(n_switches, n_failures, rng)
-        roster = compute_roster(1, attachment)
-        total += roster.size if roster else 0
+        members = compute_roster(attachment)
+        total += len(members) if members else 0
     return total / TRIALS
 
 

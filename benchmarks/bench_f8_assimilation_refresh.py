@@ -6,9 +6,7 @@ scales with the cache payload the provider must stream; version-
 incompatible nodes are kept out entirely.
 """
 
-from dataclasses import replace
-
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.netcache import RegionSpec
 
 import harness
@@ -21,9 +19,7 @@ def run_join(cache_kb: int):
     # *bytes* streamed to the joiner, not the record count.
     region = RegionSpec(region_id=5, name="payload", n_records=cache_kb * 2,
                         record_size=512)
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=6, n_switches=2, regions=[region])
-    )
+    cluster = AmpNetCluster(n_nodes=6, n_switches=2, regions=[region])
     cluster.start()
     cluster.run_until_ring_up()
     # Fill the cache so there is something to refresh.
@@ -53,13 +49,12 @@ def run_join(cache_kb: int):
 
 
 def run_version_rejection():
-    cfg = ClusterConfig(n_nodes=4, n_switches=2)
-    cluster = AmpNetCluster(config=cfg)
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2)
     # Node 3 speaks an ancient protocol version; masters must exclude it,
     # so the ring converges on the other three (node 3 stays DOWN and
     # run_until_ring_up — which wants *every* node up — would never fire).
     old = cluster.nodes[3]
-    old.agent.config = replace(old.agent.config, version=(0, 9))
+    old.agent.version = (0, 9)
     cluster.start()
     horizon = 2_000 * cluster.tour_estimate_ns
     while cluster.sim.now < horizon:

@@ -12,16 +12,14 @@ every tombstone in the cluster.
 Run:  python examples/gossip_membership.py
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis import fmt_ns
 from repro.membership.gossip import FANOUT
 
 
 def main() -> None:
     # 1. Sixteen nodes, two switches, gossip membership on.
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=16, n_switches=2, seed=42, membership=True)
-    )
+    cluster = AmpNetCluster(n_nodes=16, n_switches=2, seed=42, membership=True)
     cluster.start()
     t_up = cluster.run_until_ring_up()
     cfg = cluster._membership_cfg

@@ -23,7 +23,7 @@ Two liveness mechanisms coexist, answering different questions:
   heartbeat backstop decide *who is on the ring right now*.  It is
   authoritative for the data plane, but every failure costs a global,
   coordinated re-roster.
-* **Gossip-driven** (``ClusterConfig(membership=True)``): every node
+* **Gossip-driven** (``AmpNetCluster(membership=True)``): every node
   runs a :mod:`repro.membership` endpoint — periodic digest push to a
   few random partners plus a SWIM direct probe, with
   ALIVE -> SUSPECT -> DEAD verdicts guarded by incarnation numbers.
@@ -56,9 +56,9 @@ through segment routers into one cluster addressed by
 See ``docs/architecture.md`` for the module map and layer diagrams.
 """
 
-from .cluster import AmpNetCluster, ClusterConfig
+from .cluster import AmpNetCluster
 from .membership import GossipProtocol
-from .node import AmpNode, NodeConfig
+from .node import AmpNode
 from .routing import (
     RoutedCluster,
     RouterConfig,
@@ -72,9 +72,7 @@ __version__ = "1.2.0"
 __all__ = [
     "AmpNetCluster",
     "AmpNode",
-    "ClusterConfig",
     "GossipProtocol",
-    "NodeConfig",
     "RoutedCluster",
     "RouterConfig",
     "SegmentRouter",

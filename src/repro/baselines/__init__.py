@@ -1,17 +1,15 @@
 """Baseline comparators: conventional switched LAN, timeout-based
 failover, and a token-ring MAC ablation."""
 
-from .ethernet import EthConfig, EthFrame, EthNode, EthernetFabric
+from .ethernet import EthFrame, EthNode, EthernetFabric
 from .tcp_failover import FailoverReport, TcpFailoverPair
-from .token_ring import TokenRing, TokenRingConfig
+from .token_ring import TokenRing
 
 __all__ = [
-    "EthConfig",
     "EthFrame",
     "EthNode",
     "EthernetFabric",
     "FailoverReport",
     "TcpFailoverPair",
     "TokenRing",
-    "TokenRingConfig",
 ]

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..sim import Counter, Simulator, Store
 
-__all__ = ["EthernetFabric", "EthNode", "EthFrame", "EthConfig"]
+__all__ = ["EthernetFabric", "EthNode", "EthFrame"]
 
 # Gigabit-class switched LAN parameters.
 #: Payload bits per nanosecond (1.0 = gigabit).
@@ -35,14 +35,6 @@ OVERHEAD_BYTES = 38
 def _wire_ns(frame: "EthFrame") -> int:
     """Serialization time of one frame at line rate."""
     return int(8 * (frame.size_bytes + OVERHEAD_BYTES) / RATE_BITS_PER_NS)
-
-
-@dataclass(frozen=True)
-class EthConfig:
-    """The one knob of the baseline LAN the benches turn."""
-
-    #: frames buffered per egress port before tail-drop.
-    egress_capacity: int = 32
 
 
 @dataclass
@@ -82,17 +74,18 @@ class EthNode:
 class EthernetFabric:
     """The switch plus all attached hosts."""
 
-    def __init__(self, sim: Simulator, n_nodes: int, config: Optional[EthConfig] = None):
+    def __init__(self, sim: Simulator, n_nodes: int, egress_capacity: int = 32):
+        """``egress_capacity`` is the frames each switch egress port
+        buffers before it tail-drops."""
         if n_nodes < 2:
             raise ValueError("need at least two hosts")
         self.sim = sim
-        self.config = config or EthConfig()
         self.counters = Counter()
         self.nodes: Dict[int, EthNode] = {
             i: EthNode(self, i) for i in range(n_nodes)
         }
         self._egress: Dict[int, Store] = {
-            i: Store(sim, capacity=self.config.egress_capacity)
+            i: Store(sim, capacity=egress_capacity)
             for i in range(n_nodes)
         }
         for i in range(n_nodes):

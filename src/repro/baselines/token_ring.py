@@ -13,7 +13,6 @@ and node-latency numbers) so A1 compares MACs, not physics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 from collections import deque
 
@@ -25,7 +24,7 @@ from ..phys.constants import (
 )
 from ..sim import Counter, LatencyStat, Simulator
 
-__all__ = ["TokenRing", "TokenRingConfig"]
+__all__ = ["TokenRing"]
 
 #: Frames a station may send per token visit.
 FRAMES_PER_TOKEN = 1
@@ -35,31 +34,23 @@ FRAME_WIRE_BITS = 200
 TOKEN_WIRE_BITS = 30
 
 
-@dataclass(frozen=True)
-class TokenRingConfig:
-    n_nodes: int = 8
-    fiber_m: float = 50.0
-
-
 class TokenRing:
     """Single-token ring MAC with per-station FIFO queues."""
 
-    def __init__(self, sim: Simulator, config: Optional[TokenRingConfig] = None):
-        self.sim = sim
-        self.config = config or TokenRingConfig()
-        if self.config.n_nodes < 2:
+    def __init__(self, sim: Simulator, n_nodes: int, fiber_m: float = 50.0):
+        if n_nodes < 2:
             raise ValueError("token ring needs two stations")
+        self.sim = sim
+        self.n_nodes = n_nodes
         self.counters = Counter()
         self.latency = LatencyStat()
-        self._queues: Dict[int, Deque] = {
-            i: deque() for i in range(self.config.n_nodes)
-        }
+        self._queues: Dict[int, Deque] = {i: deque() for i in range(n_nodes)}
         self.on_deliver: Optional[Callable[[int, int, object], None]] = None
         # Same per-hop physics as the AmpNet cluster: node -> switch ->
         # node (two fibre legs), so A1 compares MAC disciplines, not
         # geometry.
         self._hop_ns = (
-            2 * propagation_ns(self.config.fiber_m)
+            2 * propagation_ns(fiber_m)
             + SWITCH_LATENCY_NS
             + NODE_TRANSIT_NS
         )
@@ -77,7 +68,7 @@ class TokenRing:
 
     def _token_proc(self):
         sim = self.sim
-        cfg = self.config
+        n_nodes = self.n_nodes
         station = 0
         token_ns = serialization_ns(TOKEN_WIRE_BITS)
         frame_ns = serialization_ns(FRAME_WIRE_BITS)
@@ -88,7 +79,7 @@ class TokenRing:
             while queue and sent < FRAMES_PER_TOKEN:
                 dst, tag, queued_at = queue.popleft()
                 # Frame circulates from src to dst: hop count forward.
-                hops = (dst - station) % cfg.n_nodes
+                hops = (dst - station) % n_nodes
                 yield sim.timeout(frame_ns)  # source serialization
                 travel = hops * self._hop_ns + hops * frame_ns
                 sim.call_in(
@@ -101,7 +92,7 @@ class TokenRing:
                 self.counters.incr("sent")
             # Pass the token one hop on.
             yield sim.timeout(token_ns + self._hop_ns)
-            station = (station + 1) % cfg.n_nodes
+            station = (station + 1) % n_nodes
 
     def _deliver(self, src: int, dst: int, tag: object, queued_at: int) -> None:
         self.counters.incr("delivered")

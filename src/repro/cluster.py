@@ -18,9 +18,8 @@ above the network and attaches itself to a built node —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .netcache import (
     CacheReplicator,
@@ -37,44 +36,18 @@ from .kernel import (
     heartbeat_schedule,
 )
 from .membership import GossipProtocol, gossip_timing
-from .node import AmpNode, NodeConfig
+from .node import AmpNode
 from .phys import (
     PhysicalTopology,
     build_switched,
-    check_ring_shape,
     ring_tour_estimate_ns,
 )
 from .ring import FlowControlConfig
-from .rostering import Roster, RosterConfig
+from .rostering import Roster
 from .sim import ConvergenceTracker, SimulationError, Simulator, Tracer
 from .transport import Messenger
 
-__all__ = ["AmpNetCluster", "ClusterConfig", "gossip_overhead"]
-
-
-@dataclass
-class ClusterConfig:
-    """Cluster-wide knobs with sensible slide-14 defaults."""
-
-    n_nodes: int = 6
-    n_switches: int = 4
-    fiber_m: float = 50.0
-    seed: int = 0
-    trace: bool = True
-    #: Per-node template; the rostering report window in it is
-    #: overwritten with this ring's tour estimate.
-    node: NodeConfig = field(default_factory=NodeConfig)
-    #: Cache regions every node defines at power-on (beyond built-ins).
-    regions: List[RegionSpec] = field(default_factory=list)
-    #: Run the gossip membership / SWIM failure-detection protocol on
-    #: every node (see :mod:`repro.membership`).
-    membership: bool = False
-    #: Let rostering consume gossip verdicts: a master will not admit a
-    #: node its membership view has declared DEAD.  Requires membership.
-    membership_liveness: bool = False
-
-    def __post_init__(self) -> None:
-        check_ring_shape(self.n_nodes, self.n_switches, self.fiber_m)
+__all__ = ["AmpNetCluster", "gossip_overhead"]
 
 
 def gossip_overhead(nodes: Iterable[AmpNode]) -> Dict[str, float]:
@@ -106,68 +79,59 @@ class AmpNetCluster:
         n_switches: int = 4,
         fiber_m: float = 50.0,
         seed: int = 0,
-        config: Optional[ClusterConfig] = None,
+        *,
+        trace: bool = True,
+        flow: Optional[FlowControlConfig] = None,
+        regions: Sequence[RegionSpec] = (),
+        membership: bool = False,
+        membership_liveness: bool = False,
         sim: Optional[Simulator] = None,
         tracer: Optional[Tracer] = None,
         convergence: Optional[ConvergenceTracker] = None,
     ):
-        shape = dict(
-            n_nodes=n_nodes, n_switches=n_switches, fiber_m=fiber_m, seed=seed
-        )
-        if config is None:
-            config = ClusterConfig(**shape)
-        else:
-            # ``config`` is the whole description; a shape argument given
-            # beside it would be dropped without a word.
-            defaults = ClusterConfig()
-            ignored = [
-                f"{name}={value!r}" for name, value in shape.items()
-                if value != getattr(defaults, name)
-            ]
-            if ignored:
-                raise ValueError(
-                    f"{', '.join(ignored)} would be ignored: config= already "
-                    "describes the cluster (set the field on the ClusterConfig)"
-                )
-        self.config = config
+        """A ring of ``n_nodes`` nodes on ``n_switches`` switches over
+        ``fiber_m``-metre fibres (slide 14's defaults).
+
+        ``flow`` is every node's insertion flow control; ``regions`` are
+        the cache regions every node defines at power-on (beyond the
+        built-ins).  ``membership`` runs the gossip membership / SWIM
+        failure detector on every node (see :mod:`repro.membership`);
+        ``membership_liveness`` lets rostering consume its verdicts — a
+        master will not admit a node its view has declared DEAD.
+        """
+        if membership_liveness and not membership:
+            raise ValueError("membership_liveness requires membership=True")
         # Segments joined by a router (slide 15) share one simulator —
         # and one tracer with its one convergence tracker, so a routed
         # cluster's timeline digests cover every segment in one stream
         # (see repro.routing.RoutedCluster).
-        self.sim = sim if sim is not None else Simulator(seed=config.seed)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=config.trace)
+        self.sim = sim if sim is not None else Simulator(seed=seed)
+        self.tracer = tracer if tracer is not None else Tracer(enabled=trace)
         #: convergence metrics over membership trace records (it only
         #: sees records when membership is on)
         self.convergence = convergence or ConvergenceTracker(self.tracer)
         self.topology: PhysicalTopology = build_switched(
-            self.sim, config.n_nodes, config.n_switches, config.fiber_m,
-            tracer=self.tracer,
+            self.sim, n_nodes, n_switches, fiber_m, tracer=self.tracer,
         )
-        self.tour_estimate_ns = ring_tour_estimate_ns(
-            config.n_nodes, config.fiber_m
-        )
+        self.tour_estimate_ns = ring_tour_estimate_ns(n_nodes, fiber_m)
+        self.regions = tuple(regions)
+        self.membership = membership
+        self.membership_liveness = membership_liveness
 
         self.nodes: Dict[int, AmpNode] = {}
         self.kernels: Dict[int, AmpDK] = {}
         self.control_groups: Dict[str, Dict[int, ControlGroup]] = {}
-        if config.membership_liveness and not config.membership:
-            raise ValueError("membership_liveness requires membership=True")
         # Every timing below follows from the ring the nodes find
         # themselves on: gossip periods and heartbeat cadence scale with
         # ring capacity (see gossip_timing / heartbeat_schedule), and the
         # rostering report window is one tour estimate.
-        self._membership_cfg = gossip_timing(config.n_nodes, self.tour_estimate_ns)
-        schedule = heartbeat_schedule(config.n_nodes, self.tour_estimate_ns)
-        node_cfg = replace(
-            config.node,
-            roster=replace(
-                config.node.roster, report_window_ns=self.tour_estimate_ns
-            ),
-        )
+        self._membership_cfg = gossip_timing(n_nodes, self.tour_estimate_ns)
+        schedule = heartbeat_schedule(n_nodes, self.tour_estimate_ns)
         for node_id in self.topology.node_ids:
             node = AmpNode(
                 self.sim, node_id, self.topology.ports_of(node_id),
-                node_cfg, self.tracer,
+                flow=flow, report_window_ns=self.tour_estimate_ns,
+                tracer=self.tracer,
             )
             node.agent.switch_configurator = self._configure_switches
             self.nodes[node_id] = node
@@ -190,9 +154,9 @@ class AmpNetCluster:
         node.refresh = RefreshService(node)
         node.sems = SemaphoreService(node)
         node.assimilation = AssimilationTracker(node)
-        if self.config.membership:
+        if self.membership:
             node.membership = GossipProtocol(node, self._membership_cfg)
-            if self.config.membership_liveness:
+            if self.membership_liveness:
                 node.agent.liveness_filter = node.membership.considers_live
         # First boot: every replica is identically empty, hence warm.
         node.refresh.warm = True
@@ -203,7 +167,7 @@ class AmpNetCluster:
         an update the DMA engine was mid-way through applying finishes
         on the dead replica, never in the new one."""
         node.cache = NetworkCache(self.sim, node.node_id)
-        for spec in self.config.regions:
+        for spec in self.regions:
             node.cache.define_region(spec, announce=False)
 
     # ------------------------------------------------------------ lifecycle
@@ -385,7 +349,7 @@ class AmpNetCluster:
     def membership_converged(self, dead=frozenset()) -> bool:
         """True when every live node's gossip view matches reality: each
         node in ``dead`` is marked DEAD and no live node is."""
-        if not self.config.membership:
+        if not self.membership:
             raise SimulationError("cluster built without membership=True")
         dead = set(dead)
         live = [n for n in self.live_nodes() if n.membership is not None]

@@ -11,11 +11,9 @@ Enable per cluster (there is nothing to tune: the period and the
 detector windows follow from the ring's size and tour time, see
 :func:`gossip_timing`)::
 
-    from repro import AmpNetCluster, ClusterConfig
+    from repro import AmpNetCluster
 
-    cluster = AmpNetCluster(config=ClusterConfig(
-        n_nodes=16, n_switches=2, membership=True,
-    ))
+    cluster = AmpNetCluster(n_nodes=16, n_switches=2, membership=True)
 
 On router-joined clusters (:mod:`repro.routing`) gossip stays
 per-segment, but each verdict also fires the gateway's

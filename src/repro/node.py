@@ -13,17 +13,16 @@ other MicroPacket types are ring traffic handled by the MAC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from .micropacket import MicroPacket, MicroPacketType
 from .phys import Port
 from .phys.frame import Frame
 from .ring import FlowControlConfig, RingMAC
-from .rostering import AgentState, Roster, RosterAgent, RosterConfig
+from .rostering import AgentState, Roster, RosterAgent
 from .sim import NULL_TRACER, Simulator, Tracer
 
-__all__ = ["AmpNode", "NodeConfig", "BOOT_DELAY_NS"]
+__all__ = ["AmpNode", "BOOT_DELAY_NS"]
 
 #: Plain-int mirror for the per-frame dispatch test.
 _ROSTERING = int(MicroPacketType.ROSTERING)
@@ -31,14 +30,6 @@ _ROSTERING = int(MicroPacketType.ROSTERING)
 #: AmpDK boot time before the node first seeks a ring (slide 17:
 #: "instantly self-boots" — tens of microseconds of firmware).
 BOOT_DELAY_NS = 20_000
-
-
-@dataclass
-class NodeConfig:
-    """Per-node configuration bundle."""
-
-    flow: FlowControlConfig = field(default_factory=FlowControlConfig)
-    roster: RosterConfig = field(default_factory=RosterConfig)
 
 
 class AmpNode:
@@ -49,19 +40,19 @@ class AmpNode:
         sim: Simulator,
         node_id: int,
         ports: List[Port],
-        config: Optional[NodeConfig] = None,
+        flow: Optional[FlowControlConfig] = None,
+        report_window_ns: int = 100_000,
         tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.node_id = node_id
         self.ports = ports
-        self.config = config or NodeConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.name = f"node-{node_id}"
         self.failed = False
 
-        self.mac = RingMAC(sim, node_id, ports, self.config.flow, self.tracer)
-        self.agent = RosterAgent(sim, node_id, ports, self.config.roster, self.tracer)
+        self.mac = RingMAC(sim, node_id, ports, flow, self.tracer)
+        self.agent = RosterAgent(sim, node_id, ports, report_window_ns, self.tracer)
         self.agent.on_installed = self._roster_installed
         self.agent.on_ring_down = self._ring_down
 

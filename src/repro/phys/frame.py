@@ -10,12 +10,12 @@ corrupted frames are counted and discarded on receive, never delivered.
 
 Frames are ``__slots__`` dataclasses touched on every hop of every tour,
 so their protocol state (``hops`` read/written per hop — ~256 times per
-frame on a 128-node tour — plus the messenger's ``msg_tag`` and the
-diagnostic ``origin_mac``) lives in fixed fields rather than a metadata
-dict, whose churn used to dominate the MAC receive path.  (An earlier
-revision also appended every traversed device to a ``path`` tuple — an
-O(tour²) cost per frame that nothing consumed; reconstruct paths from
-the tracer if a debugging session ever needs them.)
+frame on a 128-node tour — plus the messenger's ``msg_tag``) lives in
+fixed fields rather than a metadata dict, whose churn used to dominate
+the MAC receive path.  (An earlier revision also appended every
+traversed device to a ``path`` tuple — an O(tour²) cost per frame that
+nothing consumed; reconstruct paths from the tracer if a debugging
+session ever needs them.)
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class Frame:
     inserted_at: Optional[int] = None
     #: Ring hops since insertion (maintained by the MAC; orphan scrub).
     hops: int = 0
-    #: Node id of the MAC that inserted the frame.
-    origin_mac: Optional[int] = None
     #: Reliable-messenger tag ``(transfer_id, offset)`` for tour-as-ack
     #: confirmation; None for everything that is not a messenger fragment.
     msg_tag: Optional[Tuple[int, int]] = None

@@ -187,7 +187,6 @@ class RingMAC:
     def send(self, packet: MicroPacket) -> Frame:
         """Queue a locally originated packet for insertion."""
         frame = frame_for(packet)
-        frame.origin_mac = self.node_id
         if packet.flags & Flags.PRIORITY:
             self._priority_insertion.append(frame)
         else:

@@ -3,7 +3,7 @@
 The self-healing heart of AmpNet (slides 13-16).
 """
 
-from .agent import AgentState, RosterAgent, RosterConfig
+from .agent import AgentState, RosterAgent
 from .roster import Roster, RosterError, compute_roster
 from .wire import (
     CommitAssembler,
@@ -25,7 +25,6 @@ __all__ = [
     "Phase",
     "Roster",
     "RosterAgent",
-    "RosterConfig",
     "RosterError",
     "RosterMessage",
     "compute_roster",

@@ -32,7 +32,6 @@ the slide-16 claim bench F7 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,7 +50,7 @@ from .wire import (
     encode_report,
 )
 
-__all__ = ["RosterAgent", "RosterConfig", "AgentState"]
+__all__ = ["RosterAgent", "AgentState"]
 
 #: How long a non-master waits for a commit before escalating (and a
 #: joiner for an answer before rostering alone), in report windows.
@@ -74,16 +73,6 @@ class AgentState(Enum):
     OPERATIONAL = auto()  # roster installed, ring carrying traffic
 
 
-@dataclass
-class RosterConfig:
-    """Per-node rostering parameters."""
-
-    #: Report collection window — one estimated ring-tour time.
-    report_window_ns: int = 100_000
-    #: Protocol version advertised in reports (assimilation, slide 17).
-    version: tuple = (1, 0)
-
-
 class RosterAgent:
     """Rostering state machine for one node."""
 
@@ -92,13 +81,16 @@ class RosterAgent:
         sim: Simulator,
         node_id: int,
         ports: List[Port],
-        config: Optional[RosterConfig] = None,
+        report_window_ns: int,
         tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.node_id = node_id
         self.ports = ports
-        self.config = config or RosterConfig()
+        #: report collection window — one estimated ring-tour time
+        self.report_window_ns = report_window_ns
+        #: protocol version advertised in reports (assimilation, slide 17)
+        self.version = (1, 0)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.name = f"roster-{node_id}"
 
@@ -172,7 +164,7 @@ class RosterAgent:
         self._flood(frame_for(encode_join(self.node_id)))
         # If nobody answers (we are first up), trigger our own round.
         self.sim.call_in(
-            int(self.config.report_window_ns * COMMIT_TIMEOUT_FACTOR),
+            int(self.report_window_ns * COMMIT_TIMEOUT_FACTOR),
             self._join_fallback,
         )
 
@@ -218,7 +210,7 @@ class RosterAgent:
             self._explored = 1 << self.node_id
             self._flood(frame_for(encode_explore(self.node_id, round_no)))
         self._emit_report()
-        window = self.config.report_window_ns
+        window = self.report_window_ns
         self.sim.call_in(window, lambda: self._decide(round_no))
         self.sim.call_in(
             int(window * COMMIT_TIMEOUT_FACTOR),
@@ -230,7 +222,7 @@ class RosterAgent:
             self.node_id,
             self.round_no,
             self.live_port_bitmap(),
-            version=self.config.version,
+            version=self.version,
         )
         self._reports[self.node_id] = decode(report)
         self._reported |= 1 << self.node_id
@@ -363,18 +355,18 @@ class RosterAgent:
         if not self.is_master:
             return  # wait for the master's commit (or the timeout)
         admissible = self._admissible_reports()
-        computed = compute_roster(self.round_no, self._attachment(admissible))
-        if computed is None:
+        members = compute_roster(self._attachment(admissible))
+        if members is None:
             # Totally isolated (all fibres dark): run as a singleton ring
             # so local applications and the cache replica stay alive —
             # "nodes can leave and the data is intact" (slide 2).
             self.counters.incr("isolated_singleton")
             self._install([self.node_id])
             return
-        # Normalize hop switches with the shared deterministic rule so the
+        # Hop switches come from the shared deterministic rule, so the
         # switch maps the master installs match the tx ports every member
         # derives at install time.
-        roster = self._normalized_roster(computed.members, admissible)
+        roster = self._normalized_roster(members, admissible)
         if roster is None:  # pragma: no cover - master has the reports
             self.counters.incr("empty_roster")
             self.state = AgentState.DOWN

@@ -156,43 +156,31 @@ def _build_ring(
     chain: Sequence[int],
     bridges: Sequence[int],
     attachment: Dict[int, Set[int]],
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Lay out members and hop switches for a bridged switch chain.
+) -> Tuple[int, ...]:
+    """Lay out the members of a bridged switch chain in ring order.
 
     Segment *i* consists of nodes assigned to switch ``chain[i]`` ending
-    with bridge ``bridges[i]``; the hop off the bridge into the next
-    segment travels via ``chain[i+1]``.
+    with bridge ``bridges[i]``, whose hop into the next segment travels
+    via ``chain[i+1]``.
     """
-    k = len(chain)
     assigned: Set[int] = set(bridges)
-    segments: List[List[int]] = []
+    members: List[int] = []
     for i, sw in enumerate(chain):
         seg = [n for n in sorted(attachment[sw]) if n not in assigned]
         assigned |= set(seg)
-        segments.append(seg + [bridges[i]])
-
-    members: List[int] = []
-    hop_switches: List[int] = []
-    for i, seg in enumerate(segments):
-        for j, node in enumerate(seg):
-            members.append(node)
-            last_of_segment = j == len(seg) - 1
-            hop_switches.append(chain[(i + 1) % k] if last_of_segment else chain[i])
-    return tuple(members), tuple(hop_switches)
+        members += seg
+        members.append(bridges[i])
+    return tuple(members)
 
 
-def compute_roster(
-    round_no: int, attachment: Dict[int, Set[int]]
-) -> Optional[Roster]:
-    """Compute the largest constructible logical ring.
+def compute_roster(attachment: Dict[int, Set[int]]) -> Optional[Tuple[int, ...]]:
+    """The members of the largest constructible logical ring, in ring
+    order.
 
-    Parameters
-    ----------
-    round_no:
-        Rostering round this roster belongs to.
-    attachment:
-        switch id -> set of node ids with live fibres to that switch
-        (as collected from REPORT cells).
+    ``attachment`` is switch id -> set of node ids with live fibres to
+    that switch (as collected from REPORT cells).  Consecutive members
+    always share a live switch; which one each hop crosses is
+    :func:`hop_switches`' rule, the one every member derives too.
 
     Switch chains are bounded at ``2 * live switches`` long, enough to
     bridge any union-of-cliques arrangement of at most four switches.
@@ -208,7 +196,7 @@ def compute_roster(
 
     # Singleton degenerate ring (a lone survivor keeps its cache warm).
     if len(all_nodes) == 1:
-        return Roster(round_no, (next(iter(all_nodes)),), ())
+        return (next(iter(all_nodes)),)
 
     switch_ids = sorted(live)
     cap = 2 * len(switch_ids)
@@ -254,16 +242,12 @@ def compute_roster(
     if best is None:
         # No switch with >= 2 nodes and no bridgeable chain: fall back to
         # the largest clique even if it is a single node.
-        node = min(all_nodes)
-        return Roster(round_no, (node,), ())
+        return (min(all_nodes),)
 
     _negcov, _k, chain, bridges = best
     if not bridges:  # single-switch ring
-        sw = chain[0]
-        members = tuple(sorted(live[sw]))
-        return Roster(round_no, members, tuple([sw] * len(members)))
-    members, hops = _build_ring(chain, bridges, live)
-    return Roster(round_no, members, hops)
+        return tuple(sorted(live[chain[0]]))
+    return _build_ring(chain, bridges, live)
 
 
 def hop_switches(

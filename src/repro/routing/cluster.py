@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from ..cluster import AmpNetCluster, ClusterConfig, gossip_overhead
+from ..cluster import AmpNetCluster, gossip_overhead
 from ..micropacket import BROADCAST, MAX_SEGMENT
 from ..phys import check_ring_shape
 from ..sim import ConvergenceTracker, Simulator, Tracer
@@ -316,15 +316,9 @@ class RoutedCluster:
 
         for si, seg in enumerate(topology.segments):
             sub = AmpNetCluster(
-                config=ClusterConfig(
-                    n_nodes=members[si],
-                    n_switches=seg.n_switches,
-                    fiber_m=seg.fiber_m,
-                    seed=seed,
-                    trace=trace,
-                    membership=membership,
-                    membership_liveness=membership_liveness,
-                ),
+                members[si], seg.n_switches, seg.fiber_m,
+                membership=membership,
+                membership_liveness=membership_liveness,
                 sim=self.sim,
                 tracer=self.tracer,
                 convergence=self.convergence,

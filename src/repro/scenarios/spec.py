@@ -28,7 +28,7 @@ from ..caching import (
     DEFAULT_CONTENT_CHANNEL,
     EVICTION_POLICIES,
 )
-from ..cluster import AmpNetCluster, ClusterConfig
+from ..cluster import AmpNetCluster
 from ..faults import FaultKind, FaultSchedule
 from ..micropacket import BROADCAST
 from ..routing import RoutedCluster, RouterConfig, TopologySpec
@@ -441,13 +441,8 @@ class ScenarioSpec:
         if topology.multi_segment:
             return RoutedCluster(topology, seed=seed, **gossip)
         return AmpNetCluster(
-            config=ClusterConfig(
-                n_nodes=topology.n_nodes,
-                n_switches=topology.n_switches,
-                fiber_m=topology.fiber_m,
-                seed=seed,
-                **gossip,
-            )
+            topology.n_nodes, topology.n_switches, topology.fiber_m, seed,
+            **gossip,
         )
 
     def fault_schedules(

@@ -58,12 +58,13 @@ _PENDING = object()
 class Callback:
     """Allocation-light schedule entry: a callable and its arguments.
 
-    Compared to a :class:`Timeout` plus an appended closure it skips the
-    callback list, the wrapper lambda and the ``succeed`` bookkeeping
-    entirely.  Instances cannot be waited on — processes must keep
-    yielding real events — so they carry no trigger state at all, and
-    the kernel's ``run()`` loop fires them on a branch of their own
-    (nothing ever observes a failure on a Callback: an exception in
+    Every schedule entry has this shape — the kernel's ``run()`` loop
+    fires any entry as ``entry.fn(*entry.args)`` — and this is the
+    slimmest: compared to a :class:`Timeout` plus an appended closure it
+    skips the callback list, the wrapper lambda and the ``succeed``
+    bookkeeping entirely.  Instances cannot be waited on — processes
+    must keep yielding real events — so they carry no trigger state at
+    all (nothing ever observes a failure on a Callback: an exception in
     ``fn`` propagates out of the event loop exactly as an unhandled
     callback error always did).
 
@@ -89,9 +90,13 @@ class Event:
     An event may succeed with a value or fail with an exception.  Waiting
     processes receive the value as the result of their ``yield`` (or have
     the exception raised at the yield point).
+
+    A triggered event sits on the schedule as a :class:`Callback`-shaped
+    entry: the kernel sets ``fn``/``args`` to :meth:`_fire` when it
+    enqueues the event.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "processed", "fn", "args")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -155,13 +160,18 @@ class Event:
             self.fail(event._value)
 
     # -- internal ----------------------------------------------------------
-    def _process(self) -> None:
-        """Run callbacks; called exactly once by the kernel."""
+    def _fire(self) -> None:
+        """Run callbacks; fired exactly once, as the event's schedule
+        entry.  A failure no callback was there to observe aborts the
+        run: a firmware process cannot die silently."""
+        self.fn = None  # the bound method referenced the event itself
         self.processed = True
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
             for cb in callbacks:
                 cb(self)
+        elif not self._ok:
+            raise self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -227,9 +237,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._interrupts: List[Interrupt] = []
         # Bootstrap: resume the generator at time now (same-timestep).
-        boot = Event(sim)
-        boot.callbacks.append(self._resume)
-        boot.succeed(None)
+        sim.call_in(0, self._resume, None)
 
     @property
     def is_alive(self) -> bool:
@@ -253,12 +261,10 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        wake = Event(self.sim)
-        wake.callbacks.append(self._resume)
-        wake.succeed(None)
+        self.sim.call_in(0, self._resume, None)
 
     # -- driving the generator ----------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Optional[Event]) -> None:
         sim = self.sim
         try:
             while True:

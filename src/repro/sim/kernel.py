@@ -34,9 +34,12 @@ out does — and ring bring-up posts over half its entries more than
 scheduler").
 
 The run loop pops the earliest instant, takes its slot out of the dict
-and fires it.  Anything posted at that instant while the slot fires
-lands in a fresh slot for the same instant, which the heap yields right
-after.  So entries fire in ``(time, submission order)`` — what a
+and fires it.  Every entry has one shape — a
+:class:`~repro.sim.events.Callback`, or an :class:`Event` the kernel
+pointed at its own fire when it enqueued it — so firing one is always
+``entry.fn(*entry.args)``.  Anything posted at that instant while the
+slot fires lands in a fresh slot for the same instant, which the heap
+yields right after.  So entries fire in ``(time, submission order)`` — what a
 ``(time, seq)`` heap does, pinned by the golden-trace digests and by the
 reference heap in ``tests/property/test_scheduler_reference.py``.
 
@@ -180,7 +183,10 @@ class Simulator:
             self._spills += 1
 
     def _enqueue(self, event: Event, delay: int = 0) -> None:
-        """Put a triggered event on the schedule (kernel internal)."""
+        """Put a triggered event on the schedule (kernel internal): it
+        fires like any entry, ``event.fn(*event.args)``."""
+        event.fn = event._fire
+        event.args = ()
         self._post(self._now + delay, event)
 
     def _requeue(self, time: int, unfired: List[Any]) -> None:
@@ -230,7 +236,6 @@ class Simulator:
         instants = self._instants
         take = self._slots.pop
         observer = self.on_event
-        callback_type = Callback
         processed = 0
         try:
             while instants:
@@ -246,14 +251,7 @@ class Simulator:
                     processed += 1
                     if observer is not None:
                         observer(held)
-                    if type(held) is callback_type:
-                        held.fn(*held.args)
-                        continue
-                    had_waiters = bool(held.callbacks)
-                    held._process()
-                    if not held._ok and not had_waiters:
-                        # A failure nobody observed: surface it.
-                        raise held._value
+                    held.fn(*held.args)
                     continue
                 i = 0
                 try:
@@ -261,13 +259,7 @@ class Simulator:
                         i += 1
                         if observer is not None:
                             observer(entry)
-                        if type(entry) is callback_type:
-                            entry.fn(*entry.args)
-                            continue
-                        had_waiters = bool(entry.callbacks)
-                        entry._process()
-                        if not entry._ok and not had_waiters:
-                            raise entry._value
+                        entry.fn(*entry.args)
                 except BaseException:
                     # Keep the not-yet-fired entries at this instant so a
                     # later run() resumes exactly where this one stopped.

@@ -223,7 +223,6 @@ class Messenger:
         dst: Union[int, GlobalAddress],
         payload: bytes,
         channel: int = Channel.GENERAL,
-        broadcast_scope: str = "segment",
     ) -> MessageHandle:
         """Queue a reliable message; the handle's event fires on confirm.
 
@@ -238,24 +237,9 @@ class Messenger:
         router holds it); end-to-end progress is then the routing
         layer's store-and-forward responsibility.
 
-        Broadcasts stop at the segment edge by default.  The explicit
-        opt-in ``broadcast_scope="cluster"`` (routed clusters only,
-        ``dst == BROADCAST``) marks the transfer cluster-scoped: the
-        segment routers fan it out over the spanning tree so every node
-        of every segment receives it exactly once (origin-keyed dedup
-        suppresses any transient extra copies).
+        Broadcasts stop at the segment edge; one that should reach every
+        segment is a :meth:`send_cluster_broadcast`.
         """
-        if broadcast_scope not in ("segment", "cluster"):
-            raise ValueError(
-                f"broadcast_scope must be 'segment' or 'cluster', "
-                f"got {broadcast_scope!r}"
-            )
-        if broadcast_scope == "cluster":
-            if dst != BROADCAST:
-                raise ValueError(
-                    "broadcast_scope='cluster' requires dst=BROADCAST"
-                )
-            return self.send_cluster_broadcast(payload, channel)
         if isinstance(dst, tuple):
             return self.send_global(dst, payload, channel)
         return self._send_fragments(dst, payload, channel, None, None)

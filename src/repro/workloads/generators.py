@@ -384,13 +384,14 @@ class AllToAllBroadcast(Workload):
 class ClusterBroadcastStream(Workload):
     """One node floods the whole routed cluster over the spanning tree.
 
-    Each of the ``count`` broadcasts is sent with the explicit
-    ``broadcast_scope="cluster"`` opt-in: the frame tours the source's
-    ring like any broadcast, and the segment routers re-originate it
-    into every other segment exactly once (converged tree; origin-keyed
-    dedup absorbs pre-convergence transients).  Every *other* node of
-    the cluster — gateway nodes included — counts each flood once, so
-    :meth:`expected_deliveries` is ``count * (n_nodes - 1)``.
+    Each of the ``count`` broadcasts is a
+    :meth:`~repro.transport.Messenger.send_cluster_broadcast`: the frame
+    tours the source's ring like any broadcast, and the segment routers
+    re-originate it into every other segment exactly once (converged
+    tree; origin-keyed dedup absorbs pre-convergence transients).  Every
+    *other* node of the cluster — gateway nodes included — counts each
+    flood once, so :meth:`expected_deliveries` is
+    ``count * (n_nodes - 1)``.
     """
 
     def __init__(
@@ -445,9 +446,7 @@ class ClusterBroadcastStream(Workload):
             payload = seq.to_bytes(8, "little")
             self.tx_times.append(sim.now)
             self._sent_at[payload[:8]] = sim.now
-            messenger.send(
-                BROADCAST, payload, self.channel, broadcast_scope="cluster"
-            )
+            messenger.send_cluster_broadcast(payload, self.channel)
             self.stats.offered += 1
             yield sim.timeout(max(0, self.interval_ns))
 

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.kernel.ampdk import HEARTBEAT_CHANNEL
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 from repro.services import AmpFiles
 
 
 def make_cluster(n_nodes=4, n_switches=2, **kw):
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=n_nodes,
-                                                 n_switches=n_switches, **kw))
+    cluster = AmpNetCluster(n_nodes=n_nodes, n_switches=n_switches, **kw)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

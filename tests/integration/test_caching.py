@@ -21,7 +21,7 @@ from repro.caching import (
     encode_write,
     origin_body,
 )
-from repro.cluster import AmpNetCluster, ClusterConfig
+from repro.cluster import AmpNetCluster
 from repro.routing import RoutedCluster, RouterConfig
 from repro.scenarios import (
     CacheSpec,
@@ -38,9 +38,7 @@ CH = DEFAULT_CONTENT_CHANNEL
 
 
 def ring(n_nodes=6, seed=7):
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=n_nodes, n_switches=2, seed=seed)
-    )
+    cluster = AmpNetCluster(n_nodes=n_nodes, n_switches=2, seed=seed)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 
 
@@ -24,8 +24,7 @@ def test_cluster_builds_the_network_and_nothing_else(membership, stack_channels)
     """Applications attach themselves: a built node listens on the
     cache channels (and gossip's when configured) and has no slot for
     AmpDC, AmpFiles, AmpIP, AmpSubscribe or AmpThreads."""
-    cluster = AmpNetCluster(config=ClusterConfig(
-        n_nodes=3, n_switches=1, membership=membership))
+    cluster = AmpNetCluster(n_nodes=3, n_switches=1, membership=membership)
     for node in cluster.nodes.values():
         assert [
             channel
@@ -227,15 +226,14 @@ def test_double_cut_heals_to_threaded_two_switch_roster():
     roster.validate_against(cluster.topology.live_attachment())
 
 
-def test_shape_arguments_beside_a_config_raise_instead_of_vanishing():
-    """Regression: ``AmpNetCluster(n_nodes=12, seed=9, config=...)``
-    built the config's six nodes at seed 0 without a word."""
-    config = ClusterConfig(n_switches=2)
-    with pytest.raises(ValueError, match=r"n_nodes=12, seed=9"):
-        AmpNetCluster(n_nodes=12, seed=9, config=config)
-    for ignored in ({"n_switches": 3}, {"fiber_m": 10.0}):
-        with pytest.raises(ValueError, match=next(iter(ignored))):
-            AmpNetCluster(config=config, **ignored)
-    # Either form alone still builds what it says.
-    assert len(AmpNetCluster(config=config).nodes) == 6
-    assert len(AmpNetCluster(n_nodes=12, n_switches=2).nodes) == 12
+def test_a_cluster_is_described_by_its_keywords_alone():
+    """Regression: a settings bag beside the shape arguments
+    (``AmpNetCluster(n_nodes=12, seed=9, config=...)``) once built the
+    bag's six nodes at seed 0 without a word.  There is no bag now, so
+    there is nothing for an argument to lose to."""
+    with pytest.raises(TypeError, match="config"):
+        AmpNetCluster(n_nodes=12, config=None)
+    cluster = AmpNetCluster(n_nodes=12, n_switches=2, fiber_m=10.0)
+    assert len(cluster.nodes) == 12
+    assert len(cluster.topology.switches) == 2
+    assert cluster.topology.fiber_m == 10.0

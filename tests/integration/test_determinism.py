@@ -10,15 +10,13 @@ layer draws jitter and partner choices from the seeded streams, so a
 different master seed must produce a different gossip timeline).
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.faults import FaultSchedule
 
 
 def run_scenario(seed: int):
     cluster = AmpNetCluster(
-        config=ClusterConfig(
-            n_nodes=8, n_switches=2, seed=seed, membership=True,
-        )
+        n_nodes=8, n_switches=2, seed=seed, membership=True,
     )
     cluster.start()
     cluster.run_until_ring_up()

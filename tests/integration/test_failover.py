@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.hostapi import (
     APP_REGION,
     AmpDC,
@@ -16,8 +16,7 @@ from repro.kernel import ControlGroupConfig
 
 
 def make_cluster(n_nodes=6, n_switches=4, **kw):
-    cfg = ClusterConfig(n_nodes=n_nodes, n_switches=n_switches, **kw)
-    cluster = AmpNetCluster(config=cfg)
+    cluster = AmpNetCluster(n_nodes=n_nodes, n_switches=n_switches, **kw)
     cluster.start()
     return cluster
 

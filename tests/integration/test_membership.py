@@ -10,7 +10,7 @@ churn via the flap and partition fault actions.
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.faults import FaultSchedule
 from repro.membership import PeerStatus
 from repro.membership.wire import ENTRY_BYTES
@@ -19,9 +19,7 @@ from repro.transport import Channel
 
 def make_cluster(n_nodes=16, seed=42, **kwargs):
     cluster = AmpNetCluster(
-        config=ClusterConfig(
-            n_nodes=n_nodes, n_switches=2, seed=seed, membership=True, **kwargs
-        )
+        n_nodes=n_nodes, n_switches=2, seed=seed, membership=True, **kwargs
     )
     cluster.start()
     cluster.run_until_ring_up()
@@ -171,9 +169,7 @@ def test_roster_consumes_membership_verdicts():
 
 def test_membership_liveness_requires_membership():
     with pytest.raises(ValueError, match="membership_liveness"):
-        AmpNetCluster(
-            config=ClusterConfig(n_nodes=4, n_switches=2, membership_liveness=True)
-        )
+        AmpNetCluster(n_nodes=4, n_switches=2, membership_liveness=True)
 
 
 def test_malformed_membership_traffic_is_counted_and_dropped():

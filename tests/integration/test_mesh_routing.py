@@ -74,8 +74,7 @@ def test_cluster_broadcast_reaches_every_segment_exactly_once():
     got = Counter()
     for addr, node in cluster.nodes.items():
         node.messenger.on_message(CH, lambda s, d, c, a=addr: got.update([a]))
-    cluster.nodes[(0, 1)].messenger.send(
-        BROADCAST, b"all-areas", CH, broadcast_scope="cluster")
+    cluster.nodes[(0, 1)].messenger.send_cluster_broadcast(b"all-areas", CH)
     cluster.run(until=cluster.sim.now + 60 * cluster.tour_estimate_ns)
 
     # Every node in every segment hears it exactly once; the sender's

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.services import (
     AmpFiles,
     AmpIP,
@@ -14,8 +14,7 @@ from repro.services import (
 
 
 def make_cluster(n_nodes=4, n_switches=2, **kw):
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=n_nodes,
-                                                 n_switches=n_switches, **kw))
+    cluster = AmpNetCluster(n_nodes=n_nodes, n_switches=n_switches, **kw)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

@@ -1,12 +1,12 @@
 """Integration: the availability-timeline report over a failover run."""
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis.timeline import availability_timeline, render_timeline
 from repro.faults import FaultSchedule
 
 
 def test_timeline_captures_failover_story_in_order():
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=6, n_switches=4))
+    cluster = AmpNetCluster(n_nodes=6, n_switches=4)
     cluster.start()
     cluster.run_until_ring_up()
     t0 = cluster.sim.now
@@ -37,7 +37,7 @@ def test_timeline_captures_failover_story_in_order():
 
 
 def test_timeline_dedupes_per_round_events():
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=2))
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2)
     cluster.start()
     cluster.run_until_ring_up()
     events = availability_timeline(cluster)
@@ -46,7 +46,7 @@ def test_timeline_dedupes_per_round_events():
 
 
 def test_render_timeline_formats():
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=2))
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2)
     cluster.start()
     cluster.run_until_ring_up()
     text = render_timeline(availability_timeline(cluster), title="T")

@@ -3,7 +3,7 @@ network semaphores — the slide 9/10/18 machinery end to end."""
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.netcache import RegionSpec
 from repro.micropacket import BROADCAST
 from repro.transport import Channel
@@ -15,10 +15,9 @@ REGIONS = [RegionSpec(region_id=1, name="state", n_records=32, record_size=64)]
 
 
 def make_cluster(n_nodes=4, n_switches=2, **kw):
-    cfg = ClusterConfig(
-        n_nodes=n_nodes, n_switches=n_switches, regions=list(REGIONS), **kw
+    cluster = AmpNetCluster(
+        n_nodes=n_nodes, n_switches=n_switches, regions=REGIONS, **kw
     )
-    cluster = AmpNetCluster(config=cfg)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

@@ -15,7 +15,7 @@ patterns and check the properties the paper stakes its claims on:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis import ring_drop_count
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 from repro.services import AmpFiles
@@ -28,9 +28,7 @@ SLOW = settings(
 
 
 def fresh_cluster(n_nodes, n_switches, seed):
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=n_nodes, n_switches=n_switches, seed=seed)
-    )
+    cluster = AmpNetCluster(n_nodes=n_nodes, n_switches=n_switches, seed=seed)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster
@@ -163,9 +161,7 @@ def test_gossip_membership_is_accurate_and_complete_for_any_crash(
     victim DEAD) and *accuracy* (no survivor ends up marked DEAD)."""
     victim = victim_raw % n_nodes
     cluster = AmpNetCluster(
-        config=ClusterConfig(
-            n_nodes=n_nodes, n_switches=2, seed=seed, membership=True
-        )
+        n_nodes=n_nodes, n_switches=2, seed=seed, membership=True
     )
     cluster.start()
     cluster.run_until_ring_up()

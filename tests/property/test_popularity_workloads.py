@@ -17,7 +17,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.workloads import (
     TraceReplayStream,
     ZipfStream,
@@ -34,9 +34,7 @@ SLOW = settings(
 
 
 def make_cluster(seed):
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=4, n_switches=2, seed=seed)
-    )
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2, seed=seed)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

@@ -19,7 +19,6 @@ from repro.phys.frame import frame_for
 from repro.rostering import (
     AgentState,
     Phase,
-    RosterConfig,
     encode_explore,
     encode_join,
     encode_report,
@@ -78,7 +77,7 @@ class ParentRuleAgent(RosterAgent):
 def make(cls, start_round: int):
     sim = Simulator()
     ports = [FakePort(0), FakePort(1)]
-    agent = cls(sim, NODE, ports, RosterConfig(report_window_ns=WINDOW_NS))
+    agent = cls(sim, NODE, ports, WINDOW_NS)
     agent.round_no = start_round
     agent.trigger("test")
     return sim, agent, ports

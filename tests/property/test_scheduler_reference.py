@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import repro.cluster
 from repro.scenarios import ScenarioRunner, get_scenario, run_scenario
-from repro.sim import Callback, Simulator
+from repro.sim import Simulator
 
 #: the kernel's reporting lap (``scheduler_stats()["wheel_slots"]``);
 #: delays are drawn to straddle its boundaries.
@@ -63,13 +63,7 @@ class HeapSimulator(Simulator):
             self.events_processed += 1
             if self.on_event is not None:
                 self.on_event(entry)
-            if type(entry) is Callback:
-                entry.fn(*entry.args)
-                continue
-            had_waiters = bool(entry.callbacks)
-            entry._process()
-            if not entry._ok and not had_waiters:
-                raise entry._value
+            entry.fn(*entry.args)
         if stop is not None:
             self._now = stop
 

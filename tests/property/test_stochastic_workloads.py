@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import random
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.workloads import (
     BurstStream,
     InhomogeneousPoissonStream,
@@ -33,9 +33,7 @@ SLOW = settings(
 
 
 def make_cluster(seed):
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=4, n_switches=2, seed=seed)
-    )
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2, seed=seed)
     cluster.start()
     cluster.run_until_ring_up()
     return cluster

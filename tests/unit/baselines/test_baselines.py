@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.baselines import (
-    EthConfig,
-    EthernetFabric,
-    TcpFailoverPair,
-    TokenRing,
-    TokenRingConfig,
-)
+from repro.baselines import EthernetFabric, TcpFailoverPair, TokenRing
 from repro.baselines.tcp_failover import HEARTBEAT_INTERVAL_NS, MISSED_BEATS
 from repro.sim import Simulator
 
@@ -26,7 +20,7 @@ def test_ethernet_delivers_uncongested_frame():
 
 def test_ethernet_burst_overflows_egress_queue():
     sim = Simulator()
-    fabric = EthernetFabric(sim, 8, EthConfig(egress_capacity=4))
+    fabric = EthernetFabric(sim, 8, egress_capacity=4)
     # Seven senders burst 20 frames each at one destination.
     for src in range(1, 8):
         for _ in range(20):
@@ -95,7 +89,7 @@ def test_tcp_failover_no_crash_no_detection():
 # ---------------------------------------------------------------- token ring
 def test_token_ring_delivers_everything():
     sim = Simulator()
-    ring = TokenRing(sim, TokenRingConfig(n_nodes=4))
+    ring = TokenRing(sim, 4)
     for src in range(4):
         for k in range(10):
             ring.send(src, (src + 1 + k) % 4 if (src + 1 + k) % 4 != src else (src + 1) % 4)
@@ -105,7 +99,7 @@ def test_token_ring_delivers_everything():
 
 def test_token_ring_latency_includes_token_wait():
     sim = Simulator()
-    ring = TokenRing(sim, TokenRingConfig(n_nodes=8, fiber_m=100.0))
+    ring = TokenRing(sim, 8, fiber_m=100.0)
     # One frame queued at station 7 right as the token starts at 0:
     ring.send(7, 0)
     sim.run(until=10_000_000)
@@ -118,7 +112,7 @@ def test_token_ring_latency_includes_token_wait():
 def test_token_ring_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
-        TokenRing(sim, TokenRingConfig(n_nodes=1))
-    ring = TokenRing(sim, TokenRingConfig(n_nodes=3))
+        TokenRing(sim, 1)
+    ring = TokenRing(sim, 3)
     with pytest.raises(ValueError):
         ring.send(1, 1)

@@ -3,13 +3,13 @@ arm time with a clear message, never as a KeyError mid-simulation."""
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.faults import FaultAction, FaultKind, FaultSchedule, FaultScheduleError
 
 
 @pytest.fixture()
 def cluster():
-    return AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=2))
+    return AmpNetCluster(n_nodes=4, n_switches=2)
 
 
 def test_crash_unknown_node_rejected(cluster):
@@ -80,7 +80,7 @@ def test_flap_node_expands_to_alternating_actions():
 
 
 def test_partition_scenario_rejects_single_switch_segment():
-    single = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=1))
+    single = AmpNetCluster(n_nodes=4, n_switches=1)
     tour = single.tour_estimate_ns
     sched = (
         FaultSchedule()

@@ -5,7 +5,7 @@ every stage queues.  Wall time follows the count (``BENCHMARK.json``
 times it); this pins the count itself, which no stopwatch is needed for.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis import total_mac_counter
 from repro.perf import PerfProbe
 
@@ -26,9 +26,7 @@ def test_a_quiet_ring_spends_three_entries_per_hop():
     3.45 here (6.65 before the uncontended hop was fused) and falls
     towards three as the ring grows — 3.03 on the 255-node ring.
     """
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=16, n_switches=2, seed=3, trace=False)
-    )
+    cluster = AmpNetCluster(n_nodes=16, n_switches=2, seed=3, trace=False)
     cluster.start()
     cluster.run_until_ring_up()
     sim = cluster.sim

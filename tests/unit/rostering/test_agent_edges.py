@@ -3,13 +3,12 @@ commit timeouts, version gating — driven on a real mini-topology."""
 
 import pytest
 
-from repro.node import AmpNode, NodeConfig
+from repro.node import AmpNode
 from repro.phys import build_switched
 from repro.ring import FlowControlConfig
-from repro.rostering import AgentState, RosterConfig
+from repro.rostering import AgentState
 from repro.rostering.agent import COMMIT_TIMEOUT_FACTOR
 from repro.sim import Simulator
-from dataclasses import replace
 
 
 def mini_cluster(n_nodes=3, window=20_000):
@@ -17,9 +16,9 @@ def mini_cluster(n_nodes=3, window=20_000):
     sim = Simulator()
     topo = build_switched(sim, n_nodes, 1)
     nodes = {}
-    cfg = NodeConfig(roster=RosterConfig(report_window_ns=window))
     for node_id in topo.node_ids:
-        node = AmpNode(sim, node_id, topo.ports_of(node_id), cfg)
+        node = AmpNode(sim, node_id, topo.ports_of(node_id),
+                       report_window_ns=window)
 
         def configure(maps, roster, topo=topo):
             for sw in topo.switches:
@@ -112,7 +111,7 @@ def test_commit_timeout_escalates_round():
     )
     assert agent.round_no == 5
     assert not agent.is_master  # node 0 outranks it
-    sim.run(until=int(agent.config.report_window_ns
+    sim.run(until=int(agent.report_window_ns
                       * COMMIT_TIMEOUT_FACTOR * 4))
     assert agent.counters["commit_timeouts"] >= 1
     assert agent.round_no != 5
@@ -132,7 +131,7 @@ def test_lone_node_forms_singleton_roster():
 def test_version_incompatible_node_excluded_and_stays_down():
     sim, _topo, nodes = mini_cluster()
     old = nodes[2].agent
-    old.config = replace(old.config, version=(0, 5))
+    old.version = (0, 5)
     for node in nodes.values():
         node.boot()
     sim.run(until=3_000_000)
@@ -155,7 +154,7 @@ def test_join_fallback_triggers_own_round():
     sim, _topo, nodes = mini_cluster()
     # Node 0 joins an empty network; nobody answers its JOIN.
     nodes[0].agent.request_join()
-    window = nodes[0].agent.config.report_window_ns
+    window = nodes[0].agent.report_window_ns
     sim.run(until=int(window * 10))
     assert nodes[0].agent.state == AgentState.OPERATIONAL
 

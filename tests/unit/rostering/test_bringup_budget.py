@@ -6,7 +6,7 @@ the counts (``BENCHMARK.json`` times ``setup_s``); this pins the counts
 themselves — and that the simulated side did not move to buy them.
 """
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.rostering import wire
 from repro.scenarios.runner import trace_digest
 
@@ -27,7 +27,7 @@ def test_bring_up_costs_what_its_distinct_cells_cost(monkeypatch):
     monkeypatch.setattr(wire, "_decoded", {})
     monkeypatch.setattr(wire, "_flood_keys", {})
 
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=N, n_switches=2, seed=3))
+    cluster = AmpNetCluster(n_nodes=N, n_switches=2, seed=3)
     cluster.start()
     ring_up_ns = cluster.run_until_ring_up()
 

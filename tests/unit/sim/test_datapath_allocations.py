@@ -23,7 +23,7 @@ import tracemalloc
 
 import pytest
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.analysis import total_mac_counter
 from repro.kernel.ampdk import HEARTBEAT_INTERVAL_NS
 from repro.micropacket import MicroPacket, MicroPacketType
@@ -213,9 +213,7 @@ def test_a_quiet_ring_retains_nothing_per_delivered_frame():
     """Heartbeats are delivered at every hop for as long as the ring is
     up, so anything kept per delivery grows without bound: the traced
     memory of an idle ring must be flat from one window to the next."""
-    cluster = AmpNetCluster(
-        config=ClusterConfig(n_nodes=8, n_switches=2, trace=False)
-    )
+    cluster = AmpNetCluster(n_nodes=8, n_switches=2, trace=False)
     cluster.start()
     cluster.run_until_ring_up()
     window = 200 * HEARTBEAT_INTERVAL_NS

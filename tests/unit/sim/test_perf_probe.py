@@ -9,7 +9,7 @@ counters as a run without one — measuring may not perturb.
 import json
 from pathlib import Path
 
-from repro import AmpNetCluster, ClusterConfig
+from repro import AmpNetCluster
 from repro.micropacket import BROADCAST, MicroPacket, MicroPacketType
 from repro.perf import PerfProbe, PerfReport, layer_of
 from repro.perf.__main__ import main
@@ -90,7 +90,7 @@ def test_switch_crossings_are_attributed_to_the_switch():
     queue, and a flood is one entry however many ports it fans out to;
     ring traffic queues only behind one, and otherwise reserves the
     egress wire on arrival and costs the switch no entry at all."""
-    cluster = AmpNetCluster(config=ClusterConfig(n_nodes=4, n_switches=1))
+    cluster = AmpNetCluster(n_nodes=4, n_switches=1)
     cluster.start()
     (switch,) = cluster.topology.switches
     probe = PerfProbe(cluster.sim, per_kind=True)
