@@ -170,8 +170,9 @@ class AmpDK:
         last_heard, src = self._last_heard, pkt.src
         if src >= len(last_heard):  # a sender the roster did not name
             last_heard.extend([None] * (src + 1 - len(last_heard)))
-        last_heard[src] = self.sim.now
-        self.counters.incr("heartbeats_seen")
+        # Every hop of every beat lands here: no property, no method call.
+        last_heard[src] = self.sim._now
+        self.counters["heartbeats_seen"] += 1
 
     def _monitor_loop(self, epoch: int):
         sim = self.sim

@@ -92,7 +92,8 @@ class AmpNode:
         self.mac.on_tour_lost = self._tour_lost
 
         for port in ports:
-            port.set_handlers(on_frame=self._on_frame, on_carrier=self._on_carrier)
+            port.on_frame = self._on_frame
+            port.on_carrier = self._on_carrier
 
     # ------------------------------------------------------------ lifecycle
     def boot(self) -> None:

@@ -21,7 +21,11 @@ numbers the performance work is steered by:
 * **scheduler occupancy** — what is pending at the close of the window
   (entries, distinct instants, the entries-per-instant histogram) and
   how many posts during the window landed past the 8.192 µs lap that
-  held ``now`` (``overflow_spills``).
+  held ``now`` (``overflow_spills``);
+* **Python calls per entry** — :func:`count_calls` runs a callable under
+  stdlib ``cProfile`` and folds the calls it made by stack layer, C
+  builtins apart: the interpreter's work, exact at a seed, where wall
+  time on a shared box is not.
 
 Attaching a probe never changes simulation behaviour: the kernel's
 ``on_event`` observer is read-only accounting, so a run with the probe
@@ -41,13 +45,20 @@ or, for any named scenario, ``python -m repro.perf large_ring_128``.
 
 from __future__ import annotations
 
+import cProfile
+import os
+import pstats
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim import Callback, Simulator
 
-__all__ = ["PerfProbe", "PerfReport", "layer_of"]
+__all__ = ["BUILTINS", "PerfProbe", "PerfReport", "count_calls", "layer_of"]
+
+#: the layer :func:`count_calls` files C builtins under
+BUILTINS = "builtins"
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def layer_of(entry: Any) -> str:
@@ -65,6 +76,25 @@ def layer_of(entry: Any) -> str:
             return module[len("repro."):]
         return module or "callback"
     return f"sim.{type(entry).__name__}"
+
+
+def count_calls(fn: Callable[..., Any], *args: Any,
+                **kwargs: Any) -> Tuple[Any, Dict[str, int]]:
+    """Run ``fn(*args, **kwargs)`` under ``cProfile``; return its result
+    and every call made meanwhile, by layer: the package below ``repro``
+    of the function's file (:func:`layer_of`'s names to their first
+    part: ``phys``, ``node``, ...), ``other`` outside ``repro``, and
+    :data:`BUILTINS` for C functions (cProfile's file ``~``).  All but
+    the last are the Python-level calls."""
+    profile = cProfile.Profile()
+    result = profile.runcall(fn, *args, **kwargs)
+    calls: Dict[str, int] = {}
+    for (filename, _line, _name), row in pstats.Stats(profile).stats.items():
+        rel = os.path.relpath(filename, _PACKAGE_DIR).split(os.sep)
+        layer = (BUILTINS if filename == "~" else "other"
+                 if rel[0] == os.pardir else rel[0].removesuffix(".py"))
+        calls[layer] = calls.get(layer, 0) + row[1]
+    return result, calls
 
 
 @dataclass

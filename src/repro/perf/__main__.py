@@ -5,6 +5,7 @@
     python -m repro.perf large_ring_128
     python -m repro.perf slide7_mixed --per-kind
     python -m repro.perf large_ring_64 --seed 9 --json out.json
+    python -m repro.perf large_ring_256 --calls
 
 Runs the scenario through the ordinary :class:`ScenarioRunner` with a
 :class:`~repro.perf.PerfProbe` attached, and reports three windows:
@@ -18,6 +19,12 @@ Runs the scenario through the ordinary :class:`ScenarioRunner` with a
   phases, i.e. the steady-state frame hot path with ring bring-up
   excluded (what the P1 bench tracks across commits), with the
   schedule entries it spent per ring hop.
+
+``--calls`` runs the scenario under ``cProfile`` instead
+(:func:`~repro.perf.count_calls`) and reports the Python calls it made,
+build to judgement, per schedule entry and per frame a MAC delivered,
+by stack layer, with C builtins apart.  The counts are exact at a seed:
+a change that moves them changed the work, whatever the box did.
 
 Exits non-zero if the scenario's invariants fail — a profile of a
 broken run is not a data point.
@@ -33,7 +40,7 @@ from typing import List, Optional
 from ..analysis import total_mac_counter
 from ..scenarios import SCENARIOS, get_scenario, scenario_names
 from ..scenarios.runner import ScenarioRunner
-from . import PerfProbe, PerfReport
+from . import BUILTINS, PerfProbe, PerfReport, count_calls
 
 
 def profile_scenario(name: str, seed: Optional[int] = None,
@@ -81,6 +88,31 @@ def profile_scenario(name: str, seed: Optional[int] = None,
     return result, total, state["ring_up"], workload
 
 
+def count_scenario_calls(name: str, seed: Optional[int] = None):
+    """Run ``name`` under ``cProfile``; returns the result and a report:
+    calls by layer, schedule entries, frames the MACs delivered."""
+    runner = ScenarioRunner(get_scenario(name, seed=seed))
+    result, calls = count_calls(runner.run)
+    return result, {
+        "calls": dict(sorted(calls.items(), key=lambda kv: -kv[1])),
+        "entries": runner.cluster.sim.events_processed,
+        "delivered_frames": total_mac_counter(runner.cluster, "rx_delivered"),
+    }
+
+
+def _print_calls(calls, entries: int, delivered_frames: int) -> None:
+    python = sum(n for layer, n in calls.items() if layer != BUILTINS)
+    print(f"  python calls    {python:,}\n"
+          f"    per schedule entry  {python / entries:.2f} ({entries:,})\n"
+          f"    per delivered frame {python / max(delivered_frames, 1):.2f}"
+          f" ({delivered_frames:,})")
+    for layer, n in calls.items():
+        if layer != BUILTINS:
+            print(f"      {layer:<16} {n:>12,}  {n / entries:5.2f} / entry")
+    builtins = calls.get(BUILTINS, 0)
+    print(f"  builtin calls   {builtins:,}: {builtins / entries:.2f} / entry")
+
+
 def _print_report(label: str, report: PerfReport) -> None:
     print(f"  {label}:")
     print(f"    events          {report.events:,}")
@@ -107,6 +139,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--per-kind", action="store_true",
                         help="break events down by stack layer")
+    parser.add_argument("--calls", action="store_true",
+                        help="count Python calls by layer (cProfile)")
     parser.add_argument("--json", help="write the report as JSON")
     args = parser.parse_args(argv)
 
@@ -119,23 +153,29 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{', '.join(scenario_names())}", file=sys.stderr)
         return 2
 
-    result, total, ring_up, workload = profile_scenario(
-        args.scenario, seed=args.seed, per_kind=args.per_kind
-    )
+    if args.calls:
+        result, report = count_scenario_calls(args.scenario, seed=args.seed)
+    else:
+        result, total, ring_up, workload = profile_scenario(
+            args.scenario, seed=args.seed, per_kind=args.per_kind
+        )
+        report = {"total": total.to_dict(), "ring_up": ring_up.to_dict(),
+                  "workload": workload.to_dict()}
     status = "OK" if result.ok else "FAIL"
     print(f"[{status}] {result.name} (seed {result.seed})")
-    _print_report("total (build + ring-up + workload)", total)
-    _print_report("ring-up (built -> ring up)", ring_up)
-    _print_report("workload window (armed -> settled)", workload)
+    if args.calls:
+        _print_calls(**report)
+    else:
+        _print_report("total (build + ring-up + workload)", total)
+        _print_report("ring-up (built -> ring up)", ring_up)
+        _print_report("workload window (armed -> settled)", workload)
 
     if args.json:
         payload = {
             "scenario": result.name,
             "seed": result.seed,
             "ok": result.ok,
-            "total": total.to_dict(),
-            "ring_up": ring_up.to_dict(),
-            "workload": workload.to_dict(),
+            **report,
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)

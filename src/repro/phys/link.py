@@ -17,10 +17,10 @@ next-free-time model — but the two intermediate hops per frame are gone,
 which at storm scale removes the largest single slice of kernel load.
 
 That entry is **the same object for every frame**: the frames on the
-wire sit in a plain FIFO (``_wire``, arrival order = reservation order,
+wire sit in a plain list (``_wire``, arrival order = reservation order,
 because ``busy_until`` only grows between cuts) and each firing of the
 one ``_arrive`` entry takes the head.  A frame in flight therefore costs
-a deque slot and, on the schedule, an int instant — nothing the cyclic
+a list slot and, on the schedule, an int instant — nothing the cyclic
 collector tracks (see the entry-reuse contract in
 ``docs/architecture.md``).
 
@@ -46,8 +46,7 @@ instant it was due — where it meets whatever the wire is by then.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List
+from typing import List
 
 from ..sim import Callback, Simulator
 from .constants import CARRIER_DETECT_NS, propagation_ns
@@ -60,19 +59,18 @@ __all__ = ["SerialLink", "Fiber"]
 class SerialLink:
     """Unidirectional serial run from ``src`` to ``dst``."""
 
+    __slots__ = ("sim", "src", "dst", "prop_ns", "up", "_wire", "_arrive_cb",
+                 "_busy_until", "frames_delivered", "frames_lost", "_dying")
+
     def __init__(self, sim: Simulator, src: Port, dst: Port, length_m: float):
-        if length_m < 0:
-            raise ValueError("fibre length must be non-negative")
         self.sim = sim
         self.src = src
         self.dst = dst
-        self.length_m = length_m
-        self.name = f"{src.name}->{dst.name}"
         self.prop_ns = propagation_ns(length_m)
         self.up = True
         #: frames reserved on the wire since the last cut, in arrival
         #: order; every pending firing of ``_arrive_cb`` takes the head.
-        self._wire: Deque[Frame] = deque()
+        self._wire: List[Frame] = []
         #: the one arrival entry, on the schedule once per frame in
         #: ``_wire``.
         self._arrive_cb = Callback(self._arrive, ())
@@ -81,9 +79,14 @@ class SerialLink:
         self._busy_until = 0
         self.frames_delivered = 0
         self.frames_lost = 0
+        #: one ``[frames]`` per cut whose dead frames are not all counted
+        #: lost yet (``_arrive_dark`` counts each at its arrival instant)
+        self._dying: tuple = ()
 
-    def transmit(self, frame: Frame) -> None:
-        """Reserve the wire and post the frame's single arrival entry.
+    def transmit(self, frame: Frame) -> bool:
+        """Reserve the wire and post the frame's single arrival entry;
+        the sending port counts it in ``tx_frames``.  Returns False,
+        counting nothing, when that port has no carrier.
 
         Serialization is strictly in order at line rate: each frame's
         serialization starts when the transmitter frees up.  Posting goes
@@ -92,11 +95,15 @@ class SerialLink:
         and at 256-node scale the call_in frames alone were a measurable
         slice of the run.
         """
+        src = self.src
+        if not src.carrier_up:
+            return False
+        src.tx_frames += 1
         if not self.up:
             # Dark fibre during the carrier debounce window: the frame is
             # lost at the transmitter, costing no schedule entry at all.
             self.frames_lost += 1
-            return
+            return True
         sim = self.sim
         now = sim._now
         busy = self._busy_until
@@ -105,12 +112,14 @@ class SerialLink:
         frame.wire_at = now
         self._wire.append(frame)
         sim._post(end + self.prop_ns, self._arrive_cb)
+        return True
 
     def reserve(self, frame: Frame, at: int) -> None:
         """:meth:`transmit`, ahead of time: the sender will hand ``frame``
         over at ``at`` (not before now), so serialization starts then or
         when the transmitter frees up.  Only for a link that is ``up``,
-        and whose sender's port takes back what a cut recalls."""
+        and whose sender's port takes back what a cut recalls; the
+        sender counts the port's ``tx_frames`` itself."""
         busy = self._busy_until
         start = busy if busy > at else at
         self._busy_until = end = start + frame.ser_ns
@@ -121,8 +130,17 @@ class SerialLink:
     def _arrive(self) -> None:
         # Only frames reserved since the last cut are in ``_wire`` and a
         # down link accepts none, so the link is up whenever this fires.
+        frame = self._wire.pop(0)
         self.frames_delivered += 1
-        self.dst.deliver(self._wire.popleft())
+        port = self.dst
+        if frame.corrupt:
+            # CRC rejects it; the frame never reaches the protocol layer.
+            port.rx_corrupt += 1
+            return
+        port.rx_frames += 1
+        handler = port.on_frame
+        if handler is not None:
+            handler(frame, port)
 
     def _arrive_dark(self, dead: List[int]) -> None:
         """A reservation from before a cut reaches its arrival instant.
@@ -134,6 +152,15 @@ class SerialLink:
         if dead[0]:
             dead[0] -= 1
             self.frames_lost += 1
+
+    def balanced(self) -> bool:
+        """The link's ledger: every frame the sending port counts as
+        transmitted was delivered, was lost, or is still in flight — on
+        the wire, or killed by a cut and not yet at the instant it would
+        have arrived, where ``frames_lost`` counts it."""
+        in_flight = len(self._wire) + sum(d[0] for d in self._dying)
+        return self.src.tx_frames == (
+            self.frames_delivered + self.frames_lost + in_flight)
 
     # ------------------------------------------------------------- faults
     def go_down(self) -> None:
@@ -147,16 +174,18 @@ class SerialLink:
         # counts the losses, and the frames themselves are dropped here.
         wire = self._wire
         now = self.sim._now
-        recalled: List[Frame] = []
-        while wire and wire[-1].wire_at > now:
-            recalled.append(wire.pop())
+        dead = len(wire)
+        while dead and wire[dead - 1].wire_at > now:
+            dead -= 1
         old = self._arrive_cb
-        old.fn, old.args = self._arrive_dark, ([len(wire)],)
+        dying = [dead]
+        old.fn, old.args = self._arrive_dark, (dying,)
+        self._dying = tuple(d for d in self._dying if d[0]) + (dying,)
         self._arrive_cb = Callback(self._arrive, ())
-        self._wire = deque()
+        self._wire = []
         self._busy_until = 0
-        if recalled:
-            self.src.recall(recalled)
+        if dead < len(wire):
+            self.src.recall(wire[dead:])
         # Receiver sees loss of light after the debounce time.
         self.sim.call_in(CARRIER_DETECT_NS, self._sync_carrier, False)
 
@@ -176,14 +205,10 @@ class Fiber:
     """Duplex fibre pair between two ports; the unit of fault injection."""
 
     def __init__(self, sim: Simulator, a: Port, b: Port, length_m: float):
-        self.sim = sim
-        self.a = a
-        self.b = b
-        self.length_m = length_m
         self.ab = SerialLink(sim, a, b, length_m)
         self.ba = SerialLink(sim, b, a, length_m)
-        a.tx_link, a.rx_link = self.ab, self.ba
-        b.tx_link, b.rx_link = self.ba, self.ab
+        a.tx_link = self.ab
+        b.tx_link = self.ba
         #: independent reasons the fibre may be down (cut, endpoint dark)
         self._cut = False
         self._dark_sides = 0

@@ -12,11 +12,12 @@ the rostering header, which is what lets the modified flooding algorithm
 explore the entire surviving topology in one tour.
 
 Both kinds of traffic can leave through the same per-port **crossing
-FIFO**: the crossconnect latency is one constant, so frames bound for
-one egress port come out in the order they went in, and the port's
-single reusable schedule entry (on the schedule once per frame it put
-in the FIFO) sends the head each time it fires — see the entry-reuse
-contract in ``docs/architecture.md``.  A flood spends one entry, not one
+FIFO** (a plain list, like every device FIFO): the crossconnect latency
+is one constant, so frames bound for one egress port come out in the
+order they went in, and the port's single reusable schedule entry (on
+the schedule once per frame it put in the FIFO) sends the head each
+time it fires — see the entry-reuse contract in
+``docs/architecture.md``.  A flood spends one entry, not one
 per egress (``_flood``).  Ring traffic only queues behind something:
 while the FIFO is empty, no flood is crossing and the egress fibre is
 lit, the switch reserves the wire on arrival for the instant the
@@ -27,8 +28,8 @@ they finish the crossing in the FIFO.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from ..micropacket import MicroPacketType
 from ..rostering.wire import flood_key
@@ -64,25 +65,25 @@ class Switch:
         self.name = f"switch-{switch_id}"
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.ports: List[Port] = [
-            Port(sim, f"{self.name}.p{i}") for i in range(n_ports)
+            Port(f"{self.name}.p{i}") for i in range(n_ports)
         ]
         #: port object -> index, so per-frame forwarding skips list.index
         self._port_index: Dict[Port, int] = {
             port: i for i, port in enumerate(self.ports)
         }
         for port in self.ports:
-            port.set_handlers(on_frame=self._on_frame, on_recall=self._recall)
+            port.on_frame, port.on_recall = self._on_frame, self._recall
         #: egress port index -> (frames crossing to that port, oldest
         #: first; the port's one reusable entry; the port).
-        self._crossing: List[Tuple[Deque[Frame], Callback, Port]] = []
+        self._crossing: List[Tuple[List[Frame], Callback, Port]] = []
         for port in self.ports:
-            fifo: Deque[Frame] = deque()
+            fifo: List[Frame] = []
             self._crossing.append(
                 (fifo, Callback(self._emit, (fifo, port)), port))
         #: one int per flood still crossing, oldest first: bit ``i`` set
         #: = the flooded frame went into egress ``i``'s FIFO.  The one
         #: reusable flood entry is on the schedule once per mask.
-        self._flood_masks: Deque[int] = deque()
+        self._flood_masks: List[int] = []
         self._flood_entry = Callback(self._emit_flood, ())
         self._port_bits = tuple(1 << i for i in range(n_ports))
         #: ingress port index -> egress port index for ring traffic
@@ -127,14 +128,11 @@ class Switch:
             return
         if frame.packet.ptype == _ROSTERING:
             self._flood(frame, port)
-        else:
-            self._switch(frame, port)
-
-    def _switch(self, frame: Frame, port: Port) -> None:
+            return
         ingress = self._port_index[port]
         egress = self.ring_map.get(ingress)
         if egress is None:
-            self.counters.incr("no_route_drop")
+            self.counters["no_route_drop"] += 1
             self.tracer.record(
                 self.sim.now, "switch_drop", self.name,
                 ingress=ingress, packet=frame.packet.describe(),
@@ -154,12 +152,12 @@ class Switch:
             link.reserve(frame, self.sim._now + SWITCH_LATENCY_NS)
         else:
             self._cross(frame, egress)
-        self.counters.incr("forwarded")
+        self.counters["forwarded"] += 1
 
     def _flood(self, frame: Frame, port: Port) -> None:
         key = flood_key(frame.packet.payload)
         if key in self._flood_seen:
-            self.counters.incr("flood_duplicate")
+            self.counters["flood_duplicate"] += 1
             return
         self._flood_seen[key] = None
         if len(self._flood_seen) > _FLOOD_CACHE_SIZE:
@@ -177,7 +175,7 @@ class Switch:
             self._flood_masks.append(mask)
             sim = self.sim
             sim._post(sim._now + SWITCH_LATENCY_NS, self._flood_entry)
-        self.counters.incr("flooded", fanout)
+        self.counters["flooded"] += fanout
         self.tracer.record(
             self.sim.now, "switch_flood", self.name,
             ingress=self._port_index[port], fanout=fanout, key=key.hex(),
@@ -191,29 +189,30 @@ class Switch:
         sim = self.sim
         sim._post(sim._now + SWITCH_LATENCY_NS, entry)
 
-    def _emit(self, fifo: Deque[Frame], out: Port) -> None:
-        if not out.send(fifo.popleft()):
+    def _emit(self, fifo: List[Frame], out: Port) -> None:
+        link = out.tx_link
+        if link is None or not link.transmit(fifo.pop(0)):
             # No carrier (or no fibre) at the egress: lost, and nobody
             # below the switch saw the frame to count it.
-            self.counters.incr("egress_dark_drop")
+            self.counters["egress_dark_drop"] += 1
 
     def _emit_flood(self) -> None:
         """The oldest flood's crossing ends: every egress it fanned out
         to sends the head of its FIFO, in port order — what one firing
         of ``_emit`` per egress, posted in that order, would do."""
-        mask = self._flood_masks.popleft()
+        mask = self._flood_masks.pop(0)
         for bit, (fifo, _entry, out) in zip(self._port_bits, self._crossing):
-            if mask & bit and not out.send(fifo.popleft()):
-                self.counters.incr("egress_dark_drop")
+            if mask & bit and not out.tx_link.transmit(fifo.pop(0)):
+                self.counters["egress_dark_drop"] += 1
 
     def _recall(self, frames: List[Frame], port: Port) -> None:
-        """A cut caught ``frames`` (newest first) reserved on ``port``'s
+        """A cut caught ``frames`` (oldest first) reserved on ``port``'s
         wire but not yet across the crossconnect: they finish crossing in
         the FIFO — ahead of anything that queued since, and keeping later
         arrivals from reserving past them — and ``_emit`` offers each to
         the port at the instant it was due."""
         fifo, entry, _out = self._crossing[self._port_index[port]]
-        fifo.extendleft(frames)  # the oldest ends up at the head
+        fifo[:0] = frames
         post = self.sim._post
         for frame in frames:
             post(frame.wire_at, entry)

@@ -152,7 +152,7 @@ def build_switched(
         for k in range(n_switches)
     ]
     for i in range(n_nodes):
-        ports = [Port(sim, f"node-{i}.p{k}") for k in range(n_switches)]
+        ports = [Port(f"node-{i}.p{k}") for k in range(n_switches)]
         topo.node_ports[i] = ports
         for k, sw in enumerate(topo.switches):
             fiber = Fiber(sim, ports[k], sw.ports[i], fiber_m)

@@ -22,11 +22,10 @@ an all-to-all broadcast storm.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..micropacket import BROADCAST, Flags, MicroPacket
-from ..phys import NODE_TRANSIT_NS, Port, frame_for
+from ..phys import NODE_TRANSIT_NS, Port, SerialLink, frame_for
 from ..phys.frame import Frame
 from ..rostering.roster import Roster
 from ..sim import Callback, Counter, Simulator, Tracer
@@ -49,6 +48,17 @@ def _voided() -> None:
 class RingMAC:
     """The per-node ring MAC engine."""
 
+    __slots__ = (
+        "sim", "node_id", "ports", "config", "tracer", "name", "roster",
+        "controller", "_transit_priority", "_transit", "_insertion",
+        "_priority_insertion", "_outstanding", "_tx_busy", "_tx_scheduled",
+        "_hold_from", "_hold_end", "_pace_due", "_fused_at", "_fuses",
+        "_rest_gap", "_ring_open", "_ring_size", "_tx_link", "_tx_step_cb",
+        "_tx_frame", "_tx_inserted", "_tx_emit_cb", "_pace_cb", "segment_id",
+        "capture", "on_deliver", "on_tour_complete", "on_tour_lost",
+        "counters",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -69,11 +79,13 @@ class RingMAC:
 
         #: PRIORITY-flagged transit frames (kernel heartbeats, roster
         #: certification, semaphore grants) overtake data in transit so a
-        #: broadcast storm cannot starve the distributed kernel.
-        self._transit_priority: Deque[Frame] = deque()
-        self._transit: Deque[Frame] = deque()
-        self._insertion: Deque[Frame] = deque()
-        self._priority_insertion: Deque[Frame] = deque()
+        #: broadcast storm cannot starve the distributed kernel.  Plain
+        #: lists, head at index 0, like every device FIFO: almost always
+        #: empty, and short when not (docs/architecture.md).
+        self._transit_priority: List[Frame] = []
+        self._transit: List[Frame] = []
+        self._insertion: List[Frame] = []
+        self._priority_insertion: List[Frame] = []
         self._outstanding: Dict[int, Frame] = {}
 
         # Transmit engine state (event-driven; see _tx_step).  ``_tx_busy``
@@ -102,11 +114,11 @@ class RingMAC:
             cfg.min_gap_ns if cfg.hi_watermark > 1 or not cfg.enabled else -1
         )
         # Per-roster state, refreshed on install: the ring-open flag, and
-        # the tx port / ring size that replace an O(n) roster index
+        # the tx link / ring size that replace an O(n) roster index
         # lookup plus a property chain per transmitted frame.
         self._ring_open = False
         self._ring_size = 0
-        self._tx_port: Optional[Port] = None
+        self._tx_link: Optional[SerialLink] = None
         #: reusable pick entry (stateless; may recur on the schedule)
         self._tx_step_cb = Callback(self._tx_step, ())
         #: the insertion register: the one frame between pick and emit
@@ -152,12 +164,12 @@ class RingMAC:
         self.roster = roster
         self.controller.ring_installed(roster.size)
         self._ring_size = roster.size
-        self._tx_port = (
-            self.ports[roster.hop_switch_from(self.node_id)]
+        self._tx_link = (
+            self.ports[roster.hop_switch_from(self.node_id)].tx_link
             if roster.size >= 2 else None
         )
         self._ring_open = True
-        self.counters.incr("roster_installs")
+        self.counters["roster_installs"] += 1
         self._kick()
 
     def teardown(self, reason: str = "") -> None:
@@ -167,16 +179,16 @@ class RingMAC:
         self._ring_open = False
         self.roster = None
         self._ring_size = 0
-        self._tx_port = None
+        self._tx_link = None
         flushed = len(self._transit) + len(self._transit_priority)
         if flushed:
-            self.counters.incr("transit_flushed", flushed)
+            self.counters["transit_flushed"] += flushed
         self._transit.clear()
         self._transit_priority.clear()
         lost, self._outstanding = list(self._outstanding.values()), {}
         for frame in lost:
             self.controller.tour_lost()
-            self.counters.incr("tours_lost")
+            self.counters["tours_lost"] += 1
             if self.on_tour_lost is not None:
                 self.on_tour_lost(frame)
         self.tracer.record(
@@ -191,7 +203,7 @@ class RingMAC:
             self._priority_insertion.append(frame)
         else:
             self._insertion.append(frame)
-        self.counters.incr("tx_queued")
+        self.counters["tx_queued"] += 1
         self._kick()
         return frame
 
@@ -333,22 +345,22 @@ class RingMAC:
         if not self.config.transit_priority:
             # A2 ablation: a greedy NIC that stuffs its own frames first.
             if self._priority_insertion:
-                return self._priority_insertion.popleft(), True
+                return self._priority_insertion.pop(0), True
             if self._insertion and self.controller.may_insert(self.sim._now):
-                return self._insertion.popleft(), True
+                return self._insertion.pop(0), True
         if self._transit_priority:
-            return self._transit_priority.popleft(), False
+            return self._transit_priority.pop(0), False
         transit = self._transit
         if transit:
-            frame = transit.popleft()
+            frame = transit.pop(0)
             self.controller.observe_transit_depth(len(transit))
             return frame, False
         if self._priority_insertion:
-            return self._priority_insertion.popleft(), True
+            return self._priority_insertion.pop(0), True
         if not self.controller.may_insert(self.sim._now):
             return None, False
         if self._insertion:
-            return self._insertion.popleft(), True
+            return self._insertion.pop(0), True
         return None, False
 
     def _transmit(self, frame: Frame, inserted: bool) -> bool:
@@ -358,24 +370,24 @@ class RingMAC:
             if inserted:
                 self._requeue(frame)
             else:
-                self.counters.incr("transit_lost_ring_down")
+                self.counters["transit_lost_ring_down"] += 1
             return False
+        counters = self.counters
         if self._ring_size == 1:
             # Singleton ring: no fibre to cross; the "tour" is immediate.
             if inserted:
-                self.counters.incr("tx_inserted")
-                self.counters.incr("tours_completed")
+                counters["tx_inserted"] += 1
+                counters["tours_completed"] += 1
                 if self.on_tour_complete is not None:
                     self.on_tour_complete(frame)
             return True
-        port = self._tx_port
-        if not port.carrier_up:
+        if not self._tx_link.transmit(frame):
             # Our active hop just died; rostering will rebuild.  Local
             # frames wait, transit frames are lost with the light.
             if inserted:
                 self._requeue(frame)
             else:
-                self.counters.incr("transit_lost_carrier")
+                counters["transit_lost_carrier"] += 1
             return False
         if inserted:
             now = self.sim._now
@@ -383,18 +395,17 @@ class RingMAC:
             frame.hops = 0
             self._outstanding[frame.frame_id] = frame
             self.controller.inserted(now)
-            self.counters.incr("tx_inserted")
+            counters["tx_inserted"] += 1
         else:
-            self.counters.incr("tx_transit")
-        port.send(frame)
+            counters["tx_transit"] += 1
         return True
 
     def _requeue(self, frame: Frame) -> None:
         """Put a refused local frame back at the head of its queue."""
         if frame.packet.flags & Flags.PRIORITY:
-            self._priority_insertion.appendleft(frame)
+            self._priority_insertion.insert(0, frame)
         else:
-            self._insertion.appendleft(frame)
+            self._insertion.insert(0, frame)
 
     # ------------------------------------------------------------------- rx
     def on_frame(self, frame: Frame, port: Port) -> None:
@@ -411,7 +422,7 @@ class RingMAC:
             self._hold_pick_first()
         counters = self.counters
         if not self._ring_open or self.roster is None:
-            counters.incr("rx_ring_down_drop")
+            counters["rx_ring_down_drop"] += 1
             return
         pkt = frame.packet
 
@@ -420,7 +431,7 @@ class RingMAC:
             done = self._outstanding.pop(frame.frame_id, None)
             if done is not None:
                 self.controller.tour_completed()
-                counters.incr("tours_completed")
+                counters["tours_completed"] += 1
                 if self.on_tour_complete is not None:
                     self.on_tour_complete(frame)
                 # The freed window slot may unblock a queued insertion
@@ -428,14 +439,14 @@ class RingMAC:
                 if self._insertion or self._priority_insertion:
                     self._kick()
             else:
-                counters.incr("stale_strip")
+                counters["stale_strip"] += 1
             return
 
         hops = frame.hops + 1
         frame.hops = hops
         if hops > self._ring_size + 2:
             # Orphan scrub: the inserter left the ring mid-tour.
-            counters.incr("orphans_scrubbed")
+            counters["orphans_scrubbed"] += 1
             return
 
         if self.capture is not None:
@@ -451,7 +462,7 @@ class RingMAC:
                 # frame keeps delivering to local members below.
                 or dma.cluster_broadcast
             ):
-                counters.incr("rx_captured")
+                counters["rx_captured"] += 1
                 self.capture(pkt, frame)
 
         dst = pkt.dst
@@ -466,7 +477,7 @@ class RingMAC:
                 or dma.dst_segment is None
                 or dma.dst_segment == self.segment_id
             ):
-                counters.incr("rx_delivered")
+                counters["rx_delivered"] += 1
                 if self.on_deliver is not None:
                     self.on_deliver(pkt, frame)
 
@@ -494,7 +505,7 @@ class RingMAC:
         transit = self._transit
         transit_priority = self._transit_priority
         if len(transit) + len(transit_priority) >= self.config.transit_capacity:
-            counters.incr("transit_overflow_drop")
+            counters["transit_overflow_drop"] += 1
             self.tracer.record(
                 now, "transit_drop", self.name, packet=pkt.describe(),
             )

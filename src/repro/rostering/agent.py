@@ -280,9 +280,9 @@ class RosterAgent:
         for port in self.ports:
             if port is except_port or not port.carrier_up:
                 continue
-            port.send(frame)
+            port.tx_link.transmit(frame)
             sent += 1
-        self.counters.incr("cells_flooded", sent)
+        self.counters["cells_flooded"] += sent
 
     def _relay(self, frame: Frame, arrival: Port, msg: RosterMessage) -> None:
         """Relay each distinct cell of this round once — once per
@@ -311,7 +311,7 @@ class RosterAgent:
                     return
                 self._reported |= bit
         self._flood(frame, except_port=arrival)
-        self.counters.incr("cells_relayed")
+        self.counters["cells_relayed"] += 1
 
     # -------------------------------------------------------------- decide
     def _attachment(self, reports: Dict[int, RosterMessage]) -> Dict[int, Set[int]]:

@@ -306,6 +306,12 @@ class ScenarioRunner:
             "offered": offered,
             "delivered": delivered,
             "ring_drops": ring_drop_count(cluster),
+            # fibre directions whose frame ledger does not balance: every
+            # fibre joins a node port and a switch port
+            "phys_unbalanced": sum(
+                not link.balanced() for node in cluster.nodes.values()
+                for port in node.ports
+                for link in (port.tx_link, port.tx_link.dst.tx_link)),
             "trace_records": len(cluster.tracer.records),
             "faults_fired": sum(
                 1 for r in cluster.tracer.records if r.category == "fault"

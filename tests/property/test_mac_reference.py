@@ -101,7 +101,7 @@ class ReferenceMAC(RingMAC):
         self._ring_open = False
         self.roster = None
         self._ring_size = 0
-        self._tx_port = None
+        self._tx_link = None
         flushed = len(self._transit) + len(self._transit_priority)
         if flushed:
             self.counters.incr("transit_flushed", flushed)
@@ -255,13 +255,18 @@ class ReferenceMAC(RingMAC):
 
 
 class Wire:
-    """Stands in for the tx fibre: logs what the MAC puts on it."""
+    """Stands in for the tx fibre: logs what the MAC puts on it, and
+    takes it from ``port`` the way ``SerialLink.transmit`` does."""
 
-    def __init__(self, sim, log):
-        self.sim, self.log = sim, log
+    def __init__(self, sim, log, port):
+        self.sim, self.log, self.port = sim, log, port
 
     def transmit(self, frame):
+        if not self.port.carrier_up:
+            return False
+        self.port.tx_frames += 1
         self.log.append((self.sim.now, "tx", tag_of(frame.packet)))
+        return True
 
 
 def tag_of(packet):
@@ -368,10 +373,10 @@ def timetable(ops, one_wire):
 def run_mac_world(mac_type, config, ops, mode, loosen=False):
     sim = Simulator()
     tracer = Tracer()
-    port = Port(sim, "n1.p0")
-    port.force_carrier(True)
+    port = Port("n1.p0")
+    port.carrier_up = True
     log = []
-    port.tx_link = Wire(sim, log)
+    port.tx_link = Wire(sim, log, port)
     mac = mac_type(sim, NODE, [port], config, tracer=tracer)
     if loosen:
         mac._fuses = True
@@ -403,7 +408,7 @@ def run_mac_world(mac_type, config, ops, mode, loosen=False):
         elif kind == "install":
             mac.install_roster(ROSTERS[op[1]])
         else:
-            port.force_carrier(op[1])
+            port.carrier_up = op[1]
 
     def hand_to_wire(tag, op, at, wire_at):
         frame = arriving(tag, op)

@@ -37,14 +37,15 @@ MAX_CHUNK = 85
 
 
 class FakePort:
-    """What the agent uses of a port: carrier, a name, and send."""
+    """What the agent uses of a port: carrier, a name, and a tx link."""
 
     def __init__(self, index: int):
         self.name = f"port{index}"
         self.carrier_up = True
         self.sent = []
+        self.tx_link = self
 
-    def send(self, frame) -> bool:
+    def transmit(self, frame) -> bool:
         self.sent.append(frame.packet.payload)
         return True
 

@@ -19,8 +19,8 @@ def data_pkt(src=0, dst=1, payload=b"12345678"):
 
 
 def wired_pair(sim, length_m=100.0):
-    a = Port(sim, "a")
-    b = Port(sim, "b")
+    a = Port("a")
+    b = Port("b")
     fiber = Fiber(sim, a, b, length_m)
     return a, b, fiber
 
@@ -49,9 +49,9 @@ def test_frame_delivery_time_is_serialize_plus_propagate():
     sim = Simulator()
     a, b, _fiber = wired_pair(sim, length_m=200.0)
     got = []
-    b.set_handlers(on_frame=lambda f, p: got.append((f, sim.now)))
+    b.on_frame = lambda f, p: got.append((f, sim.now))
     frame = frame_for(data_pkt())
-    a.send(frame)
+    a.tx_link.transmit(frame)
     sim.run()
     expected = serialization_ns(frame.wire_bits) + propagation_ns(200.0)
     assert got[0][1] == expected
@@ -61,9 +61,9 @@ def test_frames_preserve_fifo_order():
     sim = Simulator()
     a, b, _fiber = wired_pair(sim)
     got = []
-    b.set_handlers(on_frame=lambda f, p: got.append(f.packet.seq))
+    b.on_frame = lambda f, p: got.append(f.packet.seq)
     for seq in range(6):
-        a.send(frame_for(data_pkt().with_seq(seq)))
+        a.tx_link.transmit(frame_for(data_pkt().with_seq(seq)))
     sim.run()
     assert got == [0, 1, 2, 3, 4, 5]
 
@@ -72,10 +72,10 @@ def test_back_to_back_frames_pipeline_at_line_rate():
     sim = Simulator()
     a, b, _fiber = wired_pair(sim, length_m=0.0)
     times = []
-    b.set_handlers(on_frame=lambda f, p: times.append(sim.now))
+    b.on_frame = lambda f, p: times.append(sim.now)
     frame0 = frame_for(data_pkt())
     for _ in range(3):
-        a.send(frame_for(data_pkt()))
+        a.tx_link.transmit(frame_for(data_pkt()))
     sim.run()
     ser = serialization_ns(frame0.wire_bits)
     assert times == [ser, 2 * ser, 3 * ser]
@@ -85,10 +85,10 @@ def test_duplex_directions_independent():
     sim = Simulator()
     a, b, _fiber = wired_pair(sim)
     got_a, got_b = [], []
-    a.set_handlers(on_frame=lambda f, p: got_a.append(f))
-    b.set_handlers(on_frame=lambda f, p: got_b.append(f))
-    a.send(frame_for(data_pkt(src=0, dst=1)))
-    b.send(frame_for(data_pkt(src=1, dst=0)))
+    a.on_frame = lambda f, p: got_a.append(f)
+    b.on_frame = lambda f, p: got_b.append(f)
+    a.tx_link.transmit(frame_for(data_pkt(src=0, dst=1)))
+    b.tx_link.transmit(frame_for(data_pkt(src=1, dst=0)))
     sim.run()
     assert len(got_a) == 1 and len(got_b) == 1
 
@@ -98,8 +98,8 @@ def test_cut_fiber_loses_in_flight_frame():
     sim = Simulator()
     a, b, fiber = wired_pair(sim, length_m=1000.0)
     got = []
-    b.set_handlers(on_frame=lambda f, p: got.append(f))
-    a.send(frame_for(data_pkt()))
+    b.on_frame = lambda f, p: got.append(f)
+    a.tx_link.transmit(frame_for(data_pkt()))
     # Cut while the frame is still in flight.
     sim.call_in(serialization_ns(frame_for(data_pkt()).wire_bits) + 1, fiber.cut)
     sim.run()
@@ -112,14 +112,14 @@ def test_send_on_dark_fiber_returns_false():
     a, _b, fiber = wired_pair(sim)
     fiber.cut()
     sim.run()
-    assert a.send(frame_for(data_pkt())) is False
+    assert a.tx_link.transmit(frame_for(data_pkt())) is False
 
 
 def test_carrier_loss_after_debounce():
     sim = Simulator()
     a, b, fiber = wired_pair(sim)
     events = []
-    b.set_handlers(on_carrier=lambda up, p: events.append((up, sim.now)))
+    b.on_carrier = lambda up, p: events.append((up, sim.now))
     sim.call_in(5_000, fiber.cut)
     sim.run()
     assert events == [(False, 5_000 + CARRIER_DETECT_NS)]
@@ -129,7 +129,7 @@ def test_carrier_restore_after_debounce():
     sim = Simulator()
     a, b, fiber = wired_pair(sim)
     events = []
-    b.set_handlers(on_carrier=lambda up, p: events.append((up, sim.now)))
+    b.on_carrier = lambda up, p: events.append((up, sim.now))
     sim.call_in(1_000, fiber.cut)
     sim.call_in(100_000, fiber.restore)
     sim.run()
@@ -141,7 +141,7 @@ def test_rapid_cut_restore_suppresses_stale_carrier_event():
     sim = Simulator()
     a, b, fiber = wired_pair(sim)
     events = []
-    b.set_handlers(on_carrier=lambda up, p: events.append((up, sim.now)))
+    b.on_carrier = lambda up, p: events.append((up, sim.now))
     sim.call_in(1_000, fiber.cut)
     sim.call_in(2_000, fiber.restore)  # restored before debounce expires
     sim.run()
@@ -150,15 +150,74 @@ def test_rapid_cut_restore_suppresses_stale_carrier_event():
 
 
 def test_corrupt_frame_counted_not_delivered():
+    """The CRC check runs at the far port: the link delivered the light,
+    the port counts it corrupt, and its handler never hears of it."""
     sim = Simulator()
-    a, b, _fiber = wired_pair(sim)
+    a, b, fiber = wired_pair(sim)
     got = []
-    b.set_handlers(on_frame=lambda f, p: got.append(f))
-    a.send(frame_for(data_pkt()).damaged())
+    b.on_frame = lambda f, p: got.append(f)
+    assert a.tx_link.transmit(frame_for(data_pkt()).damaged()) is True
     sim.run()
     assert got == []
     assert b.rx_corrupt == 1
     assert b.rx_frames == 0
+    assert (fiber.ab.frames_delivered, fiber.ab.frames_lost) == (1, 0)
+
+
+# ------------------------------------------------ the link at either port
+
+
+def test_port_with_no_handler_counts_what_it_receives():
+    sim = Simulator()
+    a, b, fiber = wired_pair(sim)
+    for _ in range(3):
+        a.tx_link.transmit(frame_for(data_pkt()))
+    sim.run()
+    assert (b.rx_frames, b.rx_corrupt, fiber.ab.frames_delivered) == (3, 0, 3)
+
+
+def test_transmit_on_a_dark_port_returns_false_and_counts_nothing():
+    sim = Simulator()
+    a, b, fiber = wired_pair(sim)
+    fiber.cut()
+    sim.run()  # past the debounce: a has no carrier
+    assert not a.carrier_up
+    assert a.tx_link.transmit(frame_for(data_pkt())) is False
+    assert (a.tx_frames, fiber.ab.frames_lost, fiber.ab.frames_delivered) == (
+        0, 0, 0)
+
+
+def test_transmit_inside_the_debounce_is_counted_and_lost_on_the_link():
+    """Carrier has not dropped yet, so the port takes the frame and
+    counts it; the dark fibre loses it at the transmitter."""
+    sim = Simulator()
+    a, b, fiber = wired_pair(sim)
+    fiber.cut()
+    assert a.carrier_up
+    assert a.tx_link.transmit(frame_for(data_pkt())) is True
+    sim.run()
+    assert (a.tx_frames, fiber.ab.frames_lost, b.rx_frames) == (1, 1, 0)
+
+
+def test_recall_uncounts_tx_frames_and_hands_back_oldest_first():
+    """Reservations not yet handed over when the cut lands go back to
+    the sender, un-counted; the one already on the wire dies there."""
+    sim = Simulator()
+    a, b, fiber = wired_pair(sim)
+    recalled = []
+    a.on_recall = lambda frames, port: recalled.append(
+        ([f.packet.seq for f in frames], port))
+    a.tx_link.transmit(frame_for(data_pkt()))  # light at once
+    for seq in (1, 2):
+        a.tx_frames += 1  # a reserving sender counts its own
+        a.tx_link.reserve(frame_for(data_pkt().with_seq(seq)), 300)
+    assert a.tx_frames == 3
+    fiber.cut()
+    assert recalled == [([1, 2], a)]
+    assert a.tx_frames == 1
+    sim.run()
+    assert (fiber.ab.frames_lost, fiber.ab.frames_delivered, b.rx_frames) == (
+        1, 0, 0)
 
 
 def test_endpoint_dark_and_lit_refcount():
@@ -178,16 +237,16 @@ def test_transmit_during_cut_is_lost_not_queued():
     sim = Simulator()
     a, b, fiber = wired_pair(sim, length_m=10.0)
     got = []
-    b.set_handlers(on_frame=lambda f, p: got.append(f))
+    b.on_frame = lambda f, p: got.append(f)
 
     def script():
         yield sim.timeout(100)
         fiber.cut()
         yield sim.timeout(CARRIER_DETECT_NS + 100)
-        a.send(frame_for(data_pkt()))  # returns False, nothing queued
+        a.tx_link.transmit(frame_for(data_pkt()))  # False, nothing queued
         fiber.restore()
         yield sim.timeout(CARRIER_DETECT_NS + 100)
-        a.send(frame_for(data_pkt()))
+        a.tx_link.transmit(frame_for(data_pkt()))
 
     sim.process(script())
     sim.run()

@@ -43,16 +43,16 @@ def packet_of_size(payload_bytes: int, seq: int) -> MicroPacket:
 @settings(max_examples=150, deadline=None)
 def test_frames_never_overlap_and_match_arithmetic_model(schedule, length_m):
     sim = Simulator()
-    a, b = Port(sim, "a"), Port(sim, "b")
+    a, b = Port("a"), Port("b")
     Fiber(sim, a, b, length_m)
     arrivals = []
-    b.set_handlers(on_frame=lambda f, p: arrivals.append((sim.now, f)))
+    b.on_frame = lambda f, p: arrivals.append((sim.now, f))
 
     frames = []
     for k, (delay, size) in enumerate(sorted(schedule)):
         frame = frame_for(packet_of_size(size, k))
         frames.append((delay, frame))
-        sim.call_at(delay, a.send, frame)
+        sim.call_at(delay, a.tx_link.transmit, frame)
     sim.run()
 
     assert len(arrivals) == len(frames)
@@ -85,13 +85,13 @@ def test_precomputed_ser_ns_matches_wire_bits():
 def test_backlog_drains_in_order_after_burst():
     """A burst of back-to-back sends pipelines at exactly line rate."""
     sim = Simulator()
-    a, b = Port(sim, "a"), Port(sim, "b")
+    a, b = Port("a"), Port("b")
     Fiber(sim, a, b, 0.0)
     times = []
-    b.set_handlers(on_frame=lambda f, p: times.append(sim.now))
+    b.on_frame = lambda f, p: times.append(sim.now)
     frames = [frame_for(packet_of_size(8, k)) for k in range(10)]
     for frame in frames:
-        a.send(frame)
+        a.tx_link.transmit(frame)
     sim.run()
     ser = frames[0].ser_ns
     assert times == [ser * (k + 1) for k in range(10)]

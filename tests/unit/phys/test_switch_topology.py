@@ -27,11 +27,11 @@ def switch_with_endpoints(sim, n=4):
     eps = []
     inboxes = []
     for i in range(n):
-        ep = Port(sim, f"ep{i}")
+        ep = Port(f"ep{i}")
         fiber = Fiber(sim, ep, sw.ports[i], 10.0)
         sw.attach_fiber(fiber)
         box = []
-        ep.set_handlers(on_frame=lambda f, p, b=box: b.append(f))
+        ep.on_frame = lambda f, p, b=box: b.append(f)
         eps.append(ep)
         inboxes.append(box)
     return sw, eps, inboxes
@@ -42,7 +42,7 @@ def test_ring_map_forwards_between_ports():
     sim = Simulator()
     sw, eps, boxes = switch_with_endpoints(sim)
     sw.configure_ring({0: 1, 1: 2, 2: 3, 3: 0})
-    eps[0].send(frame_for(data_pkt()))
+    eps[0].tx_link.transmit(frame_for(data_pkt()))
     sim.run()
     assert len(boxes[1]) == 1
     assert all(not b for i, b in enumerate(boxes) if i != 1)
@@ -51,7 +51,7 @@ def test_ring_map_forwards_between_ports():
 def test_unmapped_ingress_drops_and_counts():
     sim = Simulator()
     sw, eps, boxes = switch_with_endpoints(sim)
-    eps[0].send(frame_for(data_pkt()))
+    eps[0].tx_link.transmit(frame_for(data_pkt()))
     sim.run()
     assert all(not b for b in boxes)
     assert sw.counters["no_route_drop"] == 1
@@ -70,7 +70,7 @@ def test_failed_switch_forwards_nothing():
     sw.configure_ring({0: 1})
     sw.fail()
     sim.run()  # let carrier transitions settle
-    assert eps[0].send(frame_for(data_pkt())) is False
+    assert eps[0].tx_link.transmit(frame_for(data_pkt())) is False
     sim.run()
     assert all(not b for b in boxes)
 
@@ -90,7 +90,7 @@ def test_switch_repair_restores_carrier():
 def test_rostering_frame_floods_to_all_other_ports():
     sim = Simulator()
     sw, eps, boxes = switch_with_endpoints(sim)
-    eps[0].send(frame_for(encode_explore(origin=0, round_no=1)))
+    eps[0].tx_link.transmit(frame_for(encode_explore(origin=0, round_no=1)))
     sim.run()
     assert not boxes[0]
     assert all(len(boxes[i]) == 1 for i in (1, 2, 3))
@@ -100,8 +100,8 @@ def test_flood_duplicate_suppressed():
     sim = Simulator()
     sw, eps, boxes = switch_with_endpoints(sim)
     pkt = encode_explore(origin=0, round_no=1)
-    eps[0].send(frame_for(pkt))
-    eps[1].send(frame_for(pkt))  # same key arriving elsewhere
+    eps[0].tx_link.transmit(frame_for(pkt))
+    eps[1].tx_link.transmit(frame_for(pkt))  # same key arriving elsewhere
     sim.run()
     total = sum(len(b) for b in boxes)
     assert total == 3
@@ -111,8 +111,8 @@ def test_flood_duplicate_suppressed():
 def test_flood_different_round_not_suppressed():
     sim = Simulator()
     sw, eps, boxes = switch_with_endpoints(sim)
-    eps[0].send(frame_for(encode_explore(origin=0, round_no=1)))
-    eps[0].send(frame_for(encode_explore(origin=0, round_no=2)))
+    eps[0].tx_link.transmit(frame_for(encode_explore(origin=0, round_no=1)))
+    eps[0].tx_link.transmit(frame_for(encode_explore(origin=0, round_no=2)))
     sim.run()
     assert sum(len(b) for b in boxes) == 6
 
@@ -124,8 +124,8 @@ def test_explore_hop_count_does_not_defeat_suppression():
     counted = replace(
         explore, payload=explore.payload[:3] + b"\x03" + explore.payload[4:]
     )
-    eps[0].send(frame_for(explore))
-    eps[1].send(frame_for(counted))
+    eps[0].tx_link.transmit(frame_for(explore))
+    eps[1].tx_link.transmit(frame_for(counted))
     sim.run()
     assert sum(len(b) for b in boxes) == 3
 
@@ -135,7 +135,7 @@ def test_flood_skips_dark_ports():
     sw, eps, boxes = switch_with_endpoints(sim)
     sw.attached_fibers[2].cut()
     sim.run()
-    eps[0].send(frame_for(encode_explore(origin=0, round_no=1)))
+    eps[0].tx_link.transmit(frame_for(encode_explore(origin=0, round_no=1)))
     sim.run()
     assert len(boxes[1]) == 1 and len(boxes[3]) == 1
     assert not boxes[2]

@@ -14,11 +14,11 @@ def two_node_ring(sim, **flow_kw):
     sw = Switch(sim, 0, n_ports=2)
     macs = []
     for node_id in range(2):
-        port = Port(sim, f"n{node_id}.p0")
+        port = Port(f"n{node_id}.p0")
         fiber = Fiber(sim, port, sw.ports[node_id], 10.0)
         sw.attach_fiber(fiber)
         mac = RingMAC(sim, node_id, [port], FlowControlConfig(**flow_kw))
-        port.set_handlers(on_frame=mac.on_frame)
+        port.on_frame = mac.on_frame
         macs.append(mac)
     roster = Roster(1, (0, 1), (0, 0))
     sw.configure_ring(roster.switch_maps()[0])
@@ -67,7 +67,7 @@ def test_broadcast_delivered_at_peer():
 
 def test_install_roster_rejects_non_member():
     sim = Simulator()
-    port = Port(sim, "x")
+    port = Port("x")
     mac = RingMAC(sim, 9, [port])
     mac.install_roster(Roster(1, (0, 1), (0, 0)))
     assert not mac.ring_up
@@ -75,7 +75,7 @@ def test_install_roster_rejects_non_member():
 
 def test_singleton_roster_tours_immediately():
     sim = Simulator()
-    port = Port(sim, "solo")
+    port = Port("solo")
     mac = RingMAC(sim, 0, [port])
     done = []
     mac.on_tour_complete = lambda fr: done.append(fr)

@@ -29,7 +29,7 @@ def data(seq8: int):
 
 def make_mac(**flow_kw):
     sim = Simulator()
-    mac = RingMAC(sim, 0, [Port(sim, "p0")], FlowControlConfig(**flow_kw))
+    mac = RingMAC(sim, 0, [Port("p0")], FlowControlConfig(**flow_kw))
     mac.install_roster(Roster(1, (0, 1), (0, 0)))
     return mac
 

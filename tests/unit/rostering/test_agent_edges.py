@@ -101,7 +101,7 @@ def test_commit_timeout_escalates_round():
 
     agent = nodes[2].agent
     for port in nodes[2].ports:
-        port.force_carrier(False)  # silent drop: no handler side effects
+        port.carrier_up = False  # silent drop: no handler side effects
     # Forge round-5 cells from node 0 (the phantom master-to-be).
     agent.on_cell(frame_for(encode_explore(origin=0, round_no=5)),
                   nodes[2].ports[0])
@@ -120,7 +120,7 @@ def test_commit_timeout_escalates_round():
 def test_lone_node_forms_singleton_roster():
     sim, _topo, nodes = mini_cluster()
     for port in nodes[1].ports:
-        port.force_carrier(False)
+        port.carrier_up = False
     nodes[1].boot()
     sim.run(until=2_000_000)
     agent = nodes[1].agent

@@ -73,7 +73,7 @@ def test_counter_incr_and_missing_default():
     c.incr("drops", 4)
     assert c["drops"] == 5
     assert c["never"] == 0
-    assert c.as_dict() == {"drops": 5}
+    assert dict(c) == {"drops": 5}
 
 
 # --------------------------------------------------------------- LatencyStat

@@ -50,8 +50,8 @@ ALLOWED = {
         "second CRC of the frame layer, held to the published "
         "CCITT-FALSE check value; no packet type carries it yet",
     "repro/phys/frame.py: Frame.damaged":
-        "the only way to make a corrupt frame: Port's CRC-reject path "
-        "is tested through it",
+        "the only way to make a corrupt frame: the link's CRC-reject "
+        "path is tested through it",
     "repro/resilience/breaker.py: CircuitBreaker.state_of":
         "the breaker's observation point: unit tests walk CLOSED -> "
         "OPEN -> HALF_OPEN through it",
