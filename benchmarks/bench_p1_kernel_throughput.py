@@ -176,7 +176,12 @@ def test_p1_kernel_throughput(publish_json):
                   "large rings to 3.2.  Re-emitted by PR 22 for that "
                   "reason: Events (window) fell from 17365 / 546167 / "
                   "2295140 / 3204320 (6.0-6.1 per hop) and the spills "
-                  "with them; the simulated work did not move.  Large "
+                  "with them; the simulated work did not move.  Re-"
+                  "emitted when AmpDK's loops and the workload senders "
+                  "became timers: Events (window) fell from 11212 / "
+                  "325841 / 1152153 / 1617490 by the process start and "
+                  "end entries a callback chain does not post; every "
+                  "other cell held.  Large "
                   "rows are the n=255 address-ceiling ring and the "
                   "routed 4x128 star. Host speed on these storms is "
                   "benchmarks/e2e's to judge (storm_n64, ring_255).",

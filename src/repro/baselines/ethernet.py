@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..sim import Counter, Simulator, Store
+from ..sim import Counter, Simulator
 
 __all__ = ["EthernetFabric", "EthNode", "EthFrame"]
 
@@ -37,6 +37,11 @@ def _wire_ns(frame: "EthFrame") -> int:
     return int(8 * (frame.size_bytes + OVERHEAD_BYTES) / RATE_BITS_PER_NS)
 
 
+def _egress_ns(frame: "EthFrame") -> int:
+    """A switch egress holds a frame for forwarding, then serializes it."""
+    return SWITCH_NS + _wire_ns(frame)
+
+
 @dataclass
 class EthFrame:
     src: int
@@ -46,6 +51,43 @@ class EthFrame:
     sent_at: int = 0
 
 
+class _Serializer:
+    """One port's transmitter: frames wait in a FIFO, hold the line one
+    at a time for ``hold_ns(frame)`` and cross the cable to
+    ``far_end(frame)``.  ``capacity`` bounds the *waiting* frames (the
+    frame on the line has left the buffer); ``None`` is unbounded."""
+
+    __slots__ = ("sim", "hold_ns", "far_end", "capacity", "waiting", "busy")
+
+    def __init__(self, sim: Simulator, hold_ns: Callable[[EthFrame], int],
+                 far_end: Callable[[EthFrame], None], capacity: Optional[int]):
+        self.sim = sim
+        self.hold_ns = hold_ns
+        self.far_end = far_end
+        self.capacity = capacity
+        self.waiting: List[EthFrame] = []
+        self.busy = False
+
+    def offer(self, frame: EthFrame) -> bool:
+        """Queue ``frame``; False, and nothing queued, when the FIFO is full."""
+        if not self.busy:
+            self.busy = True
+            self.sim.call_in(self.hold_ns(frame), self._sent, frame)
+            return True
+        if self.capacity is not None and len(self.waiting) >= self.capacity:
+            return False
+        self.waiting.append(frame)
+        return True
+
+    def _sent(self, frame: EthFrame) -> None:
+        self.sim.call_in(CABLE_NS, self.far_end, frame)
+        if self.waiting:
+            nxt = self.waiting.pop(0)
+            self.sim.call_in(self.hold_ns(nxt), self._sent, nxt)
+        else:
+            self.busy = False
+
+
 class EthNode:
     """One host on the baseline LAN."""
 
@@ -53,22 +95,14 @@ class EthNode:
         self.fabric = fabric
         self.node_id = node_id
         self.on_receive: Optional[Callable[[EthFrame], None]] = None
-        self._uplink: Store = Store(fabric.sim)
-        fabric.sim.process(self._uplink_proc(), name=f"eth-{node_id}.up")
+        self._uplink = _Serializer(fabric.sim, _wire_ns, fabric._ingress, None)
 
     def send(self, dst: int, size_bytes: int, tag: object = None) -> None:
         if dst == self.node_id:
             raise ValueError("loopback not modelled")
         frame = EthFrame(self.node_id, dst, size_bytes, tag, self.fabric.sim.now)
         self.fabric.counters.incr("offered")
-        self._uplink.put(frame)
-
-    def _uplink_proc(self):
-        sim = self.fabric.sim
-        while True:
-            frame: EthFrame = yield self._uplink.get()
-            yield sim.timeout(_wire_ns(frame))
-            sim.call_in(CABLE_NS, lambda f=frame: self.fabric._ingress(f))
+        self._uplink.offer(frame)
 
 
 class EthernetFabric:
@@ -84,33 +118,22 @@ class EthernetFabric:
         self.nodes: Dict[int, EthNode] = {
             i: EthNode(self, i) for i in range(n_nodes)
         }
-        self._egress: Dict[int, Store] = {
-            i: Store(sim, capacity=egress_capacity)
+        self._egress: Dict[int, _Serializer] = {
+            i: _Serializer(sim, _egress_ns, self._deliver, egress_capacity)
             for i in range(n_nodes)
         }
-        for i in range(n_nodes):
-            sim.process(self._egress_proc(i), name=f"eth-sw.eg{i}")
 
     # ------------------------------------------------------------ switching
     def _ingress(self, frame: EthFrame) -> None:
-        queue = self._egress.get(frame.dst)
-        if queue is None:
+        egress = self._egress.get(frame.dst)
+        if egress is None:
             self.counters.incr("unknown_dst")
             return
-        if not queue.try_put(frame):
+        if not egress.offer(frame):
             # Tail drop: the defining behaviour of the baseline.
             self.counters.incr("drops")
             return
         self.counters.incr("switched")
-
-    def _egress_proc(self, port: int):
-        sim = self.sim
-        queue = self._egress[port]
-        while True:
-            frame: EthFrame = yield queue.get()
-            yield sim.timeout(SWITCH_NS)
-            yield sim.timeout(_wire_ns(frame))
-            sim.call_in(CABLE_NS, lambda f=frame: self._deliver(f))
 
     def _deliver(self, frame: EthFrame) -> None:
         self.counters.incr("delivered")

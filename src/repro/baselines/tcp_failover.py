@@ -79,44 +79,43 @@ class TcpFailoverPair:
         self._primary_alive = True
         self._seq = 0              # primary's committed sequence
         self._backup_seq = 0       # backup's replicated sequence
-        self._last_beat = 0
+        self._last_beat = sim.now
         self._pending_batch: List[int] = []
 
-        sim.process(self._primary_writes(), name="tcpfo.writes")
-        sim.process(self._primary_replication(), name="tcpfo.repl")
-        sim.process(self._primary_heartbeat(), name="tcpfo.hb")
-        sim.process(self._backup_monitor(), name="tcpfo.monitor")
+        sim.call_in(WRITE_INTERVAL_NS, self._primary_write)
+        sim.call_in(REPLICATION_INTERVAL_NS, self._primary_replicate)
+        sim.call_in(HEARTBEAT_INTERVAL_NS, self._primary_heartbeat)
+        sim.call_in(HEARTBEAT_INTERVAL_NS, self._backup_check)
         self.fabric.nodes[1].on_receive = self._backup_receive
 
     # -------------------------------------------------------------- primary
-    def _primary_writes(self):
-        while self._primary_alive:
-            yield self.sim.timeout(WRITE_INTERVAL_NS)
-            if not self._primary_alive:
-                return
-            self._seq += 1
-            # Async commit: ack the client immediately after local write.
-            self.report.acked = self._seq
-            self._pending_batch.append(self._seq)
-            self.counters.incr("writes_acked")
+    # Each primary timer re-arms itself and stops once the primary is dead.
+    def _primary_write(self) -> None:
+        if not self._primary_alive:
+            return
+        self._seq += 1
+        # Async commit: ack the client immediately after local write.
+        self.report.acked = self._seq
+        self._pending_batch.append(self._seq)
+        self.counters.incr("writes_acked")
+        self.sim.call_in(WRITE_INTERVAL_NS, self._primary_write)
 
-    def _primary_replication(self):
-        while self._primary_alive:
-            yield self.sim.timeout(REPLICATION_INTERVAL_NS)
-            if not self._primary_alive or not self._pending_batch:
-                continue
+    def _primary_replicate(self) -> None:
+        if not self._primary_alive:
+            return
+        if self._pending_batch:
             batch = self._pending_batch
             self._pending_batch = []
             size = RECORD_BYTES * len(batch)
             self.fabric.nodes[0].send(1, size, tag=("repl", batch[-1]))
             self.counters.incr("batches_sent")
+        self.sim.call_in(REPLICATION_INTERVAL_NS, self._primary_replicate)
 
-    def _primary_heartbeat(self):
-        while self._primary_alive:
-            yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
-            if not self._primary_alive:
-                return
-            self.fabric.nodes[0].send(1, 64, tag=("hb", None))
+    def _primary_heartbeat(self) -> None:
+        if not self._primary_alive:
+            return
+        self.fabric.nodes[0].send(1, 64, tag=("hb", None))
+        self.sim.call_in(HEARTBEAT_INTERVAL_NS, self._primary_heartbeat)
 
     def crash_primary(self) -> None:
         """Kill the primary (with its un-replicated batch)."""
@@ -133,17 +132,15 @@ class TcpFailoverPair:
             self._backup_seq = max(self._backup_seq, value)
             self.report.replicated = self._backup_seq
 
-    def _backup_monitor(self):
-        timeout = HEARTBEAT_INTERVAL_NS * MISSED_BEATS
-        self._last_beat = self.sim.now
-        while True:
-            yield self.sim.timeout(HEARTBEAT_INTERVAL_NS)
-            if self.report.detected_at is not None:
-                return
-            if self.sim.now - self._last_beat > timeout:
-                self.report.detected_at = self.sim.now
-                # Takeover: replay the replicated log, open for business.
-                self.report.resumed_from = self._backup_seq
-                self.report.takeover_at = self.sim.now
-                self.counters.incr("takeovers")
-                return
+    def _backup_check(self) -> None:
+        """Once per heartbeat period: declare the primary dead after
+        ``MISSED_BEATS`` silent periods and take over."""
+        now = self.sim.now
+        if now - self._last_beat > HEARTBEAT_INTERVAL_NS * MISSED_BEATS:
+            self.report.detected_at = now
+            # Takeover: replay the replicated log, open for business.
+            self.report.resumed_from = self._backup_seq
+            self.report.takeover_at = now
+            self.counters.incr("takeovers")
+            return
+        self.sim.call_in(HEARTBEAT_INTERVAL_NS, self._backup_check)

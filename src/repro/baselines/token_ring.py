@@ -54,7 +54,9 @@ class TokenRing:
             + SWITCH_LATENCY_NS
             + NODE_TRANSIT_NS
         )
-        sim.process(self._token_proc(), name="token-ring")
+        self._token_ns = serialization_ns(TOKEN_WIRE_BITS)
+        self._frame_ns = serialization_ns(FRAME_WIRE_BITS)
+        sim.call_in(0, self._token_at, 0, 0)
 
     def send(self, src: int, dst: int, tag: object = None) -> None:
         """Queue one frame at station ``src``."""
@@ -66,33 +68,29 @@ class TokenRing:
     def backlog(self, src: int) -> int:
         return len(self._queues[src])
 
-    def _token_proc(self):
-        sim = self.sim
-        n_nodes = self.n_nodes
-        station = 0
-        token_ns = serialization_ns(TOKEN_WIRE_BITS)
-        frame_ns = serialization_ns(FRAME_WIRE_BITS)
-        while True:
-            # Token arrives at `station`.
-            queue = self._queues[station]
-            sent = 0
-            while queue and sent < FRAMES_PER_TOKEN:
-                dst, tag, queued_at = queue.popleft()
-                # Frame circulates from src to dst: hop count forward.
-                hops = (dst - station) % n_nodes
-                yield sim.timeout(frame_ns)  # source serialization
-                travel = hops * self._hop_ns + hops * frame_ns
-                sim.call_in(
-                    travel,
-                    lambda s=station, d=dst, t=tag, q=queued_at: self._deliver(
-                        s, d, t, q
-                    ),
-                )
-                sent += 1
-                self.counters.incr("sent")
-            # Pass the token one hop on.
-            yield sim.timeout(token_ns + self._hop_ns)
-            station = (station + 1) % n_nodes
+    def _token_at(self, station: int, sent: int) -> None:
+        """``station`` holds the token, having sent ``sent`` frames on
+        this visit: serialize its next frame, or pass the token on."""
+        queue = self._queues[station]
+        if queue and sent < FRAMES_PER_TOKEN:
+            self.sim.call_in(
+                self._frame_ns, self._sent, station, sent, queue.popleft()
+            )
+            return
+        self.sim.call_in(
+            self._token_ns + self._hop_ns,
+            self._token_at, (station + 1) % self.n_nodes, 0,
+        )
+
+    def _sent(self, station: int, sent: int, frame: tuple) -> None:
+        """The frame has left the source: it circulates from ``station``
+        to its destination, and the station keeps the token."""
+        dst, tag, queued_at = frame
+        hops = (dst - station) % self.n_nodes
+        travel = hops * self._hop_ns + hops * self._frame_ns
+        self.sim.call_in(travel, self._deliver, station, dst, tag, queued_at)
+        self.counters.incr("sent")
+        self._token_at(station, sent + 1)
 
     def _deliver(self, src: int, dst: int, tag: object, queued_at: int) -> None:
         self.counters.incr("delivered")

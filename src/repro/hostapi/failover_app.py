@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..netcache import RegionSpec
 from ..kernel import GroupApp
-from ..sim import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel import ControlGroup
@@ -101,20 +100,17 @@ class CheckpointedSequenceApp(GroupApp):
     # ---------------------------------------------------------------- run
     def run(self):
         sim = self.node.sim
-        try:
-            while not self.stopped():
-                yield sim.timeout(self.WORK_NS)
-                if self.stopped():
-                    return
-                self.seq += 1
-                record = struct.pack(_FMT, self.seq, self.seq * 2654435761 % (1 << 64))
-                self.node.cache.write(APP_REGION.name, _HEADER_RECORD, record)
-                handle = self.node.replicator.last_handle
-                if handle is not None:
-                    # Durability gate: ack only after the ring confirms.
-                    yield handle.delivered
-                if self.stopped():
-                    return
-                self.ledger.ack(self.seq, self.node.node_id)
-        except Interrupt:
-            return  # demoted or crashed; a peer will take over
+        while not self.stopped():
+            yield sim.timeout(self.WORK_NS)
+            if self.stopped():
+                return  # demoted or crashed; a peer will take over
+            self.seq += 1
+            record = struct.pack(_FMT, self.seq, self.seq * 2654435761 % (1 << 64))
+            self.node.cache.write(APP_REGION.name, _HEADER_RECORD, record)
+            handle = self.node.replicator.last_handle
+            if handle is not None:
+                # Durability gate: ack only after the ring confirms.
+                yield handle.delivered
+            if self.stopped():
+                return
+            self.ledger.ack(self.seq, self.node.node_id)

@@ -21,7 +21,7 @@ Distributed Kernel".  The pieces modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..micropacket import BROADCAST, Flags, MicroPacket, MicroPacketType
 from ..rostering import Roster
@@ -43,6 +43,8 @@ HEARTBEAT_INTERVAL_NS = 200_000  # 200 us
 HEARTBEAT_TIMEOUT_NS = 1_000_000  # 1 ms
 #: How often the monitor sweeps for silent peers.
 CHECK_INTERVAL_NS = 100_000
+#: Certification tours the master sends before it gives up.
+CERTIFY_ATTEMPTS = 2
 #: Master's patience for the certification tour, in ring tours.  The
 #: tour itself takes ~1 unloaded tour, but a cell cannot preempt a
 #: frame mid-serialization, so under bulk load each hop can add one
@@ -98,7 +100,12 @@ def heartbeat_schedule(n_nodes: int, tour_estimate_ns: int) -> HeartbeatSchedule
 
 
 class AmpDK:
-    """Per-node distributed kernel services."""
+    """Per-node distributed kernel services.
+
+    Every loop is a fire-and-guard timer: it re-arms with ``call_in``
+    and returns once ``_epoch`` (bumped on every ring up/down) has moved
+    past the epoch it was armed in.
+    """
 
     def __init__(self, node: "AmpNode", schedule: HeartbeatSchedule):
         self.node = node
@@ -112,8 +119,8 @@ class AmpDK:
         self._last_heard: List[Optional[int]] = []
         self._roster: Optional[Roster] = None
         self._epoch = 0  # bumps on every ring up/down to retire old loops
-        self._certified_round: Optional[int] = None
-        self._cert_waiters: Dict[int, dict] = {}
+        #: this epoch's certification cell on tour: (frame id, roster)
+        self._cert: Optional[Tuple[int, Roster]] = None
 
         node.ring_up_listeners.append(self._ring_up)
         node.ring_down_listeners.append(self._ring_down)
@@ -129,20 +136,29 @@ class AmpDK:
     def _ring_up(self, roster: Roster) -> None:
         self._roster = roster
         self._epoch += 1
-        now = self.sim.now
+        self._cert = None
+        sim = self.sim
+        now = sim.now
         self._last_heard = last_heard = [None] * (max(roster.members) + 1)
         for m in roster.members:
             if m != self.node.node_id:
                 last_heard[m] = now
         epoch = self._epoch
-        self.sim.process(self._heartbeat_loop(epoch), name=f"{self.name}.hb")
-        self.sim.process(self._monitor_loop(epoch), name=f"{self.name}.mon")
+        sim.call_in(0, self._beat, epoch)
+        # Grace: peers need a beat in flight before silence means death.
+        sim.call_in(self.config.heartbeat_timeout_ns, self._check, epoch)
         if roster.size >= 2 and self._is_certifier(roster):
-            self.sim.process(self._certify(roster, epoch), name=f"{self.name}.cert")
+            # The master installs first; commit cells are still flooding
+            # to the other members.  Give them half a tour to open their
+            # rings before the certification cell starts touring.
+            sim.call_in(
+                self.config.tour_estimate_ns // 2, self._certify, roster, epoch, 0
+            )
 
     def _ring_down(self, reason: str) -> None:
         self._roster = None
         self._epoch += 1
+        self._cert = None
 
     def _is_certifier(self, roster: Roster) -> bool:
         return self.node.node_id == min(roster.members)
@@ -158,13 +174,13 @@ class AmpDK:
             payload=b"HB",
         )
 
-    def _heartbeat_loop(self, epoch: int):
-        sim = self.sim
-        while epoch == self._epoch and self._roster is not None:
-            if self._roster.size >= 2:
-                self.node.mac.send(self._heartbeat_cell())
-                self.counters.incr("heartbeats_sent")
-            yield sim.timeout(self.config.heartbeat_interval_ns)
+    def _beat(self, epoch: int) -> None:
+        if epoch != self._epoch or self._roster is None:
+            return
+        if self._roster.size >= 2:
+            self.node.mac.send(self._heartbeat_cell())
+            self.counters.incr("heartbeats_sent")
+        self.sim.call_in(self.config.heartbeat_interval_ns, self._beat, epoch)
 
     def _on_heartbeat(self, pkt: MicroPacket, frame) -> None:
         last_heard, src = self._last_heard, pkt.src
@@ -174,30 +190,24 @@ class AmpDK:
         last_heard[src] = self.sim._now
         self.counters["heartbeats_seen"] += 1
 
-    def _monitor_loop(self, epoch: int):
-        sim = self.sim
+    def _check(self, epoch: int) -> None:
+        if epoch != self._epoch or self._roster is None:
+            return
         cfg = self.config
-        # Grace: peers need a beat in flight before silence means death.
-        yield sim.timeout(cfg.heartbeat_timeout_ns)
-        while epoch == self._epoch and self._roster is not None:
-            deadline = sim.now - cfg.heartbeat_timeout_ns
-            silent = [
-                peer for peer, heard in enumerate(self._last_heard)
-                if heard is not None and heard < deadline
-            ]
-            if silent:
-                self.counters.incr("peer_timeouts")
-                self.node.agent.trigger(f"heartbeat timeout: peers {silent} silent")
-                return
-            yield sim.timeout(cfg.check_interval_ns)
+        deadline = self.sim.now - cfg.heartbeat_timeout_ns
+        silent = [
+            peer for peer, heard in enumerate(self._last_heard)
+            if heard is not None and heard < deadline
+        ]
+        if silent:
+            self.counters.incr("peer_timeouts")
+            self.node.agent.trigger(f"heartbeat timeout: peers {silent} silent")
+            return
+        self.sim.call_in(cfg.check_interval_ns, self._check, epoch)
 
     # ---------------------------------------------------------- certification
-    def _certify(self, roster: Roster, epoch: int):
-        sim = self.sim
-        # The master installs first; commit cells are still flooding to
-        # the other members.  Give them half a tour to open their rings
-        # before the certification cell starts touring.
-        yield sim.timeout(self.config.tour_estimate_ns // 2)
+    def _certify(self, roster: Roster, epoch: int, attempt: int) -> None:
+        """Send certification tour ``attempt``; its window timer decides."""
         if epoch != self._epoch:
             return
         cell = MicroPacket(
@@ -208,30 +218,34 @@ class AmpDK:
             flags=Flags.PRIORITY | Flags.BROADCAST_FLAG,
             payload=roster.round_no.to_bytes(1, "little"),
         )
-        window = CERTIFY_TOURS * self.config.tour_estimate_ns
-        for attempt in range(2):
-            frame = self.node.mac.send(cell)
-            done = sim.event()
-            self._cert_waiters[frame.frame_id] = {"done": done}
-            yield sim.any_of([done, sim.timeout(window)])
-            self._cert_waiters.pop(frame.frame_id, None)
-            if epoch != self._epoch:
-                return
-            if done.triggered:
-                self._certified_round = roster.round_no
-                self.counters.incr("certified")
-                self.node.tracer.record(
-                    sim.now, "ring_certified", self.name, round=roster.round_no,
-                )
-                return
-            self.counters.incr("certification_retries")
+        frame_id = self.node.mac.send(cell).frame_id
+        self._cert = (frame_id, roster)
+        self.sim.call_in(
+            CERTIFY_TOURS * self.config.tour_estimate_ns,
+            self._certify_window, frame_id, attempt,
+        )
+
+    def _certify_window(self, frame_id: int, attempt: int) -> None:
+        cert = self._cert
+        if cert is None or cert[0] != frame_id:
+            return  # certified, or the ring changed, before the window closed
+        self._cert = None
+        self.counters.incr("certification_retries")
+        if attempt + 1 < CERTIFY_ATTEMPTS:
+            self._certify(cert[1], self._epoch, attempt + 1)
+            return
         self.counters.incr("certification_failed")
         self.node.agent.trigger("certification tour failed")
 
     def _on_tour_complete(self, frame) -> None:
-        handle = self._cert_waiters.pop(frame.frame_id, None)
-        if handle is not None and not handle["done"].triggered:
-            handle["done"].succeed()
+        cert = self._cert
+        if cert is None or cert[0] != frame.frame_id:
+            return
+        self._cert = None
+        self.counters.incr("certified")
+        self.node.tracer.record(
+            self.sim.now, "ring_certified", self.name, round=cert[1].round_no,
+        )
 
     def _on_certify(self, pkt: MicroPacket, frame) -> None:
         # Members simply observe certification traffic (counted for tests).

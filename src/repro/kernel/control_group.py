@@ -20,7 +20,8 @@ member for free.  Failure handling is entirely roster-driven:
 3. The new primary waits the group's *failover period* (application
    definable — time for the app to flush, for operators to veto, or
    simply zero) and then invokes the application's recovery rules with
-   the replicated state.
+   the replicated state.  A node whose replica is cold (it re-joined
+   after a crash) waits on for the cache refresh that warms it.
 
 Because checkpoints ride the reliable messenger and live in every
 replica, the new primary resumes from the last *confirmed* checkpoint:
@@ -30,7 +31,7 @@ nothing the application considered durable is ever lost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..netcache import RegionSpec
 from ..rostering import Roster
@@ -78,8 +79,10 @@ class GroupApp:
         raise NotImplementedError
 
     def stopped(self) -> bool:
-        """Apps poll this (or are interrupted) to stop on demotion."""
-        return self.group.primary != self.node.node_id
+        """True once this instance no longer runs the group's app: the
+        node was demoted or crashed, or a later takeover replaced it.
+        Apps poll it after every wait and return when it holds."""
+        return self.group.app is not self
 
 
 class ControlGroup:
@@ -102,6 +105,8 @@ class ControlGroup:
         self.app: Optional[GroupApp] = None
         self._app_process = None
         self._epoch = 0
+        #: a takeover waiting for the cold replica to warm: (epoch, promoted)
+        self._parked: Optional[Tuple[int, bool]] = None
         #: fires whenever this node becomes primary (tests/examples)
         self.became_primary: Event = node.sim.event()
 
@@ -112,6 +117,8 @@ class ControlGroup:
         # confirmation stalls.
         node.ring_up_listeners.append(self._on_ring_up)
         node.crash_listeners.append(self._on_crash)
+        if node.refresh is not None:
+            node.refresh.on_warm.append(self._on_warm)
 
     # ------------------------------------------------------------- election
     def elect(self, roster: Roster) -> Optional[int]:
@@ -131,24 +138,25 @@ class ControlGroup:
             if old_primary != new_primary or self._app_process is None:
                 self._epoch += 1
                 self.counters.incr("takeovers")
-                self.sim.process(
-                    self._takeover(self._epoch, promoted=old_primary is not None),
-                    name=f"{self.name}.takeover",
+                promoted = old_primary is not None
+                self.sim.call_in(
+                    self.config.failover_period_ns if promoted else 0,
+                    self._takeover, self._epoch, promoted,
                 )
         else:
-            self._stop_app("demoted" if old_primary == self.node.node_id else "")
+            self._stop_app()
 
-    def _takeover(self, epoch: int, promoted: bool):
-        """Failover-period wait, recovery rules, then the app main loop."""
-        if promoted and self.config.failover_period_ns:
-            yield self.sim.timeout(self.config.failover_period_ns)
-        # Assimilation rule: never run recovery against a cold replica —
-        # wait for the cache refresh that warms a rejoining node.
-        refresh = self.node.refresh
-        while refresh is not None and not refresh.warm:
-            yield refresh.refreshed
+    def _takeover(self, epoch: int, promoted: bool) -> None:
+        """The failover period is over: recovery rules, then the app main
+        loop — unless a later ring-up or a crash superseded this one."""
         if epoch != self._epoch or self.primary != self.node.node_id:
-            return  # superseded while waiting
+            return
+        # Assimilation rule: never run recovery against a cold replica —
+        # park until the cache refresh warms a rejoining node.
+        refresh = self.node.refresh
+        if refresh is not None and not refresh.warm:
+            self._parked = (epoch, promoted)
+            return
         self.app = self.app_factory(self.node, self)
         self.app.recover()
         self.counters.incr("recoveries")
@@ -163,9 +171,15 @@ class ControlGroup:
             self.app.run(), name=f"{self.name}.app"
         )
 
-    def _stop_app(self, reason: str) -> None:
+    def _on_warm(self) -> None:
+        parked, self._parked = self._parked, None
+        if parked is not None:
+            self._takeover(*parked)
+
+    def _stop_app(self) -> None:
+        """Retire the running app instance: it sees :meth:`GroupApp.stopped`
+        at its next resumption and returns."""
         if self._app_process is not None and self._app_process.is_alive:
-            self._app_process.interrupt(reason or "no longer primary")
             self.counters.incr("demotions")
         self._app_process = None
         self.app = None
@@ -174,7 +188,7 @@ class ControlGroup:
         """The node power-failed (its fresh, empty cache replica is
         already attached: the stack's listeners run before ours)."""
         self._epoch += 1
-        self._stop_app("node crash")
+        self._stop_app()
         self.primary = None
         if self.config.region is not None:
             self.node.cache.define_region(self.config.region, announce=False)

@@ -255,33 +255,41 @@ class NetworkCache:
         incoming = (update.version, update.writer)
         return incoming > current
 
-    def apply_update(self, update: RecordUpdate) -> Generator:
+    def apply_update(
+        self, update: RecordUpdate, then: Callable[[bool], None]
+    ) -> None:
         """Apply a peer's write the way the DMA engine does: first
-        counter, data in bursts, last counter.  Run as a process."""
+        counter, data in bursts, last counter.  ``then`` is called with
+        whether the update landed, once the last burst is written (at
+        once for a stale update)."""
         if not self.should_apply(update):
             self.counters.incr("stale_updates")
-            return False
+            then(False)
+            return
         rec = self._record(update.region_id, update.index)
-        spec = self._regions[update.region_id]
+        size = self._regions[update.region_id].record_size
         rec.c1 = update.version
         rec.writer = update.writer
-        padded = update.data.ljust(spec.record_size, b"\x00")
-        for off in range(0, spec.record_size, self.APPLY_CHUNK):
-            if rec.c1 != update.version:
-                # A newer local write overtook this apply mid-flight; its
-                # data must not be damaged by our remaining bursts.
-                self.counters.incr("overtaken_applies")
-                return False
-            rec.data[off : off + self.APPLY_CHUNK] = padded[
-                off : off + self.APPLY_CHUNK
-            ]
-            yield self.sim.timeout(self.APPLY_STEP_NS)
-        if rec.c1 == update.version:
-            rec.c2 = update.version
+        self._burst(rec, update.version, update.data.ljust(size, b"\x00"),
+                    0, size, then)
+
+    def _burst(self, rec: _Record, version: int, padded: bytes, off: int,
+               size: int, then: Callable[[bool], None]) -> None:
+        """Write the burst at ``off``, or finish the apply past ``size``."""
+        if rec.c1 != version:
+            # A newer local write overtook this apply mid-flight; its
+            # data must not be damaged by our remaining bursts.
+            self.counters.incr("overtaken_applies")
+            then(False)
+            return
+        if off >= size:
+            rec.c2 = version
             self.counters.incr("applied_updates")
-            return True
-        self.counters.incr("overtaken_applies")
-        return False
+            then(True)
+            return
+        rec.data[off : off + self.APPLY_CHUNK] = padded[off : off + self.APPLY_CHUNK]
+        self.sim.call_in(self.APPLY_STEP_NS, self._burst, rec, version, padded,
+                         off + self.APPLY_CHUNK, size, then)
 
     def apply_update_atomic(self, update: RecordUpdate) -> bool:
         """Instant apply (used by snapshot refresh, where the receiving

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 
 from ..micropacket import BROADCAST
 from ..rostering import Roster
-from ..sim import Counter, Event
+from ..sim import Counter
 from ..transport import Channel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,8 +44,8 @@ class RefreshService:
         #: considers its replica cold until a refresh completes
         self.warm = False
         self._requested_for_round: Optional[int] = None
-        #: fires each time a refresh completes (tests, assimilation)
-        self.refreshed: Event = node.sim.event()
+        #: called each time a refresh completes (assimilation, control
+        #: groups waiting to take over)
         self.on_warm: List[Callable[[], None]] = []
 
         self.messenger.on_signal(Channel.REFRESH, self._on_signal)
@@ -87,12 +87,6 @@ class RefreshService:
             self.sim.now, "cache_refreshed", f"refresh-{self.node.node_id}",
             provider=src, records=applied, bytes=len(payload),
         )
-        self._fire_warm()
-
-    def _fire_warm(self) -> None:
-        if not self.refreshed.triggered:
-            self.refreshed.succeed(self.sim.now)
-        self.refreshed = self.sim.event()
         for fn in self.on_warm:
             fn()
 

@@ -135,13 +135,17 @@ class CacheReplicator:
                 self.counters.incr("applies_coalesced")
             return
         self._busy[key] = None
-        self.sim.process(self._apply_chain(key, update))
+        self._apply(key, update)
 
-    def _apply_chain(self, key: Tuple[int, int], first: RecordUpdate):
-        update: Optional[RecordUpdate] = first
-        while update is not None:
-            yield from self.node.cache.apply_update(update)
-            self.counters.incr("applies_run")
-            update = self._busy.get(key)
+    def _apply(self, key: Tuple[int, int], update: RecordUpdate) -> None:
+        self.node.cache.apply_update(update, lambda _ok: self._applied(key))
+
+    def _applied(self, key: Tuple[int, int]) -> None:
+        """One apply finished: run the newest update that queued behind
+        it, if any.  A crash clears ``_busy`` mid-chain, so the key may
+        be gone."""
+        self.counters.incr("applies_run")
+        update = self._busy.pop(key, None)
+        if update is not None:
             self._busy[key] = None
-        del self._busy[key]
+            self._apply(key, update)

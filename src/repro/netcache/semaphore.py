@@ -15,6 +15,9 @@ fixed type of slide 4: ring-ordered 64-bit atomic operations):
   held -> the requester joins the home's FIFO wait queue.
 * ``release`` sends a REL cell; the home either hands the lock to the
   queue head (another cache write + GRANT) or writes it free.
+* A GRANT that finds no one waiting — the acquire timed out while the
+  request sat in the home's queue — is handed straight back through the
+  release path, so an abandoned request cannot strand the lock.
 
 Failover: the home's wait queue is the only soft state.  When the roster
 changes, waiters re-send their pending requests to the new home, which
@@ -66,7 +69,8 @@ class SemaphoreService:
 
         #: home-side FIFO wait queues: sem id -> requester ids
         self._wait_queues: Dict[int, Deque[int]] = {}
-        #: requester-side pending acquires: sem id -> grant event
+        #: requester-side pending acquires: sem id -> grant event, which
+        #: succeeds True on a grant and False when the acquire times out
         self._pending: Dict[int, Event] = {}
         self.held: set = set()
 
@@ -119,7 +123,7 @@ class SemaphoreService:
     def acquire(self, sem_id: int, timeout_ns: Optional[int] = None) -> Generator:
         """Acquire a semaphore; yield from inside a process.
 
-        Returns True on grant, False on timeout.
+        Returns True on grant, False once ``timeout_ns`` passes first.
         """
         if not 0 <= sem_id < SEM_REGION.n_records:
             raise SemaphoreError(f"semaphore id {sem_id} out of range")
@@ -131,23 +135,28 @@ class SemaphoreService:
         self._pending[sem_id] = grant
         self.counters.incr("acquire_requests")
         self._send_request(sem_id)
-        if timeout_ns is None:
-            yield grant
-            self.held.add(sem_id)
-            return True
-        result = yield self.sim.any_of([grant, self.sim.timeout(timeout_ns)])
+        if timeout_ns is not None:
+            self.sim.call_in(timeout_ns, self._expire, sem_id, grant)
+        granted = yield grant
+        if not granted:
+            self.counters.incr("acquire_timeouts")
+        return granted
+
+    def _expire(self, sem_id: int, grant: Event) -> None:
         if grant.triggered:
-            self.held.add(sem_id)
-            return True
-        self._pending.pop(sem_id, None)
-        self.counters.incr("acquire_timeouts")
-        return False
+            return
+        if self._pending.get(sem_id) is grant:
+            del self._pending[sem_id]
+        grant.succeed(False)
 
     def release(self, sem_id: int) -> None:
         if sem_id not in self.held:
             raise SemaphoreError(f"semaphore {sem_id} not held")
         self.held.discard(sem_id)
         self.counters.incr("releases")
+        self._send_release(sem_id)
+
+    def _send_release(self, sem_id: int) -> None:
         if self._is_home():
             self._home_release(sem_id, self.node.node_id)
         else:
@@ -212,8 +221,13 @@ class SemaphoreService:
 
     def _on_grant(self, sem_id: int) -> None:
         grant = self._pending.pop(sem_id, None)
-        if grant is not None and not grant.triggered:
-            grant.succeed()
+        if grant is not None:
+            self.held.add(sem_id)
+            grant.succeed(True)
+        elif sem_id not in self.held:
+            # Nobody waits for it any more: hand the lock straight back.
+            self.counters.incr("grants_returned")
+            self._send_release(sem_id)
         self.counters.incr("grants_received")
 
     # ------------------------------------------------------------ failover

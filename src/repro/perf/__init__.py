@@ -66,9 +66,9 @@ def layer_of(entry: Any) -> str:
 
     Slim callbacks are attributed by their target function's module
     (``repro.phys.link`` -> ``phys.link``); kernel events (timeouts,
-    process ends, store operations) are attributed to
-    ``sim.<TypeName>``.  A process start or interrupt is a slim callback
-    into :mod:`repro.sim.events`, so it counts under ``sim.events``.
+    triggered events, process ends) are attributed to
+    ``sim.<TypeName>``.  A process start is a slim callback into
+    :mod:`repro.sim.events`, so it counts under ``sim.events``.
     """
     if type(entry) is Callback:
         module = getattr(entry.fn, "__module__", "") or ""

@@ -6,10 +6,15 @@
     python -m repro.scenarios run slide7_mixed [--seed N] [--json PATH]
     python -m repro.scenarios run all
     python -m repro.scenarios digest quiet_ring [--seed N] [--runs 2]
+    python -m repro.scenarios trace quiet_ring [--seed N] --out quiet_ring.trace
 
 ``run`` exits non-zero if any invariant fails; ``digest`` re-runs the
 scenario and prints one trace digest per run (the golden-trace tests
-document their update procedure in terms of this command).
+document their update procedure in terms of this command).  ``trace``
+writes the canonical line of every trace record, the lines the digest
+hashes (the file's BLAKE2b-128 is the digest); two dumps, say of a
+parent and of a change, diff to the first record where the timelines
+part.
 
 One run at a time: for a (scenario × seed × size) grid fanned across a
 worker pool with aggregated statistics, use ``python -m repro.sweep``
@@ -25,7 +30,7 @@ from typing import List, Optional
 
 from ..analysis import fmt_ns
 from .library import SCENARIOS, get_scenario, scenario_names
-from .runner import ScenarioResult, run_scenario
+from .runner import ScenarioResult, ScenarioRunner, run_scenario, trace_lines
 
 
 def print_result(result: ScenarioResult) -> None:
@@ -124,6 +129,20 @@ def cmd_digest(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_trace(args: argparse.Namespace) -> int:
+    if args.name not in SCENARIOS:
+        print(f"unknown scenario {args.name!r}; known: "
+              f"{', '.join(scenario_names())}", file=sys.stderr)
+        return 2
+    runner = ScenarioRunner(get_scenario(args.name, seed=args.seed))
+    result = runner.run()
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(trace_lines(runner.cluster.tracer))
+    print(f"wrote {len(runner.cluster.tracer.records)} records to {args.out} "
+          f"(digest {result.trace_digest})")
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -140,11 +159,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     dig_p.add_argument("--seed", type=int, default=None)
     dig_p.add_argument("--runs", type=int, default=2)
 
+    trace_p = sub.add_parser(
+        "trace", help="write the canonical trace lines the digest hashes")
+    trace_p.add_argument("name")
+    trace_p.add_argument("--seed", type=int, default=None)
+    trace_p.add_argument("--out", required=True, help="file to write")
+
     args = parser.parse_args(argv)
     if args.command == "list":
         return cmd_list(args)
     if args.command == "run":
         return cmd_run(args)
+    if args.command == "trace":
+        return cmd_trace(args)
     return cmd_digest(args)
 
 

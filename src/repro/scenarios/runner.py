@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis import ring_drop_count
 from ..caching import CacheDeployment
@@ -45,19 +45,22 @@ __all__ = [
 ]
 
 
-def trace_digest(tracer: Tracer) -> str:
-    """Stable 128-bit digest of a tracer timeline.
-
-    Canonical form per record: ``(time, category, source, sorted data
-    items)``.  Only value types with version-stable ``repr`` appear in
-    traces (ints, strs, tuples, None, floats), so the digest is
-    comparable across Python 3.10–3.12 and across platforms.
-    """
-    h = hashlib.blake2b(digest_size=16)
+def trace_lines(tracer: Tracer) -> Iterator[str]:
+    """The canonical line of each record, newline included:
+    ``repr((time, category, source, sorted data items))``.  Only value
+    types with version-stable ``repr`` appear in traces (ints, strs,
+    tuples, None, floats), so the lines are comparable across Python
+    3.10–3.12 and across platforms."""
     for r in tracer.records:
-        line = repr((r.time, r.category, r.source, tuple(sorted(r.data.items()))))
+        yield repr((r.time, r.category, r.source, tuple(sorted(r.data.items())))) + "\n"
+
+
+def trace_digest(tracer: Tracer) -> str:
+    """Stable 128-bit digest of a tracer timeline: BLAKE2b-128 of its
+    :func:`trace_lines`, so a dump of them hashes to the digest."""
+    h = hashlib.blake2b(digest_size=16)
+    for line in trace_lines(tracer):
         h.update(line.encode("utf-8"))
-        h.update(b"\n")
     return h.hexdigest()
 
 

@@ -2,20 +2,12 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Store, Tracer
+    from repro.sim import Simulator, Tracer
 
 See :mod:`repro.sim.kernel` for the event-loop semantics.
 """
 
-from .events import (
-    AnyOf,
-    Callback,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from .events import Callback, Event, Process, SimulationError, Timeout
 from .kernel import Simulator, StopSimulation
 from .monitor import (
     NULL_TRACER,
@@ -25,15 +17,12 @@ from .monitor import (
     Tracer,
 )
 from .rand import SeededStreams, derive_seed
-from .resources import Store
 
 __all__ = [
-    "AnyOf",
     "Callback",
     "ConvergenceTracker",
     "Counter",
     "Event",
-    "Interrupt",
     "LatencyStat",
     "NULL_TRACER",
     "Process",
@@ -41,7 +30,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Timeout",
     "Tracer",
     "derive_seed",

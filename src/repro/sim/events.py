@@ -1,9 +1,9 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel is deliberately simpy-flavoured: simulation actors are Python
-generators that ``yield`` :class:`Event` objects and are resumed when those
-events fire.  Everything in the AmpNet model — links, NIC firmware, the
-AmpDK distributed kernel, host applications — runs as such a process.
+The network model schedules plain callbacks (:class:`Callback` entries,
+``call_at`` / ``call_in``); host programs — applications, services, test
+scripts — are Python generators that ``yield`` :class:`Event` objects and
+are resumed when those events fire.
 
 Events move through three stages:
 
@@ -18,7 +18,7 @@ model) so that runs are exactly reproducible across platforms.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import Simulator
@@ -28,27 +28,12 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Raised for kernel-level misuse (double trigger, bad yield, ...)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another actor interrupted.
-
-    The ``cause`` attribute carries whatever object the interrupter supplied
-    (for AmpNet this is typically a :class:`~repro.faults.injector.FaultEvent`
-    or a roster-change notice).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Sentinel distinguishing "not yet triggered" from a triggered None value.
@@ -87,9 +72,10 @@ class Callback:
 class Event:
     """A one-shot occurrence that processes can wait on.
 
-    An event may succeed with a value or fail with an exception.  Waiting
-    processes receive the value as the result of their ``yield`` (or have
-    the exception raised at the yield point).
+    An event succeeds with a value; a :class:`Process` whose generator
+    raises fails with the exception.  Waiting processes receive the value
+    as the result of their ``yield`` (or have the exception raised at the
+    yield point).
 
     A triggered event sits on the schedule as a :class:`Callback`-shaped
     entry: the kernel sets ``fn``/``args`` to :meth:`_fire` when it
@@ -109,15 +95,8 @@ class Event:
     # -- state inspection -------------------------------------------------
     @property
     def triggered(self) -> bool:
-        """True once :meth:`succeed` or :meth:`fail` has been called."""
+        """True once the event has a value (or, for a process, a failure)."""
         return self._value is not _PENDING
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
 
     @property
     def value(self) -> Any:
@@ -136,34 +115,11 @@ class Event:
         self.sim._enqueue(self)
         return self
 
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception propagates into every waiting process at its yield
-        point.  An unwaited failure surfaces when the kernel processes
-        the event.
-        """
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        self._value = exc
-        self._ok = False
-        self.sim._enqueue(self)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Chain helper: trigger this event with another event's outcome."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- internal ----------------------------------------------------------
     def _fire(self) -> None:
         """Run callbacks; fired exactly once, as the event's schedule
         entry.  A failure no callback was there to observe aborts the
-        run: a firmware process cannot die silently."""
+        run: a host process cannot die silently."""
         self.fn = None  # the bound method referenced the event itself
         self.processed = True
         callbacks, self.callbacks = self.callbacks, None
@@ -199,13 +155,6 @@ class Timeout(Event):
         self._ok = True
         sim._enqueue(self, delay=delay)
 
-    # A Timeout is triggered at construction; succeed/fail are invalid.
-    def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
-        raise SimulationError("Timeout is triggered at creation")
-
-    def fail(self, exc: BaseException) -> "Event":  # pragma: no cover
-        raise SimulationError("Timeout is triggered at creation")
-
 
 class Process(Event):
     """Wraps a generator; the process event fires when the generator ends.
@@ -220,7 +169,7 @@ class Process(Event):
     ``return value`` inside the generator becomes the process result.
     """
 
-    __slots__ = ("gen", "name", "_target", "_interrupts")
+    __slots__ = ("gen", "name")
 
     def __init__(
         self,
@@ -233,9 +182,6 @@ class Process(Event):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        #: event this process currently waits on (None once finished)
-        self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
         # Bootstrap: resume the generator at time now (same-timestep).
         sim.call_in(0, self._resume, None)
 
@@ -244,34 +190,12 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resumption.
-
-        Interrupting a finished process is a no-op (the AmpNet fault
-        injector frequently races real completion; making this benign keeps
-        scenario scripts simple).
-        """
-        if not self.is_alive:
-            return
-        self._interrupts.append(Interrupt(cause))
-        # Detach from the waited-on event and schedule immediate resumption.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        self.sim.call_in(0, self._resume, None)
-
     # -- driving the generator ----------------------------------------------
     def _resume(self, event: Optional[Event]) -> None:
         sim = self.sim
         try:
             while True:
-                if self._interrupts:
-                    exc = self._interrupts.pop(0)
-                    target = self.gen.throw(exc)
-                elif event is None or event._ok:
+                if event is None or event._ok:
                     target = self.gen.send(None if event is None else event._value)
                 else:
                     # Propagate failure into the generator.
@@ -289,54 +213,15 @@ class Process(Event):
                     # Already fired: resume immediately within this step.
                     event = target
                     continue
-                self._target = target
                 if target.callbacks is None:  # pragma: no cover - defensive
                     raise SimulationError("target event lost its callback list")
                 target.callbacks.append(self._resume)
                 return
         except StopIteration as stop:
-            self._target = None
             self._value = stop.value
             self._ok = True
             sim._enqueue(self)
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-            self._target = None
             self._value = exc
             self._ok = False
             sim._enqueue(self)
-
-
-class AnyOf(Event):
-    """Fires when the first member event fires (failure propagates);
-    the value maps each already-fired member event to its value."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = tuple(events)
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes events from simulators")
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for ev in self.events:
-            if ev.processed:
-                self._check(ev)
-            else:
-                assert ev.callbacks is not None
-                ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            ev: ev._value for ev in self.events if ev.processed and ev._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())

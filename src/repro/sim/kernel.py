@@ -12,9 +12,9 @@ in order:
    ``__slots__``.  A full F3 all-to-all broadcast storm (16 nodes) pushes
    a few hundred thousand events and completes in seconds on a laptop,
    matching the repro band.
-3. **Ergonomics** — simpy-style generator processes so protocol state
-   machines (rostering, DMA engines, TCP baseline) read like sequential
-   code.
+3. **Ergonomics** — the network model schedules callbacks; host programs
+   (applications, services, test scripts) are simpy-style generator
+   processes that read like sequential code.
 
 Scheduler design
 ----------------
@@ -52,9 +52,9 @@ counter or a due time it owns and returns when it has been superseded
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
-from .events import AnyOf, Callback, Event, Process, SimulationError, Timeout
+from .events import Callback, Event, Process, SimulationError, Timeout
 from .rand import SeededStreams
 
 __all__ = ["Simulator", "StopSimulation"]
@@ -81,9 +81,9 @@ class Simulator:
         models) draws from ``sim.rng.stream(name)`` so components never
         perturb each other's randomness.
 
-    An event that *fails* with no process waiting on it aborts the
-    simulation by re-raising the exception, so a firmware process cannot
-    die silently.
+    A process that *fails* (its generator raises) with nothing waiting on
+    it aborts the simulation by re-raising the exception, so a host
+    program cannot die silently.
     """
 
     def __init__(self, seed: int = 0):
@@ -128,9 +128,6 @@ class Simulator:
     ) -> Process:
         """Start a generator as a simulation process."""
         return Process(self, gen, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def call_at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated ``time`` (>= now).

@@ -163,7 +163,7 @@ class MessageStream(Workload):
         self._rx_nodes: List = []
         self.closed = False
         self._install_rx()
-        self._proc = cluster.sim.process(self._tx(), name=self.stats.name)
+        cluster.sim.call_in(self._first_ns(), self._send, 0)
 
     # ------------------------------------------------------------ receive
     def _install_rx(self) -> None:
@@ -239,28 +239,32 @@ class MessageStream(Workload):
             return self.dst
         return self.dst_pool[self._dst_rng.randrange(len(self.dst_pool))]
 
-    def _tx(self):
+    def _first_ns(self) -> int:
+        """Delay from construction to the first send."""
+        return self.start_ns
+
+    def _send(self, seq: int) -> None:
+        """Offer packet ``seq``, then post the next send one gap later."""
+        if seq == self.count:
+            return
         sim = self.cluster.sim
         node = self.cluster.nodes[self.src]
-        if self.start_ns:
-            yield sim.timeout(self.start_ns)
-        for seq in range(self.count):
-            payload = self._payload_for(seq)
-            self.tx_times.append(sim.now)
-            if self.reliable:
-                self._sent_at[payload[:8]] = sim.now
-                node.messenger.send(self._dst_for(seq), payload, self.channel)
-            else:
-                pkt = MicroPacket(
-                    ptype=MicroPacketType.DATA,
-                    src=self.src,
-                    dst=self.dst,
-                    channel=self.channel,
-                    payload=payload,
-                ).with_seq(seq)
-                node.send(pkt)
-            self.stats.offered += 1
-            yield sim.timeout(max(0, self._gap_ns(seq)))
+        payload = self._payload_for(seq)
+        self.tx_times.append(sim.now)
+        if self.reliable:
+            self._sent_at[payload[:8]] = sim.now
+            node.messenger.send(self._dst_for(seq), payload, self.channel)
+        else:
+            pkt = MicroPacket(
+                ptype=MicroPacketType.DATA,
+                src=self.src,
+                dst=self.dst,
+                channel=self.channel,
+                payload=payload,
+            ).with_seq(seq)
+            node.send(pkt)
+        self.stats.offered += 1
+        sim.call_in(max(0, self._gap_ns(seq)), self._send, seq + 1)
 
 
 class FileStream(MessageStream):
@@ -284,16 +288,19 @@ class FileStream(MessageStream):
             reliable=True, size_fn=lambda seq: chunk_bytes,
         )
 
-    def _tx(self):
+    def _send(self, seq: int) -> None:
+        """Send chunk ``seq``; its delivery sends the next one."""
+        if seq == self.count:
+            return
         sim = self.cluster.sim
-        messenger = self.cluster.nodes[self.src].messenger
-        for seq in range(self.count):
-            body = self._payload_for(seq)
-            self.tx_times.append(sim.now)
-            self._sent_at[body[:8]] = sim.now
-            handle = messenger.send(self.dst, body, self.channel)
-            self.stats.offered += 1
-            yield handle.delivered
+        body = self._payload_for(seq)
+        self.tx_times.append(sim.now)
+        self._sent_at[body[:8]] = sim.now
+        handle = self.cluster.nodes[self.src].messenger.send(
+            self.dst, body, self.channel
+        )
+        self.stats.offered += 1
+        handle.delivered.callbacks.append(lambda _ev: self._send(seq + 1))
 
 
 class AllToAllBroadcast(Workload):
@@ -315,7 +322,7 @@ class AllToAllBroadcast(Workload):
             node.register_default(sink)
             self._sinks.append((node, sink))
         for node_id in cluster.nodes:
-            cluster.sim.process(self._tx(node_id), name=f"a2a-{node_id}")
+            cluster.sim.call_in(0, self._send, node_id, 0)
 
     def close(self) -> None:
         """Remove every per-node default sink (idempotent)."""
@@ -345,20 +352,21 @@ class AllToAllBroadcast(Workload):
 
         return rx
 
-    def _tx(self, node_id: int):
-        sim = self.cluster.sim
-        node = self.cluster.nodes[node_id]
-        for seq in range(self.count):
-            pkt = MicroPacket(
-                ptype=MicroPacketType.DATA,
-                src=node_id,
-                dst=BROADCAST,
-                channel=self.channel,
-                payload=seq.to_bytes(8, "little"),
-            ).with_seq(seq)
-            node.send(pkt)
-            self.stats[node_id].offered += 1
-            yield sim.timeout(0)
+    def _send(self, node_id: int, seq: int) -> None:
+        """Broadcast cell ``seq`` from ``node_id``; the next one goes in
+        the next schedule entry of the same instant."""
+        if seq == self.count:
+            return
+        pkt = MicroPacket(
+            ptype=MicroPacketType.DATA,
+            src=node_id,
+            dst=BROADCAST,
+            channel=self.channel,
+            payload=seq.to_bytes(8, "little"),
+        ).with_seq(seq)
+        self.cluster.nodes[node_id].send(pkt)
+        self.stats[node_id].offered += 1
+        self.cluster.sim.call_in(0, self._send, node_id, seq + 1)
 
     # ------------------------------------------------------------- queries
     def total_drops(self) -> int:
@@ -418,7 +426,7 @@ class ClusterBroadcastStream(Workload):
         self.closed = False
         for node in cluster.nodes.values():
             node.messenger.on_message(channel, self._rx)
-        self._proc = cluster.sim.process(self._tx(), name=self.stats.name)
+        cluster.sim.call_in(start_ns, self._send, 0)
 
     def close(self) -> None:
         """Release the channel on every node (idempotent)."""
@@ -437,18 +445,19 @@ class ClusterBroadcastStream(Workload):
         if start is not None:
             self.stats.latency.add(self.cluster.sim.now - start)
 
-    def _tx(self):
+    def _send(self, seq: int) -> None:
+        """Flood broadcast ``seq``, then post the next one."""
+        if seq == self.count:
+            return
         sim = self.cluster.sim
-        messenger = self.cluster.nodes[self.src].messenger
-        if self.start_ns:
-            yield sim.timeout(self.start_ns)
-        for seq in range(self.count):
-            payload = seq.to_bytes(8, "little")
-            self.tx_times.append(sim.now)
-            self._sent_at[payload[:8]] = sim.now
-            messenger.send_cluster_broadcast(payload, self.channel)
-            self.stats.offered += 1
-            yield sim.timeout(max(0, self.interval_ns))
+        payload = seq.to_bytes(8, "little")
+        self.tx_times.append(sim.now)
+        self._sent_at[payload[:8]] = sim.now
+        self.cluster.nodes[self.src].messenger.send_cluster_broadcast(
+            payload, self.channel
+        )
+        self.stats.offered += 1
+        sim.call_in(max(0, self.interval_ns), self._send, seq + 1)
 
     # ------------------------------------------------------------- queries
     def expected_deliveries(self) -> int:

@@ -262,10 +262,6 @@ class TraceReplayStream(ContentStream):
             return 0
         return self.trace[seq + 1][0] - self.trace[seq][0]
 
-    def _tx(self):
-        # Honour the first record's offset before the base loop (which
-        # only waits *between* packets).
-        first = self.trace[0][0]
-        if first:
-            yield self.cluster.sim.timeout(first)
-        yield from super()._tx()
+    def _first_ns(self) -> int:
+        # The first record's offset; the gaps cover the rest.
+        return self.trace[0][0]

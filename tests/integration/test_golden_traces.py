@@ -18,13 +18,21 @@ protocol timing fix, different gossip schedule...):
    (the two printed digests must match — the command exits non-zero
    otherwise);
 2. paste the new digest into ``GOLDEN`` below;
-3. state *why* the timeline legitimately moved in the commit message.
+3. state *why* the timeline legitimately moved in the commit message,
+   citing the records per category the failure printed and the first
+   diverging record — diff two dumps, parent and change, of::
+
+       PYTHONPATH=src python -m repro.scenarios trace <name> --out <file>
 
 A digest that differs between ``--runs`` repetitions is never a golden
 update — it is a determinism bug.
 """
 
+from collections import Counter
+
 import pytest
+
+from repro.scenarios import ScenarioRunner, get_scenario
 
 #: scenario name -> (library seed implied) golden timeline digest
 GOLDEN = {
@@ -81,8 +89,13 @@ GOLDEN = {
 def test_timeline_matches_golden_digest(name, first_run):
     result = first_run(name)
     assert result.ok, [i.detail for i in result.failures()]
-    assert result.trace_digest == GOLDEN[name], (
-        f"{name}: timeline digest {result.trace_digest} != golden "
-        f"{GOLDEN[name]} — if this change is intentional, follow the "
-        f"update procedure in this module's docstring"
-    )
+    if result.trace_digest != GOLDEN[name]:
+        runner = ScenarioRunner(get_scenario(name))
+        runner.run()
+        per_category = Counter(r.category for r in runner.cluster.tracer.records)
+        pytest.fail(
+            f"{name}: timeline digest {result.trace_digest} != golden "
+            f"{GOLDEN[name]}; records per category {sorted(per_category.items())}"
+            f" — if this change is intentional, follow the update procedure "
+            f"in this module's docstring"
+        )

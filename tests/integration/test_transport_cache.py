@@ -254,23 +254,33 @@ def test_semaphore_release_grants_next_waiter_fifo():
 
 
 def test_semaphore_acquire_timeout():
+    """The contender gives up while its request sits in the home's wait
+    queue.  The release still grants it the lock, and the grant finds no
+    waiter: it goes straight back, so a later acquire succeeds."""
     cluster = make_cluster()
     sim = cluster.sim
+    sems = [cluster.nodes[i].sems for i in range(4)]
     outcome = {}
 
     def holder():
-        ok = yield from cluster.nodes[0].sems.acquire(2)
-        assert ok  # never released
+        assert (yield from sems[0].acquire(2))
+        yield sim.timeout(1_030_000 - sim.now)
+        sems[0].release(2)
 
     def contender():
         yield sim.timeout(10_000)
-        ok = yield from cluster.nodes[1].sems.acquire(2, timeout_ns=200_000)
-        outcome["got"] = ok
+        outcome["got"] = yield from sems[1].acquire(2, timeout_ns=200_000)
 
-    sim.process(holder())
-    sim.process(contender())
-    settle(cluster, tours=100)
-    assert outcome["got"] is False
+    def latecomer():
+        yield sim.timeout(2_000_000 - sim.now)
+        outcome["late"] = yield from sems[2].acquire(2, timeout_ns=5_000_000)
+
+    for proc in (holder, contender, latecomer):
+        sim.process(proc())
+    cluster.run(until=8_000_000)
+    assert outcome == {"got": False, "late": True}
+    assert sems[1].counters["grants_returned"] == 1 and not sems[1].held
+    assert sems[2].held == {2} and sems[0]._owner_of(2) == 2
 
 
 def test_lock_held_by_crashed_node_is_broken():
@@ -296,3 +306,4 @@ def test_lock_held_by_crashed_node_is_broken():
     sim.process(contender())
     settle(cluster, tours=200)
     assert got.get("contender") is True
+

@@ -121,10 +121,12 @@ def test_apply_newer_update_wins():
     sim, cache = cache_with_region()
     cache.write("r", 0, b"mine")
     incoming = RecordUpdate(1, 0, 2, 0, b"theirs".ljust(32, b"\x00"))
-    sim.process(cache.apply_update(incoming))
+    landed = []
+    cache.apply_update(incoming, landed.append)
     sim.run()
     ok, data, version = cache.try_read("r", 0)
     assert ok and data[:6] == b"theirs" and version == 2
+    assert landed == [True]
 
 
 def test_gradual_apply_has_torn_window():
@@ -133,7 +135,7 @@ def test_gradual_apply_has_torn_window():
     observed = []
 
     def observer():
-        sim.process(cache.apply_update(incoming))
+        cache.apply_update(incoming, lambda _landed: None)
         yield sim.timeout(cache.APPLY_STEP_NS)  # mid-apply
         ok, _d, _v = cache.try_read("r", 0)
         observed.append(("seqlock_ok", ok))
@@ -149,14 +151,16 @@ def test_gradual_apply_has_torn_window():
 def test_local_write_mid_apply_is_not_corrupted():
     sim, cache = cache_with_region(record_size=64)
     incoming = RecordUpdate(1, 0, 1, 0, b"\xbb" * 64)
+    landed = []
 
     def interceptor():
-        sim.process(cache.apply_update(incoming))
+        cache.apply_update(incoming, landed.append)
         yield sim.timeout(cache.APPLY_STEP_NS)
         cache.write("r", 0, b"\xcc" * 64)  # local write overtakes
 
     sim.process(interceptor())
     sim.run()
+    assert landed == [False]
     ok, data, version = cache.try_read("r", 0)
     assert ok
     assert data == b"\xcc" * 64  # apply aborted, no \xbb residue
@@ -172,7 +176,7 @@ def test_seqlock_read_process_retries_until_stable():
         data = yield from cache.read("r", 0)
         result["data"] = data
 
-    sim.process(cache.apply_update(incoming))
+    cache.apply_update(incoming, lambda _landed: None)
     sim.process(reader())
     sim.run()
     assert result["data"] == b"\xdd" * 64

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -171,12 +170,6 @@ def test_event_double_trigger_rejected():
         ev.succeed(2)
 
 
-def test_event_fail_requires_exception():
-    sim = Simulator()
-    with pytest.raises(TypeError):
-        sim.event().fail("not an exception")  # type: ignore[arg-type]
-
-
 def test_yield_already_processed_event_resumes_immediately():
     sim = Simulator()
     ev = sim.event()
@@ -202,54 +195,6 @@ def test_yield_non_event_is_error():
     sim.process(bad())
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(1000)
-        except Interrupt as it:
-            log.append((sim.now, it.cause))
-
-    def attacker(p):
-        yield sim.timeout(50)
-        p.interrupt(cause="link-cut")
-
-    p = sim.process(victim())
-    sim.process(attacker(p))
-    sim.run()
-    assert log == [(50, "link-cut")]
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run()
-    p.interrupt()  # must not raise
-    assert not p.is_alive
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    result = {}
-
-    def proc():
-        t1 = sim.timeout(10, value="fast")
-        t2 = sim.timeout(20, value="slow")
-        fired = yield sim.any_of([t1, t2])
-        result["n"] = len(fired)
-        result["t"] = sim.now
-
-    sim.process(proc())
-    sim.run()
-    assert result == {"n": 1, "t": 10}
 
 
 def test_call_at_and_call_in():

@@ -36,11 +36,18 @@ def test_run_until_already_processed_event_returns_without_running():
     assert sim.now == 5
 
 
+def _raises(sim, exc):
+    """A process that fails with ``exc`` one nanosecond in."""
+    def body():
+        yield sim.timeout(1)
+        raise exc
+    return sim.process(body())
+
+
 def test_run_until_already_failed_event_reraises():
     sim = Simulator()
-    ev = sim.event()
+    ev = _raises(sim, RuntimeError("stale failure"))
     ev.callbacks.append(lambda _ev: None)  # observed, so the run survives it
-    ev.fail(RuntimeError("stale failure"))
     sim.run()
     with pytest.raises(RuntimeError, match="stale failure"):
         sim.run(until=ev)
@@ -103,15 +110,14 @@ def test_run_until_boundary_event_executes_exactly_once():
 # -------------------------------------------------- unobserved failures
 def test_strict_mode_surfaces_unobserved_event_failure():
     sim = Simulator()
-    ev = sim.event()
-    ev.fail(ValueError("nobody saw this"))
+    _raises(sim, ValueError("nobody saw this"))
     with pytest.raises(ValueError, match="nobody saw this"):
         sim.run()
 
 
 def test_strict_mode_spares_failures_with_a_waiter():
     sim = Simulator()
-    ev = sim.event()
+    ev = _raises(sim, ValueError("handled"))
     caught = []
 
     def waiter():
@@ -121,12 +127,6 @@ def test_strict_mode_spares_failures_with_a_waiter():
             caught.append(str(exc))
 
     sim.process(waiter())
-
-    def failer():
-        yield sim.timeout(1)
-        ev.fail(ValueError("handled"))
-
-    sim.process(failer())
     sim.run()  # the waiter observed it: strict mode must not re-raise
     assert caught == ["handled"]
 
