@@ -102,6 +102,6 @@ def decode(payload: bytes) -> Optional[ContentFrame]:
 
 def request_key(seq: int) -> bytes:
     """First eight bytes of the REQUEST frame carrying ``seq`` — the key
-    :class:`~repro.workloads.popularity.ContentStream` latency tracking
+    :class:`~repro.workloads.popularity.ZipfStream` latency tracking
     shares with the base stream's ``_sent_at`` map."""
     return bytes([OP_REQUEST]) + seq.to_bytes(8, "little")[:7]

@@ -175,6 +175,14 @@ class NetworkCache:
     def size_bytes(self) -> int:
         return sum(s.size_bytes for s in self._regions.values())
 
+    def _padded(self, region_id: int, data: bytes) -> bytes:
+        """``data`` padded out to the region's record size; the one
+        check that a record can hold it (``CacheError`` if not)."""
+        size = self._regions[region_id].record_size
+        if len(data) > size:
+            raise CacheError(f"data ({len(data)}B) exceeds record size {size}")
+        return bytes(data).ljust(size, b"\x00")
+
     def _record(self, region_id: int, index: int) -> _Record:
         records = self._records.get(region_id)
         if records is None:
@@ -193,13 +201,9 @@ class NetworkCache:
         handed to replication."""
         spec = self.region(region_name)
         rec = self._record(spec.region_id, index)
-        if len(data) > spec.record_size:
-            raise CacheError(
-                f"data ({len(data)}B) exceeds record size {spec.record_size}"
-            )
+        padded = self._padded(spec.region_id, data)
         version = max(rec.c1, rec.c2) + 1
         rec.c1 = version
-        padded = bytes(data).ljust(spec.record_size, b"\x00")
         rec.data[:] = padded
         rec.writer = self.node_id
         rec.c2 = version
@@ -261,35 +265,40 @@ class NetworkCache:
         """Apply a peer's write the way the DMA engine does: first
         counter, data in bursts, last counter.  ``then`` is called with
         whether the update landed, once the last burst is written (at
-        once for a stale update)."""
+        once for a stale update, or one longer than its record, which
+        leaves the record untouched)."""
         if not self.should_apply(update):
             self.counters.incr("stale_updates")
             then(False)
             return
+        try:
+            padded = self._padded(update.region_id, update.data)
+        except CacheError:
+            self.counters.incr("oversized_updates")
+            then(False)
+            return
         rec = self._record(update.region_id, update.index)
-        size = self._regions[update.region_id].record_size
         rec.c1 = update.version
         rec.writer = update.writer
-        self._burst(rec, update.version, update.data.ljust(size, b"\x00"),
-                    0, size, then)
+        self._burst(rec, update.version, padded, 0, then)
 
     def _burst(self, rec: _Record, version: int, padded: bytes, off: int,
-               size: int, then: Callable[[bool], None]) -> None:
-        """Write the burst at ``off``, or finish the apply past ``size``."""
+               then: Callable[[bool], None]) -> None:
+        """Write the burst at ``off``, or finish the apply past the end."""
         if rec.c1 != version:
             # A newer local write overtook this apply mid-flight; its
             # data must not be damaged by our remaining bursts.
             self.counters.incr("overtaken_applies")
             then(False)
             return
-        if off >= size:
+        if off >= len(padded):
             rec.c2 = version
             self.counters.incr("applied_updates")
             then(True)
             return
         rec.data[off : off + self.APPLY_CHUNK] = padded[off : off + self.APPLY_CHUNK]
         self.sim.call_in(self.APPLY_STEP_NS, self._burst, rec, version, padded,
-                         off + self.APPLY_CHUNK, size, then)
+                         off + self.APPLY_CHUNK, then)
 
     def apply_update_atomic(self, update: RecordUpdate) -> bool:
         """Instant apply (used by snapshot refresh, where the receiving
@@ -298,15 +307,10 @@ class NetworkCache:
             self.counters.incr("stale_updates")
             return False
         rec = self._record(update.region_id, update.index)
-        spec = self._regions[update.region_id]
-        if len(update.data) > spec.record_size:
-            raise CacheError(
-                f"data ({len(update.data)}B) exceeds record size "
-                f"{spec.record_size}"
-            )
+        padded = self._padded(update.region_id, update.data)
         rec.c1 = update.version
         rec.writer = update.writer
-        rec.data[:] = update.data.ljust(spec.record_size, b"\x00")
+        rec.data[:] = padded
         rec.c2 = update.version
         self.counters.incr("applied_updates")
         return True

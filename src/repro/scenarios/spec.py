@@ -36,8 +36,8 @@ from ..transport import Channel
 from ..workloads import (
     WORKLOAD_KINDS,
     ClusterBroadcastStream,
-    ContentStream,
     FileStream,
+    ZipfStream,
 )
 
 __all__ = [
@@ -120,10 +120,10 @@ class WorkloadSpec:
 
     ``reliable`` routes unicast payloads through the messenger so they
     survive ring churn (required for fault scenarios that assert full
-    delivery).  The content kinds (``zipf``/``trace_replay``) are
-    request/response streams against the scenario's :class:`CacheSpec`
-    service — inherently messenger-carried, so they must declare
-    ``reliable=True``; ``dst`` is the node they address (a cache, or
+    delivery).  The content kind (``zipf``) is a request/response
+    stream against the scenario's :class:`CacheSpec` service —
+    inherently messenger-carried, so it must declare
+    ``reliable=True``; ``dst`` is the node it addresses (a cache, or
     the origin when crossings should hit the on-path router tap).
     """
 
@@ -347,7 +347,7 @@ class ScenarioSpec:
                     f"on channel {workload.channel}, which belongs to the "
                     f"node stack's {reserved[workload.channel]}"
                 )
-            if issubclass(row.cls, ContentStream) and self.cache is None:
+            if issubclass(row.cls, ZipfStream) and self.cache is None:
                 raise ValueError(
                     f"{workload.kind} workloads need the scenario to "
                     "declare a CacheSpec (they address its services)"

@@ -8,7 +8,7 @@
     python -m repro.sweep grid quiet_ring --seeds 1,2 --sizes 8,16
 
 ``run`` expands the (scenario × size × seed) grid, fans it across a
-worker pool, prints each run as it lands (completion order) and writes
+worker pool, prints each run in grid order as it lands and writes
 the aggregate ``repro-bench/1`` JSON to ``<out>/<exp>.json`` (atomic
 replace; grid order, so the file is byte-identical at any worker
 count).  Exit status: 0 all invariants held, 1 failures or divergence,

@@ -4,9 +4,8 @@ A :class:`SweepGrid` is plain data — a tuple of scenario specs, a tuple
 of seeds, and a replicate count — and expands deterministically into
 :class:`SweepCell` tasks.  The expansion order *is* the output order:
 scenario-major, then seed, then replicate, exactly as given.  The pool
-in :mod:`repro.sweep.runner` may complete cells in any order, but every
-cell carries its grid ``index``, so results are re-sorted into grid
-order before aggregation; the emitted aggregate is therefore identical
+in :mod:`repro.sweep.runner` may complete cells in any order, but it
+hands results back in grid order, so the emitted aggregate is identical
 at any worker count.
 
 Replicates exist for the divergence check, not for statistics: a
@@ -31,8 +30,8 @@ __all__ = ["SweepCell", "SweepGrid", "grid_from_names"]
 class SweepCell:
     """One pool task: run ``spec`` under ``seed``.
 
-    ``index`` is the cell's position in grid order — the sort key that
-    makes results reproducible regardless of completion order.
+    ``index`` is the cell's position in grid order (``python -m
+    repro.sweep grid`` prints it, and the cell's record carries it).
     """
 
     index: int

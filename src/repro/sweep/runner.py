@@ -10,8 +10,8 @@ unpicklable state) never cross the boundary.
 ``workers <= 1`` runs every cell inline in the calling process — no
 pool, no pickling — which is both the cheap path for benches running a
 serial grid and the reference half of the workers-1-vs-N determinism
-regression: the output must be identical either way, because results
-are re-sorted into grid order (``SweepCell.index``) on arrival.
+regression: the output must be identical either way, because both
+paths hand results back in input order (:func:`_ordered_map`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import functools
 import multiprocessing
 import os
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..scenarios.runner import ScenarioRunner
 from .grid import SweepCell, SweepGrid
@@ -61,42 +63,43 @@ def _run_cell(cell: SweepCell, cell_fn: Optional[CellFn] = None) -> Dict[str, An
         }
 
 
+def _ordered_map(fn: Callable[[Any], Any], items: Sequence[Any],
+                 workers: int) -> Iterator[Any]:
+    """``fn(item)`` for each item, yielded in *input* order whatever the
+    completion order: inline with no pool and no pickling when
+    ``workers <= 1`` (or there is one item), across a pool otherwise."""
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with multiprocessing.Pool(min(workers, len(items))) as pool:
+        yield from pool.imap(fn, items, chunksize=1)
+
+
 def run_grid(
     grid: SweepGrid,
     workers: int = 1,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     cell_fn: Optional[CellFn] = None,
 ) -> List[Dict[str, Any]]:
-    """Run every cell; returns records sorted into grid order.
+    """Run every cell; returns records in grid order.
 
-    ``progress`` (when given) is called once per record as it completes
-    — completion order, not grid order — for live CLI reporting.
+    ``progress`` (when given) is called once per record, in grid order,
+    as soon as it and every record before it are in — live CLI
+    reporting.
 
     ``cell_fn`` (when given) replaces the default run-and-to_dict cell
     body — benches use it to attach probes or extra instrumentation to
     each cell while keeping the grid expansion, pool transport and
-    grid-order sorting (and therefore worker-count invariance) from
-    here.  It must be a picklable module-level callable returning a
-    JSON-safe dict.
+    grid order (and therefore worker-count invariance) from here.  It
+    must be a picklable module-level callable returning a JSON-safe
+    dict.
     """
-    cells = grid.cells()
-    records: List[Dict[str, Any]] = []
     worker = functools.partial(_run_cell, cell_fn=cell_fn)
-    if workers <= 1 or len(cells) == 1:
-        for cell in cells:
-            record = worker(cell)
-            if progress is not None:
-                progress(record)
-            records.append(record)
-    else:
-        with multiprocessing.Pool(min(workers, len(cells))) as pool:
-            for record in pool.imap_unordered(worker, cells, chunksize=1):
-                if progress is not None:
-                    progress(record)
-                records.append(record)
-    # Grid order, not completion order: the aggregate must be
-    # byte-identical at any worker count.
-    records.sort(key=lambda r: r["index"])
+    records: List[Dict[str, Any]] = []
+    for record in _ordered_map(worker, grid.cells(), workers):
+        if progress is not None:
+            progress(record)
+        records.append(record)
     return records
 
 
@@ -132,9 +135,5 @@ def pool_map(fn: Callable[..., Any], argtuples: Sequence[tuple]) -> List[Any]:
     picklable when workers > 1 (module-level functions returning plain
     data).
     """
-    workers = workers_from_env()
     tasks = [(fn, tuple(args)) for args in argtuples]
-    if workers <= 1 or len(tasks) <= 1:
-        return [_call(task) for task in tasks]
-    with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-        return list(pool.imap(_call, tasks, chunksize=1))
+    return list(_ordered_map(_call, tasks, workers_from_env()))

@@ -11,10 +11,9 @@ paper's slide-7 mix; :class:`AllToAllBroadcast` is the slide-8 storm;
 :mod:`repro.workloads.stochastic` adds seeded Poisson,
 inhomogeneous-Poisson (thinning) and burst arrival processes plus
 bounded-Pareto heavy-tailed payload sizes;
-:mod:`repro.workloads.popularity` adds Zipf-skewed and trace-replayed
-content request streams over the :mod:`repro.caching` protocol.  All
-randomness draws from
-named ``sim.rng`` streams, so workloads never perturb each other and
+:mod:`repro.workloads.popularity` adds Zipf-skewed content request
+streams over the :mod:`repro.caching` protocol.  All randomness draws
+from named ``sim.rng`` streams, so workloads never perturb each other and
 every run replays bit-identically under its seed.  Generators own the
 receive handlers they install and release them in ``close()``, letting
 sequential workloads share one cluster without double-counting.
@@ -33,14 +32,7 @@ from .generators import (
     Workload,
     run_slide7_mixed_workload,
 )
-from .popularity import (
-    ContentStream,
-    TraceReplayStream,
-    ZipfStream,
-    load_trace,
-    zipf_sampler,
-    zipf_weights,
-)
+from .popularity import ZipfStream, zipf_sampler, zipf_weights
 from .stochastic import (
     BurstStream,
     InhomogeneousPoissonStream,
@@ -56,19 +48,16 @@ __all__ = [
     "AllToAllBroadcast",
     "BurstStream",
     "ClusterBroadcastStream",
-    "ContentStream",
     "FileStream",
     "InhomogeneousPoissonStream",
     "MessageStream",
     "PARAM_KEYWORDS",
     "PoissonStream",
     "StreamStats",
-    "TraceReplayStream",
     "WORKLOAD_KINDS",
     "Workload",
     "WorkloadKind",
     "ZipfStream",
-    "load_trace",
     "pareto_size_fn",
     "pareto_sizes",
     "ramp_profile",

@@ -163,7 +163,7 @@ class MessageStream(Workload):
         self._rx_nodes: List = []
         self.closed = False
         self._install_rx()
-        cluster.sim.call_in(self._first_ns(), self._send, 0)
+        cluster.sim.call_in(start_ns, self._send, 0)
 
     # ------------------------------------------------------------ receive
     def _install_rx(self) -> None:
@@ -238,10 +238,6 @@ class MessageStream(Workload):
         if self.dst_pool is None:
             return self.dst
         return self.dst_pool[self._dst_rng.randrange(len(self.dst_pool))]
-
-    def _first_ns(self) -> int:
-        """Delay from construction to the first send."""
-        return self.start_ns
 
     def _send(self, seq: int) -> None:
         """Offer packet ``seq``, then post the next send one gap later."""

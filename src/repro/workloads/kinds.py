@@ -7,10 +7,8 @@ plus the generator class the row names (``docs/scenarios.md``, "Adding
 a workload or fault kind").  Param names are the constructors' own
 keywords and defaults live only there; what the rows cannot say:
 
-* ``count`` is per node for ``broadcast``, floods for
-  ``cluster_broadcast``, and must equal the trace length for
-  ``trace_replay`` (``trace``: ``[time_ns, content_id]`` pairs;
-  ``trace_path``: a two-column file of the same).
+* ``count`` is per node for ``broadcast`` and floods for
+  ``cluster_broadcast``.
 * ``profile`` is ``{"shape": "sinusoidal", "period_tours", "floor"}`` or
   ``{"shape": "ramp", "start_tours", "end_tours", "floor"}``, its
   windows anchored at ring-up.
@@ -28,7 +26,7 @@ keywords and defaults live only there; what the rows cannot say:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .generators import (
     AllToAllBroadcast,
@@ -36,7 +34,7 @@ from .generators import (
     FileStream,
     MessageStream,
 )
-from .popularity import TraceReplayStream, ZipfStream
+from .popularity import ZipfStream
 from .stochastic import BurstStream, InhomogeneousPoissonStream, PoissonStream
 
 __all__ = ["PARAM_KEYWORDS", "WORKLOAD_KINDS", "WorkloadKind"]
@@ -53,9 +51,8 @@ class WorkloadKind:
     #: (``dst`` may give way to a ``dst_pool`` param); unlisted, they
     #: must stay unset.
     fields: Tuple[str, ...]
-    #: params the spec must carry; a tuple entry lists alternatives, of
-    #: which exactly one is given
-    required: Tuple[Union[str, Tuple[str, ...]], ...] = ()
+    #: params the spec must carry
+    required: Tuple[str, ...] = ()
     #: params the spec may carry
     optional: Tuple[str, ...] = ()
     #: the one ``reliable`` value the kind allows; None = either
@@ -88,16 +85,10 @@ class WorkloadKind:
                 f"{kind} workloads cannot be reliable (raw cells and "
                 "broadcasts have no ack path)"
             )
-        accepted = set(self.optional)
         for need in self.required:
-            choices = (need,) if isinstance(need, str) else need
-            accepted.update(choices)
-            if sum(c in params for c in choices) != 1:
-                raise ValueError(
-                    f"{kind} workload needs "
-                    f"{'exactly one of ' if len(choices) > 1 else 'a '}"
-                    f"{'/'.join(choices)} param"
-                )
+            if need not in params:
+                raise ValueError(f"{kind} workload needs a {need} param")
+        accepted = {*self.required, *self.optional}
         for key in params:
             if key not in accepted:
                 raise ValueError(
@@ -108,12 +99,11 @@ class WorkloadKind:
 
 #: Params the runner resolves against the live cluster before the
 #: constructor sees them — tours to ns, a size law to a seeded draw
-#: function, a trace file to the ``trace`` argument: spec key ->
-#: constructor keyword.  Every other param goes through under its name.
+#: function: spec key -> constructor keyword.  Every other param goes
+#: through under its name.
 PARAM_KEYWORDS: Dict[str, str] = {
     "start_tours": "start_ns",
     "pareto_sizes": "size_fn",
-    "trace_path": "trace",
 }
 
 _UNICAST = ("src", "dst", "count", "channel", "name")
@@ -153,9 +143,5 @@ WORKLOAD_KINDS: Dict[str, WorkloadKind] = {
         ZipfStream, _UNICAST,
         required=("interval_ns",),
         optional=("alpha", "catalog_size"), reliable=True,
-    ),
-    "trace_replay": WorkloadKind(
-        TraceReplayStream, _UNICAST,
-        required=(("trace", "trace_path"),), reliable=True,
     ),
 }

@@ -6,10 +6,7 @@ The contracts the caching wave leans on:
   content-id sequence and the same request instants, packet for packet,
   and *different* seeds draw different content sequences;
 * the empirical rank frequency of the Zipf sampler matches the
-  configured ``1 / (k + 1) ** alpha`` law within sampling tolerance;
-* a :class:`TraceReplayStream` is seed-*invariant*: the offered content
-  sequence and the request instants come from the trace alone, exactly
-  as recorded, under any master seed.
+  configured ``1 / (k + 1) ** alpha`` law within sampling tolerance.
 """
 
 import random
@@ -18,13 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AmpNetCluster
-from repro.workloads import (
-    TraceReplayStream,
-    ZipfStream,
-    load_trace,
-    zipf_sampler,
-    zipf_weights,
-)
+from repro.workloads import ZipfStream, zipf_sampler, zipf_weights
 
 SLOW = settings(
     max_examples=8,
@@ -41,7 +32,7 @@ def make_cluster(seed):
 
 
 def drive(seed, build, tours=800):
-    """Build one content stream on a fresh cluster; return what it
+    """Build one Zipf stream on a fresh cluster; return what it
     offered: the content-id sequence and the request instants relative
     to the stream's start."""
     cluster = make_cluster(seed)
@@ -130,43 +121,3 @@ def test_zipf_sampler_same_seed_replays(seed):
     assert [draw_b() for _ in range(100)] == seq
     other = zipf_sampler(random.Random(seed + 77), 1.1, 32)
     assert [other() for _ in range(100)] != seq
-
-
-# ------------------------------------------------------ TraceReplayStream
-TRACES = st.lists(
-    st.tuples(st.integers(0, 5_000), st.integers(0, 100)),
-    min_size=1, max_size=30,
-).map(lambda pairs: sorted(pairs, key=lambda r: r[0]))
-
-
-@given(seed=st.integers(0, 50), trace=TRACES)
-@SLOW
-def test_trace_replay_is_seed_invariant_and_exact(seed, trace):
-    """The trace IS the workload: any master seed offers the recorded
-    content sequence at exactly the recorded instants."""
-
-    def build(cluster):
-        return TraceReplayStream(cluster, 0, 2, trace=trace,
-                                 name="prop-trace")
-
-    ids_a, times_a = drive(seed, build)
-    ids_b, times_b = drive(seed + 1000, build)
-    assert ids_a == ids_b == [cid for _, cid in trace]
-    assert times_a == times_b == [t for t, _ in trace]
-
-
-def test_trace_file_round_trips_through_load_trace(tmp_path):
-    path = tmp_path / "demand.trace"
-    path.write_text(
-        "# time_ns content_id\n"
-        "0 3\n"
-        "250 3   # repeat of the hot id\n"
-        "\n"
-        "900 7\n",
-        encoding="utf-8",
-    )
-    assert load_trace(str(path)) == [(0, 3), (250, 3), (900, 7)]
-    ids, times = drive(4, lambda c: TraceReplayStream(
-        c, 0, 2, trace=str(path), name="prop-trace-file"))
-    assert ids == [3, 3, 7]
-    assert times == [0, 250, 900]

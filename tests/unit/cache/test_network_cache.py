@@ -129,6 +129,25 @@ def test_apply_newer_update_wins():
     assert landed == [True]
 
 
+def test_update_longer_than_its_record_is_refused_on_every_apply_path():
+    """A 40-byte update used to grow a 20-byte record on the gradual
+    path, and ``try_read`` then returned 32 bytes.  Both apply paths
+    now refuse it: the gradual one counts it and reports it not landed,
+    leaving the record as it was; the atomic one raises."""
+    sim, cache = cache_with_region(record_size=20)
+    cache.write("r", 0, b"mine")
+    oversized = RecordUpdate(1, 0, 2, 0, b"\xdd" * 40)
+    landed = []
+    cache.apply_update(oversized, landed.append)
+    sim.run()
+    assert landed == [False]
+    assert cache.counters["oversized_updates"] == 1
+    assert cache.try_read("r", 0) == (True, b"mine".ljust(20, b"\x00"), 1)
+    with pytest.raises(CacheError, match="exceeds record size 20"):
+        cache.apply_update_atomic(oversized)
+    assert cache.try_read("r", 0) == (True, b"mine".ljust(20, b"\x00"), 1)
+
+
 def test_gradual_apply_has_torn_window():
     sim, cache = cache_with_region(record_size=64)
     incoming = RecordUpdate(1, 0, 1, 0, b"\xaa" * 64)

@@ -3,10 +3,13 @@ content-protocol wire format, the bounded store's eviction disciplines,
 and :class:`~repro.caching.CacheConfig` validation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.caching import (
     CacheConfig,
     CacheStore,
+    ContentFrame,
     HEADER_BYTES,
     OP_REQUEST,
     OP_RESPONSE,
@@ -51,6 +54,33 @@ def test_non_content_traffic_decodes_to_none():
     assert decode(b"") is None
     assert decode(b"\x01" * (HEADER_BYTES - 1)) is None  # short frame
     assert decode(bytes([99]) + b"\x00" * 16) is None  # unknown op
+
+
+#: any byte string a content channel may carry, half of them steered to
+#: a known op so the frame branch is reached as often as the None one
+content_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda op, rest: bytes([op]) + rest,
+              st.sampled_from([OP_REQUEST, OP_RESPONSE, OP_WRITE,
+                               OP_WRITE_ACK]),
+              st.binary(max_size=63)),
+)
+
+
+@given(content_bytes)
+def test_arbitrary_bytes_decode_to_a_frame_or_none_and_never_raise(payload):
+    """Every service hands whatever arrives on its channel to
+    ``decode``: a stranger's bytes must come back as None, not as an
+    exception inside a messenger handler, and a frame must be exactly
+    the bytes it was read from."""
+    frame = decode(payload)
+    if frame is None:
+        assert len(payload) < HEADER_BYTES or payload[0] not in (
+            OP_REQUEST, OP_RESPONSE, OP_WRITE, OP_WRITE_ACK)
+        return
+    assert isinstance(frame, ContentFrame)
+    assert (bytes([frame.op]) + frame.seq.to_bytes(8, "little")
+            + frame.content_id.to_bytes(8, "little") + frame.body) == payload
 
 
 def test_request_key_matches_the_frame_prefix():

@@ -225,3 +225,30 @@ def test_parse_memo_never_exceeds_its_bound(cells):
                 pass
             assert len(wire._decoded) <= 8 and len(wire._flood_keys) <= 8
         assert len(wire._flood_keys) == min(8, len(set(cells)))
+
+
+#: longer than any cell: a MicroPacket refuses them, but the codec's
+#: byte-level half (``_parse``, ``flood_key``) sees whatever it is given
+long_payloads = st.one_of(
+    st.binary(min_size=9, max_size=64),
+    st.builds(lambda phase, rest: bytes([phase]) + rest,
+              st.sampled_from(list(Phase)),
+              st.binary(min_size=8, max_size=63)),
+)
+
+
+@given(long_payloads)
+def test_a_longer_cell_decodes_or_raises_only_the_phase_error(payload):
+    """Bytes past the eighth are ignored: a 9-64-byte payload parses as
+    its first eight bytes do, or fails with the ``ValueError`` naming
+    its phase, and nothing else escapes."""
+    with pytest.raises(ValueError, match="fixed payload"):
+        rostering(payload)
+    assert flood_key(payload) == key_by_the_rule(payload)
+    try:
+        msg = wire._parse(payload)
+    except ValueError as exc:
+        assert str(exc) == f"unknown rostering phase {payload[0]}"
+        assert payload[0] not in tuple(Phase)
+        return
+    assert msg == wire._parse(payload[:8])

@@ -83,8 +83,8 @@ def test_content_workloads_require_a_cache_spec():
                      workloads=(workload,))
     # and they must be messenger-carried
     with pytest.raises(ValueError, match="reliable=True"):
-        WorkloadSpec("trace_replay", count=1, src=1, dst=0,
-                     params={"trace": ((0, 1),)})
+        WorkloadSpec("zipf", count=1, src=1, dst=0,
+                     params={"interval_ns": 1_000})
 
 
 def test_cache_spec_accepts_a_plain_dict():

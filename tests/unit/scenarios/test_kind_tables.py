@@ -46,9 +46,6 @@ RUNNABLE = {
                                  "off_mean_ns": 8_000})),
     "zipf": (RING, dict(src=2, dst=1, count=6, channel=13, reliable=True,
                         params={"interval_ns": 5_000, "catalog_size": 4})),
-    "trace_replay": (RING, dict(
-        src=3, dst=1, count=3, channel=13, reliable=True,
-        params={"trace": [[0, 1], [4_000, 2], [9_000, 1]]})),
 }
 
 
@@ -76,14 +73,12 @@ def constructor_parameters(cls):
 def test_row_matches_the_constructor(kind):
     row = WORKLOAD_KINDS[kind]
     parameters = constructor_parameters(row.cls)
-    required = [c for need in row.required
-                for c in ((need,) if isinstance(need, str) else need)]
-    for name in (*row.fields, *required, *row.optional):
+    for name in (*row.fields, *row.required, *row.optional):
         keyword = PARAM_KEYWORDS.get(name, name)
         assert keyword in parameters, (
             f"{kind}: {row.cls.__name__} takes no {keyword!r} keyword"
         )
-    for name in required:
+    for name in row.required:
         parameter = parameters[PARAM_KEYWORDS.get(name, name)]
         assert parameter.default is inspect.Parameter.empty, (
             f"{kind}: required param {name!r} has a constructor default"
@@ -93,7 +88,7 @@ def test_row_matches_the_constructor(kind):
 @pytest.mark.parametrize("kind", sorted(WORKLOAD_KINDS))
 def test_kind_builds_and_completes_through_the_runner(kind):
     topology, fields = RUNNABLE[kind]
-    content = kind in ("zipf", "trace_replay")
+    content = kind == "zipf"
     runner = ScenarioRunner(ScenarioSpec(
         name=f"table_{kind}", topology=topology, seed=3,
         workloads=(WorkloadSpec(kind, **fields),),

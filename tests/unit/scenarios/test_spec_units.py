@@ -53,7 +53,8 @@ CROSSING = {"count": 1, "src": (0, 0), "dst": (1, 1), "reliable": True}
     ("burst", {**STREAM, "params": {"burst_mean": 2, "intra_gap_ns": 1}},
      "off_mean_ns"),
     ("zipf", {**STREAM, "reliable": True}, "interval_ns"),
-    ("trace_replay", {**STREAM, "reliable": True}, "trace/trace_path"),
+    ("burst", {**STREAM, "params": {"intra_gap_ns": 1, "off_mean_ns": 1}},
+     "burst_mean"),
     # a param the kind does not accept: typos ...
     ("message", {**STREAM, "params": {"intervall_ns": 5}}, "intervall_ns"),
     # ... and the runner-resolved knobs on kinds that cannot honour them
@@ -61,9 +62,9 @@ CROSSING = {"count": 1, "src": (0, 0), "dst": (1, 1), "reliable": True}
     ("broadcast", {"count": 1, "params": {"start_tours": 5}}, "start_tours"),
     ("zipf", {**STREAM, "reliable": True,
               "params": {"interval_ns": 5, "start_tours": 5}}, "start_tours"),
-    ("trace_replay", {**STREAM, "reliable": True,
-                      "params": {"trace": [[0, 1]], "start_tours": 5}},
-     "start_tours"),
+    ("zipf", {**STREAM, "reliable": True,
+              "params": {"interval_ns": 5, "pareto_sizes": {}}},
+     "pareto_sizes"),
     ("file", {**STREAM, "params": {"pareto_sizes": {}}}, "pareto_sizes"),
     ("broadcast", {"count": 1, "params": {"pareto_sizes": {}}},
      "pareto_sizes"),

@@ -13,7 +13,9 @@ or ``tests/`` ever sets.
 The same rule holds for the two other places an option hides: a
 defaulted parameter of a public function, method or constructor must be
 passed by some call, and an optional param of a ``WORKLOAD_KINDS`` row
-must be carried by some ``WorkloadSpec``.
+must be carried by some ``WorkloadSpec``.  A ``WORKLOAD_KINDS`` row
+itself must be declared by a ``WorkloadSpec`` of the library, a bench
+or an example: tests do not count as callers.
 """
 
 import ast
@@ -47,6 +49,17 @@ def _dict_keys(node):
     if isinstance(node, ast.Call) and _name(node) == "dict":
         return [kw.arg for kw in node.keywords if kw.arg]
     return []
+
+
+def _workload_specs(*tops):
+    """``(kind, {keyword: value node})`` of every ``WorkloadSpec(...)``
+    call; ``kind`` is None unless it is spelt as a constant."""
+    for tree in _trees(*tops):
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _name(call) == "WorkloadSpec":
+                given = {kw.arg: kw.value for kw in call.keywords}
+                kind = call.args[0] if call.args else given.get("kind")
+                yield getattr(kind, "value", None), given
 
 
 def _config_classes():
@@ -284,19 +297,26 @@ def test_every_optional_workload_param_is_given_by_someone():
         for kind, row in WORKLOAD_KINDS.items() for param in row.optional
     }
     assert len(ungiven) >= 8, "the walk lost the kinds table"
-    for tree in _trees(*SCANNED):
-        for call in ast.walk(tree):
-            if not (isinstance(call, ast.Call)
-                    and _name(call) == "WorkloadSpec"):
-                continue
-            given = {kw.arg: kw.value for kw in call.keywords}
-            kind = getattr(call.args[0] if call.args else given.get("kind"),
-                           "value", None)
-            if kind in WORKLOAD_KINDS:
-                for param in _dict_keys(given.get("params")):
-                    if param in WORKLOAD_KINDS[kind].optional:
-                        ungiven.pop(owner(kind, param), None)
+    for kind, given in _workload_specs(*SCANNED):
+        if kind in WORKLOAD_KINDS:
+            for param in _dict_keys(given.get("params")):
+                if param in WORKLOAD_KINDS[kind].optional:
+                    ungiven.pop(owner(kind, param), None)
     assert not ungiven, (
         "optional workload params no WorkloadSpec gives: "
         + ", ".join(sorted(ungiven.values()))
+    )
+
+
+def test_every_workload_kind_is_declared_outside_the_tests():
+    """A kind earns its row, its generator and its validation when the
+    library, a bench or an example sends that traffic; a row only its
+    own tests declare is an input format no caller uses."""
+    declared = {kind for kind, _ in
+                _workload_specs("src", "benchmarks", "examples")}
+    assert len(declared) >= 8, "the walk lost the WorkloadSpec calls"
+    undeclared = set(WORKLOAD_KINDS) - declared
+    assert not undeclared, (
+        "workload kinds no library scenario, bench or example declares: "
+        + ", ".join(sorted(undeclared))
     )
