@@ -165,8 +165,9 @@ class NetworkCache:
     def has_region(self, name: str) -> bool:
         return name in self._by_name
 
-    def has_region_id(self, region_id: int) -> bool:
-        return region_id in self._regions
+    def region_of(self, region_id: int) -> Optional[RegionSpec]:
+        """The region with id ``region_id``, or None if not defined here."""
+        return self._regions.get(region_id)
 
     def regions(self) -> List[RegionSpec]:
         return sorted(self._regions.values(), key=lambda s: s.region_id)

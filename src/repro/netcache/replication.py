@@ -10,6 +10,10 @@ makes the intermediate versions unobservable anyway.
 
 Region definitions are replicated too, so services can create regions at
 runtime (AmpFiles does) and late joiners learn them from the snapshot.
+
+A peer's bytes are not trusted: a message that does not parse, defines a
+region that clashes with ours, or names a record its region does not
+hold is counted in ``bad_messages`` and dropped.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 from ..sim import Counter
 from ..transport import Channel
 from .network_cache import (
+    CacheError,
     RecordUpdate,
     RegionSpec,
     decode_update,
@@ -92,17 +97,22 @@ class CacheReplicator:
     def _on_message(self, src: int, payload: bytes, channel: int) -> None:
         if src == self.node.node_id:
             return  # our own broadcast touring back
-        tag = payload[0]
-        if tag == _TAG_REGION:
-            self._apply_region(payload[1:])
-        elif tag == _TAG_UPDATE:
-            update, _rest = decode_update(payload[1:])
-            self._enqueue_apply(update)
-        else:
+        try:
+            tag = payload[0]
+            if tag == _TAG_REGION:
+                self._apply_region(payload[1:])
+            elif tag == _TAG_UPDATE:
+                update, _rest = decode_update(payload[1:])
+                self._enqueue_apply(update)
+            else:
+                raise CacheError(f"unknown cache message tag {tag}")
+        except (IndexError, UnicodeDecodeError, CacheError):
             self.counters.incr("bad_messages")
 
     def _apply_region(self, raw: bytes) -> None:
         region_id, name_len = raw[0], raw[1]
+        if len(raw) != 8 + name_len:
+            raise CacheError(f"region row of {len(raw)} bytes")
         name = raw[2 : 2 + name_len].decode("utf-8")
         rest = raw[2 + name_len :]
         spec = RegionSpec(
@@ -118,11 +128,15 @@ class CacheReplicator:
             self._enqueue_apply(orphan)
 
     def _enqueue_apply(self, update: RecordUpdate) -> None:
-        if not self.node.cache.has_region_id(update.region_id):
+        spec = self.node.cache.region_of(update.region_id)
+        if spec is None:
             # The region announcement is still in flight (retransmission
             # reordering); hold the update until it lands.
             self._orphans.setdefault(update.region_id, []).append(update)
             self.counters.incr("orphan_updates")
+            return
+        if not 0 <= update.index < spec.n_records:
+            self.counters.incr("bad_messages")  # before ``_busy`` holds it
             return
         key = (update.region_id, update.index)
         if key in self._busy:

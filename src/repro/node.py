@@ -26,6 +26,7 @@ __all__ = ["AmpNode", "BOOT_DELAY_NS"]
 
 #: Plain-int mirror for the per-frame dispatch test.
 _ROSTERING = int(MicroPacketType.ROSTERING)
+_DISPATCH_SLOTS = len(MicroPacketType) << 4  # sixteen channels per type
 
 #: AmpDK boot time before the node first seeks a ring (slide 17:
 #: "instantly self-boots" — tens of microseconds of firmware).
@@ -79,13 +80,11 @@ class AmpNode:
         #: delivery dispatch: (ptype, channel) -> handler; None channel =
         #: any channel of that type not claimed more specifically.  The
         #: dict is the registration source of truth; deliveries go
-        #: through ``_dispatch``, a precomputed [ptype][channel] table
-        #: with the wildcard fallback already baked in, rebuilt on the
-        #: (rare) register/unregister and consulted on every frame.
+        #: through ``_dispatch``, one flat ``[ptype << 4 | channel]``
+        #: table with the wildcard fallback already baked in, rebuilt on
+        #: the (rare) register/unregister and consulted on every frame.
         self._handlers: dict = {}
-        self._dispatch: List[List[Optional[Callable]]] = [
-            [None] * 16 for _ in range(len(MicroPacketType))
-        ]
+        self._dispatch: List[Optional[Callable]] = [None] * _DISPATCH_SLOTS
         self._default_sinks: List[Callable[[MicroPacket, Frame], None]] = []
         self.mac.on_deliver = self._deliver
         self.mac.on_tour_complete = self._tour_complete
@@ -187,16 +186,15 @@ class AmpNode:
         self._rebuild_dispatch()
 
     def _rebuild_dispatch(self) -> None:
-        table = [[None] * 16 for _ in range(len(MicroPacketType))]
+        table = [None] * _DISPATCH_SLOTS
         for (ptype, channel), handler in self._handlers.items():
             if channel is not None:
-                table[ptype][channel] = handler
+                table[ptype << 4 | channel] = handler
         for (ptype, channel), handler in self._handlers.items():
             if channel is None:
-                row = table[ptype]
-                for ch in range(16):
-                    if row[ch] is None:
-                        row[ch] = handler
+                for slot in range(ptype << 4, (ptype + 1) << 4):
+                    if table[slot] is None:
+                        table[slot] = handler
         self._dispatch = table
 
     def register_default(self, sink) -> None:
@@ -216,7 +214,7 @@ class AmpNode:
             pass
 
     def _deliver(self, packet: MicroPacket, frame: Frame) -> None:
-        handler = self._dispatch[packet.ptype][packet.channel]
+        handler = self._dispatch[packet.ptype << 4 | packet.channel]
         if handler is not None:
             handler(packet, frame)
             return

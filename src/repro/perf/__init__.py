@@ -25,7 +25,10 @@ numbers the performance work is steered by:
 * **Python calls per entry** — :func:`count_calls` runs a callable under
   stdlib ``cProfile`` and folds the calls it made by stack layer, C
   builtins apart: the interpreter's work, exact at a seed, where wall
-  time on a shared box is not.
+  time on a shared box is not;
+* **heap by layer** — :func:`heap_by_layer` folds a ``tracemalloc``
+  snapshot by the same stack layers: what the model keeps, by who
+  allocated it.
 
 Attaching a probe never changes simulation behaviour: the kernel's
 ``on_event`` observer is read-only accounting, so a run with the probe
@@ -49,12 +52,16 @@ import cProfile
 import os
 import pstats
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim import Callback, Simulator
 
-__all__ = ["BUILTINS", "PerfProbe", "PerfReport", "count_calls", "layer_of"]
+__all__ = [
+    "BUILTINS", "PerfProbe", "PerfReport", "count_calls", "heap_by_layer",
+    "layer_of",
+]
 
 #: the layer :func:`count_calls` files C builtins under
 BUILTINS = "builtins"
@@ -90,11 +97,26 @@ def count_calls(fn: Callable[..., Any], *args: Any,
     result = profile.runcall(fn, *args, **kwargs)
     calls: Dict[str, int] = {}
     for (filename, _line, _name), row in pstats.Stats(profile).stats.items():
-        rel = os.path.relpath(filename, _PACKAGE_DIR).split(os.sep)
-        layer = (BUILTINS if filename == "~" else "other"
-                 if rel[0] == os.pardir else rel[0].removesuffix(".py"))
+        layer = BUILTINS if filename == "~" else _file_layer(filename)
         calls[layer] = calls.get(layer, 0) + row[1]
     return result, calls
+
+
+def heap_by_layer(snapshot: tracemalloc.Snapshot) -> Dict[str, int]:
+    """Live bytes of a ``tracemalloc`` snapshot by the layer of the file
+    that allocated them (:func:`count_calls`'s layers; ``other`` is the
+    standard library and the interpreter)."""
+    heap: Dict[str, int] = {}
+    for stat in snapshot.statistics("filename"):
+        layer = _file_layer(stat.traceback[0].filename)
+        heap[layer] = heap.get(layer, 0) + stat.size
+    return heap
+
+
+def _file_layer(filename: str) -> str:
+    """The package below ``repro`` that ``filename`` is in, or ``other``."""
+    rel = os.path.relpath(filename, _PACKAGE_DIR).split(os.sep)
+    return "other" if rel[0] == os.pardir else rel[0].removesuffix(".py")
 
 
 @dataclass

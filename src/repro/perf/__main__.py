@@ -6,6 +6,7 @@
     python -m repro.perf slide7_mixed --per-kind
     python -m repro.perf large_ring_64 --seed 9 --json out.json
     python -m repro.perf large_ring_256 --calls
+    python -m repro.perf mesh_routed_small --heap
 
 Runs the scenario through the ordinary :class:`ScenarioRunner` with a
 :class:`~repro.perf.PerfProbe` attached, and reports three windows:
@@ -26,6 +27,10 @@ build to judgement, per schedule entry and per frame a MAC delivered,
 by stack layer, with C builtins apart.  The counts are exact at a seed:
 a change that moves them changed the work, whatever the box did.
 
+``--heap`` runs the scenario under ``tracemalloc`` instead and reports
+the live heap at ring-up and at the end of the run (before judgement),
+by stack layer, in bytes per node (:func:`~repro.perf.heap_by_layer`).
+
 Exits non-zero if the scenario's invariants fail — a profile of a
 broken run is not a data point.
 """
@@ -33,14 +38,16 @@ broken run is not a data point.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
-from typing import List, Optional
+import tracemalloc
+from typing import Dict, List, Optional
 
 from ..analysis import total_mac_counter
 from ..scenarios import SCENARIOS, get_scenario, scenario_names
 from ..scenarios.runner import ScenarioRunner
-from . import BUILTINS, PerfProbe, PerfReport, count_calls
+from . import BUILTINS, PerfProbe, PerfReport, count_calls, heap_by_layer
 
 
 def profile_scenario(name: str, seed: Optional[int] = None,
@@ -100,6 +107,44 @@ def count_scenario_calls(name: str, seed: Optional[int] = None):
     }
 
 
+def heap_scenario(name: str, seed: Optional[int] = None):
+    """Run ``name`` under ``tracemalloc``; returns the result and a
+    report: the node count and the live heap by layer, in bytes per
+    node, at ring-up and once the run has settled."""
+    heaps: Dict[str, Dict[str, int]] = {}
+
+    def hook(phase: str) -> None:
+        if phase in ("ring_up", "settled"):
+            gc.collect()
+            heaps[phase] = heap_by_layer(tracemalloc.take_snapshot())
+
+    runner = ScenarioRunner(get_scenario(name, seed=seed), phase_hook=hook)
+    tracemalloc.start()
+    try:
+        result = runner.run()
+    finally:
+        tracemalloc.stop()
+    n = len(runner.cluster.nodes)
+    per_node = {
+        phase: {layer: round(size / n) for layer, size in sorted(
+            heap.items(), key=lambda kv: -kv[1])}
+        for phase, heap in heaps.items()
+    }
+    return result, {"nodes": n, "ring_up": per_node["ring_up"],
+                    "end": per_node["settled"]}
+
+
+def _print_heap(nodes: int, ring_up: Dict[str, int],
+                end: Dict[str, int]) -> None:
+    print(f"  traced heap, bytes per node ({nodes:,} nodes)\n"
+          f"      {'layer':<16} {'ring-up':>10} {'end':>10}\n"
+          f"      {'total':<16} {sum(ring_up.values()):>10,}"
+          f" {sum(end.values()):>10,}")
+    for layer in end:
+        print(f"      {layer:<16} {ring_up.get(layer, 0):>10,}"
+              f" {end[layer]:>10,}")
+
+
 def _print_calls(calls, entries: int, delivered_frames: int) -> None:
     python = sum(n for layer, n in calls.items() if layer != BUILTINS)
     print(f"  python calls    {python:,}\n"
@@ -141,6 +186,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="break events down by stack layer")
     parser.add_argument("--calls", action="store_true",
                         help="count Python calls by layer (cProfile)")
+    parser.add_argument("--heap", action="store_true",
+                        help="live heap per node by layer (tracemalloc)")
     parser.add_argument("--json", help="write the report as JSON")
     args = parser.parse_args(argv)
 
@@ -155,6 +202,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.calls:
         result, report = count_scenario_calls(args.scenario, seed=args.seed)
+    elif args.heap:
+        result, report = heap_scenario(args.scenario, seed=args.seed)
     else:
         result, total, ring_up, workload = profile_scenario(
             args.scenario, seed=args.seed, per_kind=args.per_kind
@@ -165,6 +214,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"[{status}] {result.name} (seed {result.seed})")
     if args.calls:
         _print_calls(**report)
+    elif args.heap:
+        _print_heap(**report)
     else:
         _print_report("total (build + ring-up + workload)", total)
         _print_report("ring-up (built -> ring up)", ring_up)

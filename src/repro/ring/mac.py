@@ -39,6 +39,13 @@ FrameFn = Callable[[Frame], None]
 
 #: Plain-int mirror of Flags.PRIORITY for the per-hop flag test.
 _PRIORITY = int(Flags.PRIORITY)
+#: The counters of received ring frames that end on this MAC unstripped
+#: and unforwarded: the drops of :meth:`RingMAC.balanced`'s ledger.
+_RX_DROPS = (
+    "rx_ring_down_drop", "orphans_scrubbed", "transit_overflow_drop",
+    "transit_flushed", "transit_lost_ring_down", "transit_lost_carrier",
+    "transit_lost_singleton",
+)
 
 
 def _voided() -> None:
@@ -171,6 +178,23 @@ class RingMAC:
         self._ring_open = True
         self.counters["roster_installs"] += 1
         self._kick()
+
+    def balanced(self) -> bool:
+        """The MAC's frame ledger, both halves.  Every frame it inserted
+        completed its tour (at once on a singleton ring), was counted
+        lost at a teardown, or is still outstanding; and every ring frame
+        it received was stripped, forwarded, dropped under one of
+        :data:`_RX_DROPS`, or is still held in a transit buffer or the
+        insertion register."""
+        c = self.counters
+        if c["tx_inserted"] != (
+                c["tours_completed"] + c["tours_lost"] + len(self._outstanding)):
+            return False
+        stripped = c["tours_completed"] - c["singleton_tours"] + c["stale_strip"]
+        held = len(self._transit) + len(self._transit_priority) + (
+            self._tx_frame is not None and not self._tx_inserted)
+        return c["rx_frames"] == stripped + c["tx_transit"] + held + sum(
+            c[name] for name in _RX_DROPS)
 
     def teardown(self, reason: str = "") -> None:
         """Ring down: stop forwarding, surrender in-flight accounting."""
@@ -378,8 +402,11 @@ class RingMAC:
             if inserted:
                 counters["tx_inserted"] += 1
                 counters["tours_completed"] += 1
+                counters["singleton_tours"] += 1
                 if self.on_tour_complete is not None:
                     self.on_tour_complete(frame)
+            else:
+                counters["transit_lost_singleton"] += 1  # nowhere to go
             return True
         if not self._tx_link.transmit(frame):
             # Our active hop just died; rostering will rebuild.  Local
@@ -421,6 +448,7 @@ class RingMAC:
             # the frame was handed to its wire after the hold began.
             self._hold_pick_first()
         counters = self.counters
+        counters["rx_frames"] += 1
         if not self._ring_open or self.roster is None:
             counters["rx_ring_down_drop"] += 1
             return

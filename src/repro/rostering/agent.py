@@ -33,7 +33,7 @@ the slide-16 claim bench F7 measures.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..phys import Port
 from ..phys.frame import Frame, frame_for
@@ -58,9 +58,6 @@ COMMIT_TIMEOUT_FACTOR = 3.0
 #: Minimum compatible protocol version a master will admit to its
 #: roster (assimilation rules, slide 17).
 MIN_VERSION = (1, 0)
-#: Slots in a round's report list: one per value of a cell's 8-bit
-#: origin byte.
-_NODE_IDS = 256
 #: Plain-int mirrors for the per-arrival relay test (a class attribute
 #: of an Enum costs a metaclass lookup).
 _EXPLORE = int(Phase.EXPLORE)
@@ -102,8 +99,10 @@ class RosterAgent:
         self.enabled = True
         self.counters = Counter()
 
-        #: this round's REPORT per origin (None: not heard)
+        #: this round's REPORT per origin (None: not heard) up to the highest
+        #: heard, dropped at install; ``_master``, the lowest, outlives it
         self._reports: List[Optional[RosterMessage]] = []
+        self._master: Optional[int] = None
         #: this round's relay suppression (see ``_relay``): EXPLORE and
         #: REPORT one bit per origin, COMMIT a chunk mask per origin
         self._explored = 0
@@ -130,10 +129,7 @@ class RosterAgent:
     @property
     def is_master(self) -> bool:
         """Master of the current round = lowest reporting node id."""
-        for node, msg in enumerate(self._reports):
-            if msg is not None:
-                return node == self.node_id
-        return False
+        return self._master == self.node_id
 
     def live_port_bitmap(self) -> int:
         bitmap = 0
@@ -199,7 +195,6 @@ class RosterAgent:
         self.state = AgentState.EXPLORING
         self.round_no = round_no
         self.roster = None
-        self._reports = [None] * _NODE_IDS
         self._explored = self._reported = 0
         self._committed = {}
         self._assembler.reset()
@@ -224,7 +219,9 @@ class RosterAgent:
             self.live_port_bitmap(),
             version=self.version,
         )
-        self._reports[self.node_id] = decode(report)
+        # The round's list opens with our own report: the master so far.
+        self._reports = [None] * self.node_id + [decode(report)]
+        self._master = self.node_id
         self._reported |= 1 << self.node_id
         self._flood(frame_for(report))
 
@@ -252,8 +249,14 @@ class RosterAgent:
             if newer:
                 self._start_round(msg.round_no, joined=True)
             if msg.round_no == self.round_no and self.state == AgentState.EXPLORING:
-                if self._reports[msg.origin] is None:
-                    self._reports[msg.origin] = msg
+                origin = msg.origin
+                if not self._reported >> origin & 1:  # the first copy
+                    reports = self._reports
+                    if origin >= len(reports):
+                        reports.extend([None] * (origin + 1 - len(reports)))
+                    reports[origin] = msg
+                    if origin < self._master:
+                        self._master = origin
                 self._relay(frame, port, msg)
             return
 
@@ -261,9 +264,10 @@ class RosterAgent:
             if msg.round_no != self.round_no:
                 return
             self._relay(frame, port, msg)
-            members = self._assembler.add(msg)
-            if members is not None and self.state == AgentState.EXPLORING:
-                self._install(members)
+            if self.state == AgentState.EXPLORING:
+                members = self._assembler.add(msg)
+                if members is not None:
+                    self._install(members)
             return
 
     def _is_newer_round(self, seen: int) -> bool:
@@ -323,11 +327,9 @@ class RosterAgent:
                     attachment.setdefault(k, set()).add(node)
         return attachment
 
-    def _reporters(self) -> List[Tuple[int, RosterMessage]]:
-        """This round's reports as (origin, report), in origin order."""
-        return [
-            (node, msg) for node, msg in enumerate(self._reports) if msg is not None
-        ]
+    def _reporters(self) -> Dict[int, RosterMessage]:
+        """This round's reports by origin, in origin order."""
+        return {n: msg for n, msg in enumerate(self._reports) if msg is not None}
 
     def _admissible_reports(self) -> Dict[int, RosterMessage]:
         """Assimilation rules: exclude version-incompatible nodes, and —
@@ -335,7 +337,7 @@ class RosterAgent:
         layer has declared dead (their flooded report may be stale, or
         they may be a zombie the operator wants fenced off)."""
         out = {}
-        for node, msg in self._reporters():
+        for node, msg in self._reporters().items():
             if msg.version < MIN_VERSION:
                 self.counters.incr("version_rejected")
                 continue
@@ -411,7 +413,9 @@ class RosterAgent:
             self.state = AgentState.DOWN
             self.counters.incr("excluded_from_roster")
             return
-        roster = self._normalized_roster(members, dict(self._reporters()))
+        roster = self._normalized_roster(members, self._reporters())
+        self._reports = []  # the round is decided (``_master`` stays)
+        self._assembler.reset()
         if roster is None:
             # Missing reports leave us unable to derive hops; escalate so
             # the next round's flood fills the gap.

@@ -368,10 +368,10 @@ class SegmentRouter:
             return
         dma = pkt.dma
         self.counters.incr("fragments_captured")
-        # Keyed by the origin's global address + its transfer id: stable
-        # across re-originations, so a crossing revisiting this router
-        # (on any port) is recognized instead of looping.
-        key = (dma.src_segment, dma.src_node, dma.transfer_id)
+        # Keyed by the origin's global address + its transfer id (the
+        # ferried TransferTable key): stable across re-originations, so a
+        # crossing revisiting this router is recognized instead of looping.
+        key = (dma.src_segment + 1) << 24 | dma.src_node << 16 | dma.transfer_id
         if key in self._transfers:
             self.counters.incr("duplicate_fragments")
             return

@@ -11,10 +11,10 @@
 ``run`` exits non-zero if any invariant fails; ``digest`` re-runs the
 scenario and prints one trace digest per run (the golden-trace tests
 document their update procedure in terms of this command).  ``trace``
-writes the canonical line of every trace record, the lines the digest
-hashes (the file's BLAKE2b-128 is the digest); two dumps, say of a
-parent and of a change, diff to the first record where the timelines
-part.
+writes the canonical line of every trace record as it is made, the
+lines the digest hashes (the file's BLAKE2b-128 is the digest); two
+dumps, say of a parent and of a change, diff to the first record where
+the timelines part.
 
 One run at a time: for a (scenario × seed × size) grid fanned across a
 worker pool with aggregated statistics, use ``python -m repro.sweep``
@@ -29,8 +29,9 @@ import sys
 from typing import List, Optional
 
 from ..analysis import fmt_ns
+from ..sim import trace_line
 from .library import SCENARIOS, get_scenario, scenario_names
-from .runner import ScenarioResult, ScenarioRunner, run_scenario, trace_lines
+from .runner import ScenarioResult, ScenarioRunner, run_scenario
 
 
 def print_result(result: ScenarioResult) -> None:
@@ -134,11 +135,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"unknown scenario {args.name!r}; known: "
               f"{', '.join(scenario_names())}", file=sys.stderr)
         return 2
-    runner = ScenarioRunner(get_scenario(args.name, seed=args.seed))
-    result = runner.run()
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(trace_lines(runner.cluster.tracer))
-    print(f"wrote {len(runner.cluster.tracer.records)} records to {args.out} "
+
+        def dump(phase: str) -> None:
+            # The cluster exists, and has recorded nothing, from "built".
+            if phase == "built":
+                runner.cluster.tracer.subscribe(
+                    lambda rec: fh.write(trace_line(rec)))
+
+        runner = ScenarioRunner(get_scenario(args.name, seed=args.seed),
+                                phase_hook=dump)
+        result = runner.run()
+    print(f"wrote {result.counters['trace_records']} records to {args.out} "
           f"(digest {result.trace_digest})")
     return 0
 

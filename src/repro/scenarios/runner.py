@@ -9,18 +9,18 @@ The runner owns the full experiment lifecycle:
    certified ring's tour estimate);
 4. run the horizon, then grant grace time while workloads finish;
 5. close every workload (releasing its receive handlers), evaluate the
-   spec's invariants, and fold the tracer timeline into a digest.
+   spec's invariants, and read the tracer timeline's digest.
 
 The digest is the determinism contract made machine-checkable: two runs
 of the same spec under the same seed must produce byte-identical
-timelines, which the golden-trace suite pins across commits.
+timelines, which the golden-trace suite pins across commits.  The
+tracer streams it as records are made, so the runner keeps none.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis import ring_drop_count
 from ..caching import CacheDeployment
@@ -45,23 +45,11 @@ __all__ = [
 ]
 
 
-def trace_lines(tracer: Tracer) -> Iterator[str]:
-    """The canonical line of each record, newline included:
-    ``repr((time, category, source, sorted data items))``.  Only value
-    types with version-stable ``repr`` appear in traces (ints, strs,
-    tuples, None, floats), so the lines are comparable across Python
-    3.10–3.12 and across platforms."""
-    for r in tracer.records:
-        yield repr((r.time, r.category, r.source, tuple(sorted(r.data.items())))) + "\n"
-
-
 def trace_digest(tracer: Tracer) -> str:
-    """Stable 128-bit digest of a tracer timeline: BLAKE2b-128 of its
-    :func:`trace_lines`, so a dump of them hashes to the digest."""
-    h = hashlib.blake2b(digest_size=16)
-    for line in trace_lines(tracer):
-        h.update(line.encode("utf-8"))
-    return h.hexdigest()
+    """Stable 128-bit digest of a tracer timeline: BLAKE2b-128 of every
+    record's :func:`~repro.sim.trace_line`, so a dump of them hashes to
+    the digest."""
+    return tracer.digest()
 
 
 @dataclass(frozen=True)
@@ -177,6 +165,8 @@ class ScenarioRunner:
     def run(self) -> ScenarioResult:
         spec = self.spec
         cluster = self.cluster = spec.build_cluster(seed=self.seed)
+        # The judge reads the tracer's digest and counts, never a record.
+        cluster.tracer.retain = False
         self._phase("built")
         cluster.start()
         self.ring_up_ns = cluster.run_until_ring_up()
@@ -315,10 +305,11 @@ class ScenarioRunner:
                 not link.balanced() for node in cluster.nodes.values()
                 for port in node.ports
                 for link in (port.tx_link, port.tx_link.dst.tx_link)),
-            "trace_records": len(cluster.tracer.records),
-            "faults_fired": sum(
-                1 for r in cluster.tracer.records if r.category == "fault"
-            ),
+            # MACs whose frame ledger does not balance (RingMAC.balanced)
+            "mac_unbalanced": sum(
+                not node.mac.balanced() for node in cluster.nodes.values()),
+            "trace_records": sum(cluster.tracer.counts.values()),
+            "faults_fired": cluster.tracer.counts.get("fault", 0),
         }
         # Fold the routers' own accounting (parked, dead-lettered,
         # breaker transitions, ...; nothing on a single ring) into the
@@ -361,11 +352,7 @@ class ScenarioRunner:
         out: Dict[str, float] = dict(cluster.membership_overhead())
         detects = [
             cluster.convergence.time_to_detect(peer, "DEAD")
-            for peer in set(
-                r.data.get("peer")
-                for r in cluster.tracer.select(category="membership")
-                if r.data.get("status") == "DEAD"
-            )
+            for peer in cluster.convergence.peers("DEAD")
         ]
         detects = [d for d in detects if d is not None]
         if detects:

@@ -15,6 +15,7 @@ from .monitor import (
     Counter,
     LatencyStat,
     Tracer,
+    trace_line,
 )
 from .rand import SeededStreams, derive_seed
 
@@ -33,4 +34,5 @@ __all__ = [
     "Timeout",
     "Tracer",
     "derive_seed",
+    "trace_line",
 ]

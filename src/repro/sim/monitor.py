@@ -1,12 +1,14 @@
 """Trace recording and lightweight statistics for simulation runs.
 
 The analysis layer (:mod:`repro.analysis`) and every benchmark consume the
-structures defined here.  Recording is cheap (append to a list / integer
-bumps) so it can stay enabled during benchmarks without distorting them.
+structures defined here.  Recording is cheap (a hash update, an integer
+bump and, when kept, an append) so it can stay enabled during benchmarks
+without distorting them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -14,6 +16,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "TraceRecord",
     "Tracer",
+    "trace_line",
     "NULL_TRACER",
     "Counter",
     "LatencyStat",
@@ -21,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One trace entry: what happened, where, when."""
 
@@ -31,18 +34,37 @@ class TraceRecord:
     data: Dict[str, Any]
 
 
+def trace_line(rec: TraceRecord) -> str:
+    """The canonical line of a record, newline included:
+    ``repr((time, category, source, sorted data items))``.  Only value
+    types with version-stable ``repr`` appear in traces (ints, strs,
+    tuples, None, floats), so the lines are comparable across Python
+    3.10–3.12 and across platforms."""
+    return repr((rec.time, rec.category, rec.source,
+                 tuple(sorted(rec.data.items())))) + "\n"
+
+
 class Tracer:
-    """Append-only event trace, filtered by category on read
-    (:meth:`select`).
+    """Event trace: a running digest and per-category counts of every
+    record, the records themselves while ``retain`` holds (filtered by
+    category on read, :meth:`select`), and live listeners.
 
     A single Tracer is shared by a whole cluster model; components call
     :meth:`record` with their own ``source`` tag.  A disabled tracer
-    records nothing, which keeps hot paths cheap.
+    records nothing, which keeps hot paths cheap.  The digest is
+    BLAKE2b-128 of every record's :func:`trace_line`, fed as the record
+    is made, so it needs no record kept: the scenario runner, which
+    reads only the digest and the counts, switches ``retain`` off.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        #: keep every record in ``records``
+        self.retain = True
         self.records: List[TraceRecord] = []
+        #: category -> records made
+        self.counts: Dict[str, int] = {}
+        self._hash = hashlib.blake2b(digest_size=16)
         self._listeners: List[Callable[[TraceRecord], None]] = []
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
@@ -62,9 +84,16 @@ class Tracer:
         if not self.enabled:
             return
         rec = TraceRecord(time, category, source, data)
-        self.records.append(rec)
+        self._hash.update(trace_line(rec).encode("utf-8"))
+        self.counts[category] = self.counts.get(category, 0) + 1
+        if self.retain:
+            self.records.append(rec)
         for listener in self._listeners:
             listener(rec)
+
+    def digest(self) -> str:
+        """BLAKE2b-128 hex digest of every record made so far."""
+        return self._hash.hexdigest()
 
     def select(
         self,
@@ -83,6 +112,7 @@ class Tracer:
         return list(out)
 
     def clear(self) -> None:
+        """Forget the kept records (the digest and counts go on)."""
         self.records.clear()
 
 
@@ -197,8 +227,7 @@ class ConvergenceTracker:
       holdout agrees).
 
     Records are indexed on arrival, so tracking stays O(1) per record no
-    matter how long the run (the raw Tracer list still holds everything
-    for offline analysis).
+    matter how long the run, and needs no record kept by the tracer.
     """
 
     def __init__(self, tracer: Tracer):
@@ -220,6 +249,10 @@ class ConvergenceTracker:
         observers.setdefault(rec.source, []).append(rec.time)
 
     # ------------------------------------------------------------- queries
+    def peers(self, status: str) -> List[int]:
+        """Every peer some observer has recorded ``status`` for."""
+        return sorted({peer for peer, st in self._seen if st == status})
+
     def verdict_times(
         self, peer: int, status: str, since: int = 0
     ) -> Dict[str, int]:

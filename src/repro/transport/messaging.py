@@ -24,7 +24,6 @@ heal, because unconfirmed work is simply replayed onto the new ring.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union, TYPE_CHECKING
 
@@ -136,23 +135,22 @@ class TransferTable:
     remembered (oldest evicted first) so a late copy is recognised as a
     duplicate instead of being delivered, or ferried, twice.
 
-    Keys are ``(src, transfer_id)`` for local traffic and the origin's
-    end-to-end identity ``(src_segment, src_node, transfer_id)`` for
-    ferried traffic — stable across router re-originations, which is
-    what suppresses a redundant router's replay.
+    A key is one int, packed where it is made: ``src << 16 |
+    transfer_id`` (below ``1 << 24``) for local traffic, and for ferried
+    traffic the origin's end-to-end identity ``(src_segment + 1) << 24 |
+    src_node << 16 | transfer_id`` — stable across router
+    re-originations, which is what suppresses a redundant router's replay.
     """
 
     def __init__(self) -> None:
-        self._reassembly: Dict[Tuple[int, ...], _Reassembly] = {}
-        self._completed: "OrderedDict[Tuple[int, ...], None]" = OrderedDict()
+        self._reassembly: Dict[int, _Reassembly] = {}
+        self._completed: Dict[int, None] = {}  # in completion order
 
-    def __contains__(self, key: Tuple[int, ...]) -> bool:
+    def __contains__(self, key: int) -> bool:
         """True when ``key`` names a remembered completed transfer."""
         return key in self._completed
 
-    def add(
-        self, key: Tuple[int, ...], pkt: MicroPacket
-    ) -> Optional[Tuple[bytes, int]]:
+    def add(self, key: int, pkt: MicroPacket) -> Optional[Tuple[bytes, int]]:
         """Apply one DMA fragment of transfer ``key``; returns the
         ``(payload, channel)`` of the message it completes, which is
         then remembered, or None while fragments are missing."""
@@ -167,11 +165,11 @@ class TransferTable:
         self.remember(key)
         return payload, state.channel
 
-    def remember(self, key: Tuple[int, ...]) -> None:
+    def remember(self, key: int) -> None:
         """Record ``key`` as completed, evicting the oldest past the cap."""
         self._completed[key] = None
         if len(self._completed) > _COMPLETED_CACHE:
-            self._completed.popitem(last=False)
+            del self._completed[next(iter(self._completed))]
 
     def clear(self) -> None:
         self._reassembly.clear()
@@ -277,7 +275,7 @@ class Messenger:
             # the ring, so it would be the one cluster member that never
             # hears the broadcast it relays.  Deliver locally, through
             # the same origin-keyed dedup the receive path uses.
-            key = (origin[0], origin[1], wire_tid)
+            key = (origin[0] + 1) << 24 | origin[1] << 16 | wire_tid
             if key not in self._transfers:
                 self._transfers.remember(key)
                 self.counters.incr("messages_received")
@@ -438,11 +436,11 @@ class Messenger:
             self._message_handlers[channel] = None
 
     def _on_dma(self, pkt: MicroPacket, frame) -> None:
-        assert pkt.dma is not None
+        dma = pkt.dma
         if (
-            pkt.dma.cluster_broadcast
-            and pkt.dma.src_segment == self.segment_id
-            and pkt.dma.src_node == self.node.node_id
+            dma.cluster_broadcast
+            and dma.src_segment == self.segment_id
+            and dma.src_node == self.node.node_id
         ):
             # A router fanning out our own cluster broadcast may reflect
             # a copy back onto this ring before the spanning tree has
@@ -454,10 +452,10 @@ class Messenger:
         # gateways replaying the same crossing — redundant routers
         # during a failover — land on one reassembly, and the second
         # copy is suppressed as a duplicate instead of delivered twice.
-        if pkt.dma.src_segment is not None:
-            key = (pkt.dma.src_segment, pkt.dma.src_node, pkt.dma.transfer_id)
+        if dma.src_segment is not None:
+            key = (dma.src_segment + 1) << 24 | dma.src_node << 16 | dma.transfer_id
         else:
-            key = (pkt.src, pkt.dma.transfer_id)
+            key = pkt.src << 16 | dma.transfer_id
         if key in self._transfers:
             self.counters.incr("duplicate_fragments")
             return
@@ -473,7 +471,6 @@ class Messenger:
             # address in the header extension; hand that to the handler
             # (instead of the re-originating gateway's MAC id) so
             # replies can cross back.
-            dma = pkt.dma
             if dma.src_segment is not None:
                 handler((dma.src_segment, dma.src_node), payload, channel)
             else:

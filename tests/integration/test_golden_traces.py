@@ -28,7 +28,6 @@ A digest that differs between ``--runs`` repetitions is never a golden
 update — it is a determinism bug.
 """
 
-from collections import Counter
 
 import pytest
 
@@ -92,7 +91,7 @@ def test_timeline_matches_golden_digest(name, first_run):
     if result.trace_digest != GOLDEN[name]:
         runner = ScenarioRunner(get_scenario(name))
         runner.run()
-        per_category = Counter(r.category for r in runner.cluster.tracer.records)
+        per_category = runner.cluster.tracer.counts
         pytest.fail(
             f"{name}: timeline digest {result.trace_digest} != golden "
             f"{GOLDEN[name]}; records per category {sorted(per_category.items())}"

@@ -97,6 +97,7 @@ def test_named_scenario_invariants_and_replay(name, first_run):
     assert first.counters["offered"] > 0
     assert first.counters["delivered"] >= first.counters["offered"]
     assert first.counters["phys_unbalanced"] == 0
+    assert first.counters["mac_unbalanced"] == 0
 
     second = run_scenario(get_scenario(name))
     assert second.trace_digest == first.trace_digest
@@ -114,6 +115,7 @@ def test_large_ring_scenarios_run_green(name, first_run):
     assert result.counters["delivered"] >= result.counters["offered"]
     assert result.counters["ring_drops"] == 0
     assert result.counters["phys_unbalanced"] == 0
+    assert result.counters["mac_unbalanced"] == 0
 
 
 def test_different_seed_diverges_for_stochastic_scenario():

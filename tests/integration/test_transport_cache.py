@@ -2,9 +2,11 @@
 network semaphores — the slide 9/10/18 machinery end to end."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AmpNetCluster
-from repro.netcache import RegionSpec
+from repro.netcache import RecordUpdate, RegionSpec, encode_update
 from repro.micropacket import BROADCAST
 from repro.transport import Channel
 
@@ -202,6 +204,65 @@ def test_apply_in_flight_at_a_crash_finishes_on_the_dead_replica():
     assert dead.counters["applied_updates"] == 1     # finished where it began
     assert victim.cache.try_read("state", 5)[2] == 0
     assert not victim.cache.counters and not victim.replicator._busy
+
+
+# ---------------------------------------------------- untrusted peer bytes
+#: A four-record region every replica of :func:`small_region_cluster` holds.
+SMALL = RegionSpec(region_id=7, name="small", n_records=4, record_size=8)
+#: A region row naming region 8 "ab" (the replicator's wire form), whole.
+ROW = bytes([1, 8, 2]) + b"ab" + (4).to_bytes(4, "little") + (8).to_bytes(2, "little")
+
+
+def small_region_cluster():
+    cluster = AmpNetCluster(n_nodes=4, n_switches=2, regions=[SMALL])
+    cluster.start()
+    cluster.run_until_ring_up()
+    return cluster
+
+
+@pytest.mark.parametrize("payload", [
+    b"",                                                     # IndexError
+    bytes([0]) + encode_update(RecordUpdate(7, 1, 1, 2, b"abcd"))[:6],
+    ROW[:-3],                                                # short row
+    ROW[:3] + b"\xff\xfe" + ROW[5:],                          # bad UTF-8
+    bytes([0]) + encode_update(RecordUpdate(7, 9, 1, 2, b"abcd")),
+], ids=["empty", "truncated-update", "short-region-row", "bad-utf8-name",
+        "record-9-of-4"])
+def test_a_malformed_cache_message_is_counted_and_dropped(payload):
+    """What a peer sends on the CACHE channel is parsed, never trusted:
+    each of these escaped the messenger handler, and the record-9 update
+    also left a ``_busy`` entry nothing would clear."""
+    cluster = small_region_cluster()
+    replicator = cluster.nodes[3].replicator
+    replicator._on_message(2, payload, Channel.CACHE)
+    assert replicator.counters["bad_messages"] == 1
+    assert not replicator._busy
+    assert not cluster.nodes[3].cache.has_region("ab")
+    settle(cluster)
+
+
+def test_a_whole_region_row_still_defines_the_region():
+    cluster = small_region_cluster()
+    replicator = cluster.nodes[3].replicator
+    replicator._on_message(2, ROW, Channel.CACHE)
+    assert cluster.nodes[3].cache.region("ab").n_records == 4
+    assert replicator.counters["bad_messages"] == 0
+
+
+@given(payloads=st.lists(st.one_of(
+    st.binary(max_size=64),
+    # steered: an update (to the known region, or any), or a region row
+    st.tuples(st.sampled_from([b"\x00", b"\x00\x07", b"\x01"]),
+              st.binary(max_size=62)).map(b"".join),
+), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_arbitrary_cache_messages_never_raise(payloads):
+    cluster = small_region_cluster()
+    replicator = cluster.nodes[3].replicator
+    for payload in payloads:
+        replicator._on_message(2, payload, Channel.CACHE)
+    settle(cluster)  # every apply that began has finished
+    assert not replicator._busy
 
 
 # -------------------------------------------------------------- semaphores

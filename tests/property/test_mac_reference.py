@@ -180,6 +180,7 @@ class ReferenceMAC(RingMAC):
     def on_frame(self, frame: Frame, port: Port) -> None:
         """Entry point for ring traffic arriving from the physical layer."""
         counters = self.counters
+        counters.incr("rx_frames")  # the ledger's count (RingMAC.balanced)
         if not self._ring_open or self.roster is None:
             counters.incr("rx_ring_down_drop")
             return
@@ -447,10 +448,12 @@ def run_mac_world(mac_type, config, ops, mode, loosen=False):
 
 
 def both_mac_worlds(config, ops, mode):
-    fused, fused_events, _mac = run_mac_world(RingMAC, config, ops, mode)
+    fused, fused_events, mac = run_mac_world(RingMAC, config, ops, mode)
     reference, reference_events, ref = run_mac_world(
         ReferenceMAC, config, ops, mode)
     assert fused == reference
+    # every frame either MAC inserted or received is accounted for
+    assert mac.balanced() and ref.balanced()
     # the reference never set foot on the fused path, nor armed the
     # due-time wake-up
     assert ref._fused_at == -1 and ref._hold_end == 0

@@ -253,3 +253,35 @@ def test_pacing_wakeup_superseded_by_a_later_gap_end_does_nothing():
     assert list(mac._insertion) == [waiting]
     sim.run(until=second_end + NODE_TRANSIT_NS)
     assert waiting.inserted_at == second_end + NODE_TRANSIT_NS
+
+
+def test_the_frame_ledger_balances_between_every_two_entries():
+    """``RingMAC.balanced`` holds at every instant, not only at rest: a
+    six-node ring under a broadcast storm, with a fibre cut and restored
+    mid-run (lost tours, flushed buffers, a re-roster).  Frames held in
+    the insertion register and the transit buffers count as held."""
+    from repro import AmpNetCluster
+    cluster = AmpNetCluster(n_nodes=6, n_switches=2)
+    cluster.start()
+    cluster.run_until_ring_up()
+    macs = [node.mac for node in cluster.nodes.values()]
+    held = []
+
+    def check(_entry):
+        assert all(mac.balanced() for mac in macs)
+        held.append(any(mac._tx_frame is not None and not mac._tx_inserted
+                        for mac in macs))
+
+    tour = cluster.tour_estimate_ns
+    for k in range(40):
+        for node in cluster.nodes.values():
+            cluster.sim.call_in(k * tour // 4, node.messenger.send,
+                                BROADCAST, bytes(100), 13)
+    cluster.sim.call_in(3 * tour, cluster.cut_link, 2, 0)
+    cluster.sim.call_in(9 * tour, cluster.restore_link, 2, 0)
+    cluster.sim.on_event = check
+    cluster.run(until=cluster.sim.now + 60 * tour)
+    assert any(held)
+    counters = [mac.counters for mac in macs]
+    assert sum(c["tours_lost"] for c in counters) > 0
+    assert sum(c["tours_completed"] for c in counters) > 0

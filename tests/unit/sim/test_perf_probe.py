@@ -179,3 +179,17 @@ def test_profile_runner_reports_ring_up_as_its_own_window(tmp_path, capsys):
     assert ring_up["by_layer"]["phys.switch"] > 0  # the floods
     assert "nodes" not in workload and "nodes" not in total
     assert ring_up["events"] + workload["events"] <= total["events"]
+
+
+# ------------------------------------------------------------ the heap row
+def test_profile_runner_reports_the_heap_per_node_by_layer(tmp_path, capsys):
+    """``--heap`` prints and writes the live heap at ring-up and at the
+    end, in bytes per node, by the layer that allocated it."""
+    out = tmp_path / "heap.json"
+    assert main(["quiet_ring", "--heap", "--json", str(out)]) == 0
+    assert "traced heap, bytes per node (6 nodes)" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["nodes"] == 6
+    for phase in ("ring_up", "end"):
+        assert all(doc[phase][layer] > 0 for layer in (
+            "phys", "ring", "rostering", "transport", "node"))
